@@ -2,13 +2,10 @@
 # from a clean checkout without an install.
 PY := PYTHONPATH=src python
 
-.PHONY: test test-full bench perf-report bench-check bench-quick shard-smoke table1
+.PHONY: test test-full bench perf-report bench-check bench-quick table1
 
 test:        ## fast lane (default pytest config: -m "not slow")
 	$(PY) -m pytest -q
-
-shard-smoke: ## exercise the sharded (multiprocessing) executor end to end
-	$(PY) -m pytest tests/test_executor_equivalence.py -m slow -q
 
 test-full:   ## full suite including slow tests
 	$(PY) -m pytest -q -m ""

@@ -16,7 +16,7 @@ below ``(1 - TOLERANCE)`` of the committed one.  Reuse rows
 (``session_reuse_speedup``) are gated with the wider explicit
 :data:`REUSE_TOLERANCE` band -- near-1x ratios on 1-core containers would
 flap under the strict gate -- and noise-level committed ratios are
-*reported* as skipped instead of silently passing.  Threaded/sharded rows
+*reported* as skipped instead of silently passing.  Threaded rows
 (those carrying a ``threads`` field) are only compared when *both* the
 baseline and the current run record ``cpus >= 2`` -- on a 1-core container
 they measure scheduling overhead, not a speedup -- and speedup rows that
@@ -72,9 +72,9 @@ REUSE_NOISE_FLOOR = 1.05
 #: one; "kernel_gate" runs at n=128 in every mode and "kernel2" at fixed
 #: sizes in every mode, so those are always gated alongside the n=256
 #: engine sections.  In "sessions", the fixed-size ``witness_kernel`` row
-#: carries a plain ``speedup`` field (shard speedups are
-#: machine/core-count dependent and deliberately not gated) and the
-#: ``plan_cache`` reuse row is gated with :data:`REUSE_TOLERANCE`.  In
+#: carries a plain ``speedup`` field, the APSP and girth session rows gate
+#: their round bills when sizes match, and the ``plan_cache`` reuse row is
+#: gated with :data:`REUSE_TOLERANCE`.  In
 #: "serve", the ``dist_batch`` speedup is ratio-gated, the ``artifact_open``
 #: and ``delta_update`` round bills are deterministic and gated for exact
 #: equality, and the wall-clock ``query_serving`` latency row carries no
@@ -108,11 +108,11 @@ def _compare_row(
             f"current {cur_row.get('topology')})",
             False,
         )
-    # Field detection first: rows without a gateable ratio (e.g. the
-    # shard-speedup session rows) stay silent, whatever their sizes --
-    # unless they carry a deterministic ``rounds`` bill, which is gated for
-    # *exact equality* (the spanning workload rows: simulated rounds are
-    # seeded and noise-free, so any drift is a behaviour change).
+    # Field detection first: rows without a gateable ratio stay silent,
+    # whatever their sizes -- unless they carry a deterministic ``rounds``
+    # bill, which is gated for *exact equality* (the spanning workload
+    # rows: simulated rounds are seeded and noise-free, so any drift is a
+    # behaviour change).
     if "speedup" in base_row and "speedup" in cur_row:
         field = "speedup"
     elif (
@@ -142,7 +142,7 @@ def _compare_row(
             f"(baseline n={base_row.get('n')}, quick n={cur_row.get('n')})",
             False,
         )
-    # Threaded/sharded speedups only mean anything on a multi-core box,
+    # Threaded speedups only mean anything on a multi-core box,
     # and only when both runs saw one: on a 1-core container they measure
     # pure scheduling overhead, and comparing a 1-core baseline against a
     # multi-core run (or vice versa) compares different experiments.  Such

@@ -50,19 +50,18 @@ Times four layers and writes ``BENCH_matmul.json``:
   closures and the deterministic round-bill ratio as the gated speedup,
   and informational qps/p50/p99 through the asyncio batching server.
 * **Sessions** -- the end-to-end engine-session pipeline: exact APSP and
-  directed girth through one bound session on the serial vs the sharded
-  executor (identical rounds asserted), the packed min-plus witness kernel
-  vs the retained column-walk baseline (fixed size in every mode,
-  gateable), and the session plan cache with plan construction isolated
-  from product time.
+  directed girth through one bound session on the serial executor, the
+  packed min-plus witness kernel vs the retained column-walk baseline
+  (fixed size in every mode, gateable), and the session plan cache with
+  plan construction isolated from product time.
 * **End to end** -- the 3D semiring engine and the APSP driver on the
   array-native messaging path, with their metered round counts, seeding the
   perf trajectory for future PRs.
 
 Timings are best-of-``reps`` wall clock; simulated round counts are
-deterministic.  Shard speedups depend on available cores (the ``cpus``
-field records them) -- on a single-core box the sharded rows measure pure
-multiprocessing overhead, honestly reported.
+deterministic.  Threaded speedups depend on available cores (the ``cpus``
+field records them) -- on a single-core box the threaded rows measure pure
+scheduling overhead, honestly reported.
 
 ``--gate-only`` builds just the fixed-size gateable sections (what
 ``make bench-quick`` / the CI fast lane run); the heavy end-to-end and
@@ -88,7 +87,6 @@ import numpy as np
 
 from repro.algebra.semirings import BOOLEAN, MAX_MIN, MIN_PLUS, get_block_tile
 from repro.clique.arena import ExchangeArena
-from repro.clique.executor import SERIAL_EXECUTOR, ShardedExecutor
 from repro.clique.model import CongestedClique
 from repro.constants import INF
 from repro.distances.apsp import apsp_exact
@@ -889,40 +887,25 @@ def serve_section(reps: int) -> dict:
     return section
 
 
-def session_section(apsp_n: int, girth_n: int, shards: int, reps: int) -> dict:
-    """End-to-end engine sessions: serial vs sharded, cache vs replanning.
-
-    Every sharded run is asserted round- and value-identical to its serial
-    twin before anything is timed.  ``shard_speedup`` is serial/sharded wall
-    clock -- on a 1-core box this honestly reports the multiprocessing
-    overhead (< 1x); the executor exists for multi-core hosts.
-    """
+def session_section(apsp_n: int, girth_n: int, reps: int) -> dict:
+    """End-to-end engine sessions on the serial executor, cache vs replanning."""
     section: dict[str, dict] = {}
     cpus = os.cpu_count() or 1
 
     # ---- exact APSP (routing tables) through one min-plus session. ----- #
     graph = random_weighted_graph(apsp_n, 0.05, max_weight=100, seed=2)
 
-    def run_apsp(executor):
-        clique = CongestedClique(apsp_n, executor=executor)
-        return apsp_exact(graph, clique=clique)
+    def run_apsp():
+        return apsp_exact(graph, clique=CongestedClique(apsp_n))
 
-    with ShardedExecutor(shards) as sharded:
-        serial_run = run_apsp(SERIAL_EXECUTOR)
-        shard_run = run_apsp(sharded)
-        assert serial_run.rounds == shard_run.rounds
-        assert np.array_equal(serial_run.value, shard_run.value)
-        serial_s = _best_of(lambda: run_apsp(SERIAL_EXECUTOR), reps)
-        shard_s = _best_of(lambda: run_apsp(sharded), reps)
+    serial_run = run_apsp()
+    serial_s = _best_of(run_apsp, reps)
     section["apsp_exact_session"] = {
         "n": apsp_n,
         "rounds": serial_run.rounds,
         "squarings": serial_run.extras["squarings"],
         "serial_seconds": round(serial_s, 4),
-        "sharded_seconds": round(shard_s, 4),
-        "shards": shards,
         "cpus": cpus,
-        "shard_speedup": round(serial_s / shard_s, 2),
     }
 
     # ---- directed girth (Boolean doubling) through one session. -------- #
@@ -934,26 +917,18 @@ def session_section(apsp_n: int, girth_n: int, shards: int, reps: int) -> dict:
         directed=True,
     )
 
-    def run_girth(executor):
-        clique = CongestedClique(girth_n, executor=executor)
+    def run_girth():
+        clique = CongestedClique(girth_n)
         return girth_directed(dig, method="semiring", clique=clique)
 
-    with ShardedExecutor(shards) as sharded:
-        serial_run = run_girth(SERIAL_EXECUTOR)
-        shard_run = run_girth(sharded)
-        assert serial_run.rounds == shard_run.rounds
-        assert serial_run.value == shard_run.value
-        serial_s = _best_of(lambda: run_girth(SERIAL_EXECUTOR), reps)
-        shard_s = _best_of(lambda: run_girth(sharded), reps)
+    serial_run = run_girth()
+    serial_s = _best_of(run_girth, reps)
     section["girth_directed_session"] = {
         "n": girth_n,
         "rounds": serial_run.rounds,
         "girth": serial_run.value if serial_run.value < INF else "inf",
         "serial_seconds": round(serial_s, 4),
-        "sharded_seconds": round(shard_s, 4),
-        "shards": shards,
         "cpus": cpus,
-        "shard_speedup": round(serial_s / shard_s, 2),
     }
 
     # ---- packed witness kernel vs the retained column walk. ------------ #
@@ -1012,33 +987,6 @@ def session_section(apsp_n: int, girth_n: int, shards: int, reps: int) -> dict:
         "session_seconds": round(session_s, 4),
         "replanned_seconds": round(replanned_s, 4),
         "session_reuse_speedup": round(replanned_s / session_s, 2),
-    }
-
-    # ---- session executor reuse: persistent vs per-call worker pools. -- #
-    # A sharded session keeps one warm pool for all its squarings; code
-    # without sessions would pay pool start-up per product.
-    def pooled_products(persistent: bool):
-        if persistent:
-            with ShardedExecutor(shards) as executor:
-                clique = CongestedClique(apsp_n, executor=executor)
-                for step in range(4):
-                    semiring_matmul(clique, s, t, MIN_PLUS, phase=f"p{step}")
-        else:
-            for step in range(4):
-                with ShardedExecutor(shards) as executor:
-                    clique = CongestedClique(apsp_n, executor=executor)
-                    semiring_matmul(clique, s, t, MIN_PLUS, phase=f"p{step}")
-
-    pooled_products(True)  # warm the fork machinery
-    persistent_s = _best_of(lambda: pooled_products(True), reps)
-    per_call_s = _best_of(lambda: pooled_products(False), reps)
-    section["executor_reuse"] = {
-        "n": apsp_n,
-        "products": 4,
-        "shards": shards,
-        "per_call_pool_seconds": round(per_call_s, 4),
-        "session_pool_seconds": round(persistent_s, 4),
-        "session_reuse_speedup": round(per_call_s / persistent_s, 2),
     }
     return section
 
@@ -1136,7 +1084,6 @@ def build_report(quick: bool, gate_only: bool = False) -> dict:
     report["sessions"] = session_section(
         apsp_n=64 if quick else 512,
         girth_n=27 if quick else 216,
-        shards=2,
         reps=reps,
     )
     report["end_to_end"] = end_to_end_section(
@@ -1163,9 +1110,6 @@ def build_report(quick: bool, gate_only: bool = False) -> dict:
             "packed_persistent_closure"
         ]["speedup"],
         "threaded_fold_speedup": report["kernel3"]["threaded_fold"]["speedup"],
-        "session_reuse_speedup": report["sessions"]["executor_reuse"][
-            "session_reuse_speedup"
-        ],
         "plan_cache_speedup": report["sessions"]["plan_cache"][
             "session_reuse_speedup"
         ],

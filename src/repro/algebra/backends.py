@@ -12,17 +12,16 @@ slices -- so scheduling those tiles is an orthogonal choice:
 * :class:`ThreadedBackend` -- tiles fan out over a persistent
   :class:`~concurrent.futures.ThreadPoolExecutor`.  The tile bodies are
   NumPy ufunc sweeps on large int64 arrays, which release the GIL, so plain
-  threads scale without multiprocessing's copy/pickle overhead.  While tile
-  threads are in flight any BLAS pool is capped at one thread via
-  ``threadpoolctl`` (when installed) so tile threads and BLAS threads never
-  oversubscribe the machine; without ``threadpoolctl`` the cap is skipped --
-  harmless for the packed kernels, which never call BLAS.
-* ``"numba"`` -- an *optional* compiled variant behind the same registry:
-  resolving it without the ``numba`` package raises a clear
-  :class:`KernelBackendError` (nothing in this repository requires numba;
-  when present, the backend schedules exactly like the threaded one and
-  additionally advertises :attr:`KernelBackend.compiled` so kernels may
-  choose jitted tile bodies).
+  threads scale without any copy or pickle overhead.  While tile threads
+  are in flight any BLAS pool is capped at one thread via ``threadpoolctl``
+  (when installed) so tile threads and BLAS threads never oversubscribe
+  the machine; without ``threadpoolctl`` the cap is skipped -- harmless
+  for the packed kernels, which never call BLAS.
+
+This module is the one place the simulator parallelises local compute.
+Only kernels that split into tiles use it: the packed Boolean and the
+packed min-plus/max-min witness kernels.  Bilinear ring products run
+serially on every backend.
 
 Backends are deterministic by construction: every tile writes a disjoint
 output slice and no kernel merges across tiles in scheduling order, so
@@ -31,10 +30,9 @@ serial and threaded runs are **bit-identical** (equivalence-tested in
 values, witnesses, or the simulator's round/load charges.
 
 Resolution order for the process default: the ``REPRO_KERNEL_BACKEND``
-environment variable (``serial``, ``threaded``, ``threaded:N``, ``numba``)
-else ``serial``.  Executors pass their backend down per call, so
-``--threads`` on the CLI composes with ``--shards`` (each shard worker runs
-its own tile backend).
+environment variable (``serial``, ``threaded``, ``threaded:N``) else
+``serial``.  Executors pass their backend down per call (``--threads`` on
+the CLI picks it).
 """
 
 from __future__ import annotations
@@ -51,13 +49,6 @@ except ImportError:  # pragma: no cover - depends on the environment
 
 HAVE_THREADPOOLCTL = _threadpool_limits is not None
 
-try:  # optional: compiled tile bodies when available
-    import numba as _numba  # noqa: F401
-except ImportError:  # pragma: no cover - depends on the environment
-    _numba = None
-
-HAVE_NUMBA = _numba is not None
-
 
 class KernelBackendError(ValueError):
     """An unknown or unavailable kernel backend was requested."""
@@ -69,10 +60,8 @@ def tile_ranges(total: int, parts: int) -> list[tuple[int, int]]:
     The ranges are *balanced* (sizes differ by at most one), *gap-free* and
     *non-overlapping*, and empty ranges are dropped -- so degenerate shapes
     (``total < parts``, ``total == 0``) yield fewer (or zero) ranges rather
-    than empty ones.  This is the single splitter behind both the sharded
-    executor's node ranges (:func:`repro.clique.executor.shard_ranges`) and
-    the threaded backend's tile ranges; both are property-tested in
-    ``tests/test_kernel_gen3.py``.
+    than empty ones.  This is the threaded backend's tile splitter
+    (property-tested in ``tests/test_kernel_gen3.py``).
     """
     if total < 0 or parts < 1:
         raise ValueError(f"need total >= 0 and parts >= 1, got {total}/{parts}")
@@ -96,8 +85,6 @@ class KernelBackend:
 
     name = "abstract"
     threads = 1
-    #: whether kernels may choose compiled (jitted) tile bodies.
-    compiled = False
 
     @property
     def spec(self) -> str:
@@ -177,26 +164,10 @@ class ThreadedBackend(KernelBackend):
                 future.result()
 
 
-class NumbaBackend(ThreadedBackend):
-    """Optional compiled-tile variant; requires the ``numba`` package."""
-
-    name = "numba"
-    compiled = True
-
-    def __init__(self, threads: int) -> None:
-        if not HAVE_NUMBA:
-            raise KernelBackendError(
-                "backend 'numba' requires the optional numba package "
-                "(not installed); use 'serial' or 'threaded'"
-            )
-        super().__init__(threads)
-
-
 #: Backend factories by registry name; each takes a thread count.
 _FACTORIES: dict[str, Callable[[int], KernelBackend]] = {
     "serial": lambda threads: SerialBackend(),
     "threaded": ThreadedBackend,
-    "numba": NumbaBackend,
 }
 
 #: Shared instances per (name, threads): kernels resolve specs on every
@@ -212,24 +183,6 @@ def _default_spec() -> str:
 
 
 _default: str = _default_spec()
-
-
-def _reset_pools_after_fork() -> None:
-    """Drop inherited thread pools in forked children.
-
-    A ``ThreadPoolExecutor``'s worker threads do not survive ``fork``: the
-    child inherits the pool object (via the shared ``_INSTANCES`` cache)
-    with its work queue intact but no threads draining it, so the first
-    ``run`` would block forever.  Fork-started shard workers therefore
-    start with a clean slate and lazily build their own pools.
-    """
-    for backend in _INSTANCES.values():
-        if isinstance(backend, ThreadedBackend):
-            backend._pool = None
-
-
-if hasattr(os, "register_at_fork"):  # pragma: no branch - POSIX only
-    os.register_at_fork(after_in_child=_reset_pools_after_fork)
 
 
 def set_default_backend(spec: "str | int | KernelBackend | None") -> str:
@@ -251,7 +204,7 @@ def get_backend(spec: "str | int | KernelBackend | None" = None) -> KernelBacken
     Accepted specs: ``None`` (the process default), a backend instance
     (returned as-is), an ``int`` thread count (``1`` -> serial, ``N > 1``
     -> ``threaded:N``), or a registry string ``"serial"``, ``"threaded"``
-    (thread count = ``os.cpu_count()``), ``"threaded:N"``, ``"numba[:N]"``.
+    (thread count = ``os.cpu_count()``) or ``"threaded:N"``.
     """
     if spec is None:
         spec = _default
@@ -293,7 +246,6 @@ def backend_info() -> dict:
         "cpus": os.cpu_count() or 1,
         "default_backend": _default,
         "threadpoolctl": HAVE_THREADPOOLCTL,
-        "numba": HAVE_NUMBA,
     }
 
 
@@ -302,12 +254,10 @@ __all__ = [
     "KernelBackendError",
     "SerialBackend",
     "ThreadedBackend",
-    "NumbaBackend",
     "get_backend",
     "get_default_backend",
     "set_default_backend",
     "backend_info",
     "tile_ranges",
-    "HAVE_NUMBA",
     "HAVE_THREADPOOLCTL",
 ]

@@ -1325,23 +1325,6 @@ MAX_MIN = MaxMinSemiring()
 
 ALL_SEMIRINGS: tuple[Semiring, ...] = (PLUS_TIMES, BOOLEAN, MIN_PLUS, MAX_MIN)
 
-_SEMIRINGS_BY_NAME: dict[str, Semiring] = {s.name: s for s in ALL_SEMIRINGS}
-
-
-def get_semiring(name: str) -> Semiring:
-    """Look a semiring singleton up by its ``name``.
-
-    Worker processes of the sharded executor resolve semirings by name
-    instead of unpickling instances, so every process computes with the
-    exact same singleton (and its module-level tile configuration).
-    """
-    try:
-        return _SEMIRINGS_BY_NAME[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown semiring {name!r} (known: {sorted(_SEMIRINGS_BY_NAME)})"
-        ) from None
-
 
 def reference_matmul(semiring: Semiring, s: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Centralised single-shot semiring product, used as a test oracle.
@@ -1370,7 +1353,6 @@ __all__ = [
     "MIN_PLUS",
     "MAX_MIN",
     "ALL_SEMIRINGS",
-    "get_semiring",
     "reference_matmul",
     "saturating_add",
     "get_block_tile",

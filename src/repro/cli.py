@@ -38,26 +38,21 @@ def _cmd_table1(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 
 
 def _make_clique(parser: argparse.ArgumentParser, args: argparse.Namespace, n: int):
-    """Build the (possibly sharded, possibly robust) clique, or die with usage.
+    """Build the (possibly robust) clique, or die with usage.
 
-    Centralises the ``--engine`` / ``--shards`` / ``--threads`` wiring: the
-    clique is sized for the chosen engine and carries the serial or sharded
-    local-compute executor (and its kernel tile backend) the engine
-    sessions run on.  ``--faults T`` additionally installs a seeded
-    adversary corrupting up to ``T`` relay nodes per exchange *and* the
-    encoded robust collectives (``--fault-scheme``: replication or
-    Reed-Solomon striping) sized to survive it -- the run then either
-    matches the fault-free oracle exactly or dies with
-    ``FaultToleranceExceeded``, never silently wrong.
-
-    Every clique built here is recorded on ``args`` so :func:`main` can
-    close its executor (sharded worker pools, shared-memory segments)
-    deterministically -- including on the error exits
-    (``FaultToleranceExceeded``, failed verifications).
+    Centralises the ``--engine`` / ``--threads`` wiring: the clique is
+    sized for the chosen engine and carries the local-compute executor
+    (and its kernel tile backend) the engine sessions run on.  ``--faults
+    T`` additionally installs a seeded adversary corrupting up to ``T``
+    relay nodes per exchange *and* the encoded robust collectives
+    (``--fault-scheme``: replication or Reed-Solomon striping) sized to
+    survive it -- the run then either matches the fault-free oracle
+    exactly or dies with ``FaultToleranceExceeded``, never silently wrong.
+    A budget the clique cannot host (too few relays) is a usage error.
     """
+    from repro.errors import CliqueModelError
     from repro.runtime import make_clique
 
-    shards = getattr(args, "shards", 1)
     threads = getattr(args, "threads", 1)
     fault_plan = None
     fault_tolerance = None
@@ -81,16 +76,14 @@ def _make_clique(parser: argparse.ArgumentParser, args: argparse.Namespace, n: i
         clique = make_clique(
             n,
             args.engine,
-            shards=shards,
             threads=threads,
             fault_plan=fault_plan,
             fault_tolerance=fault_tolerance,
             fault_scheme=getattr(args, "fault_scheme", "replicate"),
             cost_model=cost_model,
         )
-    except ValueError as exc:
+    except (ValueError, CliqueModelError) as exc:
         parser.error(str(exc))
-    getattr(args, "_cliques", []).append(clique)
     return clique
 
 
@@ -155,7 +148,6 @@ def _cmd_matmul(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     ok = np.array_equal(product[:n, :n], s @ t)
     if not getattr(args, "json", False):
         print(f"engine={args.engine} n={n} clique={clique.n} "
-              f"shards={clique.executor.shards} "
               f"rounds={clique.rounds} correct={ok}")
         _print_fault_summary(args, clique)
         print(clique.meter.report())
@@ -275,6 +267,11 @@ def _cmd_girth(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     )
 
     if args.family == "sparse":
+        if not 3 <= args.girth <= args.n:
+            parser.error(
+                f"the sparse family needs 3 <= --girth <= n, got "
+                f"--girth {args.girth} with n={args.n}"
+            )
         g = cycle_with_trees(args.n, girth=args.girth, seed=args.seed)
     elif args.family == "dense":
         g = dense_small_girth_graph(args.n, seed=args.seed)
@@ -326,8 +323,7 @@ def _cmd_spanner(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         f"G(n={args.n}, p={args.p}) seed={args.seed}: "
         f"({2 * args.k - 1})-spanner with {result.extras['spanner_edges']} "
         f"of {g.edge_count} edges in {result.rounds} rounds "
-        f"({args.engine} engine, clique {result.clique_size}, "
-        f"shards={clique.executor.shards})"
+        f"({args.engine} engine, clique {result.clique_size})"
     )
     print(f"measured stretch {stretch:.4f} (bound {bound}) verified={ok}")
     return 0 if ok else 1
@@ -354,8 +350,7 @@ def _cmd_mst(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             f"G(n={args.n}, p={args.p}) seed={args.seed}: MSF weight "
             f"{result.extras['weight']} ({len(result.extras['edges'])} edges) "
             f"in {result.rounds} rounds ({args.engine} engine, clique "
-            f"{result.clique_size}, shards={clique.executor.shards}, "
-            f"{result.extras['phases']} phases, "
+            f"{result.clique_size}, {result.extras['phases']} phases, "
             f"{result.extras['flight_survivors']} F-light survivors)"
         )
         print(
@@ -387,8 +382,7 @@ def _cmd_build_artifact(
         print(
             f"artifact {args.out}: n={artifact.n} clique={clique.n} "
             f"rounds={artifact.rounds} generation={artifact.generation} "
-            f"graph={artifact.graph_hash[:12]} ({args.engine} engine, "
-            f"shards={clique.executor.shards})"
+            f"graph={artifact.graph_hash[:12]} ({args.engine} engine)"
         )
         _print_fault_summary(args, clique)
     _print_completion_report(args, clique)
@@ -417,6 +411,9 @@ def _cmd_query(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     artifact = _open_artifact(args)
     if artifact is None:
         return 1
+    for node in (args.u, args.v):
+        if not 0 <= node < artifact.n:
+            parser.error(f"node {node} out of range [0, {artifact.n})")
     engine = QueryEngine(artifact)
     d = engine.dist(args.u, args.v)
     shown = "inf" if d >= INF else d
@@ -440,11 +437,16 @@ def _cmd_update(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     from repro.errors import NegativeCycleError
     from repro.runtime import EngineSession
     from repro.serve import apply_edge_updates
+    from repro.serve.delta import normalise_updates
 
     _require_selection_engine(parser, args, "update")
     artifact = _open_artifact(args, writable=True)
     if artifact is None:
         return 1
+    try:
+        normalise_updates(args.edge, artifact.n)
+    except ValueError as exc:
+        parser.error(str(exc))
     clique = _make_clique(parser, args, artifact.n)
     session = EngineSession(clique, args.engine, MIN_PLUS)
     dist, next_hop = artifact.resident_arrays(clique.n)
@@ -529,58 +531,13 @@ def _edge_type(value: str) -> tuple[int, int, int]:
     return u, v, w
 
 
-def _shards_type(value: str) -> int:
-    """Argparse type for ``--shards``: a positive worker count.
+def _int_at_least(minimum: int, name: str, noun: str):
+    """Argparse type factory for an integer ``>= minimum``.
 
-    The lower bound is enforced here, at parse time, for every subcommand
-    (``--shards 0`` or a negative count can never be valid); the upper
-    bound (``shards <= clique size``) needs the problem size, so
-    :func:`_make_clique` enforces it as soon as the clique is built --
-    still before any simulation runs.
-    """
-    try:
-        shards = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid shard count {value!r}")
-    if shards < 1:
-        raise argparse.ArgumentTypeError(
-            f"--shards must be >= 1 (and <= the clique size), got {shards}"
-        )
-    return shards
-
-
-def _threads_type(value: str) -> int:
-    """Argparse type for ``--threads``: a positive kernel-tile thread count."""
-    try:
-        threads = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid thread count {value!r}")
-    if threads < 1:
-        raise argparse.ArgumentTypeError(
-            f"--threads must be >= 1, got {threads}"
-        )
-    return threads
-
-
-def _phases_type(value: str) -> int:
-    """Argparse type for ``mst --phases``: a non-negative phase count."""
-    try:
-        phases = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid phase count {value!r}")
-    if phases < 0:
-        raise argparse.ArgumentTypeError(
-            f"--phases must be >= 0, got {phases}"
-        )
-    return phases
-
-
-def _nonneg_fault_int(flag: str, noun: str):
-    """Argparse type factory for the non-negative fault integers.
-
-    Same parse-time treatment as ``--shards``: a value that can never be
-    valid (negative budget, tolerance, or seed) dies as a usage error in
-    every subcommand, not as a traceback deep inside an exchange.
+    A value that can never be valid (a 1-node clique, a zero stretch
+    parameter, a negative fault budget) dies at parse time as a usage
+    error naming it, in every subcommand -- never as a traceback deep
+    inside a run.
     """
 
     def parse(value: str) -> int:
@@ -588,20 +545,25 @@ def _nonneg_fault_int(flag: str, noun: str):
             parsed = int(value)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid {noun} {value!r}")
-        if parsed < 0:
+        if parsed < minimum:
             raise argparse.ArgumentTypeError(
-                f"{flag} must be >= 0 ({noun}), got {parsed}"
+                f"{name} must be >= {minimum} ({noun}), got {parsed}"
             )
         return parsed
 
     return parse
 
 
-_faults_type = _nonneg_fault_int("--faults", "corrupt relays per exchange")
-_fault_tolerance_type = _nonneg_fault_int(
-    "--fault-tolerance", "tolerated corrupt relays"
+#: Clique commands need ``n >= 2``: the model has no 1-node clique.
+_clique_size_type = _int_at_least(2, "n", "node count")
+_threads_type = _int_at_least(1, "--threads", "thread count")
+_phases_type = _int_at_least(0, "--phases", "phase count")
+_max_weight_type = _int_at_least(1, "--max-weight", "largest edge weight")
+_faults_type = _int_at_least(0, "--faults", "corrupt relays per exchange")
+_fault_tolerance_type = _int_at_least(
+    0, "--fault-tolerance", "tolerated corrupt relays"
 )
-_fault_seed_type = _nonneg_fault_int("--fault-seed", "adversary seed")
+_fault_seed_type = _int_at_least(0, "--fault-seed", "adversary seed")
 
 
 def _add_fault_flags(p: argparse.ArgumentParser) -> None:
@@ -663,15 +625,13 @@ def _add_engine_flags(
     *,
     default: str | None = "bilinear",
 ) -> None:
-    """The shared ``--engine`` / ``--shards`` / ``--threads`` trio.
+    """The shared ``--engine`` / ``--threads`` pair.
 
-    ``--shards N`` runs the simulator's local block products on ``N`` worker
-    processes (shared-memory sharded executor); ``--threads T`` runs each
-    worker's kernel tiles on a ``T``-thread tile backend (kernel generation
-    3), so the two compose to up to ``N x T`` busy cores.  Answers and
-    round charges are identical to the serial default, only wall clock
-    changes.  ``N`` must not exceed the clique size (each shard owns a
-    node range).
+    ``--threads T`` runs the simulator's kernel tiles on a ``T``-thread
+    tile backend (kernel generation 3): the packed Boolean and packed
+    min-plus/max-min witness kernels fan out, bilinear ring products stay
+    serial.  Answers and round charges are identical to the serial
+    default, only wall clock changes.
     """
     p.add_argument(
         "--engine",
@@ -680,21 +640,13 @@ def _add_engine_flags(
         help="matmul engine the session binds (default: %(default)s)",
     )
     p.add_argument(
-        "--shards",
-        type=_shards_type,
-        default=1,
-        metavar="N",
-        help="local-compute worker processes, 1 <= N <= clique size "
-        "(default: serial; the naive engine's single block product "
-        "has nothing to shard)",
-    )
-    p.add_argument(
         "--threads",
         type=_threads_type,
         default=1,
         metavar="T",
-        help="kernel-tile threads per worker (default: serial tiles; "
-        "composes with --shards, so keep N*T within the machine)",
+        help="threads for the packed Boolean and packed min-plus/max-min "
+        "witness kernels; bilinear ring products stay serial "
+        "(default: serial tiles)",
     )
 
 
@@ -774,31 +726,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_table1, parser=p)
 
     p = sub.add_parser("matmul", help="one distributed matrix product")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_clique_size_type)
     _add_engine_flags(p)
     _add_fault_flags(p)
     _add_netsim_flags(p)
     p.set_defaults(func=_cmd_matmul, parser=p)
 
     p = sub.add_parser("triangles", help="triangle counting on G(n, p)")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_clique_size_type)
     p.add_argument("--p", type=float, default=0.3)
     _add_engine_flags(p)
     p.add_argument("--baseline", action="store_true", help="also run Dolev et al.")
     p.set_defaults(func=_cmd_triangles, parser=p)
 
     p = sub.add_parser("four-cycles", help="O(1)-round 4-cycle detection")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_int_at_least(1, "n", "node count"))
     p.add_argument("--degree", type=float, default=4.0)
     p.add_argument("--baseline", action="store_true")
     p.set_defaults(func=_cmd_four_cycles, parser=p)
 
     p = sub.add_parser("apsp", help="all-pairs shortest paths")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_clique_size_type)
     p.add_argument(
         "--variant", choices=["exact", "unweighted", "approx"], default="exact"
     )
-    p.add_argument("--max-weight", type=int, default=9)
+    p.add_argument("--max-weight", type=_max_weight_type, default=9)
     p.add_argument("--delta", type=float, default=0.3)
     # Engine default depends on the variant (exact -> semiring,
     # unweighted/approx -> bilinear); resolved in _cmd_apsp.
@@ -808,7 +760,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_apsp, parser=p)
 
     p = sub.add_parser("girth", help="girth computation")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_clique_size_type)
     p.add_argument(
         "--family", choices=["sparse", "dense", "directed"], default="sparse"
     )
@@ -820,19 +772,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "spanner", help="a (2k-1)-spanner via session cluster-growing"
     )
-    p.add_argument("n", type=int)
-    p.add_argument("--k", type=int, default=2, help="stretch parameter")
+    p.add_argument("n", type=_clique_size_type)
+    p.add_argument(
+        "--k",
+        type=_int_at_least(1, "--k", "stretch parameter"),
+        default=2,
+        help="stretch parameter",
+    )
     p.add_argument("--p", type=float, default=0.35)
-    p.add_argument("--max-weight", type=int, default=30)
+    p.add_argument("--max-weight", type=_max_weight_type, default=30)
     _add_engine_flags(p, default="semiring")
     p.set_defaults(func=_cmd_spanner, parser=p)
 
     p = sub.add_parser(
         "mst", help="minimum spanning forest (O(1)-round KKT skeleton)"
     )
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_clique_size_type)
     p.add_argument("--p", type=float, default=0.3)
-    p.add_argument("--max-weight", type=int, default=50)
+    p.add_argument("--max-weight", type=_max_weight_type, default=50)
     p.add_argument(
         "--phases",
         type=_phases_type,
@@ -849,10 +806,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="square a seeded random graph to closure and materialise it "
         "as a memory-mapped serving artifact",
     )
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_clique_size_type)
     p.add_argument("out", help="artifact directory to create/overwrite")
     p.add_argument("--p", type=float, default=0.25)
-    p.add_argument("--max-weight", type=int, default=50)
+    p.add_argument("--max-weight", type=_max_weight_type, default=50)
     p.add_argument("--directed", action="store_true")
     _add_engine_flags(p, default="semiring")
     _add_fault_flags(p)
@@ -921,7 +878,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args._cliques = []
     from repro.errors import FaultToleranceExceeded
 
     try:
@@ -931,12 +887,6 @@ def main(argv: list[str] | None = None) -> int:
         # encoded budget stops the run loudly -- never a silent wrong answer.
         print(f"fault tolerance exceeded: {exc}", file=sys.stderr)
         return 2
-    finally:
-        # Close every executor the run built (sharded worker pools and
-        # their shared-memory segments) even on the error exits, so no
-        # command can leak a pool past its own lifetime.
-        for clique in args._cliques:
-            clique.executor.close()
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

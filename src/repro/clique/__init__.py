@@ -13,7 +13,6 @@ from repro.clique.executor import (
     SERIAL_EXECUTOR,
     LocalExecutor,
     SerialExecutor,
-    ShardedExecutor,
     make_executor,
 )
 from repro.clique.messages import (
@@ -32,7 +31,6 @@ __all__ = [
     "ExchangeArena",
     "LocalExecutor",
     "SerialExecutor",
-    "ShardedExecutor",
     "SERIAL_EXECUTOR",
     "make_executor",
     "default_word_bits",

@@ -3,54 +3,31 @@
 The simulator separates two costs: *communication* (metered in rounds by
 :class:`~repro.clique.model.CongestedClique`) and *local computation* (the
 per-node block products every matmul engine performs between exchanges,
-which dominate the simulator's wall clock).  This module makes the latter a
-pluggable backend:
+which dominate the simulator's wall clock).  This module is the seam the
+engines call for the latter: :class:`SerialExecutor` runs all per-node
+block products in-process, as one batched kernel call (see
+:meth:`~repro.algebra.semirings.Semiring.matmul_batch`).
 
-* :class:`SerialExecutor` -- today's behaviour: all per-node block products
-  run in-process, as one batched kernel call (see
-  :meth:`~repro.algebra.semirings.Semiring.matmul_batch`).
-* :class:`ShardedExecutor` -- partitions the per-node batch into contiguous
-  **node ranges** and farms each range out to a worker process.  Operands
-  and results move through ``multiprocessing.shared_memory`` ``int64``
-  blocks, so nothing but a few names and shapes is ever pickled.
-
-Because an executor only computes *local* block products -- deterministic,
-exact functions of their int64 inputs -- both backends produce bit-identical
-values, and therefore bit-identical message widths and round charges, for
-every engine phase (equivalence-tested in
-``tests/test_executor_equivalence.py``).  Sharding exists purely to spread
-the simulator's local arithmetic over cores so large-``n`` engine runs fit
-wall-clock budgets.
-
-Workers resolve semirings and rings from their registry *names*
-(:func:`repro.algebra.semirings.get_semiring`,
-:func:`repro.matmul.ringops.get_ring`), so every process computes with the
-same singletons regardless of start method (``fork`` where available,
-``spawn`` otherwise).
-
-Kernel generation 3 adds the orthogonal *tile backend* axis
+How that call spreads over cores is the kernel *tile backend*'s business
 (:mod:`repro.algebra.backends`): an executor carries a backend spec
 (``serial`` or ``threaded:N``) and passes it into every batched kernel
-call, so ``--shards`` (processes over node ranges) composes with
-``--threads`` (threads over kernel tiles) -- shard worker tasks ship the
-spec by name, exactly like semirings.  Scheduling can never change values,
-so all shard x thread combinations stay bit-identical (equivalence-tested
-in ``tests/test_kernel_gen3.py``).  Executors also expose the pre-packed
-Boolean product (:meth:`LocalExecutor.boolean_packed_products`) behind the
-same serial/sharded split, for the engine's persistent packed closures.
+call.  Scheduling can never change values -- executors compute exact,
+deterministic functions of their int64 inputs -- so every backend yields
+bit-identical values, message widths and round charges for every engine
+phase (equivalence-tested in ``tests/test_executor_equivalence.py`` and
+``tests/test_kernel_gen3.py``).  Executors also expose the pre-packed
+Boolean product (:meth:`LocalExecutor.boolean_packed_products`) for the
+engine's persistent packed closures.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
-import weakref
-from multiprocessing import shared_memory
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.algebra.backends import KernelBackend, get_backend, tile_ranges
-from repro.algebra.semirings import Semiring, get_semiring
+from repro.algebra.backends import KernelBackend, get_backend
+from repro.algebra.semirings import Semiring
 
 if TYPE_CHECKING:  # deferred at runtime: repro.matmul imports this package
     from repro.matmul.ringops import RingOps
@@ -66,16 +43,9 @@ class LocalExecutor:
     """
 
     name = "abstract"
-    shards = 1
     #: kernel tile backend spec (``None`` = the process default); resolved
     #: per call so ``set_default_backend`` applies to shared executors.
     _backend_spec: "str | KernelBackend | None" = None
-    #: Shard-placement hint: when set (e.g. to an attached cost model's
-    #: topology locality-group width, a fat-tree pod size), sharded
-    #: executors snap their node-range boundaries to multiples of it so a
-    #: worker's range does not straddle a locality group unnecessarily.
-    #: Purely a partitioning choice -- values are bit-identical regardless.
-    placement_group: int | None = None
 
     @property
     def backend(self) -> KernelBackend:
@@ -84,7 +54,7 @@ class LocalExecutor:
 
     @property
     def threads(self) -> int:
-        """Kernel tile threads per worker (1 = serial tiles)."""
+        """Kernel tile threads (1 = serial tiles)."""
         return self.backend.threads
 
     def semiring_products(
@@ -117,21 +87,9 @@ class LocalExecutor:
         """
         raise NotImplementedError
 
-    def close(self) -> None:
-        """Release worker resources (no-op for in-process executors)."""
-
-    def __enter__(self) -> "LocalExecutor":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}(shards={self.shards})"
-
 
 class SerialExecutor(LocalExecutor):
-    """In-process backend: one batched kernel call, no worker processes.
+    """In-process executor: one batched kernel call per engine step.
 
     ``backend`` selects the kernel tile scheduling for that one call
     (``None``: the process default, usually serial tiles; ``"threaded:N"``
@@ -139,7 +97,6 @@ class SerialExecutor(LocalExecutor):
     """
 
     name = "serial"
-    shards = 1
 
     def __init__(self, backend: "str | int | KernelBackend | None" = None) -> None:
         self._backend_spec = None if backend is None else get_backend(backend)
@@ -177,367 +134,23 @@ class SerialExecutor(LocalExecutor):
 SERIAL_EXECUTOR = SerialExecutor()
 
 
-def shard_ranges(batch: int, shards: int) -> list[tuple[int, int]]:
-    """Partition ``range(batch)`` into ``<= shards`` contiguous node ranges.
+def make_executor(threads: int = 1) -> LocalExecutor:
+    """The executor for a kernel-tile thread count.
 
-    A thin rename of :func:`repro.algebra.backends.tile_ranges` -- the node
-    ranges of the sharded executor and the tile ranges of the threaded
-    kernel backend are the same balanced, gap-free, non-overlapping split
-    (property-tested together in ``tests/test_kernel_gen3.py``).
+    ``threads`` picks the tile backend (1 = serial tiles, ``T > 1`` =
+    ``threaded:T``).  Values, rounds and meters are bit-identical across
+    every thread count.
     """
-    if batch < 0 or shards < 1:
-        raise ValueError(f"need batch >= 0 and shards >= 1, got {batch}/{shards}")
-    return tile_ranges(batch, shards)
-
-
-def placement_ranges(
-    batch: int, shards: int, group: int | None = None
-) -> list[tuple[int, int]]:
-    """Shard ranges with boundaries snapped to locality-group multiples.
-
-    Same contract as :func:`shard_ranges` (``<= shards`` contiguous,
-    non-empty, gap-free ranges covering ``range(batch)``), but when a
-    ``group`` width is given -- the :attr:`LocalExecutor.placement_group`
-    hint derived from an attached cost model's topology (fat-tree pod
-    size) -- each interior boundary moves to the nearest multiple of
-    ``group`` that keeps the split valid.  Workers then own whole locality
-    groups wherever the arithmetic allows, so the node ranges a shard
-    computes line up with the hosts a pod serves.  The partition never
-    affects values (executors compute pure local products).
-    """
-    base = shard_ranges(batch, shards)
-    if group is None or group <= 1 or len(base) <= 1:
-        return base
-    snapped = [0]
-    for lo, _ in base[1:]:
-        cut = int(round(lo / group)) * group
-        # A boundary whose snap collides with the previous cut (or the
-        # ends) is dropped -- merging two ranges keeps the split valid and
-        # still <= shards ranges.
-        if snapped[-1] < cut < batch:
-            snapped.append(cut)
-    snapped.append(batch)
-    return list(zip(snapped[:-1], snapped[1:]))
-
-
-def _attach(name: str, shape: tuple[int, ...]):
-    # Pool workers share the parent's resource tracker (both fork and
-    # spawn), so the attach-side registration dedupes against the parent's
-    # create-side one and the parent's ``unlink`` retires it exactly once.
-    shm = shared_memory.SharedMemory(name=name)
-    return shm, np.ndarray(shape, dtype=np.int64, buffer=shm.buf)
-
-
-def _semiring_shard(task) -> None:
-    """Worker: compute one node range of a batched semiring product."""
-    (
-        semiring_name,
-        with_witnesses,
-        backend_spec,
-        names,
-        left_shape,
-        right_shape,
-        out_shape,
-        lo,
-        hi,
-    ) = task
-    semiring = get_semiring(semiring_name)
-    # Backends resolve by spec, like semirings by name: each worker process
-    # keeps its own (cached) tile pool, so shards x threads composes.
-    backend = get_backend(backend_spec)
-    handles = []
-    try:
-        shm_l, lefts = _attach(names[0], left_shape)
-        handles.append(shm_l)
-        shm_r, rights = _attach(names[1], right_shape)
-        handles.append(shm_r)
-        shm_o, out = _attach(names[2], out_shape)
-        handles.append(shm_o)
-        if with_witnesses:
-            shm_w, wit = _attach(names[3], out_shape)
-            handles.append(shm_w)
-            p, w = semiring.matmul_batch_with_witness(
-                lefts[lo:hi], rights[lo:hi], backend=backend
-            )
-            out[lo:hi] = p
-            wit[lo:hi] = w
-        else:
-            out[lo:hi] = semiring.matmul_batch(
-                lefts[lo:hi], rights[lo:hi], backend=backend
-            )
-    finally:
-        for shm in handles:
-            shm.close()
-
-
-def _boolean_packed_shard(task) -> None:
-    """Worker: compute one node range of a pre-packed Boolean product."""
-    from repro.algebra.semirings import BOOLEAN
-
-    backend_spec, k, names, left_shape, right_shape, out_shape, lo, hi = task
-    backend = get_backend(backend_spec)
-    handles = []
-    try:
-        shm_l, lefts = _attach(names[0], left_shape)
-        handles.append(shm_l)
-        shm_r, rights = _attach(names[1], right_shape)
-        handles.append(shm_r)
-        shm_o, out = _attach(names[2], out_shape)
-        handles.append(shm_o)
-        out[lo:hi] = BOOLEAN.packed_words_matmul_batch(
-            lefts[lo:hi], rights[lo:hi], k, backend=backend
-        )
-    finally:
-        for shm in handles:
-            shm.close()
-
-
-def _ring_shard(task) -> None:
-    """Worker: compute one node range of a batched ring product."""
-    from repro.matmul.ringops import get_ring
-
-    ring_name, names, left_shape, right_shape, out_shape, lo, hi = task
-    ring = get_ring(ring_name)
-    handles = []
-    try:
-        shm_l, lefts = _attach(names[0], left_shape)
-        handles.append(shm_l)
-        shm_r, rights = _attach(names[1], right_shape)
-        handles.append(shm_r)
-        shm_o, out = _attach(names[2], out_shape)
-        handles.append(shm_o)
-        out[lo:hi] = ring.matmul_batch(lefts[lo:hi], rights[lo:hi])
-    finally:
-        for shm in handles:
-            shm.close()
-
-
-def _terminate_pool(pool) -> None:
-    pool.terminate()
-    pool.join()
-
-
-class ShardedExecutor(LocalExecutor):
-    """Multiprocessing backend: node ranges fan out to worker processes.
-
-    Args:
-        shards: number of worker processes (``>= 1``).  Each call partitions
-            its batch into ``min(shards, batch)`` contiguous node ranges.
-        start_method: multiprocessing start method; defaults to ``fork``
-            where the platform offers it (cheap, inherits the loaded
-            NumPy), ``spawn`` otherwise.
-        backend: kernel tile backend spec for the *workers* (each shard
-            runs its kernels through this backend, so ``--shards N
-            --threads T`` uses up to ``N x T`` cores -- the caller is
-            responsible for not oversubscribing the machine).
-
-    The worker pool is created lazily on first use and persists across
-    calls -- an :class:`~repro.engine.EngineSession` therefore pays the
-    process start-up cost once for all ``ceil(log n)`` squarings.  Call
-    :meth:`close` (or use the executor as a context manager) to release the
-    workers; a finalizer tears them down at garbage collection otherwise.
-    """
-
-    name = "sharded"
-
-    def __init__(
-        self,
-        shards: int,
-        *,
-        start_method: str | None = None,
-        backend: "str | int | KernelBackend | None" = None,
-    ) -> None:
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        self.shards = int(shards)
-        self._backend_spec = None if backend is None else get_backend(backend)
-        if start_method is None:
-            methods = mp.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else methods[0]
-        self._context = mp.get_context(start_method)
-        self._pool = None
-        self._finalizer: weakref.finalize | None = None
-
-    # ------------------------------------------------------------------ #
-
-    def _ensure_pool(self):
-        if self._pool is None:
-            self._pool = self._context.Pool(processes=self.shards)
-            self._finalizer = weakref.finalize(
-                self, _terminate_pool, self._pool
-            )
-        return self._pool
-
-    def close(self) -> None:
-        if self._finalizer is not None:
-            self._finalizer()
-            self._finalizer = None
-        self._pool = None
-
-    @staticmethod
-    def _share(arr: np.ndarray, segments: list) -> tuple[str, tuple[int, ...]]:
-        shm = shared_memory.SharedMemory(create=True, size=arr.nbytes)
-        segments.append(shm)
-        np.ndarray(arr.shape, dtype=np.int64, buffer=shm.buf)[:] = arr
-        return shm.name, arr.shape
-
-    @staticmethod
-    def _alloc(shape: tuple[int, ...], segments: list) -> tuple[str, np.ndarray]:
-        nbytes = int(np.prod(shape)) * 8
-        shm = shared_memory.SharedMemory(create=True, size=nbytes)
-        segments.append(shm)
-        return shm.name, np.ndarray(shape, dtype=np.int64, buffer=shm.buf)
-
-    @staticmethod
-    def _release(segments: Sequence[shared_memory.SharedMemory]) -> None:
-        for shm in segments:
-            try:
-                shm.close()
-                shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-
-    # ------------------------------------------------------------------ #
-
-    def semiring_products(
-        self,
-        semiring: Semiring,
-        lefts: np.ndarray,
-        rights: np.ndarray,
-        *,
-        with_witnesses: bool = False,
-    ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-        lefts = np.ascontiguousarray(np.asarray(lefts, dtype=np.int64))
-        rights = np.ascontiguousarray(np.asarray(rights, dtype=np.int64))
-        batch = lefts.shape[0]
-        out_shape = (batch, lefts.shape[1], rights.shape[2])
-        if batch < 2 or self.shards < 2 or 0 in out_shape or lefts.size == 0:
-            # Nothing to fan out; the batched kernel is already one call
-            # (still on this executor's tile backend).
-            return SerialExecutor(self._backend_spec).semiring_products(
-                semiring, lefts, rights, with_witnesses=with_witnesses
-            )
-        segments: list[shared_memory.SharedMemory] = []
-        try:
-            l_name, l_shape = self._share(lefts, segments)
-            r_name, r_shape = self._share(rights, segments)
-            o_name, out = self._alloc(out_shape, segments)
-            names = [l_name, r_name, o_name]
-            wit = None
-            if with_witnesses:
-                w_name, wit = self._alloc(out_shape, segments)
-                names.append(w_name)
-            tasks = [
-                (
-                    semiring.name,
-                    with_witnesses,
-                    self.backend.spec,
-                    names,
-                    l_shape,
-                    r_shape,
-                    out_shape,
-                    lo,
-                    hi,
-                )
-                for lo, hi in placement_ranges(batch, self.shards, self.placement_group)
-            ]
-            self._ensure_pool().map(_semiring_shard, tasks, chunksize=1)
-            if with_witnesses:
-                return out.copy(), wit.copy()
-            return out.copy()
-        finally:
-            self._release(segments)
-
-    def boolean_packed_products(
-        self, lefts: np.ndarray, rights: np.ndarray, k: int
-    ) -> np.ndarray:
-        lefts = np.ascontiguousarray(np.asarray(lefts, dtype=np.int64))
-        rights = np.ascontiguousarray(np.asarray(rights, dtype=np.int64))
-        batch = lefts.shape[0]
-        out_shape = (batch, lefts.shape[1], rights.shape[2])
-        if batch < 2 or self.shards < 2 or 0 in out_shape or k == 0:
-            return SerialExecutor(self._backend_spec).boolean_packed_products(
-                lefts, rights, k
-            )
-        segments: list[shared_memory.SharedMemory] = []
-        try:
-            l_name, l_shape = self._share(lefts, segments)
-            r_name, r_shape = self._share(rights, segments)
-            o_name, out = self._alloc(out_shape, segments)
-            tasks = [
-                (
-                    self.backend.spec,
-                    k,
-                    [l_name, r_name, o_name],
-                    l_shape,
-                    r_shape,
-                    out_shape,
-                    lo,
-                    hi,
-                )
-                for lo, hi in placement_ranges(batch, self.shards, self.placement_group)
-            ]
-            self._ensure_pool().map(_boolean_packed_shard, tasks, chunksize=1)
-            return out.copy()
-        finally:
-            self._release(segments)
-
-    def ring_products(
-        self, ring: RingOps, lefts: np.ndarray, rights: np.ndarray
-    ) -> np.ndarray:
-        lefts = np.ascontiguousarray(np.asarray(lefts, dtype=np.int64))
-        rights = np.ascontiguousarray(np.asarray(rights, dtype=np.int64))
-        batch = lefts.shape[0]
-        if batch < 2 or self.shards < 2 or lefts.size == 0 or rights.size == 0:
-            return SERIAL_EXECUTOR.ring_products(ring, lefts, rights)
-        trailing = ring.out_trailing(lefts[0], rights[0])
-        rows = lefts.shape[1]
-        cols = rights.shape[2]
-        out_shape = (batch, rows, cols) + trailing
-        if 0 in out_shape:
-            return SERIAL_EXECUTOR.ring_products(ring, lefts, rights)
-        segments: list[shared_memory.SharedMemory] = []
-        try:
-            l_name, l_shape = self._share(lefts, segments)
-            r_name, r_shape = self._share(rights, segments)
-            o_name, out = self._alloc(out_shape, segments)
-            tasks = [
-                (ring.name, [l_name, r_name, o_name], l_shape, r_shape, out_shape, lo, hi)
-                for lo, hi in placement_ranges(batch, self.shards, self.placement_group)
-            ]
-            self._ensure_pool().map(_ring_shard, tasks, chunksize=1)
-            return out.copy()
-        finally:
-            self._release(segments)
-
-
-def make_executor(shards: int = 1, threads: int = 1) -> LocalExecutor:
-    """The executor for a shard x thread setting.
-
-    ``shards`` picks serial (1) vs sharded (>1) *process* fan-out over node
-    ranges; ``threads`` picks the kernel *tile* backend each worker computes
-    with (1 = serial tiles, ``T > 1`` = ``threaded:T``).  The two compose:
-    shard workers each run their own tile pool.  Values, rounds and meters
-    are bit-identical across every combination.
-    """
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    backend = "serial" if threads == 1 else f"threaded:{threads}"
-    if shards == 1:
-        # The process-wide singleton keeps its dynamic default backend;
-        # explicit thread counts get a dedicated serial executor.
-        return SERIAL_EXECUTOR if threads == 1 else SerialExecutor(backend)
-    return ShardedExecutor(shards, backend=backend)
+    # The process-wide singleton keeps its dynamic default backend;
+    # explicit thread counts get a dedicated executor.
+    return SERIAL_EXECUTOR if threads == 1 else SerialExecutor(f"threaded:{threads}")
 
 
 __all__ = [
     "LocalExecutor",
     "SerialExecutor",
-    "ShardedExecutor",
     "SERIAL_EXECUTOR",
     "make_executor",
-    "shard_ranges",
-    "placement_ranges",
 ]

@@ -160,12 +160,6 @@ class CongestedClique:
             bind(self.n, self.word_bits)
         self.meters.add_observer(model)
         self.transport = model
-        # Shard-placement hint: align the sharded executor's node ranges
-        # to the topology's locality groups (fat-tree pods).  A pure
-        # partitioning choice -- never changes values or charges.
-        group = getattr(getattr(model, "topology", None), "group_size", None)
-        if group is not None and self.executor.shards > 1:
-            self.executor.placement_group = int(group)
         return model
 
     # ------------------------------------------------------------------ #

@@ -2,14 +2,13 @@
 
 One squaring pipeline from the runtime to every distance algorithm: an
 :class:`EngineSession` binds a clique, a semiring/ring and a matmul method
-once (layouts, routing plans, bilinear encode/decode tensors and the
-executor's worker pool are cached across all products), and every §3
+once (layouts, routing plans and bilinear encode/decode tensors are
+cached across all products), and every §3
 consumer -- APSP, girth, Seidel, bottleneck, components, subgraph counting
 -- drives it through ``multiply`` / ``square`` / ``power`` / ``closure``.
 Local block products run on the clique's
-:class:`~repro.clique.executor.LocalExecutor` (serial, or sharded over node
-ranges with shared-memory blocks) with bit-identical values and round
-charges across backends.
+:class:`~repro.clique.executor.LocalExecutor`, whose kernel tile backend
+(serial or threaded) never changes values or round charges.
 """
 
 from repro.engine.session import (

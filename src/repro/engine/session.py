@@ -5,7 +5,7 @@ Every §3 algorithm in the paper is "repeated squaring over a semiring"; an
 session binds
 
 * a **clique** (the metered simulator, including its local-compute
-  executor -- serial or sharded),
+  executor and that executor's kernel tile backend),
 * a **matmul method** (``"bilinear"`` §2.2, ``"semiring"`` §2.1,
   ``"naive"`` baseline), and
 * an **algebra** -- a :class:`~repro.algebra.semirings.Semiring` or, for raw
@@ -15,9 +15,9 @@ session binds
 and exposes ``multiply`` / ``square`` / ``power`` / ``closure``.  Binding
 happens once: the bilinear algorithm (encode/decode tensors), the engine's
 layout and routing plans (:func:`~repro.matmul.semiring3d.cube_plan`,
-:func:`~repro.matmul.bilinear_clique.grid_plan`) and the executor's worker
-pool are all resolved/warmed at construction and shared by every product
-the session runs -- ``ceil(log n)`` squarings replan nothing.
+:func:`~repro.matmul.bilinear_clique.grid_plan`) are all resolved/warmed
+at construction and shared by every product the session runs --
+``ceil(log n)`` squarings replan nothing.
 
 Binding rules mirror Theorem 1: any semiring runs on the §2.1/naive
 engines; the §2.2 engine needs a ring, so it accepts ``PLUS_TIMES``
@@ -113,7 +113,6 @@ def make_clique(
     *,
     mode: ScheduleMode = ScheduleMode.FAST,
     word_bits: int | None = None,
-    shards: int = 1,
     threads: int = 1,
     fault_plan=None,
     fault_tolerance: int | None = None,
@@ -122,12 +121,9 @@ def make_clique(
 ) -> CongestedClique:
     """A clique sized for an ``n``-node problem under ``method``.
 
-    ``shards > 1`` attaches a sharded local-compute executor
-    (:class:`~repro.clique.executor.ShardedExecutor`); ``threads > 1``
-    additionally runs each executor's kernel tiles on a threaded tile
-    backend (:mod:`repro.algebra.backends`), composing with shards (each
-    shard worker runs its own tile pool).  Neither affects round charges,
-    only the simulator's wall clock.
+    ``threads > 1`` runs the executor's kernel tiles on a threaded tile
+    backend (:mod:`repro.algebra.backends`).  That never affects round
+    charges, only the simulator's wall clock.
 
     ``fault_plan`` (a :class:`~repro.faults.FaultPlan`) installs a seeded
     adversary over the array collectives; ``fault_tolerance`` additionally
@@ -148,10 +144,7 @@ def make_clique(
     values, rounds, words and meters are bit-identical with or without it.
     """
     size = required_clique_size(n, method)
-    if not 1 <= shards <= size:
-        raise ValueError(
-            f"shards must be in [1, clique size {size}], got {shards}"
-        )
+    executor = make_executor(threads)
     from repro.faults import FAULT_SCHEMES
 
     if fault_scheme not in FAULT_SCHEMES:
@@ -169,7 +162,7 @@ def make_clique(
                 tolerance=fault_tolerance,
                 mode=mode,
                 word_bits=word_bits,
-                executor=make_executor(shards, threads),
+                executor=executor,
             )
         else:
             clique = FaultyClique(
@@ -177,14 +170,14 @@ def make_clique(
                 plan=fault_plan,
                 mode=mode,
                 word_bits=word_bits,
-                executor=make_executor(shards, threads),
+                executor=executor,
             )
     else:
         clique = CongestedClique(
             size,
             mode=mode,
             word_bits=word_bits,
-            executor=make_executor(shards, threads),
+            executor=executor,
         )
     if cost_model is not None:
         clique.attach_cost_model(cost_model)
@@ -196,7 +189,7 @@ class EngineSession:
 
     Args:
         clique: the simulator to run on (its ``executor`` attribute decides
-            serial vs sharded local compute).
+            how local block products are computed).
         method: one of :data:`MATMUL_METHODS`.
         algebra: a :class:`~repro.algebra.semirings.Semiring` (default: the
             integer ring) or a :class:`~repro.matmul.ringops.RingOps` for
@@ -215,8 +208,7 @@ class EngineSession:
             the per-product packing baseline.
 
     Sessions are context managers: ``with open_session(...) as session``
-    deterministically closes the executor (sharded worker pools and their
-    shared-memory segments) and releases the arena's buffers on exit --
+    releases the arena's buffers and the resident state on exit --
     including on error paths such as
     :class:`~repro.faults.FaultToleranceExceeded`.
     """
@@ -325,11 +317,9 @@ class EngineSession:
     def close(self) -> None:
         """Release session resources deterministically.
 
-        Terminates the executor's worker pool and unlinks its shared-memory
-        segments (a no-op for the serial executor) and drops the arena's
-        buffers.  Idempotent; the clique and its meter stay readable.
+        Drops the arena's buffers and the resident closure state.
+        Idempotent; the clique and its meter stay readable.
         """
-        self.clique.executor.close()
         self.arena.release()
         self._resident = None
 
@@ -721,7 +711,6 @@ def open_session(
     *,
     clique: CongestedClique | None = None,
     algorithm: BilinearAlgorithm | None = None,
-    shards: int = 1,
     threads: int = 1,
     mode: ScheduleMode = ScheduleMode.FAST,
     word_bits: int | None = None,
@@ -738,11 +727,7 @@ def open_session(
     several sessions, as the multi-product algorithms (Seidel, girth) do.
 
     Args:
-        shards: local-compute worker processes; ``1`` keeps the serial
-            executor.  Must satisfy ``1 <= shards <= clique size``
-            (a shard owns a non-empty node range).
-        threads: kernel-tile threads per executor (``1`` keeps serial
-            tiles); composes with ``shards``.
+        threads: kernel-tile threads (``1`` keeps serial tiles).
         packed_closure: see :class:`EngineSession`.
         fault_plan / fault_tolerance / fault_scheme: see
             :func:`make_clique` -- only valid when the session builds the
@@ -757,7 +742,6 @@ def open_session(
             method,
             mode=mode,
             word_bits=word_bits,
-            shards=shards,
             threads=threads,
             fault_plan=fault_plan,
             fault_tolerance=fault_tolerance,
@@ -769,11 +753,6 @@ def open_session(
         raise ValueError(
             "pass fault_plan/fault_tolerance only when the session builds "
             "the clique (the given clique already has its fault layer)"
-        )
-    elif shards != 1 and shards != clique.executor.shards:
-        raise ValueError(
-            "pass shards= only when the session builds the clique "
-            "(the given clique already has an executor)"
         )
     elif threads != 1 and threads != clique.executor.threads:
         raise ValueError(

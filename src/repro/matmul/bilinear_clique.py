@@ -315,8 +315,7 @@ def bilinear_matmul(
     # -------- Step 4: the m block products -- local at nodes w < m. ----- #
     # Sender u = (x1, x2) owns cell (x1, x2): un-interleave the (q, q) grid
     # of (c, c) cells into full (side, side) operands.  The m products run
-    # as one batched executor call (sharded backends partition the worker
-    # range).
+    # as one batched executor call.
     grid_axes = (0, 2, 1, 3) + tuple(range(4, 4 + nt))
     full = (
         hats.reshape((m, q, q, 2, c, c) + trailing)

@@ -25,7 +25,7 @@ from repro.clique.messages import words_for_value
 class RingOps:
     """Interface: local block product + honest per-entry word widths."""
 
-    #: registry name (sharded-executor workers resolve rings by name).
+    #: short identifier (reprs and algebra binding checks).
     name: str = "abstract"
 
     #: number of trailing array axes an entry occupies (0 for scalars).
@@ -46,15 +46,6 @@ class RingOps:
         return np.stack(
             [self.matmul(x[b], y[b]) for b in range(np.asarray(x).shape[0])]
         )
-
-    def out_trailing(self, x: np.ndarray, y: np.ndarray) -> tuple[int, ...]:
-        """Trailing (ring-axis) shape of a product of ``x`` and ``y`` blocks.
-
-        Lets the executor pre-allocate shared output buffers without
-        computing a probe product (the polynomial ring widens its degree
-        axis under convolution).
-        """
-        return ()
 
     def entry_words(self, arr: np.ndarray, word_bits: int) -> int:
         """Words per entry when shipping (a sub-tensor of) ``arr``."""
@@ -106,10 +97,6 @@ class PolynomialRingOps(RingOps):
     def matmul_batch(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return poly_matmul_batch(x, y)
 
-    def out_trailing(self, x: np.ndarray, y: np.ndarray) -> tuple[int, ...]:
-        # Convolution of degree-(Da-1) and degree-(Db-1) polynomials.
-        return (np.asarray(x).shape[-1] + np.asarray(y).shape[-1] - 1,)
-
     def entry_words(self, arr: np.ndarray, word_bits: int) -> int:
         arr = np.asarray(arr)
         max_abs = int(np.max(np.abs(arr))) if arr.size else 0
@@ -120,20 +107,6 @@ class PolynomialRingOps(RingOps):
 INTEGER_RING = IntegerRingOps()
 POLYNOMIAL_RING = PolynomialRingOps()
 
-_RINGS_BY_NAME: dict[str, RingOps] = {
-    r.name: r for r in (INTEGER_RING, POLYNOMIAL_RING)
-}
-
-
-def get_ring(name: str) -> RingOps:
-    """Look a ring singleton up by ``name`` (sharded-executor workers)."""
-    try:
-        return _RINGS_BY_NAME[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown ring {name!r} (known: {sorted(_RINGS_BY_NAME)})"
-        ) from None
-
 
 __all__ = [
     "RingOps",
@@ -141,5 +114,4 @@ __all__ = [
     "PolynomialRingOps",
     "INTEGER_RING",
     "POLYNOMIAL_RING",
-    "get_ring",
 ]

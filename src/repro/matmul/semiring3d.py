@@ -39,9 +39,9 @@ Implementation notes:
   :class:`CubePlan` -- repeated squarings (APSP, girth, closure) replan
   nothing.
 * The ``n`` local block products of step 2 run as **one batched call** on
-  the clique's :class:`~repro.clique.executor.LocalExecutor`, which the
-  sharded backend partitions over node ranges; values (hence widths and
-  rounds) are bit-identical across backends.
+  the clique's :class:`~repro.clique.executor.LocalExecutor`, whose tile
+  backend may thread it; values (hence widths and rounds) are
+  bit-identical across backends.
 """
 
 from __future__ import annotations
@@ -263,8 +263,7 @@ def semiring_matmul(
     # from each of the q^2 senders in u1**, ascending -- i.e. already in
     # block-row order -- and one T piece from each sender in u2**), baked
     # into ``take_st`` above.  The n block products then run as one batched
-    # executor call -- the unit of work the sharded backend partitions over
-    # node ranges.
+    # executor call.
     s_blocks = st_blocks[: n * q2].reshape(n, q2, q2)
     t_blocks = st_blocks[n * q2 :].reshape(n, q2, q2)
     if with_witnesses:

@@ -24,12 +24,10 @@ full-bisection <= fat-tree <= ring (per-pair share <= per-host share <=
 ring-cut share for ``n >= 16``), which is the makespan ordering the gated
 ``netsim`` bench section asserts.
 
-Topologies also expose the two hooks the round-equivalent schedule
-optimisations key off: :meth:`Topology.distance_matrix` (hop distances,
+Topologies also expose the hook the round-equivalent schedule
+optimisation keys off: :meth:`Topology.distance_matrix` (hop distances,
 used by the cost-aware relay-slot assignment in
-:func:`repro.clique.scheduling.relay_schedule`) and
-:attr:`Topology.group_size` (the locality-group width the sharded
-executor's placement hint aligns node ranges to).
+:func:`repro.clique.scheduling.relay_schedule`).
 """
 
 from __future__ import annotations
@@ -88,10 +86,6 @@ class Topology:
         if n < 2:
             raise ValueError(f"a topology needs >= 2 hosts, got {n}")
         self.n = n
-
-    #: Locality-group width for the sharded executor's placement hint
-    #: (``None``: no locality structure worth aligning to).
-    group_size: int | None = None
 
     @property
     def name(self) -> str:
@@ -222,7 +216,6 @@ class FatTree(Topology):
         self.k = min(k, n)
         self.hosts_per_pod = math.ceil(n / self.k)
         self.uplinks = max(1, self.hosts_per_pod // 2)
-        self.group_size = self.hosts_per_pod
 
     @property
     def name(self) -> str:

@@ -78,7 +78,7 @@ class DeltaReport:
         return asdict(self)
 
 
-def _normalise_updates(
+def normalise_updates(
     updates, n: int
 ) -> dict[tuple[int, int], int]:
     """Validate and dedupe ``(u, v, w)`` updates (last write wins)."""
@@ -157,7 +157,7 @@ def apply_edge_updates(
     if directed is None:
         directed = artifact.directed if artifact is not None else False
     n = artifact.n if artifact is not None else big_n
-    merged = _normalise_updates(updates, n)
+    merged = normalise_updates(updates, n)
 
     increases = [
         (u, v, w) for (u, v), w in merged.items() if w > weights[u, v]

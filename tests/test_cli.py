@@ -24,50 +24,97 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["matmul", "49", "--engine", "quantum"])
 
-    def test_shards_flag_parsed(self):
-        args = build_parser().parse_args(["matmul", "49", "--shards", "4"])
-        assert args.shards == 4
+    def test_threads_flag_parsed(self):
+        args = build_parser().parse_args(["matmul", "49", "--threads", "4"])
+        assert args.threads == 4
         args = build_parser().parse_args(["apsp", "10"])
-        assert args.shards == 1 and args.engine is None
+        assert args.threads == 1 and args.engine is None
+
+    def test_shards_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["apsp", "16", "--shards", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --shards 2" in capsys.readouterr().err
 
 
-class TestEngineShardValidation:
-    def test_shards_beyond_clique_size_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["matmul", "16", "--shards", "99"])
-        assert "shards must be in [1, clique size 16]" in capsys.readouterr().err
+@pytest.fixture(scope="module")
+def artifact_dir(tmp_path_factory):
+    """A small closure artifact for the artifact-command failure sweep."""
+    path = tmp_path_factory.mktemp("cli") / "art"
+    assert main(["build-artifact", "12", str(path), "--p", "0.4"]) == 0
+    return path
 
-    #: Every subcommand carrying the shared engine/shard flags.
-    SHARDED_COMMANDS = [
+
+class TestFailureSweep:
+    """Bad sizes, parameters and node ids are usage errors: exit status 2
+    with a message naming the bad value, never a traceback."""
+
+    #: (argv with ``{art}`` for the artifact directory, the named value).
+    CASES = [
+        (["matmul", "1"], "got 1"),
+        (["triangles", "1"], "got 1"),
+        (["apsp", "1"], "got 1"),
+        (["mst", "1"], "got 1"),
+        (["build-artifact", "1", "{art}-new"], "got 1"),
+        (["four-cycles", "0"], "got 0"),
+        (["girth", "2"], "--girth 7 with n=2"),
+        (["spanner", "10", "--k", "0"], "--k must be >= 1"),
+        (["apsp", "10", "--max-weight", "0"], "got 0"),
+        (["mst", "10", "--max-weight", "-3"], "got -3"),
+        (["apsp", "2", "--faults", "5"], "2*5+1"),
+        (["query", "{art}", "0", "99"], "node 99"),
+        (["query", "{art}", "-1", "3"], "node -1"),
+        (["update", "{art}", "--edge", "0,99,1"], "(0, 99)"),
+        (["update", "{art}", "--edge", "0,0,1"], "(0, 0)"),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv,named", CASES, ids=[" ".join(argv) for argv, _ in CASES]
+    )
+    def test_usage_error_names_bad_value(self, argv, named, artifact_dir, capsys):
+        from repro.serve import ClosureArtifact
+
+        argv = [arg.replace("{art}", str(artifact_dir)) for arg in argv]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        err = capsys.readouterr().err
+        assert excinfo.value.code == 2
+        assert named in err and "Traceback" not in err
+        assert ClosureArtifact.open(artifact_dir).generation == 0
+
+    #: Every subcommand carrying the shared engine/thread flags.
+    ENGINE_COMMANDS = [
         ["matmul", "16"],
         ["triangles", "12"],
         ["apsp", "10"],
         ["girth", "12"],
         ["spanner", "12"],
         ["mst", "12"],
+        ["build-artifact", "12", "/tmp/never-built"],
+        ["update", "/tmp/never-built", "--edge", "0,1,1"],
     ]
 
-    @pytest.mark.parametrize("argv", SHARDED_COMMANDS)
-    @pytest.mark.parametrize("shards", ["0", "-3"])
-    def test_non_positive_shards_rejected_at_parse_time(
-        self, argv, shards, capsys
+    @pytest.mark.parametrize("argv", ENGINE_COMMANDS)
+    @pytest.mark.parametrize(
+        "threads,named",
+        [
+            ("0", "--threads must be >= 1"),
+            ("-3", "--threads must be >= 1"),
+            ("two", "invalid thread count"),
+        ],
+    )
+    def test_bad_threads_rejected_at_parse_time(
+        self, argv, threads, named, capsys
     ):
-        """``--shards 0``/negative dies in argparse, before any simulation."""
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(argv + ["--shards", shards])
-        assert "--shards must be >= 1" in capsys.readouterr().err
+        """A thread count that can never be valid dies in argparse, before
+        any simulation or artifact I/O."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv + ["--threads", threads])
+        assert excinfo.value.code == 2
+        assert named in capsys.readouterr().err
 
-    def test_garbage_shards_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["matmul", "16", "--shards", "two"])
-        assert "invalid shard count" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", SHARDED_COMMANDS)
-    def test_shards_beyond_clique_rejected_everywhere(self, argv, capsys):
-        with pytest.raises(SystemExit):
-            main(argv + ["--shards", "99"])
-        assert "shards must be in [1, clique size" in capsys.readouterr().err
-
+class TestEngineValidation:
     @pytest.mark.parametrize("command", ["spanner", "mst"])
     def test_spanning_commands_reject_bilinear(self, command, capsys):
         with pytest.raises(SystemExit):
@@ -89,10 +136,9 @@ class TestEngineShardValidation:
             main(["apsp", "10", "--variant", "approx", "--engine", "semiring"])
         assert "bilinear ring engine" in capsys.readouterr().err
 
-    def test_sharded_matmul_runs(self, capsys):
-        assert main(["matmul", "16", "--engine", "bilinear", "--shards", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "shards=2" in out and "correct=True" in out
+    def test_threaded_matmul_runs(self, capsys):
+        assert main(["matmul", "16", "--engine", "semiring", "--threads", "2"]) == 0
+        assert "correct=True" in capsys.readouterr().out
 
     def test_apsp_engine_naive_runs(self, capsys):
         assert main(["apsp", "8", "--variant", "exact", "--engine", "naive"]) == 0
@@ -218,7 +264,7 @@ class TestFaultFlags:
 
 class TestFaultFlagValidationSweep:
     """PR 9 satellite: --fault-tolerance / --fault-seed validated at parse
-    time across every fault-capable subcommand (the --shards treatment),
+    time across every fault-capable subcommand (the --threads treatment),
     plus the --fault-scheme / byzantine wiring."""
 
     FAULT_ARGV = {

@@ -18,6 +18,7 @@ from repro.constants import INF
 from repro.engine import (
     EngineBindingError,
     EngineSession,
+    make_clique,
     open_session,
     required_clique_size,
 )
@@ -62,13 +63,17 @@ class TestBindingRules:
         with pytest.raises(EngineBindingError):
             session.closure(np.zeros((16, 16, 1), dtype=np.int64))
 
-    def test_open_session_validates_shards(self):
-        with pytest.raises(ValueError, match="shards"):
-            open_session(10, "bilinear", shards=0)
-        with pytest.raises(ValueError, match="shards"):
-            open_session(10, "bilinear", shards=17)  # clique is 16
-        with pytest.raises(ValueError, match="shards"):
-            open_session(10, "bilinear", clique=CongestedClique(16), shards=4)
+    def test_open_session_validates_threads(self):
+        with pytest.raises(ValueError, match="threads"):
+            open_session(10, "bilinear", threads=0)
+        with pytest.raises(ValueError, match="threads"):
+            open_session(10, "bilinear", clique=CongestedClique(16), threads=4)
+
+    def test_shards_option_is_gone(self):
+        with pytest.raises(TypeError):
+            make_clique(16, "semiring", shards=2)
+        with pytest.raises(TypeError):
+            open_session(10, "bilinear", shards=2)
 
     def test_open_session_sizes_the_clique(self):
         for method in ("bilinear", "semiring", "naive"):

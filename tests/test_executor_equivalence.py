@@ -1,12 +1,12 @@
-"""Sharded vs serial executors: bit-identical values, rounds and meters.
+"""Threaded vs serial executors: bit-identical values, rounds and meters.
 
-The local-compute executor only moves block products between processes --
-it must be invisible to everything else: identical answers, identical
+The local-compute executor only decides how block products are scheduled
+-- it must be invisible to everything else: identical answers, identical
 witness/routing tables, identical round charges and identical per-phase
 meter entries for every algorithm, on every engine.  These tests run the
-same workloads on both backends (one shared worker pool, fast-lane sizes)
-and compare everything; a `slow`-marked smoke test exercises the
-multiprocessing path at a bigger size for CI.
+same workloads on a serial and a 2-thread tile executor (one shared
+thread pool, fast-lane sizes) and compare everything; a `slow`-marked
+smoke test exercises the threaded path at a bigger size for CI.
 """
 
 from __future__ import annotations
@@ -28,9 +28,8 @@ from repro.algebra.semirings import (
 from repro.clique.executor import (
     SERIAL_EXECUTOR,
     LocalExecutor,
-    ShardedExecutor,
+    SerialExecutor,
     make_executor,
-    shard_ranges,
 )
 from repro.clique.model import CongestedClique
 from repro.constants import INF
@@ -42,57 +41,45 @@ from repro.matmul.ringops import INTEGER_RING, POLYNOMIAL_RING
 
 
 @pytest.fixture(scope="module")
-def sharded():
-    """One worker pool for the whole module (sessions reuse it the same way)."""
-    executor = ShardedExecutor(2)
-    yield executor
-    executor.close()
+def threaded():
+    """One 2-thread tile executor for the whole module (its pool is shared)."""
+    return SerialExecutor("threaded:2")
 
 
-def _clique_pair(n: int, sharded_executor) -> tuple[CongestedClique, CongestedClique]:
+def _clique_pair(n: int, executor) -> tuple[CongestedClique, CongestedClique]:
     return (
         CongestedClique(n, executor=SERIAL_EXECUTOR),
-        CongestedClique(n, executor=sharded_executor),
+        CongestedClique(n, executor=executor),
     )
 
 
-def assert_same_run(serial, shard):
+def assert_same_run(serial, other_run):
     """Two RunResults must agree on answer, rounds and every meter entry."""
     if isinstance(serial.value, np.ndarray):
-        assert np.array_equal(serial.value, shard.value)
+        assert np.array_equal(serial.value, other_run.value)
     else:
-        assert serial.value == shard.value
-    assert serial.rounds == shard.rounds
-    assert serial.clique_size == shard.clique_size
-    assert serial.meter.phases == shard.meter.phases
+        assert serial.value == other_run.value
+    assert serial.rounds == other_run.rounds
+    assert serial.clique_size == other_run.clique_size
+    assert serial.meter.phases == other_run.meter.phases
     for key, val in serial.extras.items():
-        other = shard.extras[key]
+        other = other_run.extras[key]
         if isinstance(val, np.ndarray):
             assert np.array_equal(val, other), key
         else:
             assert val == other, key
 
 
-class TestShardRanges:
-    def test_partition_covers_batch(self):
-        assert shard_ranges(10, 3) == [(0, 3), (3, 6), (6, 10)]
-        assert shard_ranges(2, 8) == [(0, 1), (1, 2)]
-        assert shard_ranges(0, 4) == []
-
+class TestBatchProducts:
     def test_make_executor(self):
         assert make_executor(1) is SERIAL_EXECUTOR
-        executor = make_executor(3)
-        assert isinstance(executor, ShardedExecutor)
-        assert executor.shards == 3
-        executor.close()
+        assert make_executor(3).threads == 3
         with pytest.raises(ValueError):
             make_executor(0)
 
-
-class TestBatchProducts:
     @settings(max_examples=10, deadline=None)
     @given(st.integers(min_value=0, max_value=1000))
-    def test_semiring_products_identical(self, sharded, seed):
+    def test_semiring_products_identical(self, threaded, seed):
         rng = np.random.default_rng(seed)
         batch, m = int(rng.integers(2, 10)), int(rng.integers(1, 8))
         for semiring in ALL_SEMIRINGS:
@@ -102,13 +89,13 @@ class TestBatchProducts:
                 x[rng.random(x.shape) < 0.3] = INF
                 y[rng.random(y.shape) < 0.3] = INF
             ref = SERIAL_EXECUTOR.semiring_products(semiring, x, y)
-            got = sharded.semiring_products(semiring, x, y)
+            got = threaded.semiring_products(semiring, x, y)
             assert np.array_equal(ref, got), semiring.name
             if semiring.has_witnesses:
                 rp, rw = SERIAL_EXECUTOR.semiring_products(
                     semiring, x, y, with_witnesses=True
                 )
-                gp, gw = sharded.semiring_products(
+                gp, gw = threaded.semiring_products(
                     semiring, x, y, with_witnesses=True
                 )
                 assert np.array_equal(rp, gp), semiring.name
@@ -116,7 +103,7 @@ class TestBatchProducts:
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(min_value=0, max_value=1000))
-    def test_boolean_packed_products_identical(self, sharded, seed):
+    def test_boolean_packed_products_identical(self, threaded, seed):
         from repro.algebra.semirings import pack_bool_rows, unpack_bool_rows
 
         rng = np.random.default_rng(seed)
@@ -126,14 +113,14 @@ class TestBatchProducts:
         y = (rng.random((batch, k, n)) < 0.3).astype(np.int64)
         xw, yw = pack_bool_rows(x), pack_bool_rows(y)
         ref = SERIAL_EXECUTOR.boolean_packed_products(xw, yw, k)
-        got = sharded.boolean_packed_products(xw, yw, k)
+        got = threaded.boolean_packed_products(xw, yw, k)
         assert np.array_equal(ref, got)
         assert np.array_equal(
             unpack_bool_rows(ref, n), BOOLEAN.matmul_batch(x, y)
         )
 
-    def test_executor_thread_combinations_identical(self):
-        """Every shards x threads combination computes the same products."""
+    def test_executor_thread_counts_identical(self):
+        """Every tile thread count computes the same products."""
         rng = np.random.default_rng(13)
         x = rng.integers(-20, 60, (6, 9, 9), dtype=np.int64)
         y = rng.integers(-20, 60, (6, 9, 9), dtype=np.int64)
@@ -142,29 +129,24 @@ class TestBatchProducts:
         ref_p, ref_w = SERIAL_EXECUTOR.semiring_products(
             MIN_PLUS, x, y, with_witnesses=True
         )
-        for shards, threads in ((1, 2), (2, 1), (2, 2)):
-            executor = make_executor(shards, threads)
-            try:
-                got_p, got_w = executor.semiring_products(
-                    MIN_PLUS, x, y, with_witnesses=True
-                )
-                assert np.array_equal(ref_p, got_p), (shards, threads)
-                assert np.array_equal(ref_w, got_w), (shards, threads)
-            finally:
-                if executor is not SERIAL_EXECUTOR:
-                    executor.close()
+        for threads in (2, 3, 6):
+            got_p, got_w = make_executor(threads).semiring_products(
+                MIN_PLUS, x, y, with_witnesses=True
+            )
+            assert np.array_equal(ref_p, got_p), threads
+            assert np.array_equal(ref_w, got_w), threads
 
-    def test_ring_products_identical(self, sharded, rng):
+    def test_ring_products_identical(self, threaded, rng):
         x = rng.integers(-9, 10, (7, 6, 6))
         y = rng.integers(-9, 10, (7, 6, 6))
         assert np.array_equal(
-            sharded.ring_products(INTEGER_RING, x, y),
+            threaded.ring_products(INTEGER_RING, x, y),
             SERIAL_EXECUTOR.ring_products(INTEGER_RING, x, y),
         )
         xp = rng.integers(0, 2, (5, 4, 4, 3))
         yp = rng.integers(0, 2, (5, 4, 4, 2))
         assert np.array_equal(
-            sharded.ring_products(POLYNOMIAL_RING, xp, yp),
+            threaded.ring_products(POLYNOMIAL_RING, xp, yp),
             SERIAL_EXECUTOR.ring_products(POLYNOMIAL_RING, xp, yp),
         )
 
@@ -179,7 +161,6 @@ class _PerBlockOracleExecutor(LocalExecutor):
     """
 
     name = "per-block-oracle"
-    shards = 1
 
     def semiring_products(
         self, semiring, lefts, rights, *, with_witnesses=False
@@ -299,78 +280,76 @@ class TestBatchAxisKernels:
 class TestAlgorithmEquivalence:
     @settings(max_examples=6, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6))
-    def test_apsp_exact_with_routing_tables(self, sharded, seed):
+    def test_apsp_exact_with_routing_tables(self, threaded, seed):
         graph = random_weighted_graph(
             4 + seed % 9, 0.4, max_weight=20, seed=seed
         )
-        serial_clique, shard_clique = _clique_pair(27, sharded)
+        serial_clique, threaded_clique = _clique_pair(27, threaded)
         serial = apsp_exact(graph, clique=serial_clique)
-        shard = apsp_exact(graph, clique=shard_clique)
-        assert_same_run(serial, shard)
+        tiled = apsp_exact(graph, clique=threaded_clique)
+        assert_same_run(serial, tiled)
 
     @settings(max_examples=6, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6))
-    def test_girth_directed(self, sharded, seed):
+    def test_girth_directed(self, threaded, seed):
         graph = gnp_random_graph(4 + seed % 9, 0.25, seed=seed, directed=True)
         for method, size in (("semiring", 27), ("naive", graph.n)):
             if size < 2:
                 continue
-            serial_clique, shard_clique = _clique_pair(size, sharded)
+            serial_clique, threaded_clique = _clique_pair(size, threaded)
             serial = girth_directed(graph, method=method, clique=serial_clique)
-            shard = girth_directed(graph, method=method, clique=shard_clique)
-            assert_same_run(serial, shard)
+            tiled = girth_directed(graph, method=method, clique=threaded_clique)
+            assert_same_run(serial, tiled)
 
     @settings(max_examples=6, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6))
-    def test_boolean_closure_components(self, sharded, seed):
+    def test_boolean_closure_components(self, threaded, seed):
         graph = gnp_random_graph(4 + seed % 9, 0.2, seed=seed)
         for method, size in (("semiring", 27), ("bilinear", 16)):
             if size < graph.n:
                 continue
-            serial_clique, shard_clique = _clique_pair(size, sharded)
+            serial_clique, threaded_clique = _clique_pair(size, threaded)
             serial = connected_components(
                 graph, method=method, clique=serial_clique
             )
-            shard = connected_components(
-                graph, method=method, clique=shard_clique
+            tiled = connected_components(
+                graph, method=method, clique=threaded_clique
             )
-            assert_same_run(serial, shard)
+            assert_same_run(serial, tiled)
 
-    def test_min_plus_witness_squaring(self, sharded, rng):
+    def test_min_plus_witness_squaring(self, threaded, rng):
         d = rng.integers(0, 100, (27, 27))
         d[rng.random((27, 27)) < 0.2] = INF
         np.fill_diagonal(d, 0)
-        serial_clique, shard_clique = _clique_pair(27, sharded)
+        serial_clique, threaded_clique = _clique_pair(27, threaded)
         s_sess = EngineSession(serial_clique, "semiring", MIN_PLUS)
-        p_sess = EngineSession(shard_clique, "semiring", MIN_PLUS)
+        t_sess = EngineSession(threaded_clique, "semiring", MIN_PLUS)
         sp, sw = s_sess.multiply(d, d, with_witnesses=True)
-        pp, pw = p_sess.multiply(d, d, with_witnesses=True)
-        assert np.array_equal(sp, pp)
-        assert np.array_equal(sw, pw)
-        assert serial_clique.meter.phases == shard_clique.meter.phases
+        tp, tw = t_sess.multiply(d, d, with_witnesses=True)
+        assert np.array_equal(sp, tp)
+        assert np.array_equal(sw, tw)
+        assert serial_clique.meter.phases == threaded_clique.meter.phases
 
 
 @pytest.mark.slow
-class TestShardSmoke:
-    """Bigger multiprocessing smoke (run in CI via `pytest -m slow -k shard`)."""
+class TestThreadedSmoke:
+    """Bigger threaded-executor smoke (run in CI via `pytest -m slow`)."""
 
-    def test_large_apsp_and_bilinear_sharded(self):
-        with ShardedExecutor(3) as executor:
-            graph = random_weighted_graph(40, 0.15, max_weight=50, seed=7)
-            serial = apsp_exact(
-                graph, clique=CongestedClique(64, executor=SERIAL_EXECUTOR)
-            )
-            shard = apsp_exact(
-                graph, clique=CongestedClique(64, executor=executor)
-            )
-            assert_same_run(serial, shard)
+    def test_large_apsp_and_bilinear_threaded(self):
+        executor = SerialExecutor("threaded:2")
+        graph = random_weighted_graph(40, 0.15, max_weight=50, seed=7)
+        serial = apsp_exact(
+            graph, clique=CongestedClique(64, executor=SERIAL_EXECUTOR)
+        )
+        tiled = apsp_exact(graph, clique=CongestedClique(64, executor=executor))
+        assert_same_run(serial, tiled)
 
-            rng = np.random.default_rng(11)
-            s = rng.integers(-9, 10, (64, 64))
-            serial_clique = CongestedClique(64, executor=SERIAL_EXECUTOR)
-            shard_clique = CongestedClique(64, executor=executor)
-            ref = EngineSession(serial_clique, "bilinear").multiply(s, s)
-            got = EngineSession(shard_clique, "bilinear").multiply(s, s)
-            assert np.array_equal(ref, got)
-            assert np.array_equal(ref, s @ s)
-            assert serial_clique.meter.phases == shard_clique.meter.phases
+        rng = np.random.default_rng(11)
+        s = rng.integers(-9, 10, (64, 64))
+        serial_clique = CongestedClique(64, executor=SERIAL_EXECUTOR)
+        threaded_clique = CongestedClique(64, executor=executor)
+        ref = EngineSession(serial_clique, "bilinear").multiply(s, s)
+        got = EngineSession(threaded_clique, "bilinear").multiply(s, s)
+        assert np.array_equal(ref, got)
+        assert np.array_equal(ref, s @ s)
+        assert serial_clique.meter.phases == threaded_clique.meter.phases

@@ -5,18 +5,15 @@ Three invariants pin the third kernel wave to the retained oracles:
 * **Scheduling is invisible.**  Every tile backend (serial, threaded, any
   thread count) produces bit-identical values and witnesses for every
   batched kernel -- tiles write disjoint output slices and no kernel merges
-  in scheduling order -- and the shared range splitter behind shard ranges
-  and tile ranges is balanced, gap-free and non-overlapping on every shape
-  (property-tested).
+  in scheduling order -- and the tile range splitter is balanced, gap-free
+  and non-overlapping on every shape (property-tested).
 * **Packing is invisible.**  The fully-packed Boolean §2.1 pipeline and the
   persistent packed closure charge the *same phases* (rounds, words,
   payloads, per-node loads) as the unpacked path and return the same
-  matrices, across densities, sizes, absorb modes, shards x threads
-  combinations, and with robust (fault-injected) collectives layered on
-  top.
-* **Lifecycle is deterministic.**  Engine sessions close their executor and
-  arena on context exit; thread pools survive being inherited through
-  ``fork`` (the sharded executor's start method).
+  matrices, across densities, sizes, absorb modes, thread counts, and
+  with robust (fault-injected) collectives layered on top.
+* **Lifecycle is deterministic.**  Engine sessions release their arena on
+  context exit.
 """
 
 from __future__ import annotations
@@ -27,7 +24,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algebra.backends import (
-    HAVE_NUMBA,
     KernelBackendError,
     SerialBackend,
     ThreadedBackend,
@@ -45,13 +41,7 @@ from repro.algebra.semirings import (
     packed_words,
     unpack_bool_rows,
 )
-from repro.clique.executor import (
-    SERIAL_EXECUTOR,
-    SerialExecutor,
-    ShardedExecutor,
-    make_executor,
-    shard_ranges,
-)
+from repro.clique.executor import SERIAL_EXECUTOR, SerialExecutor, make_executor
 from repro.clique.model import CongestedClique
 from repro.constants import INF
 from repro.engine import EngineSession, make_clique, open_session
@@ -118,17 +108,12 @@ class TestBackendRegistry:
             get_backend("threaded:0")
         with pytest.raises(KernelBackendError):
             get_backend(0)
-
-    def test_numba_backend_gated_on_availability(self):
-        if HAVE_NUMBA:  # pragma: no cover - environment-dependent
-            assert get_backend("numba:2").compiled
-        else:
-            with pytest.raises(KernelBackendError, match="numba"):
-                get_backend("numba:2")
+        with pytest.raises(KernelBackendError, match="numba"):
+            get_backend("numba:2")
 
     def test_backend_info_shape(self):
         info = backend_info()
-        assert set(info) == {"cpus", "default_backend", "threadpoolctl", "numba"}
+        assert set(info) == {"cpus", "default_backend", "threadpoolctl"}
         assert info["cpus"] >= 1
 
     def test_run_propagates_task_errors(self):
@@ -144,7 +129,7 @@ class TestBackendRegistry:
 
 
 # --------------------------------------------------------------------- #
-# Range splitters (shards and tiles share one implementation)
+# Tile range splitter
 # --------------------------------------------------------------------- #
 
 
@@ -156,7 +141,6 @@ class TestRangeSplitters:
     )
     def test_balanced_gapfree_nonoverlapping(self, total, parts):
         ranges = tile_ranges(total, parts)
-        assert ranges == shard_ranges(total, parts)
         # Gap-free and non-overlapping: ranges chain exactly over [0, total).
         cursor = 0
         for lo, hi in ranges:
@@ -177,8 +161,6 @@ class TestRangeSplitters:
             tile_ranges(-1, 2)
         with pytest.raises(ValueError):
             tile_ranges(5, 0)
-        with pytest.raises(ValueError):
-            shard_ranges(5, 0)
 
 
 # --------------------------------------------------------------------- #
@@ -241,22 +223,6 @@ class TestThreadedKernelEquivalence:
         ref = SERIAL_EXECUTOR.semiring_products(BOOLEAN, x, y)
         got = SerialExecutor(threaded2).semiring_products(BOOLEAN, x, y)
         assert np.array_equal(ref, got)
-
-    def test_thread_pools_survive_fork(self, threaded2):
-        """Regression: a forked shard worker inherits the parent's cached
-        thread backends; their pools have no threads in the child and must
-        be rebuilt, not blocked on."""
-        rng = np.random.default_rng(9)
-        # Exercise the parent's pool so there is live pool state to inherit.
-        xw = pack_bool_rows((rng.random((4, 8, 16)) < 0.4).astype(np.int64))
-        yw = pack_bool_rows((rng.random((4, 16, 16)) < 0.4).astype(np.int64))
-        BOOLEAN.packed_words_matmul_batch(xw, yw, 16, backend=threaded2)
-        with ShardedExecutor(2, backend="threaded:2") as sharded:
-            lefts = pack_bool_rows((rng.random((4, 8, 16)) < 0.4).astype(np.int64))
-            rights = pack_bool_rows((rng.random((4, 16, 16)) < 0.4).astype(np.int64))
-            got = sharded.boolean_packed_products(lefts, rights, 16)
-            ref = SERIAL_EXECUTOR.boolean_packed_products(lefts, rights, 16)
-            assert np.array_equal(got, ref)
 
 
 # --------------------------------------------------------------------- #
@@ -423,14 +389,12 @@ class TestPackedClosure:
         assert seen == list(range(len(seen))) and len(seen) >= 1
         assert np.array_equal(hooked, plain)
 
-    @pytest.mark.parametrize("shards,threads", [(1, 2), (2, 1), (2, 2)])
-    def test_shards_threads_combinations(self, shards, threads):
-        rng = np.random.default_rng(shards * 10 + threads)
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_thread_counts(self, threads):
+        rng = np.random.default_rng(10 + threads)
         n = 8
         a = (rng.random((n, n)) < 0.3).astype(np.int64)
-        with open_session(
-            n, "semiring", BOOLEAN, shards=shards, threads=threads
-        ) as session:
+        with open_session(n, "semiring", BOOLEAN, threads=threads) as session:
             assert session.executor.threads == threads
             got = session.closure(a)
             got_rounds = session.rounds
@@ -469,15 +433,11 @@ class TestPackedClosure:
 
 
 class TestSessionLifecycle:
-    def test_context_manager_closes_executor_and_arena(self):
-        with open_session(8, "semiring", BOOLEAN, shards=2) as session:
-            sharded = session.executor
-            assert isinstance(sharded, ShardedExecutor)
+    def test_context_manager_releases_arena(self):
+        with open_session(8, "semiring", BOOLEAN, threads=2) as session:
             a = (np.random.default_rng(0).random((8, 8)) < 0.4).astype(np.int64)
             session.closure(a)
             assert len(session.arena) > 0
-            assert sharded._pool is not None
-        assert sharded._pool is None
         assert len(session.arena) == 0 and session.arena.nbytes() == 0
 
     def test_close_is_idempotent_and_meter_survives(self):
@@ -501,18 +461,12 @@ class TestSessionLifecycle:
         assert not fresh.any()  # re-zeroed after release
 
     def test_make_executor_threads(self):
-        assert make_executor(1, 1) is SERIAL_EXECUTOR
-        threaded = make_executor(1, 2)
+        assert make_executor(1) is SERIAL_EXECUTOR
+        threaded = make_executor(2)
         assert isinstance(threaded, SerialExecutor)
         assert threaded.threads == 2
-        sharded = make_executor(2, 2)
-        try:
-            assert isinstance(sharded, ShardedExecutor)
-            assert sharded.threads == 2 and sharded.shards == 2
-        finally:
-            sharded.close()
         with pytest.raises(ValueError):
-            make_executor(1, 0)
+            make_executor(0)
 
     def test_open_session_rejects_threads_with_explicit_clique(self):
         clique = CongestedClique(8)

@@ -5,7 +5,7 @@ it rides on:
 
 1. **Purely observational**: attaching a transport cost model changes no
    answer, no round, no word, no per-phase meter entry -- across
-   workloads, topologies, fault schemes and sharded executors.  The
+   workloads, topologies, fault schemes and threaded executors.  The
    charged bill always comes from the canonical relay schedule; only the
    *priced* schedule is topology-aware.
 2. **The physics is right**: per-topology link loads (full-bisection
@@ -13,9 +13,9 @@ it rides on:
    values, and at equal rounds the alpha-beta makespan respects the
    bisection ordering ``full <= fat-tree <= ring``.
 3. **Round-equivalent optimisation**: the topology-aware relay-slot
-   assignment and the pod-aligned shard placement never change rounds or
-   values -- they may only improve the priced makespan, and on the
-   concentrated-demand ring workload they strictly must.
+   assignment never changes rounds or values -- it may only improve the
+   priced makespan, and on the concentrated-demand ring workload it
+   strictly must.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import pytest
 
 from repro.algebra.semirings import MIN_PLUS
 from repro.clique.accounting import CostMeter, MeterStack, PhaseCost
-from repro.clique.executor import placement_ranges, shard_ranges
 from repro.clique.scheduling import relay_schedule
 from repro.cli import main
 from repro.constants import INF
@@ -48,7 +47,7 @@ from repro.runtime import pad_matrix
 TOPOLOGIES = ["full", "fat-tree:2", "ring"]
 
 
-def _closure_run(n, *, cost_model=None, shards=1, threads=1, fault=None):
+def _closure_run(n, *, cost_model=None, threads=1, fault=None):
     """One min-plus closure; returns (clique, value[:n, :n])."""
     kwargs = {}
     if fault is not None:
@@ -59,7 +58,7 @@ def _closure_run(n, *, cost_model=None, shards=1, threads=1, fault=None):
             fault_scheme=scheme,
         )
     clique = make_clique(
-        n, "semiring", shards=shards, threads=threads,
+        n, "semiring", threads=threads,
         cost_model=cost_model, **kwargs,
     )
     graph = random_weighted_digraph(n, 0.35, 9, seed=0)
@@ -134,7 +133,7 @@ class TestTopologies:
         # oversubscription).  8 inter-pod words from pod 0 spread over the
         # 2 uplinks: 4 words per uplink, above the per-host-link 8.
         topo = FatTree(8, k=2)
-        assert topo.group_size == 4
+        assert topo.hosts_per_pod == 4
         stats = topo.leg_stats(np.array([0]), np.array([4]), np.array([8]))
         assert stats.max_hops == 4
         assert stats.max_link_words == 8  # host 0's access link dominates
@@ -294,10 +293,10 @@ class TestObservational:
                 == base_clique.abstract_meter.to_dict())
 
     @pytest.mark.parametrize("topology", TOPOLOGIES)
-    def test_sharded_threaded_closure_bit_identical(self, topology):
-        base_clique, base_value = _closure_run(16, shards=2, threads=2)
+    def test_threaded_closure_bit_identical(self, topology):
+        base_clique, base_value = _closure_run(16, threads=2)
         clique, value = _closure_run(
-            16, shards=2, threads=2, cost_model=CostModelSpec(topology)
+            16, threads=2, cost_model=CostModelSpec(topology)
         )
         assert np.array_equal(value, base_value)
         assert clique.meter.to_dict() == base_clique.meter.to_dict()
@@ -415,37 +414,3 @@ class TestRoundEquivalentOptimisation:
         assert relay_schedule(dict(demand), n, Ring(n)) is not relay_schedule(
             dict(demand), n
         )
-
-    def test_placement_ranges_snap_to_group(self):
-        ranges = placement_ranges(16, 3, group=4)
-        assert ranges[0][0] == 0 and ranges[-1][1] == 16
-        for (_, hi), (lo, _) in zip(ranges, ranges[1:]):
-            assert hi == lo
-        for lo, _ in ranges[1:]:
-            assert lo % 4 == 0
-
-    def test_placement_ranges_drop_colliding_cuts(self):
-        # 5 shards of batch 8 at group 4: only one interior multiple of 4
-        # exists, so the split merges down rather than emitting off-group
-        # or empty ranges.
-        ranges = placement_ranges(8, 5, group=4)
-        assert ranges == [(0, 4), (4, 8)]
-
-    def test_placement_ranges_degenerate_to_shard_ranges(self):
-        assert placement_ranges(16, 4) == shard_ranges(16, 4)
-        assert placement_ranges(16, 4, group=1) == shard_ranges(16, 4)
-        assert placement_ranges(3, 1, group=4) == shard_ranges(3, 1)
-
-    def test_fat_tree_hint_reaches_sharded_executor(self):
-        clique = make_clique(
-            16, "semiring", shards=2,
-            cost_model=CostModelSpec("fat-tree:2"),
-        )
-        assert clique.executor.placement_group == (
-            clique.transport.topology.group_size
-        )
-
-    def test_hint_never_touches_serial_singleton(self):
-        clique = make_clique(16, "semiring", cost_model=CostModelSpec("fat-tree:2"))
-        assert clique.executor.shards == 1
-        assert clique.executor.placement_group is None

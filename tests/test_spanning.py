@@ -9,7 +9,7 @@ The equivalence suites the tentpole promises:
 * the MST skeleton is pinned edge-identical against Kruskal under the
   encoded strict order (the MST is unique there, so KKT sampling cannot
   change the answer), with weight equality double-checked against NetworkX;
-* serial and sharded executors must agree bit-for-bit on values, rounds
+* serial and threaded executors must agree bit-for-bit on values, rounds
   and every meter entry;
 * the constant-round phases of the skeleton (candidate broadcasts, label
   announcements, the F-light gather) are asserted constant across input
@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.clique.executor import SERIAL_EXECUTOR, ShardedExecutor
+from repro.clique.executor import SERIAL_EXECUTOR, SerialExecutor
 from repro.clique.model import CongestedClique
 from repro.engine import EngineBindingError, required_clique_size
 from repro.graphs import Graph
@@ -268,72 +268,70 @@ class TestMstConstantRoundPhases:
 
 
 # --------------------------------------------------------------------- #
-# Serial vs sharded executors
+# Serial vs threaded executors
 # --------------------------------------------------------------------- #
 
 
 @pytest.fixture(scope="module")
-def sharded():
-    executor = ShardedExecutor(2)
-    yield executor
-    executor.close()
+def threaded():
+    return SerialExecutor("threaded:2")
 
 
-def _clique_pair(n: int, method: str, sharded_executor):
+def _clique_pair(n: int, method: str, executor):
     size = required_clique_size(n, method)
     return (
         CongestedClique(size, executor=SERIAL_EXECUTOR),
-        CongestedClique(size, executor=sharded_executor),
+        CongestedClique(size, executor=executor),
     )
 
 
-class TestShardedParity:
-    def test_spanner_bit_identical(self, sharded):
+class TestThreadedParity:
+    def test_spanner_bit_identical(self, threaded):
         g = random_weighted_graph(14, 0.4, max_weight=15, seed=4)
-        serial_clique, shard_clique = _clique_pair(14, "semiring", sharded)
+        serial_clique, threaded_clique = _clique_pair(14, "semiring", threaded)
         serial = build_spanner(g, 2, clique=serial_clique, seed=8)
-        shard = build_spanner(g, 2, clique=shard_clique, seed=8)
-        assert np.array_equal(serial.value, shard.value)
-        assert serial.rounds == shard.rounds
-        assert serial.meter.phases == shard.meter.phases
+        tiled = build_spanner(g, 2, clique=threaded_clique, seed=8)
+        assert np.array_equal(serial.value, tiled.value)
+        assert serial.rounds == tiled.rounds
+        assert serial.meter.phases == tiled.meter.phases
 
-    def test_mst_bit_identical(self, sharded):
+    def test_mst_bit_identical(self, threaded):
         g = random_weighted_graph(14, 0.35, max_weight=25, seed=6)
-        serial_clique, shard_clique = _clique_pair(14, "semiring", sharded)
+        serial_clique, threaded_clique = _clique_pair(14, "semiring", threaded)
         serial = minimum_spanning_forest(g, clique=serial_clique, seed=2)
-        shard = minimum_spanning_forest(g, clique=shard_clique, seed=2)
-        assert np.array_equal(serial.value, shard.value)
-        assert serial.rounds == shard.rounds
-        assert serial.meter.phases == shard.meter.phases
-        assert serial.extras["phase_rounds"] == shard.extras["phase_rounds"]
+        tiled = minimum_spanning_forest(g, clique=threaded_clique, seed=2)
+        assert np.array_equal(serial.value, tiled.value)
+        assert serial.rounds == tiled.rounds
+        assert serial.meter.phases == tiled.meter.phases
+        assert serial.extras["phase_rounds"] == tiled.extras["phase_rounds"]
 
 
 @pytest.mark.slow
-class TestShardedParitySlow:
-    """Bigger shard smoke, aligned with the executor-equivalence lane."""
+class TestThreadedParitySlow:
+    """Bigger threaded smoke, aligned with the executor-equivalence lane."""
 
-    def test_spanner_and_mst_sharded(self):
+    def test_spanner_and_mst_threaded(self):
         g = random_weighted_graph(40, 0.2, max_weight=40, seed=12)
-        with ShardedExecutor(2) as executor:
-            size = required_clique_size(40, "semiring")
-            serial = build_spanner(
-                g, 3, clique=CongestedClique(size, executor=SERIAL_EXECUTOR),
-                seed=3,
-            )
-            shard = build_spanner(
-                g, 3, clique=CongestedClique(size, executor=executor), seed=3
-            )
-            assert np.array_equal(serial.value, shard.value)
-            assert serial.rounds == shard.rounds
-            serial_mst = minimum_spanning_forest(
-                g, clique=CongestedClique(size, executor=SERIAL_EXECUTOR),
-                seed=3,
-            )
-            shard_mst = minimum_spanning_forest(
-                g, clique=CongestedClique(size, executor=executor), seed=3
-            )
-            assert serial_mst.extras["edges"] == shard_mst.extras["edges"]
-            assert serial_mst.rounds == shard_mst.rounds
+        executor = SerialExecutor("threaded:2")
+        size = required_clique_size(40, "semiring")
+        serial = build_spanner(
+            g, 3, clique=CongestedClique(size, executor=SERIAL_EXECUTOR),
+            seed=3,
+        )
+        tiled = build_spanner(
+            g, 3, clique=CongestedClique(size, executor=executor), seed=3
+        )
+        assert np.array_equal(serial.value, tiled.value)
+        assert serial.rounds == tiled.rounds
+        serial_mst = minimum_spanning_forest(
+            g, clique=CongestedClique(size, executor=SERIAL_EXECUTOR),
+            seed=3,
+        )
+        tiled_mst = minimum_spanning_forest(
+            g, clique=CongestedClique(size, executor=executor), seed=3
+        )
+        assert serial_mst.extras["edges"] == tiled_mst.extras["edges"]
+        assert serial_mst.rounds == tiled_mst.rounds
 
 
 # --------------------------------------------------------------------- #
