@@ -29,10 +29,8 @@ serial and threaded runs are **bit-identical** (equivalence-tested in
 ``tests/test_kernel_gen3.py``).  The scheduling choice can never change
 values, witnesses, or the simulator's round/load charges.
 
-Resolution order for the process default: the ``REPRO_KERNEL_BACKEND``
-environment variable (``serial``, ``threaded``, ``threaded:N``) else
-``serial``.  Executors pass their backend down per call (``--threads`` on
-the CLI picks it).
+Kernels run on serial tiles unless a caller passes a backend: executors
+pass theirs down per call (``--threads`` on the CLI picks it).
 """
 
 from __future__ import annotations
@@ -178,36 +176,16 @@ _SERIAL = SerialBackend()
 _INSTANCES[("serial", 1)] = _SERIAL
 
 
-def _default_spec() -> str:
-    return os.environ.get("REPRO_KERNEL_BACKEND", "serial")
-
-
-_default: str = _default_spec()
-
-
-def set_default_backend(spec: "str | int | KernelBackend | None") -> str:
-    """Set the process-default backend spec; returns the previous spec."""
-    global _default
-    previous = _default
-    _default = get_backend(spec).spec
-    return previous
-
-
-def get_default_backend() -> KernelBackend:
-    """The process-default backend (``REPRO_KERNEL_BACKEND`` or serial)."""
-    return get_backend(_default)
-
-
 def get_backend(spec: "str | int | KernelBackend | None" = None) -> KernelBackend:
     """Resolve a backend spec to a (shared) :class:`KernelBackend`.
 
-    Accepted specs: ``None`` (the process default), a backend instance
+    Accepted specs: ``None`` (serial tiles), a backend instance
     (returned as-is), an ``int`` thread count (``1`` -> serial, ``N > 1``
     -> ``threaded:N``), or a registry string ``"serial"``, ``"threaded"``
     (thread count = ``os.cpu_count()``) or ``"threaded:N"``.
     """
     if spec is None:
-        spec = _default
+        return _SERIAL
     if isinstance(spec, KernelBackend):
         return spec
     if isinstance(spec, int):
@@ -244,7 +222,6 @@ def backend_info() -> dict:
     """Environment facts the perf report records next to threaded rows."""
     return {
         "cpus": os.cpu_count() or 1,
-        "default_backend": _default,
         "threadpoolctl": HAVE_THREADPOOLCTL,
     }
 
@@ -255,8 +232,6 @@ __all__ = [
     "SerialBackend",
     "ThreadedBackend",
     "get_backend",
-    "get_default_backend",
-    "set_default_backend",
     "backend_info",
     "tile_ranges",
     "HAVE_THREADPOOLCTL",

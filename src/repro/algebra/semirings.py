@@ -19,7 +19,7 @@ Kernel strategy
 
 Selection-semiring products (min-plus, max-min) are computed with
 *inner-dimension-blocked* kernels: the inner index range ``k`` is processed
-in tiles of :func:`get_block_tile` columns, keeping a running
+in tiles of :data:`DEFAULT_BLOCK_TILE` columns, keeping a running
 ``(value, witness)`` accumulator of shape ``(m, n)``.  Peak temporary memory
 is ``O(m * n * tile)`` instead of the full ``O(m * k * n)`` broadcast cube,
 which keeps the working set cache-resident and makes the block products the
@@ -59,7 +59,6 @@ Kernel generation 3 adds two orthogonal layers on top:
 
 from __future__ import annotations
 
-import os
 from functools import partial
 
 import numpy as np
@@ -71,48 +70,14 @@ from repro.constants import INF
 #: materialises an ``(m, tile, n)`` slab; 8 keeps that slab cache-friendly at
 #: the block sizes the 3D algorithm produces (empirically the fastest width
 #: at n=512 on this class of hardware) while amortising the Python-level
-#: loop overhead.  Override globally with ``set_block_tile`` or the
-#: ``REPRO_SEMIRING_TILE`` environment variable, or per call via the
-#: ``tile=`` keyword.
+#: loop overhead.  Override per call via the ``tile=`` keyword.
 DEFAULT_BLOCK_TILE = 8
-
-def _initial_block_tile() -> int:
-    raw = os.environ.get("REPRO_SEMIRING_TILE")
-    if raw is None:
-        return DEFAULT_BLOCK_TILE
-    try:
-        tile = int(raw)
-    except ValueError as exc:
-        raise ValueError(
-            f"REPRO_SEMIRING_TILE must be an integer, got {raw!r}"
-        ) from exc
-    if tile < 1:
-        raise ValueError(f"REPRO_SEMIRING_TILE must be positive, got {tile}")
-    return tile
-
-
-_block_tile = _initial_block_tile()
-
-
-def get_block_tile() -> int:
-    """The current global inner-dimension tile width."""
-    return _block_tile
-
-
-def set_block_tile(tile: int) -> int:
-    """Set the global tile width; returns the previous value."""
-    global _block_tile
-    if tile < 1:
-        raise ValueError(f"tile width must be positive, got {tile}")
-    previous = _block_tile
-    _block_tile = int(tile)
-    return previous
 
 
 def _resolve_tile(tile: int | None) -> int:
-    """Per-call tile override: ``None`` means the global default."""
+    """Per-call tile override: ``None`` means :data:`DEFAULT_BLOCK_TILE`."""
     if tile is None:
-        return get_block_tile()
+        return DEFAULT_BLOCK_TILE
     if tile < 1:
         raise ValueError(f"tile width must be positive, got {tile}")
     return int(tile)
@@ -1355,8 +1320,6 @@ __all__ = [
     "ALL_SEMIRINGS",
     "reference_matmul",
     "saturating_add",
-    "get_block_tile",
-    "set_block_tile",
     "DEFAULT_BLOCK_TILE",
     "packed_words",
     "pack_bool_rows",

@@ -24,7 +24,9 @@ invocation is reproducible.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -44,10 +46,10 @@ def _make_clique(parser: argparse.ArgumentParser, args: argparse.Namespace, n: i
     sized for the chosen engine and carries the local-compute executor
     (and its kernel tile backend) the engine sessions run on.  ``--faults
     T`` additionally installs a seeded adversary corrupting up to ``T``
-    relay nodes per exchange *and* the encoded robust collectives
-    (``--fault-scheme``: replication or Reed-Solomon striping) sized to
-    survive it -- the run then either matches the fault-free oracle
-    exactly or dies with ``FaultToleranceExceeded``, never silently wrong.
+    relay nodes per exchange *and* the Reed-Solomon coded collectives
+    sized to survive it -- the run then either matches the fault-free
+    oracle exactly or dies with ``FaultToleranceExceeded``, never silently
+    wrong.
     A budget the clique cannot host (too few relays) is a usage error.
     """
     from repro.errors import CliqueModelError
@@ -79,7 +81,6 @@ def _make_clique(parser: argparse.ArgumentParser, args: argparse.Namespace, n: i
             threads=threads,
             fault_plan=fault_plan,
             fault_tolerance=fault_tolerance,
-            fault_scheme=getattr(args, "fault_scheme", "replicate"),
             cost_model=cost_model,
         )
     except (ValueError, CliqueModelError) as exc:
@@ -93,8 +94,7 @@ def _print_fault_summary(args: argparse.Namespace, clique) -> None:
         return
     print(
         f"faults: kind={args.fault_kind} t={args.faults} "
-        f"seed={args.fault_seed} scheme={clique.scheme} "
-        f"injected={clique.faults_injected} "
+        f"seed={args.fault_seed} injected={clique.faults_injected} "
         f"retries={clique.retries} | encoded rounds={clique.meter.rounds} "
         f"vs abstract {clique.abstract_meter.rounds} "
         f"(overhead {clique.overhead_factor:.2f}x, "
@@ -119,7 +119,6 @@ def _print_json_summary(args: argparse.Namespace, clique) -> None:
     payload = {"n": clique.n, "meter": clique.meter.to_dict()}
     if getattr(args, "faults", 0):
         payload["faults"] = {
-            "scheme": clique.scheme,
             "kind": args.fault_kind,
             "t": args.faults,
             "seed": args.fault_seed,
@@ -390,27 +389,29 @@ def _cmd_build_artifact(
     return 0
 
 
-def _open_artifact(args: argparse.Namespace, *, writable: bool = False):
-    """Open the artifact or return an exit code (degraded propagates)."""
+def _open_artifact(
+    parser: argparse.ArgumentParser,
+    args: argparse.Namespace,
+    *,
+    writable: bool = False,
+):
+    """Open the artifact or die with usage (degraded propagates)."""
     from repro.serve import ArtifactError, ClosureArtifact
 
     try:
         return ClosureArtifact.open(args.artifact, writable=writable)
     except ArtifactError as exc:
-        # Version/hash/layout mismatch: a usage-level refusal, distinct
-        # from the degraded-build exit 2 (FaultToleranceExceeded), which
-        # propagates to main().
-        print(f"cannot open artifact: {exc}", file=sys.stderr)
-        return None
+        # Missing directory, version/hash/layout mismatch: a usage error.
+        # A degraded build (FaultToleranceExceeded) propagates to main(),
+        # which exits 2 as well.
+        parser.error(f"cannot open artifact: {exc}")
 
 
 def _cmd_query(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     from repro.constants import INF
     from repro.serve import QueryEngine
 
-    artifact = _open_artifact(args)
-    if artifact is None:
-        return 1
+    artifact = _open_artifact(parser, args)
     for node in (args.u, args.v):
         if not 0 <= node < artifact.n:
             parser.error(f"node {node} out of range [0, {artifact.n})")
@@ -440,9 +441,7 @@ def _cmd_update(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     from repro.serve.delta import normalise_updates
 
     _require_selection_engine(parser, args, "update")
-    artifact = _open_artifact(args, writable=True)
-    if artifact is None:
-        return 1
+    artifact = _open_artifact(parser, args, writable=True)
     try:
         normalise_updates(args.edge, artifact.n)
     except ValueError as exc:
@@ -479,9 +478,7 @@ def _cmd_serve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
     from repro.serve import BatchingServer, QueryEngine
 
-    artifact = _open_artifact(args)
-    if artifact is None:
-        return 1
+    artifact = _open_artifact(parser, args)
     engine = QueryEngine(artifact)
 
     async def run() -> None:
@@ -531,27 +528,48 @@ def _edge_type(value: str) -> tuple[int, int, int]:
     return u, v, w
 
 
-def _int_at_least(minimum: int, name: str, noun: str):
-    """Argparse type factory for an integer ``>= minimum``.
+def _bounded_type(
+    cast: type,
+    minimum: float,
+    name: str,
+    noun: str,
+    maximum: float | None = None,
+    *,
+    exclusive: bool = False,
+):
+    """Argparse type factory for a finite number ``>= minimum``.
 
-    A value that can never be valid (a 1-node clique, a zero stretch
-    parameter, a negative fault budget) dies at parse time as a usage
-    error naming it, in every subcommand -- never as a traceback deep
-    inside a run.
+    ``exclusive`` makes the lower bound strict (``> minimum``) and
+    ``maximum`` adds an inclusive upper bound.  A value that can never be
+    valid (a 1-node clique, a zero stretch parameter, a negative fault
+    budget, a probability above 1) dies at parse time as a usage error
+    naming it, in every subcommand -- never as a traceback deep inside a
+    run, and never as a run on a meaningless value.
     """
 
-    def parse(value: str) -> int:
+    def parse(value: str):
         try:
-            parsed = int(value)
+            parsed = cast(value)
         except ValueError:
+            parsed = math.nan
+        if not math.isfinite(parsed):
             raise argparse.ArgumentTypeError(f"invalid {noun} {value!r}")
-        if parsed < minimum:
-            raise argparse.ArgumentTypeError(
-                f"{name} must be >= {minimum} ({noun}), got {parsed}"
-            )
-        return parsed
+        above = parsed > minimum if exclusive else parsed >= minimum
+        if above and (maximum is None or parsed <= maximum):
+            return parsed
+        if maximum is None:
+            bound = f"{'>' if exclusive else '>='} {minimum}"
+        else:
+            bound = f"in {'(' if exclusive else '['}{minimum}, {maximum}]"
+        raise argparse.ArgumentTypeError(
+            f"{name} must be {bound} ({noun}), got {parsed}"
+        )
 
     return parse
+
+
+_int_at_least = partial(_bounded_type, int)
+_float_at_least = partial(_bounded_type, float)
 
 
 #: Clique commands need ``n >= 2``: the model has no 1-node clique.
@@ -564,21 +582,20 @@ _fault_tolerance_type = _int_at_least(
     0, "--fault-tolerance", "tolerated corrupt relays"
 )
 _fault_seed_type = _int_at_least(0, "--fault-seed", "adversary seed")
+_probability_type = _float_at_least(0, "--p", "edge probability", 1)
 
 
 def _add_fault_flags(p: argparse.ArgumentParser) -> None:
-    """The ``--faults`` / ``--fault-scheme`` / ``--fault-seed`` / ``--fault-kind`` group.
+    """The ``--faults`` / ``--fault-tolerance`` / ``--fault-seed`` / ``--fault-kind`` group.
 
-    ``--faults T`` runs the workload on encoded robust collectives against
-    a seeded adversary corrupting up to ``T`` relay nodes in every array
-    exchange.  ``--fault-scheme`` picks the code: ``replicate`` ships
-    ``2T + 1`` copies over disjoint relays (supported-majority decode);
-    ``coded`` stripes each piece as ``k`` data + ``2T`` Reed-Solomon
-    parity stripes over GF(2^16), dropping the overhead from ``2T + 1``
-    toward ``n / (n - 2T)``.  Either way the answer is guaranteed to equal
-    the fault-free oracle or the run dies with ``FaultToleranceExceeded``
-    -- never a silent wrong answer.  The redundancy is billed honestly and
-    reported next to the abstract (fault-free) meter.
+    ``--faults T`` runs the workload on Reed-Solomon coded collectives
+    against a seeded adversary corrupting up to ``T`` relay nodes in every
+    array exchange: each piece travels as ``k`` data + ``2T`` parity
+    stripes over GF(2^16) on distinct relays, at a round overhead toward
+    ``n / (n - 2T)``.  The answer is guaranteed to equal the fault-free
+    oracle or the run dies with ``FaultToleranceExceeded`` -- never a
+    silent wrong answer.  The redundancy is billed honestly and reported
+    next to the abstract (fault-free) meter.
     """
     p.add_argument(
         "--faults",
@@ -586,7 +603,7 @@ def _add_fault_flags(p: argparse.ArgumentParser) -> None:
         default=0,
         metavar="T",
         help="tolerate up to T corrupt relay nodes per exchange via "
-        "encoded collectives (default: 0, fault-free model)",
+        "Reed-Solomon coded collectives (default: 0, fault-free model)",
     )
     p.add_argument(
         "--fault-tolerance",
@@ -596,13 +613,6 @@ def _add_fault_flags(p: argparse.ArgumentParser) -> None:
         help="size the code for T corrupt relays instead of matching "
         "--faults; under-provisioning (T < --faults) demos the "
         "detect-retry-degrade path (default: match --faults)",
-    )
-    p.add_argument(
-        "--fault-scheme",
-        choices=["replicate", "coded"],
-        default="replicate",
-        help="redundancy code: (2T+1)-way replication or GF(2^16) "
-        "Reed-Solomon striping (default: %(default)s)",
     )
     p.add_argument(
         "--fault-seed",
@@ -650,30 +660,6 @@ def _add_engine_flags(
     )
 
 
-def _link_gbps_type(value: str) -> float:
-    """Argparse type for ``--link-gbps``: a positive bandwidth."""
-    try:
-        gbps = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid bandwidth {value!r}")
-    if gbps <= 0:
-        raise argparse.ArgumentTypeError(f"--link-gbps must be > 0, got {gbps}")
-    return gbps
-
-
-def _link_latency_type(value: str) -> float:
-    """Argparse type for ``--link-latency-us``: a non-negative delay."""
-    try:
-        latency = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid latency {value!r}")
-    if latency < 0:
-        raise argparse.ArgumentTypeError(
-            f"--link-latency-us must be >= 0, got {latency}"
-        )
-    return latency
-
-
 def _add_netsim_flags(p: argparse.ArgumentParser) -> None:
     """The ``--topology`` / ``--link-gbps`` / ``--link-latency-us`` group.
 
@@ -694,14 +680,14 @@ def _add_netsim_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--link-gbps",
-        type=_link_gbps_type,
+        type=_float_at_least(0, "--link-gbps", "bandwidth", exclusive=True),
         default=100.0,
         metavar="G",
         help="modelled per-link bandwidth in Gbit/s (default: %(default)s)",
     )
     p.add_argument(
         "--link-latency-us",
-        type=_link_latency_type,
+        type=_float_at_least(0, "--link-latency-us", "latency"),
         default=1.0,
         metavar="US",
         help="modelled per-hop latency in microseconds (default: %(default)s)",
@@ -734,14 +720,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("triangles", help="triangle counting on G(n, p)")
     p.add_argument("n", type=_clique_size_type)
-    p.add_argument("--p", type=float, default=0.3)
+    p.add_argument("--p", type=_probability_type, default=0.3)
     _add_engine_flags(p)
     p.add_argument("--baseline", action="store_true", help="also run Dolev et al.")
     p.set_defaults(func=_cmd_triangles, parser=p)
 
     p = sub.add_parser("four-cycles", help="O(1)-round 4-cycle detection")
     p.add_argument("n", type=_int_at_least(1, "n", "node count"))
-    p.add_argument("--degree", type=float, default=4.0)
+    p.add_argument(
+        "--degree",
+        type=_float_at_least(0, "--degree", "average degree"),
+        default=4.0,
+    )
     p.add_argument("--baseline", action="store_true")
     p.set_defaults(func=_cmd_four_cycles, parser=p)
 
@@ -751,7 +741,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--variant", choices=["exact", "unweighted", "approx"], default="exact"
     )
     p.add_argument("--max-weight", type=_max_weight_type, default=9)
-    p.add_argument("--delta", type=float, default=0.3)
+    p.add_argument(
+        "--delta",
+        type=_float_at_least(0, "--delta", "approximation slack", exclusive=True),
+        default=0.3,
+    )
     # Engine default depends on the variant (exact -> semiring,
     # unweighted/approx -> bilinear); resolved in _cmd_apsp.
     _add_engine_flags(p, default=None)
@@ -765,7 +759,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--family", choices=["sparse", "dense", "directed"], default="sparse"
     )
     p.add_argument("--girth", type=int, default=7)
-    p.add_argument("--trials", type=int, default=10)
+    p.add_argument(
+        "--trials",
+        type=_int_at_least(1, "--trials", "trials per cycle length"),
+        default=10,
+    )
     _add_engine_flags(p)
     p.set_defaults(func=_cmd_girth, parser=p)
 
@@ -779,7 +777,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=2,
         help="stretch parameter",
     )
-    p.add_argument("--p", type=float, default=0.35)
+    p.add_argument("--p", type=_probability_type, default=0.35)
     p.add_argument("--max-weight", type=_max_weight_type, default=30)
     _add_engine_flags(p, default="semiring")
     p.set_defaults(func=_cmd_spanner, parser=p)
@@ -788,7 +786,7 @@ def build_parser() -> argparse.ArgumentParser:
         "mst", help="minimum spanning forest (O(1)-round KKT skeleton)"
     )
     p.add_argument("n", type=_clique_size_type)
-    p.add_argument("--p", type=float, default=0.3)
+    p.add_argument("--p", type=_probability_type, default=0.3)
     p.add_argument("--max-weight", type=_max_weight_type, default=50)
     p.add_argument(
         "--phases",
@@ -808,7 +806,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("n", type=_clique_size_type)
     p.add_argument("out", help="artifact directory to create/overwrite")
-    p.add_argument("--p", type=float, default=0.25)
+    p.add_argument("--p", type=_probability_type, default=0.25)
     p.add_argument("--max-weight", type=_max_weight_type, default=50)
     p.add_argument("--directed", action="store_true")
     _add_engine_flags(p, default="semiring")
@@ -858,16 +856,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("artifact", help="artifact directory")
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=0, help="0 picks a free port")
+    p.add_argument(
+        "--port",
+        type=_int_at_least(0, "--port", "TCP port", 65535),
+        default=0,
+        help="0 picks a free port",
+    )
     p.add_argument(
         "--window",
-        type=float,
+        type=_float_at_least(0, "--window", "batching window"),
         default=0.001,
         help="batching window in seconds (default: %(default)s)",
     )
     p.add_argument(
         "--max-requests",
-        type=int,
+        type=_int_at_least(0, "--max-requests", "request budget"),
         default=0,
         help="exit after N requests (0 = serve forever); the smoke-test hook",
     )

@@ -43,14 +43,8 @@ class LocalExecutor:
     """
 
     name = "abstract"
-    #: kernel tile backend spec (``None`` = the process default); resolved
-    #: per call so ``set_default_backend`` applies to shared executors.
-    _backend_spec: "str | KernelBackend | None" = None
-
-    @property
-    def backend(self) -> KernelBackend:
-        """The resolved kernel tile backend this executor computes with."""
-        return get_backend(self._backend_spec)
+    #: The kernel tile backend this executor computes with.
+    backend: KernelBackend = get_backend(None)
 
     @property
     def threads(self) -> int:
@@ -92,14 +86,14 @@ class SerialExecutor(LocalExecutor):
     """In-process executor: one batched kernel call per engine step.
 
     ``backend`` selects the kernel tile scheduling for that one call
-    (``None``: the process default, usually serial tiles; ``"threaded:N"``
-    or an int thread count: fan tiles out over a thread pool).
+    (``None``: serial tiles; ``"threaded:N"`` or an int thread count: fan
+    tiles out over a thread pool).
     """
 
     name = "serial"
 
     def __init__(self, backend: "str | int | KernelBackend | None" = None) -> None:
-        self._backend_spec = None if backend is None else get_backend(backend)
+        self.backend = get_backend(backend)
 
     def semiring_products(
         self,
@@ -143,8 +137,6 @@ def make_executor(threads: int = 1) -> LocalExecutor:
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    # The process-wide singleton keeps its dynamic default backend;
-    # explicit thread counts get a dedicated executor.
     return SERIAL_EXECUTOR if threads == 1 else SerialExecutor(f"threaded:{threads}")
 
 

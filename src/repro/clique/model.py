@@ -443,8 +443,8 @@ class CongestedClique:
 
         The fault-free model charges the honest widths and hands back the
         shared replica through the (identity) :meth:`_tamper_broadcast`
-        seam; the robust collectives override this to run the replication-
-        coded variant with the same validated inputs.
+        seam; the coded collectives override this to run the Reed-Solomon
+        striped variant with the same validated inputs.
         """
         self._charge_broadcast(width_list, phase)
         return self._tamper_broadcast(rows, phase)
@@ -859,7 +859,7 @@ class CongestedClique:
         The override seam for the final phase of :meth:`allgather_rows`:
         the fault-free model charges the per-holder widths and concatenates
         the held records (through the identity :meth:`_tamper_broadcast`);
-        the robust collectives override it with the replication-coded
+        the coded collectives override it with the Reed-Solomon striped
         variant.
         """
         self._charge_broadcast(bcast_widths, phase)

@@ -116,7 +116,7 @@ def make_clique(
     threads: int = 1,
     fault_plan=None,
     fault_tolerance: int | None = None,
-    fault_scheme: str = "replicate",
+    fault_scheme: str = "coded",
     cost_model=None,
 ) -> CongestedClique:
     """A clique sized for an ``n``-node problem under ``method``.
@@ -127,15 +127,13 @@ def make_clique(
 
     ``fault_plan`` (a :class:`~repro.faults.FaultPlan`) installs a seeded
     adversary over the array collectives; ``fault_tolerance`` additionally
-    selects the encoded robust collectives sized to survive that many
-    corrupt relays per exchange, with ``fault_scheme`` choosing the code:
-    ``"replicate"`` (:class:`~repro.faults.RobustClique`, ``2t + 1``
-    copies) or ``"coded"`` (:class:`~repro.faults.CodedClique`,
-    Reed-Solomon striping at overhead toward ``n / (n - 2t)``).  A plan
-    without a tolerance is the *unprotected* wrapper
-    (:class:`~repro.faults.FaultyClique`) -- useful only to demonstrate
-    silent corruption.  With neither, the plain fault-free model is
-    returned, untouched.
+    selects the coded collectives (:class:`~repro.faults.CodedClique`,
+    Reed-Solomon striping at overhead toward ``n / (n - 2t)``) sized to
+    survive that many corrupt relays per exchange; ``fault_scheme`` names
+    that code and accepts only ``"coded"``.  A plan without a tolerance is
+    the *unprotected* wrapper (:class:`~repro.faults.FaultyClique`) --
+    useful only to demonstrate silent corruption.  With neither, the plain
+    fault-free model is returned, untouched.
 
     ``cost_model`` attaches a transport cost model (a
     :class:`~repro.netsim.CostModelSpec` or ready observer; see
@@ -143,20 +141,18 @@ def make_clique(
     the clique -- fault layer included -- is built.  Purely observational:
     values, rounds, words and meters are bit-identical with or without it.
     """
+    if fault_scheme != "coded":
+        raise ValueError(
+            f"unknown fault scheme {fault_scheme!r}: replication was removed, "
+            f"Reed-Solomon striping (\"coded\") is the only code"
+        )
     size = required_clique_size(n, method)
     executor = make_executor(threads)
-    from repro.faults import FAULT_SCHEMES
-
-    if fault_scheme not in FAULT_SCHEMES:
-        raise ValueError(
-            f"unknown fault scheme {fault_scheme!r}; choose from "
-            f"{sorted(FAULT_SCHEMES)}"
-        )
     if fault_plan is not None or fault_tolerance is not None:
-        from repro.faults import FaultyClique
+        from repro.faults import CodedClique, FaultyClique
 
         if fault_tolerance is not None:
-            clique = FAULT_SCHEMES[fault_scheme](
+            clique = CodedClique(
                 size,
                 plan=fault_plan,
                 tolerance=fault_tolerance,
@@ -717,7 +713,6 @@ def open_session(
     packed_closure: bool = True,
     fault_plan=None,
     fault_tolerance: int | None = None,
-    fault_scheme: str = "replicate",
     cost_model=None,
 ) -> EngineSession:
     """Build a session (and its clique/executor) for an ``n``-node problem.
@@ -729,7 +724,7 @@ def open_session(
     Args:
         threads: kernel-tile threads (``1`` keeps serial tiles).
         packed_closure: see :class:`EngineSession`.
-        fault_plan / fault_tolerance / fault_scheme: see
+        fault_plan / fault_tolerance: see
             :func:`make_clique` -- only valid when the session builds the
             clique (an explicit ``clique`` already fixed its fault layer).
         cost_model: transport cost model to attach (see
@@ -745,7 +740,6 @@ def open_session(
             threads=threads,
             fault_plan=fault_plan,
             fault_tolerance=fault_tolerance,
-            fault_scheme=fault_scheme,
             cost_model=cost_model,
         )
         cost_model = None

@@ -58,10 +58,10 @@ class AlgorithmFailureError(ReproError):
 class FaultToleranceExceeded(ReproError):
     """An encoded exchange could not be decoded within the retry budget.
 
-    Raised by the robust collectives (:mod:`repro.faults`) when, after the
-    bounded number of retries, some piece still lacks the support threshold
-    of agreeing valid copies -- i.e. the adversary corrupted more relays
-    than the replication degree tolerates.  This is the *degrade* arm of
+    Raised by the coded collectives (:mod:`repro.faults`) when, after the
+    bounded number of retries, some piece still fails Reed-Solomon
+    certification -- i.e. the adversary corrupted more relays than the
+    code's parity stripes tolerate.  This is the *degrade* arm of
     detect-retry-degrade: the computation stops loudly instead of returning
     a silently wrong answer.
     """

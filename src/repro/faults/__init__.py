@@ -1,7 +1,7 @@
-"""Fault injection and encoded-exchange robustness for the collective stack.
+"""Fault injection and Reed-Solomon coded collectives for the collective stack.
 
-The subsystem has four layers (PR 6 + PR 9; see DESIGN.md "Fault model"
-and "Coded fault model"):
+The subsystem has four layers (see DESIGN.md "Fault model" and "Coded
+fault model"):
 
 * :mod:`repro.faults.plan` -- seeded deterministic adversaries
   (:class:`FaultPlan`): word flips, message drops, crash-stop, and
@@ -13,18 +13,15 @@ and "Coded fault model"):
 * :mod:`repro.faults.coding` -- systematic Reed-Solomon striping over
   GF(2^16): pure-numpy encode, vectorised syndrome certification, erasure
   and error decoding.
-* :mod:`repro.faults.protocol` -- :class:`EncodedClique` and its two
-  schemes: :class:`RobustClique` (``2t + 1``-way replication with
-  supported-majority decode, :func:`majority_decode`) and
-  :class:`CodedClique` (RS striping, overhead toward ``n / (n - 2t)``),
-  both with detect-retry-degrade semantics: an encoded closure equals the
-  fault-free oracle or raises :class:`FaultToleranceExceeded` -- never a
-  silent wrong answer.
+* :mod:`repro.faults.protocol` -- :class:`CodedClique`, the coded
+  collectives (overhead toward ``n / (n - 2t)``) with detect-retry-degrade
+  semantics: a coded closure equals the fault-free oracle or raises
+  :class:`FaultToleranceExceeded` -- never a silent wrong answer.
 
 Motivated by the robust Congested Clique compilers of Censor-Hillel et al.
-(arXiv:2508.08740): our collectives move fixed-width records, so both a
-replication code and an error-correcting stripe code over disjoint relay
-sets drop in without touching the algorithms above the session API.
+(arXiv:2508.08740): our collectives move fixed-width records, so an
+error-correcting stripe code over disjoint relay sets drops in without
+touching the algorithms above the session API.
 """
 
 from repro.errors import FaultToleranceExceeded
@@ -34,27 +31,17 @@ from repro.faults.coding import (
     encode_stripes,
     stripe_plan,
 )
-from repro.faults.encoding import majority_decode
 from repro.faults.injection import FaultyClique, corrupt_pieces, flip_masks
 from repro.faults.plan import FaultKind, FaultPlan
-from repro.faults.protocol import (
-    FAULT_SCHEMES,
-    CodedClique,
-    EncodedClique,
-    RobustClique,
-)
+from repro.faults.protocol import CodedClique
 
 __all__ = [
-    "FAULT_SCHEMES",
     "FaultKind",
     "FaultPlan",
     "FaultyClique",
-    "EncodedClique",
-    "RobustClique",
     "CodedClique",
     "FaultToleranceExceeded",
     "StripePlan",
-    "majority_decode",
     "corrupt_pieces",
     "flip_masks",
     "decode_stripes",

@@ -1,11 +1,10 @@
 """Systematic Reed-Solomon striping over GF(2^16) for encoded exchanges.
 
-The replication scheme (:class:`~repro.faults.protocol.RobustClique`) buys
-fault tolerance with ``c = 2t + 1`` full copies of every piece -- a
-``2t + 1``-factor round overhead.  This module implements the shape the
-LDC-based robust-computation compilers (Censor-Hillel-Fischer-Gelles-Soto,
-arXiv:2508.08740) point at: *encode* the exchange with an error-correcting
-code so tolerance costs a constant rate factor instead.
+Shipping ``2t + 1`` full copies of every piece would buy fault tolerance
+at a ``2t + 1``-factor round overhead.  This module implements the shape
+the LDC-based robust-computation compilers (Censor-Hillel-Fischer-Gelles-
+Soto, arXiv:2508.08740) point at: *encode* the exchange with an
+error-correcting code so tolerance costs a constant rate factor instead.
 
 Every int64 word is four GF(2^16) symbols.  A piece of ``W`` words is cut
 into ``k`` data stripes of ``S = ceil(W / (n - 2t))`` words each

@@ -11,11 +11,11 @@ equivalence the fault suite pins.
 
 Relay attribution: piece ``i``'s copy ``j`` transits the intermediate node
 ``disjoint_relays(...)[i, j]`` -- the same public, input-oblivious
-assignment the encoded collectives replicate over, so the adversary model
-and the decoder's support argument talk about the same relays.  (For plain,
+assignment the coded collectives stripe over, so the adversary model and
+the decoder's distance argument talk about the same relays.  (For plain,
 un-encoded exchanges ``copies = 1``: every piece has a single relay, and a
 corrupt relay silently corrupts it -- that is exactly the vulnerability the
-robust layer exists to close.)
+coded layer exists to close.)
 """
 
 from __future__ import annotations
@@ -61,9 +61,9 @@ def corrupt_pieces(
             assignment and, for FLIP/DROP, the corrupt-set redraw).
         n: clique size.
         blocks: ``(P, *piece_shape)`` int64 stack of in-transit pieces; for
-            replicated exchanges copy ``j`` of piece ``i`` sits at row
+            coded exchanges stripe ``j`` of piece ``i`` sits at row
             ``i * copies + j`` (``P`` must be a multiple of ``copies``).
-        copies: replication degree of the exchange layout.
+        copies: encoded pieces per piece (stripes per piece when coded).
         skip: optional ``(P,)`` bool -- pieces that never leave their node
             (self-addressed) and therefore cannot be corrupted in transit.
 
@@ -78,8 +78,8 @@ def corrupt_pieces(
     total = blocks.shape[0]
     if copies < 1 or total % copies:
         raise ValueError(
-            f"piece count {total} is not a multiple of the replication "
-            f"degree {copies}"
+            f"piece count {total} is not a multiple of the {copies} "
+            f"encoded pieces per piece"
         )
     no_drop = np.zeros(total, dtype=bool)
     corrupt = plan.corrupt_nodes(n, exchange_id)
@@ -114,7 +114,7 @@ class FaultyClique(CongestedClique):
     bit-identical to :class:`~repro.clique.model.CongestedClique`.  This is
     the *unprotected* wrapper -- corruption flows straight into the
     computation, demonstrating the silent-wrong-answer failure mode the
-    robust layer (:class:`~repro.faults.protocol.RobustClique`) closes.
+    coded layer (:class:`~repro.faults.protocol.CodedClique`) closes.
 
     Broadcast interception is a deliberate coarsening: the simulator shares
     one replica across receivers, so a corrupted broadcast piece is seen

@@ -2,7 +2,7 @@
 
 A :class:`FaultPlan` describes a *transit adversary* over the clique's
 array collectives: in every intercepted exchange it may corrupt the traffic
-relayed through up to ``t`` nodes.  Three corruption kinds are modelled:
+relayed through up to ``t`` nodes.  Four corruption kinds are modelled:
 
 * ``FLIP`` -- words passing through a corrupt relay are XORed with a
   relay-specific nonzero mask (an arbitrary-value corruption, but one the
@@ -17,9 +17,9 @@ relayed through up to ``t`` nodes.  Three corruption kinds are modelled:
   ``DROP``.
 * ``BYZANTINE`` -- a fixed seeded set of up to ``t`` nodes corrupts (flips)
   *every* exchange it relays for the whole execution.  Persistent like
-  crash-stop, value-corrupting like ``FLIP`` -- the regime where naive
-  replication pays its full ``2t + 1`` price on every single exchange and
-  the coded scheme shines.
+  crash-stop, value-corrupting like ``FLIP`` -- the worst case for the
+  code, since every exchange the set relays carries errors at unknown
+  positions.
 
 Everything is a pure function of ``(seed, kind, t, exchange index)`` via
 ``np.random.default_rng`` seed sequences, so a logged seed replays the exact

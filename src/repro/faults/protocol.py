@@ -1,39 +1,31 @@
-"""Encoded robust collectives: detect, retry, degrade.
+"""Reed-Solomon coded collectives: detect, retry, degrade.
 
-:class:`EncodedClique` re-implements the array collectives of
-:class:`~repro.clique.model.CongestedClique` over an erasure/error code
-whose pieces travel through pairwise-distinct relays
-(:func:`repro.clique.scheduling.disjoint_relays`).  Two schemes plug in:
+:class:`CodedClique` re-implements the array collectives of
+:class:`~repro.clique.model.CongestedClique` over systematic Reed-Solomon
+striping in GF(2^16) (:mod:`repro.faults.coding`): each piece is cut into
+``k`` data stripes plus ``2T`` parity stripes, and the ``m = k + 2T``
+stripes travel through pairwise-distinct relays
+(:func:`repro.clique.scheduling.disjoint_relays`), so the round overhead
+tends to ``n / (n - 2T)``.  The protocol per exchange:
 
-* :class:`RobustClique` (scheme ``"replicate"``, PR 6) -- ``c = 2T + 1``-way
-  replication decoded by supported majority
-  (:func:`repro.faults.encoding.majority_decode`); round overhead ``2T+1``.
-* :class:`CodedClique` (scheme ``"coded"``, PR 9) -- systematic
-  Reed-Solomon striping over GF(2^16) (:mod:`repro.faults.coding`): each
-  piece is cut into ``k`` data stripes plus ``2T`` parity stripes, so the
-  overhead drops from ``2T + 1`` toward ``n / (n - 2T)``.
-
-The protocol per exchange is scheme-independent:
-
-1. **encode/ship**: every piece is expanded into ``c`` encoded pieces that
-   travel through ``c`` distinct relay nodes; the redundancy is charged
-   *honestly* -- the actual meter bills the encoded exchange (and, for
-   broadcasts, the relay fan-out leg), not the abstract one.
+1. **encode/ship**: every piece is striped and each stripe travels through
+   its own relay node; the redundancy is charged *honestly* -- the actual
+   meter bills the encoded exchange (and, for broadcasts, the relay
+   fan-out leg), not the abstract one.
 2. **detect**: the decoder either certifies the exact original words
-   (majority support ``T + 1``; Reed-Solomon syndrome recheck) or flags
-   the piece -- no wrong value can ever be certified (see
-   :mod:`repro.faults.encoding` and :mod:`repro.faults.coding`).
+   (Reed-Solomon syndrome recheck) or flags the piece -- no wrong value
+   can ever be certified (see :mod:`repro.faults.coding`).
 3. **retry**: a flagged piece re-ships the exchange through a fresh relay
    assignment (the exchange counter salts ``disjoint_relays``), up to
    ``max_retries`` times, each retry billed.
 4. **degrade**: past the budget the exchange raises
    :class:`~repro.errors.FaultToleranceExceeded`.  The invariant is *no
-   silent wrong answers, ever*: an encoded closure either equals the
+   silent wrong answers, ever*: a coded closure either equals the
    fault-free oracle edge-for-edge or raises.
 
 Meter separation rides the meter stack
 (:class:`~repro.clique.accounting.MeterStack`): ``clique.meter`` (observer
-#0) bills what the encoded run actually spends, and
+#0) bills what the coded run actually spends, and
 ``clique.abstract_meter`` is a plain second observer billing what the same
 workload costs on a fault-free clique.  Primitives that are not encoded
 fan out to both automatically; an encoded exchange *mutes* the abstract
@@ -61,42 +53,46 @@ from repro.clique.routing import (
 )
 from repro.clique.scheduling import disjoint_relays
 from repro.errors import CliqueModelError, FaultToleranceExceeded
-from repro.faults.coding import decode_stripes, encode_stripes, stripe_plan
-from repro.faults.encoding import majority_decode
+from repro.faults.coding import (
+    StripePlan,
+    decode_stripes,
+    encode_stripes,
+    stripe_plan,
+)
 from repro.faults.injection import FaultyClique, corrupt_pieces
 from repro.faults.plan import FaultPlan
 
-#: Decode callback: ``(tampered (P*c, ...), dropped (P*c,)) -> (decoded
-#: (P, ...), ok (P,))``.  Pieces with ``ok`` False carry no guarantee.
-DecodeFn = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
+class CodedClique(FaultyClique):
+    """Reed-Solomon coded collectives: ``k`` data + ``2T`` parity stripes.
 
-class EncodedClique(FaultyClique):
-    """Shared machinery of the encoded (fault-tolerant) collective schemes.
-
-    Subclasses choose the code by implementing :meth:`_encode` (and a
-    construction-time relay-budget check via :meth:`_check_relay_budget`);
-    everything else -- the retry loop, the meter split, the collective
-    overrides, the degrade semantics -- is scheme-independent.
+    Every piece is striped column-wise over GF(2^16)
+    (:func:`repro.faults.coding.encode_stripes`) across ``m = k + 2T <= n``
+    distinct relays, so ``T`` corrupt relays touch at most ``T`` stripes:
+    flips are located and corrected (with a full syndrome recheck as the
+    certification step), drops/crashes are known erasures recovered
+    directly, and anything the decoder cannot certify flags the piece for
+    the retry/degrade loop.  Overhead ``m * ceil(w/k) / w``, which
+    approaches ``n / (n - 2T)`` for pieces of at least ``n - 2T`` words --
+    the rate the LDC-compiler line of work (arXiv:2508.08740) argues is
+    the right price for robustness.
 
     Args:
-        n: clique size.
+        n: clique size; needs ``n >= 2T + 1`` (one data stripe plus ``2T``
+            parity stripes on pairwise-distinct relays).
         plan: the adversary (:class:`~repro.faults.plan.FaultPlan`), or None
-            to run the encoded protocol fault-free (redundancy still billed).
+            to run the coded protocol fault-free (redundancy still billed).
         tolerance: ``T`` -- the per-exchange corruption budget the code must
             survive.
         max_retries: re-ship attempts after a detected inconsistency before
             degrading to :class:`~repro.errors.FaultToleranceExceeded`.
 
     Attributes:
-        scheme: the ``fault_scheme`` name this class implements.
         abstract_meter: the fault-free bill (equals the oracle's meter).
         meter: the actual bill, redundancy and retries included.
         retries: re-shipped exchanges so far.
         decode_failures: exchanges that degraded (raised) so far.
     """
-
-    scheme = "encoded"
 
     def __init__(
         self,
@@ -114,9 +110,16 @@ class EncodedClique(FaultyClique):
             )
         if max_retries < 0:
             raise ValueError(f"retry budget must be non-negative, got {max_retries}")
+        needed = 2 * tolerance + 1
+        if needed > self.n:
+            raise CliqueModelError(
+                f"RS striping with tolerance {tolerance} needs at least "
+                f"2*{tolerance}+1 = {needed} pairwise-distinct relays "
+                f"(one data stripe + 2t parity stripes) but the clique has "
+                f"only {self.n} nodes"
+            )
         self.tolerance = tolerance
         self.max_retries = max_retries
-        self._check_relay_budget()
         # Second observer on the meter stack: primitives that are not
         # encoded (tuple broadcasts, transposes, ...) cost the same with
         # or without faults and fan out to both meters automatically; the
@@ -128,55 +131,44 @@ class EncodedClique(FaultyClique):
         self.decode_failures = 0
 
     # ------------------------------------------------------------------ #
-    # Scheme hooks
+    # Core encode -> corrupt -> decode -> retry loop
     # ------------------------------------------------------------------ #
-
-    def _check_relay_budget(self) -> None:
-        """Refuse construction when ``n`` cannot host the code's relays."""
-        raise NotImplementedError
 
     def _encode(
         self, blocks: np.ndarray, widths: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, int, DecodeFn]:
-        """Encode one exchange's ``(P, ...)`` pieces for shipping.
+    ) -> tuple[StripePlan, np.ndarray, np.ndarray]:
+        """Stripe one exchange's ``(P, ...)`` pieces for shipping.
 
-        Returns ``(encoded, encoded_widths, copies, decode)``: the
-        ``(P * copies, ...)`` encoded piece stack (encoded piece ``j`` of
-        piece ``i`` at row ``i * copies + j`` -- the layout
+        Returns ``(plan, stripes, stripe_widths)``: stripe ``j`` of piece
+        ``i`` sits at row ``i * m + j`` (the layout
         :func:`~repro.faults.injection.corrupt_pieces` attributes relays
-        by), its per-encoded-piece semantic widths for billing, the
-        expansion factor, and the matching decode callback.
+        by), and each stripe is billed a ``k``-th of its piece's declared
+        width, rounded up.
         """
-        raise NotImplementedError
-
-    def redundancy_note(self) -> str:
-        """One-line human description of the redundancy (CLI summaries)."""
-        raise NotImplementedError
-
-    def _degrade_detail(self) -> str:
-        """Scheme-specific clause of the degrade message."""
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------ #
-    # Core encode -> corrupt -> decode -> retry loop
-    # ------------------------------------------------------------------ #
+        p = blocks.shape[0]
+        width = int(np.prod(blocks.shape[1:], dtype=np.int64))
+        plan = stripe_plan(width, self.n, self.tolerance)
+        stripes = encode_stripes(blocks.reshape(p, width), plan)
+        stripe_widths = np.repeat(
+            -(-np.asarray(widths, dtype=np.int64) // plan.k), plan.m
+        )
+        return plan, stripes, stripe_widths
 
     def _run_encoded(
         self,
         pieces: np.ndarray,
-        encoded: np.ndarray,
-        copies: int,
-        skip_enc: np.ndarray | None,
+        plan: StripePlan,
+        stripes: np.ndarray,
+        skip: np.ndarray | None,
         abstract_cost: PhaseCost,
         ship_costs: Callable[[int], list[tuple[PhaseCost, "PhaseTraffic | None"]]],
-        decode: DecodeFn,
         phase: str,
     ) -> np.ndarray:
-        """Run one encoded exchange end to end; return the decoded pieces.
+        """Run one coded exchange end to end; return the decoded pieces.
 
-        ``pieces`` is the ``(P, ...)`` fault-free truth, ``encoded`` its
-        ``(P * copies, ...)`` encoding.  ``ship_costs(exchange_id)`` yields
-        ``(cost, traffic)`` charges of one shipping attempt (relay
+        ``pieces`` is the ``(P, ...)`` fault-free truth, ``stripes`` its
+        ``(P * m, S)`` encoding under ``plan``.  ``ship_costs(exchange_id)``
+        yields ``(cost, traffic)`` charges of one shipping attempt (relay
         assignment, and hence broadcast balance, depends on the exchange
         id); they go through the meter stack with the abstract observer
         muted, so the actual meter *and* any transport cost model see the
@@ -196,20 +188,21 @@ class EncodedClique(FaultyClique):
                     self.plan,
                     exchange_id,
                     self.n,
-                    encoded,
-                    copies=copies,
-                    skip=skip_enc,
+                    stripes,
+                    copies=plan.m,
+                    skip=skip,
                 )
                 self.faults_injected += int(hit.sum())
-                decoded, ok = decode(tampered, dropped)
+                data, ok = decode_stripes(tampered, dropped, plan)
                 if bool(ok.all()):
-                    return decoded
+                    return data[:, : plan.width].reshape(pieces.shape)
                 if attempt < self.max_retries:
                     self.retries += 1
             self.decode_failures += 1
             raise FaultToleranceExceeded(
                 f"phase {phase!r}: {int((~ok).sum())} of {p} pieces failed to "
-                f"{self._degrade_detail()} after "
+                f"pass Reed-Solomon certification ({2 * self.tolerance} "
+                f"parity stripes) after "
                 f"{self.max_retries + 1} attempts (tolerance {self.tolerance}, "
                 f"fault kind {self.plan.kind.value!r}, budget t={self.plan.t})"
             )
@@ -217,35 +210,32 @@ class EncodedClique(FaultyClique):
     def _encoded_routed(
         self, batch: ArrayBatch, abstract_cost: PhaseCost, phase: str
     ) -> np.ndarray:
-        """Encoded variant of one routed/direct batch; returns decoded blocks.
+        """Coded variant of one routed/direct batch; returns decoded blocks.
 
-        The encoded exchange is charged as a *routed* exchange even when
+        The coded exchange is charged as a *routed* exchange even when
         the abstract one is direct: relaying through distinct intermediates
-        is what buys the disjointness the decode needs, so an encoded
-        direct send is physically a Lenzen-routed exchange.
+        is what buys the disjointness the decode needs, so a coded direct
+        send is physically a Lenzen-routed exchange.
         """
-        encoded, enc_widths, copies, decode = self._encode(
-            batch.blocks, batch.widths
-        )
+        plan, stripes, stripe_widths = self._encode(batch.blocks, batch.widths)
         enc_batch = ArrayBatch(
             n=batch.n,
-            src=np.repeat(batch.src, copies),
-            dst=np.repeat(batch.dst, copies),
-            widths=enc_widths,
-            blocks=encoded,
+            src=np.repeat(batch.src, plan.m),
+            dst=np.repeat(batch.dst, plan.m),
+            widths=stripe_widths,
+            blocks=stripes,
             tags=None,
         )
         enc_cost = self._routed_batch_cost(enc_batch, f"{phase}/encoded", None)
         enc_traffic = self._batch_traffic(enc_batch, "route", relayed=True)
-        skip_enc = np.repeat(batch.dst == batch.src, copies)
+        skip = np.repeat(batch.dst == batch.src, plan.m)
         return self._run_encoded(
             batch.blocks,
-            encoded,
-            copies,
-            skip_enc,
+            plan,
+            stripes,
+            skip,
             abstract_cost,
             lambda _exchange_id: [(enc_cost, enc_traffic)],
-            decode,
             phase,
         )
 
@@ -257,56 +247,48 @@ class EncodedClique(FaultyClique):
         abstract_cost: PhaseCost,
         phase: str,
     ) -> np.ndarray:
-        """Encoded variant of one row broadcast; returns the decoded rows.
+        """Coded variant of one row broadcast; returns the decoded rows.
 
         A plain broadcast has no relays, so a corrupt *sender-side* hit
-        would defeat naive repetition (all copies share the fault).  The
-        encoded broadcast therefore relays: each piece's encoding is routed
-        to its distinct relay nodes (fan-out leg, billed as a routed
-        exchange), and each relay broadcasts the encoded pieces it holds
-        (billed by the per-relay balance of the assignment).
+        would defeat any code (all stripes share the fault).  The coded
+        broadcast therefore relays: each piece's stripes are routed to
+        their distinct relay nodes (fan-out leg, billed as a routed
+        exchange), and each relay broadcasts the stripes it holds (billed
+        by the per-relay balance of the assignment).
         """
         n = self.n
         p = pieces.shape[0]
-        encoded, enc_widths, copies, decode = self._encode(pieces, piece_widths)
-        enc_owners = np.repeat(owners, copies)
+        plan, stripes, stripe_widths = self._encode(pieces, piece_widths)
+        stripe_owners = np.repeat(owners, plan.m)
 
         def ship_costs(
             exchange_id: int,
         ) -> list[tuple[PhaseCost, "PhaseTraffic | None"]]:
-            relays = disjoint_relays(p, copies, n, salt=exchange_id).reshape(-1)
+            relays = disjoint_relays(p, plan.m, n, salt=exchange_id).reshape(-1)
             fan_batch = ArrayBatch(
                 n=n,
-                src=enc_owners,
+                src=stripe_owners,
                 dst=relays,
-                widths=enc_widths,
+                widths=stripe_widths,
                 blocks=np.zeros((relays.shape[0], 0), dtype=np.int64),
                 tags=None,
             )
             fan_cost = self._routed_batch_cost(fan_batch, f"{phase}/fanout", None)
             fan_traffic = self._batch_traffic(fan_batch, "route", relayed=True)
             per_relay = np.zeros(n, dtype=np.int64)
-            np.add.at(per_relay, relays, enc_widths)
+            np.add.at(per_relay, relays, stripe_widths)
             relay_widths = [int(w) for w in per_relay]
             bcast_cost = self._broadcast_cost(relay_widths, f"{phase}/encoded")
             bcast_traffic = self._broadcast_traffic(relay_widths)
             return [(fan_cost, fan_traffic), (bcast_cost, bcast_traffic)]
 
         return self._run_encoded(
-            pieces,
-            encoded,
-            copies,
-            None,
-            abstract_cost,
-            ship_costs,
-            decode,
-            phase,
+            pieces, plan, stripes, None, abstract_cost, ship_costs, phase
         )
 
     # ------------------------------------------------------------------ #
-    # Encoded overrides of the array collectives
+    # Coded overrides of the array collectives
     # ------------------------------------------------------------------ #
-
     def route_array(
         self,
         dests,
@@ -427,141 +409,19 @@ class EncodedClique(FaultyClique):
             return 1.0
         return float(self.meter.rounds) / base
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"{type(self).__name__}(n={self.n}, tolerance={self.tolerance}, "
-            f"scheme={self.scheme!r}, rounds={self.meter.rounds}, "
-            f"abstract_rounds={self.abstract_meter.rounds})"
-        )
-
-
-class RobustClique(EncodedClique):
-    """Replication scheme: ``c = 2T + 1`` copies, supported-majority decode.
-
-    Survives ``T`` corrupt relays per exchange because flip masks are
-    pairwise distinct across relays and drops are known erasures, so no
-    wrong value can ever gather the ``T + 1`` support threshold (see
-    :mod:`repro.faults.encoding`).  Costs a ``2T + 1`` round overhead --
-    the baseline :class:`CodedClique` improves on.
-
-    Attributes:
-        copies: the replication degree ``c = 2T + 1``.
-    """
-
-    scheme = "replicate"
-
-    def _check_relay_budget(self) -> None:
-        copies = 2 * self.tolerance + 1
-        if copies > self.n:
-            raise CliqueModelError(
-                f"replication degree 2*{self.tolerance}+1 = {copies} needs "
-                f"{copies} pairwise-distinct relays but the clique has only "
-                f"{self.n} nodes"
-            )
-        self.copies = copies
-
-    def _encode(
-        self, blocks: np.ndarray, widths: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, int, DecodeFn]:
-        c = self.copies
-        p = blocks.shape[0]
-        piece_shape = blocks.shape[1:]
-        threshold = self.tolerance + 1
-
-        def decode(
-            tampered: np.ndarray, dropped: np.ndarray
-        ) -> tuple[np.ndarray, np.ndarray]:
-            return majority_decode(
-                tampered.reshape((p, c) + piece_shape),
-                ~dropped.reshape(p, c),
-                threshold,
-            )
-
-        return (
-            np.repeat(blocks, c, axis=0),
-            np.repeat(np.asarray(widths, dtype=np.int64), c),
-            c,
-            decode,
-        )
-
     def redundancy_note(self) -> str:
-        return f"{self.copies}-way replication"
-
-    def _degrade_detail(self) -> str:
-        return f"reach the support threshold {self.tolerance + 1}"
-
-
-class CodedClique(EncodedClique):
-    """Reed-Solomon scheme: ``k`` data + ``2T`` parity stripes per piece.
-
-    Every piece is striped column-wise over GF(2^16)
-    (:func:`repro.faults.coding.encode_stripes`) across ``m = k + 2T <= n``
-    distinct relays, so ``T`` corrupt relays touch at most ``T`` stripes:
-    flips are located and corrected (with a full syndrome recheck as the
-    certification step), drops/crashes are known erasures recovered
-    directly, and anything the decoder cannot certify flags the piece for
-    the shared retry/degrade loop.  Overhead ``m * ceil(w/k) / w``, which
-    approaches ``n / (n - 2T)`` for pieces of at least ``n - 2T`` words --
-    the rate the LDC-compiler line of work (arXiv:2508.08740) argues is
-    the right price for robustness.
-    """
-
-    scheme = "coded"
-
-    def _check_relay_budget(self) -> None:
-        needed = 2 * self.tolerance + 1
-        if needed > self.n:
-            raise CliqueModelError(
-                f"RS striping with tolerance {self.tolerance} needs at least "
-                f"2*{self.tolerance}+1 = {needed} pairwise-distinct relays "
-                f"(one data stripe + 2t parity stripes) but the clique has "
-                f"only {self.n} nodes"
-            )
-
-    def _encode(
-        self, blocks: np.ndarray, widths: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, int, DecodeFn]:
-        p = blocks.shape[0]
-        piece_shape = blocks.shape[1:]
-        width = int(np.prod(piece_shape, dtype=np.int64))
-        plan = stripe_plan(width, self.n, self.tolerance)
-        encoded = encode_stripes(blocks.reshape(p, width), plan)
-        # Semantic billing: each of the m stripes of piece i carries a
-        # k-th of the piece's declared width (rounded up).
-        enc_widths = np.repeat(
-            -(-np.asarray(widths, dtype=np.int64) // plan.k), plan.m
-        )
-
-        def decode(
-            tampered: np.ndarray, dropped: np.ndarray
-        ) -> tuple[np.ndarray, np.ndarray]:
-            data, ok = decode_stripes(tampered, dropped, plan)
-            return data[:, :width].reshape((p,) + piece_shape), ok
-
-        return encoded, enc_widths, plan.m, decode
-
-    def redundancy_note(self) -> str:
+        """One-line human description of the redundancy (CLI summaries)."""
         return (
             f"RS-coded striping (GF(2^16), {2 * self.tolerance} parity "
             f"stripes per piece)"
         )
 
-    def _degrade_detail(self) -> str:
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"pass Reed-Solomon certification "
-            f"({2 * self.tolerance} parity stripes)"
+            f"{type(self).__name__}(n={self.n}, tolerance={self.tolerance}, "
+            f"rounds={self.meter.rounds}, "
+            f"abstract_rounds={self.abstract_meter.rounds})"
         )
 
 
-#: ``fault_scheme`` knob -> encoded-clique class.
-FAULT_SCHEMES: dict[str, type[EncodedClique]] = {
-    RobustClique.scheme: RobustClique,
-    CodedClique.scheme: CodedClique,
-}
-
-__all__ = [
-    "CodedClique",
-    "EncodedClique",
-    "FAULT_SCHEMES",
-    "RobustClique",
-]
+__all__ = ["CodedClique"]

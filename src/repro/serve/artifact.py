@@ -88,9 +88,7 @@ def _fault_summary(clique) -> dict | None:
         "protected": hasattr(clique, "abstract_meter"),
     }
     if summary["protected"]:
-        summary["scheme"] = getattr(clique, "scheme", "replicate")
         summary["tolerance"] = int(getattr(clique, "tolerance", 0))
-        summary["copies"] = int(getattr(clique, "copies", 0))
         summary["retries"] = int(getattr(clique, "retries", 0))
         summary["abstract_rounds"] = int(clique.abstract_meter.rounds)
     return summary

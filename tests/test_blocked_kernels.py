@@ -21,10 +21,8 @@ from repro.algebra.semirings import (
     MAX_MIN,
     MIN_PLUS,
     PLUS_TIMES,
-    get_block_tile,
     reference_matmul,
     saturating_add,
-    set_block_tile,
 )
 from repro.constants import INF
 
@@ -167,18 +165,6 @@ class TestSaturatingAdd:
 
 
 class TestTileConfig:
-    def test_set_block_tile_roundtrip(self):
-        old = set_block_tile(17)
-        try:
-            assert get_block_tile() == 17
-        finally:
-            set_block_tile(old)
-        assert get_block_tile() == old
-
-    def test_rejects_nonpositive_tile(self):
-        with pytest.raises(ValueError):
-            set_block_tile(0)
-
     @pytest.mark.parametrize("tile", [0, -1])
     def test_per_call_tile_validated(self, tile):
         x = np.zeros((2, 3), dtype=np.int64)

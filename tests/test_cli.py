@@ -36,6 +36,13 @@ class TestParser:
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --shards 2" in capsys.readouterr().err
 
+    def test_fault_scheme_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["apsp", "16", "--faults", "1", "--fault-scheme", "coded"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --fault-scheme coded" in err
+
 
 @pytest.fixture(scope="module")
 def artifact_dir(tmp_path_factory):
@@ -66,6 +73,23 @@ class TestFailureSweep:
         (["query", "{art}", "-1", "3"], "node -1"),
         (["update", "{art}", "--edge", "0,99,1"], "(0, 99)"),
         (["update", "{art}", "--edge", "0,0,1"], "(0, 0)"),
+        (["apsp", "10", "--variant", "approx", "--delta", "0"], "must be > 0"),
+        (["apsp", "10", "--variant", "approx", "--delta", "-1"], "got -1.0"),
+        (["serve", "{art}", "--port", "99999"], "got 99999"),
+        (["serve", "{art}", "--port", "-1"], "--port must be in [0, 65535]"),
+        (["triangles", "10", "--p", "2"], "--p must be in [0, 1]"),
+        (["triangles", "10", "--p", "-0.5"], "got -0.5"),
+        (["spanner", "10", "--p", "1.5"], "got 1.5"),
+        (["mst", "10", "--p", "-1"], "got -1.0"),
+        (["build-artifact", "10", "{art}-new", "--p", "3"], "got 3.0"),
+        (["four-cycles", "10", "--degree", "-3"], "--degree must be >= 0"),
+        (["girth", "20", "--family", "dense", "--trials", "0"], "--trials must"),
+        (["girth", "20", "--trials", "-2"], "got -2"),
+        (["serve", "{art}", "--window", "-1"], "--window must be >= 0"),
+        (["serve", "{art}", "--max-requests", "-5"], "--max-requests must be >= 0"),
+        (["query", "{art}-missing", "0", "1"], "cannot open artifact"),
+        (["update", "{art}-missing", "--edge", "0,1,1"], "cannot open artifact"),
+        (["serve", "{art}-missing"], "cannot open artifact"),
     ]
 
     @pytest.mark.parametrize(
@@ -110,6 +134,51 @@ class TestFailureSweep:
         any simulation or artifact I/O."""
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(argv + ["--threads", threads])
+        assert excinfo.value.code == 2
+        assert named in capsys.readouterr().err
+
+
+class TestBoundedTypes:
+    """The shared bounded-number argparse type: inclusive bounds accept
+    their endpoint, a strict bound refuses it, and a non-finite value is
+    refused as invalid rather than compared."""
+
+    #: (argv, parsed attribute, the value argparse must hand back).
+    ACCEPTED = [
+        (["triangles", "10", "--p", "0"], "p", 0.0),
+        (["triangles", "10", "--p", "1"], "p", 1.0),
+        (["apsp", "10", "--variant", "approx", "--delta", "1e-9"], "delta", 1e-9),
+        (["four-cycles", "10", "--degree", "0"], "degree", 0.0),
+        (["girth", "20", "--trials", "1"], "trials", 1),
+        (["apsp", "16", "--link-latency-us", "0"], "link_latency_us", 0.0),
+        (["serve", "art", "--port", "0"], "port", 0),
+        (["serve", "art", "--port", "65535"], "port", 65535),
+        (["serve", "art", "--window", "0"], "window", 0.0),
+        (["serve", "art", "--max-requests", "0"], "max_requests", 0),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv,attr,value", ACCEPTED, ids=[" ".join(a) for a, _, _ in ACCEPTED]
+    )
+    def test_endpoint_accepted(self, argv, attr, value):
+        parsed = getattr(build_parser().parse_args(argv), attr)
+        assert parsed == value and type(parsed) is type(value)
+
+    #: (argv, the message naming why the value is refused).
+    REFUSED = [
+        (["serve", "art", "--port", "65536"], "--port must be in [0, 65535]"),
+        (["apsp", "16", "--link-gbps", "0"], "--link-gbps must be > 0"),
+        (["triangles", "10", "--p", "nan"], "invalid edge probability 'nan'"),
+        (["apsp", "10", "--delta", "inf"], "invalid approximation slack 'inf'"),
+        (["serve", "art", "--window", "1.5s"], "invalid batching window"),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv,named", REFUSED, ids=[" ".join(a) for a, _ in REFUSED]
+    )
+    def test_just_outside_refused(self, argv, named, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
         assert excinfo.value.code == 2
         assert named in capsys.readouterr().err
 
@@ -223,13 +292,6 @@ class TestFaultFlags:
             build_parser().parse_args(["apsp", "16", "--fault-kind", "emp"])
         capsys.readouterr()
 
-    @pytest.mark.parametrize("kind", ["flip", "drop", "crash"])
-    def test_robust_apsp_runs_and_reports_overhead(self, kind, capsys):
-        assert main(["apsp", "16", "--faults", "1", "--fault-kind", kind]) == 0
-        out = capsys.readouterr().out
-        assert f"faults: kind={kind} t=1" in out
-        assert "overhead" in out
-
     def test_robust_matmul_runs(self, capsys):
         assert main(["matmul", "16", "--faults", "1", "--fault-seed", "3"]) == 0
         assert "encoded rounds" in capsys.readouterr().out
@@ -243,8 +305,8 @@ class TestFaultFlags:
         assert "faults:" not in capsys.readouterr().out
 
     def test_under_provisioned_tolerance_exits_2(self, capsys):
-        # 5 corrupt relays against a deliberately 1-tolerant code: decodes
-        # lose their majority, retries exhaust, and the CLI maps
+        # 5 corrupt relays against a deliberately 1-tolerant code: pieces
+        # fail certification, retries exhaust, and the CLI maps
         # FaultToleranceExceeded to a dedicated non-zero exit code.
         code = main(
             ["apsp", "16", "--faults", "5", "--fault-tolerance", "1"]
@@ -252,7 +314,7 @@ class TestFaultFlags:
         captured = capsys.readouterr()
         assert code == 2
         assert "fault tolerance exceeded" in captured.err
-        assert "support threshold" in captured.err
+        assert "Reed-Solomon" in captured.err
 
     def test_matching_tolerance_always_survives(self, capsys):
         # The headline guarantee at the CLI surface: a code sized to the
@@ -265,7 +327,7 @@ class TestFaultFlags:
 class TestFaultFlagValidationSweep:
     """PR 9 satellite: --fault-tolerance / --fault-seed validated at parse
     time across every fault-capable subcommand (the --threads treatment),
-    plus the --fault-scheme / byzantine wiring."""
+    plus the byzantine wiring."""
 
     FAULT_ARGV = {
         "matmul": ["matmul", "16"],
@@ -294,59 +356,48 @@ class TestFaultFlagValidationSweep:
         assert "invalid" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", sorted(FAULT_ARGV))
-    def test_scheme_and_byzantine_parse_everywhere(self, command):
+    def test_byzantine_parses_everywhere(self, command):
         args = build_parser().parse_args(
             self.FAULT_ARGV[command]
-            + ["--faults", "1", "--fault-scheme", "coded",
-               "--fault-kind", "byzantine"]
+            + ["--faults", "1", "--fault-kind", "byzantine"]
         )
-        assert args.fault_scheme == "coded"
         assert args.fault_kind == "byzantine"
-
-    def test_scheme_defaults_to_replicate(self):
-        args = build_parser().parse_args(["apsp", "16"])
-        assert args.fault_scheme == "replicate"
-
-    def test_unknown_scheme_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["apsp", "16", "--fault-scheme", "parrot"])
-        capsys.readouterr()
 
 
 class TestCodedSchemeCli:
-    """The coded scheme end to end at the CLI surface."""
+    """Reed-Solomon coded collectives end to end at the CLI surface."""
 
     @pytest.mark.parametrize("kind", ["flip", "drop", "crash", "byzantine"])
     def test_coded_apsp_matches_oracle(self, kind, capsys):
-        assert main(
-            ["apsp", "16", "--faults", "1", "--fault-scheme", "coded",
-             "--fault-kind", kind]
-        ) == 0
+        assert main(["apsp", "16", "--faults", "1", "--fault-kind", kind]) == 0
         out = capsys.readouterr().out
-        assert "scheme=coded" in out
-        assert "RS-coded" in out
+        assert f"faults: kind={kind} t=1 seed=0 injected=" in out
+        assert "RS-coded" in out and "overhead" in out
         assert "exact match with Floyd-Warshall oracle: True" in out
 
-    def test_coded_under_provisioned_exits_2(self, capsys):
-        code = main(
-            ["apsp", "16", "--faults", "5", "--fault-tolerance", "1",
-             "--fault-scheme", "coded"]
-        )
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "fault tolerance exceeded" in captured.err
-        assert "Reed-Solomon" in captured.err
-
-    def test_coded_overhead_strictly_below_replication(self, capsys):
+    @pytest.mark.parametrize("t", [1, 2])
+    def test_overhead_between_one_and_2t_plus_1(self, t, capsys):
         import re
 
-        def factor(out: str) -> float:
-            return float(re.search(r"overhead (\d+\.\d+)x", out).group(1))
+        assert main(["apsp", "16", "--faults", str(t)]) == 0
+        out = capsys.readouterr().out
+        factor = float(re.search(r"overhead (\d+\.\d+)x", out).group(1))
+        assert 1 < factor < 2 * t + 1
 
-        assert main(
-            ["apsp", "16", "--faults", "1", "--fault-scheme", "coded"]
-        ) == 0
-        coded = factor(capsys.readouterr().out)
-        assert main(["apsp", "16", "--faults", "1"]) == 0
-        replicated = factor(capsys.readouterr().out)
-        assert coded < replicated
+    @pytest.mark.parametrize(
+        "t,rounds,line",
+        [
+            (1, 368, "injected=1368 retries=0 | encoded rounds=368 vs "
+                     "abstract 296 (overhead 1.24x"),
+            (2, 424, "injected=3141 retries=0 | encoded rounds=424 vs "
+                     "abstract 296 (overhead 1.43x"),
+        ],
+    )
+    def test_fault_line_is_pinned(self, t, rounds, line, capsys):
+        """``--faults T`` bills exactly what the coded scheme billed when it
+        still had to be chosen by name (replication billed 864 rounds for
+        the same run at t = 1)."""
+        assert main(["apsp", "16", "--faults", str(t)]) == 0
+        out = capsys.readouterr().out
+        assert f"APSP variant=exact n=16: {rounds} rounds" in out
+        assert f"faults: kind=flip t={t} seed=0 {line}" in out

@@ -1,4 +1,4 @@
-"""Fault injection + encoded-exchange robustness suite (PR 6).
+"""Fault injection + Reed-Solomon coded collectives suite.
 
 Pins the three invariants of :mod:`repro.faults`:
 
@@ -6,13 +6,13 @@ Pins the three invariants of :mod:`repro.faults`:
    :class:`~repro.faults.FaultyClique` wrapper is bit-identical to the base
    model -- values, rounds, and per-phase meters.
 2. **Silent corruption exists without the code**: an unprotected faulty
-   clique really does deliver wrong words (the failure mode the robust
+   clique really does deliver wrong words (the failure mode the coded
    layer closes), and a corrupted ``route_array_take`` still never writes
    outside its planned caller-buffer slice (arena no-escape).
-3. **No silent wrong answers, ever**: under any in-budget plan a robust
+3. **No silent wrong answers, ever**: under any in-budget plan a coded
    run equals the fault-free oracle edge-for-edge; beyond budget it equals
    the oracle or raises :class:`~repro.errors.FaultToleranceExceeded` --
-   a seed sweep across all three fault kinds demonstrates zero silent
+   a seed sweep across every fault kind demonstrates zero silent
    corruptions.
 """
 
@@ -24,20 +24,17 @@ import pytest
 from repro.algebra.semirings import MIN_PLUS
 from repro.clique.model import CongestedClique
 from repro.clique.scheduling import disjoint_relays
-from repro.engine.session import EngineSession, make_clique
+from repro.engine.session import EngineSession, make_clique, open_session
 from repro.errors import CliqueModelError, FaultToleranceExceeded
 from repro.faults import (
-    FAULT_SCHEMES,
     CodedClique,
     FaultKind,
     FaultPlan,
     FaultyClique,
-    RobustClique,
     corrupt_pieces,
     decode_stripes,
     encode_stripes,
     flip_masks,
-    majority_decode,
     stripe_plan,
 )
 from repro.graphs import apsp_reference, random_weighted_digraph
@@ -45,7 +42,6 @@ from repro.runtime import pad_matrix
 
 ALL_KINDS = ["flip", "drop", "crash"]
 ALL_KINDS_WITH_BYZANTINE = ALL_KINDS + ["byzantine"]
-ALL_SCHEMES = ["replicate", "coded"]
 
 
 # --------------------------------------------------------------------- #
@@ -192,59 +188,6 @@ class TestCorruptPieces:
 
 
 # --------------------------------------------------------------------- #
-# Majority decode
-# --------------------------------------------------------------------- #
-
-
-class TestMajorityDecode:
-    def test_clean_unanimity_decodes(self):
-        pieces = np.arange(12, dtype=np.int64).reshape(4, 3)
-        copies = np.repeat(pieces[:, None, :], 3, axis=1)
-        decoded, ok = majority_decode(copies, np.ones((4, 3), bool), 2)
-        assert np.array_equal(decoded, pieces)
-        assert ok.all()
-
-    def test_minority_corruption_outvoted(self):
-        truth = np.full((2, 4), 7, dtype=np.int64)
-        copies = np.repeat(truth[:, None, :], 3, axis=1)
-        copies[0, 1] = -1  # one corrupt copy of piece 0
-        decoded, ok = majority_decode(copies, np.ones((2, 3), bool), 2)
-        assert np.array_equal(decoded, truth)
-        assert ok.all()
-
-    def test_erasures_neither_vote_nor_win(self):
-        truth = np.full((1, 2), 9, dtype=np.int64)
-        copies = np.repeat(truth[:, None, :], 3, axis=1)
-        copies[0, 0] = 0  # dropped copy, zeroed in transit
-        valid = np.array([[False, True, True]])
-        decoded, ok = majority_decode(copies, valid, 2)
-        assert np.array_equal(decoded, truth) and ok.all()
-
-    def test_lost_majority_fails_loudly(self):
-        # 1 valid copy left < threshold 2: detection, not a wrong answer.
-        copies = np.zeros((1, 3, 2), dtype=np.int64)
-        valid = np.array([[True, False, False]])
-        _, ok = majority_decode(copies, valid, 2)
-        assert not ok.any()
-
-    def test_distinct_corruptions_cannot_fake_support(self):
-        # Two corrupt copies with *different* wrong values (the flip-mask
-        # guarantee): the truth keeps its threshold-1 support, nothing else
-        # reaches 2, so the piece fails instead of decoding wrong.
-        copies = np.array([[[5], [17], [23]]], dtype=np.int64)
-        decoded, ok = majority_decode(copies, np.ones((1, 3), bool), 2)
-        assert not ok.any()
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="stack"):
-            majority_decode(np.zeros(3), np.ones((1, 3), bool), 1)
-        with pytest.raises(ValueError, match="validity"):
-            majority_decode(np.zeros((2, 3, 1)), np.ones((3, 2), bool), 1)
-        with pytest.raises(ValueError, match="threshold"):
-            majority_decode(np.zeros((2, 3, 1)), np.ones((2, 3), bool), 0)
-
-
-# --------------------------------------------------------------------- #
 # FaultyClique: pure interception
 # --------------------------------------------------------------------- #
 
@@ -337,9 +280,9 @@ class TestArenaNoEscapeUnderFaults:
         "clique_factory",
         [
             lambda plan: FaultyClique(6, plan=plan),
-            lambda plan: RobustClique(6, plan=plan, tolerance=1),
+            lambda plan: CodedClique(6, plan=plan, tolerance=2),
         ],
-        ids=["faulty", "robust"],
+        ids=["faulty", "coded"],
     )
     def test_corrupted_take_stays_inside_planned_slice(
         self, kind, clique_factory
@@ -368,203 +311,6 @@ class TestArenaNoEscapeUnderFaults:
                 dests, blocks, take=np.array([99], dtype=np.intp)
             )
         assert clique.rounds == 0, "rejected delivery must not charge"
-
-
-# --------------------------------------------------------------------- #
-# RobustClique: encoded exchanges
-# --------------------------------------------------------------------- #
-
-
-class TestRobustCliqueConstruction:
-    def test_tolerance_must_be_positive(self):
-        with pytest.raises(ValueError, match="tolerance"):
-            RobustClique(8, tolerance=0)
-
-    def test_replication_needs_enough_relays(self):
-        with pytest.raises(CliqueModelError, match="pairwise-distinct relays"):
-            RobustClique(4, tolerance=2)  # 2*2+1 = 5 > 4 nodes
-
-    def test_retry_budget_must_be_non_negative(self):
-        with pytest.raises(ValueError, match="retry budget"):
-            RobustClique(8, tolerance=1, max_retries=-1)
-
-    def test_make_clique_wiring(self):
-        plain = make_clique(8, "naive")
-        assert type(plain) is CongestedClique
-        faulty = make_clique(8, "naive", fault_plan=FaultPlan(t=1))
-        assert type(faulty) is FaultyClique
-        robust = make_clique(8, "naive", fault_tolerance=2)
-        assert isinstance(robust, RobustClique)
-        assert robust.copies == 5 and robust.plan is None
-
-
-class TestRobustCollectivesInBudget:
-    """Every encoded collective decodes the exact fault-free contents
-    under an in-budget adversary of every kind."""
-
-    @pytest.mark.parametrize("kind", ALL_KINDS)
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_collectives_decode_exactly(self, kind, seed):
-        base = CongestedClique(6)
-        robust = RobustClique(
-            6, plan=FaultPlan(t=1, seed=seed, kind=kind), tolerance=1
-        )
-        for a, b in zip(_run_collectives(base), _run_collectives(robust)):
-            assert np.array_equal(a, b)
-
-    def test_abstract_meter_equals_fault_free_bill(self):
-        """Meter separation: the abstract meter is phase-for-phase the
-        fault-free oracle's meter; the actual meter bills the redundancy."""
-        base = CongestedClique(6)
-        robust = RobustClique(6, plan=FaultPlan(t=1, seed=0), tolerance=1)
-        _run_collectives(base)
-        _run_collectives(robust)
-        assert robust.abstract_meter.phases == base.meter.phases
-        assert robust.meter.rounds > robust.abstract_meter.rounds
-        assert robust.overhead_factor > 1.0
-
-    def test_no_plan_still_bills_redundancy(self):
-        base = CongestedClique(6)
-        robust = RobustClique(6, tolerance=1)
-        for a, b in zip(_run_collectives(base), _run_collectives(robust)):
-            assert np.array_equal(a, b)
-        assert robust.abstract_meter.phases == base.meter.phases
-        assert robust.meter.rounds > base.meter.rounds
-
-    def test_take_validation_precedes_charges_on_both_meters(self):
-        robust = RobustClique(6, tolerance=1)
-        rng = np.random.default_rng(0)
-        dests = [np.arange(6, dtype=np.int64) for _ in range(6)]
-        blocks = [rng.integers(-9, 9, (6, 2), dtype=np.int64) for _ in range(6)]
-        with pytest.raises(CliqueModelError, match="addressed to another"):
-            robust.route_array_take(
-                dests,
-                blocks,
-                take=np.arange(36, dtype=np.intp),
-                owners=np.zeros(36, dtype=np.int64),
-            )
-        assert robust.meter.rounds == 0
-        assert robust.abstract_meter.rounds == 0
-
-
-class TestDetectRetryDegrade:
-    def test_beyond_budget_retry_succeeds_through_fresh_relays(self):
-        # Deterministic anchor: t=2 > tolerance 1, seed 0 needs exactly one
-        # re-ship before every piece regains its majority.
-        rng = np.random.default_rng(7)
-        rows = rng.integers(-50, 50, (10, 6), dtype=np.int64)
-        clique = RobustClique(
-            10,
-            plan=FaultPlan(t=2, seed=0, kind="flip"),
-            tolerance=1,
-            max_retries=3,
-        )
-        out = clique.broadcast_rows(rows.copy())
-        assert np.array_equal(out, rows)
-        assert clique.retries == 1
-        assert clique.decode_failures == 0
-
-    def test_exhausted_retries_degrade_loudly(self):
-        rng = np.random.default_rng(7)
-        rows = rng.integers(-50, 50, (10, 6), dtype=np.int64)
-        clique = RobustClique(
-            10,
-            plan=FaultPlan(t=3, seed=0, kind="flip"),
-            tolerance=1,
-            max_retries=0,
-        )
-        with pytest.raises(FaultToleranceExceeded, match="support threshold"):
-            clique.broadcast_rows(rows.copy())
-        assert clique.decode_failures == 1
-
-    def test_error_names_phase_and_budget(self):
-        rng = np.random.default_rng(7)
-        rows = rng.integers(-50, 50, (10, 6), dtype=np.int64)
-        clique = RobustClique(
-            10,
-            plan=FaultPlan(t=3, seed=0, kind="flip"),
-            tolerance=1,
-            max_retries=0,
-        )
-        with pytest.raises(FaultToleranceExceeded) as excinfo:
-            clique.broadcast_rows(rows.copy(), phase="mst/labels")
-        message = str(excinfo.value)
-        assert "mst/labels" in message
-        assert "t=3" in message and "flip" in message
-
-
-# --------------------------------------------------------------------- #
-# End to end: no silent wrong answers, ever
-# --------------------------------------------------------------------- #
-
-
-def _minplus_closure(clique: CongestedClique, weights: np.ndarray, n: int):
-    session = EngineSession(clique, "semiring", MIN_PLUS)
-    padded = pad_matrix(weights, clique.n, fill=MIN_PLUS.zero_value)
-    np.fill_diagonal(padded, 0)
-    return session.closure(padded)[:n, :n]
-
-
-class TestRobustClosureProperty:
-    N = 16
-
-    @pytest.fixture(scope="class")
-    def workload(self):
-        graph = random_weighted_digraph(self.N, 0.35, 9, seed=0)
-        weights = graph.weight_matrix()
-        oracle = apsp_reference(graph)
-        return weights, oracle
-
-    @pytest.mark.parametrize("kind", ALL_KINDS)
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_in_budget_closure_equals_oracle(self, workload, kind, seed):
-        weights, oracle = workload
-        clique = make_clique(
-            self.N,
-            "semiring",
-            fault_plan=FaultPlan(t=1, seed=seed, kind=kind),
-            fault_tolerance=1,
-        )
-        assert np.array_equal(_minplus_closure(clique, weights, self.N), oracle)
-        assert clique.faults_injected > 0, "the adversary must have fired"
-
-    @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_beyond_budget_never_silently_corrupts(self, workload, kind):
-        """The headline seed-sweep: an adversary over budget (t=3 against
-        tolerance 1, no retries) either loses anyway -- the answer equals
-        the oracle bit-for-bit -- or the run raises.  Wrong answers: zero."""
-        weights, oracle = workload
-        raised = 0
-        for seed in range(6):
-            clique = make_clique(
-                self.N,
-                "semiring",
-                fault_plan=FaultPlan(t=3, seed=seed, kind=kind),
-                fault_tolerance=1,
-            )
-            clique.max_retries = 0
-            try:
-                result = _minplus_closure(clique, weights, self.N)
-            except FaultToleranceExceeded:
-                raised += 1
-            else:
-                assert np.array_equal(result, oracle), (
-                    f"SILENT CORRUPTION at seed={seed} kind={kind}"
-                )
-        if kind == "flip":
-            assert raised > 0, "the sweep should exercise the degrade arm"
-
-    def test_fault_free_workloads_unchanged(self, workload):
-        """Equivalence re-run: the interception seams leave the plain
-        model's values, rounds, and meters bit-identical."""
-        weights, oracle = workload
-        plain = make_clique(self.N, "semiring")
-        assert type(plain) is CongestedClique
-        result = _minplus_closure(plain, weights, self.N)
-        assert np.array_equal(result, oracle)
-        twin = make_clique(self.N, "semiring")
-        _minplus_closure(twin, weights, self.N)
-        assert plain.meter.phases == twin.meter.phases
 
 
 # --------------------------------------------------------------------- #
@@ -772,46 +518,67 @@ class TestCodedCliqueConstruction:
         with pytest.raises(CliqueModelError, match="pairwise-distinct relays"):
             CodedClique(4, tolerance=2)  # needs 2*2+1 = 5 > 4 nodes
 
+    def test_retry_budget_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="retry budget"):
+            CodedClique(8, tolerance=1, max_retries=-1)
+
     def test_refusal_names_the_budget(self):
-        for cls in (RobustClique, CodedClique):
-            with pytest.raises(CliqueModelError) as excinfo:
-                cls(6, tolerance=3)  # needs 7 relays on 6 nodes
-            message = str(excinfo.value)
-            assert "7" in message and "6" in message, (
-                f"{cls.__name__} refusal must name the relay budget"
+        with pytest.raises(CliqueModelError) as excinfo:
+            CodedClique(6, tolerance=3)  # needs 7 relays on 6 nodes
+        message = str(excinfo.value)
+        assert "7" in message and "6" in message
+
+    def test_relay_budget_is_exactly_2t_plus_1(self):
+        """Exhaustive over n <= 64, t <= 32: the code is refused exactly
+        when one data stripe plus 2t parity stripes cannot sit on distinct
+        relays."""
+        for n in range(2, 65):
+            for t in range(1, 33):
+                try:
+                    CodedClique(n, tolerance=t)
+                except CliqueModelError:
+                    built = False
+                else:
+                    built = True
+                assert built == (2 * t + 1 <= n), (n, t)
+
+    def test_make_clique_wiring(self):
+        plain = make_clique(8, "naive")
+        assert type(plain) is CongestedClique
+        faulty = make_clique(8, "naive", fault_plan=FaultPlan(t=1))
+        assert type(faulty) is FaultyClique
+        coded = make_clique(8, "naive", fault_tolerance=2)
+        assert type(coded) is CodedClique
+        assert coded.tolerance == 2 and coded.plan is None
+        named = make_clique(8, "naive", fault_tolerance=1, fault_scheme="coded")
+        assert type(named) is CodedClique
+
+    def test_make_clique_refuses_replication(self):
+        with pytest.raises(ValueError, match="replication was removed"):
+            make_clique(
+                16, "semiring", fault_tolerance=1, fault_scheme="replicate"
             )
 
-    def test_scheme_registry_and_make_clique(self):
-        assert set(FAULT_SCHEMES) == {"replicate", "coded"}
-        coded = make_clique(8, "naive", fault_tolerance=1, fault_scheme="coded")
-        assert isinstance(coded, CodedClique)
-        assert coded.scheme == "coded"
-        rep = make_clique(8, "naive", fault_tolerance=1)
-        assert isinstance(rep, RobustClique)
-        assert rep.scheme == "replicate"
-        with pytest.raises(ValueError, match="fault scheme"):
-            make_clique(8, "naive", fault_tolerance=1, fault_scheme="carrier")
 
+class TestCodedCollectivesInBudget:
+    """Every coded collective decodes exactly under every in-budget
+    adversary kind, Byzantine included -- the tolerance x seed x kind
+    matrix (t = 2 puts four parity stripes on five of the eight relays)."""
 
-class TestEncodedSchemesInBudget:
-    """Both schemes decode every collective exactly under every in-budget
-    adversary kind, Byzantine included -- the scheme x kind x seed matrix."""
-
-    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
     @pytest.mark.parametrize("kind", ALL_KINDS_WITH_BYZANTINE)
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_collectives_decode_exactly(self, scheme, kind, seed):
+    @pytest.mark.parametrize("t", [1, 2])
+    def test_collectives_decode_exactly(self, kind, seed, t):
         base = CongestedClique(8)
-        clique = FAULT_SCHEMES[scheme](
-            8, plan=FaultPlan(t=1, seed=seed, kind=kind), tolerance=1
+        clique = CodedClique(
+            8, plan=FaultPlan(t=t, seed=seed, kind=kind), tolerance=t
         )
         for a, b in zip(_run_collectives(base), _run_collectives(clique)):
             assert np.array_equal(a, b)
         assert clique.abstract_meter.phases == base.meter.phases
 
-    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
-    def test_byzantine_adversary_actually_fires(self, scheme):
-        clique = FAULT_SCHEMES[scheme](
+    def test_byzantine_adversary_actually_fires(self):
+        clique = CodedClique(
             8, plan=FaultPlan(t=2, seed=0, kind="byzantine"), tolerance=2
         )
         base = CongestedClique(8)
@@ -819,45 +586,157 @@ class TestEncodedSchemesInBudget:
             assert np.array_equal(a, b)
         assert clique.faults_injected > 0
 
-    def test_coded_degrade_message_names_certification(self):
-        rng = np.random.default_rng(7)
-        rows = rng.integers(-50, 50, (10, 6), dtype=np.int64)
+    def test_abstract_meter_equals_fault_free_bill(self):
+        """Meter separation: the abstract meter is phase-for-phase the
+        fault-free oracle's meter; the actual meter bills the redundancy."""
+        base = CongestedClique(6)
+        coded = CodedClique(6, plan=FaultPlan(t=1, seed=0), tolerance=1)
+        _run_collectives(base)
+        _run_collectives(coded)
+        assert coded.abstract_meter.phases == base.meter.phases
+        assert coded.meter.rounds > coded.abstract_meter.rounds
+        assert coded.overhead_factor > 1.0
+
+    def test_no_plan_still_bills_redundancy(self):
+        base = CongestedClique(6)
+        coded = CodedClique(6, tolerance=1)
+        for a, b in zip(_run_collectives(base), _run_collectives(coded)):
+            assert np.array_equal(a, b)
+        assert coded.abstract_meter.phases == base.meter.phases
+        assert coded.meter.rounds > base.meter.rounds
+
+    def test_take_validation_precedes_charges_on_both_meters(self):
+        coded = CodedClique(6, tolerance=1)
+        rng = np.random.default_rng(0)
+        dests = [np.arange(6, dtype=np.int64) for _ in range(6)]
+        blocks = [rng.integers(-9, 9, (6, 2), dtype=np.int64) for _ in range(6)]
+        with pytest.raises(CliqueModelError, match="addressed to another"):
+            coded.route_array_take(
+                dests,
+                blocks,
+                take=np.arange(36, dtype=np.intp),
+                owners=np.zeros(36, dtype=np.int64),
+            )
+        assert coded.meter.rounds == 0
+        assert coded.abstract_meter.rounds == 0
+
+
+class TestDetectRetryDegrade:
+    @staticmethod
+    def _rows() -> np.ndarray:
+        return np.random.default_rng(7).integers(-50, 50, (16, 1), dtype=np.int64)
+
+    def test_beyond_budget_retry_succeeds_through_fresh_relays(self):
+        # Deterministic anchor: t=2 > tolerance 1, seed 0 needs exactly one
+        # re-ship before every piece passes certification.
+        rows = self._rows()
         clique = CodedClique(
-            10,
-            plan=FaultPlan(t=4, seed=0, kind="flip"),
+            16,
+            plan=FaultPlan(t=2, seed=0, kind="flip"),
+            tolerance=1,
+            max_retries=3,
+        )
+        out = clique.broadcast_rows(rows.copy())
+        assert np.array_equal(out, rows)
+        assert clique.retries == 1
+        assert clique.decode_failures == 0
+
+    def test_exhausted_retries_degrade_loudly(self):
+        clique = CodedClique(
+            16,
+            plan=FaultPlan(t=3, seed=0, kind="flip"),
             tolerance=1,
             max_retries=0,
         )
         with pytest.raises(FaultToleranceExceeded, match="Reed-Solomon"):
-            clique.broadcast_rows(rows.copy())
+            clique.broadcast_rows(self._rows())
         assert clique.decode_failures == 1
 
+    def test_error_names_phase_and_budget(self):
+        clique = CodedClique(
+            16,
+            plan=FaultPlan(t=3, seed=0, kind="flip"),
+            tolerance=1,
+            max_retries=0,
+        )
+        with pytest.raises(FaultToleranceExceeded) as excinfo:
+            clique.broadcast_rows(self._rows(), phase="mst/labels")
+        message = str(excinfo.value)
+        assert "mst/labels" in message
+        assert "t=3" in message and "flip" in message
 
-class TestSchemeOverheadComparison:
-    """Acceptance: at t = 1 and t = 2 the coded scheme's overhead factor is
-    strictly below replication's on the same closure workload."""
+
+def _minplus_closure(clique: CongestedClique, weights: np.ndarray, n: int):
+    session = EngineSession(clique, "semiring", MIN_PLUS)
+    padded = pad_matrix(weights, clique.n, fill=MIN_PLUS.zero_value)
+    np.fill_diagonal(padded, 0)
+    return session.closure(padded)[:n, :n]
+
+
+class TestOverheadClosedForm:
+    """At t = 1 and t = 2 the coded overhead factor on a closure sits
+    strictly between 1 (some redundancy is always billed) and 2t + 1
+    (what shipping 2t + 1 full copies of every piece would cost)."""
 
     N = 16
 
     @pytest.mark.parametrize("t", [1, 2])
-    def test_coded_strictly_cheaper_than_replication(self, t):
+    def test_overhead_between_one_and_2t_plus_1(self, t):
         graph = random_weighted_digraph(self.N, 0.35, 9, seed=0)
-        weights = graph.weight_matrix()
-        oracle = apsp_reference(graph)
-        factors = {}
-        for scheme in ALL_SCHEMES:
-            clique = make_clique(
-                self.N,
-                "semiring",
-                fault_plan=FaultPlan(t=t, seed=0, kind="flip"),
-                fault_tolerance=t,
-                fault_scheme=scheme,
-            )
-            assert np.array_equal(_minplus_closure(clique, weights, self.N), oracle)
-            assert clique.abstract_meter.rounds > 0
-            factors[scheme] = clique.overhead_factor
-        assert factors["coded"] < factors["replicate"], factors
-        assert factors["replicate"] >= 2 * t + 1 - 0.5  # sanity anchor
+        clique = make_clique(
+            self.N,
+            "semiring",
+            fault_plan=FaultPlan(t=t, seed=0, kind="flip"),
+            fault_tolerance=t,
+        )
+        value = _minplus_closure(clique, graph.weight_matrix(), self.N)
+        assert np.array_equal(value, apsp_reference(graph))
+        assert clique.abstract_meter.rounds > 0
+        assert 1 < clique.overhead_factor < 2 * t + 1
+
+
+class TestCodedClosureBill:
+    """The coded bill of one fixed closure, pinned number for number: the
+    actual and abstract meters and the injected-fault count at seed 0.
+    The figures were measured when replication was still a selectable
+    scheme, so they pin that folding the scheme hooks into
+    :class:`CodedClique` left every coded bill unchanged."""
+
+    N = 16
+    #: t -> (actual rounds, actual words, abstract rounds, abstract words)
+    METERS = {1: (420, 133881, 340, 109539), 2: (490, 158223, 340, 109539)}
+    #: (t, kind) -> faults injected by the seed-0 adversary
+    INJECTED = {
+        (1, "flip"): 1366,
+        (1, "drop"): 1366,
+        (1, "crash"): 1159,
+        (1, "byzantine"): 1364,
+        (2, "flip"): 3210,
+        (2, "drop"): 3210,
+        (2, "crash"): 2134,
+        (2, "byzantine"): 3200,
+    }
+
+    @pytest.mark.parametrize("t, kind", sorted(INJECTED))
+    def test_bill_is_pinned(self, t, kind):
+        graph = random_weighted_digraph(self.N, 0.35, 9, seed=0)
+        clique = make_clique(
+            self.N,
+            "semiring",
+            fault_plan=FaultPlan(t=t, seed=0, kind=kind),
+            fault_tolerance=t,
+        )
+        value = _minplus_closure(clique, graph.weight_matrix(), self.N)
+        assert np.array_equal(value, apsp_reference(graph))
+        meters = (
+            clique.meter.rounds,
+            clique.meter.words,
+            clique.abstract_meter.rounds,
+            clique.abstract_meter.words,
+        )
+        assert meters == self.METERS[t]
+        assert clique.faults_injected == self.INJECTED[t, kind]
+        assert clique.retries == 0 and clique.decode_failures == 0
 
 
 # --------------------------------------------------------------------- #
@@ -878,12 +757,11 @@ class TestFaultPlanEdgeCases:
         assert base.meter.rounds == nulled.meter.rounds
         assert nulled.faults_injected == 0
 
-    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
-    def test_tolerance_beyond_relays_refused_cleanly(self, scheme):
+    def test_tolerance_beyond_relays_refused_cleanly(self):
         """t >= available relays: construction refuses with the budget in
         the message, before any exchange is attempted or charged."""
         with pytest.raises(CliqueModelError, match="pairwise-distinct relays"):
-            FAULT_SCHEMES[scheme](5, tolerance=4)
+            CodedClique(5, tolerance=4)
 
     def test_crash_schedule_shared_across_sessions(self):
         """Crash-stop is monotone and a pure function of the plan seed, so
@@ -899,24 +777,22 @@ class TestFaultPlanEdgeCases:
 
         base = CongestedClique(12)
         oracle = _run_collectives(base)
-        for scheme in ALL_SCHEMES:
-            for _session_index in range(2):
-                clique = FAULT_SCHEMES[scheme](12, plan=plan, tolerance=2)
-                for a, b in zip(oracle, _run_collectives(clique)):
-                    assert np.array_equal(a, b)
+        for _session_index in range(2):
+            clique = CodedClique(12, plan=plan, tolerance=2)
+            for a, b in zip(oracle, _run_collectives(clique)):
+                assert np.array_equal(a, b)
         # The shared plan's schedule was not mutated by either session.
         assert set(int(v) for v in plan.corrupt_nodes(12, 9)) == previous
 
-    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
-    def test_fresh_session_overhead_factor_is_one(self, scheme):
+    def test_fresh_session_overhead_factor_is_one(self):
         """Satellite: no exchanges yet -> overhead 1.0, not a zero division."""
-        clique = FAULT_SCHEMES[scheme](8, tolerance=1)
+        clique = CodedClique(8, tolerance=1)
         assert clique.abstract_meter.rounds == 0
         assert clique.overhead_factor == 1.0
 
 
 # --------------------------------------------------------------------- #
-# End to end: both schemes, all kinds, no silent wrong answers
+# End to end: every kind, no silent wrong answers
 # --------------------------------------------------------------------- #
 
 
@@ -930,17 +806,16 @@ class TestEncodedClosureProperty:
         oracle = apsp_reference(graph)
         return weights, oracle
 
-    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
     @pytest.mark.parametrize("kind", ALL_KINDS_WITH_BYZANTINE)
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_in_budget_closure_equals_oracle(self, workload, scheme, kind, seed):
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("t", [1, 2])
+    def test_in_budget_closure_equals_oracle(self, workload, kind, seed, t):
         weights, oracle = workload
         clique = make_clique(
             self.N,
             "semiring",
-            fault_plan=FaultPlan(t=1, seed=seed, kind=kind),
-            fault_tolerance=1,
-            fault_scheme=scheme,
+            fault_plan=FaultPlan(t=t, seed=seed, kind=kind),
+            fault_tolerance=t,
         )
         assert np.array_equal(_minplus_closure(clique, weights, self.N), oracle)
         assert clique.faults_injected > 0, "the adversary must have fired"
@@ -948,9 +823,9 @@ class TestEncodedClosureProperty:
 
     @pytest.mark.parametrize("kind", ALL_KINDS_WITH_BYZANTINE)
     def test_coded_beyond_budget_never_silently_corrupts(self, workload, kind):
-        """The PR 6 headline sweep, re-run against the coded scheme: an
-        over-budget adversary (t=3 against tolerance 1, no retries) either
-        loses anyway or the run raises.  Wrong answers: zero."""
+        """The headline seed sweep: an over-budget adversary (t=3 against
+        tolerance 1, no retries) either loses anyway -- the answer equals
+        the oracle bit-for-bit -- or the run raises.  Wrong answers: zero."""
         weights, oracle = workload
         raised = 0
         for seed in range(6):
@@ -959,7 +834,6 @@ class TestEncodedClosureProperty:
                 "semiring",
                 fault_plan=FaultPlan(t=3, seed=seed, kind=kind),
                 fault_tolerance=1,
-                fault_scheme="coded",
             )
             clique.max_retries = 0
             try:
@@ -973,24 +847,35 @@ class TestEncodedClosureProperty:
         if kind in ("flip", "byzantine"):
             assert raised > 0, "the sweep should exercise the degrade arm"
 
+    def test_fault_free_workloads_unchanged(self, workload):
+        """Equivalence re-run: the interception seams leave the plain
+        model's values, rounds, and meters bit-identical."""
+        weights, oracle = workload
+        plain = make_clique(self.N, "semiring")
+        assert type(plain) is CongestedClique
+        result = _minplus_closure(plain, weights, self.N)
+        assert np.array_equal(result, oracle)
+        twin = make_clique(self.N, "semiring")
+        _minplus_closure(twin, weights, self.N)
+        assert plain.meter.phases == twin.meter.phases
+
 
 class TestOpenSessionFaultPassthrough:
     def test_session_builds_fault_layer(self):
-        from repro.engine.session import open_session
-
         with open_session(
             8,
             "naive",
             fault_plan=FaultPlan(t=1, seed=0, kind="byzantine"),
             fault_tolerance=1,
-            fault_scheme="coded",
         ) as session:
             assert isinstance(session.clique, CodedClique)
             assert session.clique.plan.kind is FaultKind.BYZANTINE
 
     def test_explicit_clique_refuses_fault_args(self):
-        from repro.engine.session import open_session
-
         clique = CongestedClique(8)
         with pytest.raises(ValueError, match="fault"):
             open_session(8, "naive", clique=clique, fault_tolerance=1)
+
+    def test_fault_scheme_option_is_gone(self):
+        with pytest.raises(TypeError, match="fault_scheme"):
+            open_session(16, "semiring", fault_scheme="coded")

@@ -29,8 +29,6 @@ from repro.algebra.backends import (
     ThreadedBackend,
     backend_info,
     get_backend,
-    get_default_backend,
-    set_default_backend,
     tile_ranges,
 )
 from repro.algebra.semirings import (
@@ -73,6 +71,8 @@ class TestBackendRegistry:
         assert serial.threads == 1 and serial.spec == "serial"
         assert get_backend("serial") is serial
         assert get_backend(1) is serial
+        assert get_backend(None) is serial
+        assert SERIAL_EXECUTOR.backend is serial
 
         threaded = get_backend("threaded:3")
         assert isinstance(threaded, ThreadedBackend)
@@ -90,15 +90,6 @@ class TestBackendRegistry:
     def test_serial_ignores_thread_count(self):
         assert get_backend("serial:7").threads == 1
 
-    def test_default_backend_roundtrip(self):
-        previous = set_default_backend("threaded:2")
-        try:
-            assert get_default_backend().spec == "threaded:2"
-            assert get_backend(None) is get_backend("threaded:2")
-        finally:
-            set_default_backend(previous)
-        assert get_default_backend().spec == previous
-
     def test_bad_specs_rejected(self):
         with pytest.raises(KernelBackendError):
             get_backend("vectorised")
@@ -113,7 +104,7 @@ class TestBackendRegistry:
 
     def test_backend_info_shape(self):
         info = backend_info()
-        assert set(info) == {"cpus", "default_backend", "threadpoolctl"}
+        assert set(info) == {"cpus", "threadpoolctl"}
         assert info["cpus"] >= 1
 
     def test_run_propagates_task_errors(self):
@@ -406,7 +397,7 @@ class TestPackedClosure:
             assert got_phases == _phases(session.clique)
 
     def test_robust_collectives_on_packed_closure(self):
-        """--faults layered on top: the packed closure through replication-
+        """--faults layered on top: the packed closure through Reed-Solomon
         coded collectives equals the fault-free oracle, packed and
         unpacked alike."""
         from repro.faults import FaultPlan
