@@ -389,7 +389,7 @@ def kernel3_section(reps: int) -> dict:
     """
     from repro.algebra.backends import backend_info, get_backend
     from repro.algebra.semirings import pack_bool_rows
-    from repro.engine.session import open_session
+    from repro.engine.session import default_steps, open_session
 
     section: dict[str, dict] = {}
     info = backend_info()
@@ -450,10 +450,16 @@ def kernel3_section(reps: int) -> dict:
     seed_matrix = (rng.random((nc, nc)) < 0.004).astype(np.int64)
 
     def closure(packed: bool):
-        with open_session(
-            nc, "semiring", BOOLEAN, packed_closure=packed
-        ) as session:
-            value = session.closure(seed_matrix)
+        with open_session(nc, "semiring", BOOLEAN) as session:
+            if packed:
+                value = session.closure(seed_matrix)
+            else:
+                # The per-product baseline: one unpacked square + OR per
+                # step, under the packed loop's phase labels.
+                value = seed_matrix
+                for step in range(default_steps(nc)):
+                    squared = session.square(value, phase=f"closure/sq{step}")
+                    value = BOOLEAN.add(squared, value)
             return value, session.rounds, list(session.meter.phases)
 
     packed_value, packed_rounds, packed_phases = closure(True)

@@ -180,6 +180,12 @@ def _cmd_four_cycles(args: argparse.Namespace, parser: argparse.ArgumentParser) 
     from repro.graphs import bipartite_random_graph, four_cycle_count_reference
     from repro.subgraphs import detect_four_cycles
 
+    if args.degree > args.n:
+        # The average degree becomes the edge probability degree / n.
+        parser.error(
+            f"--degree must be <= n={args.n} (average degree), "
+            f"got {args.degree}"
+        )
     g = bipartite_random_graph(args.n, args.degree / args.n, seed=args.seed)
     ours = detect_four_cycles(g)
     print(f"bipartite(n={args.n}, avg_deg~{args.degree}) seed={args.seed}: "

@@ -4,31 +4,30 @@
 reached with ``ceil(log2 n)`` squarings, each an ``O(n^{1/3})``-round
 semiring product (Theorem 1), for ``O(n^{1/3} log n)`` rounds in total (the
 ``dlog M / log ne`` width factor is metered automatically from the entry
-magnitudes).  The loop is the shared session closure
-(:meth:`repro.engine.EngineSession.closure`): one bound min-plus session
-carries every squaring on cached plans.
+magnitudes).  One bound min-plus session carries every squaring on cached
+plans.
 
 Routing tables (§3.3 "constructing routing tables"): the semiring engine
 returns witness matrices for free (local arg-min), and the table is updated
 by ``R[u, v] <- R[u, Q[u, v]]`` whenever the squaring improves a distance --
 a purely node-local update, since row ``u`` of ``R``, ``Q`` and the new
-distances all live at node ``u``.
+distances all live at node ``u``.  That witnessed loop is the session's
+resident closure (:meth:`repro.engine.EngineSession.resident_closure`);
+without routing tables the plain :meth:`~repro.engine.EngineSession.closure`
+runs, which ships no witnesses and so bills fewer rounds.
 
 Negative integer weights are allowed (Table 1: weights in
-``{0, +-1, ..., +-M}``); a negative-weight cycle is reported via
+``{0, +-1, ..., +-M}``); both session loops raise
 :class:`~repro.errors.NegativeCycleError` when a diagonal entry drops below
 zero.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.algebra.semirings import MIN_PLUS
 from repro.clique.model import CongestedClique, ScheduleMode
 from repro.constants import INF
 from repro.engine import EngineSession, default_steps
-from repro.errors import NegativeCycleError
 from repro.graphs.graphs import Graph
 from repro.runtime import RunResult, make_clique, pad_matrix
 
@@ -55,39 +54,22 @@ def apsp_exact(
     n = graph.n
     clique = clique or make_clique(n, method, mode=mode)
     session = EngineSession(clique, method, MIN_PLUS)
-    dist = pad_matrix(graph.weight_matrix(), clique.n, fill=INF)
-    next_hop = None
-    if with_routing_tables:
-        next_hop = np.full((clique.n, clique.n), -1, dtype=np.int64)
-        edge_rows, edge_cols = np.nonzero(dist < INF)
-        next_hop[edge_rows, edge_cols] = edge_cols
-        np.fill_diagonal(next_hop, np.arange(clique.n))
-
-    def check_diagonal(step: int, accum: np.ndarray) -> None:
-        if np.any(np.diag(accum) < 0):
-            raise NegativeCycleError(
-                "negative-weight cycle detected during squaring"
-            )
-
+    weights = pad_matrix(graph.weight_matrix(), clique.n, fill=INF)
     iterations = default_steps(n)
-    dist = session.closure(
-        dist,
-        steps=iterations,
-        with_witnesses=with_routing_tables,
-        next_hop=next_hop,
-        on_step=check_diagonal,
-        phase="apsp",
-        step_label="square",
-    )
-
-    value = dist[:n, :n]
     extras: dict[str, object] = {"squarings": iterations}
     if with_routing_tables:
-        hop_view = next_hop[:n, :n].copy()
-        np.fill_diagonal(hop_view, -1)
-        extras["next_hop"] = hop_view
+        state = session.seed_resident(weights)
+        session.resident_closure(
+            steps=iterations, phase="apsp", step_label="square"
+        )
+        dist = state.dist
+        extras["next_hop"] = state.routing_table(n)
+    else:
+        dist = session.closure(
+            weights, steps=iterations, phase="apsp", step_label="square"
+        )
     return RunResult(
-        value=value,
+        value=dist[:n, :n],
         rounds=clique.rounds,
         clique_size=clique.n,
         meter=clique.meter,

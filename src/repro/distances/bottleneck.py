@@ -79,29 +79,22 @@ def apsp_bottleneck(
     # pad_matrix zeroes the padded diagonal; bottleneck padding wants the
     # identity capacity there, which zero also satisfies (padded nodes have
     # no edges, so their rows never influence real entries).
-    next_hop = None
-    if with_routing_tables:
-        next_hop = np.full((clique.n, clique.n), -1, dtype=np.int64)
-        rows, cols = np.nonzero(cap > -INF)
-        next_hop[rows, cols] = cols
 
-    # The same session closure as Corollary 6, over (max, min): the engine's
-    # argmax witnesses drive the routing-table updates.
+    # The same session loops as Corollary 6, over (max, min): with routing
+    # tables the resident closure's argmax witnesses drive the updates.
     iterations = default_steps(n)
-    cap = session.closure(
-        cap,
-        steps=iterations,
-        with_witnesses=with_routing_tables,
-        next_hop=next_hop,
-        phase="bottleneck",
-        step_label="square",
-    )
-
     extras: dict[str, object] = {"squarings": iterations}
     if with_routing_tables:
-        hop_view = next_hop[:n, :n].copy()
-        np.fill_diagonal(hop_view, -1)
-        extras["next_hop"] = hop_view
+        state = session.seed_resident(cap)
+        session.resident_closure(
+            steps=iterations, phase="bottleneck", step_label="square"
+        )
+        cap = state.dist
+        extras["next_hop"] = state.routing_table(n)
+    else:
+        cap = session.closure(
+            cap, steps=iterations, phase="bottleneck", step_label="square"
+        )
     return RunResult(
         value=cap[:n, :n],
         rounds=clique.rounds,

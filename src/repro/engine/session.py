@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable
 
 import numpy as np
 
@@ -40,6 +39,7 @@ from repro.clique.accounting import CostMeter
 from repro.clique.arena import ExchangeArena
 from repro.clique.executor import LocalExecutor, make_executor
 from repro.clique.model import CongestedClique, ScheduleMode
+from repro.errors import NegativeCycleError
 from repro.matmul.bilinear_clique import (
     bilinear_matmul,
     default_algorithm,
@@ -67,16 +67,16 @@ class ResidentClosure:
     The packed-Boolean analogue for distances (kernel generation 3's
     leftover): ``dist`` and its routing table stay inside the session
     between squarings instead of being re-routed from the caller's matrix
-    each ``square``.  ``dist`` and ``next_hop`` are session-owned arrays
-    updated in place by :meth:`EngineSession.resident_square`; read them
-    freely, but mutate them only through the session (or
+    each ``square``.  Both are session-owned: each
+    :meth:`EngineSession.resident_square` replaces ``dist`` with the merged
+    product and updates ``next_hop`` in place.  Read them freely, but
+    mutate them only through the session (or
     :func:`repro.serve.delta.apply_edge_updates`, which bills its strip
     products on the same meter).
 
-    ``next_hop`` uses the *working* convention of
-    :func:`repro.distances.apsp.apsp_exact`: ``next_hop[u, u] == u`` so
-    witness merges can route through the endpoint itself; consumers that
-    want the external ``-1``-diagonal view copy and fix it up.
+    ``next_hop`` uses the *working* convention: ``next_hop[u, u] == u`` so
+    witness merges can route through the endpoint itself;
+    :meth:`routing_table` returns the external ``-1``-diagonal view.
     """
 
     dist: np.ndarray
@@ -85,6 +85,16 @@ class ResidentClosure:
     squarings: int = 0
     #: Bumped by every mutation after seeding (squarings, delta updates).
     generation: int = 0
+
+    def routing_table(self, n: int) -> np.ndarray:
+        """The external routing table of the first ``n`` nodes (a copy).
+
+        ``[u, v]`` is the first hop of a best ``u -> v`` path, ``-1`` on
+        the diagonal and wherever ``v`` is unreachable from ``u``.
+        """
+        hops = self.next_hop[:n, :n].copy()
+        np.fill_diagonal(hops, -1)
+        return hops
 
 
 class EngineBindingError(ValueError):
@@ -196,12 +206,6 @@ class EngineSession:
             (:class:`~repro.netsim.CostModelSpec` or ready observer) to
             attach to the clique -- purely observational; read the
             resulting completion report via :attr:`transport`.
-        packed_closure: keep Boolean closures on the §2.1 engine in uint64
-            bit-packed form *across* squarings (kernel generation 3),
-            unpacking once at the end.  Values, rounds, and meters are
-            bit-identical to the unpacked loop (the packed payloads charge
-            the same constant per-piece widths); disable only to measure
-            the per-product packing baseline.
 
     Sessions are context managers: ``with open_session(...) as session``
     releases the arena's buffers and the resident state on exit --
@@ -217,7 +221,6 @@ class EngineSession:
         *,
         algorithm: BilinearAlgorithm | None = None,
         cost_model=None,
-        packed_closure: bool = True,
     ) -> None:
         if method not in MATMUL_METHODS:
             raise ValueError(
@@ -228,7 +231,6 @@ class EngineSession:
         self.clique = clique
         self.method = method
         self.algebra = algebra
-        self.packed_closure = bool(packed_closure)
         self.algorithm: BilinearAlgorithm | None = None
         self._boolean_via_ring = False
         self._ring: RingOps | None = None
@@ -454,10 +456,7 @@ class EngineSession:
         matrix: np.ndarray,
         *,
         steps: int | None = None,
-        with_witnesses: bool = False,
-        next_hop: np.ndarray | None = None,
         absorb: str = "accum",
-        on_step: Callable[[int, np.ndarray], np.ndarray | None] | None = None,
         phase: str = "closure",
         step_label: str = "sq",
     ) -> np.ndarray:
@@ -465,24 +464,19 @@ class EngineSession:
 
         After ``t`` steps the accumulator covers all walks of length
         ``<= 2^t`` (paper eq. (4) generalised to any semiring); ``steps``
-        defaults to ``ceil(log2 n)``, reaching the full closure.
+        defaults to ``ceil(log2 n)``, reaching the full closure.  Boolean
+        closures on the §2.1 engine stay bit-packed across squarings
+        (:meth:`_closure_packed`); routing tables come from the resident
+        loop (:meth:`seed_resident` / :meth:`resident_closure`).  Both loops
+        raise :class:`NegativeCycleError` (:meth:`_refuse_negative_cycle`).
 
         Args:
             matrix: the ``n x n`` seed (adjacency / weight / capacity).
             steps: number of squarings (default :func:`default_steps`).
-            with_witnesses: selection semirings only -- merge with the
-                engine's witness matrices and maintain ``next_hop`` routing
-                tables exactly as Corollary 6 does.
-            next_hop: routing table updated in place (required with
-                ``with_witnesses``); row ``u`` of the table is node-local
-                state, so the update costs no communication.
             absorb: ``"accum"`` merges ``B <- B^2 (+) B`` (the distance/
                 reachability recurrences); ``"matrix"`` merges
                 ``B <- B^2 (+) A`` (the generic closure of
                 :func:`repro.matmul.powers.closure`).
-            on_step: optional per-step hook ``(step, accum) -> accum | None``
-                (negative-cycle detection, capping); a non-``None`` return
-                replaces the accumulator.
             phase: cost-meter label prefix; squaring ``i`` is charged as
                 ``{phase}/{step_label}{i}``.
         """
@@ -493,26 +487,11 @@ class EngineSession:
             )
         if absorb not in ("accum", "matrix"):
             raise ValueError(f"absorb must be 'accum' or 'matrix', got {absorb!r}")
-        if with_witnesses and absorb != "accum":
-            raise ValueError(
-                "the witness closure merges against the accumulator only "
-                "(absorb='accum'); no witness exists for re-absorbed seed "
-                "entries"
-            )
-        if with_witnesses and next_hop is None:
-            raise ValueError("with_witnesses closure needs a next_hop table")
         semiring: Semiring = self.algebra  # type: ignore[assignment]
         base = np.asarray(matrix, dtype=np.int64)
         accum = base
         steps = default_steps(self.n) if steps is None else steps
-        if (
-            self.packed_closure
-            and steps > 0
-            and self.method == "semiring"
-            and semiring is BOOLEAN
-            and not with_witnesses
-            and on_step is None
-        ):
+        if steps > 0 and self.method == "semiring" and semiring is BOOLEAN:
             return self._closure_packed(
                 base,
                 steps=steps,
@@ -522,24 +501,9 @@ class EngineSession:
             )
         for step in range(steps):
             step_phase = f"{phase}/{step_label}{step}"
-            if with_witnesses:
-                squared, witness = self.square(
-                    accum, with_witnesses=True, phase=step_phase
-                )
-                improved = semiring.improves(squared, accum)
-                rows, cols = np.nonzero(improved)
-                mids = witness[rows, cols]
-                next_hop[rows, cols] = next_hop[rows, mids]
-                accum = np.where(improved, squared, accum)
-            else:
-                squared = self.square(accum, phase=step_phase)
-                accum = semiring.add(
-                    squared, accum if absorb == "accum" else base
-                )
-            if on_step is not None:
-                replaced = on_step(step, accum)
-                if replaced is not None:
-                    accum = replaced
+            squared = self.square(accum, phase=step_phase)
+            accum = semiring.add(squared, accum if absorb == "accum" else base)
+            self._refuse_negative_cycle(accum, step_phase)
         return accum
 
     def _closure_packed(
@@ -560,8 +524,7 @@ class EngineSession:
         loop: ``BOOLEAN.add`` thresholds its operands, so OR-ing packed
         0/1 data commutes with packing, and the packed pipeline charges the
         unpacked path's exact phase costs.  Dispatched from
-        :meth:`closure`; the per-product baseline is reachable with
-        ``packed_closure=False``.
+        :meth:`closure` for every Boolean closure on the §2.1 engine.
         """
         n = self.n
         base_p = pack_bool_matrix(base, n)
@@ -584,14 +547,39 @@ class EngineSession:
             accum_p = squared
         return unpack_bool_matrix(accum_p, n)
 
+    def _refuse_negative_cycle(self, accum: np.ndarray, phase: str) -> None:
+        """Refuse a diagonal entry that strictly beats the semiring's one.
+
+        A closed walk better than staying put is a negative-weight cycle
+        under min-plus (a diagonal entry below ``0``); under max-min nothing
+        beats the ``INF`` self-capacity, so it never fires there.
+        """
+        semiring: Semiring = self.algebra  # type: ignore[assignment]
+        if semiring.has_witnesses and np.any(
+            semiring.improves(np.diagonal(accum), semiring.one_value)
+        ):
+            raise NegativeCycleError(
+                f"negative-weight cycle detected in {phase}: a "
+                f"{semiring.name} diagonal entry beats the identity "
+                f"{semiring.one_value}"
+            )
+
     # ------------------------------------------------------------------ #
-    # Persistent selection-semiring state (resident min-plus closures)
+    # Persistent selection-semiring state (the witnessed closure)
     # ------------------------------------------------------------------ #
 
     @property
     def resident(self) -> ResidentClosure | None:
-        """The resident closure state, or ``None`` before seeding."""
+        """The resident closure state, or ``None`` before seeding.
+
+        Assigning a previously held :class:`ResidentClosure` reinstates it
+        (how a rejected delta rebuild rolls back).
+        """
         return self._resident
+
+    @resident.setter
+    def resident(self, state: ResidentClosure | None) -> None:
+        self._resident = state
 
     def seed_resident(
         self, matrix: np.ndarray, *, next_hop: np.ndarray | None = None
@@ -599,14 +587,14 @@ class EngineSession:
         """Install ``matrix`` (and routing table) as resident session state.
 
         Selection semirings with witnesses on the semiring/naive engines
-        only -- the same binding rule as ``closure(with_witnesses=True)``.
-        The matrix is copied into a session-owned ``n x n`` int64 buffer;
-        when ``next_hop`` is omitted, the default routing seed of
-        :func:`repro.distances.apsp.apsp_exact` is built (finite
-        off-diagonal entries route to their column, the diagonal to
-        itself).  Pass ``next_hop`` to restore previously closed state
-        (e.g. re-hydrating a serve artifact for delta updates); it is
-        copied too.  Replaces any prior resident state.
+        only.  The matrix is copied into a session-owned ``n x n`` int64
+        buffer.  When ``next_hop`` is omitted, the Corollary 6 routing seed
+        is built -- the only place it is: every entry that beats the
+        semiring's zero (a finite weight, a usable capacity) routes to its
+        column, the diagonal to itself.  Pass ``next_hop`` to restore
+        previously closed state (e.g. re-hydrating a serve artifact for
+        delta updates); it is copied too.  Replaces any prior resident
+        state; the previous :class:`ResidentClosure` object is left intact.
         """
         if self._ring is not None:
             raise EngineBindingError(
@@ -643,13 +631,13 @@ class EngineSession:
         return self._resident
 
     def resident_square(self, *, phase: str = "resident/square") -> bool:
-        """One witness squaring of the resident state, merged in place.
+        """One witnessed squaring merged into the resident state.
 
-        Runs the exact step of the ``with_witnesses`` closure loop --
-        square, arg-select witness merge, routing-table gather -- against
-        the resident arrays, so the round/word charges are bit-identical
-        to :meth:`closure` feeding the same matrix.  Returns whether any
-        entry improved (the fixed-point signal delta maintenance uses).
+        Square, arg-select witness merge and the Corollary 6 routing update
+        ``R[u, v] <- R[u, Q[u, v]]`` on every improved entry -- row ``u`` of
+        ``R``, ``Q`` and the new distances all live at node ``u``, so the
+        update costs no communication.  Returns whether any entry improved
+        (the fixed-point signal delta maintenance uses).
         """
         state = self._resident
         if state is None:
@@ -662,7 +650,12 @@ class EngineSession:
         rows, cols = np.nonzero(improved)
         mids = witness[rows, cols]
         state.next_hop[rows, cols] = state.next_hop[rows, mids]
-        np.copyto(state.dist, squared, where=improved)
+        # Merge into the fresh product and adopt it as the resident matrix
+        # (products are always freshly allocated).  Releasing the older
+        # matrix rather than the newer one also keeps the allocator from
+        # trimming and re-faulting the kernel's scratch pages every step.
+        np.copyto(squared, state.dist, where=~improved)
+        state.dist = squared
         state.squarings += 1
         state.generation += 1
         return bool(rows.size)
@@ -671,28 +664,26 @@ class EngineSession:
         self,
         *,
         steps: int | None = None,
-        on_step: Callable[[int, np.ndarray], np.ndarray | None] | None = None,
         phase: str = "closure",
         step_label: str = "sq",
     ) -> np.ndarray:
         """Square the resident state to closure; returns the resident matrix.
 
-        The loop, phase labels and witness merges match
-        ``closure(with_witnesses=True, ...)`` step for step, so rounds and
-        meters are bit-identical -- only the accumulator's home differs
-        (session-resident instead of caller-owned).  The returned array *is*
-        ``self.resident.dist``; copy before mutating outside the session.
+        The one witnessed closure loop (Corollary 6): squaring ``i`` runs
+        :meth:`resident_square` charged as ``{phase}/{step_label}{i}``,
+        then the negative-cycle refusal of :meth:`closure`.  The returned
+        array *is* ``self.resident.dist``; copy before mutating outside the
+        session, and read routing tables via
+        :meth:`ResidentClosure.routing_table`.
         """
         state = self._resident
         if state is None:
             raise RuntimeError("no resident state; call seed_resident first")
         steps = default_steps(self.n) if steps is None else steps
         for step in range(steps):
-            self.resident_square(phase=f"{phase}/{step_label}{step}")
-            if on_step is not None:
-                replaced = on_step(step, state.dist)
-                if replaced is not None:
-                    np.copyto(state.dist, replaced)
+            step_phase = f"{phase}/{step_label}{step}"
+            self.resident_square(phase=step_phase)
+            self._refuse_negative_cycle(state.dist, step_phase)
         return state.dist
 
     def drop_resident(self) -> None:
@@ -710,7 +701,6 @@ def open_session(
     threads: int = 1,
     mode: ScheduleMode = ScheduleMode.FAST,
     word_bits: int | None = None,
-    packed_closure: bool = True,
     fault_plan=None,
     fault_tolerance: int | None = None,
     cost_model=None,
@@ -723,7 +713,6 @@ def open_session(
 
     Args:
         threads: kernel-tile threads (``1`` keeps serial tiles).
-        packed_closure: see :class:`EngineSession`.
         fault_plan / fault_tolerance: see
             :func:`make_clique` -- only valid when the session builds the
             clique (an explicit ``clique`` already fixed its fault layer).
@@ -754,8 +743,7 @@ def open_session(
             "(the given clique already has an executor)"
         )
     return EngineSession(
-        clique, method, algebra, algorithm=algorithm,
-        cost_model=cost_model, packed_closure=packed_closure,
+        clique, method, algebra, algorithm=algorithm, cost_model=cost_model
     )
 
 

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from repro.constants import INF
-from repro.errors import FaultToleranceExceeded, NegativeCycleError
+from repro.errors import FaultToleranceExceeded
 from repro.graphs.graphs import Graph
 from repro.runtime import pad_matrix
 
@@ -188,17 +188,8 @@ class ClosureArtifact:
 
         mark = session.meter.snapshot()
         session.seed_resident(pad_matrix(weights, session.n, fill=INF))
-
-        def check_diagonal(step: int, accum: np.ndarray) -> None:
-            if np.any(np.diag(accum) < 0):
-                raise NegativeCycleError(
-                    "negative-weight cycle detected while building artifact"
-                )
-
         try:
-            session.resident_closure(
-                steps=steps, on_step=check_diagonal, phase="serve/build"
-            )
+            session.resident_closure(steps=steps, phase="serve/build")
         except FaultToleranceExceeded as exc:
             manifest["status"] = "degraded"
             manifest["error"] = str(exc)
@@ -242,11 +233,9 @@ class ClosureArtifact:
         manifest["rounds"] = session.meter.rounds_since(mark)
         manifest["squarings"] = state.squarings
 
-        hops = np.array(state.next_hop[:n, :n])
-        np.fill_diagonal(hops, -1)
         blocks = {
             "dist": np.ascontiguousarray(state.dist[:n, :n]),
-            "next_hop": np.ascontiguousarray(hops),
+            "next_hop": state.routing_table(n),
             "weights": np.ascontiguousarray(weights, dtype=np.int64),
         }
         manifest["blocks"] = {}

@@ -36,9 +36,10 @@ rode the changed edge, which the resident state cannot detect locally;
 :func:`apply_edge_updates` then falls back to a full resident rebuild
 from the updated weights.  Negative-weight updates are allowed; a
 negative cycle created by an update raises
-:class:`~repro.errors.NegativeCycleError`, detected on the hub-closure /
-candidate diagonals before the resident closure is mutated (the weight
-matrix does already carry the updates at that point).
+:class:`~repro.errors.NegativeCycleError` -- on the hub-closure / candidate
+diagonals in the fast arm, in the resident closure loop in the rebuild
+arm -- and a rejected update leaves the caller's weights and resident
+closure exactly as they were.
 """
 
 from __future__ import annotations
@@ -163,28 +164,38 @@ def apply_edge_updates(
         (u, v, w) for (u, v), w in merged.items() if w > weights[u, v]
     ]
     # Write the updates into the weight matrix (both triangle entries for
-    # undirected graphs -- the closure is over the symmetric matrix).
-    weight_rows: set[int] = set()
+    # undirected graphs -- the closure is over the symmetric matrix),
+    # remembering each overwritten entry so a rejected update can restore it.
+    previous_weights: dict[tuple[int, int], int] = {}
     for (u, v), w in merged.items():
-        weights[u, v] = w
-        weight_rows.add(u)
-        if not directed:
-            weights[v, u] = w
-            weight_rows.add(v)
+        for entry in [(u, v)] if directed else [(u, v), (v, u)]:
+            previous_weights.setdefault(entry, int(weights[entry]))
+            weights[entry] = w
+    weight_rows = {u for u, _ in previous_weights}
 
     dirty = np.unique(
         np.array([e for uv in merged for e in uv], dtype=np.int64)
     )
-    if increases or force_rebuild:
-        reason = (
-            "forced"
-            if force_rebuild and not increases
-            else f"{len(increases)} weight increase(s)/deletion(s)"
-        )
-        report = _rebuild(session, weights, len(merged), dirty.size, reason)
-        touched_rows = np.arange(n, dtype=np.int64)
-    else:
-        report, touched_rows = _delta(session, weights, dirty, len(merged))
+    try:
+        if increases or force_rebuild:
+            reason = (
+                "forced"
+                if force_rebuild and not increases
+                else f"{len(increases)} weight increase(s)/deletion(s)"
+            )
+            report = _rebuild(session, weights, len(merged), dirty.size, reason)
+            touched_rows = np.arange(n, dtype=np.int64)
+        else:
+            report, touched_rows = _delta(session, weights, dirty, len(merged))
+    except BaseException:
+        # A rejected update (a negative cycle, a fault budget exceeded)
+        # leaves the caller's state as it was: the overwritten weights come
+        # back, and so does the resident closure the rebuild arm replaced
+        # (seed_resident builds a new object, so the old one is intact).
+        for entry, w in previous_weights.items():
+            weights[entry] = w
+        session.resident = state
+        raise
     if artifact is not None:
         state = session.resident
         artifact.commit_update(
@@ -205,14 +216,7 @@ def _rebuild(
     """The fallback arm: full resident re-closure from the new weights."""
     mark = session.meter.snapshot()
     session.seed_resident(weights)
-
-    def check_diagonal(step: int, accum: np.ndarray) -> None:
-        if np.any(np.diag(accum) < 0):
-            raise NegativeCycleError(
-                "negative-weight cycle detected during delta rebuild"
-            )
-
-    session.resident_closure(on_step=check_diagonal, phase="serve/delta-rebuild")
+    session.resident_closure(phase="serve/delta-rebuild")
     return DeltaReport(
         mode="rebuild",
         updates=updates,

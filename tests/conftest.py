@@ -5,6 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.algebra.semirings import BOOLEAN
+from repro.engine import default_steps
+
 
 @pytest.fixture
 def rng() -> np.random.Generator:
@@ -24,3 +27,26 @@ def random_demand(
                 continue
             demand[(u, v)] = demand.get((u, v), 0) + int(rng.integers(1, max_width + 1))
     return demand
+
+
+def per_product_boolean_closure(
+    session,
+    matrix: np.ndarray,
+    *,
+    absorb: str = "accum",
+    steps: int | None = None,
+) -> np.ndarray:
+    """A Boolean closure run one unpacked product at a time.
+
+    The oracle for the session's bit-packed closure: ``session.square``
+    then ``BOOLEAN.add`` per step, charged under ``closure()``'s default
+    phase labels, so values, rounds and every phase cost must match the
+    packed loop.
+    """
+    base = np.asarray(matrix, dtype=np.int64)
+    accum = base
+    steps = default_steps(session.n) if steps is None else steps
+    for step in range(steps):
+        squared = session.square(accum, phase=f"closure/sq{step}")
+        accum = BOOLEAN.add(squared, accum if absorb == "accum" else base)
+    return accum

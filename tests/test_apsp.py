@@ -79,6 +79,34 @@ class TestExactApsp:
         assert np.array_equal(result.value, apsp_reference(g))
         assert validate_routing_table(g, result.value, result.extras["next_hop"])
 
+    @pytest.mark.parametrize(
+        "with_routing_tables,rounds,words",
+        [(True, 194, 59_886), (False, 164, 50_166)],
+    )
+    def test_bill_is_pinned(self, with_routing_tables, rounds, words):
+        """Routing tables ride the session's resident closure and cost
+        witness words; the plain closure ships none.  Both bills were
+        measured on the caller-matrix witness loop the resident one
+        replaced."""
+        g = random_weighted_graph(27, 0.3, max_weight=9, seed=0)
+        result = apsp_exact(g, with_routing_tables=with_routing_tables)
+        phases = result.meter.phases
+        assert (result.rounds, result.meter.words, len(phases)) == (
+            rounds, words, 10
+        )
+        assert [p.phase for p in phases] == [
+            f"apsp/square{i}/{step}"
+            for i in range(5)
+            for step in ("step1-distribute", "step3-recombine")
+        ]
+        assert np.array_equal(result.value, apsp_reference(g))
+        if with_routing_tables:
+            assert validate_routing_table(
+                g, result.value, result.extras["next_hop"]
+            )
+        else:
+            assert "next_hop" not in result.extras
+
 
 class TestSeidel:
     @settings(max_examples=8, deadline=None)

@@ -73,6 +73,25 @@ class TestBottleneckApsp:
                 g, result.value, result.extras["next_hop"]
             )
 
+    def test_routed_bill_is_pinned(self):
+        """Measured on the caller-matrix witness loop the session's
+        resident closure replaced."""
+        g = random_weighted_graph(27, 0.3, max_weight=9, seed=0)
+        result = apsp_bottleneck(g, with_routing_tables=True)
+        phases = result.meter.phases
+        assert (result.rounds, result.meter.words, len(phases)) == (
+            364, 78_030, 10
+        )
+        assert [p.phase for p in phases] == [
+            f"bottleneck/square{i}/{step}"
+            for i in range(5)
+            for step in ("step1-distribute", "step3-recombine")
+        ]
+        assert np.array_equal(result.value, bottleneck_reference(g))
+        assert validate_bottleneck_routing(
+            g, result.value, result.extras["next_hop"]
+        )
+
     def test_grid_capacities(self):
         g = grid_graph(3, 4, max_weight=9, seed=5)
         result = apsp_bottleneck(g)

@@ -83,6 +83,7 @@ class TestFailureSweep:
         (["mst", "10", "--p", "-1"], "got -1.0"),
         (["build-artifact", "10", "{art}-new", "--p", "3"], "got 3.0"),
         (["four-cycles", "10", "--degree", "-3"], "--degree must be >= 0"),
+        (["four-cycles", "10", "--degree", "50"], "--degree must be <= n=10"),
         (["girth", "20", "--family", "dense", "--trials", "0"], "--trials must"),
         (["girth", "20", "--trials", "-2"], "got -2"),
         (["serve", "{art}", "--window", "-1"], "--window must be >= 0"),
@@ -181,6 +182,18 @@ class TestBoundedTypes:
             build_parser().parse_args(argv)
         assert excinfo.value.code == 2
         assert named in capsys.readouterr().err
+
+    def test_degree_n_endpoint_runs(self, capsys):
+        """``--degree`` is bounded by n once n is known: ``--degree n``
+        (edge probability 1) runs, one above it is a usage error."""
+        assert main(["four-cycles", "10", "--degree", "10"]) == 0
+        assert "verified against centralised oracle: True" in (
+            capsys.readouterr().out
+        )
+        with pytest.raises(SystemExit) as excinfo:
+            main(["four-cycles", "10", "--degree", "10.5"])
+        assert excinfo.value.code == 2
+        assert "got 10.5" in capsys.readouterr().err
 
 
 class TestEngineValidation:

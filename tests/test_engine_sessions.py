@@ -22,6 +22,7 @@ from repro.engine import (
     open_session,
     required_clique_size,
 )
+from repro.errors import NegativeCycleError
 from repro.matmul.bilinear_clique import bilinear_matmul, grid_plan
 from repro.matmul.distance import RingDistanceSession
 from repro.matmul.naive import broadcast_matmul
@@ -169,12 +170,59 @@ class TestIteratedSquaring:
         reference = closure(CongestedClique(16), a, BOOLEAN, method="naive")
         assert np.array_equal(bool_closure, reference)
 
-    def test_closure_witness_path_needs_next_hop(self):
-        session = EngineSession(CongestedClique(27), "semiring", MIN_PLUS)
-        with pytest.raises(ValueError, match="next_hop"):
-            session.closure(
-                np.zeros((27, 27), dtype=np.int64), with_witnesses=True
-            )
+
+class TestOneWitnessedClosure:
+    """Routing tables come only from the resident loop; the plain closure
+    keeps no witness, hook or packing switch, and both loops refuse
+    negative cycles by naming the squaring that exposed one."""
+
+    def test_removed_closure_options_are_type_errors(self):
+        session = EngineSession(CongestedClique(8), "semiring", MIN_PLUS)
+        zeros = np.zeros((8, 8), dtype=np.int64)
+        with pytest.raises(TypeError):
+            session.closure(zeros, with_witnesses=True)
+        with pytest.raises(TypeError):
+            session.closure(zeros, on_step=lambda step, accum: None)
+        session.seed_resident(zeros)
+        with pytest.raises(TypeError):
+            session.resident_closure(on_step=lambda step, accum: None)
+        with pytest.raises(TypeError):
+            open_session(8, "semiring", BOOLEAN, packed_closure=False)
+
+    @staticmethod
+    def _negative_eight_cycle():
+        """A directed 8-cycle of unit edges, one set to -20 (total -13)."""
+        w = np.full((8, 8), INF, dtype=np.int64)
+        np.fill_diagonal(w, 0)
+        for u in range(8):
+            w[u, (u + 1) % 8] = 1
+        w[7, 0] = -20
+        return w
+
+    def test_generic_min_plus_closure_refuses_negative_cycle(self):
+        with pytest.raises(NegativeCycleError, match="closure/sq2"):
+            closure(CongestedClique(8), self._negative_eight_cycle(), MIN_PLUS)
+
+    def test_session_closures_refuse_negative_cycle(self):
+        w = self._negative_eight_cycle()
+        session = EngineSession(CongestedClique(8), "semiring", MIN_PLUS)
+        with pytest.raises(NegativeCycleError, match="cyc/sq2"):
+            session.closure(w, phase="cyc")
+        session.seed_resident(w)
+        with pytest.raises(NegativeCycleError, match="cyc/res2"):
+            session.resident_closure(phase="cyc", step_label="res")
+
+    def test_max_min_closures_never_refuse(self):
+        """Nothing beats the INF self-capacity, so no cycle is refused."""
+        rng = np.random.default_rng(3)
+        cap = rng.integers(-5, 30, (8, 8), dtype=np.int64)
+        np.fill_diagonal(cap, INF)
+        session = EngineSession(CongestedClique(8), "semiring", MAX_MIN)
+        plain = session.closure(cap)
+        session.seed_resident(cap)
+        resident = session.resident_closure()
+        assert np.array_equal(plain, resident)
+        assert (np.diagonal(resident) == INF).all()
 
 
 class TestPlanCaching:

@@ -39,6 +39,7 @@ from repro.graphs import (
     random_weighted_graph,
 )
 from repro.matmul.semiring3d import cube_plan, semiring_matmul
+from tests.conftest import per_product_boolean_closure
 
 
 # --------------------------------------------------------------------- #
@@ -164,8 +165,8 @@ class TestPersistentPackedClosure:
             pc = packed.closure(a)
             packed_rounds = packed.rounds
             packed_phases = list(packed.meter.phases)
-        with open_session(n, "semiring", BOOLEAN, packed_closure=False) as plain:
-            uc = plain.closure(a)
+        with open_session(n, "semiring", BOOLEAN) as plain:
+            uc = per_product_boolean_closure(plain, a)
             assert packed_rounds == plain.rounds
             assert packed_phases == plain.meter.phases
         assert np.array_equal(pc, uc)
@@ -427,11 +428,12 @@ class TestArenaBackedEngine:
 
 
 class TestResidentMinPlus:
-    """PR 8 extends gen-3's persistence to the selection semirings: a
-    min-plus closure kept session-resident between squarings (the state
-    the serve/delta layer maintains) must be invisible next to the
-    caller-matrix witness closure -- same values, same routing table,
-    same rounds, same meter entries."""
+    """Gen-3's persistence extended to the selection semirings: a closure
+    kept session-resident between squarings (the state the serve/delta
+    layer maintains) is the one witnessed closure loop.  It must equal the
+    centralised oracles, route along best paths, and bill the pinned
+    rounds and phase costs, which were recorded from the caller-matrix
+    witness loop it replaced."""
 
     @staticmethod
     def _seed(session, graph):
@@ -445,32 +447,71 @@ class TestResidentMinPlus:
         np.fill_diagonal(hops, np.arange(session.n))
         return dist, hops
 
-    @settings(max_examples=10, deadline=None)
-    @given(st.integers(min_value=0, max_value=10**6))
-    def test_resident_closure_matches_caller_matrix_closure(self, seed):
-        from repro.engine import open_session
+    @staticmethod
+    def _phase_costs(session):
+        return [(p.phase, p.rounds, p.words) for p in session.meter.phases]
 
-        rng = np.random.default_rng(seed)
-        n = int(rng.choice([8, 19]))
-        density = float(rng.choice([0.1, 0.3, 0.7]))
+    @staticmethod
+    def _expected_costs(squarings):
+        """Per squaring (distribute rounds/words, recombine rounds/words)."""
+        costs = []
+        for i, (dr, dw, rr, rw) in enumerate(squarings):
+            costs.append((f"closure/sq{i}/step1-distribute", dr, dw))
+            costs.append((f"closure/sq{i}/step3-recombine", rr, rw))
+        return costs
+
+    #: (n, edge probability, graph seed) -> (rounds, per-squaring costs).
+    PINNED = {
+        (8, 0.1, 0): (
+            132,
+            [(28, 832, 16, 468), (28, 760, 16, 432), (28, 604, 16, 372)],
+        ),
+        (8, 0.7, 1): (
+            66,
+            [(28, 748, 10, 216), (8, 208, 6, 192), (8, 208, 6, 192)],
+        ),
+        (19, 0.3, 2): (
+            370,
+            [
+                (46, 16200, 28, 9693),
+                (46, 14283, 28, 7506),
+                (46, 10503, 28, 6993),
+                (46, 10503, 28, 6993),
+                (46, 10503, 28, 6993),
+            ],
+        ),
+        (19, 0.7, 3): (
+            370,
+            [
+                (46, 15930, 28, 7965),
+                (46, 10503, 28, 6993),
+                (46, 10503, 28, 6993),
+                (46, 10503, 28, 6993),
+                (46, 10503, 28, 6993),
+            ],
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED), ids=str)
+    def test_resident_closure_matches_reference_and_pinned_bill(self, case):
+        from repro.engine import open_session
+        from repro.graphs import validate_routing_table
+
+        n, density, seed = case
+        rounds, squarings = self.PINNED[case]
         graph = random_weighted_graph(n, density, max_weight=40, seed=seed)
-        with open_session(n, "semiring", MIN_PLUS) as caller:
-            dist, hops = self._seed(caller, graph)
-            out = caller.closure(dist, with_witnesses=True, next_hop=hops)
-            caller_rounds = caller.rounds
-            caller_phases = list(caller.meter.phases)
-        with open_session(n, "semiring", MIN_PLUS) as resident:
-            seed_dist, seed_hops = self._seed(resident, graph)
-            state = resident.seed_resident(seed_dist)
+        with open_session(n, "semiring", MIN_PLUS) as session:
+            seed_dist, seed_hops = self._seed(session, graph)
+            state = session.seed_resident(seed_dist)
             # The default routing seed is exactly the apsp_exact seed.
             assert np.array_equal(state.next_hop, seed_hops)
-            got = resident.resident_closure()
+            got = session.resident_closure()
             assert got is state.dist
-            assert resident.rounds == caller_rounds
-            assert list(resident.meter.phases) == caller_phases
-            assert np.array_equal(got, out)
-            assert np.array_equal(state.next_hop, hops)
-        assert np.array_equal(got[:n, :n], apsp_reference(graph))
+            assert session.rounds == rounds
+            assert self._phase_costs(session) == self._expected_costs(squarings)
+            dist = got[:n, :n]
+            assert np.array_equal(dist, apsp_reference(graph))
+            assert validate_routing_table(graph, dist, state.routing_table(n))
 
     def test_resident_square_reaches_fixed_point(self):
         from repro.engine import open_session
@@ -488,25 +529,27 @@ class TestResidentMinPlus:
             assert not session.resident_square()
             assert np.array_equal(session.resident.dist, before)
 
-    def test_max_min_resident_closure_matches_caller_matrix(self):
+    def test_max_min_resident_closure_matches_reference_and_pinned_bill(self):
         """The resident path is semiring-generic: bottleneck works too."""
         from repro.engine import open_session
+        from repro.graphs import Graph
 
         rng = np.random.default_rng(9)
         n = 8  # perfect cube: the session matrices stay n x n
         a = rng.integers(0, 30, (n, n), dtype=np.int64)
         np.fill_diagonal(a, INF)
-        with open_session(n, "semiring", MAX_MIN) as caller:
-            hops = np.arange(n, dtype=np.int64) * np.ones((n, n), np.int64)
-            cap = caller.closure(
-                a.copy(), with_witnesses=True, next_hop=hops.copy()
+        graph = Graph(
+            n, 1 - np.eye(n, dtype=np.int64), directed=True, weights=a
+        )
+        with open_session(n, "semiring", MAX_MIN) as session:
+            state = session.seed_resident(a)
+            got = session.resident_closure()
+            assert session.rounds == 120
+            assert self._phase_costs(session) == self._expected_costs(
+                [(24, 520, 16, 264)] * 3
             )
-            caller_rounds = caller.rounds
-        with open_session(n, "semiring", MAX_MIN) as resident:
-            resident.seed_resident(a)
-            got = resident.resident_closure()
-            assert resident.rounds == caller_rounds
-            assert np.array_equal(got, cap)
+        assert np.array_equal(got, bottleneck_reference(graph))
+        assert validate_bottleneck_routing(graph, got, state.routing_table(n))
 
     def test_resident_binding_rules(self):
         from repro.engine import EngineBindingError, EngineSession, open_session

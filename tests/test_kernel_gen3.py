@@ -49,6 +49,7 @@ from repro.matmul.semiring3d import (
     semiring_matmul,
     unpack_bool_matrix,
 )
+from tests.conftest import per_product_boolean_closure
 
 
 def _phases(clique):
@@ -303,13 +304,15 @@ class TestPackedPipeline:
 # --------------------------------------------------------------------- #
 
 
-def _closure_pair(n, matrix, *, absorb="accum", steps=None, **kwargs):
-    with open_session(n, "semiring", BOOLEAN, **kwargs) as packed:
+def _closure_pair(n, matrix, *, absorb="accum", steps=None):
+    with open_session(n, "semiring", BOOLEAN) as packed:
         pc = packed.closure(matrix, absorb=absorb, steps=steps)
         packed_rounds = packed.rounds
         packed_phases = _phases(packed.clique)
-    with open_session(n, "semiring", BOOLEAN, packed_closure=False) as plain:
-        uc = plain.closure(matrix, absorb=absorb, steps=steps)
+    with open_session(n, "semiring", BOOLEAN) as plain:
+        uc = per_product_boolean_closure(
+            plain, matrix, absorb=absorb, steps=steps
+        )
         plain_rounds = plain.rounds
         plain_phases = _phases(plain.clique)
     return pc, uc, (packed_rounds, packed_phases), (plain_rounds, plain_phases)
@@ -363,23 +366,6 @@ class TestPackedClosure:
             out = session.closure(a, steps=0)
         assert np.array_equal(out, a)
 
-    def test_on_step_hook_disables_packed_path(self):
-        """The packed loop cannot surface intermediate accumulators, so a
-        hook must fall back to the unpacked loop -- and still see 0/1
-        accumulators each step."""
-        rng = np.random.default_rng(8)
-        n = 8
-        a = (rng.random((n, n)) < 0.3).astype(np.int64)
-        seen = []
-        with open_session(n, "semiring", BOOLEAN) as session:
-            hooked = session.closure(
-                a, on_step=lambda step, accum: seen.append(step) or None
-            )
-        with open_session(n, "semiring", BOOLEAN) as session:
-            plain = session.closure(a)
-        assert seen == list(range(len(seen))) and len(seen) >= 1
-        assert np.array_equal(hooked, plain)
-
     @pytest.mark.parametrize("threads", [2, 3])
     def test_thread_counts(self, threads):
         rng = np.random.default_rng(10 + threads)
@@ -412,8 +398,8 @@ class TestPackedClosure:
             assert robust.faults_injected > 0
         with open_session(n, "semiring", BOOLEAN) as session:
             ref = session.closure(a)
-        with open_session(n, "semiring", BOOLEAN, packed_closure=False) as session:
-            unpacked_ref = session.closure(a)
+        with open_session(n, "semiring", BOOLEAN) as session:
+            unpacked_ref = per_product_boolean_closure(session, a)
         assert np.array_equal(got, ref)
         assert np.array_equal(got, unpacked_ref)
 

@@ -500,16 +500,27 @@ class TestDelta:
             session.resident.dist[:10, :10], apsp_reference(graph)
         )
 
-    def test_negative_cycle_rejected_before_mutation(self):
+    @pytest.mark.parametrize("force_rebuild", [False, True], ids=["delta", "rebuild"])
+    def test_negative_cycle_rejected_before_mutation(self, force_rebuild):
+        """A rejected update leaves the caller's weights and the resident
+        closure (generation included) exactly as they were, in both arms."""
         graph = random_weighted_graph(10, 0.5, max_weight=15, seed=7)
         session, weights = _closed_session(graph)
-        before = session.resident.dist.copy()
-        hops_before = session.resident.next_hop.copy()
+        state = session.resident
+        before = state.dist.copy()
+        hops_before = state.next_hop.copy()
+        generation = state.generation
+        weights_before = weights.copy()
         with pytest.raises(NegativeCycleError):
             # An undirected negative edge is a negative 2-cycle.
-            apply_edge_updates(session, weights, [(0, 1, -5)])
-        assert np.array_equal(session.resident.dist, before)
-        assert np.array_equal(session.resident.next_hop, hops_before)
+            apply_edge_updates(
+                session, weights, [(0, 1, -5)], force_rebuild=force_rebuild
+            )
+        assert session.resident is state
+        assert np.array_equal(state.dist, before)
+        assert np.array_equal(state.next_hop, hops_before)
+        assert state.generation == generation
+        assert np.array_equal(weights, weights_before)
 
     def test_update_validation(self):
         graph = random_weighted_graph(8, 0.5, max_weight=10, seed=8)
