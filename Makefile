@@ -19,7 +19,7 @@ perf-report: ## kernel + messaging perf report -> BENCH_matmul.json
 bench-check: ## fail if a quick perf run regresses >25% vs committed BENCH_matmul.json
 	$(PY) benchmarks/bench_check.py
 
-bench-quick: ## gate-sized rows only (kernel_gate/bilinear/boolean/kernel2/kernel3/spanning/faults/serve/netsim) -- the CI fast lane
+bench-quick: ## gate-sized rows only (kernel_gate/boolean/kernel2/kernel3/spanning/faults/serve/netsim) -- the CI fast lane
 	$(PY) benchmarks/bench_check.py --gate-only
 
 table1:      ## the consolidated measured Table 1

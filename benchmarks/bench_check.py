@@ -8,8 +8,8 @@ Usage::
 
 Runs :func:`perf_report.build_report` in ``--quick`` mode and compares every
 row that has a ``speedup`` field and the *same problem size* as the committed
-baseline (the engine sections run at ``n = 256`` in every mode precisely so
-they are always comparable; the kernel rows only gate when the quick size
+baseline (the fixed-size sections run at one size in every mode precisely
+so they are always comparable; the kernel rows only gate when the quick size
 matches).  Speedup ratios are compared rather than raw seconds so the gate is
 robust to absolute machine speed; a row fails when its current speedup drops
 below ``(1 - TOLERANCE)`` of the committed one.  Reuse rows
@@ -70,8 +70,8 @@ REUSE_NOISE_FLOOR = 1.05
 #: Sections whose rows carry comparable ``speedup`` fields.  The headline
 #: "kernel" section only matches when the quick size equals the committed
 #: one; "kernel_gate" runs at n=128 in every mode and "kernel2" at fixed
-#: sizes in every mode, so those are always gated alongside the n=256
-#: engine sections.  In "sessions", the fixed-size ``witness_kernel`` row
+#: sizes in every mode, so those are always gated alongside the other
+#: fixed-size sections.  In "sessions", the fixed-size ``witness_kernel`` row
 #: carries a plain ``speedup`` field, the APSP and girth session rows gate
 #: their round bills when sizes match, and the ``plan_cache`` reuse row is
 #: gated with :data:`REUSE_TOLERANCE`.  In
@@ -82,7 +82,6 @@ REUSE_NOISE_FLOOR = 1.05
 SECTIONS = (
     "kernel",
     "kernel_gate",
-    "bilinear",
     "boolean_product",
     "kernel2",
     "kernel3",
@@ -217,7 +216,7 @@ def main(argv: list[str] | None = None) -> int:
         "--gate-only",
         action="store_true",
         help="run only the fixed-size gateable sections (the bench-quick "
-        "lane: kernel_gate/bilinear/boolean_product/kernel2/kernel3/"
+        "lane: kernel_gate/boolean_product/kernel2/kernel3/"
         "spanning/faults, no heavy end-to-end rows)",
     )
     args = parser.parse_args(argv)

@@ -14,9 +14,6 @@ Times four layers and writes ``BENCH_matmul.json``:
   kernel (retained as ``cube_matmul_with_witness``), at ``n ~ 512``.  The
   seed implemented *both* ``matmul`` and ``matmul_with_witness`` via the
   cube kernel, so it is the baseline for both entry points.
-* **Bilinear engine** -- the array-native §2.2 engine against the retained
-  per-payload tuple formulation (``bilinear_matmul_tuple``), at ``n = 256``
-  in every mode so ``make bench-check`` can gate it.
 * **Boolean product** -- the blocked (``float32`` GEMM) Boolean kernel
   against the retained cube-materialising ``cube_matmul`` baseline, at
   ``n = 512``.
@@ -93,7 +90,6 @@ from repro.distances.apsp import apsp_exact
 from repro.distances.girth import girth_directed
 from repro.graphs.generators import random_weighted_graph
 from repro.graphs.graphs import Graph
-from repro.matmul.bilinear_clique import bilinear_matmul, bilinear_matmul_tuple
 from repro.matmul.naive import broadcast_matmul
 from repro.matmul.semiring3d import cube_plan, semiring_matmul
 
@@ -176,36 +172,6 @@ def kernel_section(n: int, reps: int) -> dict:
             "speedup": round(cube_s / witness_s, 2),
         }
     return section
-
-
-def bilinear_section(n: int, reps: int) -> dict:
-    """Array-native §2.2 engine vs the retained tuple-outbox formulation."""
-    rng = np.random.default_rng(3)
-    s = rng.integers(-9, 10, (n, n), dtype=np.int64)
-    t = rng.integers(-9, 10, (n, n), dtype=np.int64)
-
-    # Correctness + round-equivalence cross-check before timing anything.
-    array_clique = CongestedClique(n)
-    tuple_clique = CongestedClique(n)
-    p_array = bilinear_matmul(array_clique, s, t)
-    p_tuple = bilinear_matmul_tuple(tuple_clique, s, t)
-    assert np.array_equal(p_array, s @ t)
-    assert np.array_equal(p_tuple, p_array)
-    assert array_clique.rounds == tuple_clique.rounds
-
-    tuple_s = _best_of(
-        lambda: bilinear_matmul_tuple(CongestedClique(n), s, t), reps
-    )
-    array_s = _best_of(lambda: bilinear_matmul(CongestedClique(n), s, t), reps)
-    return {
-        "bilinear_engine": {
-            "n": n,
-            "rounds": array_clique.rounds,
-            "tuple_seconds": round(tuple_s, 4),
-            "array_seconds": round(array_s, 4),
-            "speedup": round(tuple_s / array_s, 2),
-        }
-    }
 
 
 def boolean_section(n: int, reps: int) -> dict:
@@ -1049,7 +1015,6 @@ def build_report(quick: bool, gate_only: bool = False) -> dict:
         if not gate_only and kernel_n == 128
         else kernel_section(128, reps)
     )
-    report["bilinear"] = bilinear_section(256, reps)
     # Fixed n=512 in every mode: at 256 the blocked kernel finishes in
     # ~0.5 ms and the speedup ratio is too noisy to gate on.
     report["boolean_product"] = boolean_section(512, reps)
@@ -1082,13 +1047,11 @@ def build_report(quick: bool, gate_only: bool = False) -> dict:
         reps=reps,
     )
     headline = report["kernel"]["min_plus_block_product"]
-    bilinear = report["bilinear"]["bilinear_engine"]
     boolean = report["boolean_product"]["boolean_block_product"]
     witness = report["sessions"]["witness_kernel"]
     kernel2 = report["kernel2"]
     report["headline"] = {
         "minplus_block_product_speedup": headline["speedup"],
-        "bilinear_engine_speedup": bilinear["speedup"],
         "boolean_block_product_speedup": boolean["speedup"],
         "witness_kernel_speedup": witness["speedup"],
         "batch_axis_witness_speedup": kernel2["batch_axis_witness"]["speedup"],
@@ -1108,7 +1071,6 @@ def build_report(quick: bool, gate_only: bool = False) -> dict:
         "engine_target_speedup": 3.0,
         "packed_boolean_target_speedup": 2.0,
         "meets_target": headline["speedup"] >= 5.0
-        and bilinear["speedup"] >= 3.0
         and boolean["speedup"] >= 3.0
         and kernel2["packed_boolean"]["speedup"] >= 2.0,
     }

@@ -17,17 +17,19 @@ The combinatorial algorithms the paper's Table 1 compares against:
   (``O(n^{3/2})`` words per node -> ``O(n^{1/2})`` rounds), and test each
   tuple locally with two rectangular co-degree products.
 
-These baselines give the benchmark harness its "prior work" round counts,
-so the crossovers in Table 1 are measured rather than asserted.
+Both ship their edge sets in one routed exchange
+(:func:`_distribute_slices`), so they run through the same collective, and
+on a fault-layer clique through the same fault seams, as every other
+algorithm.  These baselines give the benchmark harness its "prior work"
+round counts, so the crossovers in Table 1 are measured rather than
+asserted.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from repro.clique.messages import words_for_array
+from repro.clique.messages import block_widths
 from repro.clique.model import CongestedClique, ScheduleMode
 from repro.graphs.graphs import Graph
 from repro.runtime import RunResult, or_broadcast, sum_broadcast
@@ -36,6 +38,65 @@ from repro.runtime import RunResult, or_broadcast, sum_broadcast
 def _contiguous_groups(n: int, count: int) -> list[np.ndarray]:
     """Split ``0..n-1`` into ``count`` contiguous, nearly equal groups."""
     return [np.asarray(g, dtype=np.int64) for g in np.array_split(np.arange(n), count)]
+
+
+def _distribute_slices(
+    clique: CongestedClique,
+    adjacency: np.ndarray,
+    groups: list[np.ndarray],
+    tuple_pairs: list[tuple[tuple[int, int], ...]],
+    phase: str,
+) -> list[list[np.ndarray]]:
+    """Ship every group tuple's bipartite edge sets to its owner, in one route.
+
+    Tuple ``t`` is owned by node ``t % n`` (round-robin: node ``v`` handles
+    tuples ``v, v + n, ...``).  For each pair ``(ga, gb)`` in
+    ``tuple_pairs[t]``, every row owner ``u in V_ga`` ships its slice
+    ``A[u, V_gb]``: zero-padded to the largest group, charged
+    ``max(1, words_for_array(slice))`` on the unpadded slice, and tagged
+    with its ``(tuple, pair, row)`` slot.
+
+    Returns ``blocks`` with ``blocks[t][p]`` the ``(|V_ga|, |V_gb|)`` block
+    of pair ``p`` of tuple ``t``, reassembled from the slots the tuple's
+    owner received.
+    """
+    n = clique.n
+    g_max = max(len(g) for g in groups)
+    src, dst, widths, pieces = [], [], [], []
+    for t_idx, pairs in enumerate(tuple_pairs):
+        for ga, gb in pairs:
+            block = adjacency[np.ix_(groups[ga], groups[gb])]
+            piece = np.zeros((block.shape[0], g_max), dtype=np.int64)
+            piece[:, : block.shape[1]] = block
+            src.append(groups[ga])
+            dst.append(np.full(block.shape[0], t_idx % n, dtype=np.int64))
+            widths.append(np.maximum(1, block_widths(block, clique.word_bits)))
+            pieces.append(piece)
+    src_all = np.concatenate(src)
+    pieces_all = np.concatenate(pieces)
+    # Slot s is the s-th slice in (tuple, pair, row) order; grouping the
+    # slices by sender keeps that order within each node's batch.
+    slot = np.argsort(src_all, kind="stable")
+    cuts = np.cumsum(np.bincount(src_all, minlength=n))[:-1]
+    inboxes = clique.route_array(
+        np.split(np.concatenate(dst)[slot], cuts),
+        np.split(pieces_all[slot], cuts),
+        widths=np.split(np.concatenate(widths)[slot], cuts),
+        tags=np.split(slot, cuts),
+        phase=phase,
+        flat=True,
+    )
+    received = np.empty_like(pieces_all)
+    received[inboxes.tags] = inboxes.blocks
+    blocks: list[list[np.ndarray]] = []
+    start = 0
+    for pairs in tuple_pairs:
+        blocks.append([])
+        for ga, gb in pairs:
+            stop = start + len(groups[ga])
+            blocks[-1].append(received[start:stop, : len(groups[gb])])
+            start = stop
+    return blocks
 
 
 def dolev_triangle_count(
@@ -52,46 +113,20 @@ def dolev_triangle_count(
     q = max(1, round(n ** (1.0 / 3.0)))
     groups = _contiguous_groups(n, q)
     triples = [(i, j, k) for i in range(q) for j in range(q) for k in range(q)]
-    # Round-robin triple ownership: node v handles triples v, v + n, ...
-    owner = {t: idx % clique.n for idx, t in enumerate(triples)}
-
-    # Each row owner ships its row slice A[u, V_b] to every triple that
-    # needs the pair (group(u), b) in one of its three slots.
-    group_of = np.zeros(n, dtype=np.int64)
-    for g_idx, members in enumerate(groups):
-        group_of[members] = g_idx
-    a = graph.adjacency
-    outboxes: list[list[tuple[int, object, int]]] = [[] for _ in range(clique.n)]
-    for t_idx, t in enumerate(triples):
-        i, j, k = t
-        dest = owner[t]
-        for pair_tag, (ga, gb) in enumerate(((i, j), (j, k), (i, k))):
-            for u in groups[ga]:
-                piece = a[u][groups[gb]]
-                width = max(1, words_for_array(piece, clique.word_bits))
-                outboxes[int(u)].append(
-                    (dest, (t_idx, pair_tag, int(u), piece), width)
-                )
-    inboxes = clique.route(outboxes, phase="dolev-tri/distribute")
-
+    # The owner of triple (i, j, k) learns the three bipartite edge sets.
+    slices = _distribute_slices(
+        clique,
+        graph.adjacency,
+        groups,
+        [((i, j), (j, k), (i, k)) for i, j, k in triples],
+        "dolev-tri/distribute",
+    )
     local_counts = [0] * clique.n
-    for v in range(clique.n):
-        if not inboxes[v]:
-            continue
-        per_triple: dict[tuple[int, int], dict[int, np.ndarray]] = {}
-        for _src, (t_idx, pair_tag, u, piece) in inboxes[v]:
-            per_triple.setdefault((t_idx, pair_tag), {})[u] = piece
-        # Re-identify which triples this node owns and count each.
-        count = 0
-        for t_idx, t in enumerate(triples):
-            if owner[t] != v:
-                continue
-            i, j, k = t
-            ab = np.array([per_triple[(t_idx, 0)][int(u)] for u in groups[i]])
-            bc = np.array([per_triple[(t_idx, 1)][int(u)] for u in groups[j]])
-            ac = np.array([per_triple[(t_idx, 2)][int(u)] for u in groups[i]])
-            count += _count_ordered_triangles(groups[i], groups[j], groups[k], ab, bc, ac)
-        local_counts[v] = count
+    for t_idx, (i, j, k) in enumerate(triples):
+        ab, bc, ac = slices[t_idx]
+        local_counts[t_idx % clique.n] += _count_ordered_triangles(
+            groups[i], groups[j], groups[k], ab, bc, ac
+        )
     total = sum_broadcast(clique, local_counts, phase="dolev-tri/sum", words=3)
     return RunResult(
         value=total,
@@ -150,41 +185,21 @@ def dolev_four_cycle_detect(
         for k in range(r)
         for l in range(r)
     ]
-    owner = {t: idx % clique.n for idx, t in enumerate(tuples)}
-    a = graph.adjacency
-
-    outboxes: list[list[tuple[int, object, int]]] = [[] for _ in range(clique.n)]
-    for t_idx, t in enumerate(tuples):
-        i, j, k, l = t
-        dest = owner[t]
-        # The cycle's four bipartite edge sets: (i,j), (j,k), (k,l), (l,i).
-        for pair_tag, (ga, gb) in enumerate(((i, j), (j, k), (k, l), (l, i))):
-            for u in groups[ga]:
-                piece = a[u][groups[gb]]
-                width = max(1, words_for_array(piece, clique.word_bits))
-                outboxes[int(u)].append(
-                    (dest, (t_idx, pair_tag, int(u), piece), width)
-                )
-    inboxes = clique.route(outboxes, phase="dolev-c4/distribute")
-
+    # The cycle's four bipartite edge sets: (i,j), (j,k), (k,l), (l,i).
+    slices = _distribute_slices(
+        clique,
+        graph.adjacency,
+        groups,
+        [((i, j), (j, k), (k, l), (l, i)) for i, j, k, l in tuples],
+        "dolev-c4/distribute",
+    )
     found = [False] * clique.n
-    for v in range(clique.n):
-        if not inboxes[v]:
-            continue
-        per: dict[tuple[int, int], dict[int, np.ndarray]] = {}
-        for _src, (t_idx, pair_tag, u, piece) in inboxes[v]:
-            per.setdefault((t_idx, pair_tag), {})[u] = piece
-        for t_idx, t in enumerate(tuples):
-            if owner[t] != v:
-                continue
-            i, j, k, l = t
-            ab = np.array([per[(t_idx, 0)][int(u)] for u in groups[i]])
-            bc = np.array([per[(t_idx, 1)][int(u)] for u in groups[j]])
-            cd = np.array([per[(t_idx, 2)][int(u)] for u in groups[k]])
-            da = np.array([per[(t_idx, 3)][int(u)] for u in groups[l]])
-            if _tuple_has_c4(groups[i], groups[k], j == l, ab, bc, cd, da):
-                found[v] = True
-                break
+    for t_idx, (i, j, k, l) in enumerate(tuples):
+        v = t_idx % clique.n
+        if not found[v] and _tuple_has_c4(
+            groups[i], groups[k], j == l, *slices[t_idx]
+        ):
+            found[v] = True
     verdict = or_broadcast(clique, found, phase="dolev-c4/verdict")
     return RunResult(
         value=verdict,

@@ -3,13 +3,15 @@
 The model allows ``O(log n)`` bits per message; following Section 1.1 of the
 paper, a matrix entry that needs ``b`` bits costs ``ceil(b / word_bits)``
 words.  These helpers centralise that arithmetic so every algorithm charges
-consistent (and honest) widths for the arrays it ships.
+consistent (and honest) widths for the arrays it ships.  Words are
+integers: the collectives refuse pieces whose dtype does not cast safely
+to ``int64`` before any width is computed
+(:class:`~repro.clique.model.CongestedClique`).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any
 
 import numpy as np
 
@@ -60,8 +62,9 @@ def bit_lengths(values: np.ndarray) -> np.ndarray:
 def words_for_values(max_abs: np.ndarray, word_bits: int) -> np.ndarray:
     """Vectorised :func:`words_for_value`: words per entry, elementwise.
 
-    Agrees exactly with the scalar helper (property-tested), so array-native
-    primitives charge bit-identical widths to the tuple path.
+    Agrees exactly with the scalar helper (property-tested), so a batch of
+    pieces is charged exactly what :func:`words_for_array` charges each
+    piece on its own.
     """
     bits = 1 + np.maximum(1, bit_lengths(max_abs))
     return np.maximum(1, -(-bits // word_bits))
@@ -112,55 +115,6 @@ def words_for_array(arr: np.ndarray, word_bits: int) -> int:
     return int(arr.size) * words_for_value(max_abs, word_bits)
 
 
-def _check_payload(node: int, payload: Any) -> None:
-    """Reject payloads no fixed-width word encoding exists for.
-
-    Words are integers in this model; a NaN/inf float or an object-dtype
-    array has no honest word width, so it must die here with the offending
-    node named, not downstream as an opaque numpy cast error.
-    """
-    if isinstance(payload, float) and not math.isfinite(payload):
-        raise ValueError(
-            f"node {node}: non-finite payload {payload!r} has no word encoding"
-        )
-    if isinstance(payload, np.ndarray):
-        if payload.dtype == object:
-            raise ValueError(
-                f"node {node}: object-dtype payload array (ship fixed-width "
-                "words, not Python objects)"
-            )
-        if np.issubdtype(payload.dtype, np.inexact) and not np.isfinite(payload).all():
-            raise ValueError(
-                f"node {node}: non-finite entries (NaN/inf) in payload array"
-            )
-
-
-def validate_outboxes(
-    outboxes: list[list[tuple[int, Any, int]]], n: int, allow_self: bool = False
-) -> None:
-    """Check the structural validity of a per-node outbox list.
-
-    Each ``outboxes[v]`` is a list of ``(dst, payload, words)`` triples: the
-    messages node ``v`` wants delivered.  Raises ``ValueError`` on malformed
-    input (the caller wraps into :class:`~repro.errors.CliqueModelError`),
-    always naming the offending node.
-    """
-    if len(outboxes) != n:
-        raise ValueError(f"expected {n} outboxes, got {len(outboxes)}")
-    for v, box in enumerate(outboxes):
-        for item in box:
-            if len(item) != 3:
-                raise ValueError(f"node {v}: outbox item must be (dst, payload, words)")
-            dst, payload, words = item
-            if not (0 <= dst < n):
-                raise ValueError(f"node {v}: destination {dst} out of range")
-            if dst == v and not allow_self:
-                raise ValueError(f"node {v}: self-addressed message")
-            if words <= 0:
-                raise ValueError(f"node {v}: non-positive word count {words}")
-            _check_payload(v, payload)
-
-
 __all__ = [
     "default_word_bits",
     "int_bits",
@@ -169,5 +123,4 @@ __all__ = [
     "words_for_values",
     "words_for_array",
     "block_widths",
-    "validate_outboxes",
 ]

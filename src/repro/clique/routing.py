@@ -1,28 +1,37 @@
-"""Load analysis for routed exchanges on the congested clique.
+"""Load analysis and delivery for array exchanges on the congested clique.
 
 Separates the *accounting* of a communication phase (how many rounds a legal
 schedule needs) from the *data movement* (which the simulator performs
 directly).  Used by :class:`repro.clique.model.CongestedClique`.
+
+An exchange is a *batch*: per node, a vector of destination ids plus a
+stacked block of equally-shaped int64 pieces.  Load accounting and delivery
+are single vectorised passes (``np.add.at`` / stable argsort) over the
+concatenated batch, so the Python-level cost is paid per exchange, not per
+piece.
+
+Exchanges whose destination pattern is *static* can go one step further and
+skip the per-exchange argsort and the fresh delivery arrays entirely:
+:meth:`repro.clique.model.CongestedClique.route_array_take` charges through
+the same accounting below but delivers by a precomputed gather into a
+caller-owned (arena) buffer -- what the engine plans
+(``CubePlan.take_st``/``take3``) use on every squaring.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.clique.scheduling import Demand
 from repro.errors import LoadBoundExceededError
 
-# outboxes[v] = list of (dst, payload, words) messages node v emits.
-Outboxes = list[list[tuple[int, Any, int]]]
-
 
 @dataclass(frozen=True)
 class LoadProfile:
-    """Communication loads induced by a set of outboxes.
+    """Communication loads induced by one exchange.
 
     ``send_words[v]`` / ``recv_words[v]`` exclude self-addressed payloads,
     which are local moves and free in the model.
@@ -47,31 +56,6 @@ class LoadProfile:
         return max(self.max_send, self.max_recv)
 
 
-def analyze(outboxes: Outboxes, n: int) -> LoadProfile:
-    """Compute per-node and per-pair loads for a set of outboxes."""
-    send = [0] * n
-    recv = [0] * n
-    demand: Demand = defaultdict(int)
-    total = 0
-    payloads = 0
-    for v, box in enumerate(outboxes):
-        for dst, _payload, words in box:
-            payloads += 1
-            if dst == v:
-                continue  # local move, free
-            send[v] += words
-            recv[dst] += words
-            demand[(v, dst)] += words
-            total += words
-    return LoadProfile(
-        send_words=send,
-        recv_words=recv,
-        total_words=total,
-        payloads=payloads,
-        demand=dict(demand),
-    )
-
-
 def enforce_load_bound(profile: LoadProfile, expect_max_load: int | None) -> None:
     """Raise if the observed max per-node load exceeds an asserted bound.
 
@@ -86,35 +70,17 @@ def enforce_load_bound(profile: LoadProfile, expect_max_load: int | None) -> Non
         )
 
 
-# --------------------------------------------------------------------- #
-# Array-native exchanges
-# --------------------------------------------------------------------- #
-#
-# The tuple path above pays a Python-level cost per *payload*; the array
-# path pays it per *batch*.  A batch is, per node, a vector of destination
-# ids plus a stacked block of equally-shaped int64 pieces; load accounting
-# and delivery are then single vectorised passes (``np.bincount`` /
-# stable argsort) over the concatenated batch.
-#
-# Exchanges whose destination pattern is *static* can go one step further
-# and skip the per-exchange argsort and the fresh delivery arrays entirely:
-# :meth:`repro.clique.model.CongestedClique.route_array_take` charges
-# through the same accounting below but delivers by a precomputed gather
-# into a caller-owned (arena) buffer -- what the engine plans
-# (``CubePlan.take_st``/``take3``) use on every squaring.
-
-
 @dataclass(frozen=True)
 class ArrayInbox:
     """What one node receives from an array-native exchange.
 
     Attributes:
         sources: ``(p,)`` sender ids, ascending (ties in emission order --
-            the same deterministic order :func:`deliver` produces).
+            a deterministic order, so simulations are reproducible).
         blocks: ``(p, *piece_shape)`` stacked received pieces.
         tags: ``(p,)`` caller-defined per-piece metadata ints, or ``None``.
-            Tags ride along for free, like the tuple headers of the tuple
-            path (headers were never charged words there either).
+            Tags ride along for free, like message headers (which are never
+            charged words).
     """
 
     sources: np.ndarray
@@ -260,13 +226,12 @@ def flatten_array_batch(
 
 
 def analyze_array(batch: ArrayBatch, *, with_demand: bool = False) -> LoadProfile:
-    """Vectorised :func:`analyze` for an array batch.
+    """Per-node and per-pair loads of an array batch, vectorised.
 
-    Produces the same :class:`LoadProfile` numbers the tuple path computes
-    piece by piece (self-addressed pieces excluded from loads, included in
-    the payload count).  The per-pair ``demand`` map is only materialised
-    when ``with_demand`` is set (EXACT scheduling); FAST-mode accounting
-    needs only the per-node aggregates.
+    Self-addressed pieces are local moves, free in the model: excluded from
+    the loads, included in the payload count.  The per-pair ``demand`` map
+    is only materialised when ``with_demand`` is set (EXACT scheduling);
+    FAST-mode accounting needs only the per-node aggregates.
     """
     n = batch.n
     nonself = batch.src != batch.dst
@@ -339,8 +304,7 @@ def deliver_array_flat(batch: ArrayBatch) -> FlatInboxes:
     """Vectorised delivery, returned as one :class:`FlatInboxes` batch.
 
     One stable sort by destination groups the batch; stability preserves
-    the (sender id, emission order) order within each inbox, matching the
-    tuple path's deterministic delivery order.
+    the (sender id, emission order) order within each inbox.
     """
     order = np.argsort(batch.dst, kind="stable")
     counts = np.bincount(batch.dst, minlength=batch.n)
@@ -354,33 +318,14 @@ def deliver_array_flat(batch: ArrayBatch) -> FlatInboxes:
 
 
 def deliver_array(batch: ArrayBatch) -> list[ArrayInbox]:
-    """Vectorised :func:`deliver`: route every piece to its destination inbox."""
+    """Move every piece to its destination inbox, one inbox per node."""
     flat = deliver_array_flat(batch)
     return [flat.inbox(u) for u in range(batch.n)]
 
 
-def deliver(outboxes: Outboxes, n: int) -> list[list[tuple[int, Any]]]:
-    """Move every payload to its destination inbox.
-
-    Returns ``inboxes`` with ``inboxes[u]`` a list of ``(src, payload)``
-    pairs, ordered by source id and then by emission order -- a deterministic
-    order so simulations are reproducible.
-    """
-    inboxes: list[list[tuple[int, Any]]] = [[] for _ in range(n)]
-    for v, box in enumerate(outboxes):
-        for dst, payload, _words in box:
-            inboxes[dst].append((v, payload))
-    for box in inboxes:
-        box.sort(key=lambda item: item[0])
-    return inboxes
-
-
 __all__ = [
-    "Outboxes",
     "LoadProfile",
-    "analyze",
     "enforce_load_bound",
-    "deliver",
     "ArrayInbox",
     "ArrayBatch",
     "FlatInboxes",

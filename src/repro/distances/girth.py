@@ -16,13 +16,12 @@ products in total -- ``O~(n^rho)`` rounds on the fast engine.
 
 Both return :data:`~repro.constants.INF` for acyclic inputs.
 
-Implementation note: every exchange runs on the simulator's array-native
-fast path -- the sparse branch replicates its edge list through
+Implementation note: every exchange runs on the simulator's array
+collectives -- the sparse branch replicates its edge list through
 :meth:`~repro.clique.model.CongestedClique.allgather_rows`, and the Boolean
-products of the directed doubling loop run through the array-native engines
+products of the directed doubling loop run through the matmul engines
 (with the semiring engines multiplying directly over the blocked Boolean
-kernel of :class:`~repro.algebra.semirings.BooleanSemiring`).  No phase
-builds per-payload tuple outboxes.
+kernel of :class:`~repro.algebra.semirings.BooleanSemiring`).
 """
 
 from __future__ import annotations
@@ -136,10 +135,8 @@ def girth_undirected(
 def _learn_graph_and_solve(clique: CongestedClique, graph: Graph) -> int:
     """Replicate the edge list to everyone; each node solves locally.
 
-    Runs on the array-native
-    :meth:`~repro.clique.model.CongestedClique.allgather_rows` -- edges move
-    as one ``(m, 2)`` record array instead of per-edge tuples, at the
-    bit-identical charges of ``allgather_records`` (equivalence-tested).
+    Runs on :meth:`~repro.clique.model.CongestedClique.allgather_rows`:
+    edges move as one ``(m, 2)`` record array, one word per edge record.
     """
     records = []
     for v in range(clique.n):

@@ -44,13 +44,7 @@ from typing import Callable
 import numpy as np
 
 from repro.clique.accounting import CostMeter, PhaseCost, PhaseTraffic
-from repro.clique.messages import block_widths
-from repro.clique.routing import (
-    ArrayBatch,
-    deliver_array,
-    deliver_array_flat,
-    flatten_array_batch,
-)
+from repro.clique.routing import ArrayBatch, deliver_array, deliver_array_flat
 from repro.clique.scheduling import disjoint_relays
 from repro.errors import CliqueModelError, FaultToleranceExceeded
 from repro.faults.coding import (
@@ -121,7 +115,7 @@ class CodedClique(FaultyClique):
         self.tolerance = tolerance
         self.max_retries = max_retries
         # Second observer on the meter stack: primitives that are not
-        # encoded (tuple broadcasts, transposes, ...) cost the same with
+        # encoded (object broadcasts, transposes, ...) cost the same with
         # or without faults and fan out to both meters automatically; the
         # encoded exchanges mute this observer and bill it the fault-free
         # cost by hand (see _run_encoded).
@@ -345,15 +339,7 @@ class CodedClique(FaultyClique):
         phase: str = "send",
         expect_max_pair: int | None = None,
     ):
-        try:
-            if widths is None:
-                widths = [
-                    block_widths(np.asarray(b, dtype=np.int64), self.word_bits)
-                    for b in blocks
-                ]
-            batch = flatten_array_batch(dests, blocks, widths, tags, self.n)
-        except ValueError as exc:
-            raise CliqueModelError(str(exc)) from exc
+        batch = self._flatten_checked(dests, blocks, widths, tags)
         abstract_cost = self._direct_batch_cost(batch, phase, expect_max_pair)
         decoded = self._encoded_routed(batch, abstract_cost, phase)
         return deliver_array(replace(batch, blocks=decoded))

@@ -28,14 +28,13 @@ embedding (entries become coefficient vectors and widths are charged with
 the ``O(M)`` blow-up).
 
 Implementation note: all four communication phases run on the simulator's
-**array-native fast path** -- :meth:`~repro.clique.model.CongestedClique.
-route_array` for the entry distribution and row re-assembly and the block
-all-to-alls :meth:`~repro.clique.model.CongestedClique.scatter_blocks` /
+array collectives -- :meth:`~repro.clique.model.CongestedClique.route_array`
+for the entry distribution and row re-assembly and the block all-to-alls
+:meth:`~repro.clique.model.CongestedClique.scatter_blocks` /
 :meth:`~repro.clique.model.CongestedClique.gather_blocks` for the farm-out
-and collection of the ``m`` block products.  The original per-payload tuple
-formulation is retained as :func:`bilinear_matmul_tuple` -- the baseline the
-perf report measures against and the oracle the equivalence tests charge
-both paths against (rounds must be bit-identical).
+and collection of the ``m`` block products.  The per-payload formulation
+the engine was ported from lives on as a test reference
+(``tests/tuple_reference.py``), which pins every phase's charge to it.
 """
 
 from __future__ import annotations
@@ -404,193 +403,8 @@ def bilinear_matmul(
     return p
 
 
-def bilinear_matmul_tuple(
-    clique: CongestedClique,
-    s: np.ndarray,
-    t: np.ndarray,
-    algorithm: BilinearAlgorithm | None = None,
-    *,
-    ring: RingOps = INTEGER_RING,
-    phase: str = "bilinear",
-) -> np.ndarray:
-    """The retained per-payload tuple formulation of :func:`bilinear_matmul`.
-
-    Charges bit-identical rounds to the array path (equivalence-tested) but
-    pays a Python-level cost per payload; kept as the perf-report baseline
-    and the round-accounting oracle, exactly like the cube kernels in
-    :mod:`repro.algebra.semirings`.
-    """
-    n = clique.n
-    algorithm, layout = _check_operands(clique, s, t, algorithm)
-    q, d, c, mm = layout.q, layout.d, layout.c, layout.m_padded
-    trailing = np.asarray(s).shape[2:]
-    word_bits = clique.word_bits
-
-    sp = np.zeros((mm, mm) + trailing, dtype=np.int64)
-    tp = np.zeros((mm, mm) + trailing, dtype=np.int64)
-    sp[:n, :n] = s
-    tp[:n, :n] = t
-
-    cols_of = [layout.indices_of_cell_axis(x2) for x2 in range(q)]
-
-    # -------- Step 1: distribute the entries (2 M words per node). ------ #
-    outboxes: list[list[tuple[int, object, int]]] = [[] for _ in range(n)]
-    for v in range(n):
-        i, x1, tt = layout.row_position(v)
-        for x2 in range(q):
-            dest = layout.node_of_label(x1, x2)
-            s_piece = sp[v, cols_of[x2]]
-            t_piece = tp[v, cols_of[x2]]
-            width = ring.array_words(s_piece, word_bits) + ring.array_words(
-                t_piece, word_bits
-            )
-            outboxes[v].append((dest, (v, s_piece, t_piece), max(1, width)))
-    entry_w = max(
-        1, ring.entry_words(sp, word_bits), ring.entry_words(tp, word_bits)
-    )
-    bounds = phase_load_bounds(
-        layout, algorithm.m, entry_words=entry_w, hat_words=1, prod_words=1
-    )
-    inboxes = clique.route(
-        outboxes,
-        phase=f"{phase}/step1-distribute",
-        expect_max_load=bounds["step1"],
-    )
-
-    # Assemble the local cell grid LS/LT[i, j] in (d, d, c, c, ...) layout.
-    block_rows = c * q
-    local_s: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-    local_t: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-    for u in range(n):
-        ls = np.zeros((d, d, c, c) + trailing, dtype=np.int64)
-        lt = np.zeros((d, d, c, c) + trailing, dtype=np.int64)
-        for _src, (v, s_piece, t_piece) in inboxes[u]:
-            i = v // block_rows
-            tt = (v % block_rows) % c
-            ls[i, :, tt, :] = s_piece.reshape((d, c) + trailing)
-            lt[i, :, tt, :] = t_piece.reshape((d, c) + trailing)
-        local_s[u] = ls
-        local_t[u] = lt
-
-    # -------- Step 2: encode (equation (1)) -- local. ------------------- #
-    enc_a, enc_b = algorithm.encode_matrices()
-    m = algorithm.m
-    s_hats: list[np.ndarray] = []
-    t_hats: list[np.ndarray] = []
-    for u in range(n):
-        flat_s = local_s[u].reshape((d * d,) + (c, c) + trailing)
-        flat_t = local_t[u].reshape((d * d,) + (c, c) + trailing)
-        s_hats.append(np.tensordot(enc_a, flat_s, axes=1))
-        t_hats.append(np.tensordot(enc_b, flat_t, axes=1))
-
-    # -------- Step 3: distribute the linear combinations. --------------- #
-    # Node (x1, x2) sends cell (x1, x2) of S^(w), T^(w) to node w;
-    # O(n^{2-2/sigma}) words per node.
-    outboxes = [[] for _ in range(n)]
-    for u in range(n):
-        for w in range(m):
-            s_cell = s_hats[u][w]
-            t_cell = t_hats[u][w]
-            width = ring.array_words(s_cell, word_bits) + ring.array_words(
-                t_cell, word_bits
-            )
-            outboxes[u].append((w, (u, s_cell, t_cell), max(1, width)))
-    hat_entry_w = max(
-        max(ring.entry_words(sh, word_bits) for sh in s_hats),
-        max(ring.entry_words(th, word_bits) for th in t_hats),
-    )
-    bounds = phase_load_bounds(
-        layout, m, entry_words=entry_w, hat_words=hat_entry_w, prod_words=1
-    )
-    inboxes = clique.route(
-        outboxes,
-        phase=f"{phase}/step3-scatter-hats",
-        expect_max_load=bounds["step3"],
-    )
-
-    # -------- Step 4: the m block products -- local at nodes w < m. ----- #
-    side = q * c
-    p_hat_full: list[np.ndarray | None] = [None] * n
-    for w in range(m):
-        s_full = np.zeros((side, side) + trailing, dtype=np.int64)
-        t_full = np.zeros((side, side) + trailing, dtype=np.int64)
-        for _src, (u, s_cell, t_cell) in inboxes[w]:
-            x1, x2 = layout.label(u)
-            s_full[x1 * c : (x1 + 1) * c, x2 * c : (x2 + 1) * c] = s_cell
-            t_full[x1 * c : (x1 + 1) * c, x2 * c : (x2 + 1) * c] = t_cell
-        p_hat_full[w] = ring.matmul(s_full, t_full)
-    # Ring products may widen the entry representation (the polynomial ring's
-    # degree grows under convolution), so downstream buffers use the output
-    # trailing shape.
-    trailing_out = p_hat_full[0].shape[2:]
-
-    # -------- Step 5: scatter the products back to cell owners. --------- #
-    outboxes = [[] for _ in range(n)]
-    for w in range(m):
-        prod = p_hat_full[w]
-        for u in range(n):
-            x1, x2 = layout.label(u)
-            cell = prod[x1 * c : (x1 + 1) * c, x2 * c : (x2 + 1) * c]
-            width = ring.array_words(cell, word_bits)
-            outboxes[w].append((u, (w, cell), max(1, width)))
-    prod_entry_w = max(
-        ring.entry_words(p, word_bits) for p in p_hat_full if p is not None
-    )
-    bounds = phase_load_bounds(
-        layout, m, entry_words=entry_w, hat_words=hat_entry_w,
-        prod_words=prod_entry_w,
-    )
-    inboxes = clique.route(
-        outboxes,
-        phase=f"{phase}/step5-scatter-products",
-        expect_max_load=bounds["step5"],
-    )
-
-    # -------- Step 6: decode (equation (2)) -- local. ------------------- #
-    dec = algorithm.decode_matrix()  # (d*d, m)
-    p_cells: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-    for u in range(n):
-        stack = np.zeros((m, c, c) + trailing_out, dtype=np.int64)
-        for _src, (w, cell) in inboxes[u]:
-            stack[w] = cell
-        cells = np.tensordot(dec, stack, axes=1)
-        p_cells[u] = cells.reshape((d, d, c, c) + trailing_out)
-
-    # -------- Step 7: re-assemble rows at their owners. ------------------ #
-    bounds = phase_load_bounds(
-        layout, m, entry_words=entry_w, hat_words=hat_entry_w,
-        prod_words=prod_entry_w,
-        out_words=max(ring.entry_words(pc, word_bits) for pc in p_cells),
-    )
-    outboxes = [[] for _ in range(n)]
-    for u in range(n):
-        x1, x2 = layout.label(u)
-        for i in range(d):
-            for tt in range(c):
-                r = i * block_rows + x1 * c + tt
-                if r >= n:
-                    continue
-                piece = p_cells[u][i, :, tt, :]
-                width = ring.array_words(piece, word_bits)
-                outboxes[u].append((r, (x2, piece), max(1, width)))
-    inboxes = clique.route(
-        outboxes,
-        phase=f"{phase}/step7-assemble",
-        expect_max_load=bounds["step7"],
-    )
-
-    p = np.zeros((n, n) + trailing_out, dtype=np.int64)
-    for v in range(n):
-        row = np.zeros((mm,) + trailing_out, dtype=np.int64)
-        for _src, (x2, piece) in inboxes[v]:
-            row[cols_of[x2]] = piece.reshape((d * c,) + trailing_out)
-        p[v] = row[:n]
-    return p
-
-
 __all__ = [
     "bilinear_matmul",
-    "bilinear_matmul_tuple",
     "default_algorithm",
     "phase_load_bounds",
     "GridPlan",

@@ -43,11 +43,9 @@ def _transpose_matrix(
     clique: CongestedClique, matrix: np.ndarray, phase: str
 ) -> np.ndarray:
     """Distribute column ``v`` to node ``v`` via the transpose primitive."""
-    n = clique.n
     max_abs = int(np.max(np.abs(matrix))) if matrix.size else 0
     width = words_for_value(max_abs, clique.word_bits)
-    columns = clique.transpose(matrix, words_per_entry=width, phase=phase)
-    return np.array(columns, dtype=np.int64)
+    return clique.transpose_array(matrix, words_per_entry=width, phase=phase)
 
 
 def count_triangles(

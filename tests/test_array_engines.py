@@ -1,22 +1,31 @@
-"""Equivalence tests: array-native engine ports vs the retained tuple paths.
+"""Equivalence tests: the array engines vs their per-payload references.
 
-PR 1 proved the *primitives* (`route_array`, `broadcast_rows`, ...) charge
-bit-identical costs to the tuple primitives; this suite proves the same for
-every *algorithm phase* ported in this PR -- the §2.2 bilinear engine's four
-exchanges, the Lemma 21 witness validation hops, the Theorem 4 walk
-exchanges, and the girth's learn-everything replication -- by running the
-array and tuple formulations side by side and comparing the full per-phase
-:class:`~repro.clique.accounting.PhaseCost` stream.  Also covers the new
-block collectives (`scatter_blocks` / `gather_blocks` / `send_array` /
-`allgather_rows`) and the blocked Boolean kernel against its cube oracle.
+`test_array_primitives.py` pins the *primitives* (`route_array`,
+`broadcast_rows`, ...) to the tuple primitives of `tuple_reference`; this
+suite does the same for every *algorithm phase* written on them -- the §2.2
+bilinear engine's four exchanges, the Lemma 21 witness validation hops, the
+Theorem 4 walk exchanges, and the girth's learn-everything replication --
+by running the array engine and its tuple reference side by side and
+comparing the full per-phase :class:`~repro.clique.accounting.PhaseCost`
+stream.  Also covers the block collectives (`scatter_blocks` /
+`gather_blocks` / `send_array` / `allgather_rows`) and the blocked Boolean
+kernel against its cube oracle.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from tuple_reference import (
+    TupleClique,
+    bilinear_matmul_tuple,
+    validate_candidates_tuple,
+    walk_check_tuple,
+)
 
 from repro.algebra.bilinear import classical, strassen_power
 from repro.algebra.polynomial import encode_minplus
@@ -31,10 +40,11 @@ from repro.graphs import (
     gnp_random_graph,
     windmill_graph,
 )
-from repro.matmul.bilinear_clique import bilinear_matmul, bilinear_matmul_tuple
+from repro.matmul.bilinear_clique import bilinear_matmul
 from repro.matmul.ringops import POLYNOMIAL_RING
-from repro.matmul.witnesses import _validate_candidates, validate_candidates_tuple
+from repro.matmul.witnesses import _validate_candidates
 from repro.runtime import boolean_product
+from repro.subgraphs import four_cycle
 from repro.subgraphs.four_cycle import detect_four_cycles
 
 
@@ -64,7 +74,7 @@ class TestBilinearEquivalence:
         array_clique = CongestedClique(n)
         tuple_clique = CongestedClique(n)
         p_array = bilinear_matmul(array_clique, s, t, algorithm)
-        p_tuple = bilinear_matmul_tuple(tuple_clique, s, t, algorithm)
+        p_tuple = bilinear_matmul_tuple(TupleClique(tuple_clique), s, t, algorithm)
         assert np.array_equal(p_array, s @ t)
         assert np.array_equal(p_tuple, p_array)
         assert _phases(array_clique) == _phases(tuple_clique)
@@ -80,7 +90,7 @@ class TestBilinearEquivalence:
         tuple_clique = CongestedClique(n)
         assert np.array_equal(
             bilinear_matmul(array_clique, s, t),
-            bilinear_matmul_tuple(tuple_clique, s, t),
+            bilinear_matmul_tuple(TupleClique(tuple_clique), s, t),
         )
         assert _phases(array_clique) == _phases(tuple_clique)
 
@@ -92,7 +102,7 @@ class TestBilinearEquivalence:
         array_clique = CongestedClique(n)
         tuple_clique = CongestedClique(n)
         bilinear_matmul(array_clique, s, t)
-        bilinear_matmul_tuple(tuple_clique, s, t)
+        bilinear_matmul_tuple(TupleClique(tuple_clique), s, t)
         assert _phases(array_clique) == _phases(tuple_clique)
 
     def test_decode_widening_stays_within_load_bound(self):
@@ -107,7 +117,9 @@ class TestBilinearEquivalence:
         array_clique = CongestedClique(n)
         tuple_clique = CongestedClique(n)
         p_array = bilinear_matmul(array_clique, s, t, classical(2))
-        p_tuple = bilinear_matmul_tuple(tuple_clique, s, t, classical(2))
+        p_tuple = bilinear_matmul_tuple(
+            TupleClique(tuple_clique), s, t, classical(2)
+        )
         assert np.array_equal(p_array, s @ t)
         assert np.array_equal(p_tuple, p_array)
         assert _phases(array_clique) == _phases(tuple_clique)
@@ -121,7 +133,9 @@ class TestBilinearEquivalence:
         array_clique = CongestedClique(n)
         tuple_clique = CongestedClique(n)
         p_array = bilinear_matmul(array_clique, es, et, ring=POLYNOMIAL_RING)
-        p_tuple = bilinear_matmul_tuple(tuple_clique, es, et, ring=POLYNOMIAL_RING)
+        p_tuple = bilinear_matmul_tuple(
+            TupleClique(tuple_clique), es, et, ring=POLYNOMIAL_RING
+        )
         assert np.array_equal(p_array, p_tuple)
         assert _phases(array_clique) == _phases(tuple_clique)
 
@@ -132,7 +146,7 @@ class TestBilinearEquivalence:
         array_clique = CongestedClique(n, mode=ScheduleMode.EXACT)
         tuple_clique = CongestedClique(n, mode=ScheduleMode.EXACT)
         bilinear_matmul(array_clique, s, t)
-        bilinear_matmul_tuple(tuple_clique, s, t)
+        bilinear_matmul_tuple(TupleClique(tuple_clique), s, t)
         assert _phases(array_clique) == _phases(tuple_clique)
 
 
@@ -155,10 +169,20 @@ class TestWitnessValidationEquivalence:
             array_clique, s, t, p, candidates, needed, "v"
         )
         ok_tuple = validate_candidates_tuple(
-            tuple_clique, s, t, p, candidates, needed, "v"
+            TupleClique(tuple_clique), s, t, p, candidates, needed, "v"
         )
         assert np.array_equal(ok_array, ok_tuple)
         assert _phases(array_clique) == _phases(tuple_clique)
+
+
+def _detect_with_tuple_walks(graph):
+    """`detect_four_cycles` with its walk phases swapped for the reference."""
+
+    def tuple_walks(clique, *args):
+        return walk_check_tuple(TupleClique(clique), *args)
+
+    with mock.patch.object(four_cycle, "_walk_check_array", tuple_walks):
+        return detect_four_cycles(graph)
 
 
 class TestFourCycleEquivalence:
@@ -169,8 +193,8 @@ class TestFourCycleEquivalence:
     )
     def test_random_graphs(self, seed, p):
         g = gnp_random_graph(20, p, seed=seed)
-        res_array = detect_four_cycles(g, engine="array")
-        res_tuple = detect_four_cycles(g, engine="tuple")
+        res_array = detect_four_cycles(g)
+        res_tuple = _detect_with_tuple_walks(g)
         assert res_array.value == res_tuple.value
         assert _phases_from(res_array) == _phases_from(res_tuple)
 
@@ -181,14 +205,16 @@ class TestFourCycleEquivalence:
             cycle_graph(4),
             bipartite_random_graph(48, 3.0 / 48, seed=7),
         ):
-            res_array = detect_four_cycles(g, engine="array")
-            res_tuple = detect_four_cycles(g, engine="tuple")
+            res_array = detect_four_cycles(g)
+            res_tuple = _detect_with_tuple_walks(g)
             assert res_array.value == res_tuple.value
             assert _phases_from(res_array) == _phases_from(res_tuple)
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            detect_four_cycles(gnp_random_graph(8, 0.3, seed=0), engine="fancy")
+    def test_engine_option_is_gone(self):
+        # The library has a single walk formulation, so there is no option
+        # to select one.
+        with pytest.raises(TypeError):
+            detect_four_cycles(gnp_random_graph(8, 0.3, seed=0), engine="array")
 
 
 def _phases_from(result):
@@ -219,7 +245,7 @@ class TestAllgatherRowsEquivalence:
         array_clique = CongestedClique(n, word_bits=16)
         tuple_clique = CongestedClique(n, word_bits=16)
         got = array_clique.allgather_rows(rows, words_per_record=2, phase="ag")
-        want = tuple_clique.allgather_records(
+        want = TupleClique(tuple_clique).allgather_records(
             [[tuple(map(int, r)) for r in node_rows] for node_rows in rows],
             words_per_record=2,
             phase="ag",
@@ -266,7 +292,7 @@ class TestBlockCollectives:
             ]
             for v in range(n)
         ]
-        tuple_clique.route(outboxes, phase="x")
+        TupleClique(tuple_clique).route(outboxes, phase="x")
         assert _phases(array_clique) == _phases(tuple_clique)
         # gather is the inverse exchange.
         back_clique = CongestedClique(n, word_bits=16)
@@ -280,7 +306,7 @@ class TestBlockCollectives:
             ]
             for v in range(k)
         ] + [[] for _ in range(n - k)]
-        gather_oracle.route(outboxes, phase="x")
+        TupleClique(gather_oracle).route(outboxes, phase="x")
         assert _phases(back_clique) == _phases(gather_oracle)
 
     def test_send_array_matches_send(self, rng):
@@ -301,7 +327,7 @@ class TestBlockCollectives:
             ]
             for v in range(n)
         ]
-        tuple_in = tuple_clique.send(outboxes, phase="s")
+        tuple_in = TupleClique(tuple_clique).send(outboxes, phase="s")
         assert _phases(array_clique) == _phases(tuple_clique)
         for u in range(n):
             assert [s for s, _ in tuple_in[u]] == inboxes[u].sources.tolist()

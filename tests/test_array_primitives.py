@@ -1,10 +1,11 @@
-"""Equivalence tests: array-native primitives vs the tuple path.
+"""Equivalence tests: array primitives vs the per-payload tuple references.
 
-The fast path must charge *identical* costs (rounds, words, payloads, load
-profiles -- the full :class:`~repro.clique.accounting.PhaseCost`) to the
-tuple primitives for the same logical exchange, and deliver the same pieces
-in the same deterministic order.  Also covers the vectorised width helpers
-against their scalar counterparts.
+The array collectives must charge *identical* costs (rounds, words,
+payloads, load profiles -- the full
+:class:`~repro.clique.accounting.PhaseCost`) to the tuple primitives of
+`tuple_reference.TupleClique` for the same logical exchange, and deliver
+the same pieces in the same deterministic order.  Also covers the
+vectorised width helpers against their scalar counterparts.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from tuple_reference import TupleClique
 
 from repro.clique.messages import (
     bit_lengths,
@@ -67,7 +69,7 @@ class TestRouteArrayEquivalence:
         dests, blocks, outboxes = _random_batch(rng, n, piece_len=3)
         tuple_clique = CongestedClique(n, word_bits=16)
         array_clique = CongestedClique(n, word_bits=16)
-        tuple_in = tuple_clique.route(outboxes, phase="x")
+        tuple_in = TupleClique(tuple_clique).route(outboxes, phase="x")
         array_in = array_clique.route_array(dests, blocks, phase="x")
         assert _phases(tuple_clique) == _phases(array_clique)
         assert tuple_clique.rounds == array_clique.rounds
@@ -87,7 +89,7 @@ class TestRouteArrayEquivalence:
         dests, blocks, outboxes = _random_batch(rng, n, piece_len=2)
         tuple_clique = CongestedClique(n, word_bits=16, mode=ScheduleMode.EXACT)
         array_clique = CongestedClique(n, word_bits=16, mode=ScheduleMode.EXACT)
-        tuple_clique.route(outboxes, phase="x")
+        TupleClique(tuple_clique).route(outboxes, phase="x")
         array_clique.route_array(dests, blocks, phase="x")
         assert _phases(tuple_clique) == _phases(array_clique)
 
@@ -170,7 +172,7 @@ class TestTransposeArrayEquivalence:
         matrix = rng.integers(-50, 50, (n, n)).astype(np.int64)
         tuple_clique = CongestedClique(n)
         array_clique = CongestedClique(n)
-        columns = tuple_clique.transpose(
+        columns = TupleClique(tuple_clique).transpose(
             [list(row) for row in matrix], words_per_entry=words_per_entry
         )
         transposed = array_clique.transpose_array(
@@ -203,3 +205,78 @@ class TestVectorisedWidths:
         blocks = rng.integers(-10**6, 10**6, (7, 4)).astype(np.int64)
         widths = block_widths(blocks, 16)
         assert widths.tolist() == [words_for_array(b, 16) for b in blocks]
+
+
+class TestNonIntegerInputRefused:
+    """Every collective refuses input that has no integer word encoding.
+
+    Words are integers in this model; an unchecked ``int64`` cast would
+    floor a fraction, wrap a NaN to ``-2**63`` or overflow on a huge Python
+    int.  Each refusal names the node and the dtype.  (Fractional, NaN, inf
+    and object pieces through ``route_array``/``send_array`` are covered by
+    ``test_messages.py::TestPayloadHygiene``.)
+    """
+
+    @staticmethod
+    def _one_piece(piece, *, dest=1):
+        no_dests, no_blocks = np.zeros(0, np.int64), np.zeros((0, 2), np.int64)
+        dests = [np.array([dest]), no_dests, no_dests]
+        return dests, [np.asarray(piece), no_blocks, no_blocks]
+
+    def test_huge_object_entry_refused(self):
+        dests, blocks = self._one_piece(np.array([[2**70, 1]], dtype=object))
+        with pytest.raises(CliqueModelError, match="node 0: pieces of dtype object"):
+            CongestedClique(3).route_array(dests, blocks)
+
+    def test_float_destination_refused(self):
+        dests, blocks = self._one_piece([[1, 2]], dest=1.7)
+        with pytest.raises(
+            CliqueModelError, match="node 0: destinations of dtype float64"
+        ):
+            CongestedClique(3).route_array(dests, blocks)
+
+    def test_float_widths_and_tags_refused(self):
+        clique = CongestedClique(3)
+        dests, blocks = self._one_piece([[1, 2]])
+        empty = np.zeros(0, np.int64)
+        with pytest.raises(CliqueModelError, match="node 0: widths of dtype"):
+            clique.send_array(dests, blocks, widths=[np.array([2.5]), empty, empty])
+        with pytest.raises(CliqueModelError, match="node 0: tags of dtype"):
+            clique.route_array(dests, blocks, tags=[np.array([0.5]), empty, empty])
+        assert clique.rounds == 0  # refused before anything was charged
+
+    def test_transpose_of_fractions_refused(self):
+        with pytest.raises(CliqueModelError, match="transpose entries of dtype"):
+            CongestedClique(3).transpose_array(np.full((3, 3), 0.9))
+
+    def test_broadcast_rows_fractions_refused(self):
+        clique = CongestedClique(3)
+        with pytest.raises(CliqueModelError, match="node 0: broadcast rows of dtype"):
+            clique.broadcast_rows(np.array([[0.5], [1.5], [2.7]]))
+        with pytest.raises(CliqueModelError, match="broadcast widths of dtype"):
+            clique.broadcast_rows(np.ones((3, 1), np.int64), widths=[1, 1.5, 1])
+
+    def test_allgather_float_records_refused(self):
+        rows = [np.zeros((0, 1), np.int64), np.array([[0.25]]), np.zeros((0, 1))]
+        with pytest.raises(CliqueModelError, match="node 1: records of dtype float64"):
+            CongestedClique(3).allgather_rows(rows)
+
+    def test_empty_arrays_of_any_dtype_accepted(self):
+        # Empty per-node arrays carry no words, so their dtype is moot (an
+        # empty Python list becomes a float64 array).
+        clique = CongestedClique(3)
+        dests = [np.array([1]), np.array([]), np.array([])]
+        blocks = [np.array([[4, 5]]), np.zeros((0, 2)), np.zeros((0, 2))]
+        inboxes = clique.route_array(dests, blocks)
+        assert inboxes[1].blocks.tolist() == [[4, 5]]
+        assert clique.allgather_rows([np.zeros((0, 1))] * 3).shape == (0, 1)
+
+    @pytest.mark.parametrize("primitive", ["route_array", "send_array"])
+    def test_coded_collectives_refuse_float_pieces(self, primitive):
+        from repro.faults import CodedClique
+
+        clique = CodedClique(3, tolerance=1)
+        dests, blocks = self._one_piece([[1.5, 2.0]])
+        with pytest.raises(CliqueModelError, match="node 0: pieces of dtype float64"):
+            getattr(clique, primitive)(dests, blocks)
+        assert clique.meter.rounds == clique.abstract_meter.rounds == 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 import subprocess
 import sys
 
@@ -274,6 +275,40 @@ class TestCommands:
         )
         assert result.returncode == 0
         assert "girth=" in result.stdout
+
+
+class TestBaselineVerdict:
+    """`--baseline` checks the Dolev answer against the same oracle."""
+
+    #: (argv, the baseline's name in ``repro.baselines``, a wrong answer).
+    CASES = [
+        (["triangles", "18", "--baseline"], "dolev_triangle_count", lambda v: v + 1),
+        (["four-cycles", "20", "--baseline"], "dolev_four_cycle_detect", operator.not_),
+    ]
+
+    @pytest.mark.parametrize("argv,_baseline,_corrupt", CASES)
+    def test_correct_baseline_is_verified(self, argv, _baseline, _corrupt, capsys):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "baseline verified against centralised oracle: True" in out
+
+    @pytest.mark.parametrize("argv,baseline,corrupt", CASES)
+    def test_wrong_baseline_exits_1(self, argv, baseline, corrupt, monkeypatch, capsys):
+        import repro.baselines
+
+        real = getattr(repro.baselines, baseline)
+
+        def wrong(graph, **kwargs):
+            result = real(graph, **kwargs)
+            result.value = corrupt(result.value)
+            return result
+
+        monkeypatch.setattr(repro.baselines, baseline, wrong)
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert "baseline verified against centralised oracle: False" in out
+        # The algorithm's own answer is still right; only the baseline's is not.
+        assert "\nverified against centralised oracle: True" in out
 
 
 class TestFaultFlags:

@@ -10,10 +10,10 @@ import pytest
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
-# The engine-check markers certify, in-process, that the array path's round
-# counts match the retained tuple path's (the examples assert the equality
-# and print the line; the test asserts the line appeared).
-_ENGINE_PARITY = ["engine check", "== tuple path rounds"]
+# The engine-check markers certify, in-process, that the engines' answers
+# match a centralised reference (the examples assert the equality and print
+# the line; the test asserts the line appeared).
+_ENGINE_PARITY = ["engine check", "match", "the centralised reference"]
 
 CASES = [
     pytest.param("quickstart.py", ["27"], [], id="quickstart.py"),

@@ -123,40 +123,50 @@ class TestWordGranularExactRouting:
     )
     def test_delivery_and_bounds(self, seed, n, max_width):
         rng = np.random.default_rng(seed)
-        outboxes = [[] for _ in range(n)]
+        dests, blocks, widths = [], [], []
         sent = []
         for v in range(n):
-            for _ in range(int(rng.integers(0, 10))):
-                dst = int(rng.integers(0, n))
-                payload = (v, int(rng.integers(10**6)))
-                width = int(rng.integers(1, max_width + 1))
-                outboxes[v].append((dst, payload, width))
-                sent.append((dst, payload))
+            count = int(rng.integers(0, 10))
+            dst = rng.integers(0, n, count).astype(np.int64)
+            pieces = np.empty((count, 2), dtype=np.int64)
+            pieces[:, 0] = v
+            pieces[:, 1] = rng.integers(10**6, size=count)
+            dests.append(dst)
+            blocks.append(pieces)
+            widths.append(rng.integers(1, max_width + 1, count).astype(np.int64))
+            sent += [(int(d), tuple(p)) for d, p in zip(dst, pieces.tolist())]
         clique = CongestedClique(n, mode=ScheduleMode.EXACT)
-        inboxes = clique.route([list(b) for b in outboxes])
+        inboxes = clique.route_array(dests, blocks, widths=widths)
         received = [
-            (dst, payload)
+            (dst, tuple(piece))
             for dst in range(n)
-            for _src, payload in inboxes[dst]
+            for piece in inboxes[dst].blocks.tolist()
         ]
         assert sorted(received) == sorted(sent)
+
+    @staticmethod
+    def _flood(n: int, senders, dst: int, count: int, width: int):
+        """Each sender ships ``count`` pieces of ``width`` words to ``dst``."""
+        dests = [np.full(count if v in senders else 0, dst) for v in range(n)]
+        blocks = [np.full((d.shape[0], 2), v) for v, d in enumerate(dests)]
+        return dests, blocks, [np.full(d.shape[0], width) for d in dests]
 
     def test_single_hot_receiver(self):
         # Every node floods node 0: the classic skew case.
         n = 6
-        outboxes = [[] for _ in range(n)]
-        for v in range(1, n):
-            outboxes[v] = [(0, (v, i), 3) for i in range(7)]
+        dests, blocks, widths = self._flood(n, range(1, n), 0, 7, 3)
         exact = CongestedClique(n, mode=ScheduleMode.EXACT)
-        exact.route([list(b) for b in outboxes])
+        exact.route_array(dests, blocks, widths=widths)
         fast = CongestedClique(n, mode=ScheduleMode.FAST)
-        fast.route([list(b) for b in outboxes])
+        fast.route_array(dests, blocks, widths=widths)
         assert exact.rounds <= 2 * fast.rounds + 2
 
     def test_widths_matter_for_rounds(self):
         n = 6
         thin = CongestedClique(n)
-        thin.route([[(1, "x", 1)] if v == 0 else [] for v in range(n)])
+        dests, blocks, widths = self._flood(n, {0}, 1, 1, 1)
+        thin.route_array(dests, blocks, widths=widths)
         wide = CongestedClique(n)
-        wide.route([[(1, "x", 100)] if v == 0 else [] for v in range(n)])
+        dests, blocks, widths = self._flood(n, {0}, 1, 1, 100)
+        wide.route_array(dests, blocks, widths=widths)
         assert wide.rounds > thin.rounds

@@ -1,4 +1,4 @@
-"""Unit tests for word-size arithmetic and outbox validation."""
+"""Unit tests for word-size arithmetic and exchange input validation."""
 
 from __future__ import annotations
 
@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.clique import CongestedClique
 from repro.clique.messages import (
     default_word_bits,
     int_bits,
-    validate_outboxes,
     words_for_array,
     words_for_value,
 )
+from repro.errors import CliqueModelError
 
 
 class TestWordBits:
@@ -90,61 +91,72 @@ class TestWordsForArray:
         assert words_for_array(arr, 16) == 2 * 3
 
 
-class TestValidateOutboxes:
-    def test_valid(self):
-        validate_outboxes([[(1, "x", 1)], []], n=2)
+def _one_piece(n: int, sender: int, piece, *, dst: int = 0, width: int = 1):
+    """A batch in which only ``sender`` ships ``piece`` (one piece) to ``dst``."""
+    piece = np.asarray(piece)
+    nothing = np.zeros(0, dtype=np.int64)
+    dests = [np.array([dst]) if v == sender else nothing for v in range(n)]
+    blocks = [
+        piece[None] if v == sender else np.zeros((0,) + piece.shape, dtype=np.int64)
+        for v in range(n)
+    ]
+    widths = [np.array([width]) if v == sender else nothing for v in range(n)]
+    return dests, blocks, widths
+
+
+class TestBatchValidation:
+    """Structural checks the array collectives apply to every batch."""
 
     def test_wrong_length(self):
-        with pytest.raises(ValueError):
-            validate_outboxes([[]], n=2)
-
-    def test_destination_out_of_range(self):
-        with pytest.raises(ValueError):
-            validate_outboxes([[(5, "x", 1)], []], n=2)
-
-    def test_self_message_rejected_by_default(self):
-        with pytest.raises(ValueError):
-            validate_outboxes([[(0, "x", 1)], []], n=2)
-
-    def test_self_message_allowed_when_opted_in(self):
-        validate_outboxes([[(0, "x", 1)], []], n=2, allow_self=True)
+        clique = CongestedClique(2)
+        with pytest.raises(CliqueModelError, match="expected 2 per-node batches"):
+            clique.route_array([np.array([1])], [np.ones((1, 1), dtype=np.int64)])
 
     def test_nonpositive_width(self):
-        with pytest.raises(ValueError):
-            validate_outboxes([[(1, "x", 0)], []], n=2)
-
-    def test_malformed_item(self):
-        with pytest.raises(ValueError):
-            validate_outboxes([[(1, "x")], []], n=2)  # type: ignore[list-item]
+        dests, blocks, widths = _one_piece(2, 0, [1], dst=1, width=0)
+        with pytest.raises(CliqueModelError, match="non-positive word count"):
+            CongestedClique(2).route_array(dests, blocks, widths=widths)
 
 
 class TestPayloadHygiene:
-    """PR 6 satellite: malformed payloads die loudly, naming the node."""
+    """Pieces no fixed-width word encoding exists for die loudly, naming the node.
+
+    Words are integers in this model: a float, NaN/inf or object-dtype
+    piece is refused before any width is computed, never floored or wrapped.
+    """
 
     def test_nan_payload_names_node(self):
-        with pytest.raises(ValueError, match="node 1: non-finite payload"):
-            validate_outboxes([[], [(0, float("nan"), 1)]], n=2)
+        dests, blocks, widths = _one_piece(2, 1, [float("nan")])
+        with pytest.raises(CliqueModelError, match="node 1: pieces of dtype float64"):
+            CongestedClique(2).route_array(dests, blocks, widths=widths)
 
     def test_inf_payload_rejected(self):
-        with pytest.raises(ValueError, match="node 0"):
-            validate_outboxes([[(1, float("inf"), 1)], []], n=2)
+        dests, blocks, widths = _one_piece(2, 0, [float("inf")], dst=1)
+        with pytest.raises(CliqueModelError, match="node 0"):
+            CongestedClique(2).send_array(dests, blocks, widths=widths)
 
     def test_object_dtype_array_names_node(self):
         bad = np.array([object(), object()], dtype=object)
-        with pytest.raises(ValueError, match="node 1: object-dtype payload"):
-            validate_outboxes([[], [(0, bad, 2)]], n=2)
+        dests, blocks, widths = _one_piece(2, 1, bad, width=2)
+        with pytest.raises(CliqueModelError, match="node 1: pieces of dtype object"):
+            CongestedClique(2).route_array(dests, blocks, widths=widths)
 
     def test_nan_array_entries_name_node(self):
-        bad = np.array([1.0, float("nan")])
-        with pytest.raises(ValueError, match="node 0: non-finite entries"):
-            validate_outboxes([[(1, bad, 2)], []], n=2)
+        dests, blocks, _ = _one_piece(2, 0, [1.0, float("nan")], dst=1)
+        with pytest.raises(CliqueModelError, match="node 0: pieces of dtype float64"):
+            CongestedClique(2).route_array(dests, blocks)
 
-    def test_finite_float_arrays_pass(self):
-        validate_outboxes([[(1, np.array([1.5, -2.0]), 2)], []], n=2)
+    def test_finite_float_arrays_refused(self):
+        # A fractional float has no integer word encoding either: the piece
+        # must be refused, not floored to [1, -2] on delivery.
+        dests, blocks, widths = _one_piece(2, 0, [1.5, -2.0], dst=1, width=2)
+        with pytest.raises(CliqueModelError, match="node 0: pieces of dtype float64"):
+            CongestedClique(2).route_array(dests, blocks, widths=widths)
 
     def test_negative_width_names_node(self):
-        with pytest.raises(ValueError, match="node 1: non-positive word count"):
-            validate_outboxes([[], [(0, "x", -3)]], n=2)
+        dests, blocks, widths = _one_piece(2, 1, [1], width=-3)
+        with pytest.raises(CliqueModelError, match="node 1: non-positive word count"):
+            CongestedClique(2).route_array(dests, blocks, widths=widths)
 
 
 class TestBlockWidths:

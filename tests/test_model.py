@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.clique import CongestedClique, ScheduleMode
-from repro.errors import CliqueModelError, LoadBoundExceededError
+from repro.errors import CliqueModelError
 
 
 class TestConstruction:
@@ -61,123 +61,132 @@ class TestBroadcast:
             assert received[u] == [f"p{v}" for v in range(6)]
 
 
+def _batch(n: int, messages: dict[int, list[tuple[int, int]]]):
+    """Per-node (dests, one-entry pieces, widths) for ``{src: [(dst, words)]}``."""
+    dests, blocks, widths = [], [], []
+    for v in range(n):
+        box = messages.get(v, [])
+        dests.append(np.array([d for d, _w in box], dtype=np.int64))
+        blocks.append(np.full((len(box), 1), v, dtype=np.int64))
+        widths.append(np.array([w for _d, w in box], dtype=np.int64))
+    return dests, blocks, widths
+
+
 class TestSend:
     def test_transposes_in_one_round(self):
         clique = CongestedClique(4)
-        cols = clique.transpose([[10 * v + u for u in range(4)] for v in range(4)])
+        cols = clique.transpose_array(
+            np.array([[10 * v + u for u in range(4)] for v in range(4)])
+        )
         assert clique.rounds == 1
         assert cols[1][3] == 31
 
     def test_rounds_equal_max_pair_traffic(self):
         clique = CongestedClique(4)
-        clique.send([[(1, "a", 3), (1, "b", 2)], [], [], []])
+        dests, blocks, widths = _batch(4, {0: [(1, 3), (1, 2)]})
+        clique.send_array(dests, blocks, widths=widths)
         assert clique.rounds == 5  # 5 words over the (0, 1) link
 
     def test_self_messages_free(self):
         clique = CongestedClique(3)
-        inboxes = clique.send([[(0, "self", 100)], [], []])
+        dests, blocks, widths = _batch(3, {0: [(0, 100)]})
+        inboxes = clique.send_array(dests, blocks, widths=widths)
         assert clique.rounds == 0
-        assert inboxes[0] == [(0, "self")]
-
-    def test_expect_max_pair_enforced(self):
-        clique = CongestedClique(3)
-        with pytest.raises(LoadBoundExceededError):
-            clique.send([[(1, "x", 9)], [], []], expect_max_pair=8)
+        assert inboxes[0].sources.tolist() == [0]
+        assert inboxes[0].blocks.tolist() == [[0]]
 
     def test_bad_destination(self):
         clique = CongestedClique(3)
+        dests, blocks, widths = _batch(3, {0: [(7, 1)]})
         with pytest.raises(CliqueModelError):
-            clique.send([[(7, "x", 1)], [], []])
+            clique.send_array(dests, blocks, widths=widths)
 
     def test_inboxes_sorted_by_source(self):
         clique = CongestedClique(4)
-        inboxes = clique.send(
-            [[(3, "from0", 1)], [(3, "from1", 1)], [(3, "from2", 1)], []]
-        )
-        assert [src for src, _ in inboxes[3]] == [0, 1, 2]
+        dests, blocks, widths = _batch(4, {2: [(3, 1)], 0: [(3, 1)], 1: [(3, 1)]})
+        inboxes = clique.send_array(dests, blocks, widths=widths)
+        assert inboxes[3].sources.tolist() == [0, 1, 2]
 
 
 class TestRoute:
     def test_balanced_load_costs_two_rounds(self):
         n = 8
         clique = CongestedClique(n)
-        outboxes = [[((v + 1) % n, "x", 1)] for v in range(n)]
-        clique.route(outboxes)
+        dests, blocks, widths = _batch(n, {v: [((v + 1) % n, 1)] for v in range(n)})
+        clique.route_array(dests, blocks, widths=widths)
         assert clique.rounds == 2
 
     def test_rounds_scale_with_load(self):
         n = 8
         clique = CongestedClique(n)
         # Node 0 receives 4n words -> 2 * ceil(4n/n) = 8 rounds.
-        outboxes = [[] for _ in range(n)]
-        for v in range(1, n):
-            outboxes[v].append((0, "x", 32 // (n - 1) + 1))
-        clique.route(outboxes)
-        assert clique.rounds == 2 * ((max(32 // (n - 1) + 1, 0) * (n - 1) + n - 1) // n)
-
-    def test_expect_max_load_enforced(self):
-        clique = CongestedClique(4)
-        with pytest.raises(LoadBoundExceededError):
-            clique.route([[(1, "x", 100)], [], [], []], expect_max_load=50)
+        width = 32 // (n - 1) + 1
+        dests, blocks, widths = _batch(n, {v: [(0, width)] for v in range(1, n)})
+        clique.route_array(dests, blocks, widths=widths)
+        assert clique.rounds == 2 * ((max(width, 0) * (n - 1) + n - 1) // n)
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6))
     def test_exact_mode_delivers_identically(self, seed):
         rng = np.random.default_rng(seed)
         n = 7
-        outboxes = [[] for _ in range(n)]
+        dests, blocks = [], []
         for v in range(n):
-            for _ in range(int(rng.integers(0, 12))):
-                outboxes[v].append(
-                    (int(rng.integers(0, n)), (v, int(rng.integers(100))), 1)
-                )
+            count = int(rng.integers(0, 12))
+            dests.append(rng.integers(0, n, count).astype(np.int64))
+            pieces = np.empty((count, 2), dtype=np.int64)
+            pieces[:, 0] = v
+            pieces[:, 1] = rng.integers(100, size=count)
+            blocks.append(pieces)
+        widths = [np.ones(d.shape[0], dtype=np.int64) for d in dests]
         fast = CongestedClique(n, mode=ScheduleMode.FAST)
         exact = CongestedClique(n, mode=ScheduleMode.EXACT)
-        got_fast = fast.route([list(b) for b in outboxes])
-        got_exact = exact.route([list(b) for b in outboxes])
-        assert got_fast == got_exact
+        got_fast = fast.route_array(dests, blocks, widths=widths)
+        got_exact = exact.route_array(dests, blocks, widths=widths)
+        for u in range(n):
+            assert np.array_equal(got_fast[u].sources, got_exact[u].sources)
+            assert np.array_equal(got_fast[u].blocks, got_exact[u].blocks)
         assert exact.rounds <= 2 * fast.rounds + 2
 
     def test_empty_route_is_free(self):
         clique = CongestedClique(4)
-        clique.route([[], [], [], []])
+        clique.route_array(*_batch(4, {})[:2])
         assert clique.rounds == 0
 
 
 class TestAllgather:
     def test_replicates_all_records(self):
         clique = CongestedClique(5)
-        records = [[(v, i) for i in range(v + 1)] for v in range(5)]
-        combined = clique.allgather_records(records)
-        assert sorted(combined) == sorted(
+        records = [
+            np.array([(v, i) for i in range(v + 1)], dtype=np.int64)
+            for v in range(5)
+        ]
+        combined = clique.allgather_rows(records)
+        assert sorted(map(tuple, combined.tolist())) == sorted(
             (v, i) for v in range(5) for i in range(v + 1)
         )
 
     def test_rounds_scale_with_volume(self):
         n = 8
         small = CongestedClique(n)
-        small.allgather_records([[1]] * n)
+        small.allgather_rows([np.ones((1, 1), dtype=np.int64)] * n)
         big = CongestedClique(n)
-        big.allgather_records([[1] * 10] * n)
+        big.allgather_rows([np.ones((10, 1), dtype=np.int64)] * n)
         assert big.rounds > small.rounds
-
-    def test_empty(self):
-        clique = CongestedClique(4)
-        assert clique.allgather_records([[], [], [], []]) == []
 
     def test_wrong_shape(self):
         clique = CongestedClique(4)
         with pytest.raises(CliqueModelError):
-            clique.allgather_records([[], []])
+            clique.allgather_rows([np.zeros((0, 1), dtype=np.int64)] * 2)
 
 
 class TestTranspose:
     def test_shape_validation(self):
         clique = CongestedClique(3)
         with pytest.raises(CliqueModelError):
-            clique.transpose([[1, 2], [3, 4]])
+            clique.transpose_array(np.array([[1, 2], [3, 4]]))
 
     def test_wide_entries_cost_more(self):
         clique = CongestedClique(3)
-        clique.transpose(np.ones((3, 3), dtype=np.int64), words_per_entry=4)
+        clique.transpose_array(np.ones((3, 3), dtype=np.int64), words_per_entry=4)
         assert clique.rounds == 4
