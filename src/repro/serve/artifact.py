@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from repro.constants import INF
-from repro.errors import FaultToleranceExceeded
+from repro.errors import FaultToleranceExceeded, ReproError
 from repro.graphs.graphs import Graph
 from repro.runtime import pad_matrix
 
@@ -197,11 +197,12 @@ class ClosureArtifact:
             manifest["blocks"] = {}
             _write_manifest(path, manifest)
             raise
-        except Exception as exc:
-            # An unprotected adversary can corrupt witness indices badly
-            # enough to crash the closure outright; record that build as
-            # degraded too, so the directory can never be mistaken for a
-            # clean artifact in progress.
+        except ReproError as exc:
+            # An unprotected adversary can corrupt the closure badly enough
+            # to stop it with a model error (a witness outside the node
+            # range, say); record that build as degraded too, so the
+            # directory can never be mistaken for a clean artifact in
+            # progress.
             faults = _fault_summary(session.clique)
             if faults is not None and faults["injected"]:
                 manifest["status"] = "degraded"

@@ -270,6 +270,32 @@ class TestFaultyCliquePureInterception:
         assert faulty.faults_injected == 0
 
 
+class TestCorruptedWitnessIsAModelError:
+    """Unprotected bit flips reach the §2.1 step-3 witnesses; the receiver
+    refuses any witness outside ``[0, n)`` with a named error instead of
+    indexing the routing table with it."""
+
+    @pytest.mark.parametrize("kind", ["flip", "byzantine"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("graph", ["random", "cycle"])
+    @pytest.mark.parametrize("n", [27, 64])
+    def test_apsp_exact_raises_clique_model_error(self, n, graph, seed, kind):
+        from repro.distances import apsp_exact
+        from repro.graphs import cycle_graph, random_weighted_graph
+
+        g = (
+            random_weighted_graph(n, 0.2, max_weight=50, seed=seed)
+            if graph == "random"
+            else cycle_graph(n)
+        )
+        clique = make_clique(
+            n, "semiring", fault_plan=FaultPlan(t=1, seed=seed, kind=kind)
+        )
+        with pytest.raises(CliqueModelError, match="step3-recombine.*witness"):
+            apsp_exact(g, clique=clique)
+        assert clique.faults_injected > 0
+
+
 class TestArenaNoEscapeUnderFaults:
     """Satellite: a corrupted ``route_array_take`` must never write outside
     its planned caller-buffer slice (the arena aliasing rule holds under
