@@ -2,7 +2,7 @@
 # from a clean checkout without an install.
 PY := PYTHONPATH=src python
 
-.PHONY: test test-full bench perf-report bench-check bench-quick table1
+.PHONY: test test-full bench table1
 
 test:        ## fast lane (default pytest config: -m "not slow")
 	$(PY) -m pytest -q
@@ -12,15 +12,6 @@ test-full:   ## full suite including slow tests
 
 bench:       ## pytest-benchmark suites only
 	$(PY) -m pytest benchmarks -q -m ""
-
-perf-report: ## kernel + messaging perf report -> BENCH_matmul.json
-	$(PY) benchmarks/perf_report.py
-
-bench-check: ## fail if a quick perf run regresses >25% vs committed BENCH_matmul.json
-	$(PY) benchmarks/bench_check.py
-
-bench-quick: ## gate-sized rows only (kernel_gate/boolean/kernel2/kernel3/spanning/faults/serve/netsim) -- the CI fast lane
-	$(PY) benchmarks/bench_check.py --gate-only
 
 table1:      ## the consolidated measured Table 1
 	$(PY) benchmarks/table1_harness.py

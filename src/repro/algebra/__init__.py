@@ -22,7 +22,6 @@ from repro.algebra.semirings import (
     MIN_PLUS,
     PLUS_TIMES,
     Semiring,
-    reference_matmul,
 )
 from repro.algebra.strassen import strassen_multiply
 
@@ -33,7 +32,6 @@ __all__ = [
     "MIN_PLUS",
     "MAX_MIN",
     "ALL_SEMIRINGS",
-    "reference_matmul",
     "BilinearAlgorithm",
     "STRASSEN",
     "classical",

@@ -45,8 +45,6 @@ try:  # optional: honest BLAS/tile-thread interplay when available
 except ImportError:  # pragma: no cover - depends on the environment
     _threadpool_limits = None
 
-HAVE_THREADPOOLCTL = _threadpool_limits is not None
-
 
 class KernelBackendError(ValueError):
     """An unknown or unavailable kernel backend was requested."""
@@ -83,11 +81,6 @@ class KernelBackend:
 
     name = "abstract"
     threads = 1
-
-    @property
-    def spec(self) -> str:
-        """Picklable registry spec resolving back to an equivalent backend."""
-        return self.name if self.threads == 1 else f"{self.name}:{self.threads}"
 
     def run(self, tasks: Sequence[Callable[[], None]]) -> None:
         raise NotImplementedError
@@ -218,21 +211,11 @@ def get_backend(spec: "str | int | KernelBackend | None" = None) -> KernelBacken
     return backend
 
 
-def backend_info() -> dict:
-    """Environment facts the perf report records next to threaded rows."""
-    return {
-        "cpus": os.cpu_count() or 1,
-        "threadpoolctl": HAVE_THREADPOOLCTL,
-    }
-
-
 __all__ = [
     "KernelBackend",
     "KernelBackendError",
     "SerialBackend",
     "ThreadedBackend",
     "get_backend",
-    "backend_info",
     "tile_ranges",
-    "HAVE_THREADPOOLCTL",
 ]

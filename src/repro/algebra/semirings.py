@@ -17,44 +17,43 @@ min-plus instance saturates at :data:`repro.constants.INF`.
 Kernel strategy
 ---------------
 
+Every semiring implements its products *batched*: ``matmul_batch`` (and,
+for the selection semirings, ``matmul_batch_with_witness``) multiply a
+stack of ``B`` blocks at once, which is how the executor layer runs one
+engine step.  The per-block entry points :meth:`Semiring.matmul` and
+:meth:`Semiring.matmul_with_witness` live once, in the base class, as a
+batch of one -- so each product has exactly one kernel.
+
 Selection-semiring products (min-plus, max-min) are computed with
 *inner-dimension-blocked* kernels: the inner index range ``k`` is processed
-in tiles of :data:`DEFAULT_BLOCK_TILE` columns, keeping a running
-``(value, witness)`` accumulator of shape ``(m, n)``.  Peak temporary memory
-is ``O(m * n * tile)`` instead of the full ``O(m * k * n)`` broadcast cube,
-which keeps the working set cache-resident and makes the block products the
-3D algorithm spends its time in several times faster at realistic sizes
-(see ``benchmarks/perf_report.py``).  The original cube-materialising
-kernels are retained as ``cube_matmul_with_witness`` -- they serve as the
-independent oracle for the property tests and as the baseline the perf
-report measures against.
+in tiles, keeping a running ``(value, witness)`` accumulator of shape
+``(B, m, n)``.  Peak temporary memory is ``O(m * n * tile)`` per block
+instead of the full ``O(m * k * n)`` broadcast cube of the seed kernels,
+which keeps the working set cache-resident.  The witness products run a
+*packed* kernel (``(value << kbits) | tag`` under one tiled min/max, shift
+and tag folded into the operands) and fall back to one exact column walk
+for entries too wide to pack; the seed cube kernels survive only as test
+oracles (``tests/kernel_reference.py``).
 
 Saturation is handled per tile by :func:`saturating_add`: any operand at or
 above ``INF`` yields exactly ``INF`` (never ``INF + INF``, which would
 overflow ``int64``), and finite sums are clipped at ``INF``.
 
-Kernel generation 2 (see DESIGN.md) adds, each with its oracle retained
-and a bit-identical equivalence suite: *packed* batched witness kernels
-for min-plus **and** max-min (``(value << kbits) | tag`` under one tiled
-min/max, shift and tag folded into the operands), and a ``uint64``
-bit-packed Boolean kernel (method of Four Russians) selected by a size
-heuristic over the retained ``float32`` GEMM tile.
+The Boolean product picks, by work, between a blocked ``float32`` GEMM tile
+and a ``uint64`` bit-packed kernel (method of Four Russians); a
+*pre-packed* entry point (:meth:`BooleanSemiring.packed_words_matmul_batch`)
+consumes bit-packed operands and returns bit-packed rows, so the engine's
+persistent packed closure state never round-trips through 0/1 int64
+between squarings (see :func:`repro.matmul.semiring3d.boolean_matmul_packed`).
 
-Kernel generation 3 adds two orthogonal layers on top:
-
-* every batched kernel accepts a ``backend=`` spec
-  (:mod:`repro.algebra.backends`): the packed witness fold and the packed
-  Boolean kernels split their work into disjoint batch/column tiles and
-  hand them to the backend (serial today, ``threaded:N`` to fan out over a
-  thread pool -- bit-identical either way, since no kernel merges across
-  tiles in scheduling order).  Kernels whose heavy lifting is a BLAS call
-  (the ``float32`` GEMM tile, the plain ring product) accept the keyword
-  and ignore it -- BLAS manages its own threads.
-* a *pre-packed* Boolean entry point
-  (:meth:`BooleanSemiring.packed_words_matmul_batch`) consuming bit-packed
-  operands and returning bit-packed rows, so the engine's persistent
-  packed closure state never round-trips through 0/1 int64 between
-  squarings (see :func:`repro.matmul.semiring3d.boolean_matmul_packed`).
+Every batched kernel accepts a ``backend=`` spec
+(:mod:`repro.algebra.backends`): the packed witness fold and the packed
+Boolean kernels split their work into disjoint batch/column tiles and hand
+them to the backend (serial, or ``threaded:N`` to fan out over a thread
+pool -- bit-identical either way, since no kernel merges across tiles in
+scheduling order).  Kernels whose heavy lifting is a BLAS call (the
+``float32`` GEMM tile, the plain ring product) or a single fold accept the
+keyword and ignore it.
 """
 
 from __future__ import annotations
@@ -66,21 +65,13 @@ import numpy as np
 from repro.algebra.backends import get_backend, tile_ranges
 from repro.constants import INF
 
-#: Default inner-dimension tile width for the blocked kernels.  Each tile
+#: Inner-dimension tile width of the plain selection kernels.  Each tile
 #: materialises an ``(m, tile, n)`` slab; 8 keeps that slab cache-friendly at
 #: the block sizes the 3D algorithm produces (empirically the fastest width
 #: at n=512 on this class of hardware) while amortising the Python-level
-#: loop overhead.  Override per call via the ``tile=`` keyword.
+#: loop overhead.  The packed witness fold also drops to it on blocks too
+#: large for its slab budget (:meth:`_SelectionSemiring._packed_fold`).
 DEFAULT_BLOCK_TILE = 8
-
-
-def _resolve_tile(tile: int | None) -> int:
-    """Per-call tile override: ``None`` means :data:`DEFAULT_BLOCK_TILE`."""
-    if tile is None:
-        return DEFAULT_BLOCK_TILE
-    if tile < 1:
-        raise ValueError(f"tile width must be positive, got {tile}")
-    return int(tile)
 
 
 def saturating_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -107,9 +98,10 @@ def saturating_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class Semiring:
     """Base class: a semiring with NumPy block operations.
 
-    Subclasses implement :meth:`matmul` and :meth:`add`; semirings whose
-    addition is a selection (min/max) also implement the ``*_with_witness``
-    variants used to extract routing tables (§3.3).
+    Subclasses implement the batched product :meth:`matmul_batch` and
+    :meth:`add`; semirings whose addition is a selection (min/max) also
+    implement :meth:`matmul_batch_with_witness`, used to extract routing
+    tables (§3.3).  The per-block products are a batch of one.
     """
 
     name: str = "abstract"
@@ -123,9 +115,39 @@ class Semiring:
     #: whether witnesses (argmin/argmax indices) are meaningful
     has_witnesses: bool = False
 
-    def matmul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Block product ``x . y`` in the semiring."""
+    def matmul_batch(
+        self, x: np.ndarray, y: np.ndarray, *, backend=None
+    ) -> np.ndarray:
+        """Batched block product: ``(B, m, k) x (B, k, n) -> (B, m, n)``.
+
+        The executor layer calls it once per engine step, amortising the
+        per-block Python overhead across the batch.  ``backend`` (a
+        :mod:`repro.algebra.backends` spec) selects tile scheduling for the
+        kernels that split into tiles; it can never change values.
+        """
         raise NotImplementedError
+
+    def matmul_batch_with_witness(
+        self, x: np.ndarray, y: np.ndarray, *, backend=None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Batched product plus, per output entry, the inner index attaining it.
+
+        Only meaningful for selection semirings; the default raises.
+        """
+        raise NotImplementedError(f"{self.name} has no witnesses")
+
+    def matmul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Block product ``x . y``: :meth:`matmul_batch` on a batch of one."""
+        x, y = _check_block(x, y)
+        return self.matmul_batch(x[None], y[None])[0]
+
+    def matmul_with_witness(
+        self, x: np.ndarray, y: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Block product with witnesses: a batch of one."""
+        x, y = _check_block(x, y)
+        product, witness = self.matmul_batch_with_witness(x[None], y[None])
+        return product[0], witness[0]
 
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise semiring addition."""
@@ -139,46 +161,9 @@ class Semiring:
         """
         raise NotImplementedError(f"{self.name} has no selection order")
 
-    def matmul_batch(
-        self, x: np.ndarray, y: np.ndarray, *, backend=None
-    ) -> np.ndarray:
-        """Batched block product: ``(B, m, k) x (B, k, n) -> (B, m, n)``.
-
-        Semantically ``stack([matmul(x[b], y[b]) for b])`` and guaranteed to
-        produce identical values; subclasses override with vectorised kernels
-        so the executor layer amortises the per-block Python overhead across
-        a whole engine step.  This generic fallback just loops.  ``backend``
-        (a :mod:`repro.algebra.backends` spec) selects tile scheduling for
-        the kernels that split into tiles; it can never change values.
-        """
-        del backend  # the generic loop has no tiles to schedule
-        x, y = _check_batch(x, y)
-        return np.stack([self.matmul(x[b], y[b]) for b in range(x.shape[0])])
-
-    def matmul_batch_with_witness(
-        self, x: np.ndarray, y: np.ndarray, *, backend=None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Batched :meth:`matmul_with_witness`; identical values/witnesses."""
-        del backend  # the generic loop has no tiles to schedule
-        x, y = _check_batch(x, y)
-        pairs = [self.matmul_with_witness(x[b], y[b]) for b in range(x.shape[0])]
-        return (
-            np.stack([p for p, _ in pairs]),
-            np.stack([w for _, w in pairs]),
-        )
-
     def zeros(self, shape: tuple[int, ...]) -> np.ndarray:
         """All-``zero_value`` matrix of the given shape."""
         return np.full(shape, self.zero_value, dtype=np.int64)
-
-    def matmul_with_witness(
-        self, x: np.ndarray, y: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Block product plus, per output entry, the inner index attaining it.
-
-        Only meaningful for selection semirings; the default raises.
-        """
-        raise NotImplementedError(f"{self.name} has no witnesses")
 
     def add_with_witness(
         self,
@@ -192,6 +177,16 @@ class Semiring:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Semiring({self.name})"
+
+
+def _check_block(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    x = np.asarray(x)
+    y = np.asarray(y)
+    if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[0]:
+        raise ValueError(
+            f"incompatible block shapes {x.shape} x {y.shape} for a product"
+        )
+    return x, y
 
 
 def _check_batch(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -278,9 +273,6 @@ class PlusTimesRing(Semiring):
     zero_value = 0
     is_ring = True
 
-    def matmul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return x @ y
-
     def matmul_batch(
         self, x: np.ndarray, y: np.ndarray, *, backend=None
     ) -> np.ndarray:
@@ -295,26 +287,24 @@ class PlusTimesRing(Semiring):
 class BooleanSemiring(Semiring):
     """The Boolean semiring ``({0,1}, or, and)``.
 
-    Matrices are 0/1 ``int64``.  The product kernel is *blocked*: the inner
-    dimension is processed in :data:`BOOL_TILE`-column tiles, each tile a
-    narrow ``float32`` GEMM whose thresholded result is OR-merged into a
-    boolean accumulator -- the Boolean analogue of the selection semirings'
-    accumulator kernels (``float32`` plays the role of the int8 accumulator:
-    one BLAS call per tile instead of a materialised AND cube).
+    Matrices are 0/1 ``int64``.  :meth:`matmul_batch` picks one of two exact
+    kernels by the work of a block (:meth:`_use_packed`):
 
-    Exactness does **not** need the inner count to fit the ``float32``
-    mantissa: partial sums of non-negative 0/1 products are monotone under
-    rounding, so a positive count can never round below ``1`` and a zero
-    count is exactly ``0`` -- the ``> 0.5`` threshold is exact for every
-    tile width.  The cube-materialising kernel is retained as
-    :meth:`cube_matmul` (oracle + perf baseline), mirroring
-    ``cube_matmul_with_witness`` on the selection semirings.
+    * a *blocked* ``float32`` GEMM: the inner dimension is processed in
+      :data:`BOOL_TILE`-column tiles, each tile one BLAS call whose
+      thresholded result is OR-merged into a boolean accumulator.
+      Exactness does **not** need the inner count to fit the ``float32``
+      mantissa: partial sums of non-negative 0/1 products are monotone
+      under rounding, so a positive count can never round below ``1`` and
+      a zero count is exactly ``0`` -- the ``> 0.5`` threshold is exact for
+      every tile width;
+    * the ``uint64`` bit-packed kernel (:meth:`packed_matmul_batch`).
     """
 
     name = "boolean"
     zero_value = 0
 
-    #: Inner-dimension tile width for the blocked Boolean kernel.  Coarser
+    #: Inner-dimension tile width for the blocked GEMM kernel.  Coarser
     #: than the selection-kernel tile because a tile here is one BLAS call
     #: on an ``(m, tile) x (tile, n)`` pair, not a materialised 3D slab; the
     #: default keeps per-tile ``float32`` temporaries a few MB at the block
@@ -362,74 +352,40 @@ class BooleanSemiring(Semiring):
             and m * k * n >= self.PACKED_MIN_WORK
         )
 
-    def matmul(
-        self,
-        x: np.ndarray,
-        y: np.ndarray,
-        *,
-        tile: int | None = None,
-        backend=None,
+    def matmul_batch(
+        self, x: np.ndarray, y: np.ndarray, *, backend=None
     ) -> np.ndarray:
-        """Boolean block product; dispatches packed vs GEMM by size.
+        """Batched Boolean product: GEMM tiles or bit-packed, chosen by work.
 
-        An explicit ``tile`` pins the ``float32`` GEMM kernel (the only one
-        with a tile); otherwise :meth:`_use_packed` picks the ``uint64``
-        bit-packed kernel for large blocks.  All kernels are exact, so the
-        dispatch can never change values.
+        Large blocks take the bit-packed kernel; the small per-node blocks
+        the engines batch stay on the GEMM tile (measured faster there --
+        BLAS amortises while the 256-row chunk tables do not).  ``backend``
+        only schedules the packed kernel's tiles; BLAS threads are BLAS's
+        own business.
         """
-        x, y = self._check(x, y)
-        if tile is None and self._use_packed(x.shape[0], x.shape[1], y.shape[1]):
-            # Batch of one, skipping packed_matmul's re-validation.
-            return self.packed_matmul_batch(x[None], y[None], backend=backend)[0]
-        return self.gemm_matmul(x, y, tile=tile)
-
-    def gemm_matmul(
-        self, x: np.ndarray, y: np.ndarray, *, tile: int | None = None
-    ) -> np.ndarray:
-        """The blocked ``float32`` GEMM kernel (PR 2): one BLAS call per tile."""
-        x, y = self._check(x, y)
-        if tile is None:
-            tile = self.BOOL_TILE
-        elif tile < 1:
-            raise ValueError(f"tile width must be positive, got {tile}")
-        k = x.shape[1]
-        acc = np.zeros((x.shape[0], y.shape[1]), dtype=bool)
+        x, y = _check_batch(x, y)
+        if self._use_packed(x.shape[1], x.shape[2], y.shape[2]):
+            return self.packed_matmul_batch(x, y, backend=backend)
+        k = x.shape[2]
+        tile = self.BOOL_TILE
+        acc = np.zeros((x.shape[0], x.shape[1], y.shape[2]), dtype=bool)
         xb = (x > 0).astype(np.float32)
         yb = (y > 0).astype(np.float32)
         for k0 in range(0, k, tile):
-            counts = xb[:, k0 : k0 + tile] @ yb[k0 : k0 + tile, :]
+            counts = np.matmul(xb[:, :, k0 : k0 + tile], yb[:, k0 : k0 + tile, :])
             acc |= counts > 0.5
         return acc.astype(np.int64)
-
-    def packed_matmul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Bit-packed Boolean product (method of Four Russians, word-parallel).
-
-        Both operands are packed once per product -- 64x memory compression
-        against the ``float32`` GEMM path's working set.  The inner
-        dimension is processed in 8-bit chunks: chunk ``c`` packs ``y`` rows
-        ``8c .. 8c+7`` (columns bit-packed, little-endian, padded to whole
-        ``uint64`` words) and materialises the 256 possible OR combinations
-        with 8 doubling passes; output row ``i`` then ORs, over chunks, the
-        table row selected by byte ``c`` of ``x[i]``'s packed row.  The
-        tables are viewed as ``uint64`` words, so the gather/reduce sweep
-        ORs 64 output columns per word op, chunk-major and contiguous.
-        Exact at every density (no arithmetic, only AND/OR logic),
-        property-tested against :meth:`cube_matmul` and :meth:`gemm_matmul`.
-        """
-        # One block is a batch of one (same pattern as the packed witness
-        # kernels), so the endianness-sensitive pack/table/gather logic
-        # lives in exactly one place.
-        x, y = self._check(x, y)
-        return self.packed_matmul_batch(x[None], y[None])[0]
 
     def packed_matmul_batch(
         self, x: np.ndarray, y: np.ndarray, *, backend=None
     ) -> np.ndarray:
-        """Batched :meth:`packed_matmul`: the chunk tables gain a batch axis.
+        """Bit-packed Boolean product (method of Four Russians, word-parallel).
 
-        Packs both operands, runs the pre-packed word kernel
-        (:meth:`packed_words_matmul_batch` -- the single home of the
+        Packs both operands -- 64x memory compression against the
+        ``float32`` GEMM path's working set -- runs the pre-packed word
+        kernel (:meth:`packed_words_matmul_batch`, the single home of the
         endianness-sensitive table/gather logic), and unpacks the result.
+        Exact at every density (no arithmetic, only AND/OR logic).
         """
         x, y = _check_batch(x, y)
         batch, m, k = x.shape
@@ -454,6 +410,13 @@ class BooleanSemiring(Semiring):
                 the output columns (padding bits zero).
             k: logical inner dimension (bits of an ``xw`` row / rows of
                 ``yw``).
+
+        The inner dimension is processed in 8-bit chunks: chunk ``c`` takes
+        ``y`` rows ``8c .. 8c+7`` and materialises the 256 possible OR
+        combinations with 8 doubling passes; output row ``i`` then ORs,
+        over chunks, the table row selected by byte ``c`` of ``x[i]``'s
+        packed row -- 64 output columns per word op, chunk-major and
+        contiguous.
 
         Returns the ``(B, m, owords)`` packed product rows, freshly
         allocated.  Padding bits of the output stay zero (padded ``y`` rows
@@ -531,92 +494,29 @@ class BooleanSemiring(Semiring):
         backend.run([partial(product_range, lo, hi) for lo, hi in ranges])
         return out
 
-    def cube_matmul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """The cube-materialising Boolean product (oracle + perf baseline).
-
-        Materialises the full ``(m, k, n)`` slab of elementary ANDs and
-        reduces with ``any`` -- ``O(m k n)`` temporaries, like the seed's
-        selection-semiring cube kernel.  The blocked kernel is
-        property-tested against it and the perf report measures the speedup
-        relative to it.
-        """
-        x, y = self._check(x, y)
-        values = (x[:, :, None] > 0) & (y[None, :, :] > 0)
-        return values.any(axis=1).astype(np.int64)
-
-    def matmul_batch(
-        self,
-        x: np.ndarray,
-        y: np.ndarray,
-        *,
-        tile: int | None = None,
-        backend=None,
-    ) -> np.ndarray:
-        """Batched blocked Boolean product: one BLAS call per inner tile.
-
-        The exactness argument of :meth:`matmul` is per output entry, so it
-        holds unchanged with a leading batch axis; values are identical to
-        the per-block kernel.  The same size heuristic as :meth:`matmul`
-        applies per block: large blocks take the bit-packed kernel, the
-        small per-node blocks the engines batch stay on the GEMM tile
-        (measured faster there -- BLAS amortises while the 256-row chunk
-        tables do not; ``backend`` only schedules the packed kernel's
-        tiles, BLAS threads are BLAS's own business).
-        """
-        x, y = _check_batch(x, y)
-        if tile is None and self._use_packed(x.shape[1], x.shape[2], y.shape[2]):
-            return self.packed_matmul_batch(x, y, backend=backend)
-        if tile is None:
-            tile = self.BOOL_TILE
-        elif tile < 1:
-            raise ValueError(f"tile width must be positive, got {tile}")
-        k = x.shape[2]
-        acc = np.zeros((x.shape[0], x.shape[1], y.shape[2]), dtype=bool)
-        xb = (x > 0).astype(np.float32)
-        yb = (y > 0).astype(np.float32)
-        for k0 in range(0, k, tile):
-            counts = np.matmul(xb[:, :, k0 : k0 + tile], yb[:, k0 : k0 + tile, :])
-            acc |= counts > 0.5
-        return acc.astype(np.int64)
-
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return ((a + b) > 0).astype(np.int64)
-
-    @staticmethod
-    def _check(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x = np.asarray(x)
-        y = np.asarray(y)
-        if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[0]:
-            raise ValueError(
-                f"incompatible block shapes {x.shape} x {y.shape} for a product"
-            )
-        return x, y
 
 
 class _SelectionSemiring(Semiring):
     """Shared blocked-kernel machinery for min-plus and max-min.
 
-    Two accumulator kernels replace the seed's cube-materialising product:
-
-    * :meth:`matmul` processes the inner dimension in tiles, reducing each
-      ``(m, tile, n)`` slab immediately and merging it into an ``(m, n)``
-      running best -- peak memory ``O(m * n * tile)``.
-    * :meth:`matmul_with_witness` walks the inner dimension one column at a
-      time, updating a ``(value, witness)`` pair with a masked copy -- no
-      3D temporaries at all, which beats a slab ``argmin`` (strided-axis
-      ``argmin`` + ``take_along_axis`` is the slow part of the seed kernel).
+    * :meth:`matmul_batch` processes the inner dimension in tiles, reducing
+      each ``(B, m, tile, n)`` slab immediately and merging it into a
+      ``(B, m, n)`` running best -- peak memory ``O(m * n * tile)`` per
+      block.
+    * :meth:`matmul_batch_with_witness` walks the inner dimension one column
+      at a time, updating a ``(value, witness)`` pair with a masked copy --
+      no 3D temporaries at all.  The concrete semirings override it with
+      *packed* kernels (``(value << kbits) | tag`` under one tiled min/max,
+      see :meth:`_packed_fold`) and fall back to this walk for entries too
+      wide to pack; it is also the reference the packed kernels are tested
+      against.
 
     Both merge with a *strict* improvement test while scanning ``k`` in
     ascending order, which reproduces NumPy's global ``argmin``/``argmax``
     tie-breaking (lowest attaining index wins), so results and witnesses are
-    bit-identical to :meth:`cube_matmul_with_witness`.
-
-    The concrete semirings override the batched witness entry point with
-    *packed* kernels (``(value << kbits) | tag`` under one tiled min/max,
-    see :class:`MinPlusSemiring` / :class:`MaxMinSemiring`); the generic
-    batched column walk is retained as
-    :meth:`_generic_walk_batch_with_witness` -- their range-gated fallback
-    and the independent baseline the equivalence tests pin them against.
+    bit-identical to the seed's cube-materialising kernels.
     """
 
     has_witnesses = True
@@ -631,15 +531,7 @@ class _SelectionSemiring(Semiring):
     _PACKED_SLAB_ENTRIES = 1 << 16
 
     def _packed_fold(
-        self,
-        xs,
-        ys,
-        fill,
-        reduce_fn,
-        merge_fn,
-        *,
-        tile: int | None = None,
-        backend=None,
+        self, xs, ys, fill, reduce_fn, merge_fn, *, backend=None
     ) -> np.ndarray:
         """The shared tiled fold of the packed witness kernels.
 
@@ -655,20 +547,25 @@ class _SelectionSemiring(Semiring):
 
         * **two-level tiling**: when a *single* block's ``(m, tile, n)``
           slab overflows the slab budget (huge blocks, batch chunking alone
-          cannot help), the output-column axis is tiled as well, so the
-          inner fold runs per column stripe with a budget-sized slab.
+          cannot help), the fold narrows its inner tile to
+          :data:`DEFAULT_BLOCK_TILE` (measured faster on one 512^2 block)
+          and tiles the output-column axis as well, so the inner fold runs
+          per column stripe with a budget-sized slab.
         * **backend scheduling**: the (batch-range x column-stripe) cells
           are independent -- each folds the full inner dimension for a
           disjoint ``out`` slice -- so they are handed to ``backend``
           (:mod:`repro.algebra.backends`) as tiles.  The fold's merge order
           along ``k`` is unchanged in every cell, and ``min``/``max`` over
           packed (value, tag) lanes is order-independent anyway, so serial
-          and threaded schedules are bit-identical (down to witness
-          tie-breaks; pinned in ``tests/test_kernel_gen3.py``).
+          and threaded schedules -- and every tile width -- are
+          bit-identical (down to witness tie-breaks; pinned in
+          ``tests/test_kernel_gen3.py``).
         """
         batch, m, k = xs.shape
         n = ys.shape[2]
-        tile = self._PACKED_TILE if tile is None else _resolve_tile(tile)
+        tile = self._PACKED_TILE
+        if m * min(tile, k) * n > self._PACKED_SLAB_ENTRIES:
+            tile = DEFAULT_BLOCK_TILE
         out = np.empty((batch, m, n), dtype=np.int64)
         backend = get_backend(backend)
         kt_max = min(tile, k)
@@ -733,10 +630,6 @@ class _SelectionSemiring(Semiring):
         """Elementwise semiring multiplication (broadcasting)."""
         raise NotImplementedError
 
-    def _select(self, values: np.ndarray, axis: int) -> np.ndarray:
-        """Index of the selected (min/max) value along ``axis``."""
-        raise NotImplementedError
-
     def _reduce(self, values: np.ndarray, axis: int) -> np.ndarray:
         """Selected value along ``axis`` (min/max)."""
         raise NotImplementedError
@@ -747,69 +640,18 @@ class _SelectionSemiring(Semiring):
 
     # -- blocked kernels ------------------------------------------------- #
 
-    def matmul(
-        self, x: np.ndarray, y: np.ndarray, *, tile: int | None = None
-    ) -> np.ndarray:
-        x, y = self._check_operands(x, y)
-        tile = _resolve_tile(tile)
-        k = x.shape[1]
-        best: np.ndarray | None = None
-        for k0 in range(0, k, tile):
-            xt = x[:, k0 : k0 + tile]
-            yt = y[k0 : k0 + tile, :]
-            slab = self._combine(xt[:, :, None], yt[None, :, :])
-            tile_best = self._reduce(slab, axis=1)
-            if best is None:
-                best = tile_best
-            else:
-                better = self._strictly_better(tile_best, best)
-                np.copyto(best, tile_best, where=better)
-        if best is None:  # k == 0: empty inner dimension
-            best = self.zeros((x.shape[0], y.shape[1]))
-        return best
-
-    def matmul_with_witness(
-        self, x: np.ndarray, y: np.ndarray, *, tile: int | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        _resolve_tile(tile)  # validated for API symmetry; kernel is column-wise
-        x, y = self._check_operands(x, y)
-        k = x.shape[1]
-        best: np.ndarray | None = None
-        witness: np.ndarray | None = None
-        for j in range(k):
-            candidate = self._combine(x[:, j : j + 1], y[j])
-            if best is None:
-                best = candidate
-                witness = np.zeros(best.shape, dtype=np.int64)
-            else:
-                better = self._strictly_better(candidate, best)
-                np.copyto(best, candidate, where=better)
-                np.copyto(witness, j, where=better)
-        if best is None:  # k == 0
-            best = self.zeros((x.shape[0], y.shape[1]))
-            witness = np.zeros((x.shape[0], y.shape[1]), dtype=np.int64)
-        return best, witness
-
     def matmul_batch(
-        self,
-        x: np.ndarray,
-        y: np.ndarray,
-        *,
-        tile: int | None = None,
-        backend=None,
+        self, x: np.ndarray, y: np.ndarray, *, backend=None
     ) -> np.ndarray:
-        """Batched tiled kernel: the per-block tile loop lifted over ``B``.
+        """Generic tiled kernel: per-tile reductions, strict merges.
 
-        Per batch lane this performs exactly the reductions and strict
-        merges of :meth:`matmul` in the same order, so values are
-        bit-identical to the per-block kernel; the batch axis is chunked to
-        keep slab temporaries bounded.  (``backend`` is accepted for
-        interface uniformity; only the packed witness fold has backend
-        tiles.)
+        The batch axis is chunked to keep slab temporaries bounded.
+        (``backend`` is accepted for interface uniformity; only the packed
+        witness fold has backend tiles.)
         """
         del backend
         x, y = _check_batch(x, y)
-        tile = _resolve_tile(tile)
+        tile = DEFAULT_BLOCK_TILE
         batch, m, k = x.shape
         n = y.shape[2]
         out = np.empty((batch, m, n), dtype=np.int64)
@@ -837,22 +679,14 @@ class _SelectionSemiring(Semiring):
     def matmul_batch_with_witness(
         self, x: np.ndarray, y: np.ndarray, *, backend=None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Batched witness product; subclasses dispatch to packed kernels."""
-        del backend  # the generic walk has no backend tiles
-        return self._generic_walk_batch_with_witness(x, y)
-
-    def _generic_walk_batch_with_witness(
-        self, x: np.ndarray, y: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Batched column-walk witness kernel; bit-identical to per-block.
+        """Batched column-walk witness kernel: the exact fallback.
 
         Walks the inner dimension once for the whole batch (``k`` Python
-        iterations instead of ``B * k``), with the same strict-improvement
-        merge -- values *and* witnesses match :meth:`matmul_with_witness`
-        exactly, including tie-breaking.  Retained as the fallback for
-        operands outside the packed kernels' head-room range and as their
-        equivalence baseline.
+        iterations instead of ``B * k``) with a strict-improvement merge.
+        The packed kernels of the subclasses defer here for an empty inner
+        dimension and for operands outside their head-room range.
         """
+        del backend  # the walk has no backend tiles
         x, y = _check_batch(x, y)
         batch, m, k = x.shape
         n = y.shape[2]
@@ -870,33 +704,6 @@ class _SelectionSemiring(Semiring):
 
     def improves(self, challenger: np.ndarray, best: np.ndarray) -> np.ndarray:
         return self._strictly_better(challenger, best)
-
-    def cube_matmul_with_witness(
-        self, x: np.ndarray, y: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The original cube-materialising kernel (oracle + perf baseline).
-
-        Materialises the full ``(m, k, n)`` slab of elementary products and
-        takes a single global ``argmin``/``argmax`` -- ``O(m k n)``
-        temporaries.  Kept (modulo the shared saturation helper) from the
-        seed implementation: the blocked kernels are property-tested against
-        it and the perf report measures the speedup relative to it.
-        """
-        x, y = self._check_operands(x, y)
-        values = self._combine(x[:, :, None], y[None, :, :])
-        witness = self._select(values, axis=1)
-        product = np.take_along_axis(values, witness[:, None, :], axis=1)[:, 0, :]
-        return product, witness
-
-    @staticmethod
-    def _check_operands(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x = np.asarray(x)
-        y = np.asarray(y)
-        if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[0]:
-            raise ValueError(
-                f"incompatible block shapes {x.shape} x {y.shape} for a product"
-            )
-        return x, y
 
 
 class MinPlusSemiring(_SelectionSemiring):
@@ -941,63 +748,24 @@ class MinPlusSemiring(_SelectionSemiring):
             encoded.append(np.where(mat >= INF, cls._PENALTY, mat))
         return encoded[0], encoded[1]
 
-    def matmul(
-        self, x: np.ndarray, y: np.ndarray, *, tile: int | None = None
-    ) -> np.ndarray:
-        x, y = self._check_operands(x, y)
-        tile = _resolve_tile(tile)
-        if x.shape[1] == 0:
-            return self.zeros((x.shape[0], y.shape[1]))
-        encoded = self._penalty_encode(x, y)
-        if encoded is None:  # huge finite entries: exact saturating path
-            return super().matmul(x, y, tile=tile)
-        xe, ye = encoded
-        k = x.shape[1]
-        best: np.ndarray | None = None
-        for k0 in range(0, k, tile):
-            slab = xe[:, k0 : k0 + tile, None] + ye[None, k0 : k0 + tile, :]
-            tile_best = slab.min(axis=1)
-            if best is None:
-                best = tile_best
-            else:
-                np.minimum(best, tile_best, out=best)
-        np.copyto(best, INF, where=best >= self._INF_THRESHOLD)
-        return best
-
-    def matmul_with_witness(
-        self, x: np.ndarray, y: np.ndarray, *, tile: int | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        x, y = self._check_operands(x, y)
-        tile = _resolve_tile(tile)
-        if x.shape[1] == 0:
-            shape = (x.shape[0], y.shape[1])
-            return self.zeros(shape), np.zeros(shape, dtype=np.int64)
-        # One block is a batch of one; the batched kernel holds the packed
-        # fast path and the exact fallback chain (values and witnesses are
-        # bit-identical across all of them).
-        product, witness = self.matmul_batch_with_witness(
-            x[None], y[None], tile=tile
-        )
-        return product[0], witness[0]
-
     def matmul_batch(
-        self,
-        x: np.ndarray,
-        y: np.ndarray,
-        *,
-        tile: int | None = None,
-        backend=None,
+        self, x: np.ndarray, y: np.ndarray, *, backend=None
     ) -> np.ndarray:
+        """Penalty-encoded tiled fold: a raw add + min per tile.
+
+        Values are bit-identical to the generic tiled kernel, which remains
+        the exact path for finite entries too wide to encode.
+        """
         del backend  # the penalty-encoded fold has no backend tiles
         x, y = _check_batch(x, y)
-        tile = _resolve_tile(tile)
+        tile = DEFAULT_BLOCK_TILE
         batch, m, k = x.shape
         n = y.shape[2]
         if k == 0:
             return self.zeros((batch, m, n))
         encoded = self._penalty_encode(x, y)
         if encoded is None:  # huge finite entries: exact saturating path
-            return super().matmul_batch(x, y, tile=tile)
+            return super().matmul_batch(x, y)
         xe, ye = encoded
         out = np.empty((batch, m, n), dtype=np.int64)
         chunk = _batch_chunk(batch, m * tile * n)
@@ -1027,13 +795,13 @@ class MinPlusSemiring(_SelectionSemiring):
         The packed kernel turns the witness product into a *plain* tiled min
         over ``(sum << kbits) | j`` values: the minimum simultaneously
         selects the smallest sum and, on ties, the smallest inner index --
-        exactly the tie-breaking of the column-walk and cube kernels.  For
-        that to be exact in ``int64`` we need head-room: with finite
-        entries bounded by ``F`` in magnitude, entries are shifted by ``+F``
-        (so encoded sums are non-negative, ``<= 4F``), infinities become a
-        penalty ``P > 4F`` (any combo involving one lands ``>= P``, double
-        penalties at ``2P``), and ``2P << kbits`` must stay below ``2^62``.
-        Falls back to ``None`` (column walk) outside that range.
+        exactly the tie-breaking of the column walk.  For that to be exact
+        in ``int64`` we need head-room: with finite entries bounded by ``F``
+        in magnitude, entries are shifted by ``+F`` (so encoded sums are
+        non-negative, ``<= 4F``), infinities become a penalty ``P > 4F``
+        (any combo involving one lands ``>= P``, double penalties at
+        ``2P``), and ``2P << kbits`` must stay below ``2^62``.  Falls back
+        to ``None`` (column walk) outside that range.
         """
         k = x.shape[-1]
         kbits = max(0, (k - 1).bit_length())
@@ -1055,24 +823,19 @@ class MinPlusSemiring(_SelectionSemiring):
         return xs, ys, kbits, penalty, finite_bound
 
     def matmul_batch_with_witness(
-        self,
-        x: np.ndarray,
-        y: np.ndarray,
-        *,
-        tile: int | None = None,
-        backend=None,
+        self, x: np.ndarray, y: np.ndarray, *, backend=None
     ) -> tuple[np.ndarray, np.ndarray]:
+        """Packed min-plus witness kernel: one tiled min over tagged sums.
+
+        Values and witnesses are bit-identical to the column walk of
+        :class:`_SelectionSemiring`, including tie-breaks; the walk handles
+        an empty inner dimension and entries too wide to pack.
+        """
         x, y = _check_batch(x, y)
-        if tile is not None:
-            _resolve_tile(tile)  # validate up front, even on fallback paths
-        batch, m, k = x.shape
-        n = y.shape[2]
-        if k == 0:
-            shape = (batch, m, n)
-            return self.zeros(shape), np.zeros(shape, dtype=np.int64)
-        packed = self._pack_parameters(x, y)
-        if packed is None:  # huge entries: exact column walk
-            return self._walk_batch_with_witness(x, y)
+        k = x.shape[2]
+        packed = self._pack_parameters(x, y) if k else None
+        if packed is None:  # empty or huge entries: exact column walk
+            return super().matmul_batch_with_witness(x, y)
         xs, ys, kbits, penalty, offset = packed
         # Fold the shift and the index tag into the operands once:
         # ``((a + b) << kbits) | j  ==  (a << kbits) + ((b << kbits) + j)``
@@ -1084,7 +847,7 @@ class MinPlusSemiring(_SelectionSemiring):
         ys <<= kbits
         ys += np.arange(k, dtype=np.int64)[None, :, None]
         out = self._packed_fold(
-            xs, ys, np.add, np.min, np.minimum, tile=tile, backend=backend
+            xs, ys, np.add, np.min, np.minimum, backend=backend
         )
         witness = out & ((1 << kbits) - 1)
         out >>= kbits
@@ -1096,34 +859,6 @@ class MinPlusSemiring(_SelectionSemiring):
         np.copyto(out, INF, where=saturated)
         np.copyto(witness, 0, where=saturated)
         return out, witness
-
-    def _walk_batch_with_witness(
-        self, x: np.ndarray, y: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Penalty-encoded column walk (the pre-packing batched kernel)."""
-        encoded = self._penalty_encode(x, y)
-        if encoded is None:
-            return _SelectionSemiring.matmul_batch_with_witness(self, x, y)
-        xe, ye = encoded
-        k = x.shape[2]
-        best = xe[:, :, 0:1] + ye[:, 0:1, :]
-        witness = np.zeros(best.shape, dtype=np.int64)
-        candidate = np.empty_like(best)
-        better = np.empty(best.shape, dtype=bool)
-        for j in range(1, k):
-            np.add(xe[:, :, j : j + 1], ye[:, j : j + 1, :], out=candidate)
-            np.less(candidate, best, out=better)
-            np.copyto(best, candidate, where=better)
-            np.copyto(witness, j, where=better)
-        # Same saturation restore as the per-block fast path: all-infinite
-        # rows decode to (INF, witness 0).
-        saturated = best >= self._INF_THRESHOLD
-        np.copyto(best, INF, where=saturated)
-        np.copyto(witness, 0, where=saturated)
-        return best, witness
-
-    def _select(self, values: np.ndarray, axis: int) -> np.ndarray:
-        return np.argmin(values, axis=axis)
 
     def _reduce(self, values: np.ndarray, axis: int) -> np.ndarray:
         return np.min(values, axis=axis)
@@ -1172,7 +907,7 @@ class MaxMinSemiring(_SelectionSemiring):
         **largest** tag wins; tagging column ``j`` with ``k - 1 - j`` makes
         the smallest inner index win ties -- NumPy's argmax convention,
         bit-identical to the column walk.  Exactness needs
-        ``P << kbits < 2^62``; ``None`` falls back to the generic walk.
+        ``P << kbits < 2^62``; ``None`` falls back to the column walk.
         """
         k = x.shape[-1]
         kbits = max(0, (k - 1).bit_length())
@@ -1190,49 +925,23 @@ class MaxMinSemiring(_SelectionSemiring):
         ys = np.where(y >= INF, penalty, np.where(y <= -INF, 0, y + finite_bound + 1))
         return xs, ys, kbits, penalty, finite_bound
 
-    def matmul_with_witness(
-        self, x: np.ndarray, y: np.ndarray, *, tile: int | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        x, y = self._check_operands(x, y)
-        _resolve_tile(tile)
-        if x.shape[1] == 0:
-            shape = (x.shape[0], y.shape[1])
-            return self.zeros(shape), np.zeros(shape, dtype=np.int64)
-        # One block is a batch of one; the batched kernel holds the packed
-        # fast path and the exact walk fallback (bit-identical values and
-        # witnesses across all of them).
-        product, witness = self.matmul_batch_with_witness(
-            x[None], y[None], tile=tile
-        )
-        return product[0], witness[0]
-
     def matmul_batch_with_witness(
-        self,
-        x: np.ndarray,
-        y: np.ndarray,
-        *,
-        tile: int | None = None,
-        backend=None,
+        self, x: np.ndarray, y: np.ndarray, *, backend=None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Packed max-min witness kernel: one tiled max over tagged encodes.
 
         Packs ``(e(min) << kbits) + (k - 1 - j)`` and takes a single tiled
         max; because both operands of a lane carry the *same* tag,
         ``min(a + t, b + t) = min(a, b) + t`` keeps the fold exact.  Values
-        and witnesses are bit-identical to the retained column walk
-        (:meth:`_generic_walk_batch_with_witness`), including tie-breaks.
+        and witnesses are bit-identical to the column walk of
+        :class:`_SelectionSemiring`, including tie-breaks; the walk handles
+        an empty inner dimension and entries too wide to pack.
         """
         x, y = _check_batch(x, y)
-        if tile is not None:
-            _resolve_tile(tile)  # validate up front, even on fallback paths
-        batch, m, k = x.shape
-        n = y.shape[2]
-        if k == 0:
-            shape = (batch, m, n)
-            return self.zeros(shape), np.zeros(shape, dtype=np.int64)
-        packed = self._pack_parameters(x, y)
-        if packed is None:  # huge entries: exact column walk
-            return self._generic_walk_batch_with_witness(x, y)
+        k = x.shape[2]
+        packed = self._pack_parameters(x, y) if k else None
+        if packed is None:  # empty or huge entries: exact column walk
+            return super().matmul_batch_with_witness(x, y)
         xs, ys, kbits, penalty, offset = packed
         # Fold shift and reversed tag into *both* operands (same tag per
         # inner index, so the elementwise min preserves it exactly).
@@ -1242,7 +951,7 @@ class MaxMinSemiring(_SelectionSemiring):
         ys <<= kbits
         ys += tags[None, :, None]
         out = self._packed_fold(
-            xs, ys, np.minimum, np.max, np.maximum, tile=tile, backend=backend
+            xs, ys, np.minimum, np.max, np.maximum, backend=backend
         )
         witness = (k - 1) - (out & ((1 << kbits) - 1))
         out >>= kbits
@@ -1258,9 +967,6 @@ class MaxMinSemiring(_SelectionSemiring):
 
     def _combine(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.minimum(a, b)
-
-    def _select(self, values: np.ndarray, axis: int) -> np.ndarray:
-        return np.argmax(values, axis=axis)
 
     def _reduce(self, values: np.ndarray, axis: int) -> np.ndarray:
         return np.max(values, axis=axis)
@@ -1291,22 +997,6 @@ MAX_MIN = MaxMinSemiring()
 ALL_SEMIRINGS: tuple[Semiring, ...] = (PLUS_TIMES, BOOLEAN, MIN_PLUS, MAX_MIN)
 
 
-def reference_matmul(semiring: Semiring, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Centralised single-shot semiring product, used as a test oracle.
-
-    For the selection semirings this deliberately uses the cube-materialising
-    kernel so that it stays an *independent* oracle for the blocked kernels;
-    for the ring and Boolean instances it uses plain ``int64`` arithmetic.
-    """
-    s = np.asarray(s, dtype=np.int64)
-    t = np.asarray(t, dtype=np.int64)
-    if isinstance(semiring, _SelectionSemiring):
-        return semiring.cube_matmul_with_witness(s, t)[0]
-    if isinstance(semiring, BooleanSemiring):
-        return ((s.astype(np.int64) @ t.astype(np.int64)) > 0).astype(np.int64)
-    return semiring.matmul(s, t)
-
-
 __all__ = [
     "Semiring",
     "PlusTimesRing",
@@ -1318,7 +1008,6 @@ __all__ = [
     "MIN_PLUS",
     "MAX_MIN",
     "ALL_SEMIRINGS",
-    "reference_matmul",
     "saturating_add",
     "DEFAULT_BLOCK_TILE",
     "packed_words",

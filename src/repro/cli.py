@@ -233,6 +233,7 @@ def _cmd_apsp(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             "(drop --engine or pass --engine bilinear)"
         )
     args.engine = engine
+    _check_max_weight(parser, args)
     clique = _make_clique(parser, args, args.n)
 
     if args.variant == "unweighted":
@@ -319,11 +320,33 @@ def _require_selection_engine(
         )
 
 
+def _check_max_weight(
+    parser: argparse.ArgumentParser, args: argparse.Namespace
+) -> None:
+    """Die with usage unless every simple path stays below ``INF``.
+
+    A simple path has at most ``n - 1`` edges, so ``(n - 1) * max_weight <
+    INF`` keeps every distance finite and exact in ``int64``; a heavier
+    weight would saturate reachable pairs to ``INF`` (or not fit the
+    generators' ``int64`` draw at all).
+    """
+    from repro.constants import INF
+
+    limit = (INF - 1) // (args.n - 1)
+    if args.max_weight > limit:
+        parser.error(
+            f"--max-weight {args.max_weight} is too large for n={args.n}: "
+            f"a path of n - 1 edges must stay below INF = 2^62, so the "
+            f"largest accepted weight is {limit}"
+        )
+
+
 def _cmd_spanner(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     from repro.graphs import random_weighted_graph
     from repro.spanning import build_spanner, spanner_stretch
 
     _require_selection_engine(parser, args, "spanner")
+    _check_max_weight(parser, args)
     g = random_weighted_graph(args.n, args.p, args.max_weight, seed=args.seed)
     clique = _make_clique(parser, args, args.n)
     result = build_spanner(
@@ -343,12 +366,24 @@ def _cmd_spanner(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 
 
 def _cmd_mst(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    from repro.constants import INF
     from repro.graphs import random_weighted_graph
     from repro.spanning import minimum_spanning_forest, mst_reference
 
     _require_selection_engine(parser, args, "mst")
-    g = random_weighted_graph(args.n, args.p, args.max_weight, seed=args.seed)
+    _check_max_weight(parser, args)
     clique = _make_clique(parser, args, args.n)
+    # The MST encode packs each weight with its endpoints as
+    # ``w * S^2 + lo * S + hi`` on the S-node clique, below INF.
+    size = clique.n
+    if (args.max_weight + 1) * size * size >= INF:
+        parser.error(
+            f"--max-weight {args.max_weight} is too large for mst at "
+            f"n={args.n}: the MST encode needs (max_weight + 1) * {size}^2 "
+            f"< 2^62 on the {size}-node clique, so the largest accepted "
+            f"weight is {(INF - 1) // (size * size) - 1}"
+        )
+    g = random_weighted_graph(args.n, args.p, args.max_weight, seed=args.seed)
     result = minimum_spanning_forest(
         g,
         method=args.engine,
@@ -384,6 +419,7 @@ def _cmd_build_artifact(
     from repro.serve import ClosureArtifact
 
     _require_selection_engine(parser, args, "build-artifact")
+    _check_max_weight(parser, args)
     generator = random_weighted_digraph if args.directed else random_weighted_graph
     g = generator(args.n, args.p, args.max_weight, seed=args.seed)
     clique = _make_clique(parser, args, args.n)
@@ -718,7 +754,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Algebraic Methods in the Congested Clique -- reproduction CLI",
     )
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
+        "--seed", type=_int_at_least(0, "--seed", "random seed"), default=0
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("table1", help="print the consolidated measured Table 1")

@@ -138,21 +138,6 @@ class GridLayout:
         # the same immutable grid description.
         return _grid_layout_for_clique(n, d)
 
-    def label(self, v: int) -> tuple[int, int]:
-        """The secondary label ``(x1, x2)`` of node ``v``."""
-        return v // self.q, v % self.q
-
-    def node_of_label(self, x1: int, x2: int) -> int:
-        """Node id carrying label ``(x1, x2)``."""
-        return x1 * self.q + x2
-
-    def row_position(self, r: int) -> tuple[int, int, int]:
-        """Decompose padded row ``r`` into ``(block i, cell-row x1, offset t)``."""
-        block_rows = self.c * self.q
-        i = r // block_rows
-        within = r % block_rows
-        return i, within // self.c, within % self.c
-
     def indices_of_cell_axis(self, x: int) -> np.ndarray:
         """All padded rows (equivalently columns) in cell-row/col ``x``.
 

@@ -51,16 +51,6 @@ class RingOps:
         """Words per entry when shipping (a sub-tensor of) ``arr``."""
         raise NotImplementedError
 
-    def array_words(self, arr: np.ndarray, word_bits: int) -> int:
-        """Total words for shipping ``arr``."""
-        arr = np.asarray(arr)
-        entries = arr.size
-        for _ in range(self.trailing_axes):
-            entries //= arr.shape[-1] if arr.shape[-1] else 1
-        if entries == 0:
-            return 0
-        return entries * self.entry_words(arr, word_bits)
-
 
 class IntegerRingOps(RingOps):
     """Plain integer matrices (``int64``)."""

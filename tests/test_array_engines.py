@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from kernel_reference import boolean_gemm, cube_matmul
 from tuple_reference import (
     TupleClique,
     bilinear_matmul_tuple,
@@ -364,21 +365,18 @@ class TestBooleanKernel:
         m, k, n = (int(v) for v in rng.integers(1, 40, 3))
         x = (rng.random((m, k)) < rng.random()).astype(np.int64)
         y = (rng.random((k, n)) < rng.random()).astype(np.int64)
-        want = BOOLEAN.cube_matmul(x, y)
+        want = cube_matmul(x, y)
         assert np.array_equal(BOOLEAN.matmul(x, y), want)
-        # Tiling must not change the result.
-        assert np.array_equal(BOOLEAN.matmul(x, y, tile=3), want)
-        assert np.array_equal(BOOLEAN.matmul(x, y, tile=1), want)
+        # Neither side of the GEMM/packed dispatch may change the result.
+        assert np.array_equal(boolean_gemm(x, y), want)
+        assert np.array_equal(
+            BOOLEAN.packed_matmul_batch(x[None], y[None])[0], want
+        )
 
     def test_empty_inner_dimension(self):
         x = np.zeros((3, 0), dtype=np.int64)
         y = np.zeros((0, 4), dtype=np.int64)
         assert np.array_equal(BOOLEAN.matmul(x, y), np.zeros((3, 4), np.int64))
-
-    def test_bad_tile_rejected(self):
-        x = np.ones((2, 2), dtype=np.int64)
-        with pytest.raises(ValueError):
-            BOOLEAN.matmul(x, x, tile=0)
 
     @pytest.mark.parametrize("method", ["semiring", "naive"])
     def test_boolean_product_runs_on_boolean_semiring(self, method, rng):

@@ -1,11 +1,15 @@
 """Property tests: blocked semiring kernels vs the retained cube oracle.
 
-The blocked kernels (tiled / column-wise accumulators, plus the min-plus
-penalty-encoded fast path) must agree *bit for bit* -- values and witnesses
--- with ``reference_matmul`` / ``cube_matmul_with_witness``, the seed's
-cube-materialising kernel kept as an independent oracle.  Matrices include
+The blocked kernels (tiled accumulators, the min-plus penalty-encoded fast
+path, the packed witness folds and their column-walk fallback) must agree
+*bit for bit* -- values and witnesses -- with ``reference_matmul`` /
+``cube_matmul_with_witness`` (``tests/kernel_reference.py``), the seed's
+cube-materialising kernels kept as independent oracles.  Matrices include
 ``INF`` / ``-INF`` saturation, negative entries, near-``INF`` finite
-entries (which force the exact fallback), and non-square blocks.
+entries (which force the exact fallbacks), and non-square blocks.  The
+kernels take their tile widths from the operand shapes, so the tile
+boundaries are covered through the inputs: inner dimensions off every tile
+multiple and single blocks big enough to column-stripe.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from kernel_reference import cube_matmul_with_witness, reference_matmul
 
 from repro.algebra.semirings import (
     ALL_SEMIRINGS,
@@ -21,7 +26,6 @@ from repro.algebra.semirings import (
     MAX_MIN,
     MIN_PLUS,
     PLUS_TIMES,
-    reference_matmul,
     saturating_add,
 )
 from repro.constants import INF
@@ -71,7 +75,7 @@ class TestBlockedVsReference:
         for semiring in SELECTION:
             x = _random_block(rng, semiring, (m, k), boundary=boundary)
             y = _random_block(rng, semiring, (k, n), boundary=boundary)
-            p_cube, w_cube = semiring.cube_matmul_with_witness(x, y)
+            p_cube, w_cube = cube_matmul_with_witness(semiring, x, y)
             p_blk, w_blk = semiring.matmul_with_witness(x, y)
             assert np.array_equal(p_cube, p_blk), semiring.name
             assert np.array_equal(w_cube, w_blk), semiring.name
@@ -82,16 +86,84 @@ class TestBlockedVsReference:
                 if semiring is MIN_PLUS else np.minimum(x[rows, w_blk], y[w_blk, cols])
             assert np.array_equal(attained, p_blk), semiring.name
 
-    @pytest.mark.parametrize("tile", [1, 2, 3, 7, 64, 1024])
-    def test_every_tile_size_agrees(self, tile):
-        rng = np.random.default_rng(tile)
+    @pytest.mark.parametrize("k", [1, 7, 8, 9, 15, 16, 17, 25, 33])
+    def test_inner_dimensions_off_tile_multiples(self, k):
+        """Inner dimensions that end mid-tile for the plain tile (8) and the
+        packed tile (16): the remainder tile must fold exactly."""
+        rng = np.random.default_rng(k)
         for semiring in SELECTION:
-            x = _random_block(rng, semiring, (9, 25), boundary=False)
-            y = _random_block(rng, semiring, (25, 6), boundary=False)
-            expected = reference_matmul(semiring, x, y)
-            assert np.array_equal(semiring.matmul(x, y, tile=tile), expected)
-            p, _ = semiring.matmul_with_witness(x, y, tile=tile)
+            x = _random_block(rng, semiring, (9, k), boundary=False)
+            y = _random_block(rng, semiring, (k, 6), boundary=False)
+            expected, expected_w = cube_matmul_with_witness(semiring, x, y)
+            assert np.array_equal(semiring.matmul(x, y), expected)
+            p, w = semiring.matmul_with_witness(x, y)
             assert np.array_equal(p, expected)
+            assert np.array_equal(w, expected_w)
+
+    @pytest.mark.parametrize("k", [64, 75])
+    def test_single_block_that_column_stripes(self, k):
+        """One block whose ``(m, 16, n)`` slab overflows the packed slab
+        budget: the fold narrows its tile and stripes the output columns,
+        and must still match the cube oracle value for value and witness
+        for witness."""
+        rng = np.random.default_rng(k)
+        m, n = 96, 100
+        for semiring in SELECTION:
+            assert m * 16 * n > semiring._PACKED_SLAB_ENTRIES
+            x = _random_block(rng, semiring, (m, k), boundary=False)
+            y = _random_block(rng, semiring, (k, n), boundary=False)
+            expected, expected_w = cube_matmul_with_witness(semiring, x, y)
+            p, w = semiring.matmul_with_witness(x, y)
+            assert np.array_equal(p, expected), semiring.name
+            assert np.array_equal(w, expected_w), semiring.name
+            assert np.array_equal(semiring.matmul(x, y), expected)
+
+    @pytest.mark.parametrize("hi", [1 << 53, 1 << 55, 1 << 58])
+    def test_entries_too_wide_to_pack_take_the_walk(self, hi):
+        """Finite min-plus entries too wide for the packed fold at k=64 but
+        within the old penalty-walk range (|x| <= 2^58): the column walk
+        must reproduce the cube oracle bit for bit, ties included."""
+        rng = np.random.default_rng(hi % 1000)
+        k = 64
+        x = rng.integers(-hi, hi + 1, (12, k), dtype=np.int64)
+        y = rng.integers(-hi, hi + 1, (k, 10), dtype=np.int64)
+        # Coarse values force ties between inner indices.
+        x -= x % (hi >> 3)
+        y -= y % (hi >> 3)
+        x[rng.random(x.shape) < 0.25] = INF
+        y[rng.random(y.shape) < 0.25] = INF
+        x[3] = INF  # an all-infinite row: (INF, witness 0)
+        assert MIN_PLUS._pack_parameters(x[None], y[None]) is None
+        expected, expected_w = cube_matmul_with_witness(MIN_PLUS, x, y)
+        p, w = MIN_PLUS.matmul_with_witness(x, y)
+        assert np.array_equal(p, expected)
+        assert np.array_equal(w, expected_w)
+        assert np.all(p[3] == INF) and np.all(w[3] == 0)
+        bp, bw = MIN_PLUS.matmul_batch_with_witness(
+            np.stack([x, x]), np.stack([y, y])
+        )
+        assert np.array_equal(bp, np.stack([expected, expected]))
+        assert np.array_equal(bw, np.stack([expected_w, expected_w]))
+        assert np.array_equal(MIN_PLUS.matmul(x, y), expected)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_block_products_are_a_batch_of_one(self, seed):
+        rng = np.random.default_rng(seed)
+        m, k, n = (int(v) for v in rng.integers(1, 20, 3))
+        boundary = bool(rng.random() < 0.4)
+        for semiring in ALL_SEMIRINGS:
+            x = _random_block(rng, semiring, (m, k), boundary=boundary)
+            y = _random_block(rng, semiring, (k, n), boundary=boundary)
+            batch = semiring.matmul_batch(x[None], y[None])
+            assert np.array_equal(semiring.matmul(x, y), batch[0])
+            if semiring.has_witnesses:
+                bp, bw = semiring.matmul_batch_with_witness(x[None], y[None])
+                p, w = semiring.matmul_with_witness(x, y)
+                assert np.array_equal(p, bp[0]) and np.array_equal(w, bw[0])
+            else:
+                with pytest.raises(NotImplementedError):
+                    semiring.matmul_with_witness(x, y)
 
     def test_empty_inner_dimension(self):
         x = np.zeros((3, 0), dtype=np.int64)
@@ -146,7 +218,7 @@ class TestSaturatingAdd:
         # must still agree with the cube oracle entry for entry.
         x = np.array([[INF, INF - 1], [0, INF]], dtype=np.int64)
         y = np.array([[INF, 1], [INF - 1, INF]], dtype=np.int64)
-        p_cube, w_cube = MIN_PLUS.cube_matmul_with_witness(x, y)
+        p_cube, w_cube = cube_matmul_with_witness(MIN_PLUS, x, y)
         p_blk, w_blk = MIN_PLUS.matmul_with_witness(x, y)
         assert np.array_equal(p_cube, p_blk)
         assert np.array_equal(w_cube, w_blk)
@@ -163,14 +235,3 @@ class TestSaturatingAdd:
         assert squared[2, 3] == INF
         assert squared[0, 2] == INF
 
-
-class TestTileConfig:
-    @pytest.mark.parametrize("tile", [0, -1])
-    def test_per_call_tile_validated(self, tile):
-        x = np.zeros((2, 3), dtype=np.int64)
-        y = np.zeros((3, 2), dtype=np.int64)
-        for semiring in SELECTION:
-            with pytest.raises(ValueError):
-                semiring.matmul(x, y, tile=tile)
-            with pytest.raises(ValueError):
-                semiring.matmul_with_witness(x, y, tile=tile)

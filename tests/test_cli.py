@@ -92,6 +92,25 @@ class TestFailureSweep:
         (["query", "{art}-missing", "0", "1"], "cannot open artifact"),
         (["update", "{art}-missing", "--edge", "0,1,1"], "cannot open artifact"),
         (["serve", "{art}-missing"], "cannot open artifact"),
+        # Weights whose (n - 1)-edge paths reach INF = 2^62: reachable
+        # pairs would saturate to INF (or the int64 draw would fail).
+        (["apsp", "12", "--max-weight", "4611686018427387903"],
+         "--max-weight 4611686018427387903"),
+        (["apsp", "12", "--max-weight", "9223372036854775807"],
+         "--max-weight 9223372036854775807"),
+        (["build-artifact", "12", "{art}-new", "--max-weight",
+          "4611686018427387903"], "--max-weight 4611686018427387903"),
+        (["mst", "16", "--max-weight", "100000000000000000"],
+         "--max-weight 100000000000000000"),
+        (["apsp", "12", "--max-weight", "99999999999999999999"],
+         "--max-weight 99999999999999999999"),
+        (["spanner", "12", "--max-weight", "99999999999999999999"],
+         "--max-weight 99999999999999999999"),
+        (["mst", "12", "--max-weight", "99999999999999999999"],
+         "--max-weight 99999999999999999999"),
+        (["build-artifact", "12", "{art}-new", "--max-weight",
+          "99999999999999999999"], "--max-weight 99999999999999999999"),
+        (["--seed", "-3", "matmul", "8"], "--seed must be >= 0"),
     ]
 
     @pytest.mark.parametrize(
@@ -107,6 +126,43 @@ class TestFailureSweep:
         assert excinfo.value.code == 2
         assert named in err and "Traceback" not in err
         assert ClosureArtifact.open(artifact_dir).generation == 0
+
+    def test_largest_accepted_weight_is_exact(self, capsys):
+        """At the largest weight the path rule accepts for n=12, exact APSP
+        equals a Floyd-Warshall over Python ints (no int64 saturation);
+        one more is a usage error."""
+        from repro.distances import apsp_exact
+        from repro.graphs import random_weighted_digraph
+        from repro.runtime import make_clique
+
+        n, weight = 12, 419244183493398900
+        assert (n - 1) * weight < 2**62 <= (n - 1) * (weight + 1)
+        assert main(["apsp", str(n), "--max-weight", str(weight)]) == 0
+        assert "oracle: True" in capsys.readouterr().out
+        graph = random_weighted_digraph(n, 0.35, weight, seed=0)
+        result = apsp_exact(graph, clique=make_clique(n, "semiring"))
+        w = graph.weight_matrix()
+        dist = [
+            [0 if u == v else (int(w[u, v]) if graph.adjacency[u, v] else None)
+             for v in range(n)]
+            for u in range(n)
+        ]
+        for mid in range(n):
+            for u in range(n):
+                for v in range(n):
+                    a, b = dist[u][mid], dist[mid][v]
+                    if a is not None and b is not None and (
+                        dist[u][v] is None or a + b < dist[u][v]
+                    ):
+                        dist[u][v] = a + b
+        got = [[int(d) for d in row] for row in result.value]
+        want = [[2**62 if d is None else d for d in row] for row in dist]
+        assert got == want
+        assert max(d for row in dist for d in row if d is not None) > 2**58
+        with pytest.raises(SystemExit) as excinfo:
+            main(["apsp", str(n), "--max-weight", str(weight + 1)])
+        assert excinfo.value.code == 2
+        assert f"largest accepted weight is {weight}" in capsys.readouterr().err
 
     #: Every subcommand carrying the shared engine/thread flags.
     ENGINE_COMMANDS = [

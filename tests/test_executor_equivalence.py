@@ -15,6 +15,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from kernel_reference import (
+    column_walk,
+    cube_matmul,
+    cube_matmul_with_witness,
+    reference_matmul,
+)
 
 from repro.algebra.semirings import (
     ALL_SEMIRINGS,
@@ -23,7 +29,6 @@ from repro.algebra.semirings import (
     MIN_PLUS,
     PLUS_TIMES,
     Semiring,
-    _SelectionSemiring,
 )
 from repro.clique.executor import (
     SERIAL_EXECUTOR,
@@ -169,7 +174,7 @@ class _PerBlockOracleExecutor(LocalExecutor):
         rights = np.asarray(rights, dtype=np.int64)
         if with_witnesses:
             pairs = [
-                semiring.cube_matmul_with_witness(lefts[b], rights[b])
+                cube_matmul_with_witness(semiring, lefts[b], rights[b])
                 for b in range(lefts.shape[0])
             ]
             return (
@@ -178,12 +183,10 @@ class _PerBlockOracleExecutor(LocalExecutor):
             )
         blocks = []
         for b in range(lefts.shape[0]):
-            if isinstance(semiring, _SelectionSemiring):
-                blocks.append(semiring.cube_matmul_with_witness(lefts[b], rights[b])[0])
-            elif semiring is BOOLEAN:
-                blocks.append(semiring.cube_matmul(lefts[b], rights[b]))
+            if semiring is BOOLEAN:
+                blocks.append(cube_matmul(lefts[b], rights[b]))
             else:
-                blocks.append(lefts[b] @ rights[b])
+                blocks.append(reference_matmul(semiring, lefts[b], rights[b]))
         return np.stack(blocks)
 
     def ring_products(self, ring, lefts, rights):
@@ -243,8 +246,9 @@ class TestBatchAxisKernels:
             ]
             assert np.array_equal(got_p, np.stack([p for p, _ in pairs]))
             assert np.array_equal(got_w, np.stack([w for _, w in pairs]))
-            # ... and against the fully independent generic walk.
-            walk_p, walk_w = semiring._generic_walk_batch_with_witness(x, y)
+            # ... and against the exact column walk the packed kernels fall
+            # back to.
+            walk_p, walk_w = column_walk(semiring, x, y)
             assert np.array_equal(got_p, walk_p), semiring.name
             assert np.array_equal(got_w, walk_w), semiring.name
 

@@ -4,11 +4,11 @@ and arena-backed exchanges.
 Every fast path introduced by the second kernel wave keeps an oracle
 counterpart, and these tests pin them bit-identical:
 
-* the ``uint64`` bit-packed Boolean kernel against :meth:`cube_matmul` and
-  the ``float32`` GEMM path, across densities and across the size-heuristic
-  crossover boundary;
-* the packed max-min witness kernel against the generic column walk and the
-  cube kernel (values *and* tie-breaks), plus an end-to-end bottleneck
+* the ``uint64`` bit-packed Boolean kernel against the seed's cube kernel
+  and the ``float32`` GEMM tile (forced by patching the dispatch floor),
+  across densities and across the size-heuristic crossover boundary;
+* the packed max-min witness kernel against the column walk and the cube
+  kernel (values *and* tie-breaks), plus an end-to-end bottleneck
   routing-table regression;
 * the planned-delivery exchange (``route_array_take``) and the per-session
   :class:`~repro.clique.arena.ExchangeArena` against the sort-based
@@ -22,6 +22,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from kernel_reference import (
+    boolean_gemm,
+    column_walk,
+    cube_matmul,
+    cube_matmul_with_witness,
+)
 
 from repro.algebra.semirings import BOOLEAN, MAX_MIN, MIN_PLUS
 from repro.clique.arena import ExchangeArena
@@ -47,6 +53,11 @@ from tests.conftest import per_product_boolean_closure
 # --------------------------------------------------------------------- #
 
 
+def _packed(x, y):
+    """The bit-packed Boolean kernel on one block, whatever its size."""
+    return BOOLEAN.packed_matmul_batch(np.asarray(x)[None], np.asarray(y)[None])[0]
+
+
 class TestPackedBoolean:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6))
@@ -56,9 +67,9 @@ class TestPackedBoolean:
         density = float(rng.choice([0.0, 0.01, 0.1, 0.5, 0.9, 1.0]))
         x = (rng.random((m, k)) < density).astype(np.int64)
         y = (rng.random((k, n)) < density).astype(np.int64)
-        packed = BOOLEAN.packed_matmul(x, y)
-        assert np.array_equal(packed, BOOLEAN.cube_matmul(x, y))
-        assert np.array_equal(packed, BOOLEAN.gemm_matmul(x, y))
+        packed = _packed(x, y)
+        assert np.array_equal(packed, cube_matmul(x, y))
+        assert np.array_equal(packed, boolean_gemm(x, y))
         assert np.array_equal(packed, BOOLEAN.matmul(x, y))
 
     @pytest.mark.parametrize("dim", [255, 256, 257])
@@ -73,8 +84,8 @@ class TestPackedBoolean:
             dim**3 >= BOOLEAN.PACKED_MIN_WORK
         )
         dispatched = BOOLEAN.matmul(x, y)
-        assert np.array_equal(dispatched, BOOLEAN.gemm_matmul(x, y))
-        assert np.array_equal(dispatched, BOOLEAN.packed_matmul(x, y))
+        assert np.array_equal(dispatched, boolean_gemm(x, y))
+        assert np.array_equal(dispatched, _packed(x, y))
 
     def test_work_based_dispatch_crossover(self):
         """The crossover, pinned: total work decides, not the smallest dim.
@@ -105,7 +116,22 @@ class TestPackedBoolean:
         x = (rng.random((m, k)) < 0.2).astype(np.int64)
         y = (rng.random((k, n)) < 0.2).astype(np.int64)
         dispatched = BOOLEAN.matmul(x, y)
-        assert np.array_equal(dispatched, BOOLEAN.gemm_matmul(x, y))
+        assert np.array_equal(dispatched, boolean_gemm(x, y))
+
+    def test_gemm_tile_remainder_above_bool_tile(self):
+        """An inner dimension above one GEMM tile (1,024) with a remainder:
+        the second, partial BLAS tile must OR in exactly."""
+        rng = np.random.default_rng(13)
+        m, k, n = 6, BOOLEAN.BOOL_TILE + 77, 40
+        x = (rng.random((m, k)) < 0.002).astype(np.int64)
+        y = (rng.random((k, n)) < 0.002).astype(np.int64)
+        # Some products are witnessed only past the first tile.
+        x[:, BOOLEAN.BOOL_TILE + 5] = 1
+        y[BOOLEAN.BOOL_TILE + 5, ::3] = 1
+        assert not BOOLEAN._use_packed(m, k, n)
+        want = cube_matmul(x, y)
+        assert np.array_equal(BOOLEAN.matmul(x, y), want)
+        assert np.array_equal(_packed(x, y), want)
 
     def test_nonsquare_and_word_boundaries(self):
         """Shapes around the 8-bit chunk and byte-packing boundaries."""
@@ -114,13 +140,11 @@ class TestPackedBoolean:
                         (17, 128, 2), (2, 7, 300)]:
             x = (rng.random((m, k)) < 0.3).astype(np.int64)
             y = (rng.random((k, n)) < 0.3).astype(np.int64)
-            assert np.array_equal(
-                BOOLEAN.packed_matmul(x, y), BOOLEAN.cube_matmul(x, y)
-            ), (m, k, n)
+            assert np.array_equal(_packed(x, y), cube_matmul(x, y)), (m, k, n)
 
     def test_empty_dimensions(self):
         zero = np.zeros((3, 0), dtype=np.int64)
-        out = BOOLEAN.packed_matmul(zero, np.zeros((0, 4), dtype=np.int64))
+        out = _packed(zero, np.zeros((0, 4), dtype=np.int64))
         assert out.shape == (3, 4) and not out.any()
 
     @settings(max_examples=15, deadline=None)
@@ -132,9 +156,7 @@ class TestPackedBoolean:
         x = (rng.random((batch, m, k)) < 0.2).astype(np.int64)
         y = (rng.random((batch, k, n)) < 0.2).astype(np.int64)
         got = BOOLEAN.packed_matmul_batch(x, y)
-        want = np.stack(
-            [BOOLEAN.cube_matmul(x[b], y[b]) for b in range(batch)]
-        )
+        want = np.stack([cube_matmul(x[b], y[b]) for b in range(batch)])
         assert np.array_equal(got, want)
         assert np.array_equal(BOOLEAN.matmul_batch(x, y), want)
 
@@ -142,9 +164,7 @@ class TestPackedBoolean:
         """Like the other kernels, any positive entry counts as 1."""
         x = np.array([[5, 0, -2], [0, 3, 0]], dtype=np.int64)
         y = np.array([[1, 0], [0, 7], [2, 0]], dtype=np.int64)
-        assert np.array_equal(
-            BOOLEAN.packed_matmul(x, y), BOOLEAN.cube_matmul(x, y)
-        )
+        assert np.array_equal(_packed(x, y), cube_matmul(x, y))
 
 
 class TestPersistentPackedClosure:
@@ -196,11 +216,11 @@ class TestPackedMaxMinWitness:
             mat[rng.random(mat.shape) < 0.2] = INF
             mat[rng.random(mat.shape) < 0.2] = -INF
         p, w = MAX_MIN.matmul_batch_with_witness(x, y)
-        wp, ww = MAX_MIN._generic_walk_batch_with_witness(x, y)
+        wp, ww = column_walk(MAX_MIN, x, y)
         assert np.array_equal(p, wp)
         assert np.array_equal(w, ww)
         for b in range(batch):
-            cp, cw = MAX_MIN.cube_matmul_with_witness(x[b], y[b])
+            cp, cw = cube_matmul_with_witness(MAX_MIN, x[b], y[b])
             assert np.array_equal(p[b], cp)
             assert np.array_equal(w[b], cw)
 
@@ -226,7 +246,7 @@ class TestPackedMaxMinWitness:
         y = np.array([[[big], [-big]]], dtype=np.int64)
         assert MAX_MIN._pack_parameters(x, y) is None
         p, w = MAX_MIN.matmul_batch_with_witness(x, y)
-        wp, ww = MAX_MIN._generic_walk_batch_with_witness(x, y)
+        wp, ww = column_walk(MAX_MIN, x, y)
         assert np.array_equal(p, wp) and np.array_equal(w, ww)
 
     def test_empty_inner_dimension(self):

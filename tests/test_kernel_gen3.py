@@ -22,12 +22,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from kernel_reference import cube_matmul
 
 from repro.algebra.backends import (
     KernelBackendError,
     SerialBackend,
     ThreadedBackend,
-    backend_info,
     get_backend,
     tile_ranges,
 )
@@ -69,7 +69,7 @@ class TestBackendRegistry:
     def test_specs_resolve_and_cache(self):
         serial = get_backend("serial")
         assert isinstance(serial, SerialBackend)
-        assert serial.threads == 1 and serial.spec == "serial"
+        assert serial.threads == 1
         assert get_backend("serial") is serial
         assert get_backend(1) is serial
         assert get_backend(None) is serial
@@ -77,7 +77,7 @@ class TestBackendRegistry:
 
         threaded = get_backend("threaded:3")
         assert isinstance(threaded, ThreadedBackend)
-        assert threaded.threads == 3 and threaded.spec == "threaded:3"
+        assert threaded.threads == 3
         assert get_backend("threaded:3") is threaded
         assert get_backend(3) is threaded
         assert get_backend(threaded) is threaded
@@ -102,11 +102,6 @@ class TestBackendRegistry:
             get_backend(0)
         with pytest.raises(KernelBackendError, match="numba"):
             get_backend("numba:2")
-
-    def test_backend_info_shape(self):
-        info = backend_info()
-        assert set(info) == {"cpus", "threadpoolctl"}
-        assert info["cpus"] >= 1
 
     def test_run_propagates_task_errors(self):
         def boom():
@@ -245,7 +240,7 @@ class TestPackedWordsKernel:
         packed = BOOLEAN.packed_words_matmul_batch(
             pack_bool_rows(x), pack_bool_rows(y), k
         )
-        want = np.stack([BOOLEAN.cube_matmul(x[b], y[b]) for b in range(batch)])
+        want = np.stack([cube_matmul(x[b], y[b]) for b in range(batch)])
         # The packed result *is* the packed truth -- products compose
         # without unpacking.
         assert np.array_equal(packed, pack_bool_rows(want))
@@ -258,7 +253,7 @@ class TestPackedWordsKernel:
         dense = a
         for _ in range(3):
             packed = BOOLEAN.packed_words_matmul_batch(packed, packed, 24)
-            dense = np.stack([BOOLEAN.cube_matmul(dense[0], dense[0])])
+            dense = np.stack([cube_matmul(dense[0], dense[0])])
             assert np.array_equal(packed, pack_bool_rows(dense))
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from tuple_reference import grid_label, node_of_label, row_position
 
 from repro.errors import CliqueSizeError
 from repro.matmul.layout import (
@@ -85,13 +86,13 @@ class TestGridLayout:
 
     def test_labels_unique(self):
         layout = GridLayout.for_clique(49, 4)
-        labels = {layout.label(v) for v in range(49)}
+        labels = {grid_label(layout, v) for v in range(49)}
         assert len(labels) == 49
 
     def test_label_roundtrip(self):
         layout = GridLayout.for_clique(36, 3)
         for v in range(36):
-            assert layout.node_of_label(*layout.label(v)) == v
+            assert node_of_label(layout, *grid_label(layout, v)) == v
 
     def test_cell_axis_indices_partition_padded_range(self):
         layout = GridLayout.for_clique(49, 4)
@@ -104,5 +105,5 @@ class TestGridLayout:
         layout = GridLayout.for_clique(49, 4)
         for x in range(layout.q):
             for r in layout.indices_of_cell_axis(x):
-                _i, x1, _t = layout.row_position(int(r))
+                _i, x1, _t = row_position(layout, int(r))
                 assert x1 == x

@@ -43,6 +43,7 @@ from repro.constants import INF
 from repro.errors import CliqueModelError, LoadBoundExceededError
 from repro.graphs.graphs import Graph
 from repro.matmul.bilinear_clique import _check_operands, phase_load_bounds
+from repro.matmul.layout import GridLayout
 from repro.matmul.ringops import INTEGER_RING, RingOps
 from repro.subgraphs.four_cycle import _CHUNK, Tile, _chunks
 
@@ -329,6 +330,39 @@ class TupleClique:
             raise CliqueModelError(str(exc)) from exc
 
 
+# The §2.2 grid-label arithmetic and per-array word widths.  Only the
+# per-payload formulation below needs them: the array engine computes its
+# destinations and widths on whole index arrays.
+
+
+def grid_label(layout: GridLayout, v: int) -> tuple[int, int]:
+    """The secondary label ``(x1, x2)`` of node ``v``."""
+    return v // layout.q, v % layout.q
+
+
+def node_of_label(layout: GridLayout, x1: int, x2: int) -> int:
+    """Node id carrying label ``(x1, x2)``."""
+    return x1 * layout.q + x2
+
+
+def row_position(layout: GridLayout, r: int) -> tuple[int, int, int]:
+    """Decompose padded row ``r`` into ``(block i, cell-row x1, offset t)``."""
+    block_rows = layout.c * layout.q
+    within = r % block_rows
+    return r // block_rows, within // layout.c, within % layout.c
+
+
+def array_words(ring: RingOps, arr: np.ndarray, word_bits: int) -> int:
+    """Total words for shipping ``arr`` over ``ring``."""
+    arr = np.asarray(arr)
+    entries = arr.size
+    for _ in range(ring.trailing_axes):
+        entries //= arr.shape[-1] if arr.shape[-1] else 1
+    if entries == 0:
+        return 0
+    return entries * ring.entry_words(arr, word_bits)
+
+
 def bilinear_matmul_tuple(
     clique: CongestedClique,
     s: np.ndarray,
@@ -342,7 +376,7 @@ def bilinear_matmul_tuple(
 
     Charges bit-identical rounds to the array engine (equivalence-tested)
     but pays a Python-level cost per payload; kept as the round-accounting
-    oracle, like the cube kernels in :mod:`repro.algebra.semirings`.
+    oracle, like the cube kernels in ``tests/kernel_reference.py``.
     """
     n = clique.n
     algorithm, layout = _check_operands(clique, s, t, algorithm)
@@ -360,13 +394,13 @@ def bilinear_matmul_tuple(
     # -------- Step 1: distribute the entries (2 M words per node). ------ #
     outboxes: list[list[tuple[int, object, int]]] = [[] for _ in range(n)]
     for v in range(n):
-        i, x1, tt = layout.row_position(v)
+        i, x1, tt = row_position(layout, v)
         for x2 in range(q):
-            dest = layout.node_of_label(x1, x2)
+            dest = node_of_label(layout, x1, x2)
             s_piece = sp[v, cols_of[x2]]
             t_piece = tp[v, cols_of[x2]]
-            width = ring.array_words(s_piece, word_bits) + ring.array_words(
-                t_piece, word_bits
+            width = array_words(ring, s_piece, word_bits) + array_words(
+                ring, t_piece, word_bits
             )
             outboxes[v].append((dest, (v, s_piece, t_piece), max(1, width)))
     entry_w = max(
@@ -415,8 +449,8 @@ def bilinear_matmul_tuple(
         for w in range(m):
             s_cell = s_hats[u][w]
             t_cell = t_hats[u][w]
-            width = ring.array_words(s_cell, word_bits) + ring.array_words(
-                t_cell, word_bits
+            width = array_words(ring, s_cell, word_bits) + array_words(
+                ring, t_cell, word_bits
             )
             outboxes[u].append((w, (u, s_cell, t_cell), max(1, width)))
     hat_entry_w = max(
@@ -439,7 +473,7 @@ def bilinear_matmul_tuple(
         s_full = np.zeros((side, side) + trailing, dtype=np.int64)
         t_full = np.zeros((side, side) + trailing, dtype=np.int64)
         for _src, (u, s_cell, t_cell) in inboxes[w]:
-            x1, x2 = layout.label(u)
+            x1, x2 = grid_label(layout, u)
             s_full[x1 * c : (x1 + 1) * c, x2 * c : (x2 + 1) * c] = s_cell
             t_full[x1 * c : (x1 + 1) * c, x2 * c : (x2 + 1) * c] = t_cell
         p_hat_full[w] = ring.matmul(s_full, t_full)
@@ -453,9 +487,9 @@ def bilinear_matmul_tuple(
     for w in range(m):
         prod = p_hat_full[w]
         for u in range(n):
-            x1, x2 = layout.label(u)
+            x1, x2 = grid_label(layout, u)
             cell = prod[x1 * c : (x1 + 1) * c, x2 * c : (x2 + 1) * c]
-            width = ring.array_words(cell, word_bits)
+            width = array_words(ring, cell, word_bits)
             outboxes[w].append((u, (w, cell), max(1, width)))
     prod_entry_w = max(
         ring.entry_words(p, word_bits) for p in p_hat_full if p is not None
@@ -488,14 +522,14 @@ def bilinear_matmul_tuple(
     )
     outboxes = [[] for _ in range(n)]
     for u in range(n):
-        x1, x2 = layout.label(u)
+        x1, x2 = grid_label(layout, u)
         for i in range(d):
             for tt in range(c):
                 r = i * block_rows + x1 * c + tt
                 if r >= n:
                     continue
                 piece = p_cells[u][i, :, tt, :]
-                width = ring.array_words(piece, word_bits)
+                width = array_words(ring, piece, word_bits)
                 outboxes[u].append((r, (x2, piece), max(1, width)))
     inboxes = clique.route(
         outboxes,
