@@ -3,8 +3,9 @@
 The paper's engine room.  §2.1 needs semirings with block products
 (:mod:`repro.algebra.semirings`); §2.2 needs explicit bilinear algorithms
 (:mod:`repro.algebra.bilinear`), instantiated with Strassen's ``<2,2,2;7>``
-and its Kronecker powers; Lemma 18 needs capped polynomial arithmetic
-(:mod:`repro.algebra.polynomial`).
+and its Kronecker powers; Lemma 18 needs the capped polynomial ring
+(:data:`~repro.algebra.polynomial.POLYNOMIAL`, a semiring with subtraction
+like :data:`PLUS_TIMES`).
 """
 
 from repro.algebra.bilinear import (
@@ -15,6 +16,7 @@ from repro.algebra.bilinear import (
     strassen_power,
     verify_bilinear,
 )
+from repro.algebra.polynomial import POLYNOMIAL
 from repro.algebra.semirings import (
     ALL_SEMIRINGS,
     BOOLEAN,
@@ -23,7 +25,6 @@ from repro.algebra.semirings import (
     PLUS_TIMES,
     Semiring,
 )
-from repro.algebra.strassen import strassen_multiply
 
 __all__ = [
     "Semiring",
@@ -31,6 +32,7 @@ __all__ = [
     "BOOLEAN",
     "MIN_PLUS",
     "MAX_MIN",
+    "POLYNOMIAL",
     "ALL_SEMIRINGS",
     "BilinearAlgorithm",
     "STRASSEN",
@@ -38,5 +40,4 @@ __all__ = [
     "strassen_power",
     "largest_strassen_level",
     "verify_bilinear",
-    "strassen_multiply",
 ]

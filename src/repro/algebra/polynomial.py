@@ -14,12 +14,17 @@ are bounded by ``n`` and never cancel -- which is exactly why the recovery in
 Lemma 18 is sound even when the product is computed by a ring algorithm such
 as Strassen (which does subtract intermediate values but produces the exact
 product).
+
+The ring itself is :data:`POLYNOMIAL`: a
+:class:`~repro.algebra.semirings.Semiring` with ``is_ring`` set, which the
+§2.2 engine multiplies over like the integers.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.algebra.semirings import Semiring
 from repro.constants import INF
 
 
@@ -41,54 +46,66 @@ def encode_minplus(matrix: np.ndarray, max_entry: int, degree: int) -> np.ndarra
     return out
 
 
-def poly_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of polynomial matrices: matrix product with convolution entries.
+class PolynomialRing(Semiring):
+    """Capped-degree polynomial matrices: ``(r, c, D)`` coefficient tensors.
 
-    ``a`` is ``(r, k, Da)`` and ``b`` is ``(k, c, Db)``; the result is
-    ``(r, c, Da + Db - 1)``.  Implemented as one integer matrix product per
-    output degree, which keeps everything inside NumPy.
+    A ring, so the §2.2 bilinear engine multiplies over it directly; it has
+    no identity or closure semantics the engine sessions use, so sessions
+    bind it only for raw bilinear products.  An entry is ``D`` integer
+    coefficients, so it costs ``D * words(coefficient)`` words -- the
+    explicit ``O(M)``-factor blow-up that Lemma 18's round bound charges.
     """
-    da = a.shape[2]
-    db = b.shape[2]
-    out = np.zeros((a.shape[0], b.shape[1], da + db - 1), dtype=np.int64)
-    for i in range(da):
-        ai = a[:, :, i]
-        if not ai.any():
-            continue
-        for j in range(db):
-            bj = b[:, :, j]
-            if not bj.any():
+
+    name = "polynomial"
+    is_ring = True
+
+    def matmul_batch(
+        self, x: np.ndarray, y: np.ndarray, *, backend=None
+    ) -> np.ndarray:
+        """``(B, r, k, Da) x (B, k, c, Db) -> (B, r, c, Da + Db - 1)``.
+
+        One *batched* integer GEMM per degree pair (the batch axis rides
+        through ``np.matmul``), each accumulated into output degree
+        ``i + j``.  The zero-coefficient skip tests the whole batch slice,
+        so a skipped pair is zero in every block.
+        """
+        del backend  # one BLAS call per degree pair
+        x = np.asarray(x)
+        y = np.asarray(y)
+        if (
+            x.ndim != 4
+            or y.ndim != 4
+            or x.shape[0] != y.shape[0]
+            or x.shape[2] != y.shape[1]
+        ):
+            raise ValueError(
+                f"incompatible polynomial batch shapes {x.shape} x {y.shape}"
+            )
+        da = x.shape[3]
+        db = y.shape[3]
+        out = np.zeros(
+            (x.shape[0], x.shape[1], y.shape[2], da + db - 1), dtype=np.int64
+        )
+        for i in range(da):
+            xi = x[:, :, :, i]
+            if not xi.any():
                 continue
-            out[:, :, i + j] += ai @ bj
-    return out
+            for j in range(db):
+                yj = y[:, :, :, j]
+                if not yj.any():
+                    continue
+                out[:, :, :, i + j] += np.matmul(xi, yj)
+        return out
+
+    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return a + b
+
+    def entry_words(self, arr: np.ndarray, word_bits: int) -> int:
+        return np.asarray(arr).shape[-1] * super().entry_words(arr, word_bits)
 
 
-def poly_matmul_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Batched :func:`poly_matmul`: ``(B, r, k, Da) x (B, k, c, Db)``.
-
-    One *batched* integer GEMM per degree pair (the batch axis rides through
-    ``np.matmul``), instead of a Python loop of per-block products.  The
-    zero-coefficient skip tests the whole batch slice, so a skipped pair is
-    zero in every block -- values are identical to stacking
-    :func:`poly_matmul` per block.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    da = a.shape[3]
-    db = b.shape[3]
-    out = np.zeros(
-        (a.shape[0], a.shape[1], b.shape[2], da + db - 1), dtype=np.int64
-    )
-    for i in range(da):
-        ai = a[:, :, :, i]
-        if not ai.any():
-            continue
-        for j in range(db):
-            bj = b[:, :, :, j]
-            if not bj.any():
-                continue
-            out[:, :, :, i + j] += np.matmul(ai, bj)
-    return out
+#: The Lemma 18 ring (a stateless singleton, like the semirings).
+POLYNOMIAL = PolynomialRing()
 
 
 def decode_minplus(poly: np.ndarray) -> np.ndarray:
@@ -103,15 +120,9 @@ def decode_minplus(poly: np.ndarray) -> np.ndarray:
     return np.where(has_any, first, INF).astype(np.int64)
 
 
-def poly_entry_degree(poly: np.ndarray) -> int:
-    """The trailing-axis length of a polynomial tensor (its capped degree)."""
-    return int(poly.shape[2])
-
-
 __all__ = [
+    "PolynomialRing",
+    "POLYNOMIAL",
     "encode_minplus",
-    "poly_matmul",
-    "poly_matmul_batch",
     "decode_minplus",
-    "poly_entry_degree",
 ]

@@ -6,13 +6,15 @@ The paper's Theorem 1 distinguishes two regimes:
   relevant instances are the min-plus (tropical) semiring for shortest paths
   and the Boolean semiring for reachability/detection;
 * **rings** (subtraction available) -- handled by the bilinear algorithm of
-  §2.2 over the integers (and the capped polynomial ring of Lemma 18).
+  §2.2 over the integers (:data:`PLUS_TIMES`) and the capped polynomial
+  ring of Lemma 18 (:data:`repro.algebra.polynomial.POLYNOMIAL`).
 
-A :class:`Semiring` bundles the block-level operations the 3D algorithm
-needs: a block matrix product (optionally with *witnesses*, i.e. the index
-attaining each min), and the elementwise addition used to combine partial
-products.  All operations are NumPy-vectorised over ``int64`` arrays; the
-min-plus instance saturates at :data:`repro.constants.INF`.
+A :class:`Semiring` bundles the block-level operations the engines need: a
+block matrix product (optionally with *witnesses*, i.e. the index
+attaining each min), the elementwise addition used to combine partial
+products, and the word width of a shipped entry.  All operations are
+NumPy-vectorised over ``int64`` arrays; the min-plus instance saturates at
+:data:`repro.constants.INF`.
 
 Kernel strategy
 ---------------
@@ -153,6 +155,19 @@ class Semiring:
         """Elementwise semiring addition."""
         raise NotImplementedError
 
+    def entry_words(self, arr: np.ndarray, word_bits: int) -> int:
+        """Words per entry when shipping (a sub-tensor of) ``arr``.
+
+        Scalar entries cost the words of the widest ``|value|``; the
+        polynomial ring overrides this for its coefficient-vector entries.
+        """
+        # Deferred: repro.clique imports this module through its executor.
+        from repro.clique.messages import words_for_value
+
+        arr = np.asarray(arr)
+        max_abs = int(np.max(np.abs(arr))) if arr.size else 0
+        return words_for_value(max_abs, word_bits)
+
     def improves(self, challenger: np.ndarray, best: np.ndarray) -> np.ndarray:
         """Mask of entries where ``challenger`` strictly beats ``best``.
 
@@ -180,9 +195,10 @@ class Semiring:
 
 
 def _check_block(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two blocks whose inner dimensions agree (ring axes may trail)."""
     x = np.asarray(x)
     y = np.asarray(y)
-    if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[0]:
+    if x.ndim < 2 or y.ndim != x.ndim or x.shape[1] != y.shape[0]:
         raise ValueError(
             f"incompatible block shapes {x.shape} x {y.shape} for a product"
         )

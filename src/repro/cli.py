@@ -323,22 +323,15 @@ def _require_selection_engine(
 def _check_max_weight(
     parser: argparse.ArgumentParser, args: argparse.Namespace
 ) -> None:
-    """Die with usage unless every simple path stays below ``INF``.
+    """Die with usage unless every simple path stays below ``INF``
+    (:func:`~repro.constants.check_path_weight`); a heavier weight would
+    also not fit the generators' ``int64`` draw."""
+    from repro.constants import check_path_weight
 
-    A simple path has at most ``n - 1`` edges, so ``(n - 1) * max_weight <
-    INF`` keeps every distance finite and exact in ``int64``; a heavier
-    weight would saturate reachable pairs to ``INF`` (or not fit the
-    generators' ``int64`` draw at all).
-    """
-    from repro.constants import INF
-
-    limit = (INF - 1) // (args.n - 1)
-    if args.max_weight > limit:
-        parser.error(
-            f"--max-weight {args.max_weight} is too large for n={args.n}: "
-            f"a path of n - 1 edges must stay below INF = 2^62, so the "
-            f"largest accepted weight is {limit}"
-        )
+    try:
+        check_path_weight(args.max_weight, args.n, "--max-weight")
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _cmd_spanner(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:

@@ -22,15 +22,10 @@ engine's persistent packed closures.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from repro.algebra.backends import KernelBackend, get_backend
 from repro.algebra.semirings import Semiring
-
-if TYPE_CHECKING:  # deferred at runtime: repro.matmul imports this package
-    from repro.matmul.ringops import RingOps
 
 
 class LocalExecutor:
@@ -63,7 +58,7 @@ class LocalExecutor:
         raise NotImplementedError
 
     def ring_products(
-        self, ring: RingOps, lefts: np.ndarray, rights: np.ndarray
+        self, ring: Semiring, lefts: np.ndarray, rights: np.ndarray
     ) -> np.ndarray:
         """Stacked ring block products (trailing ring axes supported)."""
         raise NotImplementedError
@@ -110,7 +105,7 @@ class SerialExecutor(LocalExecutor):
         return semiring.matmul_batch(lefts, rights, backend=self.backend)
 
     def ring_products(
-        self, ring: RingOps, lefts: np.ndarray, rights: np.ndarray
+        self, ring: Semiring, lefts: np.ndarray, rights: np.ndarray
     ) -> np.ndarray:
         return ring.matmul_batch(lefts, rights)
 

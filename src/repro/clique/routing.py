@@ -288,17 +288,6 @@ class FlatInboxes:
             tags=self.tags[lo:hi] if self.tags is not None else None,
         )
 
-    def uniform_blocks(self, pieces_per_node: int) -> np.ndarray:
-        """``blocks`` as an ``(n, p, ...)`` array (uniform inboxes only)."""
-        if self.blocks.shape[0] != self.n * pieces_per_node:
-            raise ValueError(
-                f"exchange is not uniform: {self.blocks.shape[0]} pieces != "
-                f"{self.n} nodes x {pieces_per_node}"
-            )
-        return self.blocks.reshape(
-            (self.n, pieces_per_node) + self.blocks.shape[1:]
-        )
-
 
 def deliver_array_flat(batch: ArrayBatch) -> FlatInboxes:
     """Vectorised delivery, returned as one :class:`FlatInboxes` batch.

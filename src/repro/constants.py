@@ -35,10 +35,31 @@ RHO_IMPLEMENTED: float = 1.0 - 2.0 / SIGMA_STRASSEN
 #: Chosen so that ``INF + INF`` does not overflow ``int64``.
 INF: int = 2**62
 
+
+def check_path_weight(weight: int, n: int, name: str) -> None:
+    """Refuse an edge weight whose simple paths on ``n`` nodes can reach ``INF``.
+
+    A simple path has at most ``n - 1`` edges, so ``(n - 1) * |weight| <
+    INF`` keeps every distance finite and exact in ``int64``; a heavier
+    weight would saturate reachable pairs to ``INF``.  Raises a
+    ``ValueError`` naming the weight (as ``name``) and the largest accepted
+    one.  Selection products that never add weights (max-min) need no
+    bound.
+    """
+    limit = (INF - 1) // max(1, n - 1)
+    if abs(weight) > limit:
+        raise ValueError(
+            f"{name} {weight} is too large for n={n}: a path of n - 1 edges "
+            f"must stay below INF = 2^62, so the largest accepted weight is "
+            f"{limit}"
+        )
+
+
 __all__ = [
     "OMEGA_BEST",
     "RHO_PAPER",
     "SIGMA_STRASSEN",
     "RHO_IMPLEMENTED",
     "INF",
+    "check_path_weight",
 ]

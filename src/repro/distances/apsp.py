@@ -19,14 +19,15 @@ runs, which ships no witnesses and so bills fewer rounds.
 Negative integer weights are allowed (Table 1: weights in
 ``{0, +-1, ..., +-M}``); both session loops raise
 :class:`~repro.errors.NegativeCycleError` when a diagonal entry drops below
-zero.
+zero.  A weight so heavy that an ``n - 1``-edge path could reach ``INF`` is
+refused up front (:func:`~repro.constants.check_path_weight`).
 """
 
 from __future__ import annotations
 
 from repro.algebra.semirings import MIN_PLUS
 from repro.clique.model import CongestedClique, ScheduleMode
-from repro.constants import INF
+from repro.constants import INF, check_path_weight
 from repro.engine import EngineSession, default_steps
 from repro.graphs.graphs import Graph
 from repro.runtime import RunResult, make_clique, pad_matrix
@@ -52,6 +53,7 @@ def apsp_exact(
     ring embeddings).
     """
     n = graph.n
+    check_path_weight(graph.max_abs_weight(), n, "edge weight")
     clique = clique or make_clique(n, method, mode=mode)
     session = EngineSession(clique, method, MIN_PLUS)
     weights = pad_matrix(graph.weight_matrix(), clique.n, fill=INF)

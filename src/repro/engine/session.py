@@ -8,9 +8,8 @@ session binds
   executor and that executor's kernel tile backend),
 * a **matmul method** (``"bilinear"`` §2.2, ``"semiring"`` §2.1,
   ``"naive"`` baseline), and
-* an **algebra** -- a :class:`~repro.algebra.semirings.Semiring` or, for raw
-  §2.2 ring products (the Lemma 18 embedding), a
-  :class:`~repro.matmul.ringops.RingOps`
+* an **algebra** -- a :class:`~repro.algebra.semirings.Semiring` (rings
+  included: the integers and the Lemma 18 polynomial ring)
 
 and exposes ``multiply`` / ``square`` / ``power`` / ``closure``.  Binding
 happens once: the bilinear algorithm (encode/decode tensors), the engine's
@@ -23,7 +22,8 @@ Binding rules mirror Theorem 1: any semiring runs on the §2.1/naive
 engines; the §2.2 engine needs a ring, so it accepts ``PLUS_TIMES``
 directly, implements ``BOOLEAN`` by integer product + threshold (Corollary
 2's reduction), and rejects selection semirings (use the Lemma 18/20
-embeddings in :mod:`repro.matmul.distance` instead).
+embeddings in :mod:`repro.matmul.distance` instead).  ``POLYNOMIAL`` binds
+only to the §2.2 engine, for raw products: it has no ``power``/``closure``.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.algebra.bilinear import BilinearAlgorithm
+from repro.algebra.polynomial import POLYNOMIAL
 from repro.algebra.semirings import BOOLEAN, PLUS_TIMES, Semiring
 from repro.clique.accounting import CostMeter
 from repro.clique.arena import ExchangeArena
@@ -47,7 +48,6 @@ from repro.matmul.bilinear_clique import (
 )
 from repro.matmul.layout import next_cube, next_square
 from repro.matmul.naive import broadcast_matmul
-from repro.matmul.ringops import RingOps
 from repro.matmul.semiring3d import (
     boolean_matmul_packed,
     cube_plan,
@@ -198,8 +198,7 @@ class EngineSession:
             how local block products are computed).
         method: one of :data:`MATMUL_METHODS`.
         algebra: a :class:`~repro.algebra.semirings.Semiring` (default: the
-            integer ring) or a :class:`~repro.matmul.ringops.RingOps` for
-            raw bilinear ring products.
+            integer ring).
         algorithm: bilinear algorithm override (default: deepest Strassen
             power fitting the clique); ignored by the other engines.
         cost_model: optional transport cost model
@@ -217,7 +216,7 @@ class EngineSession:
         self,
         clique: CongestedClique,
         method: str = "bilinear",
-        algebra: Semiring | RingOps = PLUS_TIMES,
+        algebra: Semiring = PLUS_TIMES,
         *,
         algorithm: BilinearAlgorithm | None = None,
         cost_model=None,
@@ -233,7 +232,6 @@ class EngineSession:
         self.algebra = algebra
         self.algorithm: BilinearAlgorithm | None = None
         self._boolean_via_ring = False
-        self._ring: RingOps | None = None
         #: Per-session exchange arena: the engines' send/recv buffers are
         #: preallocated once (sized by the CubePlan/GridPlan exchange
         #: shapes) and reused by every product the session runs, so the
@@ -245,27 +243,24 @@ class EngineSession:
         #: :class:`ResidentClosure`); ``None`` until :meth:`seed_resident`.
         self._resident: ResidentClosure | None = None
 
-        if isinstance(algebra, RingOps):
-            if method != "bilinear":
+        if not isinstance(algebra, Semiring):
+            raise TypeError(f"algebra must be a Semiring, got {algebra!r}")
+        if method == "bilinear":
+            if algebra is BOOLEAN:
+                # Corollary 2: Boolean product = integer product of the
+                # 0/1 matrices + threshold.
+                self._boolean_via_ring = True
+            elif not algebra.is_ring:
                 raise EngineBindingError(
-                    f"raw ring products ({algebra.name}) need the bilinear "
-                    f"engine, not {method!r}"
+                    f"the bilinear engine needs a ring; semiring "
+                    f"{algebra.name!r} runs on the semiring/naive engines "
+                    f"(or via the Lemma 18/20 embeddings)"
                 )
-            self._ring = algebra
-        elif isinstance(algebra, Semiring):
-            if method == "bilinear":
-                if algebra is BOOLEAN:
-                    # Corollary 2: Boolean product = integer product of the
-                    # 0/1 matrices + threshold.
-                    self._boolean_via_ring = True
-                elif not algebra.is_ring:
-                    raise EngineBindingError(
-                        f"the bilinear engine needs a ring; semiring "
-                        f"{algebra.name!r} runs on the semiring/naive engines "
-                        f"(or via the Lemma 18/20 embeddings)"
-                    )
-        else:
-            raise TypeError(f"algebra must be a Semiring or RingOps, got {algebra!r}")
+        elif algebra is POLYNOMIAL:
+            raise EngineBindingError(
+                f"raw polynomial products need the bilinear engine, "
+                f"not {method!r}"
+            )
 
         # Resolve the bound engine once: bilinear algorithm + engine plans
         # are materialised here, so every later product is replanning-free.
@@ -344,17 +339,7 @@ class EngineSession:
         With ``with_witnesses`` (selection semirings on the semiring/naive
         engines only) also returns the witness matrix of §3.3.
         """
-        if self._ring is not None:
-            if with_witnesses:
-                raise EngineBindingError(
-                    "ring products have no native witnesses (use the §3.4 "
-                    "witness machinery in repro.matmul.witnesses)"
-                )
-            return bilinear_matmul(
-                self.clique, x, y, self.algorithm, ring=self._ring, phase=phase,
-                arena=self.arena,
-            )
-        semiring: Semiring = self.algebra  # type: ignore[assignment]
+        semiring = self.algebra
         if self._boolean_via_ring:
             # Boolean on the fast engine: threshold the integer product.
             if with_witnesses:
@@ -378,7 +363,8 @@ class EngineSession:
             )
         if self.method == "bilinear":
             return bilinear_matmul(
-                self.clique, x, y, self.algorithm, phase=phase, arena=self.arena
+                self.clique, x, y, self.algorithm, ring=semiring, phase=phase,
+                arena=self.arena,
             )
         if self.method == "semiring":
             return semiring_matmul(
@@ -417,12 +403,8 @@ class EngineSession:
         bound semiring (1-diagonal for plus-times/Boolean, 0-diagonal /
         zero-elsewhere for min-plus style selection semirings).
         """
-        if self._ring is not None:
-            raise EngineBindingError(
-                "power/closure need a semiring binding (identity and "
-                "addition semantics); raw ring sessions only multiply"
-            )
-        semiring: Semiring = self.algebra  # type: ignore[assignment]
+        self._refuse_polynomial()
+        semiring = self.algebra
         if exponent < 0:
             raise ValueError(f"exponent must be >= 0, got {exponent}")
         n = self.n
@@ -480,14 +462,10 @@ class EngineSession:
             phase: cost-meter label prefix; squaring ``i`` is charged as
                 ``{phase}/{step_label}{i}``.
         """
-        if self._ring is not None:
-            raise EngineBindingError(
-                "power/closure need a semiring binding (identity and "
-                "addition semantics); raw ring sessions only multiply"
-            )
+        self._refuse_polynomial()
         if absorb not in ("accum", "matrix"):
             raise ValueError(f"absorb must be 'accum' or 'matrix', got {absorb!r}")
-        semiring: Semiring = self.algebra  # type: ignore[assignment]
+        semiring = self.algebra
         base = np.asarray(matrix, dtype=np.int64)
         accum = base
         steps = default_steps(self.n) if steps is None else steps
@@ -547,6 +525,15 @@ class EngineSession:
             accum_p = squared
         return unpack_bool_matrix(accum_p, n)
 
+    def _refuse_polynomial(self) -> None:
+        """``power``/``closure`` need identity and merge semantics the
+        polynomial ring's sessions do not have: they only multiply."""
+        if self.algebra is POLYNOMIAL:
+            raise EngineBindingError(
+                "power/closure need a semiring with identity and addition "
+                "semantics; raw polynomial sessions only multiply"
+            )
+
     def _refuse_negative_cycle(self, accum: np.ndarray, phase: str) -> None:
         """Refuse a diagonal entry that strictly beats the semiring's one.
 
@@ -554,7 +541,7 @@ class EngineSession:
         under min-plus (a diagonal entry below ``0``); under max-min nothing
         beats the ``INF`` self-capacity, so it never fires there.
         """
-        semiring: Semiring = self.algebra  # type: ignore[assignment]
+        semiring = self.algebra
         if semiring.has_witnesses and np.any(
             semiring.improves(np.diagonal(accum), semiring.one_value)
         ):
@@ -596,12 +583,7 @@ class EngineSession:
         delta updates); it is copied too.  Replaces any prior resident
         state; the previous :class:`ResidentClosure` object is left intact.
         """
-        if self._ring is not None:
-            raise EngineBindingError(
-                "resident closures need a semiring binding; raw ring "
-                "sessions only multiply"
-            )
-        semiring: Semiring = self.algebra  # type: ignore[assignment]
+        semiring = self.algebra
         if not semiring.has_witnesses:
             raise EngineBindingError(
                 f"resident state needs a selection semiring with witnesses; "
@@ -642,7 +624,7 @@ class EngineSession:
         state = self._resident
         if state is None:
             raise RuntimeError("no resident state; call seed_resident first")
-        semiring: Semiring = self.algebra  # type: ignore[assignment]
+        semiring = self.algebra
         squared, witness = self.square(
             state.dist, with_witnesses=True, phase=phase
         )
@@ -694,7 +676,7 @@ class EngineSession:
 def open_session(
     n: int,
     method: str = "bilinear",
-    algebra: Semiring | RingOps = PLUS_TIMES,
+    algebra: Semiring = PLUS_TIMES,
     *,
     clique: CongestedClique | None = None,
     algorithm: BilinearAlgorithm | None = None,

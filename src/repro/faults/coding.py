@@ -83,11 +83,6 @@ def _build_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 _EXP, _LOG, _LOGZ, _MULT = _build_tables()
 
 
-def gf_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise GF(2^16) product of two uint16 arrays (broadcasting)."""
-    return _MULT[_LOGZ[a] + _LOGZ[b]]
-
-
 def _mul(a: int, b: int) -> int:
     return int(_MULT[int(_LOGZ[a]) + int(_LOGZ[b])])
 
@@ -491,6 +486,5 @@ __all__ = [
     "StripePlan",
     "decode_stripes",
     "encode_stripes",
-    "gf_mul",
     "stripe_plan",
 ]

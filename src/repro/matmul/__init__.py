@@ -25,7 +25,6 @@ from repro.matmul.layout import CubeLayout, GridLayout, next_cube, next_square
 from repro.matmul.boolean_witnesses import encode_boolean, find_boolean_witnesses
 from repro.matmul.naive import broadcast_matmul
 from repro.matmul.powers import closure, matrix_power
-from repro.matmul.ringops import INTEGER_RING, POLYNOMIAL_RING
 from repro.matmul.semiring3d import semiring_matmul
 from repro.matmul.witnesses import WitnessResult, find_witnesses, unique_witnesses
 
@@ -50,8 +49,6 @@ __all__ = [
     "GridLayout",
     "next_cube",
     "next_square",
-    "INTEGER_RING",
-    "POLYNOMIAL_RING",
     "predicted_semiring3d_rounds",
     "predicted_bilinear_rounds",
     "predicted_naive_rounds",

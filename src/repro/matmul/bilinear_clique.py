@@ -22,8 +22,9 @@ Deviations from the paper's indexing, and why they are harmless:
   code is ``1 - 2/log2(7) ~ 0.2876`` rather than the paper's headline
   ``0.158`` (see DESIGN.md).
 
-The algorithm is generic over :class:`repro.matmul.ringops.RingOps`; with
-:data:`~repro.matmul.ringops.POLYNOMIAL_RING` it implements the Lemma 18
+The algorithm is generic over any ring -- a
+:class:`~repro.algebra.semirings.Semiring` with ``is_ring`` set; with
+:data:`~repro.algebra.polynomial.POLYNOMIAL` it implements the Lemma 18
 embedding (entries become coefficient vectors and widths are charged with
 the ``O(M)`` blow-up).
 
@@ -49,12 +50,12 @@ from repro.algebra.bilinear import (
     largest_strassen_level,
     strassen_power,
 )
+from repro.algebra.semirings import PLUS_TIMES, Semiring
 from repro.clique.arena import ExchangeArena
 from repro.clique.messages import block_widths
 from repro.clique.model import CongestedClique
 from repro.errors import CliqueSizeError
 from repro.matmul.layout import GridLayout
-from repro.matmul.ringops import INTEGER_RING, RingOps
 
 
 def default_algorithm(n: int) -> BilinearAlgorithm:
@@ -191,7 +192,7 @@ def bilinear_matmul(
     t: np.ndarray,
     algorithm: BilinearAlgorithm | None = None,
     *,
-    ring: RingOps = INTEGER_RING,
+    ring: Semiring = PLUS_TIMES,
     phase: str = "bilinear",
     arena: ExchangeArena | None = None,
 ) -> np.ndarray:
@@ -204,7 +205,8 @@ def bilinear_matmul(
         t: right operand, same convention.
         algorithm: the bilinear algorithm to deploy; defaults to the deepest
             Strassen power with ``7^l <= n``.
-        ring: local block arithmetic and word-width rules.
+        ring: a semiring with ``is_ring`` set (Strassen subtracts): local
+            block arithmetic and word-width rules.
         phase: cost-meter label prefix.
         arena: per-session :class:`~repro.clique.arena.ExchangeArena` for
             the GridPlan-sized padded operands, send stacks and local cell
@@ -215,6 +217,8 @@ def bilinear_matmul(
     Returns:
         ``P = S T`` with the same shape convention as the inputs.
     """
+    if not ring.is_ring:
+        raise ValueError(f"the bilinear engine needs a ring, not {ring.name!r}")
     n = clique.n
     algorithm, layout = _check_operands(clique, s, t, algorithm)
     plan = grid_plan(n, algorithm.d)

@@ -23,13 +23,12 @@ import math
 import numpy as np
 
 from repro.algebra.bilinear import BilinearAlgorithm
-from repro.algebra.polynomial import decode_minplus, encode_minplus
+from repro.algebra.polynomial import POLYNOMIAL, decode_minplus, encode_minplus
 from repro.algebra.semirings import MIN_PLUS
 from repro.clique.model import CongestedClique
 from repro.constants import INF
 from repro.engine import EngineBindingError, EngineSession
 from repro.matmul.bilinear_clique import bilinear_matmul
-from repro.matmul.ringops import POLYNOMIAL_RING
 from repro.matmul.semiring3d import semiring_matmul
 
 
@@ -67,10 +66,8 @@ class RingDistanceSession(EngineSession):
     ) -> None:
         if max_entry < 0:
             raise ValueError(f"max_entry must be >= 0, got {max_entry}")
-        super().__init__(clique, "bilinear", POLYNOMIAL_RING, algorithm=algorithm)
+        super().__init__(clique, "bilinear", POLYNOMIAL, algorithm=algorithm)
         # The transport ring is internal; closure/power merge in min-plus.
-        self._poly_ring = self._ring
-        self._ring = None
         self.algebra = MIN_PLUS
         self.max_entry = max_entry
 
@@ -91,7 +88,8 @@ class RingDistanceSession(EngineSession):
         es = encode_minplus(np.asarray(x, dtype=np.int64), self.max_entry, degree)
         et = encode_minplus(np.asarray(y, dtype=np.int64), self.max_entry, degree)
         product = bilinear_matmul(
-            self.clique, es, et, self.algorithm, ring=self._poly_ring, phase=phase
+            self.clique, es, et, self.algorithm, ring=POLYNOMIAL, phase=phase,
+            arena=self.arena,
         )
         return decode_minplus(product)
 

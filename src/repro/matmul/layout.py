@@ -95,11 +95,6 @@ class CubeLayout:
         q2 = self.q * self.q
         return x * q2, (x + 1) * q2
 
-    def block_slice(self, x: int) -> slice:
-        """``x**`` as a slice, for indexing matrix rows/columns."""
-        start, stop = self.first_digit_range(x)
-        return slice(start, stop)
-
 
 @lru_cache(maxsize=None)
 def _cube_layout_for_clique(n: int) -> "CubeLayout":
@@ -148,10 +143,6 @@ class GridLayout:
         offsets = np.arange(self.c)
         blocks = np.arange(self.d) * block_rows
         return (blocks[:, None] + x * self.c + offsets[None, :]).reshape(-1)
-
-    def cell_slice(self, x: int) -> tuple[slice, ...]:
-        """Row range of cell ``x`` *within one block*: ``x*c .. (x+1)*c``."""
-        return (slice(x * self.c, (x + 1) * self.c),)
 
 
 @lru_cache(maxsize=None)

@@ -111,9 +111,6 @@ class Topology:
         """``(n, n)`` hop distances between hosts (0 on the diagonal)."""
         raise NotImplementedError
 
-    def describe(self) -> str:  # pragma: no cover - cosmetic
-        return f"{self.name} over {self.n} hosts"
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(n={self.n})"
 

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from repro.constants import INF
+from repro.constants import INF, check_path_weight
 from repro.errors import FaultToleranceExceeded, ReproError
 from repro.graphs.graphs import Graph
 from repro.runtime import pad_matrix
@@ -163,10 +163,15 @@ class ClosureArtifact:
         path).  A build that ran on an *unprotected* faulty clique and saw
         faults injected is likewise recorded as degraded: its values are
         untrusted by construction.
+
+        A graph whose weights could saturate a path to ``INF`` is refused
+        before any engine work or file write
+        (:func:`~repro.constants.check_path_weight`).
         """
+        n = graph.n
+        check_path_weight(graph.max_abs_weight(), n, "edge weight")
         path = Path(path)
         path.mkdir(parents=True, exist_ok=True)
-        n = graph.n
         if session.n < n:
             raise ValueError(
                 f"session clique (n={session.n}) too small for graph n={n}"

@@ -50,7 +50,7 @@ import numpy as np
 
 from repro.algebra.semirings import MIN_PLUS, saturating_add
 from repro.clique.messages import block_widths
-from repro.constants import INF
+from repro.constants import INF, check_path_weight
 from repro.errors import NegativeCycleError
 from repro.matmul.semiring3d import strip_product_with_witness
 from repro.serve.artifact import ClosureArtifact
@@ -82,7 +82,11 @@ class DeltaReport:
 def normalise_updates(
     updates, n: int
 ) -> dict[tuple[int, int], int]:
-    """Validate and dedupe ``(u, v, w)`` updates (last write wins)."""
+    """Validate and dedupe ``(u, v, w)`` updates (last write wins).
+
+    A finite weight must keep every simple path below ``INF``
+    (:func:`~repro.constants.check_path_weight`); ``INF`` deletes the edge.
+    """
     merged: dict[tuple[int, int], int] = {}
     for item in updates:
         try:
@@ -100,6 +104,8 @@ def normalise_updates(
             )
         if not -INF < w <= INF:
             raise ValueError(f"update weight {w} out of range")
+        if w < INF:  # INF deletes the edge
+            check_path_weight(w, n, "update weight")
         merged[(u, v)] = w
     if not merged:
         raise ValueError("no edge updates given")

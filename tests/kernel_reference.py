@@ -10,7 +10,10 @@ witness tie-breaks:
 
 * :func:`cube_matmul_with_witness` -- min-plus and max-min, with witnesses;
 * :func:`cube_matmul` -- the Boolean AND cube reduced with ``any``;
-* :func:`reference_matmul` -- one centralised product per semiring.
+* :func:`reference_matmul` -- one centralised product per semiring;
+* :func:`poly_matmul` -- one polynomial-matrix block product, the oracle
+  for the batched polynomial ring kernel, and :func:`ring_matmul`, which
+  multiplies one block over either ring the §2.2 engine runs on.
 
 Two helpers reach a particular branch of a ``src/`` kernel, so one shape
 can be checked on both sides of a dispatch: :func:`boolean_gemm` forces the
@@ -25,6 +28,7 @@ from unittest import mock
 
 import numpy as np
 
+from repro.algebra.polynomial import POLYNOMIAL
 from repro.algebra.semirings import (
     BOOLEAN,
     MAX_MIN,
@@ -87,6 +91,30 @@ def reference_matmul(semiring: Semiring, s, t) -> np.ndarray:
     if semiring is BOOLEAN:
         return ((s @ t) > 0).astype(np.int64)
     return s @ t
+
+
+def poly_matmul(a, b) -> np.ndarray:
+    """Product of polynomial matrices: matrix product with convolution entries.
+
+    ``a`` is ``(r, k, Da)`` and ``b`` is ``(k, c, Db)``; the result is
+    ``(r, c, Da + Db - 1)``, one integer matrix product per degree pair.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    da = a.shape[2]
+    db = b.shape[2]
+    out = np.zeros((a.shape[0], b.shape[1], da + db - 1), dtype=np.int64)
+    for i in range(da):
+        for j in range(db):
+            out[:, :, i + j] += a[:, :, i] @ b[:, :, j]
+    return out
+
+
+def ring_matmul(ring: Semiring, x, y) -> np.ndarray:
+    """One ring block product: :func:`poly_matmul` or plain ``@``."""
+    if ring is POLYNOMIAL:
+        return poly_matmul(x, y)
+    return np.asarray(x, dtype=np.int64) @ np.asarray(y, dtype=np.int64)
 
 
 def boolean_gemm(x, y) -> np.ndarray:

@@ -66,6 +66,21 @@ class TestExactApsp:
         with pytest.raises(NegativeCycleError):
             apsp_exact(g)
 
+    def test_weights_that_reach_inf_are_refused(self):
+        """At 2^62 - 1 some reachable pairs would saturate to INF (38 of 144
+        distances, and the int64 oracle agrees with the wrong answer), so
+        the weight is refused, naming it and the bound."""
+        g = random_weighted_digraph(12, 0.35, 2**62 - 1, seed=0)
+        heavy = g.max_abs_weight()
+        with pytest.raises(ValueError) as excinfo:
+            apsp_exact(g)
+        message = str(excinfo.value)
+        assert f"edge weight {heavy} " in message
+        assert "largest accepted weight is 419244183493398900" in message
+        g.weights[g.weights == heavy] = -heavy  # the bound is on |w|
+        with pytest.raises(ValueError, match="too large for n=12"):
+            apsp_exact(g)
+
     def test_disconnected_pairs_infinite(self):
         g = Graph.from_weighted_edges(4, [(0, 1, 3)], directed=True)
         result = apsp_exact(g, with_routing_tables=False)

@@ -29,7 +29,7 @@ from tuple_reference import (
 )
 
 from repro.algebra.bilinear import classical, strassen_power
-from repro.algebra.polynomial import encode_minplus
+from repro.algebra.polynomial import POLYNOMIAL, encode_minplus
 from repro.algebra.semirings import BOOLEAN, MIN_PLUS
 from repro.clique.messages import words_for_array
 from repro.clique.model import CongestedClique, ScheduleMode
@@ -42,7 +42,6 @@ from repro.graphs import (
     windmill_graph,
 )
 from repro.matmul.bilinear_clique import bilinear_matmul
-from repro.matmul.ringops import POLYNOMIAL_RING
 from repro.matmul.witnesses import _validate_candidates
 from repro.runtime import boolean_product
 from repro.subgraphs import four_cycle
@@ -133,9 +132,9 @@ class TestBilinearEquivalence:
         et = encode_minplus(t, 3, 4)
         array_clique = CongestedClique(n)
         tuple_clique = CongestedClique(n)
-        p_array = bilinear_matmul(array_clique, es, et, ring=POLYNOMIAL_RING)
+        p_array = bilinear_matmul(array_clique, es, et, ring=POLYNOMIAL)
         p_tuple = bilinear_matmul_tuple(
-            TupleClique(tuple_clique), es, et, ring=POLYNOMIAL_RING
+            TupleClique(tuple_clique), es, et, ring=POLYNOMIAL
         )
         assert np.array_equal(p_array, p_tuple)
         assert _phases(array_clique) == _phases(tuple_clique)

@@ -17,7 +17,6 @@ from repro.algebra.bilinear import (
     strassen_power,
     verify_bilinear,
 )
-from repro.algebra.strassen import strassen_multiply
 
 
 class TestStrassenBase:
@@ -140,19 +139,3 @@ class TestTensorValidation:
         with pytest.raises(AssertionError):
             verify_bilinear(broken, trials=1)
 
-
-class TestLocalRecursiveStrassen:
-    @settings(max_examples=10, deadline=None)
-    @given(
-        st.integers(min_value=0, max_value=10**6),
-        st.integers(min_value=1, max_value=40),
-    )
-    def test_matches_numpy(self, seed, size):
-        rng = np.random.default_rng(seed)
-        s = rng.integers(-40, 40, (size, size), dtype=np.int64)
-        t = rng.integers(-40, 40, (size, size), dtype=np.int64)
-        assert np.array_equal(strassen_multiply(s, t, cutoff=4), s @ t)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            strassen_multiply(np.ones((2, 3)), np.ones((2, 3)))

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from kernel_reference import poly_matmul
 
 from repro.algebra.bilinear import classical, strassen_power
 from repro.clique import CongestedClique, ScheduleMode
 from repro.errors import CliqueSizeError
 from repro.matmul.bilinear_clique import bilinear_matmul, default_algorithm
 from repro.matmul.exponent import predicted_bilinear_rounds
-from repro.matmul.ringops import POLYNOMIAL_RING
 
 
 class TestCorrectness:
@@ -56,13 +56,25 @@ class TestCorrectness:
         clique = CongestedClique(n)
         assert np.array_equal(bilinear_matmul(clique, s, t), s @ t)
 
+    def test_refuses_semirings_without_subtraction(self):
+        """Strassen subtracts, so a non-ring would yield wrong products;
+        the engine refuses it before any exchange."""
+        from repro.algebra.semirings import BOOLEAN, MIN_PLUS
+
+        clique = CongestedClique(16)
+        a = np.eye(16, dtype=np.int64)
+        for semiring in (MIN_PLUS, BOOLEAN):
+            with pytest.raises(ValueError, match="needs a ring"):
+                bilinear_matmul(clique, a, a, ring=semiring)
+        assert clique.rounds == 0
+
 
 class TestPolynomialRing:
     def test_poly_product(self, rng):
         from repro.algebra.polynomial import (
+            POLYNOMIAL,
             decode_minplus,
             encode_minplus,
-            poly_matmul,
         )
 
         n = 16
@@ -71,7 +83,7 @@ class TestPolynomialRing:
         es = encode_minplus(s, 3, 4)
         et = encode_minplus(t, 3, 4)
         clique = CongestedClique(n)
-        got = bilinear_matmul(clique, es, et, ring=POLYNOMIAL_RING)
+        got = bilinear_matmul(clique, es, et, ring=POLYNOMIAL)
         assert np.array_equal(got, poly_matmul(es, et))
         assert np.array_equal(decode_minplus(got), decode_minplus(poly_matmul(es, et)))
 

@@ -111,6 +111,10 @@ class TestFailureSweep:
         (["build-artifact", "12", "{art}-new", "--max-weight",
           "99999999999999999999"], "--max-weight 99999999999999999999"),
         (["--seed", "-3", "matmul", "8"], "--seed must be >= 0"),
+        # An update weight whose 11-edge paths reach INF on the n=12
+        # artifact would serve saturated distances as inf.
+        (["update", "{art}", "--edge", "0,6,4611686018427387903"],
+         "update weight 4611686018427387903"),
     ]
 
     @pytest.mark.parametrize(

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from kernel_reference import cube_matmul_with_witness
+from kernel_reference import cube_matmul_with_witness, poly_matmul
 
+from repro.algebra.polynomial import POLYNOMIAL
 from repro.algebra.semirings import BOOLEAN, MAX_MIN, MIN_PLUS, PLUS_TIMES
 from repro.clique.model import CongestedClique
 from repro.constants import INF
@@ -28,7 +29,6 @@ from repro.matmul.bilinear_clique import bilinear_matmul, grid_plan
 from repro.matmul.distance import RingDistanceSession
 from repro.matmul.naive import broadcast_matmul
 from repro.matmul.powers import closure, matrix_power
-from repro.matmul.ringops import POLYNOMIAL_RING
 from repro.matmul.semiring3d import cube_plan, semiring_matmul
 
 
@@ -42,7 +42,7 @@ class TestBindingRules:
     def test_ring_ops_reject_non_bilinear_engines(self):
         for method in ("semiring", "naive"):
             with pytest.raises(EngineBindingError):
-                EngineSession(CongestedClique(27), method, POLYNOMIAL_RING)
+                EngineSession(CongestedClique(27), method, POLYNOMIAL)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown matmul method"):
@@ -61,9 +61,27 @@ class TestBindingRules:
             )
 
     def test_ring_sessions_have_no_closure(self):
-        session = EngineSession(CongestedClique(16), "bilinear", POLYNOMIAL_RING)
+        session = EngineSession(CongestedClique(16), "bilinear", POLYNOMIAL)
         with pytest.raises(EngineBindingError):
             session.closure(np.zeros((16, 16, 1), dtype=np.int64))
+
+    def test_polynomial_sessions_only_multiply(self):
+        """Power, resident state and witnesses are refused; a product
+        runs (checked against the per-block oracle)."""
+        session = EngineSession(CongestedClique(16), "bilinear", POLYNOMIAL)
+        x = np.ones((16, 16, 2), dtype=np.int64)
+        with pytest.raises(EngineBindingError):
+            session.power(x, 2)
+        with pytest.raises(EngineBindingError):
+            session.seed_resident(x)
+        with pytest.raises(EngineBindingError):
+            session.multiply(x, x, with_witnesses=True)
+        assert np.array_equal(session.multiply(x, x), poly_matmul(x, x))
+
+    def test_algebra_must_be_a_semiring(self):
+        for algebra in ("plus-times", None, object()):
+            with pytest.raises(TypeError, match="must be a Semiring"):
+                EngineSession(CongestedClique(16), "bilinear", algebra)
 
     def test_open_session_validates_threads(self):
         with pytest.raises(ValueError, match="threads"):

@@ -20,8 +20,10 @@ from kernel_reference import (
     cube_matmul,
     cube_matmul_with_witness,
     reference_matmul,
+    ring_matmul,
 )
 
+from repro.algebra.polynomial import POLYNOMIAL
 from repro.algebra.semirings import (
     ALL_SEMIRINGS,
     BOOLEAN,
@@ -42,7 +44,6 @@ from repro.distances import apsp_exact, girth_directed
 from repro.distances.components import connected_components
 from repro.engine import EngineSession
 from repro.graphs.generators import gnp_random_graph, random_weighted_graph
-from repro.matmul.ringops import INTEGER_RING, POLYNOMIAL_RING
 
 
 @pytest.fixture(scope="module")
@@ -145,14 +146,14 @@ class TestBatchProducts:
         x = rng.integers(-9, 10, (7, 6, 6))
         y = rng.integers(-9, 10, (7, 6, 6))
         assert np.array_equal(
-            threaded.ring_products(INTEGER_RING, x, y),
-            SERIAL_EXECUTOR.ring_products(INTEGER_RING, x, y),
+            threaded.ring_products(PLUS_TIMES, x, y),
+            SERIAL_EXECUTOR.ring_products(PLUS_TIMES, x, y),
         )
         xp = rng.integers(0, 2, (5, 4, 4, 3))
         yp = rng.integers(0, 2, (5, 4, 4, 2))
         assert np.array_equal(
-            threaded.ring_products(POLYNOMIAL_RING, xp, yp),
-            SERIAL_EXECUTOR.ring_products(POLYNOMIAL_RING, xp, yp),
+            threaded.ring_products(POLYNOMIAL, xp, yp),
+            SERIAL_EXECUTOR.ring_products(POLYNOMIAL, xp, yp),
         )
 
 
@@ -192,7 +193,7 @@ class _PerBlockOracleExecutor(LocalExecutor):
     def ring_products(self, ring, lefts, rights):
         return np.stack(
             [
-                ring.matmul(np.asarray(lefts)[b], np.asarray(rights)[b])
+                ring_matmul(ring, np.asarray(lefts)[b], np.asarray(rights)[b])
                 for b in range(np.asarray(lefts).shape[0])
             ]
         )

@@ -1,16 +1,17 @@
-"""Tests for the naive baseline matmul and ring-op width accounting."""
+"""Tests for the naive baseline matmul and ring width accounting."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from kernel_reference import poly_matmul
 from tuple_reference import array_words
 
+from repro.algebra.polynomial import POLYNOMIAL
 from repro.algebra.semirings import MIN_PLUS, PLUS_TIMES
 from repro.clique import CongestedClique
 from repro.constants import INF
 from repro.matmul.naive import broadcast_matmul
-from repro.matmul.ringops import INTEGER_RING, POLYNOMIAL_RING
 
 
 class TestNaiveMatmul:
@@ -68,25 +69,35 @@ class TestNaiveMatmul:
 class TestRingOps:
     def test_integer_entry_words(self):
         arr = np.array([[3, -(2**40)]], dtype=np.int64)
-        assert INTEGER_RING.entry_words(arr, 16) == 3
-        assert array_words(INTEGER_RING, arr, 16) == 6
+        assert PLUS_TIMES.entry_words(arr, 16) == 3
+        assert array_words(PLUS_TIMES, arr, 16) == 6
 
     def test_integer_matmul(self, rng):
         a = rng.integers(-5, 6, (4, 4), dtype=np.int64)
         b = rng.integers(-5, 6, (4, 4), dtype=np.int64)
-        assert np.array_equal(INTEGER_RING.matmul(a, b), a @ b)
+        assert np.array_equal(PLUS_TIMES.matmul(a, b), a @ b)
 
     def test_polynomial_entry_words_include_degree(self):
         arr = np.ones((2, 2, 5), dtype=np.int64)
-        assert POLYNOMIAL_RING.entry_words(arr, 16) == 5
-        assert array_words(POLYNOMIAL_RING, arr, 16) == 4 * 5
+        assert POLYNOMIAL.entry_words(arr, 16) == 5
+        assert array_words(POLYNOMIAL, arr, 16) == 4 * 5
 
     def test_polynomial_matmul_is_convolution(self, rng):
-        from repro.algebra.polynomial import poly_matmul
-
         a = rng.integers(0, 2, (3, 3, 2), dtype=np.int64)
         b = rng.integers(0, 2, (3, 3, 3), dtype=np.int64)
-        assert np.array_equal(POLYNOMIAL_RING.matmul(a, b), poly_matmul(a, b))
+        assert np.array_equal(POLYNOMIAL.matmul(a, b), poly_matmul(a, b))
+
+    def test_polynomial_batch_matches_per_block_oracle(self, rng):
+        a = rng.integers(-4, 5, (5, 3, 4, 3), dtype=np.int64)
+        b = rng.integers(-4, 5, (5, 4, 2, 2), dtype=np.int64)
+        a[1] = 0  # an all-zero block rides along the batched skip
+        want = np.stack([poly_matmul(a[i], b[i]) for i in range(5)])
+        assert np.array_equal(POLYNOMIAL.matmul_batch(a, b), want)
+
+    def test_polynomial_batch_rejects_scalar_blocks(self):
+        flat = np.ones((2, 3, 3), dtype=np.int64)
+        with pytest.raises(ValueError, match="polynomial batch shapes"):
+            POLYNOMIAL.matmul_batch(flat, flat)
 
     def test_empty_arrays_are_free(self):
-        assert array_words(INTEGER_RING, np.zeros((0, 3), dtype=np.int64), 16) == 0
+        assert array_words(PLUS_TIMES, np.zeros((0, 3), dtype=np.int64), 16) == 0

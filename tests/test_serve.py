@@ -191,6 +191,16 @@ class TestArtifact:
         with pytest.raises(ValueError, match="too small"):
             ClosureArtifact.build(session, graph, tmp_path / "a")
 
+    def test_build_refuses_weights_that_reach_inf(self, tmp_path):
+        """A weight whose (n - 1)-edge paths reach INF is refused before the
+        session runs or the directory is created."""
+        graph = random_weighted_digraph(12, 0.35, 2**62 - 1, seed=0)
+        session = _session(12)
+        with pytest.raises(ValueError, match="largest accepted weight is"):
+            ClosureArtifact.build(session, graph, tmp_path / "heavy")
+        assert not (tmp_path / "heavy").exists()
+        assert session.rounds == 0 and session.resident is None
+
     def test_build_detects_negative_cycle(self, tmp_path):
         graph = random_weighted_graph(8, 0.9, max_weight=10, seed=4)
         graph.weights[graph.adjacency == 1] = -1  # any cycle is negative
@@ -535,6 +545,15 @@ class TestDelta:
             apply_edge_updates(session, weights, [])
         with pytest.raises(ValueError, match="padded"):
             apply_edge_updates(session, weights[:4, :4], [(0, 1, 1)])
+        # A weight whose 7-edge paths reach INF on n=8 would saturate them;
+        # it is refused before the weights or the closure change.
+        state = session.resident
+        generation, weights_before = state.generation, weights.copy()
+        heavy = (INF - 1) // 7 + 1
+        with pytest.raises(ValueError, match=f"accepted weight is {heavy - 1}"):
+            apply_edge_updates(session, weights, [(0, 1, -heavy)])
+        assert session.resident is state and state.generation == generation
+        assert np.array_equal(weights, weights_before)
         session.drop_resident()
         with pytest.raises(RuntimeError, match="resident"):
             apply_edge_updates(session, weights, [(0, 1, 1)])

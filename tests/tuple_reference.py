@@ -28,8 +28,11 @@ from collections import defaultdict
 from typing import Any, Sequence
 
 import numpy as np
+from kernel_reference import ring_matmul
 
 from repro.algebra.bilinear import BilinearAlgorithm
+from repro.algebra.polynomial import POLYNOMIAL
+from repro.algebra.semirings import PLUS_TIMES, Semiring
 from repro.clique.accounting import PhaseCost
 from repro.clique.model import CongestedClique, ScheduleMode
 from repro.clique.routing import LoadProfile, enforce_load_bound
@@ -44,7 +47,6 @@ from repro.errors import CliqueModelError, LoadBoundExceededError
 from repro.graphs.graphs import Graph
 from repro.matmul.bilinear_clique import _check_operands, phase_load_bounds
 from repro.matmul.layout import GridLayout
-from repro.matmul.ringops import INTEGER_RING, RingOps
 from repro.subgraphs.four_cycle import _CHUNK, Tile, _chunks
 
 # outboxes[v] = list of (dst, payload, words) messages node v emits.
@@ -352,11 +354,14 @@ def row_position(layout: GridLayout, r: int) -> tuple[int, int, int]:
     return r // block_rows, within // layout.c, within % layout.c
 
 
-def array_words(ring: RingOps, arr: np.ndarray, word_bits: int) -> int:
-    """Total words for shipping ``arr`` over ``ring``."""
+def array_words(ring: Semiring, arr: np.ndarray, word_bits: int) -> int:
+    """Total words for shipping ``arr`` over ``ring``.
+
+    A polynomial entry is the whole trailing coefficient axis.
+    """
     arr = np.asarray(arr)
     entries = arr.size
-    for _ in range(ring.trailing_axes):
+    if ring is POLYNOMIAL:
         entries //= arr.shape[-1] if arr.shape[-1] else 1
     if entries == 0:
         return 0
@@ -369,7 +374,7 @@ def bilinear_matmul_tuple(
     t: np.ndarray,
     algorithm: BilinearAlgorithm | None = None,
     *,
-    ring: RingOps = INTEGER_RING,
+    ring: Semiring = PLUS_TIMES,
     phase: str = "bilinear",
 ) -> np.ndarray:
     """The per-payload tuple formulation of :func:`bilinear_matmul`.
@@ -476,7 +481,7 @@ def bilinear_matmul_tuple(
             x1, x2 = grid_label(layout, u)
             s_full[x1 * c : (x1 + 1) * c, x2 * c : (x2 + 1) * c] = s_cell
             t_full[x1 * c : (x1 + 1) * c, x2 * c : (x2 + 1) * c] = t_cell
-        p_hat_full[w] = ring.matmul(s_full, t_full)
+        p_hat_full[w] = ring_matmul(ring, s_full, t_full)
     # Ring products may widen the entry representation (the polynomial ring's
     # degree grows under convolution), so downstream buffers use the output
     # trailing shape.
