@@ -654,8 +654,9 @@ def _add_fault_flags(p: argparse.ArgumentParser) -> None:
         default=0,
         metavar="T",
         help="size the code for T corrupt relays instead of matching "
-        "--faults; under-provisioning (T < --faults) demos the "
-        "detect-retry-degrade path (default: match --faults)",
+        "--faults (a usage error without --faults); under-provisioning "
+        "(T < --faults) demos the detect-retry-degrade path "
+        "(default: match --faults)",
     )
     p.add_argument(
         "--fault-seed",
@@ -926,6 +927,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "fault_tolerance", 0) and not args.faults:
+        # The tolerance sizes the code against the adversary --faults
+        # installs; alone it would be dropped and the run left fault-free.
+        args.parser.error(
+            f"--fault-tolerance {args.fault_tolerance} needs --faults: it "
+            "sizes the Reed-Solomon code for the adversary --faults installs, "
+            "and without --faults no code is built"
+        )
     from repro.errors import FaultToleranceExceeded
 
     try:

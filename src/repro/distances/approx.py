@@ -10,7 +10,9 @@ so choosing ``delta = o(1 / log n)`` gives the paper's ``(1 + o(1))``
 approximation in ``O(n^{rho + o(1)})`` rounds.  The simulator exposes
 ``delta`` directly: benchmarks sweep it to reproduce the accuracy/rounds
 trade-off, and ``extras["ratio_bound"]`` reports the proven bound
-``(1 + delta)^{squarings}`` for the chosen parameters.
+``(1 + delta)^{squarings}`` for the chosen parameters.  A weight so heavy
+that an ``n - 1``-edge path could reach ``INF`` is refused up front
+(:func:`~repro.constants.check_path_weight`), as in exact APSP.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import math
 import numpy as np
 
 from repro.clique.model import CongestedClique, ScheduleMode
-from repro.constants import INF
+from repro.constants import INF, check_path_weight
 from repro.graphs.graphs import Graph
 from repro.matmul.distance import approx_distance_product
 from repro.runtime import RunResult, make_clique, pad_matrix
@@ -49,6 +51,7 @@ def apsp_approx(
     """
     _require_nonnegative_weights(graph)
     n = graph.n
+    check_path_weight(graph.max_abs_weight(), n, "edge weight")
     clique = clique or make_clique(n, "bilinear", mode=mode)
     eps = delta if delta is not None else default_delta(n)
     dist = pad_matrix(graph.weight_matrix(), clique.n, fill=INF)

@@ -16,8 +16,9 @@ one RS codeword).  Each stripe transits a distinct relay
 ``t`` corrupt relay *nodes* touch at most ``t`` stripes of any piece:
 
 * ``t`` corrupted stripes (flip / byzantine) are *corrected* -- located by
-  Peterson-Gorenstein-Zierler over aggregated syndromes, valued by a
-  Vandermonde solve, and verified by a full syndrome recheck;
+  Peterson-Gorenstein-Zierler over aggregated syndromes (in closed form at
+  ``t = 1``), valued by a Vandermonde solve, and verified by a syndrome
+  recheck;
 * ``2t`` dropped stripes (drop / crash) are known erasures and are
   recovered directly;
 * anything beyond the budget fails the (vectorised) syndrome check loudly
@@ -27,13 +28,36 @@ one RS codeword).  Each stripe transits a distinct relay
 The round bill per piece drops from ``(2t + 1) * w`` to
 ``m * ceil(w / k) ~ w * n / (n - 2t)``.
 
+Arithmetic.  The hot paths never unpack a word: a ``uint64`` word is four
+16-bit *lanes*, and multiplying every lane by ``alpha^s`` (``s <= 4``) is a
+shift, two masks and a fixed shift-and-XOR reduction of the ``s`` bits each
+lane shifts out (``x^16 = x^12 + x^3 + x + 1``) -- no table, no gather;
+larger powers chain steps of four.  On that one rule:
+
+* syndromes ``S_r = c(alpha^r)`` are Horner evaluations over the
+  stripe-major ``(m, P * S)`` word layout, one multiply by ``alpha^r`` per
+  stripe;
+* systematic parity comes from the data alone: ``c(alpha^r) = 0`` gives
+  ``p(alpha^r) = sum_j d_j alpha^((2t + j) r)``, so the ``2t`` parity
+  stripes are one constant ``2t x 2t`` inverse Vandermonde applied to the
+  ``2t`` Horner evaluations of the data stripes (a constant product XORs
+  the ``alpha^b``-ladder of its operand over the set bits ``b`` of the
+  constant);
+* a correction is rechecked by linearity: after fixes ``f_l`` are XOR-ed
+  into stripes at coefficient positions ``q_l``, the residual syndrome is
+  ``S_r ^ sum_l f_l alpha^(q_l r)`` -- ``O(z * 2t)`` work per column of a
+  piece that needed fixing, with no second pass over the ``m`` stripes.
+
+Only pieces with a nonzero syndrome reach the log/antilog tables (fix
+values, aggregation, rechecks), a small fraction of any in-budget exchange.
+
 Decoding guarantees: with at most ``t`` corrupted stripes and ``f``
 dropped stripes satisfying ``2t_err + f <= 2t``, the decode is exact
 (classical RS unique decoding).  Error *location* aggregates the per-column
 syndromes with two independent multiplier vectors; a corrupted stripe
 escapes both aggregations only if its error values satisfy two independent
-GF(2^16) linear relations, in which case the final syndrome recheck still
-fails loudly and the exchange is retried through fresh relays -- the
+GF(2^16) linear relations, in which case the syndrome recheck still fails
+loudly and the exchange is retried through fresh relays -- the
 detect-retry-degrade contract, never a silent wrong word.
 """
 
@@ -54,13 +78,14 @@ _GF_POLY = 0x1100B
 GF_ORDER = (1 << 16) - 1
 
 #: Log sentinel for 0: big enough that (sentinel + any valid log) indexes
-#: the zero region of the product table, so multiplication needs no mask.
+#: the zero tail of the antilog table, so products need no mask.
 _LOG_ZERO = 1 << 17
 
 
-def _build_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    exp = np.zeros(2 * GF_ORDER, dtype=np.uint16)
-    log = np.zeros(1 << 16, dtype=np.int32)
+def _build_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Antilog table (zero tail past ``2 * GF_ORDER``) and log table."""
+    exp = np.zeros(2 * _LOG_ZERO + 1, dtype=np.uint16)
+    log = np.zeros(1 << 16, dtype=np.int64)
     x = 1
     for i in range(GF_ORDER):
         exp[i] = x
@@ -69,22 +94,16 @@ def _build_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         if x & 0x10000:
             x ^= _GF_POLY
     assert x == 1, "generator must have full order (primitive polynomial)"
-    exp[GF_ORDER:] = exp[:GF_ORDER]
-    logz = log.copy()
-    logz[0] = _LOG_ZERO
-    # mult[i + j] for i, j log-or-sentinel values: products of two nonzero
-    # elements land below 2 * (GF_ORDER - 1) < _LOG_ZERO; anything
-    # involving the sentinel lands in the zero-initialised tail.
-    mult = np.zeros(2 * _LOG_ZERO + 1, dtype=np.uint16)
-    mult[: 2 * GF_ORDER] = exp
-    return exp, log, logz, mult
+    exp[GF_ORDER : 2 * GF_ORDER] = exp[:GF_ORDER]
+    log[0] = _LOG_ZERO
+    return exp, log
 
 
-_EXP, _LOG, _LOGZ, _MULT = _build_tables()
+_EXP, _LOG = _build_tables()
 
 
 def _mul(a: int, b: int) -> int:
-    return int(_MULT[int(_LOGZ[a]) + int(_LOGZ[b])])
+    return int(_EXP[int(_LOG[a]) + int(_LOG[b])])
 
 
 def _inv(a: int) -> int:
@@ -95,6 +114,14 @@ def _inv(a: int) -> int:
 
 def _alpha_pow(e: int) -> int:
     return int(_EXP[e % GF_ORDER])
+
+
+def _times_alpha_pow(x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """``x * alpha^e`` elementwise on ``uint16`` symbols (any integer ``e``).
+
+    A log/antilog gather: only for the few pieces a decode has to fix.
+    """
+    return _EXP[_LOG[x] + np.mod(e, GF_ORDER)]
 
 
 def _poly_eval(coeffs: list[int], x: int) -> int:
@@ -123,46 +150,102 @@ def _gf_solve(rows: list[list[int]], rhs: list[int]) -> list[int] | None:
     return [a[r][z] for r in range(z)]
 
 
+def _gf_inv_matrix(rows: list[list[int]]) -> list[list[int]] | None:
+    """Invert a tiny GF(2^16) matrix via per-column solves."""
+    z = len(rows)
+    cols = []
+    for c in range(z):
+        rhs = [1 if r == c else 0 for r in range(z)]
+        col = _gf_solve(rows, rhs)
+        if col is None:
+            return None
+        cols.append(col)
+    return [[cols[c][r] for c in range(z)] for r in range(z)]
+
+
 # --------------------------------------------------------------------- #
-# Code construction (cached per (k, t))
+# Packed lanes: four symbols per uint64 word
 # --------------------------------------------------------------------- #
 
-
-@lru_cache(maxsize=256)
-def _generator_poly(t: int) -> tuple[int, ...]:
-    """g(x) = prod_{r=1..2t} (x - alpha^r), coefficients low to high, monic."""
-    g = [1]
-    for r in range(1, 2 * t + 1):
-        root = _alpha_pow(r)
-        nxt = [0] * (len(g) + 1)
-        for i, c in enumerate(g):
-            nxt[i + 1] ^= c
-            nxt[i] ^= _mul(c, root)
-        g = nxt
-    return tuple(g)
+#: The low bit of each of the four 16-bit lanes of a uint64 word.
+_LANE_ONES = 0x0001000100010001
 
 
-@lru_cache(maxsize=256)
-def _parity_row_logs(k: int, t: int) -> np.ndarray:
-    """``(k, 2t)`` log-or-sentinel of the systematic parity coefficients.
+def _lanes_times_alpha_pow(x: np.ndarray, e: int, scratch: np.ndarray) -> None:
+    """``x <- x * alpha^e`` in place, lane by lane, on packed uint64 words.
 
-    Row ``j`` holds the coefficients of ``x^{2t+j} mod g(x)``: parity
-    symbol ``u`` of a codeword is ``XOR_j data_j * rows[j, u]``, making
-    ``c(x) = d(x) x^{2t} + p(x)`` divisible by ``g`` -- the systematic
-    BCH-view Reed-Solomon encoding.
+    One step multiplies by ``alpha^s`` for ``s <= 4``: shift each lane left
+    by ``s``, drop the ``s`` bits that crossed in from the lane below, and
+    fold the ``s`` bits ``h`` the lane shifted out back in as
+    ``h * x^16 = h * (x^12 + x^3 + x + 1)`` -- with ``deg h < 4`` every term
+    stays inside the lane.  Larger exponents chain steps of four.
     """
-    g = _generator_poly(t)
-    d = 2 * t
-    rows = np.zeros((k, d), dtype=np.uint16)
-    rem = list(g[:d])
-    for j in range(k):
-        rows[j] = rem
-        carry = rem[d - 1]
-        rem = [0] + rem[: d - 1]
-        if carry:
-            for u in range(d):
-                rem[u] ^= _mul(carry, g[u])
-    return _LOGZ[rows]
+    while e > 0:
+        s = min(e, 4)
+        low = np.uint64(((1 << s) - 1) * _LANE_ONES)
+        np.right_shift(x, np.uint64(16 - s), out=scratch)
+        scratch &= low
+        x <<= np.uint64(s)
+        x &= ~low
+        if s == 1:
+            # One bit per lane: the carry-less product is an integer one.
+            scratch *= np.uint64(_GF_POLY & 0xFFFF)
+            x ^= scratch
+        else:
+            x ^= scratch
+            for shift in (1, 2, 9):  # h * x, h * x^3, h * x^12
+                scratch <<= np.uint64(shift)
+                x ^= scratch
+        e -= s
+
+
+def _horner(rows: np.ndarray, order: list[int], e: int) -> np.ndarray:
+    """``XOR_i rows[order[i]] * alpha^(e * (len(order) - 1 - i))``.
+
+    Horner's rule over packed ``(L, N)`` uint64 rows, highest coefficient
+    first: one multiply by ``alpha^e`` per row.
+    """
+    acc = rows[order[0]].copy()
+    scratch = np.empty_like(acc)
+    for q in order[1:]:
+        _lanes_times_alpha_pow(acc, e, scratch)
+        acc ^= rows[q]
+    return acc
+
+
+def _lanes_combine(
+    matrix: tuple[tuple[int, ...], ...], vecs: list[np.ndarray]
+) -> list[np.ndarray]:
+    """``out[u] = XOR_r matrix[u][r] * vecs[r]`` on packed uint64 words.
+
+    A constant product is linear in its operand: ``c * v`` is the XOR of
+    ``alpha^b * v`` over the set bits ``b`` of ``c``, so one ``alpha``-ladder
+    per input vector serves every output row.
+    """
+    out = [np.zeros_like(vecs[0]) for _ in matrix]
+    scratch = np.empty_like(vecs[0])
+    for r, vec in enumerate(vecs):
+        rung = vec.copy()
+        top = max(row[r] for row in matrix).bit_length()
+        for b in range(top):
+            for u, row in enumerate(matrix):
+                if row[r] >> b & 1:
+                    out[u] ^= rung
+            if b + 1 < top:
+                _lanes_times_alpha_pow(rung, 1, scratch)
+    return out
+
+
+def _stripe_major(words: np.ndarray) -> np.ndarray:
+    """``(P, L, S)`` int64 stripes as packed ``(L, P * S)`` uint64 rows."""
+    p, length, s = words.shape
+    rows = np.ascontiguousarray(words.transpose(1, 0, 2))
+    return rows.view(np.uint64).reshape(length, p * s)
+
+
+# --------------------------------------------------------------------- #
+# Code construction
+# --------------------------------------------------------------------- #
 
 
 def _coeff_positions(k: int, t: int) -> np.ndarray:
@@ -176,19 +259,22 @@ def _coeff_positions(k: int, t: int) -> np.ndarray:
     )
 
 
-@lru_cache(maxsize=256)
-def _syndrome_logs(k: int, t: int) -> np.ndarray:
-    """``(m, 2t)`` logs of alpha^{pos_j * r} for syndrome roots r = 1..2t."""
-    pos = _coeff_positions(k, t)
-    r = np.arange(1, 2 * t + 1, dtype=np.int64)
-    return ((pos[:, None] * r[None, :]) % GF_ORDER).astype(np.int32)
-
-
 @lru_cache(maxsize=64)
-def _gamma_logs(length: int, stride: int) -> np.ndarray:
-    """Aggregation multipliers gamma_s = alpha^{stride * s} as logs."""
-    return ((np.arange(length, dtype=np.int64) * stride) % GF_ORDER).astype(
-        np.int32
+def _parity_matrix(t: int) -> tuple[tuple[int, ...], ...]:
+    """``(2t, 2t)`` map from data Horner evaluations to parity symbols.
+
+    The parity polynomial ``p(x) = sum_u p_u x^u`` (``u < 2t``) makes
+    ``c(alpha^r) = 0``, i.e. ``V p = diag(alpha^(2t r)) H`` with the
+    Vandermonde ``V[r][u] = alpha^(u r)`` and ``H_r = sum_j d_j
+    alpha^(j r)`` (``r = 1 .. 2t``); this is ``V^-1 diag(alpha^(2t r))``.
+    """
+    d = 2 * t
+    vand = [[_alpha_pow(u * r) for u in range(d)] for r in range(1, d + 1)]
+    inv = _gf_inv_matrix(vand)
+    assert inv is not None, "Vandermonde over distinct points is invertible"
+    return tuple(
+        tuple(_mul(inv[u][r], _alpha_pow(d * (r + 1))) for r in range(d))
+        for u in range(d)
     )
 
 
@@ -250,11 +336,6 @@ def stripe_plan(width: int, n: int, tolerance: int) -> StripePlan:
     return StripePlan(width=width, k=k, t=tolerance, stripe_words=stripe_words)
 
 
-def _as_symbols(words: np.ndarray) -> np.ndarray:
-    """View an int64 array as uint16 symbols on the last axis (x4)."""
-    return np.ascontiguousarray(words).view(np.uint16)
-
-
 def encode_stripes(blocks: np.ndarray, plan: StripePlan) -> np.ndarray:
     """Encode ``(P, ...)`` int64 pieces into ``(P * m, S)`` int64 stripes.
 
@@ -269,29 +350,16 @@ def encode_stripes(blocks: np.ndarray, plan: StripePlan) -> np.ndarray:
             f"pieces have {width} words but the plan stripes {plan.width}"
         )
     k, t, s = plan.k, plan.t, plan.stripe_words
+    out = np.zeros((p, plan.m, s), dtype=np.int64)
     if s == 0 or p == 0:
-        return np.zeros((p * plan.m, s), dtype=np.int64)
-    sym = _as_symbols(blocks.reshape(p, width))
-    data = np.zeros((p, k, 4 * s), dtype=np.uint16)
-    data.reshape(p, -1)[:, : 4 * width] = sym
-    row_logs = _parity_row_logs(k, t)
-    data_logs = _LOGZ[data]
-    parity = np.zeros((p, 2 * t, 4 * s), dtype=np.uint16)
-    for j in range(k):
-        contrib = _MULT[data_logs[:, j, None, :] + row_logs[j][None, :, None]]
-        parity ^= contrib
-    out = np.concatenate([data, parity], axis=1)
-    return out.view(np.int64).reshape(p * plan.m, s)
-
-
-def _syndromes(symbol_logs: np.ndarray, k: int, t: int) -> np.ndarray:
-    """``(P, 2t, 4S)`` syndromes of ``(P, m, 4S)`` received symbol logs."""
-    syn_logs = _syndrome_logs(k, t)
-    p, m, cols = symbol_logs.shape
-    syn = np.zeros((p, 2 * t, cols), dtype=np.uint16)
-    for j in range(m):
-        syn ^= _MULT[symbol_logs[:, j, None, :] + syn_logs[j][None, :, None]]
-    return syn
+        return out.reshape(p * plan.m, s)
+    out.reshape(p, -1)[:, :width] = blocks.reshape(p, width)
+    rows = _stripe_major(out[:, :k])
+    high_first = list(range(k - 1, -1, -1))
+    evals = [_horner(rows, high_first, r) for r in range(1, 2 * t + 1)]
+    for u, parity in enumerate(_lanes_combine(_parity_matrix(t), evals)):
+        out[:, k + u] = parity.view(np.int64).reshape(p, s)
+    return out.reshape(p * plan.m, s)
 
 
 def _pgz_locate(syndromes: tuple[int, ...], k: int, t: int) -> list[int] | None:
@@ -324,62 +392,89 @@ def _pgz_locate(syndromes: tuple[int, ...], k: int, t: int) -> list[int] | None:
     return None
 
 
-def _solve_values(
-    syn: np.ndarray, stripes: list[int], k: int, t: int
-) -> np.ndarray | None:
+def _solve_values(syn: np.ndarray, stripes: list[int], k: int, t: int) -> np.ndarray:
     """Per-column error values at known stripe positions.
 
     ``syn`` is ``(P, 2t, C)``; returns ``(P, z, C)`` uint16 corrections to
-    XOR into the ``z`` named stripes, solved from the first ``z`` syndromes
-    (the remaining ``2t - z`` act as the verification margin).  None when
-    ``z`` exceeds the 2t-equation budget.
+    XOR into the ``z <= 2t`` named stripes, solved from the first ``z``
+    syndromes (the remaining ``2t - z`` act as the verification margin).
     """
-    z = len(stripes)
-    if z > 2 * t:
-        return None
     pos = _coeff_positions(k, t)
     rows = [
         [_alpha_pow(int(pos[j]) * r) for j in stripes]
-        for r in range(1, z + 1)
+        for r in range(1, len(stripes) + 1)
     ]
     inv = _gf_inv_matrix(rows)
-    if inv is None:  # distinct positions => Vandermonde-like, never singular
-        return None  # pragma: no cover - defensive
-    p, _, cols = syn.shape
-    syn_logs = _LOGZ[syn]
-    out = np.zeros((p, z, cols), dtype=np.uint16)
-    for l in range(z):
-        for r in range(z):
-            coeff = inv[l][r]
-            if coeff:
-                out[:, l, :] ^= _MULT[syn_logs[:, r, :] + int(_LOGZ[coeff])]
+    assert inv is not None, "distinct positions give a nonsingular system"
+    logs = _LOG[syn[:, : len(stripes)]]
+    out = np.zeros((syn.shape[0], len(stripes), syn.shape[2]), dtype=np.uint16)
+    for l, row in enumerate(inv):
+        for r, coeff in enumerate(row):
+            out[:, l] ^= _EXP[logs[:, r] + int(_LOG[coeff])]
     return out
 
 
-def _gf_inv_matrix(rows: list[list[int]]) -> list[list[int]] | None:
-    """Invert a tiny GF(2^16) matrix via per-column solves."""
-    z = len(rows)
-    cols = []
-    for c in range(z):
-        rhs = [1 if r == c else 0 for r in range(z)]
-        col = _gf_solve(rows, rhs)
-        if col is None:
-            return None
-        cols.append(col)
-    return [[cols[c][r] for c in range(z)] for r in range(z)]
+def _residual(syn: np.ndarray, fix: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Syndromes after XOR-ing ``fix`` into the word, by linearity.
+
+    ``syn`` is ``(P, 2t, C)``, ``fix`` ``(P, z, C)`` and ``pos`` ``(P, z)``
+    coefficient positions: ``S_r ^ XOR_l fix_l * alpha^(pos_l * r)``.  A
+    zero fix contributes nothing, so padded slots may hold any position.
+    """
+    r = np.arange(1, syn.shape[1] + 1, dtype=np.int64)
+    out = syn.copy()
+    for l in range(fix.shape[1]):
+        out ^= _times_alpha_pow(fix[:, None, l, :], (pos[:, l, None] * r)[:, :, None])
+    return out
 
 
 def _aggregate(syn: np.ndarray, stride: int) -> np.ndarray:
-    """``(P, 2t)`` aggregated syndromes ``T_r = XOR_s gamma_s * S_r[s]``."""
-    gamma = _gamma_logs(syn.shape[2], stride)
-    terms = _MULT[_LOGZ[syn] + gamma[None, None, :]]
-    return np.bitwise_xor.reduce(terms, axis=2)
+    """``(P, 2t)`` aggregated syndromes ``T_r = XOR_s alpha^(stride s) S_r[s]``."""
+    gamma = stride * np.arange(syn.shape[2], dtype=np.int64)
+    return np.bitwise_xor.reduce(_times_alpha_pow(syn, gamma), axis=2)
 
 
 #: Aggregation strides tried in order; a corrupted stripe evades location
 #: only if its error column-values satisfy one independent GF linear
 #: relation per stride -- and even then the syndrome recheck fails loudly.
 _AGGREGATION_STRIDES = (1, 7)
+
+
+def _locate(
+    syn: np.ndarray, stride: int, k: int, t: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Locate and value the errors of ``(P, 2t, C)`` syndromes.
+
+    Returns ``(stripes, fix)``: ``(P, t)`` corrupt stripe indices (``-1``
+    pads; a piece whose first entry is ``-1`` was not located) and the
+    ``(P, t, C)`` values to XOR into them.  Location runs on the syndromes
+    aggregated at ``stride``.  At ``t = 1`` PGZ is one step, run in closed
+    form over every piece at once: one error at coefficient position ``q``
+    gives ``T_2 / T_1 = alpha^q`` and the value ``S_1 / alpha^q``.  Larger
+    ``t`` runs PGZ and the Chien search once per aggregated pattern.
+    """
+    p, _, cols = syn.shape
+    m = k + 2 * t
+    agg = _aggregate(syn, stride)
+    stripes = np.full((p, t), -1, dtype=np.int64)
+    fix = np.zeros((p, t, cols), dtype=np.uint16)
+    if t == 1:
+        q = np.mod(_LOG[agg[:, 1]] - _LOG[agg[:, 0]], GF_ORDER)
+        found = agg.all(axis=1) & (q < m)
+        q = q[found]
+        # Data stripes sit at positions 2.., the two parity stripes at 0, 1.
+        stripes[found, 0] = np.where(q >= 2, q - 2, q + k)
+        fix[found, 0] = _times_alpha_pow(syn[found, 0], -q[:, None])
+        return stripes, fix
+    patterns, inverse = np.unique(agg, axis=0, return_inverse=True)
+    for g, pattern in enumerate(patterns):
+        located = _pgz_locate(tuple(int(v) for v in pattern), k, t)
+        if located is None:
+            continue
+        members = inverse.reshape(-1) == g
+        stripes[members, : len(located)] = located
+        fix[members, : len(located)] = _solve_values(syn[members], located, k, t)
+    return stripes, fix
 
 
 def decode_stripes(
@@ -399,86 +494,74 @@ def decode_stripes(
         must be retried or raised on, never used.
     """
     k, t, s, m = plan.k, plan.t, plan.stripe_words, plan.m
-    dropped = np.asarray(dropped, dtype=bool)
-    p = dropped.size // m
-    stripes = np.asarray(stripes).reshape(p, m, s)
-    valid = ~dropped.reshape(p, m)
+    erased = np.asarray(dropped, dtype=bool)
+    p = erased.size // m
+    erased = erased.reshape(p, m)
     ok = np.ones(p, dtype=bool)
     if s == 0 or p == 0:
         return np.zeros((p, k * s), dtype=np.int64), ok
-    symbols = _as_symbols(stripes).reshape(p, m, 4 * s).copy()
-    symbols[~valid] = 0
-    syn = _syndromes(_LOGZ[symbols], k, t)
-    clean = ~syn.reshape(p, -1).any(axis=1)
-    erasures = (~valid).sum(axis=1)
+    words = np.asarray(stripes).reshape(p, m, s)
+    data = words[:, :k].copy()
+    rows = _stripe_major(words)
+    if erased.any():
+        data[erased[:, :k]] = 0
+        rows.reshape(m, p, s)[erased.T] = 0
+    # Syndromes c(alpha^r), highest coefficient (the last data stripe) first.
+    high_first = list(range(k - 1, -1, -1)) + list(range(m - 1, k - 1, -1))
+    syn = np.stack([_horner(rows, high_first, r) for r in range(1, 2 * t + 1)])
+    dirty = syn.any(axis=0).reshape(p, s).any(axis=1)
+    symbols = syn.view(np.uint16).reshape(2 * t, p, 4 * s)
+    data_symbols = data.view(np.uint16).reshape(p, k, 4 * s)
+    positions = _coeff_positions(k, t)
+
+    def correct(idx: np.ndarray, where: np.ndarray, fix: np.ndarray) -> None:
+        """XOR pieces' fixes into their data stripes (parity is not returned)."""
+        for l in range(where.shape[1]):
+            sel = (where[:, l] >= 0) & (where[:, l] < k)
+            data_symbols[idx[sel], where[sel, l]] ^= fix[sel, l]
+
+    erasures = erased.sum(axis=1)
     # A clean syndrome with f <= 2t erasures is already the unique
     # codeword within the erasure ball (the dropped stripes were zero).
     ok &= erasures <= 2 * t
-    settled = (clean & ok) | ~ok
 
-    # Known erasures: recover the dropped stripes per erasure pattern.
-    erased = ~settled & (erasures > 0)
-    if erased.any():
-        idx = np.flatnonzero(erased)
-        patterns, inverse = np.unique(valid[idx], axis=0, return_inverse=True)
+    # Known erasures: solve the dropped stripes per erasure pattern, then
+    # recheck every such piece at once.  A failed piece keeps its fix (it
+    # is flagged, never used).
+    idx = np.flatnonzero(dirty & ok & (erasures > 0))
+    if idx.size:
+        sub = symbols[:, idx].transpose(1, 0, 2)
+        where = np.full((idx.size, 2 * t), -1, dtype=np.int64)
+        fix = np.zeros((idx.size, 2 * t, 4 * s), dtype=np.uint16)
+        patterns, inverse = np.unique(erased[idx], axis=0, return_inverse=True)
         for g, pattern in enumerate(patterns):
-            grp = idx[inverse == g]
-            holes = [int(j) for j in np.flatnonzero(~pattern)]
-            fixes = _solve_values(syn[grp], holes, k, t)
-            if fixes is None:
-                ok[grp] = False
-                continue
-            for l, j in enumerate(holes):
-                symbols[grp, j, :] ^= fixes[:, l, :]
-        redo = idx[ok[idx]]
-        if redo.size:
-            residual = _syndromes(_LOGZ[symbols[redo]], k, t)
-            bad = residual.reshape(redo.size, -1).any(axis=1)
-            # Errors on top of erasures: out of this decoder's sequential
-            # budget -- fail loudly, the exchange layer re-ships.
-            ok[redo[bad]] = False
-        settled |= erased
+            members = inverse.reshape(-1) == g
+            holes = [int(j) for j in np.flatnonzero(pattern)]
+            where[members, : len(holes)] = holes
+            fix[members, : len(holes)] = _solve_values(sub[members], holes, k, t)
+        residual = _residual(sub, fix, positions[where])
+        # Errors on top of erasures: out of this decoder's sequential
+        # budget -- fail loudly, the exchange layer re-ships.
+        ok[idx[residual.reshape(idx.size, -1).any(axis=1)]] = False
+        correct(idx, where, fix)
 
-    # Unknown error locations: locate (PGZ on aggregated syndromes),
-    # correct, and verify with a full syndrome recheck.
-    pending = np.flatnonzero(~settled)
+    # Unknown error locations: locate on aggregated syndromes, value, and
+    # keep only the corrections whose linear recheck comes out clean.  A
+    # mislocated piece (aggregation collision) stays as received and is
+    # tried again at the next stride.
+    pending = np.flatnonzero(dirty & ok & (erasures == 0))
     for stride in _AGGREGATION_STRIDES:
         if pending.size == 0:
             break
-        agg = _aggregate(syn[pending], stride)
-        patterns, inverse = np.unique(agg, axis=0, return_inverse=True)
-        unresolved: list[np.ndarray] = []
-        for g in range(patterns.shape[0]):
-            grp = pending[inverse == g]
-            located = _pgz_locate(tuple(int(v) for v in patterns[g]), k, t)
-            fixes = (
-                _solve_values(syn[grp], located, k, t)
-                if located is not None
-                else None
-            )
-            if fixes is None:
-                unresolved.append(grp)
-                continue
-            for l, j in enumerate(located):
-                symbols[grp, j, :] ^= fixes[:, l, :]
-            residual = _syndromes(_LOGZ[symbols[grp]], k, t)
-            bad = residual.reshape(grp.size, -1).any(axis=1)
-            if bad.any():
-                # Mislocated or partially located (aggregation collision):
-                # XOR the attempted correction back out so the next stride
-                # works on the pristine received word.
-                for l, j in enumerate(located):
-                    symbols[grp[bad], j, :] ^= fixes[bad, l, :]
-                unresolved.append(grp[bad])
-        pending = (
-            np.concatenate(unresolved)
-            if unresolved
-            else np.zeros(0, dtype=np.int64)
-        )
+        sub = symbols[:, pending].transpose(1, 0, 2)
+        where, fix = _locate(sub, stride, k, t)
+        residual = _residual(sub, fix, positions[where])
+        good = (where[:, 0] >= 0) & ~residual.reshape(pending.size, -1).any(axis=1)
+        correct(pending[good], where[good], fix[good])
+        pending = pending[~good]
     ok[pending] = False
 
-    data = symbols[:, :k, :].reshape(p, 4 * k * s)
-    return np.ascontiguousarray(data).view(np.int64), ok
+    return data.reshape(p, k * s), ok
 
 
 __all__ = [

@@ -81,6 +81,43 @@ class TestExactApsp:
         with pytest.raises(ValueError, match="too large for n=12"):
             apsp_exact(g)
 
+    def test_approx_refuses_weights_that_reach_inf(self):
+        """Theorem 9 takes the same rule: at 2^62 - 1 the approximate
+        product overflowed its float scaling and put 76 of 144 pairs outside
+        ``[d, ratio_bound * d]``; at the largest accepted weight every pair
+        is in bound against a Python-int Floyd-Warshall."""
+        g = random_weighted_digraph(12, 0.35, 2**62 - 1, seed=0)
+        with pytest.raises(ValueError) as excinfo:
+            apsp_approx(g, delta=0.5)
+        message = str(excinfo.value)
+        assert f"edge weight {g.max_abs_weight()} " in message
+        assert "largest accepted weight is 419244183493398900" in message
+
+        g = random_weighted_digraph(12, 0.35, 419244183493398900, seed=0)
+        result = apsp_approx(g, delta=0.5)
+        w = g.weight_matrix()
+        dist = [
+            [int(w[u, v]) if w[u, v] < INF else None for v in range(12)]
+            for u in range(12)
+        ]
+        for u in range(12):
+            dist[u][u] = 0
+        for k in range(12):
+            for u in range(12):
+                for v in range(12):
+                    if dist[u][k] is not None and dist[k][v] is not None:
+                        via = dist[u][k] + dist[k][v]
+                        if dist[u][v] is None or via < dist[u][v]:
+                            dist[u][v] = via
+        bound = result.extras["ratio_bound"]
+        for u in range(12):
+            for v in range(12):
+                got = int(result.value[u, v])
+                if dist[u][v] is None:
+                    assert got >= INF
+                else:
+                    assert dist[u][v] <= got <= bound * dist[u][v]
+
     def test_disconnected_pairs_infinite(self):
         g = Graph.from_weighted_edges(4, [(0, 1, 3)], directed=True)
         result = apsp_exact(g, with_routing_tables=False)

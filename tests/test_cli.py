@@ -115,6 +115,17 @@ class TestFailureSweep:
         # artifact would serve saturated distances as inf.
         (["update", "{art}", "--edge", "0,6,4611686018427387903"],
          "update weight 4611686018427387903"),
+        # A code size with no adversary to size it for: the run would stay
+        # on the plain fault-free clique.
+        (["apsp", "16", "--fault-tolerance", "2"],
+         "--fault-tolerance 2 needs --faults"),
+        (["matmul", "16", "--fault-tolerance", "1"],
+         "--fault-tolerance 1 needs --faults"),
+        (["mst", "14", "--fault-tolerance", "1"], "--fault-tolerance 1 needs --faults"),
+        (["build-artifact", "12", "{art}-new", "--fault-tolerance", "1"],
+         "--fault-tolerance 1 needs --faults"),
+        (["update", "{art}", "--edge", "0,1,1", "--fault-tolerance", "3"],
+         "--fault-tolerance 3 needs --faults"),
     ]
 
     @pytest.mark.parametrize(
