@@ -2,7 +2,8 @@
 
 Sweeps perfect-cube clique sizes, records measured rounds (which must equal
 the closed-form predictor exactly) and compares against the naive O(n)
-broadcast baseline.  Also ablates FAST vs EXACT scheduling.
+broadcast baseline.  Also certifies the closed-form bill against an explicit
+relay schedule.
 """
 
 from __future__ import annotations
@@ -10,10 +11,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.clique import CongestedClique, ScheduleMode
+from repro.clique import CongestedClique
 from repro.matmul.exponent import fit_exponent, predicted_semiring3d_rounds
 from repro.matmul.naive import broadcast_matmul
 from repro.matmul.semiring3d import semiring_matmul
+from tests.schedule_reference import certify
 
 from .conftest import run_once
 
@@ -75,18 +77,19 @@ def test_semiring3d_exponent(benchmark):
 
 
 def test_exact_schedule_ablation(benchmark):
-    """DESIGN.md ablation 1: the materialised schedule vs the closed form."""
+    """DESIGN.md ablation 1: the explicit relay schedule vs the closed form."""
     n = 27
     s, t = _inputs(n)
 
     def run():
-        fast = CongestedClique(n, mode=ScheduleMode.FAST)
-        semiring_matmul(fast, s, t)
-        exact = CongestedClique(n, mode=ScheduleMode.EXACT)
-        semiring_matmul(exact, s, t)
-        return fast.rounds, exact.rounds
+        clique = CongestedClique(n)
+        certifier = certify(clique)
+        semiring_matmul(clique, s, t)
+        return clique.rounds, certifier.total, len(clique.meter.phases)
 
-    fast_rounds, exact_rounds = run_once(benchmark, run)
-    benchmark.extra_info["fast_rounds"] = fast_rounds
-    benchmark.extra_info["exact_rounds"] = exact_rounds
-    assert exact_rounds <= 2 * fast_rounds + 4
+    rounds, certified, charges = run_once(benchmark, run)
+    benchmark.extra_info["clique_rounds"] = rounds
+    # Every charge matched its explicit schedule, so the bill is the
+    # closed form exactly.
+    assert certified == charges
+    assert rounds == predicted_semiring3d_rounds(n)

@@ -34,7 +34,7 @@ Quickstart::
     print(clique.rounds)                    # the communication bill
 """
 
-from repro.clique import CongestedClique, ScheduleMode
+from repro.clique import CongestedClique
 from repro.clique.broadcast_clique import (
     BroadcastCongestedClique,
     broadcast_clique_matmul,
@@ -104,7 +104,6 @@ __version__ = "1.0.0"
 __all__ = [
     # substrate
     "CongestedClique",
-    "ScheduleMode",
     "RunResult",
     "make_clique",
     "required_clique_size",

@@ -14,7 +14,6 @@ from repro.algebra.bilinear import (
     classical,
     largest_strassen_level,
     strassen_power,
-    verify_bilinear,
 )
 from repro.algebra.polynomial import POLYNOMIAL
 from repro.algebra.semirings import (
@@ -39,5 +38,4 @@ __all__ = [
     "classical",
     "strassen_power",
     "largest_strassen_level",
-    "verify_bilinear",
 ]

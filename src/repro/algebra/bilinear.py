@@ -98,48 +98,6 @@ class BilinearAlgorithm:
             lam=lam.reshape(d, d, m),
         )
 
-    def apply_blocks(
-        self, s_blocks: np.ndarray, t_blocks: np.ndarray
-    ) -> np.ndarray:
-        """Reference execution on block matrices (test oracle, local use).
-
-        ``s_blocks``/``t_blocks`` have shape ``(d, d, r, c)`` (a grid of
-        equal blocks); returns the product block grid ``(d, d, r, c')``.
-        """
-        d, m = self.d, self.m
-        r, k = s_blocks.shape[2], s_blocks.shape[3]
-        c = t_blocks.shape[3]
-        enc_a, enc_b = self.encode_matrices()
-        s_flat = s_blocks.reshape(d * d, r * k)
-        t_flat = t_blocks.reshape(d * d, k * c)
-        s_hat = (enc_a @ s_flat).reshape(m, r, k)
-        t_hat = (enc_b @ t_flat).reshape(m, k, c)
-        p_hat = np.einsum("wrk,wkc->wrc", s_hat, t_hat)
-        p_flat = self.decode_matrix() @ p_hat.reshape(m, r * c)
-        return p_flat.reshape(d, d, r, c)
-
-    def multiply(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Multiply two square matrices locally via this bilinear form.
-
-        Pads to a multiple of ``d`` as needed.  A reference implementation
-        for tests -- the distributed version lives in
-        :mod:`repro.matmul.bilinear_clique`.
-        """
-        s = np.asarray(s, dtype=np.int64)
-        t = np.asarray(t, dtype=np.int64)
-        size = s.shape[0]
-        padded = math.ceil(size / self.d) * self.d
-        sp = np.zeros((padded, padded), dtype=np.int64)
-        tp = np.zeros((padded, padded), dtype=np.int64)
-        sp[:size, :size] = s
-        tp[:size, :size] = t
-        blk = padded // self.d
-        s_blocks = sp.reshape(self.d, blk, self.d, blk).transpose(0, 2, 1, 3)
-        t_blocks = tp.reshape(self.d, blk, self.d, blk).transpose(0, 2, 1, 3)
-        p_blocks = self.apply_blocks(s_blocks, t_blocks)
-        p = p_blocks.transpose(0, 2, 1, 3).reshape(padded, padded)
-        return p[:size, :size]
-
 
 def classical(d: int) -> BilinearAlgorithm:
     """The school-book ``<d, d, d; d^3>`` bilinear algorithm (sigma = 3)."""
@@ -253,34 +211,10 @@ def largest_strassen_level(n: int) -> int:
     return level
 
 
-def verify_bilinear(
-    algorithm: BilinearAlgorithm,
-    trials: int = 8,
-    block: int = 2,
-    seed: int = 0,
-) -> None:
-    """Check an algorithm against NumPy on random integer matrices.
-
-    Raises ``AssertionError`` on a mismatch.  This is a probabilistic check
-    of the Brent equations; with random 16-bit entries a false pass is
-    vanishingly unlikely.
-    """
-    rng = np.random.default_rng(seed)
-    size = algorithm.d * block
-    for _ in range(trials):
-        s = rng.integers(-100, 100, size=(size, size), dtype=np.int64)
-        t = rng.integers(-100, 100, size=(size, size), dtype=np.int64)
-        got = algorithm.multiply(s, t)
-        want = s @ t
-        if not np.array_equal(got, want):
-            raise AssertionError(f"{algorithm.name} disagrees with NumPy matmul")
-
-
 __all__ = [
     "BilinearAlgorithm",
     "classical",
     "STRASSEN",
     "strassen_power",
     "largest_strassen_level",
-    "verify_bilinear",
 ]

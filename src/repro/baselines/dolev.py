@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.clique.messages import block_widths
-from repro.clique.model import CongestedClique, ScheduleMode
+from repro.clique.model import CongestedClique
 from repro.graphs.graphs import Graph
 from repro.runtime import RunResult, or_broadcast, sum_broadcast
 
@@ -103,13 +103,12 @@ def dolev_triangle_count(
     graph: Graph,
     *,
     clique: CongestedClique | None = None,
-    mode: ScheduleMode = ScheduleMode.FAST,
 ) -> RunResult:
     """Dolev et al. deterministic triangle counting, ``O(n^{1/3})`` rounds."""
     if graph.directed:
         raise ValueError("the Dolev baseline is implemented for undirected graphs")
     n = graph.n
-    clique = clique or CongestedClique(max(2, n), mode=mode)
+    clique = clique or CongestedClique(max(2, n))
     q = max(1, round(n ** (1.0 / 3.0)))
     groups = _contiguous_groups(n, q)
     triples = [(i, j, k) for i in range(q) for j in range(q) for k in range(q)]
@@ -169,13 +168,12 @@ def dolev_four_cycle_detect(
     graph: Graph,
     *,
     clique: CongestedClique | None = None,
-    mode: ScheduleMode = ScheduleMode.FAST,
 ) -> RunResult:
     """Dolev et al. 4-node subgraph detection at C4: ``O(n^{1/2})`` rounds."""
     if graph.directed:
         raise ValueError("the Dolev baseline is implemented for undirected graphs")
     n = graph.n
-    clique = clique or CongestedClique(max(2, n), mode=mode)
+    clique = clique or CongestedClique(max(2, n))
     r = max(1, round(n ** 0.25))
     groups = _contiguous_groups(n, r)
     tuples = [

@@ -3,8 +3,8 @@
 The paper's model: ``n`` nodes, a complete communication graph, synchronous
 rounds, one ``O(log n)``-bit message per ordered node pair per round.  This
 subpackage provides the metered simulator (:class:`CongestedClique`), the
-cost accounting, and the routing/scheduling machinery (Lenzen routing via
-Koenig edge colouring) that every algorithm in the reproduction runs on.
+cost accounting, and the closed-form round bills of the routing theorem
+(Lenzen routing) that every algorithm in the reproduction runs on.
 """
 
 from repro.clique.accounting import CostMeter, PhaseCost
@@ -21,11 +21,10 @@ from repro.clique.messages import (
     words_for_array,
     words_for_value,
 )
-from repro.clique.model import CongestedClique, ScheduleMode
+from repro.clique.model import CongestedClique
 
 __all__ = [
     "CongestedClique",
-    "ScheduleMode",
     "CostMeter",
     "PhaseCost",
     "ExchangeArena",

@@ -11,17 +11,17 @@ meter, so an algorithm's total round count decomposes into a per-phase
 breakdown that mirrors the step structure of the paper's algorithm
 descriptions (e.g. "Step 1: Distributing the entries").
 
-**The meter stack (PR 10).**  Charging is no longer hard-wired to one
-:class:`CostMeter`: the simulator owns a :class:`MeterStack` and every
+**The meter stack.**  The simulator owns a :class:`MeterStack` and every
 charge fans out to all registered *observers*.  An observer is anything
 with an ``observe(cost, traffic)`` method; :class:`CostMeter` itself is
-one (it ignores ``traffic``), and stays observer #0 of every clique so the
-abstract round bill is bit-identical to the pre-stack behaviour.  Further
-observers ride along without touching the primitives: the fault layer's
-abstract (fault-free) meter, and the :mod:`repro.netsim` transport meter,
-which declares ``needs_traffic`` and receives a structured
-:class:`PhaseTraffic` record -- the actual per-piece routing metadata of
-the charged exchange -- next to every cost.
+one (it ignores ``traffic``), and stays observer #0 of every clique, so no
+other observer can change the abstract round bill.  Further observers ride
+along without touching the primitives: the fault layer's abstract
+(fault-free) meter; the :mod:`repro.netsim` transport meter; and the test
+suite's schedule certifier, which checks every charged bill against an
+explicit schedule.  The last two declare ``needs_traffic`` and receive a
+structured :class:`PhaseTraffic` record -- the actual per-piece routing
+metadata of the charged exchange -- next to every cost.
 """
 
 from __future__ import annotations
@@ -30,10 +30,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterator, Protocol, runtime_checkable
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
-
-    from repro.clique.scheduling import RelaySchedule
 
 
 @dataclass(frozen=True)
@@ -92,9 +90,8 @@ class PhaseTraffic:
 
     What the transport cost model (:mod:`repro.netsim`) needs that the
     flattened :class:`PhaseCost` aggregates no longer carry: the actual
-    per-piece source/destination/width vectors of the exchange, whether it
-    shipped through the Lenzen relay construction, and (in EXACT mode) the
-    materialised relay schedule itself.
+    per-piece source/destination/width vectors of the exchange, and whether
+    it shipped through the Lenzen relay construction.
 
     Attributes:
         n: clique size the exchange ran on.
@@ -108,10 +105,6 @@ class PhaseTraffic:
             broadcasts).
         relayed: whether the exchange ships through the two-hop Lenzen
             relay construction (``route``) rather than direct links.
-        schedule: the materialised, validated
-            :class:`~repro.clique.scheduling.RelaySchedule` when the clique
-            runs in EXACT mode (``None`` in FAST mode -- the transport
-            model then uses the oblivious balanced-spread closed form).
     """
 
     n: int
@@ -120,7 +113,6 @@ class PhaseTraffic:
     dst: "np.ndarray | None"
     widths: "np.ndarray"
     relayed: bool = False
-    schedule: "RelaySchedule | None" = None
 
 
 @runtime_checkable
@@ -304,9 +296,8 @@ class MeterStack:
     def wants_traffic(self) -> bool:
         """Whether any live (non-muted) observer consumes routing metadata.
 
-        The simulator only builds :class:`PhaseTraffic` records (which may
-        need per-pair demand analysis) when this is set, so the plain
-        round-metering path stays exactly as cheap as before the stack.
+        The simulator only builds :class:`PhaseTraffic` records when this
+        is set, so the plain round-metering path builds none.
         """
         return any(
             getattr(obs, "needs_traffic", False)

@@ -11,11 +11,11 @@ Lenzen-routed exchanges [46]; those are:
   payload to all others; ``w`` words cost ``max(w)`` rounds.  Its
   fixed-width integer twin is :meth:`CongestedClique.broadcast_rows`.
 * :meth:`CongestedClique.route_array` -- Lenzen-routed exchange of int64
-  pieces; costs ``2 * ceil(L / n)`` rounds for maximum per-node load ``L``.
-  In ``ScheduleMode.EXACT`` the full relay schedule is materialised and
-  validated; in ``ScheduleMode.FAST`` the closed form is charged.  Its
-  planned-delivery variant :meth:`CongestedClique.route_array_take`
-  gathers inboxes by a precomputed index vector into a caller-owned buffer
+  pieces; costs ``2 * ceil(L / n)`` rounds for maximum per-node load ``L``
+  (the test suite certifies every such charge against an explicit relay
+  schedule of that length).  Its planned-delivery variant
+  :meth:`CongestedClique.route_array_take` gathers inboxes by a
+  precomputed index vector into a caller-owned buffer
   (what the arena-backed engine sessions use), and the block all-to-alls
   :meth:`CongestedClique.scatter_blocks` /
   :meth:`CongestedClique.gather_blocks` are routed exchanges with a dense
@@ -43,7 +43,7 @@ that discipline is what makes the simulated round counts meaningful.
 from __future__ import annotations
 
 import math
-from enum import Enum
+import operator
 from typing import Any, Sequence
 
 import numpy as np
@@ -65,27 +65,10 @@ from repro.clique.routing import (
     deliver_array_flat,
     enforce_load_bound,
     flatten_array_batch,
+    pair_words,
 )
-from repro.clique.scheduling import (
-    broadcast_rounds,
-    direct_rounds,
-    relay_rounds_fast,
-    relay_schedule,
-)
+from repro.clique.scheduling import broadcast_rounds, direct_rounds, relay_rounds
 from repro.errors import CliqueModelError, LoadBoundExceededError
-
-
-class ScheduleMode(Enum):
-    """How routed exchanges are scheduled.
-
-    FAST charges the analytic ``2 * ceil(L / n)`` rounds; EXACT materialises
-    the Koenig-coloured relay schedule, validates it against the model, and
-    charges its emergent length.  EXACT exists to certify FAST (see the
-    scheduling tests); it is slower and meant for small instances.
-    """
-
-    FAST = "fast"
-    EXACT = "exact"
 
 
 def _refuse_non_integer(arrays, what: str) -> None:
@@ -113,6 +96,24 @@ def _refuse_non_integer(arrays, what: str) -> None:
             )
 
 
+def _word_count(value, what: str) -> int:
+    """``value`` as a whole number of words, at least one.
+
+    Word counts are integers in this model: a fractional count would leave
+    a fractional round charge on the meter, so it is refused (as is a count
+    below one) before anything is charged.
+    """
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise CliqueModelError(
+            f"{what} must be an integer number of words, got {value!r}"
+        ) from None
+    if count < 1:
+        raise CliqueModelError(f"{what} must be at least 1, got {count}")
+    return count
+
+
 class CongestedClique:
     """A metered simulation of an ``n``-node congested clique.
 
@@ -120,7 +121,6 @@ class CongestedClique:
         n: number of nodes (node ids are ``0 .. n-1``).
         word_bits: message word size in bits; defaults to
             ``max(16, 2 ceil(log2 n))`` -- the model's ``Theta(log n)``.
-        mode: schedule mode for routed exchanges (FAST or EXACT).
         executor: the :class:`~repro.clique.executor.LocalExecutor` engines
             run their per-node block products on; defaults to the serial
             in-process backend.  Executors never touch the meter, so the
@@ -142,7 +142,6 @@ class CongestedClique:
         n: int,
         *,
         word_bits: int | None = None,
-        mode: ScheduleMode = ScheduleMode.FAST,
         executor: "LocalExecutor | None" = None,
     ) -> None:
         if n < 2:
@@ -151,7 +150,6 @@ class CongestedClique:
         self.word_bits = word_bits if word_bits is not None else default_word_bits(n)
         if self.word_bits < 1:
             raise CliqueModelError(f"word size must be positive, got {self.word_bits}")
-        self.mode = mode
         self.meter = CostMeter()
         self.meters = MeterStack(self.meter)
         self.transport: CostObserver | None = None
@@ -252,8 +250,7 @@ class CongestedClique:
     # the meter stack, every charge also carries a PhaseTraffic record with
     # the exchange's actual per-piece src/dst/width vectors -- the routing
     # structure the flattened PhaseCost aggregates throw away.  The
-    # builders below are pure reads of already-materialised arrays (plus,
-    # in EXACT mode, a lookup of the memoised relay schedule), so the
+    # builders below are pure reads of already-materialised arrays, so the
     # abstract charge path is untouched.
 
     def _broadcast_traffic(self, widths: Sequence[int]) -> PhaseTraffic | None:
@@ -272,11 +269,6 @@ class CongestedClique:
     ) -> PhaseTraffic | None:
         if not self.meters.wants_traffic:
             return None
-        schedule = None
-        if relayed and self.mode is ScheduleMode.EXACT:
-            profile = analyze_array(batch, with_demand=True)
-            if profile.demand:
-                schedule = self._traffic_schedule(profile.demand)
         return PhaseTraffic(
             n=self.n,
             kind=kind,
@@ -284,21 +276,7 @@ class CongestedClique:
             dst=batch.dst,
             widths=batch.widths,
             relayed=relayed,
-            schedule=schedule,
         )
-
-    def _traffic_schedule(self, demand):
-        """The relay schedule a transport observer should price.
-
-        Charged rounds always come from the canonical (identity-assigned)
-        schedule; when the attached cost model carries a topology, the
-        *priced* schedule instead uses the cost-aware relay-slot
-        assignment -- a round-equivalent choice (same matchings, same
-        batches, same ``2 * ceil(matchings / n)`` rounds) with shorter
-        modelled relay legs.  Both lookups are memoised per demand.
-        """
-        topology = getattr(self.transport, "topology", None)
-        return relay_schedule(demand, self.n, topology)
 
     # ------------------------------------------------------------------ #
     # Array collectives
@@ -378,9 +356,8 @@ class CongestedClique:
 
         Node ``v`` ships the equally-shaped pieces ``blocks[v][i]`` to nodes
         ``dests[v][i]``.  Rounds charged: ``2 * ceil(L / n)`` where ``L`` is
-        the maximum per-node send or receive load in words (FAST mode), or
-        the emergent length of a validated relay schedule (EXACT mode).
-        Load accounting (``np.bincount``-style scatter-adds over destination
+        the maximum per-node send or receive load in words.  Load
+        accounting (``np.bincount``-style scatter-adds over destination
         ids) and delivery (one stable sort) are vectorised over the whole
         exchange.
 
@@ -499,17 +476,12 @@ class CongestedClique:
         :meth:`_charge_routed_batch` so the encoded collectives can account
         the same exchange on two meters.
         """
-        exact = self.mode is ScheduleMode.EXACT
-        profile = analyze_array(batch, with_demand=exact)
+        profile = analyze_array(batch)
         enforce_load_bound(profile, expect_max_load)
-        if exact and profile.demand:
-            rounds = relay_schedule(profile.demand, self.n).rounds
-        else:
-            rounds = relay_rounds_fast(profile.max_load, self.n)
         return PhaseCost(
             phase=phase,
             primitive="route",
-            rounds=rounds,
+            rounds=relay_rounds(profile.max_load, self.n),
             words=profile.total_words,
             payloads=profile.payloads,
             max_send_words=profile.max_send,
@@ -580,8 +552,8 @@ class CongestedClique:
         self, batch, phase: str, expect_max_pair: int | None
     ) -> PhaseCost:
         """The :class:`PhaseCost` of one direct array batch (not charged)."""
-        profile = analyze_array(batch, with_demand=True)
-        rounds = direct_rounds(profile.demand)
+        profile = analyze_array(batch)
+        rounds = direct_rounds(pair_words(batch))
         if expect_max_pair is not None and rounds > expect_max_pair:
             raise LoadBoundExceededError(
                 f"per-pair traffic of {rounds} words exceeds the asserted "
@@ -725,7 +697,7 @@ class CongestedClique:
         Args:
             rows_per_node: per node, an ``(r_v, record_width)`` int64 array
                 of records (``record_width`` uniform across nodes).
-            words_per_record: words charged per record.
+            words_per_record: words charged per record; an integer >= 1.
 
         Returns:
             The canonical combined ``(R, record_width)`` record array (every
@@ -733,6 +705,7 @@ class CongestedClique:
             an ``n``-fold memory blow-up in the simulator), in holder order.
         """
         n = self.n
+        words_per_record = _word_count(words_per_record, "words_per_record")
         if len(rows_per_node) != n:
             raise CliqueModelError(f"expected {n} record arrays")
         _refuse_non_integer(rows_per_node, "records")
@@ -798,18 +771,15 @@ class CongestedClique:
 
         Node ``v`` sends ``matrix[v, u]`` to node ``u``; node ``u`` ends up
         holding column ``u``, i.e. row ``u`` of the transpose.  Every ordered
-        pair carries exactly ``words_per_entry`` words, so the phase costs
-        ``words_per_entry`` rounds.
+        pair carries exactly ``words_per_entry`` words (an integer >= 1), so
+        the phase costs ``words_per_entry`` rounds.
         """
+        words_per_entry = _word_count(words_per_entry, "words_per_entry")
         _refuse_non_integer(matrix, "transpose entries")
         matrix = np.asarray(matrix, dtype=np.int64)
         n = self.n
         if matrix.shape != (n, n):
             raise CliqueModelError("transpose_array expects an n x n matrix")
-        if words_per_entry < 1:
-            raise CliqueModelError(
-                f"non-positive word count {words_per_entry}"
-            )
         traffic = None
         if self.meters.wants_traffic:
             u, v = np.divmod(np.arange(n * n, dtype=np.int64), n)
@@ -847,8 +817,8 @@ class CongestedClique:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"CongestedClique(n={self.n}, word_bits={self.word_bits}, "
-            f"mode={self.mode.value}, rounds={self.rounds})"
+            f"rounds={self.rounds})"
         )
 
 
-__all__ = ["CongestedClique", "ScheduleMode"]
+__all__ = ["CongestedClique"]

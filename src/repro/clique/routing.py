@@ -1,7 +1,8 @@
 """Load analysis and delivery for array exchanges on the congested clique.
 
-Separates the *accounting* of a communication phase (how many rounds a legal
-schedule needs) from the *data movement* (which the simulator performs
+Separates the *accounting* of a communication phase (the per-node and
+per-pair loads its closed-form round bill in :mod:`repro.clique.scheduling`
+is computed from) from the *data movement* (which the simulator performs
 directly).  Used by :class:`repro.clique.model.CongestedClique`.
 
 An exchange is a *batch*: per node, a vector of destination ids plus a
@@ -25,7 +26,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.clique.scheduling import Demand
 from repro.errors import LoadBoundExceededError
 
 
@@ -41,7 +41,6 @@ class LoadProfile:
     recv_words: list[int]
     total_words: int
     payloads: int
-    demand: Demand
 
     @property
     def max_send(self) -> int:
@@ -225,13 +224,11 @@ def flatten_array_batch(
     )
 
 
-def analyze_array(batch: ArrayBatch, *, with_demand: bool = False) -> LoadProfile:
-    """Per-node and per-pair loads of an array batch, vectorised.
+def analyze_array(batch: ArrayBatch) -> LoadProfile:
+    """Per-node loads of an array batch, vectorised.
 
     Self-addressed pieces are local moves, free in the model: excluded from
-    the loads, included in the payload count.  The per-pair ``demand`` map
-    is only materialised when ``with_demand`` is set (EXACT scheduling);
-    FAST-mode accounting needs only the per-node aggregates.
+    the loads, included in the payload count.
     """
     n = batch.n
     nonself = batch.src != batch.dst
@@ -242,23 +239,27 @@ def analyze_array(batch: ArrayBatch, *, with_demand: bool = False) -> LoadProfil
     recv = np.zeros(n, dtype=np.int64)
     np.add.at(send, src, w)
     np.add.at(recv, dst, w)
-    demand: Demand = {}
-    if with_demand and src.size:
-        pair_keys = src * n + dst
-        uniq, inverse = np.unique(pair_keys, return_inverse=True)
-        pair_words = np.zeros(uniq.shape[0], dtype=np.int64)
-        np.add.at(pair_words, inverse, w)
-        demand = {
-            (int(key) // n, int(key) % n): int(words)
-            for key, words in zip(uniq, pair_words)
-        }
     return LoadProfile(
         send_words=send.tolist(),
         recv_words=recv.tolist(),
         total_words=int(w.sum()),
         payloads=batch.payloads,
-        demand=demand,
     )
+
+
+def pair_words(batch: ArrayBatch) -> np.ndarray:
+    """Words per ordered node pair of an array batch, as an ``(n * n,)`` vector.
+
+    Entry ``src * n + dst`` sums the widths of the pieces ``src`` sends
+    ``dst``; self-addressed pieces are local moves and count nothing, as in
+    :func:`analyze_array`.
+    """
+    n = batch.n
+    words = np.zeros(n * n, dtype=np.int64)
+    nonself = batch.src != batch.dst
+    np.add.at(words, batch.src[nonself] * n + batch.dst[nonself],
+              batch.widths[nonself])
+    return words
 
 
 @dataclass(frozen=True)
@@ -320,6 +321,7 @@ __all__ = [
     "FlatInboxes",
     "flatten_array_batch",
     "analyze_array",
+    "pair_words",
     "deliver_array",
     "deliver_array_flat",
 ]

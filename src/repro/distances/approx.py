@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from repro.clique.model import CongestedClique, ScheduleMode
+from repro.clique.model import CongestedClique
 from repro.constants import INF, check_path_weight
 from repro.graphs.graphs import Graph
 from repro.matmul.distance import approx_distance_product
@@ -38,7 +38,6 @@ def apsp_approx(
     *,
     delta: float | None = None,
     clique: CongestedClique | None = None,
-    mode: ScheduleMode = ScheduleMode.FAST,
 ) -> RunResult:
     """Theorem 9: ``(1 + o(1))``-approximate APSP for non-negative weights.
 
@@ -52,7 +51,7 @@ def apsp_approx(
     _require_nonnegative_weights(graph)
     n = graph.n
     check_path_weight(graph.max_abs_weight(), n, "edge weight")
-    clique = clique or make_clique(n, "bilinear", mode=mode)
+    clique = clique or make_clique(n, "bilinear")
     eps = delta if delta is not None else default_delta(n)
     dist = pad_matrix(graph.weight_matrix(), clique.n, fill=INF)
 

@@ -26,7 +26,7 @@ refused up front (:func:`~repro.constants.check_path_weight`).
 from __future__ import annotations
 
 from repro.algebra.semirings import MIN_PLUS
-from repro.clique.model import CongestedClique, ScheduleMode
+from repro.clique.model import CongestedClique
 from repro.constants import INF, check_path_weight
 from repro.engine import EngineSession, default_steps
 from repro.graphs.graphs import Graph
@@ -39,7 +39,6 @@ def apsp_exact(
     with_routing_tables: bool = True,
     method: str = "semiring",
     clique: CongestedClique | None = None,
-    mode: ScheduleMode = ScheduleMode.FAST,
 ) -> RunResult:
     """Corollary 6: exact APSP (+ routing tables) for integer weights.
 
@@ -54,7 +53,7 @@ def apsp_exact(
     """
     n = graph.n
     check_path_weight(graph.max_abs_weight(), n, "edge weight")
-    clique = clique or make_clique(n, method, mode=mode)
+    clique = clique or make_clique(n, method)
     session = EngineSession(clique, method, MIN_PLUS)
     weights = pad_matrix(graph.weight_matrix(), clique.n, fill=INF)
     iterations = default_steps(n)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algebra.semirings import MAX_MIN
-from repro.clique.model import CongestedClique, ScheduleMode
+from repro.clique.model import CongestedClique
 from repro.constants import INF
 from repro.engine import EngineSession, default_steps
 from repro.graphs.graphs import Graph
@@ -62,7 +62,6 @@ def apsp_bottleneck(
     *,
     with_routing_tables: bool = False,
     clique: CongestedClique | None = None,
-    mode: ScheduleMode = ScheduleMode.FAST,
 ) -> RunResult:
     """All-pairs widest paths in ``O(n^{1/3} log n)`` rounds.
 
@@ -73,7 +72,7 @@ def apsp_bottleneck(
     Corollary 6.
     """
     n = graph.n
-    clique = clique or make_clique(n, "semiring", mode=mode)
+    clique = clique or make_clique(n, "semiring")
     session = EngineSession(clique, "semiring", MAX_MIN)
     cap = pad_matrix(capacity_matrix(graph), clique.n, fill=-INF)
     # pad_matrix zeroes the padded diagonal; bottleneck padding wants the

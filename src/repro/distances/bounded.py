@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from repro.algebra.semirings import BOOLEAN
-from repro.clique.model import CongestedClique, ScheduleMode
+from repro.clique.model import CongestedClique
 from repro.constants import INF
 from repro.engine import EngineSession, default_steps
 from repro.graphs.graphs import Graph
@@ -114,11 +114,10 @@ def apsp_bounded(
     max_distance: int,
     *,
     clique: CongestedClique | None = None,
-    mode: ScheduleMode = ScheduleMode.FAST,
 ) -> RunResult:
     """Lemma 19 wrapper: distances up to ``max_distance`` for a graph."""
     _require_positive_weights(graph)
-    clique = clique or make_clique(graph.n, "bilinear", mode=mode)
+    clique = clique or make_clique(graph.n, "bilinear")
     w = pad_matrix(graph.weight_matrix(), clique.n, fill=INF)
     dist = apsp_up_to(clique, w, max_distance)
     return RunResult(
@@ -157,7 +156,6 @@ def apsp_small_diameter(
     *,
     method: str = "bilinear",
     clique: CongestedClique | None = None,
-    mode: ScheduleMode = ScheduleMode.FAST,
     initial_guess: int = 1,
 ) -> RunResult:
     """Corollary 8: exact APSP in ``O~(U n^rho)`` rounds, ``U`` unknown.
@@ -167,7 +165,7 @@ def apsp_small_diameter(
     """
     _require_positive_weights(graph)
     n = graph.n
-    clique = clique or make_clique(n, "bilinear", mode=mode)
+    clique = clique or make_clique(n, "bilinear")
     adjacency = pad_matrix(graph.adjacency, clique.n)
     reach = reachability(clique, adjacency, method=method)
     w = pad_matrix(graph.weight_matrix(), clique.n, fill=INF)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algebra.semirings import BOOLEAN
-from repro.clique.model import CongestedClique, ScheduleMode
+from repro.clique.model import CongestedClique
 from repro.distances.bounded import reachability
 from repro.engine import EngineSession
 from repro.graphs.graphs import Graph
@@ -26,7 +26,6 @@ def connected_components(
     *,
     method: str = "bilinear",
     clique: CongestedClique | None = None,
-    mode: ScheduleMode = ScheduleMode.FAST,
 ) -> RunResult:
     """Component labels (smallest reachable id) in ``O~(n^rho)`` rounds.
 
@@ -34,7 +33,7 @@ def connected_components(
     closure of the symmetrised adjacency), the standard convention.
     """
     n = graph.n
-    clique = clique or make_clique(n, method, mode=mode)
+    clique = clique or make_clique(n, method)
     session = EngineSession(clique, method, BOOLEAN)
     adjacency = graph.adjacency
     if graph.directed:

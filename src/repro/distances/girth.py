@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 from repro.algebra.semirings import BOOLEAN
-from repro.clique.model import CongestedClique, ScheduleMode
+from repro.clique.model import CongestedClique
 from repro.constants import INF, RHO_IMPLEMENTED
 from repro.engine import EngineSession
 from repro.graphs.graphs import Graph
@@ -65,7 +65,6 @@ def girth_undirected(
     rng: np.random.Generator | None = None,
     seed: int | None = 0,
     clique: CongestedClique | None = None,
-    mode: ScheduleMode = ScheduleMode.FAST,
 ) -> RunResult:
     """Theorem 15: the undirected girth in ``O~(n^rho)`` rounds.
 
@@ -81,7 +80,7 @@ def girth_undirected(
         raise ValueError("use girth_directed for directed graphs")
     rng = resolve_rng(rng, seed)
     n = graph.n
-    clique = clique or make_clique(n, method, mode=mode)
+    clique = clique or make_clique(n, method)
     cutoff = cutoff if cutoff is not None else default_cycle_length_cutoff()
 
     # Every node announces its degree; the edge count is then global info.
@@ -161,13 +160,12 @@ def girth_directed(
     *,
     method: str = "bilinear",
     clique: CongestedClique | None = None,
-    mode: ScheduleMode = ScheduleMode.FAST,
 ) -> RunResult:
     """Corollary 16: the directed girth in ``O~(n^rho)`` rounds."""
     if not graph.directed:
         raise ValueError("use girth_undirected for undirected graphs")
     n = graph.n
-    clique = clique or make_clique(n, method, mode=mode)
+    clique = clique or make_clique(n, method)
     session = EngineSession(clique, method, BOOLEAN)
     a = pad_matrix(graph.adjacency, clique.n)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.clique.model import CongestedClique, ScheduleMode
+from repro.clique.model import CongestedClique
 from repro.constants import INF
 from repro.distances.apsp import apsp_exact
 from repro.distances.approx import apsp_approx
@@ -41,11 +41,7 @@ def _fold_eccentricities(
     return np.array(real, dtype=np.int64), diameter, radius
 
 
-def diameter_exact(
-    graph: Graph,
-    *,
-    mode: ScheduleMode = ScheduleMode.FAST,
-) -> RunResult:
+def diameter_exact(graph: Graph) -> RunResult:
     """Exact diameter/radius/eccentricities of a weighted graph.
 
     Cost: Corollary 6 APSP + one broadcast round.  ``value`` is the
@@ -53,9 +49,9 @@ def diameter_exact(
     Unreachable pairs are ignored (per-component eccentricities), matching
     the usual convention for possibly-disconnected inputs.
     """
-    apsp = apsp_exact(graph, with_routing_tables=False, mode=mode)
+    apsp = apsp_exact(graph, with_routing_tables=False)
     clique_n = apsp.clique_size
-    clique = CongestedClique(clique_n, mode=mode)
+    clique = CongestedClique(clique_n)
     clique.meter.phases.extend(apsp.meter.phases)
     padded = np.full((clique_n, clique_n), INF, dtype=np.int64)
     padded[: graph.n, : graph.n] = apsp.value
@@ -75,11 +71,10 @@ def diameter_unweighted(
     graph: Graph,
     *,
     method: str = "bilinear",
-    mode: ScheduleMode = ScheduleMode.FAST,
 ) -> RunResult:
     """Unweighted diameter via Seidel (Corollary 7) + one broadcast."""
-    apsp = apsp_unweighted(graph, method=method, mode=mode)
-    clique = CongestedClique(apsp.clique_size, mode=mode)
+    apsp = apsp_unweighted(graph, method=method)
+    clique = CongestedClique(apsp.clique_size)
     clique.meter.phases.extend(apsp.meter.phases)
     padded = np.full((clique.n, clique.n), INF, dtype=np.int64)
     padded[: graph.n, : graph.n] = apsp.value
@@ -99,7 +94,6 @@ def diameter_approx(
     graph: Graph,
     *,
     delta: float | None = None,
-    mode: ScheduleMode = ScheduleMode.FAST,
 ) -> RunResult:
     """(1+o(1))-approximate weighted diameter via Theorem 9.
 
@@ -108,8 +102,8 @@ def diameter_approx(
     model this inherits Theorem 9's ``O(n^{rho+o(1)})`` with the same
     ``(1 + delta)^{ceil(log n)}`` overestimate bound, reported in extras.
     """
-    apsp = apsp_approx(graph, delta=delta, mode=mode)
-    clique = CongestedClique(apsp.clique_size, mode=mode)
+    apsp = apsp_approx(graph, delta=delta)
+    clique = CongestedClique(apsp.clique_size)
     clique.meter.phases.extend(apsp.meter.phases)
     padded = np.full((clique.n, clique.n), INF, dtype=np.int64)
     padded[: graph.n, : graph.n] = apsp.value

@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algebra.semirings import BOOLEAN, PLUS_TIMES
-from repro.clique.model import CongestedClique, ScheduleMode
+from repro.clique.model import CongestedClique
 from repro.constants import INF
 from repro.engine import EngineSession
 from repro.graphs.graphs import Graph
@@ -39,13 +39,12 @@ def apsp_unweighted(
     *,
     method: str = "bilinear",
     clique: CongestedClique | None = None,
-    mode: ScheduleMode = ScheduleMode.FAST,
 ) -> RunResult:
     """Corollary 7: exact unweighted undirected APSP in ``O~(n^rho)`` rounds."""
     if graph.directed:
         raise ValueError("Seidel's algorithm needs an undirected graph")
     n = graph.n
-    clique = clique or make_clique(n, method, mode=mode)
+    clique = clique or make_clique(n, method)
     a = pad_matrix(graph.adjacency, clique.n)
     depth_box = {"levels": 0}
     # Two sessions on one clique/meter: the recursion squares Booleanly and

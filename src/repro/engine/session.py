@@ -39,7 +39,7 @@ from repro.algebra.semirings import BOOLEAN, PLUS_TIMES, Semiring
 from repro.clique.accounting import CostMeter
 from repro.clique.arena import ExchangeArena
 from repro.clique.executor import LocalExecutor, make_executor
-from repro.clique.model import CongestedClique, ScheduleMode
+from repro.clique.model import CongestedClique
 from repro.errors import NegativeCycleError
 from repro.matmul.bilinear_clique import (
     bilinear_matmul,
@@ -121,7 +121,6 @@ def make_clique(
     n: int,
     method: str = "bilinear",
     *,
-    mode: ScheduleMode = ScheduleMode.FAST,
     word_bits: int | None = None,
     threads: int = 1,
     fault_plan=None,
@@ -166,7 +165,6 @@ def make_clique(
                 size,
                 plan=fault_plan,
                 tolerance=fault_tolerance,
-                mode=mode,
                 word_bits=word_bits,
                 executor=executor,
             )
@@ -174,14 +172,12 @@ def make_clique(
             clique = FaultyClique(
                 size,
                 plan=fault_plan,
-                mode=mode,
                 word_bits=word_bits,
                 executor=executor,
             )
     else:
         clique = CongestedClique(
             size,
-            mode=mode,
             word_bits=word_bits,
             executor=executor,
         )
@@ -681,7 +677,6 @@ def open_session(
     clique: CongestedClique | None = None,
     algorithm: BilinearAlgorithm | None = None,
     threads: int = 1,
-    mode: ScheduleMode = ScheduleMode.FAST,
     word_bits: int | None = None,
     fault_plan=None,
     fault_tolerance: int | None = None,
@@ -706,7 +701,6 @@ def open_session(
         clique = make_clique(
             n,
             method,
-            mode=mode,
             word_bits=word_bits,
             threads=threads,
             fault_plan=fault_plan,

@@ -35,14 +35,6 @@ class LoadBoundExceededError(ReproError):
     """
 
 
-class ScheduleValidationError(ReproError):
-    """An EXACT-mode communication schedule violated the model constraints.
-
-    Raised when a constructed schedule ships more than one word across some
-    ordered node pair in a single round, or fails to deliver every message.
-    """
-
-
 class NegativeCycleError(ReproError):
     """A shortest-path computation encountered a negative-weight cycle."""
 
@@ -72,7 +64,6 @@ __all__ = [
     "CliqueModelError",
     "CliqueSizeError",
     "LoadBoundExceededError",
-    "ScheduleValidationError",
     "NegativeCycleError",
     "AlgorithmFailureError",
     "FaultToleranceExceeded",

@@ -13,16 +13,11 @@ against the theoretical exponents in :mod:`repro.constants`.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.algebra.bilinear import BilinearAlgorithm
+from repro.clique.scheduling import relay_rounds
 from repro.matmul.layout import CubeLayout, GridLayout
-
-
-def _relay(load: int, n: int) -> int:
-    return 0 if load <= 0 else 2 * math.ceil(load / n)
 
 
 def predicted_semiring3d_rounds(
@@ -32,7 +27,7 @@ def predicted_semiring3d_rounds(
     entry_words_out: int | None = None,
     witness_words: int = 0,
 ) -> int:
-    """Exact FAST-mode round count of :func:`repro.matmul.semiring3d.semiring_matmul`.
+    """Exact round count of :func:`repro.matmul.semiring3d.semiring_matmul`.
 
     ``entry_words_in`` is the word width of the widest input entry and
     ``entry_words_out`` of the widest partial-product entry (defaults to the
@@ -42,8 +37,8 @@ def predicted_semiring3d_rounds(
     layout = CubeLayout.for_clique(n)
     q = layout.q
     ew_out = entry_words_out if entry_words_out is not None else entry_words_in
-    step1 = _relay(2 * q**4 * entry_words_in, n)
-    step3 = _relay(q**4 * (ew_out + witness_words), n)
+    step1 = relay_rounds(2 * q**4 * entry_words_in, n)
+    step3 = relay_rounds(q**4 * (ew_out + witness_words), n)
     return step1 + step3
 
 
@@ -57,7 +52,7 @@ def predicted_bilinear_rounds(
     entry_words_hat: int = 1,
     entry_words_prod: int = 1,
 ) -> int:
-    """Exact FAST-mode round count of :func:`repro.matmul.bilinear_clique.bilinear_matmul`.
+    """Exact round count of :func:`repro.matmul.bilinear_clique.bilinear_matmul`.
 
     The round count only depends on the algorithm's shape ``<d, .; m>``, so
     either pass an algorithm or its ``d``/``m`` directly -- the latter avoids
@@ -74,14 +69,14 @@ def predicted_bilinear_rounds(
     q, d, c, mm = layout.q, layout.d, layout.c, layout.m_padded
     dc = d * c
     qc = q * c
-    step1 = _relay(max(2 * mm * entry_words_in, 2 * dc * dc * entry_words_in), n)
-    step3 = _relay(
+    step1 = relay_rounds(max(2 * mm * entry_words_in, 2 * dc * dc * entry_words_in), n)
+    step3 = relay_rounds(
         max(2 * m * c * c * entry_words_hat, 2 * qc * qc * entry_words_hat), n
     )
-    step5 = _relay(
+    step5 = relay_rounds(
         max(qc * qc * entry_words_prod, m * c * c * entry_words_prod), n
     )
-    step7 = _relay(
+    step7 = relay_rounds(
         max(dc * dc * entry_words_prod, q * dc * entry_words_prod), n
     )
     return step1 + step3 + step5 + step7

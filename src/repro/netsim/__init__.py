@@ -1,4 +1,4 @@
-"""Network cost models under the congested-clique collectives (PR 10).
+"""Network cost models under the congested-clique collectives.
 
 The abstract simulator bills synchronous rounds; this package prices the
 *same* exchanges on an explicit topology -- full-bisection, ring, or
@@ -39,7 +39,6 @@ from repro.netsim.transport import (
     CompletionReport,
     PhaseCompletion,
     TransportMeter,
-    schedule_makespan,
 )
 
 
@@ -86,6 +85,5 @@ __all__ = [
     "PhaseCompletion",
     "CompletionReport",
     "TransportMeter",
-    "schedule_makespan",
     "CostModelSpec",
 ]

@@ -21,13 +21,8 @@ Three families (the classic CCL-simulator trio):
 
 For all-to-all-style collective traffic the bottleneck loads order as
 full-bisection <= fat-tree <= ring (per-pair share <= per-host share <=
-ring-cut share for ``n >= 16``), which is the makespan ordering the gated
-``netsim`` bench section asserts.
-
-Topologies also expose the hook the round-equivalent schedule
-optimisation keys off: :meth:`Topology.distance_matrix` (hop distances,
-used by the cost-aware relay-slot assignment in
-:func:`repro.clique.scheduling.relay_schedule`).
+ring-cut share for ``n >= 16``), which is the makespan ordering the netsim
+tests and the CI netsim smoke assert.
 """
 
 from __future__ import annotations
@@ -77,7 +72,7 @@ class Topology:
     """Interface: map one traffic leg to per-link loads.
 
     Subclasses set ``kind`` (the ``--topology`` spec family) and implement
-    :meth:`leg_stats` and :meth:`distance_matrix`.
+    :meth:`leg_stats`.
     """
 
     kind = "abstract"
@@ -92,11 +87,6 @@ class Topology:
         """Spec-style name (``full`` / ``ring`` / ``fat-tree:k``)."""
         return self.kind
 
-    @property
-    def cache_key(self) -> str:
-        """Distinguishes schedule-cache entries across topologies."""
-        return f"{self.name}/{self.n}"
-
     def leg_stats(
         self, src: np.ndarray, dst: np.ndarray, widths: np.ndarray
     ) -> LegStats:
@@ -105,10 +95,6 @@ class Topology:
         Self-addressed pieces (``src == dst``) traverse no wire and are
         ignored; ``widths`` may be fractional (balanced relay spreading).
         """
-        raise NotImplementedError
-
-    def distance_matrix(self) -> np.ndarray:
-        """``(n, n)`` hop distances between hosts (0 on the diagonal)."""
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -138,11 +124,6 @@ class FullBisection(Topology):
         loads = np.zeros(n * n, dtype=np.float64)
         np.add.at(loads, src * n + dst, widths)
         return _summary(loads, max_hops=1)
-
-    def distance_matrix(self) -> np.ndarray:
-        d = np.ones((self.n, self.n), dtype=np.int64)
-        np.fill_diagonal(d, 0)
-        return d
 
 
 class Ring(Topology):
@@ -185,11 +166,6 @@ class Ring(Topology):
         return _summary(
             np.concatenate([loads_cw, loads_ccw]), max_hops=int(hops.max())
         )
-
-    def distance_matrix(self) -> np.ndarray:
-        idx = np.arange(self.n, dtype=np.int64)
-        d_cw = (idx[None, :] - idx[:, None]) % self.n
-        return np.minimum(d_cw, self.n - d_cw)
 
 
 class FatTree(Topology):
@@ -244,16 +220,6 @@ class FatTree(Topology):
             [host_up, host_down, np.repeat(per_uplink, self.uplinks)]
         )
         return _summary(loads, max_hops=4 if bool(inter.any()) else 2)
-
-    def distance_matrix(self) -> np.ndarray:
-        pods = self._pod(np.arange(self.n, dtype=np.int64))
-        d = np.where(pods[None, :] == pods[:, None], 2, 4).astype(np.int64)
-        np.fill_diagonal(d, 0)
-        return d
-
-    @property
-    def cache_key(self) -> str:
-        return f"{self.name}/{self.n}"
 
 
 #: ``--topology`` spec family -> class (specs: ``full``, ``ring``,

@@ -4,9 +4,8 @@
 that declares ``needs_traffic``: alongside every charged
 :class:`~repro.clique.accounting.PhaseCost` it receives the structured
 :class:`~repro.clique.accounting.PhaseTraffic` record -- the actual
-per-piece ``(src, dst, widths)`` vectors and, in EXACT mode, the
-materialised relay schedule.  It expands each phase into one or more
-traffic *legs*, maps every leg onto the attached
+per-piece ``(src, dst, widths)`` vectors.  It expands each phase into one
+or two traffic *legs*, maps every leg onto the attached
 :class:`~repro.netsim.topology.Topology`, and prices it with the classic
 alpha-beta model:
 
@@ -24,13 +23,10 @@ Leg expansion mirrors how the collectives actually ship:
 * ``broadcast``: one leg, node ``u`` sends its ``widths[u]`` words to all
   ``n - 1`` peers.
 * ``send`` (direct ``send_array``): one leg of the literal pieces.
-* ``route`` in FAST mode: the Lenzen routing closed form -- two balanced
-  legs (sources spread their load evenly over all ``n`` relays, relays
-  forward each destination's share), with fractional per-link loads.
-* ``route`` in EXACT mode: one leg per materialised schedule round, each
-  hop carrying exactly one word -- so the model sees precisely the
-  schedule the simulator validated, and round-equivalent schedules with
-  different relay placements get different makespans.
+* ``route``: the Lenzen routing closed form, the same one the round bill
+  uses -- two balanced legs (sources spread their load evenly over all
+  ``n`` relays, relays forward each destination's share), with fractional
+  per-link loads.
 
 The meter is **purely observational**: it never touches values, rounds,
 words, or any other observer's bill (property-tested per topology).
@@ -46,7 +42,7 @@ import numpy as np
 from repro.clique.accounting import PhaseCost, PhaseTraffic
 from repro.netsim.topology import LegStats, Topology
 
-#: Default word width (bits) when pricing schedules outside a clique.
+#: Default word width (bits) when no clique has bound one.
 DEFAULT_WORD_BITS = 64
 
 
@@ -276,21 +272,7 @@ class TransportMeter:
             return [topo.leg_stats(src, dst, w)]
         if not traffic.relayed:
             return [topo.leg_stats(traffic.src, traffic.dst, traffic.widths)]
-        if traffic.schedule is not None:
-            # EXACT mode: price the materialised schedule round by round
-            # (every hop carries one word), so relay placement matters.
-            legs = []
-            for round_hops in traffic.schedule.hops:
-                if not round_hops:
-                    continue
-                hops = np.asarray(round_hops, dtype=np.int64)
-                legs.append(
-                    topo.leg_stats(
-                        hops[:, 0], hops[:, 1], np.ones(len(hops))
-                    )
-                )
-            return legs
-        # FAST mode: Lenzen's oblivious two-phase routing in closed form.
+        # Lenzen's oblivious two-phase routing in closed form.
         # Leg 1 -- every source spreads its outgoing load evenly over all
         # n relays; leg 2 -- every relay forwards each destination's share.
         src = np.asarray(traffic.src, dtype=np.int64)
@@ -330,37 +312,9 @@ class TransportMeter:
         )
 
 
-def schedule_makespan(
-    schedule: Any,
-    topology: Topology,
-    *,
-    link_gbps: float = 100.0,
-    link_latency_us: float = 1.0,
-    word_bits: int = DEFAULT_WORD_BITS,
-) -> float:
-    """Modelled makespan (us) of a materialised relay schedule.
-
-    Prices each round's unit-word hops on ``topology`` exactly as the
-    transport meter does in EXACT mode -- this is the objective the
-    cost-aware relay-slot assignment in
-    :func:`repro.clique.scheduling.relay_schedule` improves while keeping
-    the round count bit-identical.
-    """
-    total = 0.0
-    for round_hops in schedule.hops:
-        if not round_hops:
-            continue
-        hops = np.asarray(round_hops, dtype=np.int64)
-        leg = topology.leg_stats(hops[:, 0], hops[:, 1], np.ones(len(hops)))
-        total += _serialization_us(leg.max_link_words, word_bits, link_gbps)
-        total += leg.max_hops * link_latency_us
-    return total
-
-
 __all__ = [
     "DEFAULT_WORD_BITS",
     "PhaseCompletion",
     "CompletionReport",
     "TransportMeter",
-    "schedule_makespan",
 ]

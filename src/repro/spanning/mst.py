@@ -49,7 +49,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algebra.semirings import BOOLEAN, MIN_PLUS
-from repro.clique.model import CongestedClique, ScheduleMode
+from repro.clique.model import CongestedClique
 from repro.constants import INF
 from repro.distances.bounded import reachability
 from repro.engine import EngineSession
@@ -313,7 +313,6 @@ def minimum_spanning_forest(
     seed: int | None = 0,
     boruvka_phases: int = 2,
     sample_probability: float = 0.5,
-    mode: ScheduleMode = ScheduleMode.FAST,
 ) -> RunResult:
     """The minimum spanning forest via the Jurdzinski--Nowicki skeleton.
 
@@ -346,7 +345,7 @@ def minimum_spanning_forest(
             f"sample_probability must be in (0, 1], got {sample_probability}"
         )
     n = graph.n
-    clique = clique or make_clique(n, method, mode=mode)
+    clique = clique or make_clique(n, method)
     run = _MstRun(
         graph, method, clique, resolve_rng(rng, seed), sample_probability
     )

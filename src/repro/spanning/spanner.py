@@ -34,7 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algebra.semirings import MIN_PLUS
-from repro.clique.model import CongestedClique, ScheduleMode
+from repro.clique.model import CongestedClique
 from repro.constants import INF
 from repro.engine import EngineSession
 from repro.graphs.graphs import Graph
@@ -136,7 +136,6 @@ def build_spanner(
     clique: CongestedClique | None = None,
     rng: np.random.Generator | None = None,
     seed: int | None = 0,
-    mode: ScheduleMode = ScheduleMode.FAST,
 ) -> RunResult:
     """A ``(2k-1)``-spanner via ``k`` session-product cluster-growing levels.
 
@@ -159,7 +158,7 @@ def build_spanner(
     if k < 1:
         raise ValueError(f"stretch parameter k must be >= 1, got {k}")
     n = graph.n
-    clique = clique or make_clique(n, method, mode=mode)
+    clique = clique or make_clique(n, method)
     session = EngineSession(clique, method, MIN_PLUS)
     rng = resolve_rng(rng, seed)
     size = clique.n

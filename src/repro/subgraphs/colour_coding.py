@@ -31,7 +31,7 @@ from itertools import combinations
 import numpy as np
 
 from repro.algebra.semirings import BOOLEAN
-from repro.clique.model import CongestedClique, ScheduleMode
+from repro.clique.model import CongestedClique
 from repro.engine import EngineSession
 from repro.graphs.graphs import Graph
 from repro.runtime import (
@@ -145,7 +145,6 @@ def detect_k_cycle(
     rng: np.random.Generator | None = None,
     seed: int | None = 0,
     clique: CongestedClique | None = None,
-    mode: ScheduleMode = ScheduleMode.FAST,
     failure_probability: float = 0.01,
 ) -> RunResult:
     """Theorem 3: detect a ``k``-cycle w.h.p. in ``2^{O(k)} n^rho log n`` rounds.
@@ -163,7 +162,7 @@ def detect_k_cycle(
     if k < 3:
         raise ValueError(f"cycles need k >= 3, got {k}")
     rng = resolve_rng(rng, seed)
-    clique = clique or make_clique(graph.n, method, mode=mode)
+    clique = clique or make_clique(graph.n, method)
     session = EngineSession(clique, method, BOOLEAN)
     a = pad_matrix(graph.adjacency, clique.n)
     budget = trials if trials is not None else default_trials(

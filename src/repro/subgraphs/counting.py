@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.clique.messages import words_for_value
-from repro.clique.model import CongestedClique, ScheduleMode
+from repro.clique.model import CongestedClique
 from repro.engine import EngineSession
 from repro.graphs.graphs import Graph
 from repro.runtime import (
@@ -53,10 +53,9 @@ def count_triangles(
     *,
     method: str = "bilinear",
     clique: CongestedClique | None = None,
-    mode: ScheduleMode = ScheduleMode.FAST,
 ) -> RunResult:
     """Corollary 2: the number of triangles, in ``O(n^rho)`` rounds."""
-    clique = clique or make_clique(graph.n, method, mode=mode)
+    clique = clique or make_clique(graph.n, method)
     session = EngineSession(clique, method)
     a = pad_matrix(graph.adjacency, clique.n)
     a_sq = session.square(a, phase="triangles/A2")
@@ -82,10 +81,9 @@ def count_four_cycles(
     *,
     method: str = "bilinear",
     clique: CongestedClique | None = None,
-    mode: ScheduleMode = ScheduleMode.FAST,
 ) -> RunResult:
     """Corollary 2: the number of 4-cycles, in ``O(n^rho)`` rounds."""
-    clique = clique or make_clique(graph.n, method, mode=mode)
+    clique = clique or make_clique(graph.n, method)
     session = EngineSession(clique, method)
     a = pad_matrix(graph.adjacency, clique.n)
     a_sq = session.square(a, phase="four-cycles/A2")
@@ -126,7 +124,6 @@ def count_five_cycles(
     *,
     method: str = "bilinear",
     clique: CongestedClique | None = None,
-    mode: ScheduleMode = ScheduleMode.FAST,
 ) -> RunResult:
     """Extension: undirected 5-cycle counting (Alon-Yuster-Zwick formula).
 
@@ -135,7 +132,7 @@ def count_five_cycles(
     """
     if graph.directed:
         raise ValueError("the 5-cycle trace formula implemented is undirected-only")
-    clique = clique or make_clique(graph.n, method, mode=mode)
+    clique = clique or make_clique(graph.n, method)
     session = EngineSession(clique, method)
     a = pad_matrix(graph.adjacency, clique.n)
     a_sq = session.square(a, phase="five-cycles/A2")

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.clique.model import CongestedClique, ScheduleMode
+from repro.clique.model import CongestedClique
 from repro.graphs.graphs import Graph
 from repro.runtime import RunResult, or_broadcast
 
@@ -243,13 +243,12 @@ def detect_four_cycles(
     graph: Graph,
     *,
     clique: CongestedClique | None = None,
-    mode: ScheduleMode = ScheduleMode.FAST,
 ) -> RunResult:
     """Theorem 4: 4-cycle existence in O(1) rounds."""
     if graph.directed:
         raise ValueError("Theorem 4 is stated for undirected graphs")
     n = graph.n
-    clique = clique or CongestedClique(max(2, n), mode=mode)
+    clique = clique or CongestedClique(max(2, n))
     if clique.n < n:
         raise ValueError("clique too small for the graph")
     a = graph.adjacency

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from repro.clique.model import CongestedClique, ScheduleMode
+from repro.clique.model import CongestedClique
 from repro.graphs.graphs import Graph
 from repro.runtime import (
     RunResult,
@@ -131,7 +131,6 @@ def detect_k_path(
     rng: np.random.Generator | None = None,
     seed: int | None = 0,
     clique: CongestedClique | None = None,
-    mode: ScheduleMode = ScheduleMode.FAST,
     failure_probability: float = 0.01,
 ) -> RunResult:
     """Detect a simple path on ``k`` nodes, w.h.p., in 2^{O(k)} n^rho log n rounds.
@@ -142,7 +141,7 @@ def detect_k_path(
     if k < 2:
         raise ValueError(f"path detection needs k >= 2, got {k}")
     rng = resolve_rng(rng, seed)
-    clique = clique or make_clique(graph.n, method, mode=mode)
+    clique = clique or make_clique(graph.n, method)
     a = pad_matrix(graph.adjacency, clique.n)
     budget = trials if trials is not None else max(
         1, math.ceil(math.exp(k) * math.log(1.0 / failure_probability))

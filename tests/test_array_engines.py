@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from kernel_reference import boolean_gemm, cube_matmul
+from schedule_reference import certify
 from tuple_reference import (
     TupleClique,
     bilinear_matmul_tuple,
@@ -32,7 +33,7 @@ from repro.algebra.bilinear import classical, strassen_power
 from repro.algebra.polynomial import POLYNOMIAL, encode_minplus
 from repro.algebra.semirings import BOOLEAN, MIN_PLUS
 from repro.clique.messages import words_for_array
-from repro.clique.model import CongestedClique, ScheduleMode
+from repro.clique.model import CongestedClique
 from repro.constants import INF
 from repro.errors import CliqueModelError, LoadBoundExceededError
 from repro.graphs import (
@@ -139,15 +140,17 @@ class TestBilinearEquivalence:
         assert np.array_equal(p_array, p_tuple)
         assert _phases(array_clique) == _phases(tuple_clique)
 
-    def test_exact_mode_phases_match(self, rng):
+    def test_certified_phases_match(self, rng):
         n = 16
         s = rng.integers(0, 3, (n, n), dtype=np.int64)
         t = rng.integers(0, 3, (n, n), dtype=np.int64)
-        array_clique = CongestedClique(n, mode=ScheduleMode.EXACT)
-        tuple_clique = CongestedClique(n, mode=ScheduleMode.EXACT)
+        array_clique = CongestedClique(n)
+        tuple_clique = CongestedClique(n)
+        certifier = certify(array_clique)
         bilinear_matmul(array_clique, s, t)
         bilinear_matmul_tuple(TupleClique(tuple_clique), s, t)
         assert _phases(array_clique) == _phases(tuple_clique)
+        assert certifier.total == len(array_clique.meter.phases)
 
 
 class TestWitnessValidationEquivalence:

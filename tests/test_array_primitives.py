@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from schedule_reference import certify
 from tuple_reference import TupleClique
 
 from repro.clique.messages import (
@@ -23,7 +24,7 @@ from repro.clique.messages import (
     words_for_value,
     words_for_values,
 )
-from repro.clique.model import CongestedClique, ScheduleMode
+from repro.clique.model import CongestedClique
 from repro.errors import CliqueModelError, LoadBoundExceededError
 
 
@@ -83,15 +84,17 @@ class TestRouteArrayEquivalence:
 
     @settings(max_examples=8, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6))
-    def test_exact_mode_rounds_match(self, seed):
+    def test_certified_rounds_match(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 7))
         dests, blocks, outboxes = _random_batch(rng, n, piece_len=2)
-        tuple_clique = CongestedClique(n, word_bits=16, mode=ScheduleMode.EXACT)
-        array_clique = CongestedClique(n, word_bits=16, mode=ScheduleMode.EXACT)
+        tuple_clique = CongestedClique(n, word_bits=16)
+        array_clique = CongestedClique(n, word_bits=16)
+        certifier = certify(array_clique)
         TupleClique(tuple_clique).route(outboxes, phase="x")
         array_clique.route_array(dests, blocks, phase="x")
         assert _phases(tuple_clique) == _phases(array_clique)
+        assert certifier.certified == {"route": 1}
 
     def test_tags_ride_along(self):
         n = 3

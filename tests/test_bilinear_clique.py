@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from kernel_reference import poly_matmul
+from schedule_reference import certify
 
 from repro.algebra.bilinear import classical, strassen_power
-from repro.clique import CongestedClique, ScheduleMode
+from repro.clique import CongestedClique
 from repro.errors import CliqueSizeError
 from repro.matmul.bilinear_clique import bilinear_matmul, default_algorithm
 from repro.matmul.exponent import predicted_bilinear_rounds
@@ -127,13 +128,19 @@ class TestCosts:
         assert strassen_exp < classical_exp
         assert strassen_rounds[-1] < classical_rounds[-1]
 
-    def test_exact_mode_agrees(self, rng):
+    def test_bills_are_certified(self, rng):
         n = 16
         s = rng.integers(0, 3, (n, n), dtype=np.int64)
         t = rng.integers(0, 3, (n, n), dtype=np.int64)
-        p_fast = bilinear_matmul(CongestedClique(n, mode=ScheduleMode.FAST), s, t)
-        p_exact = bilinear_matmul(CongestedClique(n, mode=ScheduleMode.EXACT), s, t)
-        assert np.array_equal(p_fast, p_exact)
+        plain = CongestedClique(n)
+        certified = CongestedClique(n)
+        certifier = certify(certified)
+        p_plain = bilinear_matmul(plain, s, t)
+        p_certified = bilinear_matmul(certified, s, t)
+        assert np.array_equal(p_plain, p_certified)
+        assert certified.rounds == plain.rounds
+        assert certifier.total == len(certified.meter.phases)
+        assert certifier.certified["route"] == 4
 
 
 class TestValidation:

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from schedule_reference import certify
 
-from repro.clique.model import ScheduleMode
 from repro.graphs import (
     Graph,
     bipartite_random_graph,
@@ -54,11 +54,14 @@ class TestTriangles:
         assert result.rounds > 0
         assert result.clique_size == 16
 
-    def test_exact_schedule_mode(self):
+    def test_bills_are_certified(self):
         g = gnp_random_graph(9, 0.4, seed=2)
-        clique = make_clique(g.n, "bilinear", mode=ScheduleMode.EXACT)
+        clique = make_clique(g.n, "bilinear")
+        certifier = certify(clique)
         result = count_triangles(g, clique=clique)
         assert result.value == triangle_count_reference(g)
+        assert result.rounds == count_triangles(g).rounds
+        assert certifier.total == len(clique.meter.phases)
 
 
 class TestFourCycles:

@@ -1,9 +1,9 @@
 """Deep property-based tests across the whole stack.
 
-These are the heavyweight invariants: random demands through the EXACT
-scheduler at word granularity, random matrices through every engine x
-semiring combination, and cross-checks that schedule mode never changes
-any *answer* (only the round accounting discipline).
+These are the heavyweight invariants: random demands through certified
+routing at word granularity, random matrices through every engine x
+semiring combination, and cross-checks that certifying the bills never
+changes any answer or round.
 """
 
 from __future__ import annotations
@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from schedule_reference import certify
 
 from repro.algebra.semirings import BOOLEAN, MAX_MIN, MIN_PLUS, PLUS_TIMES
-from repro.clique import CongestedClique, ScheduleMode
+from repro.clique import CongestedClique
 from repro.constants import INF
 from repro.matmul.naive import broadcast_matmul
 from repro.matmul.semiring3d import semiring_matmul
@@ -83,7 +84,7 @@ class TestEngineSemiringMatrix:
                         assert min(s[u, k], t[k, v]) == product[u, v]
 
 
-class TestScheduleModeNeverChangesAnswers:
+class TestCertifiedBillsNeverChangeAnswers:
     @settings(max_examples=8, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6))
     def test_semiring3d(self, seed):
@@ -91,9 +92,14 @@ class TestScheduleModeNeverChangesAnswers:
         n = 8
         s = rng.integers(0, 4, (n, n), dtype=np.int64)
         t = rng.integers(0, 4, (n, n), dtype=np.int64)
-        fast = semiring_matmul(CongestedClique(n, mode=ScheduleMode.FAST), s, t)
-        exact = semiring_matmul(CongestedClique(n, mode=ScheduleMode.EXACT), s, t)
-        assert np.array_equal(fast, exact)
+        plain_clique = CongestedClique(n)
+        certified_clique = CongestedClique(n)
+        certifier = certify(certified_clique)
+        plain = semiring_matmul(plain_clique, s, t)
+        certified = semiring_matmul(certified_clique, s, t)
+        assert np.array_equal(plain, certified)
+        assert certified_clique.rounds == plain_clique.rounds
+        assert certifier.total == len(certified_clique.meter.phases)
 
     @settings(max_examples=5, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6))
@@ -103,17 +109,17 @@ class TestScheduleModeNeverChangesAnswers:
         from repro.subgraphs import count_triangles
 
         g = gnp_random_graph(9, 0.4, seed=seed)
-        fast = count_triangles(
-            g, clique=make_clique(g.n, "bilinear", mode=ScheduleMode.FAST)
-        )
-        exact = count_triangles(
-            g, clique=make_clique(g.n, "bilinear", mode=ScheduleMode.EXACT)
-        )
-        assert fast.value == exact.value
+        plain = count_triangles(g, clique=make_clique(g.n, "bilinear"))
+        clique = make_clique(g.n, "bilinear")
+        certifier = certify(clique)
+        certified = count_triangles(g, clique=clique)
+        assert plain.value == certified.value
+        assert plain.rounds == certified.rounds
+        assert certifier.total == len(clique.meter.phases)
 
 
-class TestWordGranularExactRouting:
-    """Fuzz the EXACT router with adversarial width distributions."""
+class TestWordGranularCertifiedRouting:
+    """Fuzz certified routing with adversarial width distributions."""
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -135,8 +141,10 @@ class TestWordGranularExactRouting:
             blocks.append(pieces)
             widths.append(rng.integers(1, max_width + 1, count).astype(np.int64))
             sent += [(int(d), tuple(p)) for d, p in zip(dst, pieces.tolist())]
-        clique = CongestedClique(n, mode=ScheduleMode.EXACT)
+        clique = CongestedClique(n)
+        certifier = certify(clique)
         inboxes = clique.route_array(dests, blocks, widths=widths)
+        assert certifier.certified == {"route": 1}
         received = [
             (dst, tuple(piece))
             for dst in range(n)
@@ -155,11 +163,12 @@ class TestWordGranularExactRouting:
         # Every node floods node 0: the classic skew case.
         n = 6
         dests, blocks, widths = self._flood(n, range(1, n), 0, 7, 3)
-        exact = CongestedClique(n, mode=ScheduleMode.EXACT)
-        exact.route_array(dests, blocks, widths=widths)
-        fast = CongestedClique(n, mode=ScheduleMode.FAST)
-        fast.route_array(dests, blocks, widths=widths)
-        assert exact.rounds <= 2 * fast.rounds + 2
+        clique = CongestedClique(n)
+        certifier = certify(clique)
+        clique.route_array(dests, blocks, widths=widths)
+        # Receive load 5 * 7 * 3 = 105 words: 2 * ceil(105 / 6) rounds.
+        assert clique.rounds == 36
+        assert certifier.certified == {"route": 1}
 
     def test_widths_matter_for_rounds(self):
         n = 6

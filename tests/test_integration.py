@@ -1,7 +1,7 @@
 """End-to-end integration tests across the whole stack.
 
 These exercise the composition paths a downstream user hits: different
-matmul engines feeding the same application, the EXACT schedule validator
+matmul engines feeding the same application, the schedule certifier
 underneath a full application run, witness machinery driving routing tables
 on the ring engine, and the cost meter surviving multi-algorithm pipelines.
 """
@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from schedule_reference import certify
 
 from repro import (
     INF,
     CongestedClique,
-    ScheduleMode,
     apsp_exact,
     apsp_unweighted,
     count_triangles,
@@ -52,20 +52,26 @@ class TestCrossEngineAgreement:
         assert fast.rounds < naive.rounds
 
 
-class TestExactScheduleUnderApplications:
-    def test_triangle_count_on_exact_schedules(self):
+class TestCertifiedBillsUnderApplications:
+    def test_triangle_count_bills_are_certified(self):
         g = gnp_random_graph(12, 0.35, seed=5)
-        clique = make_clique(g.n, "bilinear", mode=ScheduleMode.EXACT)
+        clique = make_clique(g.n, "bilinear")
+        certifier = certify(clique)
         result = count_triangles(g, clique=clique)
         assert result.value == triangle_count_reference(g)
+        assert result.rounds == count_triangles(g).rounds
+        assert certifier.total == len(clique.meter.phases)
 
-    def test_four_cycle_detection_on_exact_schedules(self):
+    def test_four_cycle_detection_bills_are_certified(self):
         g = gnp_random_graph(14, 0.3, seed=8)
         from repro.graphs import four_cycle_count_reference
 
-        clique = CongestedClique(g.n, mode=ScheduleMode.EXACT)
+        clique = CongestedClique(g.n)
+        certifier = certify(clique)
         result = detect_four_cycles(g, clique=clique)
         assert result.value == (four_cycle_count_reference(g) > 0)
+        assert result.rounds == detect_four_cycles(g).rounds
+        assert certifier.total == len(clique.meter.phases)
 
 
 class TestRingEngineRoutingTables:

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from schedule_reference import certify
 
-from repro.clique import CongestedClique, ScheduleMode
+from repro.clique import CongestedClique
 from repro.errors import CliqueModelError
 
 
@@ -127,7 +128,7 @@ class TestRoute:
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6))
-    def test_exact_mode_delivers_identically(self, seed):
+    def test_certified_route_delivers_identically(self, seed):
         rng = np.random.default_rng(seed)
         n = 7
         dests, blocks = [], []
@@ -139,14 +140,16 @@ class TestRoute:
             pieces[:, 1] = rng.integers(100, size=count)
             blocks.append(pieces)
         widths = [np.ones(d.shape[0], dtype=np.int64) for d in dests]
-        fast = CongestedClique(n, mode=ScheduleMode.FAST)
-        exact = CongestedClique(n, mode=ScheduleMode.EXACT)
-        got_fast = fast.route_array(dests, blocks, widths=widths)
-        got_exact = exact.route_array(dests, blocks, widths=widths)
+        plain = CongestedClique(n)
+        certified = CongestedClique(n)
+        certifier = certify(certified)
+        got_plain = plain.route_array(dests, blocks, widths=widths)
+        got_certified = certified.route_array(dests, blocks, widths=widths)
         for u in range(n):
-            assert np.array_equal(got_fast[u].sources, got_exact[u].sources)
-            assert np.array_equal(got_fast[u].blocks, got_exact[u].blocks)
-        assert exact.rounds <= 2 * fast.rounds + 2
+            assert np.array_equal(got_plain[u].sources, got_certified[u].sources)
+            assert np.array_equal(got_plain[u].blocks, got_certified[u].blocks)
+        assert certified.rounds == plain.rounds
+        assert certifier.certified == {"route": 1}
 
     def test_empty_route_is_free(self):
         clique = CongestedClique(4)
@@ -179,6 +182,24 @@ class TestAllgather:
         with pytest.raises(CliqueModelError):
             clique.allgather_rows([np.zeros((0, 1), dtype=np.int64)] * 2)
 
+    @pytest.mark.parametrize("words", [2.5, -1, 0])
+    def test_bad_record_width_refused_before_any_charge(self, words):
+        clique = CongestedClique(4)
+        records = [np.ones((3, 1), dtype=np.int64)] * 4
+        with pytest.raises(CliqueModelError, match="words_per_record"):
+            clique.allgather_rows(records, words_per_record=words)
+        assert clique.meter.phases == []
+
+    @pytest.mark.parametrize("words", [0, -1])
+    def test_bad_record_width_refused_when_every_record_stays_home(self, words):
+        # One record per node lands on its own holder: the balance step
+        # ships nothing, so only the up-front check can refuse the width.
+        clique = CongestedClique(4)
+        records = [np.full((1, 1), v, dtype=np.int64) for v in range(4)]
+        with pytest.raises(CliqueModelError, match="words_per_record"):
+            clique.allgather_rows(records, words_per_record=words)
+        assert clique.meter.phases == []
+
 
 class TestTranspose:
     def test_shape_validation(self):
@@ -190,3 +211,11 @@ class TestTranspose:
         clique = CongestedClique(3)
         clique.transpose_array(np.ones((3, 3), dtype=np.int64), words_per_entry=4)
         assert clique.rounds == 4
+
+    def test_fractional_entry_width_refused_before_any_charge(self):
+        clique = CongestedClique(4)
+        with pytest.raises(CliqueModelError, match="words_per_entry"):
+            clique.transpose_array(
+                np.ones((4, 4), dtype=np.int64), words_per_entry=1.5
+            )
+        assert clique.meter.phases == []

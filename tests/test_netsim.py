@@ -1,4 +1,4 @@
-"""Network cost model suite (PR 10).
+"""Network cost model suite.
 
 Pins the three contracts of :mod:`repro.netsim` and the meter-stack seam
 it rides on:
@@ -6,16 +6,15 @@ it rides on:
 1. **Purely observational**: attaching a transport cost model changes no
    answer, no round, no word, no per-phase meter entry -- across
    workloads, topologies, coded fault layers and threaded executors.  The
-   charged bill always comes from the canonical relay schedule; only the
-   *priced* schedule is topology-aware.
+   charged bill is the closed form; the model only prices it.
 2. **The physics is right**: per-topology link loads (full-bisection
    pairs, ring chord chains, fat-tree ECMP uplinks) match hand-computed
    values, and at equal rounds the alpha-beta makespan respects the
    bisection ordering ``full <= fat-tree <= ring``.
-3. **Round-equivalent optimisation**: the topology-aware relay-slot
-   assignment never changes rounds or values -- it may only improve the
-   priced makespan, and on the concentrated-demand ring workload it
-   strictly must.
+3. **One pricing rule per exchange kind**: a routed exchange is priced as
+   Lenzen's two balanced relay legs, the same closed form its round bill
+   comes from; direct sends and broadcasts are priced as one leg of their
+   literal traffic, and a charge without traffic as a uniform all-to-all.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import pytest
 
 from repro.algebra.semirings import MIN_PLUS
 from repro.clique.accounting import CostMeter, MeterStack, PhaseCost
-from repro.clique.scheduling import relay_schedule
+from repro.clique.model import CongestedClique
 from repro.cli import main
 from repro.constants import INF
 from repro.engine.session import EngineSession, make_clique
@@ -40,7 +39,6 @@ from repro.netsim import (
     Ring,
     TransportMeter,
     parse_topology,
-    schedule_makespan,
 )
 from repro.runtime import pad_matrix
 
@@ -144,14 +142,6 @@ class TestTopologies:
             np.arange(4), np.array([4, 5, 6, 7]), np.ones(4, dtype=np.int64)
         )
         assert stats.max_link_words == 2
-
-    def test_distance_matrices(self):
-        ring = Ring(6).distance_matrix()
-        assert ring[0, 3] == 3 and ring[0, 5] == 1 and ring[2, 2] == 0
-        full = FullBisection(4).distance_matrix()
-        assert full[0, 1] == 1 and full[2, 2] == 0
-        fat = FatTree(8, k=2).distance_matrix()
-        assert fat[0, 1] == 2 and fat[0, 4] == 4 and fat[3, 3] == 0
 
     @pytest.mark.parametrize(
         "spec,expected",
@@ -392,24 +382,22 @@ class TestTransportMeter:
         assert f.serialization_us == pytest.approx(s.serialization_us / 2)
         assert f.latency_us == pytest.approx(s.latency_us)
 
-
-class TestRoundEquivalentOptimisation:
-    def test_relay_placement_keeps_rounds_and_improves_makespan(self):
-        n = 16
-        ring = Ring(n)
-        demand = {(u, v): 20 for u in (7, 8, 9) for v in (7, 8, 9) if u != v}
-        canonical = relay_schedule(dict(demand), n)
-        placed = relay_schedule(dict(demand), n, ring)
-        assert placed.rounds == canonical.rounds == 6
-        assert (schedule_makespan(placed, ring)
-                < schedule_makespan(canonical, ring))
-
-    def test_schedule_cache_is_topology_keyed(self):
-        n = 16
-        demand = {(u, v): 20 for u in (7, 8, 9) for v in (7, 8, 9) if u != v}
-        assert relay_schedule(dict(demand), n) is relay_schedule(
-            dict(demand), n
-        )
-        assert relay_schedule(dict(demand), n, Ring(n)) is not relay_schedule(
-            dict(demand), n
-        )
+    def test_each_exchange_kind_has_one_pricing_rule(self):
+        clique = CongestedClique(4)
+        meter = clique.attach_cost_model(TransportMeter(FullBisection(4)))
+        # Node 0 ships three one-word pieces to node 1.
+        dests = [np.array([1, 1, 1])] + [np.zeros(0, dtype=np.int64)] * 3
+        blocks = [np.ones((3, 1), dtype=np.int64)] + [
+            np.zeros((0, 1), dtype=np.int64)
+        ] * 3
+        clique.route_array(dests, blocks, phase="r")
+        clique.send_array(dests, blocks, phase="s")
+        clique.broadcast_rows(np.ones((4, 1), dtype=np.int64), phase="b")
+        route, send, bcast = meter.completions
+        assert (route.kind, route.legs) == ("route", 2)
+        assert (send.kind, send.legs) == ("send", 1)
+        assert (bcast.kind, bcast.legs) == ("broadcast", 1)
+        # Relay legs spread node 0's 3 words evenly over the 4 relays: the
+        # busiest link carries 3/4 of a word, against 3 words direct.
+        assert route.max_link_words == pytest.approx(0.75)
+        assert send.max_link_words == pytest.approx(3.0)

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from schedule_reference import certify
 
 from repro.algebra.semirings import BOOLEAN, MAX_MIN, MIN_PLUS, PLUS_TIMES
-from repro.clique import CongestedClique, ScheduleMode
+from repro.clique import CongestedClique
 from repro.constants import INF
 from repro.errors import CliqueSizeError
 from repro.matmul.exponent import predicted_semiring3d_rounds
@@ -117,16 +118,19 @@ class TestCosts:
         # Rounds grow much slower than n: ~ n^{1/3}.
         assert rounds[2] / rounds[0] < (125 / 27) ** 0.5
 
-    def test_exact_mode_agrees(self, rng):
+    def test_bills_are_certified(self, rng):
         n = 8
         s = rng.integers(0, 3, (n, n), dtype=np.int64)
         t = rng.integers(0, 3, (n, n), dtype=np.int64)
-        fast = CongestedClique(n, mode=ScheduleMode.FAST)
-        exact = CongestedClique(n, mode=ScheduleMode.EXACT)
-        p_fast = semiring_matmul(fast, s, t)
-        p_exact = semiring_matmul(exact, s, t)
-        assert np.array_equal(p_fast, p_exact)
-        assert exact.rounds <= 2 * fast.rounds + 4
+        plain = CongestedClique(n)
+        certified = CongestedClique(n)
+        certifier = certify(certified)
+        p_plain = semiring_matmul(plain, s, t)
+        p_certified = semiring_matmul(certified, s, t)
+        assert np.array_equal(p_plain, p_certified)
+        assert certified.rounds == plain.rounds
+        assert certifier.total == len(certified.meter.phases)
+        assert certifier.certified["route"] == 2
 
 
 class TestValidation:

@@ -34,14 +34,9 @@ from repro.algebra.bilinear import BilinearAlgorithm
 from repro.algebra.polynomial import POLYNOMIAL
 from repro.algebra.semirings import PLUS_TIMES, Semiring
 from repro.clique.accounting import PhaseCost
-from repro.clique.model import CongestedClique, ScheduleMode
+from repro.clique.model import CongestedClique
 from repro.clique.routing import LoadProfile, enforce_load_bound
-from repro.clique.scheduling import (
-    Demand,
-    direct_rounds,
-    relay_rounds_fast,
-    relay_schedule,
-)
+from repro.clique.scheduling import relay_rounds
 from repro.constants import INF
 from repro.errors import CliqueModelError, LoadBoundExceededError
 from repro.graphs.graphs import Graph
@@ -102,11 +97,11 @@ def validate_outboxes(
             _check_payload(v, payload)
 
 
-def analyze(outboxes: Outboxes, n: int) -> LoadProfile:
-    """Compute per-node and per-pair loads for a set of outboxes."""
+def analyze(outboxes: Outboxes, n: int) -> tuple[LoadProfile, dict]:
+    """Per-node loads, and words per ordered pair, of a set of outboxes."""
     send = [0] * n
     recv = [0] * n
-    demand: Demand = defaultdict(int)
+    demand: dict[tuple[int, int], int] = defaultdict(int)
     total = 0
     payloads = 0
     for v, box in enumerate(outboxes):
@@ -118,13 +113,10 @@ def analyze(outboxes: Outboxes, n: int) -> LoadProfile:
             recv[dst] += words
             demand[(v, dst)] += words
             total += words
-    return LoadProfile(
-        send_words=send,
-        recv_words=recv,
-        total_words=total,
-        payloads=payloads,
-        demand=dict(demand),
+    profile = LoadProfile(
+        send_words=send, recv_words=recv, total_words=total, payloads=payloads
     )
+    return profile, dict(demand)
 
 
 def deliver(outboxes: Outboxes, n: int) -> list[list[tuple[int, Any]]]:
@@ -146,7 +138,7 @@ def deliver(outboxes: Outboxes, n: int) -> list[list[tuple[int, Any]]]:
 class TupleClique:
     """The four tuple primitives over ``clique``, billed on its meters.
 
-    Exposes the wrapped clique's ``n``, ``word_bits``, ``mode``, meters and
+    Exposes the wrapped clique's ``n``, ``word_bits``, meters and
     ``broadcast``, so the reference formulations below run unchanged.
     """
 
@@ -154,7 +146,6 @@ class TupleClique:
         self.clique = clique
         self.n = clique.n
         self.word_bits = clique.word_bits
-        self.mode = clique.mode
         self.meter = clique.meter
         self.meters = clique.meters
         self.broadcast = clique.broadcast
@@ -184,8 +175,8 @@ class TupleClique:
                 :class:`~repro.errors.LoadBoundExceededError`.
         """
         self._validate(outboxes)
-        profile = analyze(outboxes, self.n)
-        rounds = direct_rounds(profile.demand)
+        profile, demand = analyze(outboxes, self.n)
+        rounds = max(demand.values(), default=0)
         if expect_max_pair is not None and rounds > expect_max_pair:
             raise LoadBoundExceededError(
                 f"per-pair traffic of {rounds} words exceeds the asserted "
@@ -214,8 +205,7 @@ class TupleClique:
         """Lenzen-routed exchange (the paper's workhorse primitive).
 
         Rounds charged: ``2 * ceil(L / n)`` where ``L`` is the maximum
-        per-node send or receive load in words (FAST mode), or the emergent
-        length of a validated relay schedule (EXACT mode).
+        per-node send or receive load in words.
 
         Args:
             outboxes: ``outboxes[v]`` lists ``(dst, payload, words)`` triples.
@@ -223,19 +213,13 @@ class TupleClique:
                 calling algorithm's analysis.
         """
         self._validate(outboxes)
-        profile = analyze(outboxes, self.n)
+        profile, _demand = analyze(outboxes, self.n)
         enforce_load_bound(profile, expect_max_load)
-        schedule = None
-        if self.mode is ScheduleMode.EXACT and profile.demand:
-            schedule = relay_schedule(profile.demand, self.n)
-            rounds = schedule.rounds
-        else:
-            rounds = relay_rounds_fast(profile.max_load, self.n)
         self.meters.charge(
             PhaseCost(
                 phase=phase,
                 primitive="route",
-                rounds=rounds,
+                rounds=relay_rounds(profile.max_load, self.n),
                 words=profile.total_words,
                 payloads=profile.payloads,
                 max_send_words=profile.max_send,
