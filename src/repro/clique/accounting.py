@@ -15,20 +15,18 @@ descriptions (e.g. "Step 1: Distributing the entries").
 charge fans out to all registered *observers*.  An observer is anything
 with an ``observe(cost, traffic)`` method; :class:`CostMeter` itself is
 one (it ignores ``traffic``), and stays observer #0 of every clique, so no
-other observer can change the abstract round bill.  Further observers ride
-along without touching the primitives: the fault layer's abstract
-(fault-free) meter; the :mod:`repro.netsim` transport meter; and the test
-suite's schedule certifier, which checks every charged bill against an
-explicit schedule.  The last two declare ``needs_traffic`` and receive a
+other observer can change the round bill.  Further observers ride along
+without touching the primitives: the :mod:`repro.netsim` transport meter,
+and the test suite's schedule certifier, which checks every charged bill
+against an explicit schedule.  Both declare ``needs_traffic`` and receive a
 structured :class:`PhaseTraffic` record -- the actual per-piece routing
 metadata of the charged exchange -- next to every cost.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterator, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
@@ -243,19 +241,18 @@ class MeterStack:
     hard-wired meter; the stack fans the charge (and the optional
     :class:`PhaseTraffic` record) out to every registered observer in
     registration order.  Observer #0 is always the clique's primary
-    :class:`CostMeter`, so the abstract round/word bill is bit-identical
-    to the single-meter behaviour by construction -- additional observers
-    (abstract fault-free meters, transport cost models) are strictly
-    read-only riders and can never change what observer #0 sees.
+    :class:`CostMeter`, so the round/word bill is bit-identical to the
+    single-meter behaviour by construction -- additional observers
+    (transport cost models, the test suite's schedule certifier) are
+    strictly read-only riders and can never change what observer #0 sees.
     """
 
     def __init__(self, *observers: CostObserver) -> None:
         self._observers: list[CostObserver] = list(observers)
-        self._muted: list[CostObserver] = []
 
     @property
     def observers(self) -> tuple[CostObserver, ...]:
-        """The registered observers, in fan-out order (muted ones included)."""
+        """The registered observers, in fan-out order."""
         return tuple(self._observers)
 
     def add_observer(self, observer: CostObserver) -> CostObserver:
@@ -276,40 +273,18 @@ class MeterStack:
                 return
         raise ValueError(f"{observer!r} is not a registered observer")
 
-    @contextmanager
-    def muted(self, observer: CostObserver) -> Iterator[None]:
-        """Temporarily stop fanning charges out to ``observer``.
-
-        The encoded collectives use this to keep their abstract meter
-        phase-for-phase equal to a fault-free run: while an encoded
-        exchange ships (and bills its redundancy on the actual meter and
-        any transport observers), the abstract meter is muted and charged
-        the fault-free cost by hand.  Re-entrant and exception-safe.
-        """
-        self._muted.append(observer)
-        try:
-            yield
-        finally:
-            self._muted.remove(observer)
-
     @property
     def wants_traffic(self) -> bool:
-        """Whether any live (non-muted) observer consumes routing metadata.
+        """Whether any observer consumes routing metadata.
 
         The simulator only builds :class:`PhaseTraffic` records when this
         is set, so the plain round-metering path builds none.
         """
-        return any(
-            getattr(obs, "needs_traffic", False)
-            for obs in self._observers
-            if not any(obs is m for m in self._muted)
-        )
+        return any(getattr(obs, "needs_traffic", False) for obs in self._observers)
 
     def charge(self, cost: PhaseCost, traffic: PhaseTraffic | None = None) -> None:
-        """Fan one charged phase out to every live observer."""
+        """Fan one charged phase out to every observer."""
         for obs in self._observers:
-            if any(obs is m for m in self._muted):
-                continue
             obs.observe(cost, traffic)
 
 

@@ -14,62 +14,46 @@ unicast engines' ``O(n^{1/3})`` / ``O(n^{1-2/sigma})`` on identical inputs.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.algebra.semirings import PLUS_TIMES, Semiring
-from repro.clique.accounting import CostMeter, PhaseCost
-from repro.clique.messages import default_word_bits, words_for_array
-from repro.errors import CliqueModelError
+from repro.clique.messages import words_for_array
+from repro.clique.model import CongestedClique
 
 
 class BroadcastCongestedClique:
     """An ``n``-node clique whose only primitive is one-word-to-all.
 
-    The deliberate absence of ``send``/``route`` *is* the model: per round,
-    a node contributes one word of globally visible state.
+    The deliberate absence of every unicast collective *is* the model: per
+    round, a node contributes one word of globally visible state.  Its one
+    primitive, :meth:`broadcast_rows`, is the full model's, billed by the
+    same rule on this clique's meter.
     """
 
     def __init__(self, n: int, *, word_bits: int | None = None) -> None:
-        if n < 2:
-            raise CliqueModelError(f"a clique needs >= 2 nodes, got {n}")
+        self._clique = CongestedClique(n, word_bits=word_bits)
         self.n = n
-        self.word_bits = word_bits if word_bits is not None else default_word_bits(n)
-        self.meter = CostMeter()
+        self.word_bits = self._clique.word_bits
+        self.meter = self._clique.meter
 
     @property
     def rounds(self) -> int:
         return self.meter.rounds
 
-    def broadcast(
+    def broadcast_rows(
         self,
-        payloads: Sequence[Any],
+        rows: np.ndarray,
         *,
-        words: int | Sequence[int] = 1,
+        widths: Sequence[int] | None = None,
         phase: str = "broadcast",
-    ) -> list[list[Any]]:
-        """Every node announces its payload; rounds = max payload width."""
-        n = self.n
-        if len(payloads) != n:
-            raise CliqueModelError(f"expected {n} payloads, got {len(payloads)}")
-        widths = [words] * n if isinstance(words, int) else list(words)
-        if len(widths) != n or any(w < 0 for w in widths):
-            raise CliqueModelError("invalid broadcast widths")
-        rounds = max(widths, default=0)
-        self.meter.charge(
-            PhaseCost(
-                phase=phase,
-                primitive="broadcast",
-                rounds=rounds,
-                words=sum(w * (n - 1) for w in widths),
-                payloads=n,
-                max_send_words=max((w * (n - 1) for w in widths), default=0),
-                max_recv_words=sum(widths) - min(widths, default=0),
-            )
-        )
-        shared = list(payloads)
-        return [shared[:] for _ in range(n)]
+    ) -> np.ndarray:
+        """Node ``v`` announces ``rows[v]``; rounds = the widest row.
+
+        See :meth:`repro.clique.model.CongestedClique.broadcast_rows`.
+        """
+        return self._clique.broadcast_rows(rows, widths=widths, phase=phase)
 
 
 def broadcast_clique_matmul(
@@ -82,10 +66,10 @@ def broadcast_clique_matmul(
 ) -> np.ndarray:
     """Matrix multiplication in the broadcast model: ``Theta(n)`` rounds.
 
-    Each node broadcasts its row of both operands (any algorithm must make
-    the inputs' information globally available through the single shared
-    word per node per round, which is why ``Omega~(n)`` is forced --
-    Corollary 24); the product is then local.
+    Each node broadcasts its row ``[S | T]`` of both operands (any
+    algorithm must make the inputs' information globally available through
+    the single shared word per node per round, which is why ``Omega~(n)``
+    is forced -- Corollary 24); the product is then local.
     """
     n = clique.n
     s = np.asarray(s, dtype=np.int64)
@@ -97,14 +81,11 @@ def broadcast_clique_matmul(
         + words_for_array(t[v], clique.word_bits)
         for v in range(n)
     ]
-    received = clique.broadcast(
-        [(s[v], t[v]) for v in range(n)], words=widths, phase=f"{phase}/replicate"
+    received = clique.broadcast_rows(
+        np.concatenate([s, t], axis=1), widths=widths, phase=f"{phase}/replicate"
     )
-    product = semiring.zeros((n, n))
-    for v in range(n):
-        t_full = np.vstack([row_t for (_row_s, row_t) in received[v]])
-        product[v] = semiring.matmul(s[v : v + 1, :], t_full)[0]
-    return product
+    # Node v multiplies its own row of S by the T it has now learnt.
+    return semiring.matmul(s, received[:, n:])
 
 
 def broadcast_matmul_round_floor(n: int) -> int:

@@ -7,9 +7,9 @@ bit word per ordered node pair per round).  The paper's algorithms, and the
 Dolev et al. baselines, move data only by broadcasts, direct sends and
 Lenzen-routed exchanges [46]; those are:
 
-* :meth:`CongestedClique.broadcast` -- every node sends the same object
-  payload to all others; ``w`` words cost ``max(w)`` rounds.  Its
-  fixed-width integer twin is :meth:`CongestedClique.broadcast_rows`.
+* :meth:`CongestedClique.broadcast_rows` -- node ``v`` sends row ``v`` of
+  an int64 array to all others; ``w`` words per node cost ``max(w)``
+  rounds.
 * :meth:`CongestedClique.route_array` -- Lenzen-routed exchange of int64
   pieces; costs ``2 * ceil(L / n)`` rounds for maximum per-node load ``L``
   (the test suite certifies every such charge against an explicit relay
@@ -28,9 +28,14 @@ Lenzen-routed exchanges [46]; those are:
   primitive of Dolev et al. [24]: replicate ``R`` fixed-width records to
   all nodes in ``O(R / n)`` rounds.
 
-Every exchange but :meth:`~CongestedClique.broadcast` moves whole ``int64``
-arrays with vectorised load accounting.  Words are integers in this model,
-so a non-empty piece, destination, width or tag array whose dtype does not
+Every exchange moves whole ``int64`` arrays with vectorised load
+accounting, and is charged and delivered through one of two seams:
+``_deliver_batch`` (routed and direct exchanges, transposes included) or
+``_deliver_broadcast`` (row broadcasts and both broadcast phases of an
+allgather).  Here each seam charges the bill and returns the pieces as
+sent; the fault layer (:mod:`repro.faults`) overrides exactly these two,
+so no exchange bypasses it.  Words are integers in this model, so a
+non-empty piece, destination, width or tag array whose dtype does not
 cast safely to ``int64`` (floats, NaN, objects) is refused with
 :class:`~repro.errors.CliqueModelError` instead of being floored or
 wrapped on the way in.
@@ -44,7 +49,9 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Any, Sequence
+from dataclasses import replace
+from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -58,6 +65,7 @@ from repro.clique.accounting import (
 from repro.clique.executor import SERIAL_EXECUTOR, LocalExecutor
 from repro.clique.messages import block_widths, default_word_bits
 from repro.clique.routing import (
+    ArrayBatch,
     ArrayInbox,
     FlatInboxes,
     analyze_array,
@@ -112,6 +120,40 @@ def _word_count(value, what: str) -> int:
     if count < 1:
         raise CliqueModelError(f"{what} must be at least 1, got {count}")
     return count
+
+
+@lru_cache(maxsize=8)
+def _transpose_ends(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only sources and destinations of a transpose's ``n * n`` pieces.
+
+    Piece ``v * n + u`` travels ``v -> u``; the pattern depends on ``n``
+    alone, so repeated transposes share one copy.
+    """
+    nodes = np.arange(n, dtype=np.int64)
+    src, dst = np.repeat(nodes, n), np.tile(nodes, n)
+    src.flags.writeable = dst.flags.writeable = False
+    return src, dst
+
+
+def _broadcast_widths(widths, n: int) -> np.ndarray:
+    """``widths`` as ``n`` non-negative int64 word counts, one per node.
+
+    Anything else -- a scalar, a vector of the wrong length, a fractional,
+    float or object entry, a negative count -- has no honest broadcast
+    bill, so it is refused with the whole vector named before anything is
+    charged.
+    """
+    vec = np.asarray(widths)
+    if (
+        vec.shape != (n,)
+        or not np.can_cast(vec.dtype, np.int64, "safe")
+        or bool((vec < 0).any())
+    ):
+        raise CliqueModelError(
+            f"broadcast widths must be {n} non-negative integer word counts, "
+            f"one per node; got {widths!r}"
+        )
+    return vec.astype(np.int64)
 
 
 class CongestedClique:
@@ -180,51 +222,56 @@ class CongestedClique:
         return model
 
     # ------------------------------------------------------------------ #
-    # Primitives
+    # Delivery seams
     # ------------------------------------------------------------------ #
+    #
+    # Every exchange, once validated and priced, is charged and delivered
+    # by one of these two methods.  Here they charge the bill and return
+    # the pieces as sent -- same array, no copy -- so a plain run's values
+    # and meters are exactly those of the closed forms.  The fault layer
+    # (repro.faults) overrides both: FaultyClique corrupts the pieces after
+    # the charge, CodedClique ships them Reed-Solomon striped.
 
-    def broadcast(
-        self,
-        payloads: Sequence[Any],
-        *,
-        words: int | Sequence[int] = 1,
-        phase: str = "broadcast",
-    ) -> list[list[Any]]:
-        """Every node sends its payload to all other nodes.
+    def _deliver_batch(
+        self, batch: ArrayBatch, cost: PhaseCost, traffic: PhaseTraffic | None
+    ) -> np.ndarray:
+        """Charge one routed or direct batch; return the blocks delivered.
 
-        Args:
-            payloads: ``payloads[v]`` is the object node ``v`` broadcasts.
-            words: width of each node's payload in words (scalar or per-node).
-            phase: label for the cost meter.
-
-        Returns:
-            ``received`` with ``received[u][v] = payloads[v]`` for every pair.
-            Payload objects are shared, not copied; receivers must not mutate
-            them (standard simulator discipline).
+        ``cost`` is the batch's fault-free bill and ``traffic`` its routing
+        record (``None`` unless an observer wants one).  Row ``i`` of the
+        result is what node ``batch.dst[i]`` receives for piece ``i``.
         """
-        n = self.n
-        if len(payloads) != n:
-            raise CliqueModelError(f"expected {n} payloads, got {len(payloads)}")
-        if isinstance(words, int):
-            widths = [words] * n
-        else:
-            widths = list(words)
-            if len(widths) != n:
-                raise CliqueModelError("per-node word widths must have length n")
-        if any(w < 0 for w in widths):
-            raise CliqueModelError("negative broadcast width")
-        self._charge_broadcast(widths, phase)
-        shared = list(payloads)
-        return [shared[:] for _ in range(n)]
+        self.meters.charge(cost, traffic)
+        return batch.blocks
+
+    def _deliver_broadcast(
+        self,
+        pieces: np.ndarray,
+        owners: np.ndarray,
+        widths: np.ndarray,
+        phase: str,
+    ) -> np.ndarray:
+        """Charge one broadcast; return the pieces every node receives.
+
+        Node ``owners[i]`` broadcasts piece ``pieces[i]``, billed
+        ``widths[i]`` words; the bill follows each node's total width.
+        One shared replica stands for every receiver's copy.
+        """
+        node_widths = self._node_widths(owners, widths)
+        self.meters.charge(
+            self._broadcast_cost(node_widths, phase),
+            self._broadcast_traffic(node_widths),
+        )
+        return pieces
+
+    def _node_widths(self, owners: np.ndarray, widths: np.ndarray) -> list[int]:
+        """Per-node broadcast widths: the words of the pieces each node owns."""
+        per_node = np.zeros(self.n, dtype=np.int64)
+        np.add.at(per_node, owners, widths)
+        return per_node.tolist()
 
     def _broadcast_cost(self, widths: list[int], phase: str) -> PhaseCost:
-        """The :class:`PhaseCost` of one all-to-all broadcast (not charged).
-
-        Shared by :meth:`broadcast` and :meth:`broadcast_rows` so both
-        charge bit-identical costs for identical widths; exposed separately
-        from :meth:`_charge_broadcast` so the encoded collectives
-        (:mod:`repro.faults`) can account the same exchange on two meters.
-        """
+        """The :class:`PhaseCost` of one all-to-all broadcast (not charged)."""
         n = self.n
         return PhaseCost(
             phase=phase,
@@ -234,12 +281,6 @@ class CongestedClique:
             payloads=n,
             max_send_words=max(w * (n - 1) for w in widths),
             max_recv_words=sum(widths) - min(widths),
-        )
-
-    def _charge_broadcast(self, widths: list[int], phase: str) -> None:
-        """Meter one all-to-all broadcast of per-node ``widths`` words."""
-        self.meters.charge(
-            self._broadcast_cost(widths, phase), self._broadcast_traffic(widths)
         )
 
     # ------------------------------------------------------------------ #
@@ -298,48 +339,29 @@ class CongestedClique:
 
         Args:
             rows: ``(n, ...)`` int64 array; node ``v`` owns slice ``rows[v]``.
-            widths: per-node word widths; defaults to the honest per-row
+            widths: per-node word widths, a length-``n`` vector of
+                non-negative integers; defaults to the honest per-row
                 width (``row.size * words_for_value(max_abs(row))``),
                 what :func:`~repro.clique.messages.words_for_array` charges
                 per row.
 
         Returns:
-            The full ``rows`` array -- every node's (shared) replica.  As
-            with :meth:`broadcast`, receivers must not mutate it.
+            The delivered ``(n, ...)`` rows -- one shared replica standing
+            for every node's copy; receivers must not mutate it.
         """
         _refuse_non_integer(rows, "broadcast rows")
-        if widths is not None:
-            # One scalar per node: checked as a single vector.
-            _refuse_non_integer(np.asarray(widths), "broadcast widths")
         rows = np.ascontiguousarray(np.asarray(rows, dtype=np.int64))
         if rows.shape[0] != self.n:
             raise CliqueModelError(
                 f"expected {self.n} broadcast rows, got {rows.shape[0]}"
             )
         if widths is None:
-            width_list = [
-                int(w) for w in block_widths(rows.reshape(self.n, -1), self.word_bits)
-            ]
+            width_vec = block_widths(rows.reshape(self.n, -1), self.word_bits)
         else:
-            width_list = [int(w) for w in widths]
-            if len(width_list) != self.n:
-                raise CliqueModelError("per-node word widths must have length n")
-            if any(w < 0 for w in width_list):
-                raise CliqueModelError("negative broadcast width")
-        return self._deliver_broadcast_rows(rows, width_list, phase)
-
-    def _deliver_broadcast_rows(
-        self, rows: np.ndarray, width_list: list[int], phase: str
-    ) -> np.ndarray:
-        """Charge and deliver one validated row broadcast (override seam).
-
-        The fault-free model charges the honest widths and hands back the
-        shared replica through the (identity) :meth:`_tamper_broadcast`
-        seam; the coded collectives override this to run the Reed-Solomon
-        striped variant with the same validated inputs.
-        """
-        self._charge_broadcast(width_list, phase)
-        return self._tamper_broadcast(rows, phase)
+            width_vec = _broadcast_widths(widths, self.n)
+        return self._deliver_broadcast(
+            rows, np.arange(self.n, dtype=np.int64), width_vec, phase
+        )
 
     def route_array(
         self,
@@ -385,8 +407,12 @@ class CongestedClique:
             :class:`~repro.clique.routing.FlatInboxes` when ``flat`` is set.
         """
         batch = self._flatten_checked(dests, blocks, widths, tags)
-        self._charge_routed_batch(batch, phase, expect_max_load)
-        batch = self._tamper_batch(batch, phase)
+        delivered = self._deliver_batch(
+            batch,
+            self._routed_batch_cost(batch, phase, expect_max_load),
+            self._batch_traffic(batch, "route", relayed=True),
+        )
+        batch = replace(batch, blocks=delivered)
         return deliver_array_flat(batch) if flat else deliver_array(batch)
 
     def route_array_take(
@@ -439,9 +465,12 @@ class CongestedClique:
                 "route_array_take: gather reads pieces addressed to another "
                 "node (take/owners disagree with the batch destinations)"
             )
-        self._charge_routed_batch(batch, phase, expect_max_load)
-        batch = self._tamper_batch(batch, phase)
-        return np.take(batch.blocks, take, axis=0, out=out)
+        delivered = self._deliver_batch(
+            batch,
+            self._routed_batch_cost(batch, phase, expect_max_load),
+            self._batch_traffic(batch, "route", relayed=True),
+        )
+        return np.take(delivered, take, axis=0, out=out)
 
     def _flatten_checked(
         self,
@@ -470,12 +499,7 @@ class CongestedClique:
     def _routed_batch_cost(
         self, batch, phase: str, expect_max_load: int | None
     ) -> PhaseCost:
-        """The :class:`PhaseCost` of one routed array batch (not charged).
-
-        Shared by both delivery styles; exposed separately from
-        :meth:`_charge_routed_batch` so the encoded collectives can account
-        the same exchange on two meters.
-        """
+        """The :class:`PhaseCost` of one routed array batch (not charged)."""
         profile = analyze_array(batch)
         enforce_load_bound(profile, expect_max_load)
         return PhaseCost(
@@ -487,35 +511,6 @@ class CongestedClique:
             max_send_words=profile.max_send,
             max_recv_words=profile.max_recv,
         )
-
-    def _charge_routed_batch(
-        self, batch, phase: str, expect_max_load: int | None
-    ) -> None:
-        """Meter one routed array batch (shared by both delivery styles)."""
-        self.meters.charge(
-            self._routed_batch_cost(batch, phase, expect_max_load),
-            self._batch_traffic(batch, "route", relayed=True),
-        )
-
-    # ------------------------------------------------------------------ #
-    # Delivery-interception seams (identity in the fault-free model)
-    # ------------------------------------------------------------------ #
-    #
-    # Every array-collective delivery funnels through one of these two
-    # hooks *after* its cost is charged.  The base class returns its input
-    # unchanged -- same objects, zero copies -- so the fault-free charge
-    # path and delivered contents are bit-identical with or without the
-    # seams (pinned by the equivalence suite).  The fault-injection layer
-    # (:class:`repro.faults.FaultyClique`) overrides them to corrupt
-    # in-transit pieces according to a seeded plan.
-
-    def _tamper_batch(self, batch, phase: str):
-        """Intercept one flattened routed/direct batch before delivery."""
-        return batch
-
-    def _tamper_broadcast(self, rows: np.ndarray, phase: str) -> np.ndarray:
-        """Intercept one broadcast row/record stack before delivery."""
-        return rows
 
     def send_array(
         self,
@@ -541,12 +536,12 @@ class CongestedClique:
                 :class:`~repro.errors.LoadBoundExceededError`.
         """
         batch = self._flatten_checked(dests, blocks, widths, tags)
-        self.meters.charge(
+        delivered = self._deliver_batch(
+            batch,
             self._direct_batch_cost(batch, phase, expect_max_pair),
             self._batch_traffic(batch, "send", relayed=False),
         )
-        batch = self._tamper_batch(batch, phase)
-        return deliver_array(batch)
+        return deliver_array(replace(batch, blocks=delivered))
 
     def _direct_batch_cost(
         self, batch, phase: str, expect_max_pair: int | None
@@ -718,7 +713,13 @@ class CongestedClique:
             )
         record_width = rows[0].shape[1]
         counts = [int(r.shape[0]) for r in rows]
-        self.broadcast(counts, words=1, phase=f"{phase}/counts")
+        everyone = np.arange(n, dtype=np.int64)
+        self._deliver_broadcast(
+            np.asarray(counts, dtype=np.int64),
+            everyone,
+            np.ones(n, dtype=np.int64),
+            f"{phase}/counts",
+        )
         total = sum(counts)
         if total == 0:
             return np.zeros((0, record_width), dtype=np.int64)
@@ -735,30 +736,14 @@ class CongestedClique:
             dests, rows, widths=widths, phase=f"{phase}/balance"
         )
         held = [inboxes[v].blocks for v in range(n)]
-        per_holder = math.ceil(total / n)
-        bcast_widths = [
-            min(h.shape[0], per_holder) * words_per_record for h in held
-        ]
-        if any(h.shape[0] > per_holder for h in held):
+        if any(h.shape[0] > math.ceil(total / n) for h in held):
             raise AssertionError("round-robin placement exceeded ceil(R/n)")
-        return self._broadcast_held(held, bcast_widths, f"{phase}/broadcast")
-
-    def _broadcast_held(
-        self,
-        held: list[np.ndarray],
-        bcast_widths: list[int],
-        phase: str,
-    ) -> np.ndarray:
-        """Charge and deliver the holders' broadcast of an allgather.
-
-        The override seam for the final phase of :meth:`allgather_rows`:
-        the fault-free model charges the per-holder widths and concatenates
-        the held records (through the identity :meth:`_tamper_broadcast`);
-        the coded collectives override it with the Reed-Solomon striped
-        variant.
-        """
-        self._charge_broadcast(bcast_widths, phase)
-        return self._tamper_broadcast(np.concatenate(held, axis=0), phase)
+        return self._deliver_broadcast(
+            np.concatenate(held, axis=0),
+            np.repeat(everyone, [h.shape[0] for h in held]),
+            np.full(total, words_per_record, dtype=np.int64),
+            f"{phase}/broadcast",
+        )
 
     def transpose_array(
         self,
@@ -780,30 +765,32 @@ class CongestedClique:
         n = self.n
         if matrix.shape != (n, n):
             raise CliqueModelError("transpose_array expects an n x n matrix")
-        traffic = None
-        if self.meters.wants_traffic:
-            u, v = np.divmod(np.arange(n * n, dtype=np.int64), n)
-            off = u != v
-            traffic = PhaseTraffic(
-                n=n,
-                kind="send",
-                src=u[off],
-                dst=v[off],
-                widths=np.full(n * (n - 1), words_per_entry, dtype=np.int64),
-            )
-        self.meters.charge(
-            PhaseCost(
-                phase=phase,
-                primitive="send",
-                rounds=words_per_entry,
-                words=words_per_entry * n * (n - 1),
-                payloads=n * n,
-                max_send_words=(n - 1) * words_per_entry,
-                max_recv_words=(n - 1) * words_per_entry,
-            ),
-            traffic,
+        # n * n one-entry pieces; the diagonal stays home as free self
+        # pieces, so each ordered pair carries exactly one entry and the
+        # bill is the closed form below.
+        src, dst = _transpose_ends(n)
+        batch = ArrayBatch(
+            n=n,
+            src=src,
+            dst=dst,
+            widths=np.broadcast_to(np.int64(words_per_entry), (n * n,)),
+            blocks=matrix.reshape(n * n, 1),
+            tags=None,
         )
-        return matrix.T.copy()
+        cost = PhaseCost(
+            phase=phase,
+            primitive="send",
+            rounds=words_per_entry,
+            words=words_per_entry * n * (n - 1),
+            payloads=n * n,
+            max_send_words=(n - 1) * words_per_entry,
+            max_recv_words=(n - 1) * words_per_entry,
+        )
+        delivered = self._deliver_batch(
+            batch, cost, self._batch_traffic(batch, "send", relayed=False)
+        )
+        # Piece v * n + u travelled v -> u: receiver u's row is column u.
+        return delivered.reshape(n, n).T.copy()
 
     # ------------------------------------------------------------------ #
     # Helpers

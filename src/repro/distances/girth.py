@@ -34,6 +34,7 @@ from repro.algebra.semirings import BOOLEAN
 from repro.clique.model import CongestedClique
 from repro.constants import INF, RHO_IMPLEMENTED
 from repro.engine import EngineSession
+from repro.errors import CliqueModelError
 from repro.graphs.graphs import Graph
 from repro.graphs.reference import girth_reference
 from repro.runtime import (
@@ -85,8 +86,10 @@ def girth_undirected(
 
     # Every node announces its degree; the edge count is then global info.
     degrees = [int(graph.adjacency[v].sum()) if v < n else 0 for v in range(clique.n)]
-    received = clique.broadcast(degrees, words=1, phase="girth/degrees")
-    m = sum(received[0]) // 2
+    received = clique.broadcast_rows(
+        degrees, widths=[1] * clique.n, phase="girth/degrees"
+    )
+    m = sum(received.tolist()) // 2
 
     if m <= edge_threshold(n, cutoff):
         value = _learn_graph_and_solve(clique, graph)
@@ -151,6 +154,14 @@ def _learn_graph_and_solve(clique: CongestedClique, graph: Graph) -> int:
     all_edges = clique.allgather_rows(
         records, words_per_record=1, phase="girth/learn-graph"
     )
+    # An edge record is a node pair u < v; one a fault layer corrupted
+    # must not reach the local graph build.
+    u, v = all_edges[:, 0], all_edges[:, 1]
+    if not np.all((0 <= u) & (u < v) & (v < graph.n)):
+        raise CliqueModelError(
+            f"phase girth/learn-graph delivered an edge record outside "
+            f"0 <= u < v < {graph.n}"
+        )
     local = Graph.from_edges(graph.n, all_edges)
     return girth_reference(local)
 

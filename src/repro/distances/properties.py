@@ -34,8 +34,8 @@ def _fold_eccentricities(
             ecc.append(int(finite.max()) if finite.size else 0)
         else:
             ecc.append(-1)  # padded nodes abstain
-    received = clique.broadcast(ecc, words=1, phase=phase)
-    real = [received[0][v] for v in range(n)]
+    received = clique.broadcast_rows(ecc, widths=[1] * clique.n, phase=phase)
+    real = received[:n].tolist()
     diameter = max(real) if real else 0
     radius = min(real) if real else 0
     return np.array(real, dtype=np.int64), diameter, radius

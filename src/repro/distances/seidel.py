@@ -26,10 +26,12 @@ from repro.algebra.semirings import BOOLEAN, PLUS_TIMES
 from repro.clique.model import CongestedClique
 from repro.constants import INF
 from repro.engine import EngineSession
+from repro.errors import CliqueModelError
 from repro.graphs.graphs import Graph
 from repro.runtime import (
     RunResult,
     make_clique,
+    or_broadcast,
     pad_matrix,
 )
 
@@ -81,15 +83,21 @@ def _seidel(
     # Termination test G == G^2 is a local row check plus a one-bit AND
     # (implemented as OR of the negations).
     local_diff = [bool(np.any(a2[v] != a[v])) for v in range(n)]
-    received = clique.broadcast(
-        [1 if b else 0 for b in local_diff], words=1, phase=f"seidel/L{level}/stable"
-    )
-    changed = any(received[0])
-    if not changed:
+    if not or_broadcast(clique, local_diff, phase=f"seidel/L{level}/stable"):
         # G is a union of cliques: distance 1 along edges, INF across.
         dist = np.where(a == 1, 1, INF).astype(np.int64)
         np.fill_diagonal(dist, 0)
         return dist
+    # Each level halves every distance, so G^(2^L) is stable once 2^L
+    # reaches the diameter (< n): a change reported at level ceil(log2 n)
+    # can only be a corrupted stable bit.
+    depth_bound = (n - 1).bit_length()
+    if level >= depth_bound:
+        raise CliqueModelError(
+            f"phase seidel/L{level}/stable reported a change at level "
+            f"ceil(log2 {n}) = {depth_bound}, where every graph on {n} nodes "
+            f"is stable"
+        )
 
     dist2 = _seidel(clique, a2, sessions, depth_box, level + 1)
 
@@ -100,11 +108,9 @@ def _seidel(
     s = int_session.multiply(
         d_for_product, a, phase=f"seidel/L{level}/parity"
     )
-    degrees = a.sum(axis=1)
-    received = clique.broadcast(
-        [int(x) for x in degrees], words=1, phase=f"seidel/L{level}/degrees"
+    deg_row = clique.broadcast_rows(
+        a.sum(axis=1), widths=[1] * n, phase=f"seidel/L{level}/degrees"
     )
-    deg_row = np.array(received[0], dtype=np.int64)
 
     # Arithmetic on the masked copy avoids overflowing the INF sentinel.
     parity = (s < d_for_product * deg_row[None, :]).astype(np.int64)

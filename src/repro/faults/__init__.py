@@ -8,8 +8,9 @@ fault model"):
   persistent Byzantine nodes, corrupting up to ``t`` relay nodes per
   exchange.
 * :mod:`repro.faults.injection` -- :class:`FaultyClique`, a pure
-  interception wrapper over the array collectives (bit-identical charges
-  and contents when no plan is installed).
+  interception wrapper over every exchange, through the model's two
+  delivery seams (bit-identical charges, and contents when no plan is
+  installed).
 * :mod:`repro.faults.coding` -- systematic Reed-Solomon striping over
   GF(2^16): pure-numpy encode, vectorised syndrome certification, erasure
   and error decoding.

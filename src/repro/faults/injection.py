@@ -1,12 +1,12 @@
 """Fault injection over the array collectives.
 
 :func:`corrupt_pieces` applies a :class:`~repro.faults.plan.FaultPlan` to
-the in-transit pieces of one exchange; :class:`FaultyClique` wires it into
-the delivery-interception seams of
-:class:`~repro.clique.model.CongestedClique` (``_tamper_batch`` /
-``_tamper_broadcast``).  The wrapper is *pure interception*: it never
-touches the charge path, so with no plan installed (or ``t = 0``) rounds,
-words, and delivered contents are bit-identical to the base model -- the
+the in-transit pieces of one exchange; :class:`FaultyClique` applies it in
+the two delivery seams of :class:`~repro.clique.model.CongestedClique`
+(``_deliver_batch`` and ``_deliver_broadcast``), which every exchange
+passes through.  The wrapper corrupts only after the base seam has
+charged, so rounds and words are those of the base model, and with no
+plan installed (or ``t = 0``) so are the delivered contents -- the
 equivalence the fault suite pins.
 
 Relay attribution: piece ``i``'s copy ``j`` transits the intermediate node
@@ -19,8 +19,6 @@ coded layer exists to close.)
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 import numpy as np
 
@@ -109,9 +107,10 @@ def corrupt_pieces(
 class FaultyClique(CongestedClique):
     """A congested clique whose array-collective deliveries may be corrupted.
 
-    Overrides only the delivery-interception seams: the charge path, round
-    counts, and (when ``plan`` is None or ``t = 0``) delivered contents are
-    bit-identical to :class:`~repro.clique.model.CongestedClique`.  This is
+    Overrides only the two delivery seams, corrupting what they deliver
+    after the base model has charged: round counts, and (when ``plan`` is
+    None or ``t = 0``) delivered contents, are bit-identical to
+    :class:`~repro.clique.model.CongestedClique`.  This is
     the *unprotected* wrapper -- corruption flows straight into the
     computation, demonstrating the silent-wrong-answer failure mode the
     coded layer (:class:`~repro.faults.protocol.CodedClique`) closes.
@@ -140,31 +139,26 @@ class FaultyClique(CongestedClique):
         self._exchange_index += 1
         return index
 
-    def _tamper_batch(self, batch, phase: str):
+    def _corrupt(
+        self, pieces: np.ndarray, skip: np.ndarray | None = None
+    ) -> np.ndarray:
+        """``pieces`` after one exchange's worth of the plan's corruption."""
         if self.plan is None or self.plan.t == 0:
-            return batch
-        exchange_id = self._next_exchange()
+            return pieces
         tampered, hit, _dropped = corrupt_pieces(
-            self.plan,
-            exchange_id,
-            self.n,
-            batch.blocks,
-            skip=batch.dst == batch.src,
+            self.plan, self._next_exchange(), self.n, pieces, skip=skip
         )
         self.faults_injected += int(hit.sum())
-        if not hit.any():
-            return batch
-        return replace(batch, blocks=tampered)
+        return tampered
 
-    def _tamper_broadcast(self, rows: np.ndarray, phase: str) -> np.ndarray:
-        if self.plan is None or self.plan.t == 0:
-            return rows
-        exchange_id = self._next_exchange()
-        tampered, hit, _dropped = corrupt_pieces(
-            self.plan, exchange_id, self.n, rows
+    def _deliver_batch(self, batch, cost, traffic):
+        blocks = super()._deliver_batch(batch, cost, traffic)
+        return self._corrupt(blocks, skip=batch.dst == batch.src)
+
+    def _deliver_broadcast(self, pieces, owners, widths, phase):
+        return self._corrupt(
+            super()._deliver_broadcast(pieces, owners, widths, phase)
         )
-        self.faults_injected += int(hit.sum())
-        return tampered if hit.any() else rows
 
 
 __all__ = ["FaultyClique", "corrupt_pieces", "flip_masks"]

@@ -1,8 +1,10 @@
 """Reed-Solomon coded collectives: detect, retry, degrade.
 
-:class:`CodedClique` re-implements the array collectives of
-:class:`~repro.clique.model.CongestedClique` over systematic Reed-Solomon
-striping in GF(2^16) (:mod:`repro.faults.coding`): each piece is cut into
+:class:`CodedClique` ships every exchange of
+:class:`~repro.clique.model.CongestedClique` -- it overrides the model's two
+delivery seams, ``_deliver_batch`` and ``_deliver_broadcast`` -- over
+systematic Reed-Solomon striping in GF(2^16) (:mod:`repro.faults.coding`):
+each piece is cut into
 ``k`` data stripes plus ``2T`` parity stripes, and the ``m = k + 2T``
 stripes travel through pairwise-distinct relays
 (:func:`repro.clique.scheduling.disjoint_relays`), so the round overhead
@@ -23,28 +25,24 @@ tends to ``n / (n - 2T)``.  The protocol per exchange:
    silent wrong answers, ever*: a coded closure either equals the
    fault-free oracle edge-for-edge or raises.
 
-Meter separation rides the meter stack
-(:class:`~repro.clique.accounting.MeterStack`): ``clique.meter`` (observer
-#0) bills what the coded run actually spends, and
-``clique.abstract_meter`` is a plain second observer billing what the same
-workload costs on a fault-free clique.  Primitives that are not encoded
-fan out to both automatically; an encoded exchange *mutes* the abstract
-observer, charges it the fault-free cost by hand, and ships the redundant
-exchange through the stack -- so the abstract bill stays phase-for-phase
+Two meters keep the bills apart.  ``clique.meter`` (observer #0 of the
+meter stack) bills what the coded run actually spends: the encoded
+exchanges go through the stack, so transport cost models observe what
+actually hits the wire.  ``clique.abstract_meter`` is a plain
+:class:`~repro.clique.accounting.CostMeter` off the stack, charged by hand
+with each exchange's fault-free bill, so it stays phase-for-phase
 identical to the oracle's meter (the overhead factor is the ratio of the
-two round totals) while transport cost models observe the encoded
-exchanges that actually hit the wire.
+two round totals).
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Callable
 
 import numpy as np
 
 from repro.clique.accounting import CostMeter, PhaseCost, PhaseTraffic
-from repro.clique.routing import ArrayBatch, deliver_array, deliver_array_flat
+from repro.clique.routing import ArrayBatch
 from repro.clique.scheduling import disjoint_relays
 from repro.errors import CliqueModelError, FaultToleranceExceeded
 from repro.faults.coding import (
@@ -114,13 +112,9 @@ class CodedClique(FaultyClique):
             )
         self.tolerance = tolerance
         self.max_retries = max_retries
-        # Second observer on the meter stack: primitives that are not
-        # encoded (object broadcasts, transposes, ...) cost the same with
-        # or without faults and fan out to both meters automatically; the
-        # encoded exchanges mute this observer and bill it the fault-free
-        # cost by hand (see _run_encoded).
+        # Off the meter stack: every exchange is encoded, and each bills
+        # its fault-free cost here by hand (see _run_encoded).
         self.abstract_meter = CostMeter()
-        self.meters.add_observer(self.abstract_meter)
         self.retries = 0
         self.decode_failures = 0
 
@@ -156,7 +150,6 @@ class CodedClique(FaultyClique):
         skip: np.ndarray | None,
         abstract_cost: PhaseCost,
         ship_costs: Callable[[int], list[tuple[PhaseCost, "PhaseTraffic | None"]]],
-        phase: str,
     ) -> np.ndarray:
         """Run one coded exchange end to end; return the decoded pieces.
 
@@ -164,47 +157,47 @@ class CodedClique(FaultyClique):
         ``(P * m, S)`` encoding under ``plan``.  ``ship_costs(exchange_id)``
         yields ``(cost, traffic)`` charges of one shipping attempt (relay
         assignment, and hence broadcast balance, depends on the exchange
-        id); they go through the meter stack with the abstract observer
-        muted, so the actual meter *and* any transport cost model see the
-        encoded exchange while the abstract meter is billed the fault-free
-        cost by hand.
+        id); they go through the meter stack, so the actual meter *and*
+        any transport cost model see the encoded exchange, while the
+        abstract meter is billed the fault-free cost by hand.
         """
         p = pieces.shape[0]
-        with self.meters.muted(self.abstract_meter):
-            self.abstract_meter.charge(abstract_cost)
-            for attempt in range(self.max_retries + 1):
-                exchange_id = self._next_exchange()
-                for cost, traffic in ship_costs(exchange_id):
-                    self.meters.charge(cost, traffic)
-                if self.plan is None or self.plan.t == 0:
-                    return pieces
-                tampered, hit, dropped = corrupt_pieces(
-                    self.plan,
-                    exchange_id,
-                    self.n,
-                    stripes,
-                    copies=plan.m,
-                    skip=skip,
-                )
-                self.faults_injected += int(hit.sum())
-                data, ok = decode_stripes(tampered, dropped, plan)
-                if bool(ok.all()):
-                    return data[:, : plan.width].reshape(pieces.shape)
-                if attempt < self.max_retries:
-                    self.retries += 1
-            self.decode_failures += 1
-            raise FaultToleranceExceeded(
-                f"phase {phase!r}: {int((~ok).sum())} of {p} pieces failed to "
-                f"pass Reed-Solomon certification ({2 * self.tolerance} "
-                f"parity stripes) after "
-                f"{self.max_retries + 1} attempts (tolerance {self.tolerance}, "
-                f"fault kind {self.plan.kind.value!r}, budget t={self.plan.t})"
+        self.abstract_meter.charge(abstract_cost)
+        for attempt in range(self.max_retries + 1):
+            exchange_id = self._next_exchange()
+            for cost, traffic in ship_costs(exchange_id):
+                self.meters.charge(cost, traffic)
+            if self.plan is None or self.plan.t == 0:
+                return pieces
+            tampered, hit, dropped = corrupt_pieces(
+                self.plan,
+                exchange_id,
+                self.n,
+                stripes,
+                copies=plan.m,
+                skip=skip,
             )
+            self.faults_injected += int(hit.sum())
+            data, ok = decode_stripes(tampered, dropped, plan)
+            if bool(ok.all()):
+                return data[:, : plan.width].reshape(pieces.shape)
+            if attempt < self.max_retries:
+                self.retries += 1
+        self.decode_failures += 1
+        raise FaultToleranceExceeded(
+            f"phase {abstract_cost.phase!r}: {int((~ok).sum())} of {p} pieces "
+            f"failed to pass Reed-Solomon certification ({2 * self.tolerance} "
+            f"parity stripes) after "
+            f"{self.max_retries + 1} attempts (tolerance {self.tolerance}, "
+            f"fault kind {self.plan.kind.value!r}, budget t={self.plan.t})"
+        )
 
-    def _encoded_routed(
-        self, batch: ArrayBatch, abstract_cost: PhaseCost, phase: str
-    ) -> np.ndarray:
-        """Coded variant of one routed/direct batch; returns decoded blocks.
+    # ------------------------------------------------------------------ #
+    # The two delivery seams, coded
+    # ------------------------------------------------------------------ #
+
+    def _deliver_batch(self, batch, cost, traffic):
+        """Ship one routed or direct batch striped; return the decoded blocks.
 
         The coded exchange is charged as a *routed* exchange even when
         the abstract one is direct: relaying through distinct intermediates
@@ -220,7 +213,7 @@ class CodedClique(FaultyClique):
             blocks=stripes,
             tags=None,
         )
-        enc_cost = self._routed_batch_cost(enc_batch, f"{phase}/encoded", None)
+        enc_cost = self._routed_batch_cost(enc_batch, f"{cost.phase}/encoded", None)
         enc_traffic = self._batch_traffic(enc_batch, "route", relayed=True)
         skip = np.repeat(batch.dst == batch.src, plan.m)
         return self._run_encoded(
@@ -228,20 +221,12 @@ class CodedClique(FaultyClique):
             plan,
             stripes,
             skip,
-            abstract_cost,
+            cost,
             lambda _exchange_id: [(enc_cost, enc_traffic)],
-            phase,
         )
 
-    def _encoded_broadcast(
-        self,
-        pieces: np.ndarray,
-        owners: np.ndarray,
-        piece_widths: np.ndarray,
-        abstract_cost: PhaseCost,
-        phase: str,
-    ) -> np.ndarray:
-        """Coded variant of one row broadcast; returns the decoded rows.
+    def _deliver_broadcast(self, pieces, owners, widths, phase):
+        """Broadcast ``pieces`` striped through relays; return them decoded.
 
         A plain broadcast has no relays, so a corrupt *sender-side* hit
         would defeat any code (all stripes share the fault).  The coded
@@ -252,7 +237,8 @@ class CodedClique(FaultyClique):
         """
         n = self.n
         p = pieces.shape[0]
-        plan, stripes, stripe_widths = self._encode(pieces, piece_widths)
+        abstract_cost = self._broadcast_cost(self._node_widths(owners, widths), phase)
+        plan, stripes, stripe_widths = self._encode(pieces, widths)
         stripe_owners = np.repeat(owners, plan.m)
 
         def ship_costs(
@@ -269,115 +255,12 @@ class CodedClique(FaultyClique):
             )
             fan_cost = self._routed_batch_cost(fan_batch, f"{phase}/fanout", None)
             fan_traffic = self._batch_traffic(fan_batch, "route", relayed=True)
-            per_relay = np.zeros(n, dtype=np.int64)
-            np.add.at(per_relay, relays, stripe_widths)
-            relay_widths = [int(w) for w in per_relay]
+            relay_widths = self._node_widths(relays, stripe_widths)
             bcast_cost = self._broadcast_cost(relay_widths, f"{phase}/encoded")
             bcast_traffic = self._broadcast_traffic(relay_widths)
             return [(fan_cost, fan_traffic), (bcast_cost, bcast_traffic)]
 
-        return self._run_encoded(
-            pieces, plan, stripes, None, abstract_cost, ship_costs, phase
-        )
-
-    # ------------------------------------------------------------------ #
-    # Coded overrides of the array collectives
-    # ------------------------------------------------------------------ #
-    def route_array(
-        self,
-        dests,
-        blocks,
-        *,
-        widths=None,
-        tags=None,
-        phase: str = "route",
-        expect_max_load: int | None = None,
-        flat: bool = False,
-    ):
-        batch = self._flatten_checked(dests, blocks, widths, tags)
-        abstract_cost = self._routed_batch_cost(batch, phase, expect_max_load)
-        decoded = self._encoded_routed(batch, abstract_cost, phase)
-        out_batch = replace(batch, blocks=decoded)
-        return deliver_array_flat(out_batch) if flat else deliver_array(out_batch)
-
-    def route_array_take(
-        self,
-        dests,
-        blocks,
-        *,
-        take: np.ndarray,
-        widths=None,
-        out: np.ndarray | None = None,
-        owners: np.ndarray | None = None,
-        phase: str = "route",
-        expect_max_load: int | None = None,
-    ) -> np.ndarray:
-        batch = self._flatten_checked(dests, blocks, widths, None)
-        # Same discipline as the base model: reject a bad gather *before*
-        # anything is charged, on either meter.
-        take = np.asarray(take, dtype=np.intp)
-        if take.size and (
-            int(take.min()) < 0 or int(take.max()) >= batch.blocks.shape[0]
-        ):
-            raise CliqueModelError("route_array_take: take index out of range")
-        if owners is not None and not np.array_equal(batch.dst[take], owners):
-            raise CliqueModelError(
-                "route_array_take: gather reads pieces addressed to another "
-                "node (take/owners disagree with the batch destinations)"
-            )
-        abstract_cost = self._routed_batch_cost(batch, phase, expect_max_load)
-        decoded = self._encoded_routed(batch, abstract_cost, phase)
-        return np.take(decoded, take, axis=0, out=out)
-
-    def send_array(
-        self,
-        dests,
-        blocks,
-        *,
-        widths=None,
-        tags=None,
-        phase: str = "send",
-        expect_max_pair: int | None = None,
-    ):
-        batch = self._flatten_checked(dests, blocks, widths, tags)
-        abstract_cost = self._direct_batch_cost(batch, phase, expect_max_pair)
-        decoded = self._encoded_routed(batch, abstract_cost, phase)
-        return deliver_array(replace(batch, blocks=decoded))
-
-    def _deliver_broadcast_rows(
-        self, rows: np.ndarray, width_list: list[int], phase: str
-    ) -> np.ndarray:
-        abstract_cost = self._broadcast_cost(width_list, phase)
-        return self._encoded_broadcast(
-            rows,
-            np.arange(self.n, dtype=np.int64),
-            np.asarray(width_list, dtype=np.int64),
-            abstract_cost,
-            phase,
-        )
-
-    def _broadcast_held(
-        self,
-        held: list[np.ndarray],
-        bcast_widths: list[int],
-        phase: str,
-    ) -> np.ndarray:
-        abstract_cost = self._broadcast_cost(bcast_widths, phase)
-        counts = [int(h.shape[0]) for h in held]
-        owners = np.repeat(np.arange(self.n, dtype=np.int64), counts)
-        # allgather_rows charges a uniform per-record width per holder, so
-        # the per-piece width is the holder total split evenly.
-        per_piece = [
-            np.full(cnt, bcast_widths[v] // cnt, dtype=np.int64)
-            for v, cnt in enumerate(counts)
-            if cnt
-        ]
-        piece_widths = (
-            np.concatenate(per_piece) if per_piece else np.zeros(0, dtype=np.int64)
-        )
-        return self._encoded_broadcast(
-            np.concatenate(held, axis=0), owners, piece_widths, abstract_cost, phase
-        )
+        return self._run_encoded(pieces, plan, stripes, None, abstract_cost, ship_costs)
 
     # ------------------------------------------------------------------ #
     # Diagnostics

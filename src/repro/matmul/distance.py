@@ -149,7 +149,9 @@ def approx_distance_product(
             finite_max = max(finite_max, int(finite.max()))
     # Every node learns the global magnitude bound (1 broadcast round); the
     # scale family below is then agreed upon by all nodes.
-    clique.broadcast([finite_max] * clique.n, words=1, phase=f"{phase}/max")
+    clique.broadcast_rows(
+        np.full(clique.n, finite_max), widths=[1] * clique.n, phase=f"{phase}/max"
+    )
 
     levels = scaling_levels(finite_max, delta)
     capped = math.ceil(2.0 * (1.0 + delta) / delta)

@@ -175,11 +175,11 @@ def boolean_product(
 
 
 def or_broadcast(clique: CongestedClique, local_bits: list[bool], phase: str) -> bool:
-    """One round: every node announces a bit; returns the global OR."""
-    received = clique.broadcast(
-        [1 if b else 0 for b in local_bits], words=1, phase=phase
+    """One round: every node announces a bit; returns the OR of those received."""
+    received = clique.broadcast_rows(
+        np.asarray(local_bits, dtype=np.int64), widths=[1] * clique.n, phase=phase
     )
-    return any(received[0])
+    return bool(received.any())
 
 
 def sum_broadcast(
@@ -188,10 +188,13 @@ def sum_broadcast(
     """One broadcast: every node announces a partial sum; returns the total.
 
     ``words=2`` covers values up to ``n^{O(1)}`` at the default word size --
-    the widths triangle/4-cycle partial counts need.
+    the widths triangle/4-cycle partial counts need.  The values go in
+    uncast, so one with no int64 word encoding is refused by name.
     """
-    received = clique.broadcast(local_values, words=words, phase=phase)
-    return int(sum(received[0]))
+    received = clique.broadcast_rows(
+        local_values, widths=[words] * clique.n, phase=phase
+    )
+    return sum(received.tolist())
 
 
 __all__ = [

@@ -53,6 +53,7 @@ from repro.clique.model import CongestedClique
 from repro.constants import INF
 from repro.distances.bounded import reachability
 from repro.engine import EngineSession
+from repro.errors import CliqueModelError
 from repro.graphs.graphs import Graph
 from repro.runtime import RunResult, make_clique, resolve_rng
 
@@ -102,6 +103,21 @@ def decode_edge(enc: int, size: int) -> tuple[int, int, int]:
     return int(enc) // (size * size), (int(enc) % (size * size)) // size, int(
         enc
     ) % size
+
+
+def _check_edges(encs: np.ndarray, n: int, size: int, phase: str) -> None:
+    """Refuse encoded edges whose endpoints are not real nodes ``lo < hi < n``.
+
+    Every candidate and survivor is an edge of the input graph; anything
+    else can only be a corrupted delivery, and must not reach the local
+    forest and result builds.
+    """
+    encs = np.asarray(encs, dtype=np.int64)
+    lo, hi = (encs % (size * size)) // size, encs % size
+    if not np.all(lo < hi) or (hi.size and int(hi.max()) >= n):
+        raise CliqueModelError(
+            f"phase {phase} delivered an encoded edge outside 0 <= lo < hi < {n}"
+        )
 
 
 def _forest_path_max(edges: list[int], size: int) -> np.ndarray:
@@ -201,8 +217,8 @@ class _MstRun:
         # labelling global (neighbour labels feed the inter-component
         # masks) -- a constant-round phase.
         mark = self.clique.meter.snapshot()
-        self.clique.broadcast(
-            [int(c) for c in labels], words=1, phase=f"{tag}/announce"
+        self.clique.broadcast_rows(
+            labels, widths=[1] * self.size, phase=f"{tag}/announce"
         )
         self._meter("labels_announce", mark)
         return labels
@@ -250,6 +266,7 @@ class _MstRun:
             phase=f"{tag}/candidates",
         )
         self._meter("boruvka_candidates", mark)
+        _check_edges(received[has, 2], self.n, self.size, f"{tag}/candidates")
         # Deterministic merge, identical at every node: Kruskal over the
         # received candidates (ascending encoded order; union-find dedupes
         # mutual picks and guards acyclicity).
@@ -299,6 +316,7 @@ class _MstRun:
             rows, words_per_record=_RECORD_WORDS, phase="mst/kkt/gather"
         )
         self._meter("flight_gather", mark)
+        _check_edges(gathered[:, 0], self.n, self.size, "mst/kkt/gather")
         survivors = [int(e) for e in gathered[:, 0]]
         chosen = _kruskal(self.forest_edges + survivors, self.size, self.size)
         return chosen, len(survivors)

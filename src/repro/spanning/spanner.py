@@ -37,6 +37,7 @@ from repro.algebra.semirings import MIN_PLUS
 from repro.clique.model import CongestedClique
 from repro.constants import INF
 from repro.engine import EngineSession
+from repro.errors import CliqueModelError
 from repro.graphs.graphs import Graph
 from repro.runtime import RunResult, make_clique, pad_matrix, resolve_rng
 
@@ -177,21 +178,23 @@ def build_spanner(
         # one coin per node keeps the stream independent of the cluster
         # structure (and identical to the reference oracle's).
         sampled = rng.random(n) < p
+        phase = f"spanner/level{level}/cluster-dist"
         dist, wit = session.multiply(
-            live,
-            _membership(center, size),
-            with_witnesses=True,
-            phase=f"spanner/level{level}/cluster-dist",
+            live, _membership(center, size), with_witnesses=True, phase=phase
         )
+        # Cluster ids are real node ids: a finite distance to a padded node
+        # can only be a corrupted delivery.
+        if np.any(dist[:, n:] < INF):
+            raise CliqueModelError(
+                f"phase {phase} delivered a finite distance to a padded node"
+            )
         center, keep, added = _level_decisions(dist, wit, center, sampled, n)
         spanner |= added
         per_level.append(int(added.sum()))
         # Re-clustering verdicts are row-local; one word per node announces
         # them (one round).
-        clique.broadcast(
-            [int(c) for c in center],
-            words=1,
-            phase=f"spanner/level{level}/recluster",
+        clique.broadcast_rows(
+            center, widths=[1] * size, phase=f"spanner/level{level}/recluster"
         )
         # Symmetric retirement: an edge survives only if *both* endpoints
         # keep it.  One dense one-round exchange ships the keep columns.

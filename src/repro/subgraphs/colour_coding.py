@@ -71,7 +71,7 @@ def detect_colourful_cycle(
     session = session or EngineSession(clique, method, BOOLEAN)
     a = (np.asarray(adjacency) > 0).astype(np.int64)
     # Nodes announce their colours once so every node can build the masks.
-    clique.broadcast(list(colours), words=1, phase=f"{phase}/colours")
+    clique.broadcast_rows(colours, widths=[1] * n, phase=f"{phase}/colours")
     colour_mask = [colours == i for i in range(k)]
 
     memo: dict[frozenset[int], np.ndarray] = {}

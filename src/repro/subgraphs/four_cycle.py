@@ -255,8 +255,9 @@ def detect_four_cycles(
     degrees_local = [int(a[v].sum()) if v < n else 0 for v in range(clique.n)]
 
     # Phase 1: degree broadcast + pigeonhole test.
-    received = clique.broadcast(degrees_local, words=1, phase="c4/degrees")
-    degrees = np.array(received[0], dtype=np.int64)
+    degrees = clique.broadcast_rows(
+        degrees_local, widths=[1] * clique.n, phase="c4/degrees"
+    )
     walk_volume = [
         int(degrees[graph.neighbors(x)].sum()) if x < n else 0
         for x in range(clique.n)

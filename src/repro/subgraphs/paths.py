@@ -52,7 +52,7 @@ def detect_colourful_path(
         raise ValueError(f"path detection needs k >= 2, got {k}")
     n = clique.n
     a = (np.asarray(adjacency) > 0).astype(np.int64)
-    clique.broadcast(list(colours), words=1, phase=f"{phase}/colours")
+    clique.broadcast_rows(colours, widths=[1] * n, phase=f"{phase}/colours")
 
     # Build C([k]) through the same memoised half-split recursion the cycle
     # detector uses; it depends only on the colour masks and the adjacency.

@@ -16,11 +16,13 @@ from repro.distances import (
     apsp_unweighted,
     reachability,
 )
-from repro.errors import NegativeCycleError
+from repro.clique import CongestedClique
+from repro.errors import CliqueModelError, NegativeCycleError
 from repro.graphs import (
     Graph,
     apsp_reference,
     bfs_distances_reference,
+    cycle_graph,
     gnp_random_graph,
     grid_graph,
     random_weighted_digraph,
@@ -28,6 +30,10 @@ from repro.graphs import (
     validate_routing_table,
 )
 from repro.runtime import make_clique, pad_matrix
+
+
+def path_graph(n: int) -> Graph:
+    return Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
 
 
 class TestExactApsp:
@@ -195,6 +201,30 @@ class TestSeidel:
         g = gnp_random_graph(8, 0.3, seed=0, directed=True)
         with pytest.raises(ValueError):
             apsp_unweighted(g)
+
+    @pytest.mark.parametrize("shape", ["path", "cycle"])
+    def test_depth_bound_never_trips_on_a_correct_run(self, shape):
+        """The recursion bound ceil(log2 N) sits above every honest depth:
+        on the naive engine the clique is exactly the graph, and paths and
+        cycles are the deepest recursions at each N."""
+        for n in range(3, 41):
+            g = path_graph(n) if shape == "path" else cycle_graph(n)
+            result = apsp_unweighted(g, method="naive")
+            assert np.array_equal(result.value, bfs_distances_reference(g))
+            assert result.extras["levels"] <= (n - 1).bit_length() + 1
+
+    def test_corrupted_stable_bit_stops_at_the_depth_bound(self):
+        """A stable bit that always arrives set would recurse forever; the
+        level past ceil(log2 N) is refused by name."""
+
+        class AlwaysChanged(CongestedClique):
+            def _deliver_broadcast(self, pieces, owners, widths, phase):
+                pieces = super()._deliver_broadcast(pieces, owners, widths, phase)
+                return np.ones_like(pieces) if phase.endswith("/stable") else pieces
+
+        g = path_graph(9)
+        with pytest.raises(CliqueModelError, match=r"seidel/L4/stable"):
+            apsp_unweighted(g, method="naive", clique=AlwaysChanged(9))
 
 
 class TestBoundedApsp:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.clique import CongestedClique
 from repro.clique.broadcast_clique import (
     BroadcastCongestedClique,
     broadcast_clique_matmul,
@@ -20,24 +21,42 @@ class TestModel:
 
     def test_broadcast_rounds_follow_max_width(self):
         clique = BroadcastCongestedClique(4)
-        clique.broadcast(["a", "b", "c", "d"], words=[1, 3, 1, 1])
+        clique.broadcast_rows(np.arange(4), widths=[1, 3, 1, 1])
         assert clique.rounds == 3
 
     def test_all_nodes_receive_everything(self):
         clique = BroadcastCongestedClique(5)
-        received = clique.broadcast(list(range(5)))
-        for u in range(5):
-            assert received[u] == [0, 1, 2, 3, 4]
+        received = clique.broadcast_rows(np.arange(5))
+        assert received.tolist() == [0, 1, 2, 3, 4]
 
-    def test_wrong_payload_count(self):
+    def test_wrong_row_count(self):
         clique = BroadcastCongestedClique(3)
         with pytest.raises(CliqueModelError):
-            clique.broadcast([1, 2])
+            clique.broadcast_rows(np.array([1, 2]))
 
-    def test_no_unicast_primitives(self):
+    def test_bills_like_the_full_model(self):
+        rows = np.arange(12).reshape(4, 3)
         clique = BroadcastCongestedClique(4)
-        assert not hasattr(clique, "send")
-        assert not hasattr(clique, "route")
+        full = CongestedClique(4)
+        clique.broadcast_rows(rows, widths=[2, 1, 3, 1], phase="b")
+        full.broadcast_rows(rows, widths=[2, 1, 3, 1], phase="b")
+        assert clique.meter.phases == full.meter.phases
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "broadcast",
+            "send_array",
+            "route_array",
+            "route_array_take",
+            "transpose_array",
+            "scatter_blocks",
+            "gather_blocks",
+            "allgather_rows",
+        ],
+    )
+    def test_no_unicast_collectives(self, name):
+        assert not hasattr(BroadcastCongestedClique(4), name)
 
 
 class TestBroadcastMatmul:
@@ -60,7 +79,6 @@ class TestBroadcastMatmul:
     def test_corollary24_floor_respected(self, rng):
         # The separation: broadcast matmul pays >= Omega(n) while the
         # unicast engines pay O(n^{1/3}) on the same input.
-        from repro.clique import CongestedClique
         from repro.matmul.semiring3d import semiring_matmul
 
         n = 64

@@ -11,7 +11,8 @@ their per-pair and per-node maxima).
 * ``slow``: the certifier rides along on every engine and every
   application, on a plain clique, Reed-Solomon coded cliques at ``t = 1``
   and ``t = 2``, and a ring-priced clique.  Every clique built during a
-  case is certified, so cliques the libraries build internally count too.
+  case is certified, so cliques the libraries build internally count too,
+  and a coded clique's abstract meter must bill a plain run's phases.
 """
 
 from __future__ import annotations
@@ -133,8 +134,17 @@ def _cases(sized):
 
 
 def _run(built, layer, n, method, job):
-    """Run ``job(clique)`` on a ``layer`` clique; check every charge."""
-    job(make_clique(n, method, **LAYERS[layer]()))
+    """Run ``job(clique)`` on a ``layer`` clique; check every charge.
+
+    On a coded layer the abstract meter must also bill exactly the phases
+    of the same job on a plain clique.
+    """
+    clique = make_clique(n, method, **LAYERS[layer]())
+    job(clique)
+    if layer.startswith("coded"):
+        plain = make_clique(n, method)
+        job(plain)
+        assert clique.abstract_meter.phases == plain.meter.phases
     assert built
     for clique, certifier in built:
         assert certifier.total == len(clique.meter.phases)

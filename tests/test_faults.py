@@ -262,12 +262,61 @@ class TestFaultyCliquePureInterception:
             not np.array_equal(a, b) for a, b in zip(clean, tampered)
         ), "an unprotected exchange must actually corrupt"
 
-    def test_tuple_primitives_not_intercepted(self):
-        """The tuple paths stay exact -- interception covers array collectives."""
-        faulty = FaultyClique(5, plan=FaultPlan(t=5, seed=0))
-        received = faulty.broadcast(list(range(5)), phase="t/tuple")
-        assert received[0] == list(range(5))
-        assert faulty.faults_injected == 0
+
+def _exchange(name: str, clique: CongestedClique) -> list[np.ndarray]:
+    """Run one public exchange on ``clique``; return what it delivered."""
+    n = clique.n
+    rng = np.random.default_rng(7)
+    everyone = [np.arange(n, dtype=np.int64) for _ in range(n)]
+    pieces = [rng.integers(-9, 9, (n, 2), dtype=np.int64) for _ in range(n)]
+    if name == "broadcast_rows":
+        return [clique.broadcast_rows(rng.integers(-9, 9, (n, 3)), phase="x")]
+    if name == "route_array":
+        return [box.blocks for box in clique.route_array(everyone, pieces, phase="x")]
+    if name == "route_array_take":
+        take = np.arange(n * n, dtype=np.intp)
+        return [clique.route_array_take(everyone, pieces, take=take, phase="x")]
+    if name == "send_array":
+        return [box.blocks for box in clique.send_array(everyone, pieces, phase="x")]
+    if name == "scatter_blocks":
+        return [clique.scatter_blocks(rng.integers(-9, 9, (n, n, 2)), phase="x")]
+    if name == "gather_blocks":
+        return [clique.gather_blocks(rng.integers(-9, 9, (2, n, 2)), phase="x")]
+    if name == "allgather_rows":
+        held = [rng.integers(-9, 9, (v % 3, 2), dtype=np.int64) for v in range(n)]
+        return [clique.allgather_rows(held, phase="x")]
+    assert name == "transpose_array"
+    return [clique.transpose_array(rng.integers(-9, 9, (n, n)), phase="x")]
+
+
+PUBLIC_EXCHANGES = [
+    "broadcast_rows",
+    "route_array",
+    "route_array_take",
+    "send_array",
+    "scatter_blocks",
+    "gather_blocks",
+    "allgather_rows",
+    "transpose_array",
+]
+
+
+@pytest.mark.parametrize("name", PUBLIC_EXCHANGES)
+def test_every_exchange_reaches_the_fault_layer(name):
+    """No exchange bypasses the fault layer: each one is corrupted on an
+    unprotected clique, and shipped encoded on a coded one -- decoding to
+    the plain delivery, with the plain bill on the abstract meter."""
+    faulty = FaultyClique(6, plan=FaultPlan(t=6, seed=0))
+    _exchange(name, faulty)
+    assert faulty.faults_injected > 0
+
+    plain = CongestedClique(6)
+    coded = CodedClique(6, plan=FaultPlan(t=1, seed=0, kind="byzantine"))
+    for got, want in zip(_exchange(name, coded), _exchange(name, plain)):
+        assert np.array_equal(got, want)
+    assert coded.abstract_meter.phases == plain.meter.phases
+    shipped = {p.phase for p in coded.meter.phases}
+    assert {f"{p.phase}/encoded" for p in plain.meter.phases} <= shipped
 
 
 class TestCorruptedWitnessIsAModelError:

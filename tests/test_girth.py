@@ -14,6 +14,9 @@ from repro.distances import (
     girth_directed,
     girth_undirected,
 )
+from repro.engine import make_clique
+from repro.errors import CliqueModelError
+from repro.faults import FaultPlan
 from repro.graphs import (
     Graph,
     cycle_graph,
@@ -108,3 +111,19 @@ class TestDirectedGirth:
         result = girth_directed(g)
         # Doubling + binary search: O(log n) Boolean products.
         assert result.extras["boolean_products"] <= 12
+
+
+class TestCorruptedEdgeListIsAModelError:
+    """Unprotected faults reach the edge list the sparse branch learns; the
+    receiver refuses a record outside ``0 <= u < v < n`` by name instead of
+    failing inside the local graph build."""
+
+    @pytest.mark.parametrize("kind", ["flip", "drop"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_learn_graph_raises_clique_model_error(self, kind, seed):
+        graph = gnp_random_graph(16, 0.35, seed=16)
+        clique = make_clique(
+            16, "bilinear", fault_plan=FaultPlan(t=1, seed=seed, kind=kind)
+        )
+        with pytest.raises(CliqueModelError, match="girth/learn-graph"):
+            girth_undirected(graph, clique=clique)

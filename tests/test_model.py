@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,35 +33,49 @@ class TestConstruction:
 class TestBroadcast:
     def test_one_round_for_unit_payloads(self):
         clique = CongestedClique(5)
-        received = clique.broadcast(list(range(5)))
+        received = clique.broadcast_rows(np.arange(5), widths=[1] * 5)
         assert clique.rounds == 1
-        assert received[2] == [0, 1, 2, 3, 4]
+        assert received.tolist() == [0, 1, 2, 3, 4]
 
     def test_rounds_follow_max_width(self):
         clique = CongestedClique(4)
-        clique.broadcast(["a", "b", "c", "d"], words=[1, 7, 2, 1])
+        clique.broadcast_rows(np.arange(4), widths=[1, 7, 2, 1])
         assert clique.rounds == 7
 
-    def test_wrong_payload_count(self):
+    def test_wrong_row_count(self):
         clique = CongestedClique(4)
         with pytest.raises(CliqueModelError):
-            clique.broadcast([1, 2])
+            clique.broadcast_rows(np.array([1, 2]), widths=[1, 1])
 
     def test_wrong_width_count(self):
         clique = CongestedClique(4)
         with pytest.raises(CliqueModelError):
-            clique.broadcast([1, 2, 3, 4], words=[1, 2])
+            clique.broadcast_rows(np.arange(4), widths=[1, 2])
 
     def test_negative_width(self):
         clique = CongestedClique(3)
         with pytest.raises(CliqueModelError):
-            clique.broadcast([1, 2, 3], words=[-1, 1, 1])
+            clique.broadcast_rows(np.arange(3), widths=[-1, 1, 1])
 
     def test_every_node_sees_same_order(self):
         clique = CongestedClique(6)
-        received = clique.broadcast([f"p{v}" for v in range(6)])
-        for u in range(6):
-            assert received[u] == [f"p{v}" for v in range(6)]
+        rows = np.arange(12).reshape(6, 2)
+        received = clique.broadcast_rows(rows)
+        assert np.array_equal(received, rows)
+
+    @pytest.mark.parametrize(
+        "widths",
+        [2, np.int64(2), 1.5, [1, 2.5, 1, 1]],
+        ids=["int", "np-int64", "float", "fractional-entry"],
+    )
+    def test_bad_widths_are_refused_by_name_before_any_charge(self, widths):
+        """Widths are one non-negative integer per node: a scalar or a
+        fractional entry is refused, naming the widths given, and charges
+        nothing."""
+        clique = CongestedClique(4)
+        with pytest.raises(CliqueModelError, match=re.escape(repr(widths))):
+            clique.broadcast_rows(np.ones(4, dtype=np.int64), widths=widths)
+        assert clique.meter.phases == []
 
 
 def _batch(n: int, messages: dict[int, list[tuple[int, int]]]):

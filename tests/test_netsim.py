@@ -187,32 +187,14 @@ class TestMeterStack:
         with pytest.raises(ValueError):
             stack.remove_observer(b)
 
-    def test_muted_skips_and_restores(self):
-        a, b = CostMeter(), CostMeter()
-        stack = MeterStack(a, b)
-        with stack.muted(b):
-            stack.charge(PhaseCost("p", "route", 2, 20, 2, 10, 10))
-        stack.charge(PhaseCost("q", "route", 1, 10, 1, 5, 5))
-        assert a.rounds == 3 and b.rounds == 1
-
-    def test_muted_is_exception_safe(self):
-        a = CostMeter()
-        stack = MeterStack(a)
-        with pytest.raises(RuntimeError):
-            with stack.muted(a):
-                raise RuntimeError("boom")
-        stack.charge(PhaseCost("p", "route", 1, 10, 1, 5, 5))
-        assert a.rounds == 1
-
     def test_wants_traffic_tracks_live_observers(self):
         stack = MeterStack(CostMeter())
         assert not stack.wants_traffic
         transport = TransportMeter(Ring(4))
         stack.add_observer(transport)
         assert stack.wants_traffic
-        with stack.muted(transport):
-            assert not stack.wants_traffic
-        assert stack.wants_traffic
+        stack.remove_observer(transport)
+        assert not stack.wants_traffic
 
 
 class TestSerialisation:

@@ -24,8 +24,6 @@ The n >= 125 cases are marked ``slow``.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -331,13 +329,14 @@ class OneDroppedPiece(CongestedClique):
         super().__init__(n, executor=SpyExecutor())
         self.phase = f"{phase}/step1-distribute"
 
-    def _tamper_batch(self, batch, phase: str):
-        if phase != self.phase:
-            return batch
+    def _deliver_batch(self, batch, cost, traffic):
+        blocks = super()._deliver_batch(batch, cost, traffic)
+        if cost.phase != self.phase:
+            return blocks
         piece = int(np.flatnonzero(batch.src != batch.dst)[0])
-        blocks = batch.blocks.copy()
+        blocks = blocks.copy()
         blocks[piece] = 0
-        return replace(batch, blocks=blocks)
+        return blocks
 
 
 class TestDeliveredAsSent:

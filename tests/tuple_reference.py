@@ -8,9 +8,10 @@ against them live on here as references, so the suite can keep asserting
 that every array port charges bit-identical :class:`PhaseCost` streams and
 delivers the same pieces:
 
-* :class:`TupleClique` wraps a clique and adds the four tuple primitives
-  (``send``, ``route``, ``transpose``, ``allgather_records``) with their
-  bill and delivery rules, charging the wrapped clique's meters;
+* :class:`TupleClique` wraps a clique and adds the five tuple primitives
+  (``broadcast``, ``send``, ``route``, ``transpose``,
+  ``allgather_records``) with their bill and delivery rules, charging the
+  wrapped clique's meters;
 * :func:`bilinear_matmul_tuple`, :func:`validate_candidates_tuple` and
   :func:`walk_check_tuple` are the per-payload formulations of the §2.2
   bilinear engine, the Lemma 21 witness validation hops and the Theorem 4
@@ -36,7 +37,7 @@ from repro.algebra.semirings import PLUS_TIMES, Semiring
 from repro.clique.accounting import PhaseCost
 from repro.clique.model import CongestedClique
 from repro.clique.routing import LoadProfile, enforce_load_bound
-from repro.clique.scheduling import relay_rounds
+from repro.clique.scheduling import broadcast_rounds, relay_rounds
 from repro.constants import INF
 from repro.errors import CliqueModelError, LoadBoundExceededError
 from repro.graphs.graphs import Graph
@@ -136,10 +137,10 @@ def deliver(outboxes: Outboxes, n: int) -> list[list[tuple[int, Any]]]:
 
 
 class TupleClique:
-    """The four tuple primitives over ``clique``, billed on its meters.
+    """The five tuple primitives over ``clique``, billed on its meters.
 
-    Exposes the wrapped clique's ``n``, ``word_bits``, meters and
-    ``broadcast``, so the reference formulations below run unchanged.
+    Exposes the wrapped clique's ``n``, ``word_bits`` and meters, so the
+    reference formulations below run unchanged.
     """
 
     def __init__(self, clique: CongestedClique) -> None:
@@ -148,11 +149,46 @@ class TupleClique:
         self.word_bits = clique.word_bits
         self.meter = clique.meter
         self.meters = clique.meters
-        self.broadcast = clique.broadcast
 
     @property
     def rounds(self) -> int:
         return self.clique.rounds
+
+    def broadcast(
+        self,
+        payloads: Sequence[Any],
+        *,
+        words: int | Sequence[int] = 1,
+        phase: str = "broadcast",
+    ) -> list[list[Any]]:
+        """Every node sends its payload object to all other nodes.
+
+        ``words`` is each node's payload width (scalar or per node); the
+        phase costs the widest.  Returns ``received`` with
+        ``received[u][v] = payloads[v]``; payload objects are shared, not
+        copied.
+        """
+        n = self.n
+        if len(payloads) != n:
+            raise CliqueModelError(f"expected {n} payloads, got {len(payloads)}")
+        widths = [words] * n if isinstance(words, int) else list(words)
+        if len(widths) != n:
+            raise CliqueModelError("per-node word widths must have length n")
+        if any(w < 0 for w in widths):
+            raise CliqueModelError("negative broadcast width")
+        self.meters.charge(
+            PhaseCost(
+                phase=phase,
+                primitive="broadcast",
+                rounds=broadcast_rounds(widths),
+                words=sum(w * (n - 1) for w in widths),
+                payloads=n,
+                max_send_words=max(w * (n - 1) for w in widths),
+                max_recv_words=sum(widths) - min(widths),
+            ),
+        )
+        shared = list(payloads)
+        return [shared[:] for _ in range(n)]
 
     def send(
         self,
