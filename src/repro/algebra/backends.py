@@ -1,11 +1,11 @@
 """Kernel execution backends: how the batched tile kernels spend their CPU.
 
 Kernel generation 3 (see DESIGN.md) separates *what* a kernel computes from
-*where its tiles run*.  The packed witness kernels
-(:meth:`~repro.algebra.semirings._SelectionSemiring._packed_fold`) and the
+*where its tiles run*.  The selection fold
+(:meth:`~repro.algebra.semirings._SelectionSemiring._fold`) and the
 bit-packed Boolean kernels already decompose their work into independent
-cache-sized tiles -- disjoint batch/column ranges writing disjoint output
-slices -- so scheduling those tiles is an orthogonal choice:
+tiles -- disjoint batch/column ranges writing disjoint output slices -- so
+scheduling those tiles is an orthogonal choice:
 
 * :class:`SerialBackend` -- today's behaviour: tiles run in order on the
   calling thread.
@@ -19,8 +19,8 @@ slices -- so scheduling those tiles is an orthogonal choice:
   for the packed kernels, which never call BLAS.
 
 This module is the one place the simulator parallelises local compute.
-Only kernels that split into tiles use it: the packed Boolean and the
-packed min-plus/max-min witness kernels.  Bilinear ring products run
+Only kernels that split into tiles use it: the packed Boolean kernels and
+the min-plus/max-min fold.  Bilinear ring products run
 serially on every backend.
 
 Backends are deterministic by construction: every tile writes a disjoint

@@ -26,20 +26,28 @@ engine step.  The per-block entry points :meth:`Semiring.matmul` and
 :meth:`Semiring.matmul_with_witness` live once, in the base class, as a
 batch of one -- so each product has exactly one kernel.
 
-Selection-semiring products (min-plus, max-min) are computed with
-*inner-dimension-blocked* kernels: the inner index range ``k`` is processed
-in tiles, keeping a running ``(value, witness)`` accumulator of shape
-``(B, m, n)``.  Peak temporary memory is ``O(m * n * tile)`` per block
-instead of the full ``O(m * k * n)`` broadcast cube of the seed kernels,
-which keeps the working set cache-resident.  The witness products run a
-*packed* kernel (``(value << kbits) | tag`` under one tiled min/max, shift
-and tag folded into the operands) and fall back to one exact column walk
-for entries too wide to pack; the seed cube kernels survive only as test
-oracles (``tests/kernel_reference.py``).
+Selection-semiring products (min-plus, max-min), plain and witnessed,
+all run one *narrow-lane fold* (:class:`_SelectionSemiring`).  Each entry
+is packed under a monotone encode -- finite entries shifted by the largest
+finite magnitude ``F``, infinities onto a penalty -- and, for witnessed
+products, shifted left by ``kbits`` with the inner index as a tag in the
+low bits, so one min or max over packed lanes selects the best value and
+the lowest attaining index together.  The lanes are the narrowest of
+``int16``, ``int32`` and ``int64`` with two bits of head-room over every
+packed value; then a k-loop of one ``fill`` (the elementwise product of
+inner column ``j`` and inner row ``j``) and one ``merge`` (the semiring
+addition) per inner index runs over cache-sized ``(chunk, m, n)`` lanes,
+and the result decodes straight into the ``int64`` outputs (the §2.1
+engine passes its step-3 send buffer as ``out=``).  Entries too wide for
+``int64`` lanes, and empty inner dimensions, take the exact column walk,
+the only fallback.  The seed cube kernels survive only as test oracles
+(``tests/kernel_reference.py``).
 
-Saturation is handled per tile by :func:`saturating_add`: any operand at or
-above ``INF`` yields exactly ``INF`` (never ``INF + INF``, which would
-overflow ``int64``), and finite sums are clipped at ``INF``.
+Saturation in the walk is handled by :func:`saturating_add`: any operand at
+or above ``INF`` yields exactly ``INF`` (never ``INF + INF``, which would
+overflow ``int64``), and finite sums are clipped at ``INF``.  Operands are
+``int64``: integer and bool blocks that cast safely are cast once, any
+other dtype is refused with a ``ValueError`` naming it.
 
 The Boolean product picks, by work, between a blocked ``float32`` GEMM tile
 and a ``uint64`` bit-packed kernel (method of Four Russians); a
@@ -49,32 +57,24 @@ persistent packed closure state never round-trips through 0/1 int64
 between squarings (see :func:`repro.matmul.semiring3d.boolean_matmul_packed`).
 
 Every batched kernel accepts a ``backend=`` spec
-(:mod:`repro.algebra.backends`): the packed witness fold and the packed
-Boolean kernels split their work into disjoint batch/column tiles and hand
-them to the backend (serial, or ``threaded:N`` to fan out over a thread
-pool -- bit-identical either way, since no kernel merges across tiles in
-scheduling order).  Kernels whose heavy lifting is a BLAS call (the
-``float32`` GEMM tile, the plain ring product) or a single fold accept the
+(:mod:`repro.algebra.backends`): the selection fold and the packed Boolean
+kernels split their work into disjoint batch (or, for a single block,
+column) ranges and hand them to the backend (serial, or ``threaded:N`` to
+fan out over a thread pool -- bit-identical either way, since no kernel
+merges across ranges in scheduling order).  Kernels whose heavy lifting is
+a BLAS call (the ``float32`` GEMM tile, the plain ring product) accept the
 keyword and ignore it.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from repro.algebra.backends import get_backend, tile_ranges
 from repro.constants import INF
-
-#: Inner-dimension tile width of the plain selection kernels.  Each tile
-#: materialises an ``(m, tile, n)`` slab; 8 keeps that slab cache-friendly at
-#: the block sizes the 3D algorithm produces (empirically the fastest width
-#: at n=512 on this class of hardware) while amortising the Python-level
-#: loop overhead.  The packed witness fold also drops to it on blocks too
-#: large for its slab budget (:meth:`_SelectionSemiring._packed_fold`).
-DEFAULT_BLOCK_TILE = 8
-
 
 def saturating_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``INF``-saturating addition of distance arrays (broadcasting).
@@ -130,11 +130,12 @@ class Semiring:
         raise NotImplementedError
 
     def matmul_batch_with_witness(
-        self, x: np.ndarray, y: np.ndarray, *, backend=None
+        self, x: np.ndarray, y: np.ndarray, *, backend=None, out=None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Batched product plus, per output entry, the inner index attaining it.
 
-        Only meaningful for selection semirings; the default raises.
+        ``out=(values, witnesses)`` receives the result in place.  Only
+        meaningful for selection semirings; the default raises.
         """
         raise NotImplementedError(f"{self.name} has no witnesses")
 
@@ -194,10 +195,29 @@ class Semiring:
         return f"Semiring({self.name})"
 
 
+def _int64_operand(arr) -> np.ndarray:
+    """``arr`` as ``int64``, cast once if its entries cast safely.
+
+    Integer and bool dtypes that cast safely to ``int64`` are cast; every
+    other dtype (float, complex, object, ``uint64``) is refused with a
+    ``ValueError`` naming it, so no kernel ever packs or shifts entries
+    in a narrower or inexact dtype.
+    """
+    arr = np.asarray(arr)
+    if arr.dtype == np.int64:
+        return arr
+    if arr.dtype.kind not in "biu" or not np.can_cast(arr.dtype, np.int64):
+        raise ValueError(
+            f"semiring products take integer or bool entries that fit "
+            f"int64, got dtype {arr.dtype}"
+        )
+    return arr.astype(np.int64)
+
+
 def _check_block(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Two blocks whose inner dimensions agree (ring axes may trail)."""
-    x = np.asarray(x)
-    y = np.asarray(y)
+    """Two ``int64`` blocks whose inner dimensions agree (ring axes may trail)."""
+    x = _int64_operand(x)
+    y = _int64_operand(y)
     if x.ndim < 2 or y.ndim != x.ndim or x.shape[1] != y.shape[0]:
         raise ValueError(
             f"incompatible block shapes {x.shape} x {y.shape} for a product"
@@ -206,8 +226,9 @@ def _check_block(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_batch(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x)
-    y = np.asarray(y)
+    """Two ``int64`` block stacks ``(B, m, k)`` and ``(B, k, n)``."""
+    x = _int64_operand(x)
+    y = _int64_operand(y)
     if (
         x.ndim != 3
         or y.ndim != 3
@@ -220,17 +241,7 @@ def _check_batch(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-#: Entry budget for one batched selection slab ``(B_chunk, m, tile, n)``:
-#: the batch axis is chunked so a slab stays ~1 MB of int64, keeping the
-#: vectorised kernels cache-resident at engine block sizes (measured fastest
-#: at the ``q^2 = 64`` blocks an n=512 cube product produces; larger slabs
-#: go memory-bound and lose up to 3x).
-_BATCH_SLAB_ENTRIES = 1 << 17
-
-
-def _batch_chunk(
-    batch: int, per_block_entries: int, slab_entries: int = _BATCH_SLAB_ENTRIES
-) -> int:
+def _batch_chunk(batch: int, per_block_entries: int, slab_entries: int) -> int:
     """Blocks per chunk so a slab holds ~``slab_entries`` entries."""
     if per_block_entries <= 0:
         return max(1, batch)
@@ -514,212 +525,281 @@ class BooleanSemiring(Semiring):
         return ((a + b) > 0).astype(np.int64)
 
 
+#: Lane entries one fold step sweeps.  Blocks are folded in chunks whose
+#: ``(chunk, m, n)`` running best and candidate lanes hold about this many
+#: entries each (512 KB of ``int32``), so both stay in a core's L2 while
+#: the k-loop runs over them; a single block with ``m * n`` above it is
+#: folded in column stripes of this size.  Measured fastest of 2^13..2^19
+#: on the n=512 engine batch, one 512^2 block and the delta strips.
+_FOLD_ENTRIES = 1 << 17
+
+#: The lane dtypes a fold may run in, narrowest first.
+_LANE_DTYPES = (np.int16, np.int32, np.int64)
+
+
+@dataclass(frozen=True)
+class _Lanes:
+    """How one selection product packs its entries into integer lanes.
+
+    An entry ``v`` encodes as ``clip(v, -offset, penalty - offset) +
+    offset``: finite entries shift by ``offset``, ``+INF`` lands on
+    ``penalty`` and max-min's ``-INF`` on ``0``.  A witnessed product
+    shifts every encode left by ``kbits`` and carries the inner-index tag
+    in the low bits (``kbits = 0`` for plain products).  ``dtype`` is the
+    narrowest lane that holds every packed value
+    (:meth:`_SelectionSemiring._lanes`).
+    """
+
+    dtype: type
+    offset: int
+    penalty: int
+    kbits: int
+
+
+def _encode(lane: np.ndarray, src: np.ndarray, lanes: _Lanes, addend) -> None:
+    """Pack ``int64`` entries ``src`` into ``lane`` (same shape) in place.
+
+    The clip maps the infinities onto the encode's ends before the cast,
+    so no entry the lane cannot hold is ever cast; then the shift and one
+    add of the offset and tags.
+    """
+    np.clip(
+        src, -lanes.offset, lanes.penalty - lanes.offset, out=lane, casting="unsafe"
+    )
+    if lanes.kbits:
+        lane <<= lanes.kbits
+    lane += addend
+
+
 class _SelectionSemiring(Semiring):
-    """Shared blocked-kernel machinery for min-plus and max-min.
+    """One narrow-lane fold for the selection semirings (min-plus, max-min).
 
-    * :meth:`matmul_batch` processes the inner dimension in tiles, reducing
-      each ``(B, m, tile, n)`` slab immediately and merging it into a
-      ``(B, m, n)`` running best -- peak memory ``O(m * n * tile)`` per
-      block.
-    * :meth:`matmul_batch_with_witness` walks the inner dimension one column
-      at a time, updating a ``(value, witness)`` pair with a masked copy --
-      no 3D temporaries at all.  The concrete semirings override it with
-      *packed* kernels (``(value << kbits) | tag`` under one tiled min/max,
-      see :meth:`_packed_fold`) and fall back to this walk for entries too
-      wide to pack; it is also the reference the packed kernels are tested
-      against.
+    All four products -- min-plus and max-min, plain and witnessed -- run
+    the same fold (:meth:`_fold`).  The operands are packed into integer
+    lanes: a monotone encode of each entry, shifted left by ``kbits`` with
+    the inner index ``j`` as a tag in the low bits (witnessed products
+    only), in the narrowest of ``int16``/``int32``/``int64`` that holds
+    every packed value (:meth:`_lanes`).  Per chunk of blocks the fold then
+    runs a k-loop of ``fill`` (the elementwise semiring product of inner
+    column ``j`` and inner row ``j``: an add for min-plus, a min for
+    max-min) and ``merge`` (the semiring addition, a min or a max) over
+    ``(chunk, m, n)`` lanes, and decodes values and witnesses into the
+    ``int64`` outputs.  One min or max over packed ``(value, tag)`` lanes
+    selects the best value and, among equal values, the lowest inner index
+    -- NumPy's ``argmin``/``argmax`` convention -- so values and witnesses
+    are bit-identical to the cube oracle (``tests/kernel_reference.py``)
+    in every lane width.
 
-    Both merge with a *strict* improvement test while scanning ``k`` in
-    ascending order, which reproduces NumPy's global ``argmin``/``argmax``
-    tie-breaking (lowest attaining index wins), so results and witnesses are
-    bit-identical to the seed's cube-materialising kernels.
+    The exact column walk (:meth:`_walk`) is the only fallback: for an
+    empty inner dimension, for entries too wide for ``int64`` lanes and
+    for max-min entries beyond ``+-INF``.
     """
 
     has_witnesses = True
 
-    #: Inner-dimension tile and slab budget for the *packed* witness
-    #: kernels.  Wider than the plain-kernel tile (a packed tile is a single
-    #: broadcast add/min pass, so Python-loop overhead dominates sooner) and
-    #: a smaller slab budget (the preallocated slab plus the running best
-    #: must stay cache-resident together); measured fastest at the
-    #: ``(512, 64, 64)`` batches an n=512 engine squaring produces.
-    _PACKED_TILE = 16
-    _PACKED_SLAB_ENTRIES = 1 << 16
-
-    def _packed_fold(
-        self, xs, ys, fill, reduce_fn, merge_fn, *, backend=None
-    ) -> np.ndarray:
-        """The shared tiled fold of the packed witness kernels.
-
-        Per inner tile, ``fill`` (a broadcasting binary ufunc: ``np.add``
-        for min-plus, ``np.minimum`` for max-min) writes the packed
-        candidates into a preallocated slab; ``reduce_fn`` collapses the
-        tile axis and ``merge_fn`` merges into the running best.  The batch
-        axis is chunked so slab + best stay cache-resident
-        (:data:`_PACKED_SLAB_ENTRIES`).  Returns the ``(B, m, n)`` packed
-        best, still carrying the witness tag bits.
-
-        Two orthogonal splits keep every slab cache-sized and schedulable:
-
-        * **two-level tiling**: when a *single* block's ``(m, tile, n)``
-          slab overflows the slab budget (huge blocks, batch chunking alone
-          cannot help), the fold narrows its inner tile to
-          :data:`DEFAULT_BLOCK_TILE` (measured faster on one 512^2 block)
-          and tiles the output-column axis as well, so the inner fold runs
-          per column stripe with a budget-sized slab.
-        * **backend scheduling**: the (batch-range x column-stripe) cells
-          are independent -- each folds the full inner dimension for a
-          disjoint ``out`` slice -- so they are handed to ``backend``
-          (:mod:`repro.algebra.backends`) as tiles.  The fold's merge order
-          along ``k`` is unchanged in every cell, and ``min``/``max`` over
-          packed (value, tag) lanes is order-independent anyway, so serial
-          and threaded schedules -- and every tile width -- are
-          bit-identical (down to witness tie-breaks; pinned in
-          ``tests/test_kernel_gen3.py``).
-        """
-        batch, m, k = xs.shape
-        n = ys.shape[2]
-        tile = self._PACKED_TILE
-        if m * min(tile, k) * n > self._PACKED_SLAB_ENTRIES:
-            tile = DEFAULT_BLOCK_TILE
-        out = np.empty((batch, m, n), dtype=np.int64)
-        backend = get_backend(backend)
-        kt_max = min(tile, k)
-        # Column stripes: only when one block overflows the slab budget.
-        if m * kt_max * n > self._PACKED_SLAB_ENTRIES and n > 1:
-            stripe = max(1, self._PACKED_SLAB_ENTRIES // (m * kt_max))
-            col_ranges = [(c0, min(c0 + stripe, n)) for c0 in range(0, n, stripe)]
-        else:
-            col_ranges = [(0, n)]
-        # Batch ranges: one per backend thread (serial keeps one range).
-        if backend.threads > 1 and batch > 1:
-            batch_ranges = tile_ranges(batch, backend.threads)
-        else:
-            batch_ranges = [(0, batch)]
-        if (
-            backend.threads > 1
-            and len(batch_ranges) == 1
-            and len(col_ranges) == 1
-            and n >= 2 * backend.threads
-        ):
-            # A single huge block below the stripe threshold: thread over
-            # columns anyway so backend width is not wasted.
-            col_ranges = tile_ranges(n, backend.threads)
-
-        def fold_cell(b_lo: int, b_hi: int, c_lo: int, c_hi: int) -> None:
-            width = c_hi - c_lo
-            chunk = _batch_chunk(
-                b_hi - b_lo, m * kt_max * width, self._PACKED_SLAB_ENTRIES
-            )
-            slab = np.empty((chunk, m, kt_max, width), dtype=np.int64)
-            ycols = ys[:, :, c_lo:c_hi]
-            for b0 in range(b_lo, b_hi, chunk):
-                bc = min(chunk, b_hi - b0)
-                xc = xs[b0 : b0 + bc]
-                yc = ycols[b0 : b0 + bc]
-                best: np.ndarray | None = None
-                for k0 in range(0, k, tile):
-                    kt = min(tile, k - k0)
-                    sl = slab[:bc, :, :kt]
-                    fill(
-                        xc[:, :, k0 : k0 + kt, None],
-                        yc[:, None, k0 : k0 + kt, :],
-                        out=sl,
-                    )
-                    if best is None:
-                        best = reduce_fn(sl, axis=2)
-                    else:
-                        merge_fn(best, reduce_fn(sl, axis=2), out=best)
-                out[b0 : b0 + bc, :, c_lo:c_hi] = best
-        backend.run(
-            [
-                partial(fold_cell, b_lo, b_hi, c_lo, c_hi)
-                for b_lo, b_hi in batch_ranges
-                for c_lo, c_hi in col_ranges
-            ]
-        )
-        return out
+    #: The packed elementwise product, broadcasting (``out=`` capable).
+    fill: np.ufunc
+    #: The packed semiring addition.
+    merge: np.ufunc
+    #: Strict improvement of a challenger over an incumbent (the walk's
+    #: merge test and :meth:`improves`).
+    better: np.ufunc
 
     # -- subclass hooks -------------------------------------------------- #
 
     def _combine(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Elementwise semiring multiplication (broadcasting)."""
+        """Elementwise semiring multiplication on ``int64`` (the walk's)."""
         raise NotImplementedError
 
-    def _reduce(self, values: np.ndarray, axis: int) -> np.ndarray:
-        """Selected value along ``axis`` (min/max)."""
+    def _encoding(self, x: np.ndarray, y: np.ndarray) -> tuple[int, int, int] | None:
+        """``(offset, penalty, top)`` for these operands, or ``None``.
+
+        ``top`` bounds every untagged lane value the fold can form;
+        ``None`` sends the product to the column walk.
+        """
         raise NotImplementedError
 
-    def _strictly_better(self, challenger: np.ndarray, best: np.ndarray) -> np.ndarray:
-        """Boolean mask: where the challenger beats the incumbent."""
+    def _addends(self, k: int, lanes: _Lanes) -> tuple:
+        """What the encode adds after the shift, ``(left, right)``.
+
+        ``offset << kbits`` plus each inner index's tag: ``(k, 1)`` lane
+        arrays, or the shifted offset alone for an operand without tags.
+        """
         raise NotImplementedError
 
-    # -- blocked kernels ------------------------------------------------- #
+    def _decode(
+        self,
+        best: np.ndarray,
+        lanes: _Lanes,
+        values: np.ndarray,
+        witness: np.ndarray | None,
+    ) -> None:
+        """Unpack folded lanes into the ``int64`` outputs (``best`` is scratch)."""
+        raise NotImplementedError
+
+    # -- the products ---------------------------------------------------- #
 
     def matmul_batch(
         self, x: np.ndarray, y: np.ndarray, *, backend=None
     ) -> np.ndarray:
-        """Generic tiled kernel: per-tile reductions, strict merges.
-
-        The batch axis is chunked to keep slab temporaries bounded.
-        (``backend`` is accepted for interface uniformity; only the packed
-        witness fold has backend tiles.)
-        """
-        del backend
-        x, y = _check_batch(x, y)
-        tile = DEFAULT_BLOCK_TILE
-        batch, m, k = x.shape
-        n = y.shape[2]
-        out = np.empty((batch, m, n), dtype=np.int64)
-        if k == 0:
-            out[:] = self.zero_value
-            return out
-        chunk = _batch_chunk(batch, m * tile * n)
-        for b0 in range(0, batch, chunk):
-            xc = x[b0 : b0 + chunk]
-            yc = y[b0 : b0 + chunk]
-            best: np.ndarray | None = None
-            for k0 in range(0, k, tile):
-                slab = self._combine(
-                    xc[:, :, k0 : k0 + tile, None], yc[:, None, k0 : k0 + tile, :]
-                )
-                tile_best = self._reduce(slab, axis=2)
-                if best is None:
-                    best = tile_best
-                else:
-                    better = self._strictly_better(tile_best, best)
-                    np.copyto(best, tile_best, where=better)
-            out[b0 : b0 + chunk] = best
-        return out
+        """Batched plain product: the fold with ``kbits = 0`` and no tags."""
+        values, _ = self._product(x, y, backend=backend, witnessed=False, out=None)
+        return values
 
     def matmul_batch_with_witness(
-        self, x: np.ndarray, y: np.ndarray, *, backend=None
+        self, x: np.ndarray, y: np.ndarray, *, backend=None, out=None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Batched column-walk witness kernel: the exact fallback.
+        """Batched product plus the lowest inner index attaining each entry.
 
-        Walks the inner dimension once for the whole batch (``k`` Python
-        iterations instead of ``B * k``) with a strict-improvement merge.
-        The packed kernels of the subclasses defer here for an empty inner
-        dimension and for operands outside their head-room range.
+        ``out=(values, witnesses)`` -- two writable ``(B, m, n)`` ``int64``
+        arrays, views allowed -- receives the result instead of fresh
+        arrays, on every path (fold and walk alike), and is returned.
         """
-        del backend  # the walk has no backend tiles
+        return self._product(x, y, backend=backend, witnessed=True, out=out)
+
+    def _product(self, x, y, *, backend, witnessed: bool, out):
         x, y = _check_batch(x, y)
         batch, m, k = x.shape
+        shape = (batch, m, y.shape[2])
+        if out is None:
+            values = np.empty(shape, dtype=np.int64)
+            witness = np.empty(shape, dtype=np.int64) if witnessed else None
+        else:
+            values, witness = out
+            for arr in out:
+                if arr.shape != shape or arr.dtype != np.int64:
+                    raise ValueError(
+                        f"out arrays must be {shape} int64, got "
+                        f"{arr.shape} {arr.dtype}"
+                    )
+        kbits = (k - 1).bit_length() if witnessed and k else 0
+        lanes = self._lanes(x, y, kbits) if k else None
+        if lanes is None:
+            self._walk(x, y, values, witness)
+        elif values.size:
+            self._fold(x, y, lanes, values, witness, backend)
+        return values, witness
+
+    def _lanes(self, x: np.ndarray, y: np.ndarray, kbits: int) -> _Lanes | None:
+        """The narrowest lanes with head-room for this product, or ``None``.
+
+        A lane of width ``w`` qualifies when ``top << kbits < 2^(w-2)``:
+        ``top`` is ``2P`` for min-plus (a candidate adds two encodes) and
+        ``P`` for max-min (a candidate selects one), with ``P`` the
+        penalty.  At ``w = 64`` that is the packing's ``int64`` head-room
+        rule; operands no lane holds take the column walk.
+        """
+        encoding = self._encoding(x, y)
+        if encoding is None:
+            return None
+        offset, penalty, top = encoding
+        for dtype in _LANE_DTYPES:
+            if top << kbits < 1 << (np.iinfo(dtype).bits - 2):
+                return _Lanes(dtype, offset, penalty, kbits)
+        return None
+
+    def _fold(self, x, y, lanes: _Lanes, values, witness, backend) -> None:
+        """Schedule the fold's cells on ``backend``.
+
+        Each cell -- a batch range, or for a single block a column range --
+        folds the full inner dimension into a disjoint slice of the
+        outputs, so serial and threaded runs are bit-identical.
+        """
+        batch = x.shape[0]
         n = y.shape[2]
+        backend = get_backend(backend)
+        cells = [(0, batch, 0, n)]
+        if backend.threads > 1 and batch > 1:
+            cells = [(lo, hi, 0, n) for lo, hi in tile_ranges(batch, backend.threads)]
+        elif backend.threads > 1 and n >= 2 * backend.threads:
+            cells = [(0, batch, lo, hi) for lo, hi in tile_ranges(n, backend.threads)]
+        backend.run(
+            [
+                partial(self._fold_cell, x, y, lanes, values, witness, *cell)
+                for cell in cells
+            ]
+        )
+
+    def _fold_cell(
+        self, x, y, lanes: _Lanes, values, witness, b_lo, b_hi, c_lo, c_hi
+    ) -> None:
+        """Fold blocks ``[b_lo, b_hi)`` into output columns ``[c_lo, c_hi)``."""
+        m, k = x.shape[1:]
+        width = c_hi - c_lo
+        # Columns per stripe (all of them unless one block overflows the
+        # lane budget) and blocks per chunk.
+        stripe = min(width, max(1, _FOLD_ENTRIES // m))
+        chunk = max(1, min(b_hi - b_lo, _FOLD_ENTRIES // (m * stripe)))
+        left_add, right_add = self._addends(k, lanes)
+        # The left operand is transposed to (b, k, m), so inner column j is
+        # a contiguous lane row like inner row j of the right operand.
+        xl = np.empty((chunk, k, m), dtype=lanes.dtype)
+        yl = np.empty((chunk, k, width), dtype=lanes.dtype)
+        best = np.empty((chunk, m, stripe), dtype=lanes.dtype)
+        cand = np.empty_like(best)
+        fill, merge = self.fill, self.merge
+        for b0 in range(b_lo, b_hi, chunk):
+            b1 = min(b0 + chunk, b_hi)
+            xs, ys = xl[: b1 - b0], yl[: b1 - b0]
+            _encode(xs, x[b0:b1].transpose(0, 2, 1), lanes, left_add)
+            _encode(ys, y[b0:b1, :, c_lo:c_hi], lanes, right_add)
+            for s0 in range(0, width, stripe):
+                s1 = min(s0 + stripe, width)
+                acc = best[: b1 - b0, :, : s1 - s0]
+                tmp = cand[: b1 - b0, :, : s1 - s0]
+                yv = ys[:, :, s0:s1]
+                fill(xs[:, 0, :, None], yv[:, None, 0, :], out=acc)
+                for j in range(1, k):
+                    fill(xs[:, j, :, None], yv[:, None, j, :], out=tmp)
+                    merge(acc, tmp, out=acc)
+                cols = slice(c_lo + s0, c_lo + s1)
+                self._decode(
+                    acc,
+                    lanes,
+                    values[b0:b1, :, cols],
+                    None if witness is None else witness[b0:b1, :, cols],
+                )
+
+    def _walk(self, x, y, values, witness) -> None:
+        """The exact column walk into ``values`` (and ``witness``).
+
+        Walks the inner dimension once for the whole batch with a
+        strict-improvement merge, so the lowest attaining index wins ties
+        like the fold.  The fallback for an empty inner dimension and for
+        entries too wide for ``int64`` lanes; plain products skip the
+        witness.
+        """
+        k = x.shape[2]
+        if witness is not None:
+            witness[...] = 0
         if k == 0:
-            shape = (batch, m, n)
-            return self.zeros(shape), np.zeros(shape, dtype=np.int64)
-        best = self._combine(x[:, :, 0:1], y[:, 0:1, :])
-        witness = np.zeros(best.shape, dtype=np.int64)
+            values[...] = self.zero_value
+            return
+        values[...] = self._combine(x[:, :, 0:1], y[:, 0:1, :])
         for j in range(1, k):
             candidate = self._combine(x[:, :, j : j + 1], y[:, j : j + 1, :])
-            better = self._strictly_better(candidate, best)
-            np.copyto(best, candidate, where=better)
+            if witness is None:
+                self.merge(values, candidate, out=values)
+                continue
+            better = self.better(candidate, values)
+            np.copyto(values, candidate, where=better)
             np.copyto(witness, j, where=better)
-        return best, witness
 
     def improves(self, challenger: np.ndarray, best: np.ndarray) -> np.ndarray:
-        return self._strictly_better(challenger, best)
+        return self.better(challenger, best)
+
+    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return self.merge(a, b)
+
+    def add_with_witness(
+        self,
+        a: np.ndarray,
+        wa: np.ndarray,
+        b: np.ndarray,
+        wb: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        take_b = self.better(b, a)
+        return np.where(take_b, b, a), np.where(take_b, wb, wa)
 
 
 class MinPlusSemiring(_SelectionSemiring):
@@ -729,171 +809,59 @@ class MinPlusSemiring(_SelectionSemiring):
     :data:`~repro.constants.INF` and sums saturate there so that unreachable
     entries stay unreachable.  Witnesses record the minimising inner index,
     which §3.3 turns into routing tables.
+
+    Packed lanes: with finite entries bounded by ``F`` in magnitude, an
+    entry encodes as ``x + F`` (so sums are non-negative and ``<= 4F``) and
+    ``INF`` as a penalty ``P``, the first power of two above ``4F`` (any
+    candidate with an infinite addend lands ``>= P``, two infinite addends
+    at ``2P``).  Witnessed products pack ``(x + F) << kbits`` on the left
+    and ``((y + F) << kbits) + j`` on the right, so one add forms
+    ``(sum << kbits) | j`` and one min selects the smallest sum and, among
+    equal sums, the smallest ``j``.  Candidates at or above ``P`` decode to
+    ``(INF, 0)``.
     """
 
     name = "min-plus"
     zero_value = INF
     one_value = 0
-
-    #: Fast-path constants: operands whose finite entries satisfy
-    #: ``|x| <= _FAST_MAX`` are *penalty-encoded* -- ``INF`` becomes
-    #: ``_PENALTY`` -- so each tile needs only a raw add + min (no masking
-    #: passes).  Any combo involving an encoded infinity lands in
-    #: ``[_PENALTY - _FAST_MAX, 2 * _PENALTY]``, entirely above
-    #: ``_INF_THRESHOLD``, while finite sums stay entirely below it; a
-    #: single final threshold pass restores exact ``INF`` saturation.  The
-    #: maximum possible sum is ``2 * _PENALTY == 2**62 < 2**63``: overflow
-    #: is impossible, and ``INF + INF`` is never formed.
-    _FAST_MAX = 1 << 58
-    _PENALTY = 1 << 61
-    _INF_THRESHOLD = 1 << 60
+    fill = np.add
+    merge = np.minimum
+    better = np.less
 
     def _combine(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return saturating_add(a, b)
 
-    @classmethod
-    def _penalty_encode(
-        cls, x: np.ndarray, y: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Encoded operands for the fast path, or ``None`` if out of range."""
-        encoded = []
-        for mat in (x, y):
-            finite = np.where(mat >= INF, 0, mat)
-            if not bool(np.all(np.abs(finite) <= cls._FAST_MAX)):
-                return None
-            encoded.append(np.where(mat >= INF, cls._PENALTY, mat))
-        return encoded[0], encoded[1]
-
-    def matmul_batch(
-        self, x: np.ndarray, y: np.ndarray, *, backend=None
-    ) -> np.ndarray:
-        """Penalty-encoded tiled fold: a raw add + min per tile.
-
-        Values are bit-identical to the generic tiled kernel, which remains
-        the exact path for finite entries too wide to encode.
-        """
-        del backend  # the penalty-encoded fold has no backend tiles
-        x, y = _check_batch(x, y)
-        tile = DEFAULT_BLOCK_TILE
-        batch, m, k = x.shape
-        n = y.shape[2]
-        if k == 0:
-            return self.zeros((batch, m, n))
-        encoded = self._penalty_encode(x, y)
-        if encoded is None:  # huge finite entries: exact saturating path
-            return super().matmul_batch(x, y)
-        xe, ye = encoded
-        out = np.empty((batch, m, n), dtype=np.int64)
-        chunk = _batch_chunk(batch, m * tile * n)
-        for b0 in range(0, batch, chunk):
-            xc = xe[b0 : b0 + chunk]
-            yc = ye[b0 : b0 + chunk]
-            best: np.ndarray | None = None
-            for k0 in range(0, k, tile):
-                slab = (
-                    xc[:, :, k0 : k0 + tile, None]
-                    + yc[:, None, k0 : k0 + tile, :]
-                )
-                tile_best = slab.min(axis=2)
-                if best is None:
-                    best = tile_best
-                else:
-                    np.minimum(best, tile_best, out=best)
-            out[b0 : b0 + chunk] = best
-        np.copyto(out, INF, where=out >= self._INF_THRESHOLD)
-        return out
-
-    def _pack_parameters(
-        self, x: np.ndarray, y: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, int, int, int] | None:
-        """Offsets/penalty/shift for the packed witness kernel, or ``None``.
-
-        The packed kernel turns the witness product into a *plain* tiled min
-        over ``(sum << kbits) | j`` values: the minimum simultaneously
-        selects the smallest sum and, on ties, the smallest inner index --
-        exactly the tie-breaking of the column walk.  For that to be exact
-        in ``int64`` we need head-room: with finite entries bounded by ``F``
-        in magnitude, entries are shifted by ``+F`` (so encoded sums are
-        non-negative, ``<= 4F``), infinities become a penalty ``P > 4F``
-        (any combo involving one lands ``>= P``, double penalties at
-        ``2P``), and ``2P << kbits`` must stay below ``2^62``.  Falls back
-        to ``None`` (column walk) outside that range.
-        """
-        k = x.shape[-1]
-        kbits = max(0, (k - 1).bit_length())
+    def _encoding(self, x, y):
         finite_bound = 0
         for mat in (x, y):
             if mat.size == 0:
                 continue
-            # max |finite entry| without materialising a masked copy: the
-            # global min is never INF-contaminated (INF is the largest
-            # value), and the masked max caps negatives at the 0 initial.
+            # max |finite entry|: the global min is never INF-contaminated
+            # (INF is the largest value); the masked max, needed only when
+            # an INF is present, caps negatives at the 0 initial.
             lo = int(mat.min())
-            hi = int(np.max(mat, initial=0, where=mat < INF))
-            finite_bound = max(finite_bound, -lo if lo < 0 else 0, hi)
+            hi = int(mat.max())
+            if hi >= INF:
+                hi = int(np.max(mat, initial=0, where=mat < INF))
+            finite_bound = max(finite_bound, -lo, hi)
         penalty = 1 << max(3, (4 * finite_bound).bit_length())
-        if 2 * penalty >= 1 << (62 - kbits):
-            return None
-        xs = np.where(x >= INF, penalty, x + finite_bound)
-        ys = np.where(y >= INF, penalty, y + finite_bound)
-        return xs, ys, kbits, penalty, finite_bound
+        return finite_bound, penalty, 2 * penalty
 
-    def matmul_batch_with_witness(
-        self, x: np.ndarray, y: np.ndarray, *, backend=None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Packed min-plus witness kernel: one tiled min over tagged sums.
+    def _addends(self, k, lanes):
+        if not lanes.kbits:
+            return lanes.offset, lanes.offset
+        base = lanes.offset << lanes.kbits
+        return base, base + np.arange(k, dtype=lanes.dtype)[:, None]
 
-        Values and witnesses are bit-identical to the column walk of
-        :class:`_SelectionSemiring`, including tie-breaks; the walk handles
-        an empty inner dimension and entries too wide to pack.
-        """
-        x, y = _check_batch(x, y)
-        k = x.shape[2]
-        packed = self._pack_parameters(x, y) if k else None
-        if packed is None:  # empty or huge entries: exact column walk
-            return super().matmul_batch_with_witness(x, y)
-        xs, ys, kbits, penalty, offset = packed
-        # Fold the shift and the index tag into the operands once:
-        # ``((a + b) << kbits) | j  ==  (a << kbits) + ((b << kbits) + j)``
-        # exactly (``j < 2^kbits`` and the shifted sum has ``kbits`` low
-        # zero bits), so each tile is a single broadcast add plus a min --
-        # no per-slab shift/or passes.  ``xs``/``ys`` are fresh encodes, so
-        # the in-place folds are safe.
-        xs <<= kbits
-        ys <<= kbits
-        ys += np.arange(k, dtype=np.int64)[None, :, None]
-        out = self._packed_fold(
-            xs, ys, np.add, np.min, np.minimum, backend=backend
-        )
-        witness = out & ((1 << kbits) - 1)
-        out >>= kbits
-        # Encoded sums carry a 2*offset shift; restore it, then restore INF
-        # saturation (any combo involving an encoded infinity is >= penalty)
-        # with the all-infinite witness convention (index 0).
-        saturated = out >= penalty
-        out -= 2 * offset
-        np.copyto(out, INF, where=saturated)
-        np.copyto(witness, 0, where=saturated)
-        return out, witness
-
-    def _reduce(self, values: np.ndarray, axis: int) -> np.ndarray:
-        return np.min(values, axis=axis)
-
-    def _strictly_better(self, challenger: np.ndarray, best: np.ndarray) -> np.ndarray:
-        return challenger < best
-
-    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.minimum(a, b)
-
-    def add_with_witness(
-        self,
-        a: np.ndarray,
-        wa: np.ndarray,
-        b: np.ndarray,
-        wb: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        take_b = b < a
-        return np.where(take_b, b, a), np.where(take_b, wb, wa)
+    def _decode(self, best, lanes, values, witness):
+        if witness is not None:
+            np.bitwise_and(best, (1 << lanes.kbits) - 1, out=witness)
+            best >>= lanes.kbits
+        saturated = best >= lanes.penalty
+        np.subtract(best, 2 * lanes.offset, out=values)
+        np.copyto(values, INF, where=saturated)
+        if witness is not None:
+            np.copyto(witness, 0, where=saturated)
 
 
 class MaxMinSemiring(_SelectionSemiring):
@@ -902,106 +870,65 @@ class MaxMinSemiring(_SelectionSemiring):
     ``(S * T)[u, v] = max_w min(S[u, w], T[w, v])`` computes widest
     bottleneck paths; included to demonstrate that the §2.1 engine is generic
     over semirings (the paper states Theorem 1 "over semirings").
+
+    Packed lanes: the elementwise product is a *min*, so entries encode
+    under a strictly monotone map ``e`` over the extended order
+    ``-INF < finite < +INF`` -- ``e(-INF) = 0``, ``e(v) = v + F + 1`` for
+    ``|v| <= F``, ``e(+INF) = P = 2F + 2`` -- and ``min(e(a), e(b)) =
+    e(min(a, b))`` exactly.  The outer reduction is a *max*, so witnessed
+    products tag inner index ``j`` with ``mask - j`` (``mask = 2^kbits -
+    1``) on *both* operands: ``min(a + t, b + t) = min(a, b) + t``, and on
+    equal values the largest tag -- the smallest ``j`` -- wins.  Operands
+    outside ``[-INF, INF]`` take the column walk.
     """
 
     name = "max-min"
     zero_value = -INF
     one_value = INF
-
-    def _pack_parameters(
-        self, x: np.ndarray, y: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, int, int, int] | None:
-        """Monotone encoding for the packed max-min witness kernel, or ``None``.
-
-        The min-plus packing trick carries over with two twists.  First, the
-        elementwise product is a *min*, so instead of adding encoded
-        operands we encode with any strictly monotone map ``e`` over the
-        extended order ``-INF < finite < +INF`` -- then
-        ``min(e(a), e(b)) = e(min(a, b))`` exactly.  We use ``e(-INF) = 0``,
-        ``e(v) = v + F + 1`` for ``|v| <= F`` finite, ``e(+INF) = P = 2F+2``.
-        Second, the outer reduction is a *max*, so on value ties the
-        **largest** tag wins; tagging column ``j`` with ``k - 1 - j`` makes
-        the smallest inner index win ties -- NumPy's argmax convention,
-        bit-identical to the column walk.  Exactness needs
-        ``P << kbits < 2^62``; ``None`` falls back to the column walk.
-        """
-        k = x.shape[-1]
-        kbits = max(0, (k - 1).bit_length())
-        finite_bound = 0
-        for mat in (x, y):
-            if mat.size == 0:
-                continue
-            hi = int(np.max(mat, initial=0, where=mat < INF))
-            lo = int(np.min(mat, initial=0, where=mat > -INF))
-            finite_bound = max(finite_bound, hi, -lo)
-        penalty = 2 * finite_bound + 2
-        if penalty >= 1 << (62 - kbits):
-            return None
-        xs = np.where(x >= INF, penalty, np.where(x <= -INF, 0, x + finite_bound + 1))
-        ys = np.where(y >= INF, penalty, np.where(y <= -INF, 0, y + finite_bound + 1))
-        return xs, ys, kbits, penalty, finite_bound
-
-    def matmul_batch_with_witness(
-        self, x: np.ndarray, y: np.ndarray, *, backend=None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Packed max-min witness kernel: one tiled max over tagged encodes.
-
-        Packs ``(e(min) << kbits) + (k - 1 - j)`` and takes a single tiled
-        max; because both operands of a lane carry the *same* tag,
-        ``min(a + t, b + t) = min(a, b) + t`` keeps the fold exact.  Values
-        and witnesses are bit-identical to the column walk of
-        :class:`_SelectionSemiring`, including tie-breaks; the walk handles
-        an empty inner dimension and entries too wide to pack.
-        """
-        x, y = _check_batch(x, y)
-        k = x.shape[2]
-        packed = self._pack_parameters(x, y) if k else None
-        if packed is None:  # empty or huge entries: exact column walk
-            return super().matmul_batch_with_witness(x, y)
-        xs, ys, kbits, penalty, offset = packed
-        # Fold shift and reversed tag into *both* operands (same tag per
-        # inner index, so the elementwise min preserves it exactly).
-        tags = (k - 1) - np.arange(k, dtype=np.int64)
-        xs <<= kbits
-        xs += tags[None, None, :]
-        ys <<= kbits
-        ys += tags[None, :, None]
-        out = self._packed_fold(
-            xs, ys, np.minimum, np.max, np.maximum, backend=backend
-        )
-        witness = (k - 1) - (out & ((1 << kbits) - 1))
-        out >>= kbits
-        # Decode the monotone encoding: 0 is -INF, penalty is +INF,
-        # everything else shifts back by offset + 1.
-        neg = out == 0
-        pos = out >= penalty
-        out -= offset + 1
-        np.copyto(out, -INF, where=neg)
-        np.copyto(out, INF, where=pos)
-        np.copyto(witness, 0, where=neg)
-        return out, witness
+    fill = np.minimum
+    merge = np.maximum
+    better = np.greater
 
     def _combine(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.minimum(a, b)
 
-    def _reduce(self, values: np.ndarray, axis: int) -> np.ndarray:
-        return np.max(values, axis=axis)
+    def _encoding(self, x, y):
+        finite_bound = 0
+        for mat in (x, y):
+            if mat.size == 0:
+                continue
+            lo = int(mat.min())
+            hi = int(mat.max())
+            if hi > INF or lo < -INF:
+                return None
+            if hi == INF:
+                hi = int(np.max(mat, initial=0, where=mat < INF))
+            if lo == -INF:
+                lo = int(np.min(mat, initial=0, where=mat > -INF))
+            finite_bound = max(finite_bound, hi, -lo)
+        penalty = 2 * finite_bound + 2
+        return finite_bound + 1, penalty, penalty
 
-    def _strictly_better(self, challenger: np.ndarray, best: np.ndarray) -> np.ndarray:
-        return challenger > best
+    def _addends(self, k, lanes):
+        if not lanes.kbits:
+            return lanes.offset, lanes.offset
+        top = ((lanes.offset + 1) << lanes.kbits) - 1
+        tags = (top - np.arange(k, dtype=lanes.dtype))[:, None]
+        return tags, tags
 
-    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.maximum(a, b)
-
-    def add_with_witness(
-        self,
-        a: np.ndarray,
-        wa: np.ndarray,
-        b: np.ndarray,
-        wb: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        take_b = b > a
-        return np.where(take_b, b, a), np.where(take_b, wb, wa)
+    def _decode(self, best, lanes, values, witness):
+        if witness is not None:
+            # An all--INF entry ties every candidate at e = 0, so the
+            # largest tag wins and it decodes to witness 0 by itself.
+            mask = (1 << lanes.kbits) - 1
+            np.bitwise_and(best, mask, out=witness)
+            np.subtract(mask, witness, out=witness)
+            best >>= lanes.kbits
+        negative = best == 0
+        positive = best >= lanes.penalty
+        np.subtract(best, lanes.offset, out=values)
+        np.copyto(values, -INF, where=negative)
+        np.copyto(values, INF, where=positive)
 
 
 #: Singleton instances -- semirings are stateless, so share them.
@@ -1025,7 +952,6 @@ __all__ = [
     "MAX_MIN",
     "ALL_SEMIRINGS",
     "saturating_add",
-    "DEFAULT_BLOCK_TILE",
     "packed_words",
     "pack_bool_rows",
     "unpack_bool_rows",

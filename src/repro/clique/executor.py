@@ -53,8 +53,14 @@ class LocalExecutor:
         rights: np.ndarray,
         *,
         with_witnesses: bool = False,
+        out: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-        """``(B, m, k) x (B, k, n) -> (B, m, n)`` products (+ witnesses)."""
+        """``(B, m, k) x (B, k, n) -> (B, m, n)`` products (+ witnesses).
+
+        ``out=(values, witnesses)`` -- witnessed products only -- receives
+        the result in place (views allowed) and is returned; the §2.1
+        engine passes its step-3 send buffer.
+        """
         raise NotImplementedError
 
     def ring_products(
@@ -97,11 +103,14 @@ class SerialExecutor(LocalExecutor):
         rights: np.ndarray,
         *,
         with_witnesses: bool = False,
+        out: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
         if with_witnesses:
             return semiring.matmul_batch_with_witness(
-                lefts, rights, backend=self.backend
+                lefts, rights, backend=self.backend, out=out
             )
+        if out is not None:
+            raise ValueError("out= takes a witnessed product's two outputs")
         return semiring.matmul_batch(lefts, rights, backend=self.backend)
 
     def ring_products(

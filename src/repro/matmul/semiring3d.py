@@ -49,6 +49,9 @@ Implementation notes:
   witnesses and step-3 widths are still exact.  Only the other nodes go to
   the executor; both exchanges still run and bill as before.  Converged
   squarings of a closure therefore skip the kernel entirely.
+* When every node is stale, a witnessed product's kernel decodes values
+  and witnesses **straight into the step-3 send buffer** (the executor's
+  ``out=``); a stale subset is computed apart and scattered there.
 """
 
 from __future__ import annotations
@@ -378,12 +381,23 @@ def semiring_matmul(
     stale = changed | ~(clean & cache.clean)
     cache.clean = clean
     # The stale nodes' products run as one batched executor call (none at
-    # all when nothing changed).
+    # all when nothing changed).  A witnessed product of every node lands
+    # straight in the step-3 send buffer; a stale subset is scattered there
+    # below.
     todo = slice(None) if stale.all() else np.flatnonzero(stale)
+    direct = with_witnesses and stale.all()
     fresh = None
     if stale.any():
+        out = None
+        if direct:
+            send3 = arena.buffer("cube/blocks3w", (n, q2, 2, q2))
+            out = (send3[:, :, 0], send3[:, :, 1])
         fresh = clique.executor.semiring_products(
-            semiring, s_blocks[todo], t_blocks[todo], with_witnesses=with_witnesses
+            semiring,
+            s_blocks[todo],
+            t_blocks[todo],
+            with_witnesses=with_witnesses,
+            out=out,
         )
 
     # ---------------- Step 3: distribute the partial products. ---------- #
@@ -394,8 +408,8 @@ def semiring_matmul(
     witness_words = words_for_value(n, word_bits)
     if fresh is not None:
         products, wit_blocks = fresh if with_witnesses else (fresh, None)
-        # Widths before the send buffer is requested: the other order
-        # fragmented the heap (+6% peak RSS at n=512).
+        # Widths before a scatter's send buffer is requested: the other
+        # order fragmented the heap (+6% peak RSS at n=512).
         cache.row_widths[todo] = block_widths(
             products.reshape(-1, q2), word_bits
         ).reshape(-1, q2)
@@ -405,11 +419,13 @@ def semiring_matmul(
         blocks3 = arena.buffer("cube/blocks3w", (n, q2, 2, q2))
         recomb_key, recomb_shape = "cube/recombw", (n * q2, 2, q2)
         if fresh is not None:
-            # Local inner index -> global node id, per block product
-            # (executor results are freshly allocated, so in-place is safe).
+            # Local inner index -> global node id, per block product (the
+            # witnesses are the send buffer's or freshly allocated, so
+            # in-place is safe).
             wit_blocks += plan.k_base[todo, None, None]
-            blocks3[todo, :, 0] = products
-            blocks3[todo, :, 1] = wit_blocks
+            if not direct:
+                blocks3[todo, :, 0] = products
+                blocks3[todo, :, 1] = wit_blocks
     else:
         blocks3 = arena.buffer("cube/products", (n, q2, q2))
         recomb_key, recomb_shape = "cube/recomb", (n * q2, q2)

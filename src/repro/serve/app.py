@@ -10,6 +10,11 @@ Protocol: one JSON object per line.  Requests::
 Responses echo an optional ``"id"`` and carry ``"ok": true`` plus the
 result (``"dist"`` is ``null`` for unreachable pairs, ``"path"`` the node
 list -- empty for unreachable), or ``"ok": false`` with an ``"error"``.
+Node ids ``"u"`` and ``"v"`` must be JSON integers (not booleans) in
+``[0, n)``; anything else is answered with an error naming the field.
+Every request gets exactly one reply, and no request can stop the
+batching dispatcher.  A line longer than :data:`MAX_LINE_BYTES` is
+answered with an error and its connection closed.
 
 The server's one trick is **micro-batching**: requests arriving within
 ``window`` seconds are drained into a single batch and answered with one
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,8 +37,28 @@ from repro.constants import INF
 from repro.serve.query import QueryEngine, RoutingCycleError
 
 
+#: Longest request line the server reads (the stream reader's limit).
+MAX_LINE_BYTES = 1 << 16
+
+_log = logging.getLogger(__name__)
+
+
 def _json_dist(value: int) -> int | None:
     return None if value >= INF else int(value)
+
+
+def _node(request: dict, field: str, n: int) -> int:
+    """The node id in ``request[field]``: a JSON integer in ``[0, n)``."""
+    value = request.get(field)
+    # bool is an int subclass, and JSON true must not mean node 1.
+    if type(value) is not int:
+        raise ValueError(
+            f"field {field!r} must be a JSON integer node id, "
+            f"got {type(value).__name__}"
+        )
+    if not 0 <= value < n:
+        raise ValueError(f"field {field!r} out of range [0, {n})")
+    return value
 
 
 @dataclass
@@ -87,7 +113,9 @@ class BatchingServer:
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:
         """Bind and start serving; returns the bound (host, port)."""
         self._queue = asyncio.Queue()
-        self._server = await asyncio.start_server(self._handle, host, port)
+        self._server = await asyncio.start_server(
+            self._handle, host, port, limit=MAX_LINE_BYTES
+        )
         self._dispatcher = asyncio.create_task(self._dispatch_loop())
         sock = self._server.sockets[0]
         addr = sock.getsockname()
@@ -124,7 +152,16 @@ class BatchingServer:
         self._connections.add(writer)
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:  # over the stream limit: answer and close
+                    response = {
+                        "ok": False,
+                        "error": f"request line longer than {MAX_LINE_BYTES} bytes",
+                    }
+                    writer.write(json.dumps(response).encode() + b"\n")
+                    await writer.drain()
+                    break
                 if not line:
                     break
                 response = await self._submit(line)
@@ -145,7 +182,9 @@ class BatchingServer:
     async def _submit(self, line: bytes) -> dict:
         try:
             request = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # JSONDecodeError, undecodable bytes, integers past Python's
+            # digit limit, nesting past the recursion limit.
             return {"ok": False, "error": f"bad JSON: {exc}"}
         if not isinstance(request, dict):
             return {"ok": False, "error": "request must be a JSON object"}
@@ -184,7 +223,19 @@ class BatchingServer:
                     )
                 except asyncio.TimeoutError:
                     break
-            self._flush(batch)
+            try:
+                self._flush(batch)
+            except Exception as exc:  # no request may stop the dispatcher
+                _log.exception("batch of %d requests failed", len(batch))
+                for request, future in batch:
+                    if not future.done():
+                        future.set_result(
+                            {
+                                "ok": False,
+                                "id": request.get("id"),
+                                "error": f"internal error: {exc}",
+                            }
+                        )
             if (
                 self.max_requests is not None
                 and self.stats.requests >= self.max_requests
@@ -201,13 +252,9 @@ class BatchingServer:
             op = request["op"]
             self.stats.by_op[op] = self.stats.by_op.get(op, 0) + 1
             try:
-                u = int(request["u"])
-                v = int(request.get("v", 0)) if op != "ecc" else 0
-                if not 0 <= u < self.engine.n or not 0 <= v < self.engine.n:
-                    raise ValueError(
-                        f"node out of range [0, {self.engine.n})"
-                    )
-            except (KeyError, TypeError, ValueError) as exc:
+                u = _node(request, "u", self.engine.n)
+                v = 0 if op == "ecc" else _node(request, "v", self.engine.n)
+            except ValueError as exc:
                 if not future.done():
                     future.set_result(
                         {"ok": False, "id": request.get("id"), "error": str(exc)}
@@ -285,4 +332,4 @@ async def request_line(
     return json.loads(line)
 
 
-__all__ = ["BatchingServer", "ServerStats", "request_line"]
+__all__ = ["BatchingServer", "MAX_LINE_BYTES", "ServerStats", "request_line"]

@@ -130,6 +130,12 @@ def boolean_gemm(x, y) -> np.ndarray:
 def column_walk(
     semiring: Semiring, x, y
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The batched column walk: the packed witness kernels' exact fallback."""
-    return _SelectionSemiring.matmul_batch_with_witness(semiring, x, y)
+    """The batched column walk: the narrow-lane fold's exact fallback."""
+    x = np.asarray(x, dtype=np.int64)
+    y = np.asarray(y, dtype=np.int64)
+    shape = (x.shape[0], x.shape[1], y.shape[2])
+    values = np.empty(shape, dtype=np.int64)
+    witness = np.empty(shape, dtype=np.int64)
+    _SelectionSemiring._walk(semiring, x, y, values, witness)
+    return values, witness
 

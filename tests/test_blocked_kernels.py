@@ -1,15 +1,15 @@
-"""Property tests: blocked semiring kernels vs the retained cube oracle.
+"""Property tests: the semiring kernels vs the retained cube oracle.
 
-The blocked kernels (tiled accumulators, the min-plus penalty-encoded fast
-path, the packed witness folds and their column-walk fallback) must agree
-*bit for bit* -- values and witnesses -- with ``reference_matmul`` /
+The kernels (the narrow-lane selection fold, plain and witnessed, its
+column-walk fallback, and the Boolean and ring products) must agree *bit
+for bit* -- values and witnesses -- with ``reference_matmul`` /
 ``cube_matmul_with_witness`` (``tests/kernel_reference.py``), the seed's
 cube-materialising kernels kept as independent oracles.  Matrices include
 ``INF`` / ``-INF`` saturation, negative entries, near-``INF`` finite
-entries (which force the exact fallbacks), and non-square blocks.  The
-kernels take their tile widths from the operand shapes, so the tile
-boundaries are covered through the inputs: inner dimensions off every tile
-multiple and single blocks big enough to column-stripe.
+entries (which force the exact fallback), and non-square blocks.  The
+fold takes its chunks and column stripes from the operand shapes, so those
+boundaries are covered through the inputs: inner dimensions around the
+tag widths and single blocks big enough to column-stripe.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from kernel_reference import cube_matmul_with_witness, reference_matmul
 
+from repro.algebra import semirings
 from repro.algebra.semirings import (
     ALL_SEMIRINGS,
     BOOLEAN,
@@ -88,8 +89,9 @@ class TestBlockedVsReference:
 
     @pytest.mark.parametrize("k", [1, 7, 8, 9, 15, 16, 17, 25, 33])
     def test_inner_dimensions_off_tile_multiples(self, k):
-        """Inner dimensions that end mid-tile for the plain tile (8) and the
-        packed tile (16): the remainder tile must fold exactly."""
+        """Inner dimensions off the multiples of 8 and 16 (the old kernels'
+        tile widths) and on both sides of a power of two, where the
+        witness tag gains a bit: the fold must stay exact."""
         rng = np.random.default_rng(k)
         for semiring in SELECTION:
             x = _random_block(rng, semiring, (9, k), boundary=False)
@@ -101,15 +103,16 @@ class TestBlockedVsReference:
             assert np.array_equal(w, expected_w)
 
     @pytest.mark.parametrize("k", [64, 75])
-    def test_single_block_that_column_stripes(self, k):
-        """One block whose ``(m, 16, n)`` slab overflows the packed slab
-        budget: the fold narrows its tile and stripes the output columns,
-        and must still match the cube oracle value for value and witness
-        for witness."""
+    def test_single_block_that_column_stripes(self, k, monkeypatch):
+        """One block whose ``m * n`` output overflows the fold's lane
+        budget (shrunk here so the oracle stays small): the fold stripes
+        the output columns, the last stripe narrower, and must still match
+        the cube oracle value for value and witness for witness."""
+        monkeypatch.setattr(semirings, "_FOLD_ENTRIES", 1 << 12)
         rng = np.random.default_rng(k)
         m, n = 96, 100
+        assert m * n > semirings._FOLD_ENTRIES and n % (semirings._FOLD_ENTRIES // m)
         for semiring in SELECTION:
-            assert m * 16 * n > semiring._PACKED_SLAB_ENTRIES
             x = _random_block(rng, semiring, (m, k), boundary=False)
             y = _random_block(rng, semiring, (k, n), boundary=False)
             expected, expected_w = cube_matmul_with_witness(semiring, x, y)
@@ -120,9 +123,9 @@ class TestBlockedVsReference:
 
     @pytest.mark.parametrize("hi", [1 << 53, 1 << 55, 1 << 58])
     def test_entries_too_wide_to_pack_take_the_walk(self, hi):
-        """Finite min-plus entries too wide for the packed fold at k=64 but
-        within the old penalty-walk range (|x| <= 2^58): the column walk
-        must reproduce the cube oracle bit for bit, ties included."""
+        """Finite min-plus entries too wide for tagged ``int64`` lanes at
+        k=64: the column walk must reproduce the cube oracle bit for bit,
+        ties included."""
         rng = np.random.default_rng(hi % 1000)
         k = 64
         x = rng.integers(-hi, hi + 1, (12, k), dtype=np.int64)
@@ -133,7 +136,7 @@ class TestBlockedVsReference:
         x[rng.random(x.shape) < 0.25] = INF
         y[rng.random(y.shape) < 0.25] = INF
         x[3] = INF  # an all-infinite row: (INF, witness 0)
-        assert MIN_PLUS._pack_parameters(x[None], y[None]) is None
+        assert MIN_PLUS._lanes(x[None], y[None], kbits=6) is None
         expected, expected_w = cube_matmul_with_witness(MIN_PLUS, x, y)
         p, w = MIN_PLUS.matmul_with_witness(x, y)
         assert np.array_equal(p, expected)

@@ -169,7 +169,7 @@ class _PerBlockOracleExecutor(LocalExecutor):
     name = "per-block-oracle"
 
     def semiring_products(
-        self, semiring, lefts, rights, *, with_witnesses=False
+        self, semiring, lefts, rights, *, with_witnesses=False, out=None
     ):
         lefts = np.asarray(lefts, dtype=np.int64)
         rights = np.asarray(rights, dtype=np.int64)
@@ -178,10 +178,13 @@ class _PerBlockOracleExecutor(LocalExecutor):
                 cube_matmul_with_witness(semiring, lefts[b], rights[b])
                 for b in range(lefts.shape[0])
             ]
-            return (
-                np.stack([p for p, _ in pairs]),
-                np.stack([w for _, w in pairs]),
-            )
+            values = np.stack([p for p, _ in pairs])
+            witnesses = np.stack([w for _, w in pairs])
+            if out is None:
+                return values, witnesses
+            out[0][...] = values
+            out[1][...] = witnesses
+            return out
         blocks = []
         for b in range(lefts.shape[0]):
             if semiring is BOOLEAN:

@@ -244,7 +244,7 @@ class TestPackedMaxMinWitness:
         big = 1 << 61
         x = np.array([[[big, -big]]], dtype=np.int64)
         y = np.array([[[big], [-big]]], dtype=np.int64)
-        assert MAX_MIN._pack_parameters(x, y) is None
+        assert MAX_MIN._lanes(x, y, kbits=1) is None
         p, w = MAX_MIN.matmul_batch_with_witness(x, y)
         wp, ww = column_walk(MAX_MIN, x, y)
         assert np.array_equal(p, wp) and np.array_equal(w, ww)

@@ -58,10 +58,12 @@ class SpyExecutor(SerialExecutor):
         super().__init__(backend)
         self.batches: list[int] = []
 
-    def semiring_products(self, semiring, lefts, rights, *, with_witnesses=False):
+    def semiring_products(
+        self, semiring, lefts, rights, *, with_witnesses=False, out=None
+    ):
         self.batches.append(lefts.shape[0])
         return super().semiring_products(
-            semiring, lefts, rights, with_witnesses=with_witnesses
+            semiring, lefts, rights, with_witnesses=with_witnesses, out=out
         )
 
 
@@ -243,6 +245,63 @@ class TestReuseHappens:
         session.seed_resident(pad_matrix(graph.weight_matrix(), n, fill=INF))
         session.resident_closure()
         assert spy.batches == [n] * default_steps(n)
+
+
+class _OutSpy(SpyExecutor):
+    """A :class:`SpyExecutor` that also records which calls got ``out=``."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.direct: list[bool] = []
+
+    def semiring_products(self, semiring, lefts, rights, **kwargs):
+        self.direct.append(kwargs.get("out") is not None)
+        return super().semiring_products(semiring, lefts, rights, **kwargs)
+
+
+class TestDirectOutput:
+    def test_direct_and_scatter_paths_leave_identical_send_buffers(self):
+        """A partly converged grid closure: with reuse, later squarings
+        scatter a stale subset into the step-3 send buffer; with a fresh
+        arena per squaring every squaring writes all blocks straight into
+        it.  After every squaring both send buffers, and at the end the
+        values, routing tables and ``PhaseCost`` lists, are identical."""
+        n, q2 = 64, 16
+        matrix = pad_matrix(_graph("grid", n).weight_matrix(), n, fill=INF)
+
+        def closure(reuse: bool):
+            spy = _OutSpy()
+            clique = CongestedClique(n, executor=spy)
+            session = EngineSession(clique, "semiring", MIN_PLUS)
+            session.seed_resident(matrix)
+            if not reuse:
+                _release_before_every_square(session)
+            square, sent = session.square, []
+
+            def recording_square(*args, **kwargs):
+                result = square(*args, **kwargs)
+                sent.append(
+                    session.arena.buffer("cube/blocks3w", (n, q2, 2, q2)).copy()
+                )
+                return result
+
+            session.square = recording_square
+            session.resident_closure(phase="apsp")
+            state = session.resident
+            return state, sent, list(clique.meter.phases), spy
+
+        got, got_sent, got_phases, scatter = closure(reuse=True)
+        want, want_sent, want_phases, direct = closure(reuse=False)
+        assert any(0 < b < n for b in scatter.batches)
+        assert scatter.direct == [b == n for b in scatter.batches]
+        assert direct.direct and all(direct.direct)
+        assert direct.batches == [n] * len(direct.batches)
+        assert len(got_sent) == len(want_sent) > 1
+        for step, (a, b) in enumerate(zip(got_sent, want_sent)):
+            assert np.array_equal(a, b), step
+        assert np.array_equal(got.dist, want.dist)
+        assert np.array_equal(got.next_hop, want.next_hop)
+        assert got_phases == want_phases
 
 
 class TestInvalidation:

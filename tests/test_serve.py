@@ -629,6 +629,73 @@ class TestDelta:
 # --------------------------------------------------------------------- #
 
 
+def _json_or_none(value: int) -> int | None:
+    return None if value >= INF else int(value)
+
+
+async def _raw_request(reader, writer, line: bytes) -> dict:
+    """Send one raw request line and read exactly one reply line."""
+    writer.write(line + b"\n")
+    await writer.drain()
+    reply = await reader.readline()
+    assert reply, "the server closed the connection"
+    return json.loads(reply)
+
+
+#: Node ids of the 12-node ``served`` artifact.
+_IDS = st.integers(min_value=0, max_value=11)
+_VALID = st.one_of(
+    st.builds(lambda u, v: {"op": "dist", "u": u, "v": v}, _IDS, _IDS),
+    st.builds(lambda u, v: {"op": "path", "u": u, "v": v}, _IDS, _IDS),
+    st.builds(lambda u: {"op": "ecc", "u": u}, _IDS),
+)
+#: Values no node-id field accepts.
+_BAD_ID = st.one_of(
+    st.floats(),
+    st.text(max_size=4),
+    st.booleans(),
+    st.none(),
+    st.integers(max_value=-1),
+    st.integers(min_value=12, max_value=10**30),
+    st.lists(st.integers(), max_size=2),
+)
+_MALFORMED = st.one_of(
+    st.builds(
+        lambda request, field, value: json.dumps(
+            {**request, field: value}
+        ).encode(),
+        _VALID,
+        st.just("u"),
+        _BAD_ID,
+    ),
+    st.builds(
+        lambda op, u, value: json.dumps({"op": op, "u": u, "v": value}).encode(),
+        st.sampled_from(["dist", "path"]),
+        _IDS,
+        _BAD_ID,
+    ),
+    st.sampled_from(
+        [
+            b"not json",
+            b"[1, 2]",
+            b'"a string"',
+            b'{"op": "nope"}',
+            b'{"op": "dist"}',
+            b'{"op": "path", "u": 0}',
+            b'{"op":"dist","u":1e400,"v":5}',
+            b'{"op":"dist","u":-1e400,"v":5}',
+            b'{"op":"dist","u":NaN,"v":5}',
+            b"\xff\xfe",
+            b"[" * 5000 + b"]" * 5000,
+            b'{"op": "dist", "u": ' + b"9" * 5000 + b', "v": 1}',
+        ]
+    ),
+)
+_STREAM_ITEM = st.one_of(
+    st.tuples(st.just("valid"), _VALID), st.tuples(st.just("raw"), _MALFORMED)
+)
+
+
 @pytest.mark.serve
 class TestBatchingServer:
     @pytest.fixture()
@@ -752,6 +819,173 @@ class TestBatchingServer:
             finally:
                 writer.close()
                 await server.close()
+
+        asyncio.run(scenario())
+
+    def test_non_finite_node_id_does_not_stop_the_dispatcher(self, served):
+        """``u: 1e400`` parses to an infinite float; it is refused, and a
+        later request from another client is still answered."""
+        _, engine = served
+
+        async def scenario():
+            server = BatchingServer(engine, window=0.001)
+            host, port = await server.start()
+            reader, writer = await asyncio.open_connection(host, port)
+            other = await asyncio.open_connection(host, port)
+            try:
+                reply = await asyncio.wait_for(
+                    _raw_request(reader, writer, b'{"op":"dist","u":1e400,"v":5}'),
+                    5,
+                )
+                assert not reply["ok"] and "'u'" in reply["error"]
+                reply = await asyncio.wait_for(
+                    request_line(*other, {"op": "dist", "u": 0, "v": 5}), 5
+                )
+                assert reply["ok"] and reply["dist"] == _json_or_none(
+                    engine.dist(0, 5)
+                )
+            finally:
+                writer.close()
+                other[1].close()
+                await asyncio.wait_for(server.close(), 5)
+
+        asyncio.run(scenario())
+
+    def test_failing_batch_is_answered_and_dispatcher_survives(
+        self, served, monkeypatch
+    ):
+        """An engine error inside a batch answers that batch with errors;
+        the next batch is served normally."""
+        _, engine = served
+        calls = []
+        dist_batch = engine.dist_batch
+
+        def failing_once(us, vs):
+            calls.append(len(us))
+            if len(calls) == 1:
+                raise RuntimeError("engine failure")
+            return dist_batch(us, vs)
+
+        monkeypatch.setattr(engine, "dist_batch", failing_once)
+
+        async def scenario():
+            server = BatchingServer(engine, window=0.001)
+            host, port = await server.start()
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                request = {"op": "dist", "u": 0, "v": 5, "id": 1}
+                reply = await asyncio.wait_for(
+                    request_line(reader, writer, request), 5
+                )
+                assert reply == {
+                    "ok": False,
+                    "id": 1,
+                    "error": "internal error: engine failure",
+                }
+                reply = await asyncio.wait_for(
+                    request_line(reader, writer, request), 5
+                )
+                assert reply["ok"] and reply["dist"] == _json_or_none(
+                    dist_batch([0], [5])[0]
+                )
+            finally:
+                writer.close()
+                await asyncio.wait_for(server.close(), 5)
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize("field", ["u", "v"])
+    @pytest.mark.parametrize("value", [1.7, 1.0, "3", True, False, None, [1]])
+    def test_node_ids_must_be_json_integers(self, served, field, value):
+        _, engine = served
+
+        async def scenario():
+            server = BatchingServer(engine, window=0.001)
+            host, port = await server.start()
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                request = {"op": "dist", "u": 1, "v": 2, field: value}
+                reply = await asyncio.wait_for(
+                    request_line(reader, writer, request), 5
+                )
+                assert not reply["ok"] and repr(field) in reply["error"]
+            finally:
+                writer.close()
+                await asyncio.wait_for(server.close(), 5)
+
+        asyncio.run(scenario())
+
+    def test_over_long_line_is_answered_and_closed(self, served):
+        _, engine = served
+
+        async def scenario():
+            server = BatchingServer(engine, window=0.001)
+            host, port = await server.start()
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                long_id = "x" * (70 * 1024)
+                line = json.dumps({"op": "dist", "u": 0, "v": 1, "id": long_id})
+                reply = await asyncio.wait_for(
+                    _raw_request(reader, writer, line.encode()), 5
+                )
+                assert not reply["ok"] and "longer than" in reply["error"]
+                assert await asyncio.wait_for(reader.read(), 5) == b""
+                # The server keeps serving other connections.
+                fresh = await asyncio.open_connection(host, port)
+                reply = await asyncio.wait_for(
+                    request_line(*fresh, {"op": "ecc", "u": 0}), 5
+                )
+                assert reply["ok"]
+                fresh[1].close()
+            finally:
+                writer.close()
+                await asyncio.wait_for(server.close(), 5)
+
+        asyncio.run(scenario())
+
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(stream=st.lists(_STREAM_ITEM, min_size=1, max_size=12))
+    def test_mixed_stream_gets_one_reply_each(self, served, stream):
+        """Malformed and valid requests on one connection: every request
+        gets exactly one reply, valid replies equal the engine's answers,
+        and the server closes cleanly."""
+        _, engine = served
+
+        async def scenario():
+            server = BatchingServer(engine, window=0.0005)
+            host, port = await server.start()
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                for kind, payload in stream:
+                    line = payload if kind == "raw" else json.dumps(payload).encode()
+                    reply = await asyncio.wait_for(
+                        _raw_request(reader, writer, line), 5
+                    )
+                    if kind == "raw":
+                        assert reply["ok"] is False
+                        continue
+                    assert reply["ok"] is True
+                    u = payload["u"]
+                    if payload["op"] == "ecc":
+                        assert reply["ecc"] == _json_or_none(engine.ecc(u))
+                        continue
+                    v = payload["v"]
+                    assert reply["dist"] == _json_or_none(engine.dist(u, v))
+                    if payload["op"] == "path":
+                        assert reply["path"] == engine.path(u, v)
+                # Nothing extra is queued on the connection: the next line
+                # answers the next request.
+                reply = await asyncio.wait_for(
+                    request_line(reader, writer, {"op": "stats", "id": "end"}), 5
+                )
+                assert reply["id"] == "end"
+            finally:
+                writer.close()
+                await asyncio.wait_for(server.close(), 5)
 
         asyncio.run(scenario())
 
