@@ -195,7 +195,7 @@ class Semiring:
         return f"Semiring({self.name})"
 
 
-def _int64_operand(arr) -> np.ndarray:
+def int64_operand(arr) -> np.ndarray:
     """``arr`` as ``int64``, cast once if its entries cast safely.
 
     Integer and bool dtypes that cast safely to ``int64`` are cast; every
@@ -216,8 +216,8 @@ def _int64_operand(arr) -> np.ndarray:
 
 def _check_block(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Two ``int64`` blocks whose inner dimensions agree (ring axes may trail)."""
-    x = _int64_operand(x)
-    y = _int64_operand(y)
+    x = int64_operand(x)
+    y = int64_operand(y)
     if x.ndim < 2 or y.ndim != x.ndim or x.shape[1] != y.shape[0]:
         raise ValueError(
             f"incompatible block shapes {x.shape} x {y.shape} for a product"
@@ -227,8 +227,8 @@ def _check_block(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _check_batch(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Two ``int64`` block stacks ``(B, m, k)`` and ``(B, k, n)``."""
-    x = _int64_operand(x)
-    y = _int64_operand(y)
+    x = int64_operand(x)
+    y = int64_operand(y)
     if (
         x.ndim != 3
         or y.ndim != 3
@@ -952,6 +952,7 @@ __all__ = [
     "MAX_MIN",
     "ALL_SEMIRINGS",
     "saturating_add",
+    "int64_operand",
     "packed_words",
     "pack_bool_rows",
     "unpack_bool_rows",

@@ -452,7 +452,7 @@ def _open_artifact(
 
 def _cmd_query(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     from repro.constants import INF
-    from repro.serve import QueryEngine
+    from repro.serve import QueryEngine, RoutingCycleError
 
     artifact = _open_artifact(parser, args)
     for node in (args.u, args.v):
@@ -466,7 +466,11 @@ def _cmd_query(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         f"dist({args.u}, {args.v}) = {shown}"
     )
     if args.path:
-        path = engine.path(args.u, args.v)
+        try:
+            path = engine.path(args.u, args.v)
+        except RoutingCycleError as exc:
+            print(f"corrupt artifact: {exc}", file=sys.stderr)
+            return 2
         print(
             "path: " + (" -> ".join(str(x) for x in path) if path else "(unreachable)")
         )

@@ -21,7 +21,7 @@ from repro.clique.messages import (
     words_for_array,
     words_for_value,
 )
-from repro.clique.model import CongestedClique
+from repro.clique.model import CongestedClique, or_broadcast, sum_broadcast
 
 __all__ = [
     "CongestedClique",
@@ -36,4 +36,6 @@ __all__ = [
     "int_bits",
     "words_for_array",
     "words_for_value",
+    "or_broadcast",
+    "sum_broadcast",
 ]

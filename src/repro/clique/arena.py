@@ -22,12 +22,6 @@ Aliasing and lifetime rules (see DESIGN.md "kernel generation 2"):
   product must be freshly allocated) and may not hold a buffer across
   products.  Within one product, distinct roles use distinct keys, so no
   two live buffers alias.
-* The one exception is the §2.1 engine's product cache
-  (:func:`~repro.matmul.semiring3d.semiring_matmul`): it keeps its
-  operand copies under :meth:`hold` and the last products and witnesses
-  in its step-3 send buffer, so that the next product on the same arena
-  recomputes only the blocks whose inputs changed.  Everything it holds
-  sits in the same dict as the buffers, so :meth:`release` drops it too.
 * Arenas are single-session, single-thread objects, exactly like the
   simulator itself; sharing one across concurrently-running products is a
   caller bug.
@@ -39,8 +33,6 @@ without it, which the equivalence tests pin).
 
 from __future__ import annotations
 
-from typing import Any
-
 import numpy as np
 
 
@@ -48,9 +40,7 @@ class ExchangeArena:
     """A pool of named, preallocated ``int64`` exchange buffers."""
 
     def __init__(self) -> None:
-        #: Named buffers, plus whatever :meth:`hold` keeps across products
-        #: (held values expose ``nbytes`` like the buffers do).
-        self._buffers: dict[str, Any] = {}
+        self._buffers: dict[str, np.ndarray] = {}
 
     def buffer(self, key: str, shape: tuple[int, ...]) -> np.ndarray:
         """The arena buffer for ``key``, (re)allocated zeroed on first use.
@@ -66,27 +56,12 @@ class ExchangeArena:
             self._buffers[key] = buf
         return buf
 
-    def held(self, key: str) -> Any:
-        """The value :meth:`hold` last kept under ``key``, or ``None``."""
-        return self._buffers.get(key)
-
-    def hold(self, key: str, value: Any) -> None:
-        """Keep ``value`` across products until :meth:`release`.
-
-        ``None`` drops what was held under ``key``.
-        """
-        if value is None:
-            self._buffers.pop(key, None)
-        else:
-            self._buffers[key] = value
-
     def release(self) -> None:
-        """Drop every buffer and held value (the arena stays usable).
+        """Drop every buffer (the arena stays usable).
 
         Engine sessions call this from their context-manager exit so a
         closed session frees its tens of megabytes deterministically
-        instead of waiting for the arena to be garbage-collected; the next
-        product on the arena recomputes every block.
+        instead of waiting for the arena to be garbage-collected.
         """
         self._buffers.clear()
 

@@ -808,4 +808,29 @@ class CongestedClique:
         )
 
 
-__all__ = ["CongestedClique"]
+def or_broadcast(
+    clique: CongestedClique, local_bits: Sequence[bool] | np.ndarray, phase: str
+) -> bool:
+    """One round: every node announces a bit; returns the OR of those received."""
+    received = clique.broadcast_rows(
+        np.asarray(local_bits, dtype=np.int64), widths=[1] * clique.n, phase=phase
+    )
+    return bool(received.any())
+
+
+def sum_broadcast(
+    clique: CongestedClique, local_values: list[int], phase: str, words: int = 2
+) -> int:
+    """One broadcast: every node announces a partial sum; returns the total.
+
+    ``words=2`` covers values up to ``n^{O(1)}`` at the default word size --
+    the widths triangle/4-cycle partial counts need.  The values go in
+    uncast, so one with no int64 word encoding is refused by name.
+    """
+    received = clique.broadcast_rows(
+        local_values, widths=[words] * clique.n, phase=phase
+    )
+    return sum(received.tolist())
+
+
+__all__ = ["CongestedClique", "or_broadcast", "sum_broadcast"]

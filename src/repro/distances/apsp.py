@@ -57,7 +57,7 @@ def apsp_exact(
     session = EngineSession(clique, method, MIN_PLUS)
     weights = pad_matrix(graph.weight_matrix(), clique.n, fill=INF)
     iterations = default_steps(n)
-    extras: dict[str, object] = {"squarings": iterations}
+    extras: dict[str, object] = {}
     if with_routing_tables:
         state = session.seed_resident(weights)
         session.resident_closure(
@@ -69,6 +69,7 @@ def apsp_exact(
         dist = session.closure(
             weights, steps=iterations, phase="apsp", step_label="square"
         )
+    extras["squarings"] = session.last_squarings
     return RunResult(
         value=dist[:n, :n],
         rounds=clique.rounds,

@@ -82,7 +82,7 @@ def apsp_bottleneck(
     # The same session loops as Corollary 6, over (max, min): with routing
     # tables the resident closure's argmax witnesses drive the updates.
     iterations = default_steps(n)
-    extras: dict[str, object] = {"squarings": iterations}
+    extras: dict[str, object] = {}
     if with_routing_tables:
         state = session.seed_resident(cap)
         session.resident_closure(
@@ -94,6 +94,7 @@ def apsp_bottleneck(
         cap = session.closure(
             cap, steps=iterations, phase="bottleneck", step_label="square"
         )
+    extras["squarings"] = session.last_squarings
     return RunResult(
         value=cap[:n, :n],
         rounds=clique.rounds,

@@ -35,11 +35,11 @@ import numpy as np
 
 from repro.algebra.bilinear import BilinearAlgorithm
 from repro.algebra.polynomial import POLYNOMIAL
-from repro.algebra.semirings import BOOLEAN, PLUS_TIMES, Semiring
+from repro.algebra.semirings import BOOLEAN, PLUS_TIMES, Semiring, int64_operand
 from repro.clique.accounting import CostMeter
 from repro.clique.arena import ExchangeArena
 from repro.clique.executor import LocalExecutor, make_executor
-from repro.clique.model import CongestedClique
+from repro.clique.model import CongestedClique, or_broadcast
 from repro.errors import NegativeCycleError
 from repro.matmul.bilinear_clique import (
     bilinear_matmul,
@@ -113,7 +113,7 @@ def required_clique_size(n: int, method: str) -> int:
 
 
 def default_steps(n: int) -> int:
-    """The ``ceil(log2 n)`` squaring count every closure loop uses."""
+    """The ``ceil(log2 n)`` squaring cap of every closure loop."""
     return max(1, math.ceil(math.log2(max(2, n))))
 
 
@@ -238,6 +238,9 @@ class EngineSession:
         #: Persistent selection-semiring closure state (see
         #: :class:`ResidentClosure`); ``None`` until :meth:`seed_resident`.
         self._resident: ResidentClosure | None = None
+        #: Squarings the last closure loop ran before it stopped (at most
+        #: its ``steps``; see :meth:`_square_to_fixpoint`).
+        self.last_squarings = 0
 
         if not isinstance(algebra, Semiring):
             raise TypeError(f"algebra must be a Semiring, got {algebra!r}")
@@ -336,6 +339,12 @@ class EngineSession:
         engines only) also returns the witness matrix of §3.3.
         """
         semiring = self.algebra
+        if semiring is BOOLEAN:
+            # Corollary 2: entries > 0 are edges.
+            x = (np.asarray(x) > 0).astype(np.int64)
+            y = (np.asarray(y) > 0).astype(np.int64)
+        else:
+            x, y = int64_operand(x), int64_operand(y)
         if self._boolean_via_ring:
             # Boolean on the fast engine: threshold the integer product.
             if with_witnesses:
@@ -343,16 +352,11 @@ class EngineSession:
                     "the bilinear engine has no native witnesses (Lemma 21 "
                     "recovers them; see repro.matmul.witnesses)"
                 )
-            xb = (np.asarray(x) > 0).astype(np.int64)
-            yb = (np.asarray(y) > 0).astype(np.int64)
             product = bilinear_matmul(
-                self.clique, xb, yb, self.algorithm, phase=phase,
+                self.clique, x, y, self.algorithm, phase=phase,
                 arena=self.arena,
             )
             return (product > 0).astype(np.int64)
-        if semiring is BOOLEAN:
-            x = (np.asarray(x) > 0).astype(np.int64)
-            y = (np.asarray(y) > 0).astype(np.int64)
         if with_witnesses and not semiring.has_witnesses:
             raise EngineBindingError(
                 f"semiring {semiring.name!r} does not support witnesses"
@@ -404,7 +408,7 @@ class EngineSession:
         if exponent < 0:
             raise ValueError(f"exponent must be >= 0, got {exponent}")
         n = self.n
-        matrix = np.asarray(matrix, dtype=np.int64)
+        matrix = int64_operand(matrix)
         if matrix.shape != (n, n):
             raise ValueError(f"matrix must be {n} x {n}")
         if exponent == 0:
@@ -442,7 +446,9 @@ class EngineSession:
 
         After ``t`` steps the accumulator covers all walks of length
         ``<= 2^t`` (paper eq. (4) generalised to any semiring); ``steps``
-        defaults to ``ceil(log2 n)``, reaching the full closure.  Boolean
+        caps the squarings at ``ceil(log2 n)`` by default, enough for the
+        full closure, and the loop stops earlier at the first squaring
+        that changes nothing (:meth:`_square_to_fixpoint`).  Boolean
         closures on the §2.1 engine stay bit-packed across squarings
         (:meth:`_closure_packed`); routing tables come from the resident
         loop (:meth:`seed_resident` / :meth:`resident_closure`).  Both loops
@@ -450,7 +456,7 @@ class EngineSession:
 
         Args:
             matrix: the ``n x n`` seed (adjacency / weight / capacity).
-            steps: number of squarings (default :func:`default_steps`).
+            steps: the most squarings to run (default :func:`default_steps`).
             absorb: ``"accum"`` merges ``B <- B^2 (+) B`` (the distance/
                 reachability recurrences); ``"matrix"`` merges
                 ``B <- B^2 (+) A`` (the generic closure of
@@ -462,8 +468,7 @@ class EngineSession:
         if absorb not in ("accum", "matrix"):
             raise ValueError(f"absorb must be 'accum' or 'matrix', got {absorb!r}")
         semiring = self.algebra
-        base = np.asarray(matrix, dtype=np.int64)
-        accum = base
+        base = int64_operand(matrix)
         steps = default_steps(self.n) if steps is None else steps
         if steps > 0 and self.method == "semiring" and semiring is BOOLEAN:
             return self._closure_packed(
@@ -473,11 +478,20 @@ class EngineSession:
                 phase=phase,
                 step_label=step_label,
             )
-        for step in range(steps):
-            step_phase = f"{phase}/{step_label}{step}"
+        accum = base
+
+        def square(step_phase: str) -> np.ndarray:
+            nonlocal accum
             squared = self.square(accum, phase=step_phase)
-            accum = semiring.add(squared, accum if absorb == "accum" else base)
-            self._refuse_negative_cycle(accum, step_phase)
+            merged = semiring.add(squared, accum if absorb == "accum" else base)
+            self._refuse_negative_cycle(merged, step_phase)
+            changed = (merged != accum).any(axis=1)
+            accum = merged
+            return changed
+
+        self._square_to_fixpoint(
+            square, steps=steps, phase=phase, step_label=step_label
+        )
         return accum
 
     def _closure_packed(
@@ -503,13 +517,11 @@ class EngineSession:
         n = self.n
         base_p = pack_bool_matrix(base, n)
         accum_p = base_p
-        for step in range(steps):
+
+        def square(step_phase: str) -> np.ndarray:
+            nonlocal accum_p
             squared = boolean_matmul_packed(
-                self.clique,
-                accum_p,
-                accum_p,
-                phase=f"{phase}/{step_label}{step}",
-                arena=self.arena,
+                self.clique, accum_p, accum_p, phase=step_phase, arena=self.arena
             )
             # absorb: B <- B^2 OR B ("accum") or B^2 OR A ("matrix");
             # `squared` is freshly allocated, never an arena buffer.
@@ -518,8 +530,41 @@ class EngineSession:
                 accum_p if absorb == "accum" else base_p,
                 out=squared,
             )
+            changed = (squared != accum_p).reshape(n, -1).any(axis=1)
             accum_p = squared
+            return changed
+
+        self._square_to_fixpoint(
+            square, steps=steps, phase=phase, step_label=step_label
+        )
         return unpack_bool_matrix(accum_p, n)
+
+    def _square_to_fixpoint(
+        self, square, *, steps: int, phase: str, step_label: str
+    ) -> None:
+        """The stop rule of every closure loop: square until nothing changes.
+
+        ``square(step_phase)`` runs squaring ``i`` charged as
+        ``step_phase = {phase}/{step_label}{i}``, merge and negative-cycle
+        refusal included, and returns each node's bit: whether any of its
+        rows changed.  After every squaring but the ``steps``-th, one
+        :func:`~repro.clique.model.or_broadcast` (``{step_phase}/stable``,
+        one round, as Seidel's ``G = G^2`` check) tells every node whether
+        any node changed, and the loop ends after the first squaring that
+        changed nothing.  That stop is exact: each squaring is a
+        deterministic function of the accumulator (and of the base), so
+        every later one would return the same values, routing tables and
+        diagonal.  :attr:`last_squarings` records how many ran.
+        """
+        self.last_squarings = 0
+        for step in range(steps):
+            step_phase = f"{phase}/{step_label}{step}"
+            changed = square(step_phase)
+            self.last_squarings = step + 1
+            if step + 1 == steps or not or_broadcast(
+                self.clique, changed, phase=f"{step_phase}/stable"
+            ):
+                return
 
     def _refuse_polynomial(self) -> None:
         """``power``/``closure`` need identity and merge semantics the
@@ -591,7 +636,7 @@ class EngineSession:
                 "state runs on the semiring/naive engines"
             )
         n = self.n
-        dist = np.array(matrix, dtype=np.int64, copy=True)
+        dist = np.array(int64_operand(matrix), copy=True)
         if dist.shape != (n, n):
             raise ValueError(f"matrix must be {n} x {n}, got {dist.shape}")
         if next_hop is None:
@@ -602,7 +647,7 @@ class EngineSession:
             hops[edge_rows, edge_cols] = edge_cols
             np.fill_diagonal(hops, np.arange(n))
         else:
-            hops = np.array(next_hop, dtype=np.int64, copy=True)
+            hops = np.array(int64_operand(next_hop), copy=True)
             if hops.shape != (n, n):
                 raise ValueError(f"next_hop must be {n} x {n}, got {hops.shape}")
         self._resident = ResidentClosure(dist=dist, next_hop=hops)
@@ -614,9 +659,13 @@ class EngineSession:
         Square, arg-select witness merge and the Corollary 6 routing update
         ``R[u, v] <- R[u, Q[u, v]]`` on every improved entry -- row ``u`` of
         ``R``, ``Q`` and the new distances all live at node ``u``, so the
-        update costs no communication.  Returns whether any entry improved
-        (the fixed-point signal delta maintenance uses).
+        update costs no communication.  Returns whether any entry improved;
+        :meth:`resident_closure` asks each node for its own rows instead.
         """
+        return bool(self._resident_square(phase).any())
+
+    def _resident_square(self, phase: str) -> np.ndarray:
+        """:meth:`resident_square`, returning each node's "a row improved" bit."""
         state = self._resident
         if state is None:
             raise RuntimeError("no resident state; call seed_resident first")
@@ -636,7 +685,7 @@ class EngineSession:
         state.dist = squared
         state.squarings += 1
         state.generation += 1
-        return bool(rows.size)
+        return improved.any(axis=1)
 
     def resident_closure(
         self,
@@ -649,19 +698,27 @@ class EngineSession:
 
         The one witnessed closure loop (Corollary 6): squaring ``i`` runs
         :meth:`resident_square` charged as ``{phase}/{step_label}{i}``,
-        then the negative-cycle refusal of :meth:`closure`.  The returned
-        array *is* ``self.resident.dist``; copy before mutating outside the
-        session, and read routing tables via
-        :meth:`ResidentClosure.routing_table`.
+        then the negative-cycle refusal of :meth:`closure`, under the stop
+        rule of :meth:`_square_to_fixpoint` (at most ``steps``, default
+        :func:`default_steps`).  The returned array *is*
+        ``self.resident.dist``; copy before mutating outside the session,
+        and read routing tables via :meth:`ResidentClosure.routing_table`.
         """
         state = self._resident
         if state is None:
             raise RuntimeError("no resident state; call seed_resident first")
-        steps = default_steps(self.n) if steps is None else steps
-        for step in range(steps):
-            step_phase = f"{phase}/{step_label}{step}"
-            self.resident_square(phase=step_phase)
+
+        def square(step_phase: str) -> np.ndarray:
+            changed = self._resident_square(step_phase)
             self._refuse_negative_cycle(state.dist, step_phase)
+            return changed
+
+        self._square_to_fixpoint(
+            square,
+            steps=default_steps(self.n) if steps is None else steps,
+            phase=phase,
+            step_label=step_label,
+        )
         return state.dist
 
     def drop_resident(self) -> None:

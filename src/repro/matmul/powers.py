@@ -80,12 +80,13 @@ def closure(
 ) -> np.ndarray:
     """Sum of all powers up to ``n`` -- "paths of any length" semantics.
 
-    Implemented as ``ceil(log2 n)`` squarings of ``A (+) I``-style
+    Implemented as at most ``ceil(log2 n)`` squarings of ``A (+) I``-style
     accumulation: ``B <- B (x) B (+) A`` starting from ``B = A``, which
     after ``t`` steps covers all walks of length ``<= 2^t`` (paper eq. (4),
-    the directed-girth recurrence, generalised to any semiring).  The input
-    is converted to ``int64`` once and the session's cached plans carry all
-    squarings.
+    the directed-girth recurrence, generalised to any semiring); the
+    session loop stops at the first squaring that changes nothing.  The
+    input is converted to ``int64`` once and the session's cached plans
+    carry all squarings.
     """
     return _session(clique, semiring, method, session).closure(
         matrix, absorb="matrix", phase=phase

@@ -42,16 +42,8 @@ Implementation notes:
   the clique's :class:`~repro.clique.executor.LocalExecutor`, whose tile
   backend may thread it; values (hence widths and rounds) are
   bit-identical across backends.
-* Step 2 **reuses block products whose inputs did not change** since the
-  previous product on the same arena (:class:`_ProductCache`): a node's
-  product is a pure function of the two blocks it received, so when those
-  are provably the blocks it received last time, last time's product,
-  witnesses and step-3 widths are still exact.  Only the other nodes go to
-  the executor; both exchanges still run and bill as before.  Converged
-  squarings of a closure therefore skip the kernel entirely.
-* When every node is stale, a witnessed product's kernel decodes values
-  and witnesses **straight into the step-3 send buffer** (the executor's
-  ``out=``); a stale subset is computed apart and scattered there.
+* A witnessed product's kernel decodes values and witnesses **straight
+  into the step-3 send buffer** (the executor's ``out=``).
 """
 
 from __future__ import annotations
@@ -65,6 +57,7 @@ from repro.algebra.semirings import (
     MIN_PLUS,
     PLUS_TIMES,
     Semiring,
+    int64_operand,
     pack_bool_rows,
     packed_words,
     unpack_bool_rows,
@@ -181,97 +174,6 @@ def cube_plan(n: int) -> CubePlan:
     )
 
 
-#: Arena key of the §2.1 engine's :class:`_ProductCache`.
-_CACHE_KEY = "cube/reuse"
-
-
-@dataclass
-class _ProductCache:
-    """What the last :func:`semiring_matmul` on an arena computed from.
-
-    The products themselves (witnesses with ``k_base`` added) stay in the
-    arena's step-3 send buffer -- ``cube/blocks3w``, or ``cube/products``
-    without witnesses -- which no other role writes.  This record says
-    which product they belong to and holds *copies* of its operands
-    (callers such as :mod:`repro.serve.delta` mutate theirs in place), so
-    the next product can tell which nodes' inputs still hold.  It lives in
-    the arena (:meth:`~repro.clique.arena.ExchangeArena.hold`), so
-    :meth:`~repro.clique.arena.ExchangeArena.release` drops it.
-    """
-
-    #: ``(semiring, with_witnesses, n, word_bits)`` of that product; the
-    #: word size fixes the cached step-3 widths.
-    key: tuple
-    #: Copy of the left operand.
-    s: np.ndarray
-    #: Copy of the right operand -- the same array as ``s`` after a square.
-    t: np.ndarray
-    #: ``(n,)`` bool: node received in step 1 exactly what its senders held.
-    clean: np.ndarray
-    #: ``(n, q^2)`` step-3 widths of the cached product rows.
-    row_widths: np.ndarray
-
-    @property
-    def nbytes(self) -> int:
-        held = [self.s, self.clean, self.row_widths]
-        if self.t is not self.s:
-            held.append(self.t)
-        return sum(a.nbytes for a in held)
-
-    @classmethod
-    def take(
-        cls, arena: ExchangeArena, key: tuple, q: int, s: np.ndarray, t: np.ndarray
-    ) -> tuple["_ProductCache", np.ndarray]:
-        """Take the arena's record for ``key`` and adopt ``s`` and ``t``.
-
-        Returns the record, now holding copies of ``s`` and ``t``, and the
-        ``(n,)`` mask of nodes whose S-block or T-block differs from the
-        previous product's (node ``u = (u1, u2, u3)`` multiplies S-block
-        ``(u1, u2)`` by T-block ``(u2, u3)``).  A record for another key
-        is replaced by one under which every node is stale.  The record
-        leaves the arena until the product puts it back, so a product that
-        fails half-way leaves no stale record behind.
-        """
-        n, q2 = s.shape[0], q * q
-        cache = arena.held(_CACHE_KEY)
-        arena.hold(_CACHE_KEY, None)
-        if cache is None or cache.key != key:
-            no_clean = np.zeros(n, dtype=bool)
-            row_widths = np.empty((n, q2), dtype=np.int64)
-            cache = cls(key, np.empty_like(s), s, no_clean, row_widths)
-            changed = np.ones(n, dtype=bool)
-        else:
-            s_changed, t_changed = (
-                (new != old).reshape(q, q2, q, q2).any(axis=(1, 3))
-                for new, old in ((s, cache.s), (t, cache.t))
-            )
-            changed = (s_changed[:, :, None] | t_changed[None, :, :]).reshape(-1)
-        np.copyto(cache.s, s)
-        cache.t = cache.s if t is s else t.copy()
-        return cache, changed
-
-
-def _received_as_sent(
-    q: int,
-    s: np.ndarray,
-    t: np.ndarray,
-    s_blocks: np.ndarray,
-    t_blocks: np.ndarray,
-) -> np.ndarray:
-    """``(n,)`` bool: node's delivered step-1 blocks equal the senders' rows.
-
-    Node ``u = (u1, u2, u3)`` should have received ``S[u1**, u2**]`` and
-    ``T[u2**, u3**]``; a fault layer may have delivered something else,
-    and then its product is not a function of the operands alone.
-    """
-    q2 = q * q
-    s_sent = s.reshape(q, q2, q, q2).transpose(0, 2, 1, 3)  # [u1, u2]
-    t_sent = t.reshape(q, q2, q, q2).transpose(0, 2, 1, 3)  # [u2, u3]
-    s_ok = (s_blocks.reshape(q, q, q, q2, q2) == s_sent[:, :, None]).all(axis=(3, 4))
-    t_ok = (t_blocks.reshape(q, q, q, q2, q2) == t_sent[None]).all(axis=(3, 4))
-    return (s_ok & t_ok).reshape(-1)
-
-
 def semiring_matmul(
     clique: CongestedClique,
     s: np.ndarray,
@@ -295,11 +197,10 @@ def semiring_matmul(
             witness matrix ``W`` with ``P[u,v] = S[u, W[u,v]] (x) T[W[u,v], v]``.
         phase: cost-meter label prefix.
         arena: the :class:`~repro.clique.arena.ExchangeArena` holding this
-            pipeline's send/recv buffers and product cache; engine sessions
-            pass their per-session arena so repeated squarings reuse every
-            buffer and every block product whose inputs did not change.
+            pipeline's send/recv buffers; engine sessions pass their
+            per-session arena so repeated squarings reuse every buffer.
             ``None`` uses a fresh throwaway arena (identical results and
-            charges, just per-call allocations and every block computed).
+            charges, just per-call allocations).
 
     Returns:
         ``P``, or ``(P, W)`` when ``with_witnesses`` is set.
@@ -307,8 +208,8 @@ def semiring_matmul(
     n = clique.n
     plan = cube_plan(n)
     q = plan.q
-    s = np.ascontiguousarray(np.asarray(s, dtype=np.int64))
-    t = np.ascontiguousarray(np.asarray(t, dtype=np.int64))
+    s = np.ascontiguousarray(int64_operand(s))
+    t = np.ascontiguousarray(int64_operand(t))
     if s.shape != (n, n) or t.shape != (n, n):
         raise ValueError(f"operands must be {n} x {n} matrices")
     if with_witnesses and not semiring.has_witnesses:
@@ -317,12 +218,6 @@ def semiring_matmul(
         arena = ExchangeArena()
     word_bits = clique.word_bits
     q2 = q * q
-    # Taken before any exchange buffer is touched: long-lived arrays
-    # allocated after a product's large transients fragmented the heap
-    # (+15% peak RSS at n=512).
-    cache, changed = _ProductCache.take(
-        arena, (semiring, with_witnesses, n, word_bits), q, s, t
-    )
 
     # ---------------- Step 1: distribute the entries. ------------------- #
     # Each node ships 2 q^2 submatrices of q^2 entries: 2 n^{4/3} words at
@@ -374,65 +269,36 @@ def semiring_matmul(
     # into ``take_st`` above.
     s_blocks = st_blocks[: n * q2].reshape(n, q2, q2)
     t_blocks = st_blocks[n * q2 :].reshape(n, q2, q2)
-    # Node u keeps its cached product when its blocks are unchanged in the
-    # operands, it received them as sent now, and it received them as sent
-    # last time: then it received exactly what it received last time.
-    clean = _received_as_sent(q, s, t, s_blocks, t_blocks)
-    stale = changed | ~(clean & cache.clean)
-    cache.clean = clean
-    # The stale nodes' products run as one batched executor call (none at
-    # all when nothing changed).  A witnessed product of every node lands
-    # straight in the step-3 send buffer; a stale subset is scattered there
-    # below.
-    todo = slice(None) if stale.all() else np.flatnonzero(stale)
-    direct = with_witnesses and stale.all()
-    fresh = None
-    if stale.any():
-        out = None
-        if direct:
-            send3 = arena.buffer("cube/blocks3w", (n, q2, 2, q2))
-            out = (send3[:, :, 0], send3[:, :, 1])
-        fresh = clique.executor.semiring_products(
+    # The n block products run as one batched executor call; a witnessed
+    # product lands straight in the step-3 send buffer.
+    if with_witnesses:
+        blocks3 = arena.buffer("cube/blocks3w", (n, q2, 2, q2))
+        products, wit_blocks = clique.executor.semiring_products(
             semiring,
-            s_blocks[todo],
-            t_blocks[todo],
-            with_witnesses=with_witnesses,
-            out=out,
+            s_blocks,
+            t_blocks,
+            with_witnesses=True,
+            out=(blocks3[:, :, 0], blocks3[:, :, 1]),
+        )
+        # Local inner index -> global node id, per block product.
+        wit_blocks += plan.k_base[:, None, None]
+    else:
+        blocks3 = products = clique.executor.semiring_products(
+            semiring, s_blocks, t_blocks
         )
 
     # ---------------- Step 3: distribute the partial products. ---------- #
     # Node v holds P^{(v2)}[v1**, v3**]; it sends row u's slice to node u
-    # for each u in v1**.  n^{4/3} words each way (x2 with witnesses).  The
-    # send buffer is the product cache: fresh products overwrite the stale
-    # nodes' slots, the rest still hold the previous product's.
+    # for each u in v1**.  n^{4/3} words each way (x2 with witnesses): each
+    # product row ships with its witness row as one (2, q^2) piece, the
+    # witness half charged at witness_words/entry.
     witness_words = words_for_value(n, word_bits)
-    if fresh is not None:
-        products, wit_blocks = fresh if with_witnesses else (fresh, None)
-        # Widths before a scatter's send buffer is requested: the other
-        # order fragmented the heap (+6% peak RSS at n=512).
-        cache.row_widths[todo] = block_widths(
-            products.reshape(-1, q2), word_bits
-        ).reshape(-1, q2)
+    widths3 = block_widths(products.reshape(-1, q2), word_bits).reshape(n, q2)
     if with_witnesses:
-        # Ship each product row with its witness row as one (2, q^2) piece;
-        # the witness half is charged at witness_words/entry.
-        blocks3 = arena.buffer("cube/blocks3w", (n, q2, 2, q2))
+        widths3 += q2 * witness_words
         recomb_key, recomb_shape = "cube/recombw", (n * q2, 2, q2)
-        if fresh is not None:
-            # Local inner index -> global node id, per block product (the
-            # witnesses are the send buffer's or freshly allocated, so
-            # in-place is safe).
-            wit_blocks += plan.k_base[todo, None, None]
-            if not direct:
-                blocks3[todo, :, 0] = products
-                blocks3[todo, :, 1] = wit_blocks
     else:
-        blocks3 = arena.buffer("cube/products", (n, q2, q2))
         recomb_key, recomb_shape = "cube/recomb", (n * q2, q2)
-        if fresh is not None:
-            blocks3[todo] = products
-    arena.hold(_CACHE_KEY, cache)
-    widths3 = cache.row_widths + (q2 * witness_words if with_witnesses else 0)
     flat_recombined = clique.route_array_take(
         plan.dests3,
         blocks3,

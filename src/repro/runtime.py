@@ -30,7 +30,7 @@ import numpy as np
 from repro.algebra.semirings import BOOLEAN, PLUS_TIMES
 from repro.clique.accounting import CostMeter
 from repro.clique.executor import make_executor
-from repro.clique.model import CongestedClique
+from repro.clique.model import CongestedClique, or_broadcast, sum_broadcast
 from repro.constants import INF
 from repro.engine import (
     MATMUL_METHODS,
@@ -172,29 +172,6 @@ def boolean_product(
     and thresholds -- exactly the reduction the paper's Corollary 2 uses.
     """
     return EngineSession(clique, method, BOOLEAN).multiply(x, y, phase=phase)
-
-
-def or_broadcast(clique: CongestedClique, local_bits: list[bool], phase: str) -> bool:
-    """One round: every node announces a bit; returns the OR of those received."""
-    received = clique.broadcast_rows(
-        np.asarray(local_bits, dtype=np.int64), widths=[1] * clique.n, phase=phase
-    )
-    return bool(received.any())
-
-
-def sum_broadcast(
-    clique: CongestedClique, local_values: list[int], phase: str, words: int = 2
-) -> int:
-    """One broadcast: every node announces a partial sum; returns the total.
-
-    ``words=2`` covers values up to ``n^{O(1)}`` at the default word size --
-    the widths triangle/4-cycle partial counts need.  The values go in
-    uncast, so one with no int64 word encoding is refused by name.
-    """
-    received = clique.broadcast_rows(
-        local_values, widths=[words] * clique.n, phase=phase
-    )
-    return sum(received.tolist())
 
 
 __all__ = [

@@ -21,10 +21,10 @@ class RoutingCycleError(RuntimeError):
     """Witness chasing exceeded ``n`` hops: the routing table is corrupt.
 
     A valid next-hop table strictly decreases the remaining distance each
-    hop, so no shortest path has more than ``n - 1`` edges; exceeding that
-    (or stepping onto a ``-1`` entry mid-chase) means the artifact's blocks
-    are inconsistent, and the guard turns a would-be infinite loop into a
-    loud error.
+    hop, so no shortest path has more than ``n - 1`` edges; exceeding that,
+    or stepping onto a hop outside ``[0, n)`` mid-chase (a ``-1`` entry, a
+    corrupt node id), means the artifact's blocks are inconsistent, and the
+    guard turns a would-be infinite loop or bad index into a loud error.
     """
 
 
@@ -72,10 +72,10 @@ class QueryEngine:
         cur = u
         for _ in range(self.n):
             nxt = int(self._hops[cur, v])
-            if nxt < 0:
+            if not 0 <= nxt < self.n:
                 raise RoutingCycleError(
                     f"routing table dead-ends at {cur} while chasing "
-                    f"{u} -> {v}"
+                    f"{u} -> {v}: hop {nxt} is outside [0, {self.n})"
                 )
             nodes.append(nxt)
             if nxt == v:
@@ -142,11 +142,14 @@ class QueryEngine:
             if not live.size:
                 return paths
             hops = np.asarray(self._hops[cur[live], vs[live]])
-            if np.any(hops < 0):
-                bad = int(live[np.argmax(hops < 0)])
+            outside = (hops < 0) | (hops >= self.n)
+            if outside.any():
+                at = int(np.argmax(outside))
+                bad = int(live[at])
                 raise RoutingCycleError(
                     f"routing table dead-ends while chasing "
-                    f"{int(us[bad])} -> {int(vs[bad])}"
+                    f"{int(us[bad])} -> {int(vs[bad])}: hop {int(hops[at])} "
+                    f"is outside [0, {self.n})"
                 )
             for idx, hop in zip(live, hops):
                 paths[idx].append(int(hop))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.algebra.semirings import BOOLEAN
+from repro.clique.model import or_broadcast
 from repro.engine import default_steps
 
 
@@ -40,13 +41,21 @@ def per_product_boolean_closure(
 
     The oracle for the session's bit-packed closure: ``session.square``
     then ``BOOLEAN.add`` per step, charged under ``closure()``'s default
-    phase labels, so values, rounds and every phase cost must match the
-    packed loop.
+    phase labels, under the same stop -- after each squaring but the
+    ``steps``-th, a one-round flag of which nodes' (thresholded) rows
+    changed, and an end after the first squaring that changed nothing --
+    so values, rounds and every phase cost must match the packed loop.
     """
     base = np.asarray(matrix, dtype=np.int64)
     accum = base
     steps = default_steps(session.n) if steps is None else steps
     for step in range(steps):
         squared = session.square(accum, phase=f"closure/sq{step}")
-        accum = BOOLEAN.add(squared, accum if absorb == "accum" else base)
+        merged = BOOLEAN.add(squared, accum if absorb == "accum" else base)
+        changed = (merged != (accum > 0)).any(axis=1)
+        accum = merged
+        if step + 1 == steps or not or_broadcast(
+            session.clique, changed, phase=f"closure/sq{step}/stable"
+        ):
+            break
     return accum

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from closure_replay import full_schedule, stopped_phases
 from hypothesis import strategies as st
 
 from repro.constants import INF
@@ -139,24 +140,29 @@ class TestExactApsp:
 
     @pytest.mark.parametrize(
         "with_routing_tables,rounds,words",
-        [(True, 194, 59_886), (False, 164, 50_166)],
+        [(True, 174, 54_756), (False, 150, 46_980)],
     )
     def test_bill_is_pinned(self, with_routing_tables, rounds, words):
         """Routing tables ride the session's resident closure and cost
-        witness words; the plain closure ships none.  Both bills were
-        measured on the caller-matrix witness loop the resident one
-        replaced."""
+        witness words; the plain closure ships none.  Squaring 3 is the
+        first of the 5 allowed that changes nothing, so both loops stop
+        there: the bill is the full schedule's first 4 squarings, each
+        followed by its one-round flag."""
         g = random_weighted_graph(27, 0.3, max_weight=9, seed=0)
+        with full_schedule() as loops:
+            full = apsp_exact(g, with_routing_tables=with_routing_tables)
         result = apsp_exact(g, with_routing_tables=with_routing_tables)
         phases = result.meter.phases
+        assert phases == stopped_phases(full.meter, loops)
         assert (result.rounds, result.meter.words, len(phases)) == (
-            rounds, words, 10
+            rounds, words, 12
         )
         assert [p.phase for p in phases] == [
             f"apsp/square{i}/{step}"
-            for i in range(5)
-            for step in ("step1-distribute", "step3-recombine")
+            for i in range(4)
+            for step in ("step1-distribute", "step3-recombine", "stable")
         ]
+        assert result.extras["squarings"] == 4
         assert np.array_equal(result.value, apsp_reference(g))
         if with_routing_tables:
             assert validate_routing_table(

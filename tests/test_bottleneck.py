@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from closure_replay import full_schedule, stopped_phases
 from hypothesis import strategies as st
 
 from repro.constants import INF
@@ -74,19 +75,24 @@ class TestBottleneckApsp:
             )
 
     def test_routed_bill_is_pinned(self):
-        """Measured on the caller-matrix witness loop the session's
-        resident closure replaced."""
+        """Squaring 3 is the first of the 5 allowed that changes nothing:
+        the bill is the full schedule's first 4 squarings, each followed
+        by its one-round flag."""
         g = random_weighted_graph(27, 0.3, max_weight=9, seed=0)
+        with full_schedule() as loops:
+            full = apsp_bottleneck(g, with_routing_tables=True)
         result = apsp_bottleneck(g, with_routing_tables=True)
         phases = result.meter.phases
+        assert phases == stopped_phases(full.meter, loops)
         assert (result.rounds, result.meter.words, len(phases)) == (
-            364, 78_030, 10
+            296, 68_202, 12
         )
         assert [p.phase for p in phases] == [
             f"bottleneck/square{i}/{step}"
-            for i in range(5)
-            for step in ("step1-distribute", "step3-recombine")
+            for i in range(4)
+            for step in ("step1-distribute", "step3-recombine", "stable")
         ]
+        assert result.extras["squarings"] == 4
         assert np.array_equal(result.value, bottleneck_reference(g))
         assert validate_bottleneck_routing(
             g, result.value, result.extras["next_hop"]

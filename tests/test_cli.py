@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from repro.cli import build_parser, main
+from repro.constants import INF
 
 
 class TestParser:
@@ -141,6 +142,24 @@ class TestFailureSweep:
         assert excinfo.value.code == 2
         assert named in err and "Traceback" not in err
         assert ClosureArtifact.open(artifact_dir).generation == 0
+
+    @pytest.mark.parametrize("hop", [999, -5])
+    def test_corrupt_routing_entry_is_one_line(self, hop, tmp_path, capsys):
+        """A routing entry outside the node range ends ``query --path`` with
+        one line naming the pair and exit status 2, not a traceback."""
+        from repro.serve import ClosureArtifact
+
+        path = tmp_path / "art"
+        assert main(["build-artifact", "27", str(path)]) == 0
+        artifact = ClosureArtifact.open(path, writable=True)
+        assert 0 < artifact.dist[0, 1] < INF
+        artifact.next_hop[0, 1] = hop
+        artifact.next_hop.flush()
+        capsys.readouterr()
+        assert main(["query", str(path), "0", "1", "--path"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert f"chasing 0 -> 1: hop {hop} is outside [0, 27)" in err
 
     def test_largest_accepted_weight_is_exact(self, capsys):
         """At the largest weight the path rule accepts for n=12, exact APSP
@@ -506,16 +525,28 @@ class TestCodedSchemeCli:
     @pytest.mark.parametrize(
         "t,rounds,line",
         [
-            (1, 368, "injected=1368 retries=0 | encoded rounds=368 vs "
-                     "abstract 296 (overhead 1.24x"),
-            (2, 424, "injected=3141 retries=0 | encoded rounds=424 vs "
-                     "abstract 296 (overhead 1.43x"),
+            (1, 383, "injected=1367 retries=0 | encoded rounds=383 vs "
+                     "abstract 299 (overhead 1.28x"),
+            (2, 445, "injected=3171 retries=0 | encoded rounds=445 vs "
+                     "abstract 299 (overhead 1.49x"),
         ],
     )
     def test_fault_line_is_pinned(self, t, rounds, line, capsys):
-        """``--faults T`` bills exactly what the coded scheme billed when it
-        still had to be chosen by name (replication billed 864 rounds for
-        the same run at t = 1)."""
+        """``--faults T`` bills the coded run of ``apsp 16``, whose abstract
+        bill is the fault-free one: all 4 squarings, each but the last
+        followed by its one-round flag, as derived from the full
+        schedule."""
+        from closure_replay import full_schedule, stopped_phases
+
+        from repro.distances import apsp_exact
+        from repro.engine import make_clique
+        from repro.graphs import random_weighted_digraph
+
+        graph = random_weighted_digraph(16, 0.35, 9, seed=0)
+        with full_schedule() as loops:
+            full = apsp_exact(graph, clique=make_clique(16, "semiring"))
+        abstract = sum(p.rounds for p in stopped_phases(full.meter, loops))
+        assert abstract == 299
         assert main(["apsp", "16", "--faults", str(t)]) == 0
         out = capsys.readouterr().out
         assert f"APSP variant=exact n=16: {rounds} rounds" in out

@@ -244,6 +244,54 @@ class TestOneWitnessedClosure:
         assert (np.diagonal(resident) == INF).all()
 
 
+class TestOperandDtypes:
+    """Every session entry point takes integer or bool entries that fit
+    int64 and refuses the rest by dtype, as the kernels do: a float is
+    never truncated and a ``uint64`` never wrapped.  Boolean sessions keep
+    Corollary 2's ``> 0`` threshold."""
+
+    @staticmethod
+    def _half_weight_path() -> np.ndarray:
+        """The 8-node path of 1.5-weight edges: ``dist(0, 7) = 10.5``."""
+        w = np.full((8, 8), float(INF))
+        np.fill_diagonal(w, 0.0)
+        for u in range(7):
+            w[u, u + 1] = 1.5
+        return w
+
+    @staticmethod
+    def _session() -> EngineSession:
+        return EngineSession(CongestedClique(8), "semiring", MIN_PLUS)
+
+    ENTRY_POINTS = {
+        "multiply": lambda s, w: s.multiply(w, w),
+        "power": lambda s, w: s.power(w, 2),
+        "closure": lambda s, w: s.closure(w),
+        "seed_resident": lambda s, w: s.seed_resident(w),
+        "next_hop": lambda s, w: s.seed_resident(
+            np.zeros((8, 8), dtype=np.int64), next_hop=w
+        ),
+        "semiring_matmul": lambda s, w: semiring_matmul(s.clique, w, w, MIN_PLUS),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_float_operand_is_refused(self, entry):
+        with pytest.raises(ValueError, match="float64"):
+            self.ENTRY_POINTS[entry](self._session(), self._half_weight_path())
+
+    def test_uint64_operand_is_refused(self):
+        w = np.zeros((8, 8), dtype=np.uint64)
+        w[0, 1] = 2**63 + 5
+        with pytest.raises(ValueError, match="uint64"):
+            self._session().multiply(w, w)
+
+    def test_boolean_sessions_threshold_floats(self):
+        a = np.zeros((8, 8))
+        a[0, 1] = a[1, 2] = 0.5
+        got = EngineSession(CongestedClique(8), "semiring", BOOLEAN).multiply(a, a)
+        assert got[0, 2] == 1 and got.sum() == 1
+
+
 class TestPlanCaching:
     def test_cube_plan_memoised_across_sessions(self):
         before = cube_plan.cache_info().hits

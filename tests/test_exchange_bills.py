@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from closure_replay import full_schedule, stopped_phases
 from kernel_reference import poly_matmul
 
 from repro.algebra import MIN_PLUS, POLYNOMIAL
@@ -187,11 +188,16 @@ class TestRingEngineBills:
         assert _bill(clique.meter) == (106, 7_260, 4)
 
     def test_lemma19_bounded_apsp(self):
+        """All 3 capped squarings run (the last is the first that changes
+        nothing), the first two followed by their one-round flags."""
         g = random_weighted_digraph(16, 0.4, 4, seed=5)
+        with full_schedule() as loops:
+            full = apsp_bounded(g, 7)
         result = apsp_bounded(g, 7)
         ref = apsp_reference(g)
         assert np.array_equal(result.value, np.where(ref <= 7, ref, INF))
-        assert _bill(result.meter) == (888, 61_380, 12)
+        assert result.meter.phases == stopped_phases(full.meter, loops)
+        assert _bill(result.meter) == (890, 61_860, 14)
 
     def test_lemma19_routing_tables(self):
         g = random_weighted_digraph(16, 0.5, 3, seed=0)

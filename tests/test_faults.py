@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from closure_replay import full_schedule, stopped_phases
 
 from repro.algebra.semirings import MIN_PLUS
 from repro.clique.model import CongestedClique
@@ -773,28 +774,31 @@ class TestOverheadClosedForm:
 class TestCodedClosureBill:
     """The coded bill of one fixed closure, pinned number for number: the
     actual and abstract meters and the injected-fault count at seed 0.
-    The figures were measured when replication was still a selectable
-    scheme, so they pin that folding the scheme hooks into
-    :class:`CodedClique` left every coded bill unchanged."""
+    The closure stops after squaring 3, the first of the 5 allowed that
+    changes nothing; its abstract meter is the fault-free bill derived
+    from the full schedule."""
 
     N = 16
     #: t -> (actual rounds, actual words, abstract rounds, abstract words)
-    METERS = {1: (420, 133881, 340, 109539), 2: (490, 158223, 340, 109539)}
+    METERS = {1: (356, 117141, 276, 91503), 2: (420, 142671, 276, 91503)}
     #: (t, kind) -> faults injected by the seed-0 adversary
     INJECTED = {
-        (1, "flip"): 1366,
-        (1, "drop"): 1366,
-        (1, "crash"): 1159,
-        (1, "byzantine"): 1364,
-        (2, "flip"): 3210,
-        (2, "drop"): 3210,
-        (2, "crash"): 2134,
-        (2, "byzantine"): 3200,
+        (1, "flip"): 1091,
+        (1, "drop"): 1091,
+        (1, "crash"): 907,
+        (1, "byzantine"): 1098,
+        (2, "flip"): 2614,
+        (2, "drop"): 2614,
+        (2, "crash"): 1738,
+        (2, "byzantine"): 2601,
     }
 
     @pytest.mark.parametrize("t, kind", sorted(INJECTED))
     def test_bill_is_pinned(self, t, kind):
         graph = random_weighted_digraph(self.N, 0.35, 9, seed=0)
+        with full_schedule() as loops:
+            plain = make_clique(self.N, "semiring")
+            _minplus_closure(plain, graph.weight_matrix(), self.N)
         clique = make_clique(
             self.N,
             "semiring",
@@ -809,6 +813,7 @@ class TestCodedClosureBill:
             clique.abstract_meter.rounds,
             clique.abstract_meter.words,
         )
+        assert clique.abstract_meter.phases == stopped_phases(plain.meter, loops)
         assert meters == self.METERS[t]
         assert clique.faults_injected == self.INJECTED[t, kind]
         assert clique.retries == 0 and clique.decode_failures == 0

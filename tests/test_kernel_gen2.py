@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from closure_replay import full_schedule, stopped_phases
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from kernel_reference import (
@@ -451,9 +452,9 @@ class TestResidentMinPlus:
     """Gen-3's persistence extended to the selection semirings: a closure
     kept session-resident between squarings (the state the serve/delta
     layer maintains) is the one witnessed closure loop.  It must equal the
-    centralised oracles, route along best paths, and bill the pinned
-    rounds and phase costs, which were recorded from the caller-matrix
-    witness loop it replaced."""
+    centralised oracles, route along best paths, and bill what the full
+    schedule derives: the full schedule's pinned phase costs were recorded
+    from the caller-matrix witness loop the resident one replaced."""
 
     @staticmethod
     def _seed(session, graph):
@@ -480,15 +481,18 @@ class TestResidentMinPlus:
             costs.append((f"closure/sq{i}/step3-recombine", rr, rw))
         return costs
 
-    #: (n, edge probability, graph seed) -> (rounds, per-squaring costs).
+    #: (n, edge probability, graph seed) -> (rounds, per-squaring costs) of
+    #: the full schedule, and the rounds of the loop that stops.
     PINNED = {
         (8, 0.1, 0): (
             132,
             [(28, 832, 16, 468), (28, 760, 16, 432), (28, 604, 16, 372)],
+            134,
         ),
         (8, 0.7, 1): (
             66,
             [(28, 748, 10, 216), (8, 208, 6, 192), (8, 208, 6, 192)],
+            68,
         ),
         (19, 0.3, 2): (
             370,
@@ -499,6 +503,7 @@ class TestResidentMinPlus:
                 (46, 10503, 28, 6993),
                 (46, 10503, 28, 6993),
             ],
+            300,
         ),
         (19, 0.7, 3): (
             370,
@@ -509,6 +514,7 @@ class TestResidentMinPlus:
                 (46, 10503, 28, 6993),
                 (46, 10503, 28, 6993),
             ],
+            300,
         ),
     }
 
@@ -518,8 +524,13 @@ class TestResidentMinPlus:
         from repro.graphs import validate_routing_table
 
         n, density, seed = case
-        rounds, squarings = self.PINNED[case]
+        full_rounds, squarings, rounds = self.PINNED[case]
         graph = random_weighted_graph(n, density, max_weight=40, seed=seed)
+        with open_session(n, "semiring", MIN_PLUS) as full, full_schedule() as loops:
+            full.seed_resident(self._seed(full, graph)[0])
+            full.resident_closure()
+            assert full.rounds == full_rounds
+            assert self._phase_costs(full) == self._expected_costs(squarings)
         with open_session(n, "semiring", MIN_PLUS) as session:
             seed_dist, seed_hops = self._seed(session, graph)
             state = session.seed_resident(seed_dist)
@@ -527,8 +538,8 @@ class TestResidentMinPlus:
             assert np.array_equal(state.next_hop, seed_hops)
             got = session.resident_closure()
             assert got is state.dist
+            assert session.meter.phases == stopped_phases(full.meter, loops)
             assert session.rounds == rounds
-            assert self._phase_costs(session) == self._expected_costs(squarings)
             dist = got[:n, :n]
             assert np.array_equal(dist, apsp_reference(graph))
             assert validate_routing_table(graph, dist, state.routing_table(n))
@@ -561,13 +572,18 @@ class TestResidentMinPlus:
         graph = Graph(
             n, 1 - np.eye(n, dtype=np.int64), directed=True, weights=a
         )
+        with open_session(n, "semiring", MAX_MIN) as full, full_schedule() as loops:
+            full.seed_resident(a)
+            full.resident_closure()
+            assert full.rounds == 120
+            assert self._phase_costs(full) == self._expected_costs(
+                [(24, 520, 16, 264)] * 3
+            )
         with open_session(n, "semiring", MAX_MIN) as session:
             state = session.seed_resident(a)
             got = session.resident_closure()
-            assert session.rounds == 120
-            assert self._phase_costs(session) == self._expected_costs(
-                [(24, 520, 16, 264)] * 3
-            )
+            assert session.meter.phases == stopped_phases(full.meter, loops)
+            assert session.rounds == 122
         assert np.array_equal(got, bottleneck_reference(graph))
         assert validate_bottleneck_routing(graph, got, state.routing_table(n))
 

@@ -10,6 +10,10 @@ closure bills in ``test_faults.py::TestCodedClosureBill`` (and, through the
 observational suite of ``test_netsim.py``, the priced closures) and the
 ring relay placement in ``test_netsim.py``.
 
+Every workload here runs closure loops, which stop after the first
+squaring that changes nothing; each pin is also asserted equal to its
+derivation from the full schedule (``tests/closure_replay.py``).
+
 The n=512 pins are ``slow``; CI runs them in its slow lane.
 """
 
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from closure_replay import full_schedule, stopped_phases
 
 from repro.algebra.semirings import BOOLEAN, MIN_PLUS
 from repro.clique.model import CongestedClique
@@ -48,12 +53,18 @@ class TestSpanningBills:
         assert result.rounds == 305
 
     def test_mst_session(self):
+        """Three label closures: the first changes nothing at squaring 0,
+        the others stop after squarings 3 and 4 of the 6 allowed."""
         graph = self._graph()
+        with full_schedule() as loops:
+            full = minimum_spanning_forest(graph, seed=5)
         result = minimum_spanning_forest(graph, seed=5)
         edges, weight = mst_reference(graph)
         assert result.extras["edges"] == edges
         assert result.extras["weight"] == weight == 244
-        assert result.rounds == 1004
+        assert [loop.stop for loop in loops] == [1, 4, 5]
+        assert result.meter.phases == stopped_phases(full.meter, loops)
+        assert (full.rounds, result.rounds) == (1004, 822)
 
 
 class TestSessionBills:
@@ -72,11 +83,15 @@ class TestSessionBills:
 
     @pytest.mark.slow
     def test_apsp_exact_n512(self):
+        """Squaring 4 is the first of the 9 allowed that changes nothing."""
         graph = random_weighted_graph(512, 0.05, max_weight=100, seed=2)
+        with full_schedule() as loops:
+            full = apsp_exact(graph, clique=CongestedClique(512))
         result = apsp_exact(graph, clique=CongestedClique(512))
         assert np.array_equal(result.value, apsp_reference(graph))
-        assert result.extras["squarings"] == 9
-        assert result.rounds == 816
+        assert result.meter.phases == stopped_phases(full.meter, loops)
+        assert result.extras["squarings"] == 5
+        assert (full.rounds, result.rounds) == (816, 565)
 
     @pytest.mark.slow
     def test_packed_boolean_closure_n512(self):
@@ -89,9 +104,12 @@ class TestSessionBills:
         for _ in range(4):
             rng.random(operands)
         seed_matrix = (rng.random((512, 512)) < 0.004).astype(np.int64)
+        with open_session(512, "semiring", BOOLEAN) as full, full_schedule() as loops:
+            full.closure(seed_matrix)
         with open_session(512, "semiring", BOOLEAN) as session:
             closure = session.closure(seed_matrix)
-            assert session.rounds == 432
+            assert session.meter.phases == stopped_phases(full.meter, loops)
+            assert (full.rounds, session.rounds) == (432, 294)
         reach = seed_matrix > 0
         for _ in range(9):
             step = reach.astype(np.float32) @ reach.astype(np.float32)
@@ -102,7 +120,18 @@ class TestSessionBills:
 class TestServeBills:
     def test_delta_update_against_rebuild(self):
         """A 4-edge decrease batch at n=64: the dirty-strip delta arm bills
-        72 rounds where a forced rebuild bills 272, for equal closures."""
+        72 rounds where a forced rebuild bills 212, for equal closures."""
+        with full_schedule() as loops:
+            full = self._delta_and_rebuild()
+        got = self._delta_and_rebuild()
+        for session, replayed in zip(got[:2], full[:2]):
+            assert session.meter.phases == stopped_phases(replayed.meter, loops)
+        delta, rebuild = got[2:]
+        assert (full[3].rounds, delta.rounds, rebuild.rounds) == (272, 72, 212)
+
+    @staticmethod
+    def _delta_and_rebuild():
+        """Two closed sessions; one folds the batch in, one rebuilds."""
         n = 64
         graph = random_weighted_graph(n, 0.3, max_weight=50, seed=9)
         # The benchmark drew 2 x 10,000 query endpoints from this generator
@@ -137,14 +166,19 @@ class TestServeBills:
         assert delta.mode == "delta" and rebuild.mode == "rebuild"
         assert np.array_equal(fast.resident.dist, slow.resident.dist)
         assert delta.dirty == 8
-        assert (delta.rounds, rebuild.rounds) == (72, 272)
+        return fast, slow, delta, rebuild
 
     @pytest.mark.slow
     def test_artifact_build_n512(self, tmp_path):
         graph = random_weighted_graph(512, 0.02, max_weight=100, seed=7)
+        full = EngineSession(make_clique(512, "semiring"), "semiring", MIN_PLUS)
+        with full_schedule() as loops:
+            ClosureArtifact.build(full, graph, tmp_path / "full-512")
         session = EngineSession(make_clique(512, "semiring"), "semiring", MIN_PLUS)
         built = ClosureArtifact.build(session, graph, tmp_path / "closure-512")
-        assert built.rounds == 960
+        assert session.meter.phases == stopped_phases(full.meter, loops)
+        assert (full.meter.rounds, built.rounds) == (960, 709)
         opened = ClosureArtifact.open(tmp_path / "closure-512")
-        assert opened.rounds == 960
+        assert opened.rounds == 709
+        assert opened.manifest["squarings"] == loops[0].stop == 5
         assert np.array_equal(np.asarray(opened.dist), apsp_reference(graph))

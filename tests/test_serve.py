@@ -389,6 +389,23 @@ class TestQueries:
         with pytest.raises(RoutingCycleError, match="dead-end"):
             engine.path(u, v)
 
+    @pytest.mark.parametrize("hop", [999, -5])
+    def test_hop_outside_the_node_range_names_the_pair(self, tmp_path, hop):
+        """A routing entry that is no node id is refused before it is used
+        as an index, by the point and the batched chase alike."""
+        _, _, artifact = _build(tmp_path, n=10, p=0.6, seed=4)
+        writable = ClosureArtifact.open(artifact.path, writable=True)
+        u, v = 0, 9
+        assert 0 < writable.dist[u, v] < INF
+        writable.next_hop[u, v] = hop
+        writable.next_hop.flush()
+        engine = QueryEngine(ClosureArtifact.open(artifact.path))
+        named = f"{u} -> {v}: hop {hop} is outside \\[0, 10\\)"
+        with pytest.raises(RoutingCycleError, match=named):
+            engine.path(u, v)
+        with pytest.raises(RoutingCycleError, match=named):
+            engine.path_batch(np.array([1, u]), np.array([2, v]))
+
 
 # --------------------------------------------------------------------- #
 # Delta maintenance: dirty strips == full rebuild, fewer rounds
