@@ -100,7 +100,9 @@ class PhaseTraffic:
         dst: ``(P,)`` int64 per-piece destination ids, or ``None`` for
             broadcasts (every node addresses all others).
         widths: ``(P,)`` int64 words per piece (per broadcasting node for
-            broadcasts).
+            broadcasts).  A Reed-Solomon coded piece carries the words of
+            all its ``m`` stripes, which share its source and destination
+            (:class:`~repro.faults.protocol.CodedClique`).
         relayed: whether the exchange ships through the two-hop Lenzen
             relay construction (``route``) rather than direct links.
     """

@@ -455,7 +455,10 @@ class EngineSession:
         raise :class:`NegativeCycleError` (:meth:`_refuse_negative_cycle`).
 
         Args:
-            matrix: the ``n x n`` seed (adjacency / weight / capacity).
+            matrix: the ``n x n`` seed (adjacency / weight / capacity).  A
+                ``BOOLEAN`` seed is thresholded once before the first
+                squaring, as in :meth:`multiply` (entries ``> 0`` are
+                edges); zero ``steps`` return the seed as given.
             steps: the most squarings to run (default :func:`default_steps`).
             absorb: ``"accum"`` merges ``B <- B^2 (+) B`` (the distance/
                 reachability recurrences); ``"matrix"`` merges
@@ -470,14 +473,18 @@ class EngineSession:
         semiring = self.algebra
         base = int64_operand(matrix)
         steps = default_steps(self.n) if steps is None else steps
-        if steps > 0 and self.method == "semiring" and semiring is BOOLEAN:
-            return self._closure_packed(
-                base,
-                steps=steps,
-                absorb=absorb,
-                phase=phase,
-                step_label=step_label,
-            )
+        if steps > 0 and semiring is BOOLEAN:
+            # Corollary 2, as in multiply: entries > 0 are edges, so the
+            # stop rule compares 0/1 merges with a 0/1 seed.
+            base = (base > 0).astype(np.int64)
+            if self.method == "semiring":
+                return self._closure_packed(
+                    base,
+                    steps=steps,
+                    absorb=absorb,
+                    phase=phase,
+                    step_label=step_label,
+                )
         accum = base
 
         def square(step_phase: str) -> np.ndarray:

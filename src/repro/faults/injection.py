@@ -10,12 +10,12 @@ plan installed (or ``t = 0``) so are the delivered contents -- the
 equivalence the fault suite pins.
 
 Relay attribution: piece ``i``'s copy ``j`` transits the intermediate node
-``disjoint_relays(...)[i, j]`` -- the same public, input-oblivious
-assignment the coded collectives stripe over, so the adversary model and
-the decoder's distance argument talk about the same relays.  (For plain,
-un-encoded exchanges ``copies = 1``: every piece has a single relay, and a
-corrupt relay silently corrupts it -- that is exactly the vulnerability the
-coded layer exists to close.)
+``disjoint_relays(...)[i, j] = (base_i + j) mod n`` -- the same public,
+input-oblivious assignment the coded collectives stripe over, so the
+adversary model and the decoder's distance argument talk about the same
+relays.  (For plain, un-encoded exchanges ``copies = 1``: every piece has a
+single relay, and a corrupt relay silently corrupts it -- that is exactly
+the vulnerability the coded layer exists to close.)
 """
 
 from __future__ import annotations
@@ -53,6 +53,15 @@ def corrupt_pieces(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Apply one exchange's worth of corruption to in-transit pieces.
 
+    The hits come from the relay formula, not a relay matrix: copy ``j`` of
+    piece ``i`` transits ``(base_i + j) mod n`` with ``base`` the
+    ``copies = 1`` assignment, so corrupt node ``c`` carries copy
+    ``(c - base_i) mod n`` of piece ``i`` exactly when that index is below
+    ``copies``.  Since ``copies <= n``, two corrupt nodes never hit the same
+    copy, and finding the hits takes one pass per corrupt node over the
+    pieces.  A hit row is flipped with its relay's mask
+    (:func:`flip_masks`) or zeroed as a known erasure.
+
     Args:
         plan: the adversary.
         exchange_id: monotone per-clique exchange counter (salts the relay
@@ -83,23 +92,32 @@ def corrupt_pieces(
     corrupt = plan.corrupt_nodes(n, exchange_id)
     if corrupt.size == 0 or total == 0:
         return blocks, no_drop, no_drop
-    relays = disjoint_relays(total // copies, copies, n, salt=exchange_id).reshape(-1)
-    is_corrupt = np.zeros(n, dtype=bool)
-    is_corrupt[corrupt] = True
-    hit = is_corrupt[relays]
+    if copies > n:
+        raise ValueError(
+            f"need 1 <= copies <= n = {n} pairwise-distinct relays per "
+            f"piece, got copies = {copies}"
+        )
+    base = disjoint_relays(total // copies, 1, n, salt=exchange_id)[:, 0]
+    carried = (corrupt[:, None] - base) % n
+    which, piece = np.nonzero(carried < copies)
+    rows = piece * copies + carried[which, piece]
+    relays = corrupt[which]
     if skip is not None:
-        hit &= ~np.asarray(skip, dtype=bool)
-    if not hit.any():
+        moved = ~np.asarray(skip, dtype=bool)[rows]
+        rows, relays = rows[moved], relays[moved]
+    hit = np.zeros(total, dtype=bool)
+    hit[rows] = True
+    if not rows.size:
         return blocks, hit, no_drop
     tampered = blocks.copy()
     if plan.kind in (FaultKind.FLIP, FaultKind.BYZANTINE):
-        masks = flip_masks(relays[hit]).reshape((-1,) + (1,) * (blocks.ndim - 1))
-        tampered[hit] = (tampered[hit].view(np.uint64) ^ masks.view(np.uint64)).view(
+        masks = flip_masks(relays).reshape((-1,) + (1,) * (blocks.ndim - 1))
+        tampered[rows] = (tampered[rows].view(np.uint64) ^ masks.view(np.uint64)).view(
             np.int64
         )
         dropped = no_drop
     else:  # DROP / CRASH: the piece is lost -- a known erasure.
-        tampered[hit] = 0
+        tampered[rows] = 0
         dropped = hit.copy()
     return tampered, hit, dropped
 

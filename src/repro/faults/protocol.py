@@ -37,6 +37,7 @@ two round totals).
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
@@ -130,17 +131,15 @@ class CodedClique(FaultyClique):
         Returns ``(plan, stripes, stripe_widths)``: stripe ``j`` of piece
         ``i`` sits at row ``i * m + j`` (the layout
         :func:`~repro.faults.injection.corrupt_pieces` attributes relays
-        by), and each stripe is billed a ``k``-th of its piece's declared
-        width, rounded up.
+        by), and ``stripe_widths`` holds one entry per piece: each of piece
+        ``i``'s ``m`` stripes is billed ``stripe_widths[i]`` words, a
+        ``k``-th of the piece's declared width, rounded up.
         """
         p = blocks.shape[0]
         width = int(np.prod(blocks.shape[1:], dtype=np.int64))
         plan = stripe_plan(width, self.n, self.tolerance)
         stripes = encode_stripes(blocks.reshape(p, width), plan)
-        stripe_widths = np.repeat(
-            -(-np.asarray(widths, dtype=np.int64) // plan.k), plan.m
-        )
-        return plan, stripes, stripe_widths
+        return plan, stripes, -(-np.asarray(widths, dtype=np.int64) // plan.k)
 
     def _run_encoded(
         self,
@@ -205,15 +204,14 @@ class CodedClique(FaultyClique):
         send is physically a Lenzen-routed exchange.
         """
         plan, stripes, stripe_widths = self._encode(batch.blocks, batch.widths)
-        enc_batch = ArrayBatch(
-            n=batch.n,
-            src=np.repeat(batch.src, plan.m),
-            dst=np.repeat(batch.dst, plan.m),
-            widths=stripe_widths,
-            blocks=stripes,
-            tags=None,
+        # A piece's m stripes share its source and destination, so one
+        # entry carrying all m stripes' words gives the encoded exchange's
+        # node loads, bill and price; only the payload count is per stripe.
+        enc_batch = replace(batch, widths=plan.m * stripe_widths)
+        enc_cost = replace(
+            self._routed_batch_cost(enc_batch, f"{cost.phase}/encoded", None),
+            payloads=batch.payloads * plan.m,
         )
-        enc_cost = self._routed_batch_cost(enc_batch, f"{cost.phase}/encoded", None)
         enc_traffic = self._batch_traffic(enc_batch, "route", relayed=True)
         skip = np.repeat(batch.dst == batch.src, plan.m)
         return self._run_encoded(
@@ -240,6 +238,7 @@ class CodedClique(FaultyClique):
         abstract_cost = self._broadcast_cost(self._node_widths(owners, widths), phase)
         plan, stripes, stripe_widths = self._encode(pieces, widths)
         stripe_owners = np.repeat(owners, plan.m)
+        stripe_widths = np.repeat(stripe_widths, plan.m)
 
         def ship_costs(
             exchange_id: int,

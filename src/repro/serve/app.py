@@ -266,16 +266,23 @@ class BatchingServer:
                 continue
             try:
                 self._answer_group(op, items)
-            except RoutingCycleError as exc:
-                for request, future, _, _ in items:
-                    if not future.done():
-                        future.set_result(
-                            {
-                                "ok": False,
-                                "id": request.get("id"),
-                                "error": str(exc),
-                            }
-                        )
+            except RoutingCycleError:
+                # One corrupt hop fails the whole batched chase: re-answer
+                # pair by pair, so only the pairs whose own chase fails
+                # get the error.
+                for item in items:
+                    try:
+                        self._answer_group(op, [item])
+                    except RoutingCycleError as exc:
+                        request, future, _, _ = item
+                        if not future.done():
+                            future.set_result(
+                                {
+                                    "ok": False,
+                                    "id": request.get("id"),
+                                    "error": str(exc),
+                                }
+                            )
 
     def _answer_group(self, op: str, items: list) -> None:
         us = np.array([u for _, _, u, _ in items], dtype=np.int64)

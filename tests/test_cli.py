@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import operator
 import subprocess
 import sys
@@ -551,3 +552,14 @@ class TestCodedSchemeCli:
         out = capsys.readouterr().out
         assert f"APSP variant=exact n=16: {rounds} rounds" in out
         assert f"faults: kind=flip t={t} seed=0 {line}" in out
+
+    def test_ring_priced_coded_bill_is_pinned(self, capsys):
+        """The coded bill and its ring price: the encoded exchanges are
+        billed and priced from one entry per piece, and both numbers are
+        those of the per-stripe records they replaced."""
+        assert main(
+            ["apsp", "16", "--faults", "1", "--topology", "ring", "--json"]
+        ) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["meter"]["rounds"] == 383
+        assert payload["completion"]["makespan_us"] == 330.8343288888889

@@ -16,6 +16,8 @@ compare it with that full loop, replayed by ``tests/closure_replay.py``:
   must only end in a value or a :class:`~repro.errors.ReproError`.  The
   plain branch (``session.closure`` on min-plus and max-min) and the
   negative-cycle refusal are covered too.
+* **Boolean seeds.**  A weighted Boolean seed closes like its 0/1 edge
+  pattern, on the same bill, on all three engines.
 * **Exhaustion.**  Every unit-weight directed graph on 4 nodes and every
   undirected graph on 5 nodes, against Floyd-Warshall and the replay.
 
@@ -30,7 +32,7 @@ import numpy as np
 import pytest
 from closure_replay import full_schedule, stopped_phases
 
-from repro.algebra.semirings import MAX_MIN, MIN_PLUS
+from repro.algebra.semirings import BOOLEAN, MAX_MIN, MIN_PLUS
 from repro.clique.model import CongestedClique
 from repro.constants import INF
 from repro.distances import apsp_exact
@@ -178,6 +180,40 @@ class TestBitIdentity:
         with full_schedule():
             want = refusal()
         assert refusal() == want
+
+
+#: Closed 0/1 seeds: their first squaring changes nothing.
+CLOSED_SEEDS = {
+    "identity": np.eye(16, dtype=np.int64),
+    "upper-triangle": np.triu(np.ones((16, 16), dtype=np.int64)),
+}
+
+
+class TestBooleanSeed:
+    """A Boolean closure thresholds its seed once (Corollary 2: entries
+    ``> 0`` are edges), so a weighted seed closes to the value of its 0/1
+    edge pattern on the same bill, on every engine."""
+
+    @staticmethod
+    def _close(method: str, seed: np.ndarray):
+        session = EngineSession(make_clique(16, method), method, BOOLEAN)
+        value = session.closure(pad_matrix(seed, session.n))
+        return value, session.clique.meter.phases, session.last_squarings
+
+    @pytest.mark.parametrize("method", ("bilinear", "naive", "semiring"))
+    @pytest.mark.parametrize("name", CLOSED_SEEDS)
+    def test_weighted_seed_closes_like_its_edges(self, name, method):
+        edges = CLOSED_SEEDS[name]
+        rng = np.random.default_rng(3)
+        weights = np.where(
+            edges > 0,
+            rng.integers(2, 9, edges.shape),
+            rng.integers(-3, 1, edges.shape),
+        )
+        got, want = self._close(method, weights), self._close(method, edges)
+        assert np.array_equal(got[0], want[0])
+        assert got[1:] == want[1:]
+        assert want[2] == 1
 
 
 def _check_every_graph(n: int, directed: bool) -> int:

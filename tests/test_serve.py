@@ -406,6 +406,34 @@ class TestQueries:
         with pytest.raises(RoutingCycleError, match=named):
             engine.path_batch(np.array([1, u]), np.array([2, v]))
 
+    def test_corrupt_hop_fails_only_its_pair_in_a_server_window(self, tmp_path):
+        """One batching window holds an intact pair and a pair whose chase
+        meets a corrupt hop: the intact pair is answered with its path."""
+        _, _, artifact = _build(tmp_path, n=10, p=0.6, seed=4)
+        writable = ClosureArtifact.open(artifact.path, writable=True)
+        writable.next_hop[0, 9] = 999
+        writable.next_hop.flush()
+        engine = QueryEngine(ClosureArtifact.open(artifact.path))
+
+        async def one_window():
+            loop = asyncio.get_running_loop()
+            batch = [
+                ({"op": "path", "u": u, "v": v, "id": i}, loop.create_future())
+                for i, (u, v) in enumerate([(1, 2), (0, 9)])
+            ]
+            BatchingServer(engine)._flush(batch)
+            return [future.result() for _, future in batch]
+
+        intact, corrupt = asyncio.run(one_window())
+        assert intact == {
+            "ok": True,
+            "id": 0,
+            "dist": _json_or_none(engine.dist(1, 2)),
+            "path": engine.path(1, 2),
+        }
+        assert corrupt["ok"] is False and corrupt["id"] == 1
+        assert "0 -> 9: hop 999 is outside [0, 10)" in corrupt["error"]
+
 
 # --------------------------------------------------------------------- #
 # Delta maintenance: dirty strips == full rebuild, fewer rounds
