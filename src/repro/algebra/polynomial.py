@@ -59,9 +59,7 @@ class PolynomialRing(Semiring):
     name = "polynomial"
     is_ring = True
 
-    def matmul_batch(
-        self, x: np.ndarray, y: np.ndarray, *, backend=None
-    ) -> np.ndarray:
+    def matmul_batch(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """``(B, r, k, Da) x (B, k, c, Db) -> (B, r, c, Da + Db - 1)``.
 
         One *batched* integer GEMM per degree pair (the batch axis rides
@@ -69,7 +67,6 @@ class PolynomialRing(Semiring):
         ``i + j``.  The zero-coefficient skip tests the whole batch slice,
         so a skipped pair is zero in every block.
         """
-        del backend  # one BLAS call per degree pair
         x = np.asarray(x)
         y = np.asarray(y)
         if (

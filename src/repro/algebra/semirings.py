@@ -56,14 +56,14 @@ consumes bit-packed operands and returns bit-packed rows, so the engine's
 persistent packed closure state never round-trips through 0/1 int64
 between squarings (see :func:`repro.matmul.semiring3d.boolean_matmul_packed`).
 
-Every batched kernel accepts a ``backend=`` spec
-(:mod:`repro.algebra.backends`): the selection fold and the packed Boolean
-kernels split their work into disjoint batch (or, for a single block,
-column) ranges and hand them to the backend (serial, or ``threaded:N`` to
-fan out over a thread pool -- bit-identical either way, since no kernel
-merges across ranges in scheduling order).  Kernels whose heavy lifting is
-a BLAS call (the ``float32`` GEMM tile, the plain ring product) accept the
-keyword and ignore it.
+Every batched semiring kernel takes a tile thread count ``threads``
+(default 1): the selection fold and the packed Boolean kernels split their
+work into disjoint batch (or, for a single block, column) ranges and run
+them on that many threads (:func:`~repro.algebra.backends.run_tiles` --
+bit-identical at every count, since no kernel merges across ranges in
+scheduling order).  Kernels whose heavy lifting is a BLAS call (the
+``float32`` GEMM tile, the plain ring product) accept the count and ignore
+it.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ from functools import partial
 
 import numpy as np
 
-from repro.algebra.backends import get_backend, tile_ranges
+from repro.algebra.backends import run_tiles, tile_ranges
 from repro.constants import INF
 
 def saturating_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -118,19 +118,19 @@ class Semiring:
     has_witnesses: bool = False
 
     def matmul_batch(
-        self, x: np.ndarray, y: np.ndarray, *, backend=None
+        self, x: np.ndarray, y: np.ndarray, *, threads: int = 1
     ) -> np.ndarray:
         """Batched block product: ``(B, m, k) x (B, k, n) -> (B, m, n)``.
 
         The executor layer calls it once per engine step, amortising the
-        per-block Python overhead across the batch.  ``backend`` (a
-        :mod:`repro.algebra.backends` spec) selects tile scheduling for the
-        kernels that split into tiles; it can never change values.
+        per-block Python overhead across the batch.  ``threads`` is the
+        tile thread count of the kernels that split into tiles; it can
+        never change values.
         """
         raise NotImplementedError
 
     def matmul_batch_with_witness(
-        self, x: np.ndarray, y: np.ndarray, *, backend=None, out=None
+        self, x: np.ndarray, y: np.ndarray, *, threads: int = 1, out=None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Batched product plus, per output entry, the inner index attaining it.
 
@@ -301,9 +301,9 @@ class PlusTimesRing(Semiring):
     is_ring = True
 
     def matmul_batch(
-        self, x: np.ndarray, y: np.ndarray, *, backend=None
+        self, x: np.ndarray, y: np.ndarray, *, threads: int = 1
     ) -> np.ndarray:
-        del backend  # one BLAS call; BLAS manages its own threads
+        del threads  # one BLAS call; BLAS manages its own threads
         x, y = _check_batch(x, y)
         return np.matmul(x, y)
 
@@ -380,19 +380,19 @@ class BooleanSemiring(Semiring):
         )
 
     def matmul_batch(
-        self, x: np.ndarray, y: np.ndarray, *, backend=None
+        self, x: np.ndarray, y: np.ndarray, *, threads: int = 1
     ) -> np.ndarray:
         """Batched Boolean product: GEMM tiles or bit-packed, chosen by work.
 
         Large blocks take the bit-packed kernel; the small per-node blocks
         the engines batch stay on the GEMM tile (measured faster there --
-        BLAS amortises while the 256-row chunk tables do not).  ``backend``
+        BLAS amortises while the 256-row chunk tables do not).  ``threads``
         only schedules the packed kernel's tiles; BLAS threads are BLAS's
         own business.
         """
         x, y = _check_batch(x, y)
         if self._use_packed(x.shape[1], x.shape[2], y.shape[2]):
-            return self.packed_matmul_batch(x, y, backend=backend)
+            return self.packed_matmul_batch(x, y, threads=threads)
         k = x.shape[2]
         tile = self.BOOL_TILE
         acc = np.zeros((x.shape[0], x.shape[1], y.shape[2]), dtype=bool)
@@ -404,7 +404,7 @@ class BooleanSemiring(Semiring):
         return acc.astype(np.int64)
 
     def packed_matmul_batch(
-        self, x: np.ndarray, y: np.ndarray, *, backend=None
+        self, x: np.ndarray, y: np.ndarray, *, threads: int = 1
     ) -> np.ndarray:
         """Bit-packed Boolean product (method of Four Russians, word-parallel).
 
@@ -421,11 +421,11 @@ class BooleanSemiring(Semiring):
             return np.zeros((batch, m, n), dtype=np.int64)
         xw = pack_bool_rows(x)
         yw = pack_bool_rows(y)
-        packed = self.packed_words_matmul_batch(xw, yw, k, backend=backend)
+        packed = self.packed_words_matmul_batch(xw, yw, k, threads=threads)
         return unpack_bool_rows(packed, n)
 
     def packed_words_matmul_batch(
-        self, xw: np.ndarray, yw: np.ndarray, k: int, *, backend=None
+        self, xw: np.ndarray, yw: np.ndarray, k: int, *, threads: int = 1
     ) -> np.ndarray:
         """Four-Russians product on *pre-packed* operands, packed output.
 
@@ -451,8 +451,8 @@ class BooleanSemiring(Semiring):
         lets the engine's persistent packed closure feed products straight
         back in as operands.  The batch axis is chunked so the 256-row OR
         tables stay slab-sized (:data:`_PACKED_TABLE_ENTRIES`) and the
-        chunks are scheduled on ``backend`` -- each chunk writes a disjoint
-        output slice, so scheduling cannot change values.
+        chunks run on ``threads`` tile threads -- each chunk writes a
+        disjoint output slice, so scheduling cannot change values.
         """
         xw = np.ascontiguousarray(np.asarray(xw, dtype=np.int64))
         yw = np.ascontiguousarray(np.asarray(yw, dtype=np.int64))
@@ -513,12 +513,11 @@ class BooleanSemiring(Semiring):
                 packed = np.bitwise_or.reduce(rows, axis=0)
                 out[b0 : b0 + bc] = packed.view(np.int64)
 
-        backend = get_backend(backend)
-        if backend.threads > 1 and batch > 1:
-            ranges = tile_ranges(batch, backend.threads)
+        if threads > 1 and batch > 1:
+            ranges = tile_ranges(batch, threads)
         else:
             ranges = [(0, batch)]
-        backend.run([partial(product_range, lo, hi) for lo, hi in ranges])
+        run_tiles([partial(product_range, lo, hi) for lo, hi in ranges], threads)
         return out
 
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -640,14 +639,14 @@ class _SelectionSemiring(Semiring):
     # -- the products ---------------------------------------------------- #
 
     def matmul_batch(
-        self, x: np.ndarray, y: np.ndarray, *, backend=None
+        self, x: np.ndarray, y: np.ndarray, *, threads: int = 1
     ) -> np.ndarray:
         """Batched plain product: the fold with ``kbits = 0`` and no tags."""
-        values, _ = self._product(x, y, backend=backend, witnessed=False, out=None)
+        values, _ = self._product(x, y, threads=threads, witnessed=False, out=None)
         return values
 
     def matmul_batch_with_witness(
-        self, x: np.ndarray, y: np.ndarray, *, backend=None, out=None
+        self, x: np.ndarray, y: np.ndarray, *, threads: int = 1, out=None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Batched product plus the lowest inner index attaining each entry.
 
@@ -655,9 +654,9 @@ class _SelectionSemiring(Semiring):
         arrays, views allowed -- receives the result instead of fresh
         arrays, on every path (fold and walk alike), and is returned.
         """
-        return self._product(x, y, backend=backend, witnessed=True, out=out)
+        return self._product(x, y, threads=threads, witnessed=True, out=out)
 
-    def _product(self, x, y, *, backend, witnessed: bool, out):
+    def _product(self, x, y, *, threads: int, witnessed: bool, out):
         x, y = _check_batch(x, y)
         batch, m, k = x.shape
         shape = (batch, m, y.shape[2])
@@ -677,7 +676,7 @@ class _SelectionSemiring(Semiring):
         if lanes is None:
             self._walk(x, y, values, witness)
         elif values.size:
-            self._fold(x, y, lanes, values, witness, backend)
+            self._fold(x, y, lanes, values, witness, threads)
         return values, witness
 
     def _lanes(self, x: np.ndarray, y: np.ndarray, kbits: int) -> _Lanes | None:
@@ -698,8 +697,8 @@ class _SelectionSemiring(Semiring):
                 return _Lanes(dtype, offset, penalty, kbits)
         return None
 
-    def _fold(self, x, y, lanes: _Lanes, values, witness, backend) -> None:
-        """Schedule the fold's cells on ``backend``.
+    def _fold(self, x, y, lanes: _Lanes, values, witness, threads: int) -> None:
+        """Run the fold's cells on ``threads`` tile threads.
 
         Each cell -- a batch range, or for a single block a column range --
         folds the full inner dimension into a disjoint slice of the
@@ -707,17 +706,17 @@ class _SelectionSemiring(Semiring):
         """
         batch = x.shape[0]
         n = y.shape[2]
-        backend = get_backend(backend)
         cells = [(0, batch, 0, n)]
-        if backend.threads > 1 and batch > 1:
-            cells = [(lo, hi, 0, n) for lo, hi in tile_ranges(batch, backend.threads)]
-        elif backend.threads > 1 and n >= 2 * backend.threads:
-            cells = [(0, batch, lo, hi) for lo, hi in tile_ranges(n, backend.threads)]
-        backend.run(
+        if threads > 1 and batch > 1:
+            cells = [(lo, hi, 0, n) for lo, hi in tile_ranges(batch, threads)]
+        elif threads > 1 and n >= 2 * threads:
+            cells = [(0, batch, lo, hi) for lo, hi in tile_ranges(n, threads)]
+        run_tiles(
             [
                 partial(self._fold_cell, x, y, lanes, values, witness, *cell)
                 for cell in cells
-            ]
+            ],
+            threads,
         )
 
     def _fold_cell(

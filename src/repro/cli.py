@@ -43,8 +43,8 @@ def _make_clique(parser: argparse.ArgumentParser, args: argparse.Namespace, n: i
     """Build the (possibly robust) clique, or die with usage.
 
     Centralises the ``--engine`` / ``--threads`` wiring: the clique is
-    sized for the chosen engine and carries the local-compute executor
-    (and its kernel tile backend) the engine sessions run on.  ``--faults
+    sized for the chosen engine and its executor runs every engine's
+    local block products on ``--threads`` kernel tile threads.  ``--faults
     T`` additionally installs a seeded adversary corrupting up to ``T``
     relay nodes per exchange *and* the Reed-Solomon coded collectives
     sized to survive it -- the run then either matches the fault-free
@@ -685,11 +685,12 @@ def _add_engine_flags(
 ) -> None:
     """The shared ``--engine`` / ``--threads`` pair.
 
-    ``--threads T`` runs the simulator's kernel tiles on a ``T``-thread
-    tile backend (kernel generation 3): the packed Boolean and packed
-    min-plus/max-min witness kernels fan out, bilinear ring products stay
-    serial.  Answers and round charges are identical to the serial
-    default, only wall clock changes.
+    ``--threads T`` runs the clique executor's kernel tiles on ``T``
+    threads (kernel generation 3).  Every engine's local products go
+    through the executor: the packed Boolean kernel and the min-plus/
+    max-min fold split into tiles, bilinear ring products stay serial.
+    Answers and round charges are identical to the serial default, only
+    wall clock changes.
     """
     p.add_argument(
         "--engine",
@@ -702,9 +703,9 @@ def _add_engine_flags(
         type=_threads_type,
         default=1,
         metavar="T",
-        help="threads for the packed Boolean and packed min-plus/max-min "
-        "witness kernels; bilinear ring products stay serial "
-        "(default: serial tiles)",
+        help="kernel tile threads for every engine's local products (the "
+        "packed Boolean kernel and the min-plus/max-min fold); bilinear "
+        "ring products stay serial (default: serial tiles)",
     )
 
 

@@ -9,12 +9,7 @@ cost accounting, and the closed-form round bills of the routing theorem
 
 from repro.clique.accounting import CostMeter, PhaseCost
 from repro.clique.arena import ExchangeArena
-from repro.clique.executor import (
-    SERIAL_EXECUTOR,
-    LocalExecutor,
-    SerialExecutor,
-    make_executor,
-)
+from repro.clique.executor import Executor
 from repro.clique.messages import (
     default_word_bits,
     int_bits,
@@ -28,10 +23,7 @@ __all__ = [
     "CostMeter",
     "PhaseCost",
     "ExchangeArena",
-    "LocalExecutor",
-    "SerialExecutor",
-    "SERIAL_EXECUTOR",
-    "make_executor",
+    "Executor",
     "default_word_bits",
     "int_bits",
     "words_for_array",

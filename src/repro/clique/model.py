@@ -62,7 +62,7 @@ from repro.clique.accounting import (
     PhaseCost,
     PhaseTraffic,
 )
-from repro.clique.executor import SERIAL_EXECUTOR, LocalExecutor
+from repro.clique.executor import Executor
 from repro.clique.messages import block_widths, default_word_bits
 from repro.clique.routing import (
     ArrayBatch,
@@ -163,12 +163,14 @@ class CongestedClique:
         n: number of nodes (node ids are ``0 .. n-1``).
         word_bits: message word size in bits; defaults to
             ``max(16, 2 ceil(log2 n))`` -- the model's ``Theta(log n)``.
-        executor: the :class:`~repro.clique.executor.LocalExecutor` engines
-            run their per-node block products on; defaults to the serial
-            in-process backend.  Executors never touch the meter, so the
-            backend choice cannot change round charges.
+        threads: kernel tile threads of the clique's
+            :class:`~repro.clique.executor.Executor`, which the engines run
+            their per-node block products on (default 1, serial tiles).
+            The executor never touches the meter, so the thread count
+            cannot change round charges.
 
     Attributes:
+        executor: the clique's :class:`~repro.clique.executor.Executor`.
         meter: the :class:`~repro.clique.accounting.CostMeter` accumulating
             this clique's communication costs (observer #0 of ``meters``).
         meters: the :class:`~repro.clique.accounting.MeterStack` every
@@ -184,7 +186,7 @@ class CongestedClique:
         n: int,
         *,
         word_bits: int | None = None,
-        executor: "LocalExecutor | None" = None,
+        threads: int = 1,
     ) -> None:
         if n < 2:
             raise CliqueModelError(f"a congested clique needs >= 2 nodes, got {n}")
@@ -195,7 +197,7 @@ class CongestedClique:
         self.meter = CostMeter()
         self.meters = MeterStack(self.meter)
         self.transport: CostObserver | None = None
-        self.executor = executor if executor is not None else SERIAL_EXECUTOR
+        self.executor = Executor(threads)
 
     def attach_cost_model(self, model) -> CostObserver:
         """Register a transport cost model as a charge observer.

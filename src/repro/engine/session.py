@@ -5,13 +5,13 @@ Every §3 algorithm in the paper is "repeated squaring over a semiring"; an
 session binds
 
 * a **clique** (the metered simulator, including its local-compute
-  executor and that executor's kernel tile backend),
+  executor and that executor's kernel tile thread count),
 * a **matmul method** (``"bilinear"`` §2.2, ``"semiring"`` §2.1,
   ``"naive"`` baseline), and
 * an **algebra** -- a :class:`~repro.algebra.semirings.Semiring` (rings
   included: the integers and the Lemma 18 polynomial ring)
 
-and exposes ``multiply`` / ``square`` / ``power`` / ``closure``.  Binding
+and exposes ``multiply`` / ``square`` / ``closure``.  Binding
 happens once: the bilinear algorithm (encode/decode tensors), the engine's
 layout and routing plans (:func:`~repro.matmul.semiring3d.cube_plan`,
 :func:`~repro.matmul.bilinear_clique.grid_plan`) are all resolved/warmed
@@ -23,7 +23,7 @@ engines; the §2.2 engine needs a ring, so it accepts ``PLUS_TIMES``
 directly, implements ``BOOLEAN`` by integer product + threshold (Corollary
 2's reduction), and rejects selection semirings (use the Lemma 18/20
 embeddings in :mod:`repro.matmul.distance` instead).  ``POLYNOMIAL`` binds
-only to the §2.2 engine, for raw products: it has no ``power``/``closure``.
+only to the §2.2 engine, for raw products: it has no ``closure``.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from repro.algebra.polynomial import POLYNOMIAL
 from repro.algebra.semirings import BOOLEAN, PLUS_TIMES, Semiring, int64_operand
 from repro.clique.accounting import CostMeter
 from repro.clique.arena import ExchangeArena
-from repro.clique.executor import LocalExecutor, make_executor
+from repro.clique.executor import Executor
 from repro.clique.model import CongestedClique, or_broadcast
 from repro.errors import NegativeCycleError
 from repro.matmul.bilinear_clique import (
@@ -130,8 +130,8 @@ def make_clique(
 ) -> CongestedClique:
     """A clique sized for an ``n``-node problem under ``method``.
 
-    ``threads > 1`` runs the executor's kernel tiles on a threaded tile
-    backend (:mod:`repro.algebra.backends`).  That never affects round
+    ``threads > 1`` runs the executor's kernel tiles on that many threads
+    (:func:`~repro.algebra.backends.run_tiles`).  That never affects round
     charges, only the simulator's wall clock.
 
     ``fault_plan`` (a :class:`~repro.faults.FaultPlan`) installs a seeded
@@ -156,7 +156,6 @@ def make_clique(
             f"Reed-Solomon striping (\"coded\") is the only code"
         )
     size = required_clique_size(n, method)
-    executor = make_executor(threads)
     if fault_plan is not None or fault_tolerance is not None:
         from repro.faults import CodedClique, FaultyClique
 
@@ -166,21 +165,17 @@ def make_clique(
                 plan=fault_plan,
                 tolerance=fault_tolerance,
                 word_bits=word_bits,
-                executor=executor,
+                threads=threads,
             )
         else:
             clique = FaultyClique(
                 size,
                 plan=fault_plan,
                 word_bits=word_bits,
-                executor=executor,
+                threads=threads,
             )
     else:
-        clique = CongestedClique(
-            size,
-            word_bits=word_bits,
-            executor=executor,
-        )
+        clique = CongestedClique(size, word_bits=word_bits, threads=threads)
     if cost_model is not None:
         clique.attach_cost_model(cost_model)
     return clique
@@ -292,14 +287,14 @@ class EngineSession:
         return self.clique.transport
 
     @property
-    def executor(self) -> LocalExecutor:
+    def executor(self) -> Executor:
         return self.clique.executor
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         algebra = getattr(self.algebra, "name", self.algebra)
         return (
             f"EngineSession(n={self.n}, method={self.method!r}, "
-            f"algebra={algebra!r}, executor={self.executor.name})"
+            f"algebra={algebra!r}, threads={self.executor.threads})"
         )
 
     # ------------------------------------------------------------------ #
@@ -390,65 +385,22 @@ class EngineSession:
     # Iterated squaring
     # ------------------------------------------------------------------ #
 
-    def power(
-        self,
-        matrix: np.ndarray,
-        exponent: int,
-        *,
-        phase: str = "matrix-power",
-    ) -> np.ndarray:
-        """``matrix^exponent`` by binary exponentiation, ``O(log k)`` products.
-
-        ``exponent = 0`` returns the multiplicative identity pattern of the
-        bound semiring (1-diagonal for plus-times/Boolean, 0-diagonal /
-        zero-elsewhere for min-plus style selection semirings).
-        """
-        self._refuse_polynomial()
-        semiring = self.algebra
-        if exponent < 0:
-            raise ValueError(f"exponent must be >= 0, got {exponent}")
-        n = self.n
-        matrix = int64_operand(matrix)
-        if matrix.shape != (n, n):
-            raise ValueError(f"matrix must be {n} x {n}")
-        if exponent == 0:
-            identity = semiring.zeros((n, n))
-            np.fill_diagonal(identity, semiring.one_value)
-            return identity
-        result: np.ndarray | None = None
-        base = matrix
-        e = exponent
-        step = 0
-        while e:
-            if e & 1:
-                result = (
-                    base
-                    if result is None
-                    else self.multiply(result, base, phase=f"{phase}/mul{step}")
-                )
-            e >>= 1
-            if e:
-                base = self.square(base, phase=f"{phase}/sq{step}")
-            step += 1
-        assert result is not None
-        return result
-
     def closure(
         self,
         matrix: np.ndarray,
         *,
         steps: int | None = None,
-        absorb: str = "accum",
         phase: str = "closure",
         step_label: str = "sq",
     ) -> np.ndarray:
         """Iterated squaring to a fixed point: the shared §3 closure loop.
 
-        After ``t`` steps the accumulator covers all walks of length
-        ``<= 2^t`` (paper eq. (4) generalised to any semiring); ``steps``
-        caps the squarings at ``ceil(log2 n)`` by default, enough for the
-        full closure, and the loop stops earlier at the first squaring
-        that changes nothing (:meth:`_square_to_fixpoint`).  Boolean
+        Each squaring merges ``B <- B^2 (+) B`` (the distance/reachability
+        recurrences), so after ``t`` steps the accumulator covers all walks
+        of length ``<= 2^t`` (paper eq. (4) generalised to any semiring);
+        ``steps`` caps the squarings at ``ceil(log2 n)`` by default, enough
+        for the full closure, and the loop stops earlier at the first
+        squaring that changes nothing (:meth:`_square_to_fixpoint`).  Boolean
         closures on the §2.1 engine stay bit-packed across squarings
         (:meth:`_closure_packed`); routing tables come from the resident
         loop (:meth:`seed_resident` / :meth:`resident_closure`).  Both loops
@@ -460,16 +412,10 @@ class EngineSession:
                 squaring, as in :meth:`multiply` (entries ``> 0`` are
                 edges); zero ``steps`` return the seed as given.
             steps: the most squarings to run (default :func:`default_steps`).
-            absorb: ``"accum"`` merges ``B <- B^2 (+) B`` (the distance/
-                reachability recurrences); ``"matrix"`` merges
-                ``B <- B^2 (+) A`` (the generic closure of
-                :func:`repro.matmul.powers.closure`).
             phase: cost-meter label prefix; squaring ``i`` is charged as
                 ``{phase}/{step_label}{i}``.
         """
         self._refuse_polynomial()
-        if absorb not in ("accum", "matrix"):
-            raise ValueError(f"absorb must be 'accum' or 'matrix', got {absorb!r}")
         semiring = self.algebra
         base = int64_operand(matrix)
         steps = default_steps(self.n) if steps is None else steps
@@ -479,18 +425,14 @@ class EngineSession:
             base = (base > 0).astype(np.int64)
             if self.method == "semiring":
                 return self._closure_packed(
-                    base,
-                    steps=steps,
-                    absorb=absorb,
-                    phase=phase,
-                    step_label=step_label,
+                    base, steps=steps, phase=phase, step_label=step_label
                 )
         accum = base
 
         def square(step_phase: str) -> np.ndarray:
             nonlocal accum
             squared = self.square(accum, phase=step_phase)
-            merged = semiring.add(squared, accum if absorb == "accum" else base)
+            merged = semiring.add(squared, accum)
             self._refuse_negative_cycle(merged, step_phase)
             changed = (merged != accum).any(axis=1)
             accum = merged
@@ -506,7 +448,6 @@ class EngineSession:
         base: np.ndarray,
         *,
         steps: int,
-        absorb: str,
         phase: str,
         step_label: str,
     ) -> np.ndarray:
@@ -514,7 +455,7 @@ class EngineSession:
 
         The seed is packed once, every squaring runs the fully-packed
         pipeline (:func:`~repro.matmul.semiring3d.boolean_matmul_packed`),
-        the per-step absorb is a word-parallel OR, and the accumulator is
+        the per-step merge is a word-parallel OR, and the accumulator is
         unpacked exactly once at the end.  Bit-identical to the unpacked
         loop: ``BOOLEAN.add`` thresholds its operands, so OR-ing packed
         0/1 data commutes with packing, and the packed pipeline charges the
@@ -522,21 +463,16 @@ class EngineSession:
         :meth:`closure` for every Boolean closure on the §2.1 engine.
         """
         n = self.n
-        base_p = pack_bool_matrix(base, n)
-        accum_p = base_p
+        accum_p = pack_bool_matrix(base, n)
 
         def square(step_phase: str) -> np.ndarray:
             nonlocal accum_p
             squared = boolean_matmul_packed(
                 self.clique, accum_p, accum_p, phase=step_phase, arena=self.arena
             )
-            # absorb: B <- B^2 OR B ("accum") or B^2 OR A ("matrix");
-            # `squared` is freshly allocated, never an arena buffer.
-            np.bitwise_or(
-                squared,
-                accum_p if absorb == "accum" else base_p,
-                out=squared,
-            )
+            # B <- B^2 OR B; `squared` is freshly allocated, never an
+            # arena buffer.
+            np.bitwise_or(squared, accum_p, out=squared)
             changed = (squared != accum_p).reshape(n, -1).any(axis=1)
             accum_p = squared
             return changed
@@ -574,11 +510,11 @@ class EngineSession:
                 return
 
     def _refuse_polynomial(self) -> None:
-        """``power``/``closure`` need identity and merge semantics the
-        polynomial ring's sessions do not have: they only multiply."""
+        """``closure`` needs identity and merge semantics the polynomial
+        ring's sessions do not have: they only multiply."""
         if self.algebra is POLYNOMIAL:
             raise EngineBindingError(
-                "power/closure need a semiring with identity and addition "
+                "closure needs a semiring with identity and addition "
                 "semantics; raw polynomial sessions only multiply"
             )
 

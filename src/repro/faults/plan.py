@@ -23,7 +23,7 @@ relayed through up to ``t`` nodes.  Four corruption kinds are modelled:
 
 Everything is a pure function of ``(seed, kind, t, exchange index)`` via
 ``np.random.default_rng`` seed sequences, so a logged seed replays the exact
-corruption pattern (see ``runtime.reseed_shared_rng`` for the surrounding
+corruption pattern (see ``runtime.resolve_rng`` for the surrounding
 stream discipline).
 """
 

@@ -24,7 +24,6 @@ from repro.matmul.exponent import (
 from repro.matmul.layout import CubeLayout, GridLayout, next_cube, next_square
 from repro.matmul.boolean_witnesses import encode_boolean, find_boolean_witnesses
 from repro.matmul.naive import broadcast_matmul
-from repro.matmul.powers import closure, matrix_power
 from repro.matmul.semiring3d import semiring_matmul
 from repro.matmul.witnesses import WitnessResult, find_witnesses, unique_witnesses
 
@@ -43,8 +42,6 @@ __all__ = [
     "find_boolean_witnesses",
     "encode_boolean",
     "WitnessResult",
-    "matrix_power",
-    "closure",
     "CubeLayout",
     "GridLayout",
     "next_cube",

@@ -11,8 +11,8 @@ The replication step runs on the simulator's array-native fast path
 (:meth:`~repro.clique.model.CongestedClique.broadcast_rows`): ``T`` moves as
 one ``(n, n)`` array with per-row honest widths instead of ``n`` tuple
 payloads, and the local per-node products ``S[v] . T`` are evaluated as one
-batched kernel call (row ``v`` of the batch is exactly node ``v``'s local
-computation, so simulated costs are unchanged).
+block product on the clique's executor (row ``v`` of the product is exactly
+node ``v``'s local computation, so simulated costs are unchanged).
 """
 
 from __future__ import annotations
@@ -47,8 +47,11 @@ def broadcast_matmul(
     widths = [words_for_array(t[v], word_bits) for v in range(n)]
     t_full = clique.broadcast_rows(t, widths=widths, phase=f"{phase}/replicate-T")
     if with_witnesses:
-        return semiring.matmul_with_witness(s, t_full)
-    return semiring.matmul(s, t_full)
+        values, witnesses = clique.executor.semiring_products(
+            semiring, s[None], t_full[None], with_witnesses=True
+        )
+        return values[0], witnesses[0]
+    return clique.executor.semiring_products(semiring, s[None], t_full[None])[0]
 
 
 __all__ = ["broadcast_matmul"]

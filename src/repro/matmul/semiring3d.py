@@ -39,9 +39,9 @@ Implementation notes:
   :class:`CubePlan` -- repeated squarings (APSP, girth, closure) replan
   nothing.
 * The ``n`` local block products of step 2 run as **one batched call** on
-  the clique's :class:`~repro.clique.executor.LocalExecutor`, whose tile
-  backend may thread it; values (hence widths and rounds) are
-  bit-identical across backends.
+  the clique's :class:`~repro.clique.executor.Executor`, whose tile
+  thread count may split it; values (hence widths and rounds) are
+  bit-identical at every thread count.
 * A witnessed product's kernel decodes values and witnesses **straight
   into the step-3 send buffer** (the executor's ``out=``).
 """

@@ -13,24 +13,18 @@ application-level algorithm: the answer plus the communication bill.
 
 Engine dispatch lives in :mod:`repro.engine`: algorithms bind an
 :class:`~repro.engine.EngineSession` (clique + matmul method + algebra) and
-drive it through ``multiply``/``square``/``power``/``closure``.  The
-``integer_product``/``boolean_product`` helpers below are thin one-shot
-wrappers over that session API, kept for callers that need a single product
-without holding a session.
+drive it through ``multiply``/``square``/``closure``.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
-from repro.algebra.semirings import BOOLEAN, PLUS_TIMES
 from repro.clique.accounting import CostMeter
-from repro.clique.executor import make_executor
-from repro.clique.model import CongestedClique, or_broadcast, sum_broadcast
+from repro.clique.model import or_broadcast, sum_broadcast
 from repro.constants import INF
 from repro.engine import (
     MATMUL_METHODS,
@@ -87,40 +81,6 @@ def resolve_rng(
     return np.random.default_rng(seed)
 
 
-def snapshot_shared_rng() -> dict[str, Any]:
-    """Capture the shared stream's state for later replay.
-
-    Returns a deep copy of the bit-generator state, so the snapshot stays
-    valid however far the stream advances afterwards.  Pair with
-    :func:`restore_shared_rng` to replay a randomised run (fault-plan sweeps,
-    colour-coding trial batches) from a logged point without re-running
-    everything that came before it.
-    """
-    return copy.deepcopy(_SHARED_RNG.bit_generator.state)
-
-
-def restore_shared_rng(state: dict[str, Any]) -> None:
-    """Rewind the shared stream to a :func:`snapshot_shared_rng` capture.
-
-    The generator object itself is preserved (callers that already hold a
-    reference via ``resolve_rng(seed=None)`` see the rewound stream), only
-    its state is replaced.
-    """
-    _SHARED_RNG.bit_generator.state = copy.deepcopy(state)
-
-
-def reseed_shared_rng(seed: int) -> dict[str, Any]:
-    """Reset the shared stream to a fresh ``default_rng(seed)`` state.
-
-    Returns the state that was replaced (a :func:`snapshot_shared_rng`-style
-    capture), so callers can reseed for a reproducible sub-experiment and
-    then hand the stream back untouched.
-    """
-    previous = snapshot_shared_rng()
-    _SHARED_RNG.bit_generator.state = np.random.default_rng(seed).bit_generator.state
-    return previous
-
-
 def pad_matrix(matrix: np.ndarray, size: int, fill: int = 0) -> np.ndarray:
     """Zero/INF-pad a square matrix up to ``size`` (isolated virtual nodes).
 
@@ -141,39 +101,6 @@ def pad_matrix(matrix: np.ndarray, size: int, fill: int = 0) -> np.ndarray:
     return out
 
 
-def integer_product(
-    clique: CongestedClique,
-    x: np.ndarray,
-    y: np.ndarray,
-    method: str,
-    *,
-    phase: str,
-) -> np.ndarray:
-    """One integer matrix product under the chosen engine (session wrapper)."""
-    return EngineSession(clique, method, PLUS_TIMES).multiply(x, y, phase=phase)
-
-
-def boolean_product(
-    clique: CongestedClique,
-    x: np.ndarray,
-    y: np.ndarray,
-    method: str,
-    *,
-    phase: str,
-) -> np.ndarray:
-    """One Boolean matrix product under the chosen engine (session wrapper).
-
-    The semiring engines (``"semiring"``, ``"naive"``) run directly over
-    the Boolean semiring: partial products stay 0/1 (one word -- the
-    ``b/log n`` width factor of §1.1 stays constant through repeated
-    squarings) and local block products use the blocked Boolean kernel of
-    :class:`~repro.algebra.semirings.BooleanSemiring`.  The bilinear engine
-    needs a *ring*, so it computes the integer product of the 0/1 matrices
-    and thresholds -- exactly the reduction the paper's Corollary 2 uses.
-    """
-    return EngineSession(clique, method, BOOLEAN).multiply(x, y, phase=phase)
-
-
 __all__ = [
     "RunResult",
     "MATMUL_METHODS",
@@ -181,14 +108,8 @@ __all__ = [
     "open_session",
     "required_clique_size",
     "make_clique",
-    "make_executor",
     "pad_matrix",
     "resolve_rng",
-    "snapshot_shared_rng",
-    "restore_shared_rng",
-    "reseed_shared_rng",
-    "integer_product",
-    "boolean_product",
     "or_broadcast",
     "sum_broadcast",
     "INF",

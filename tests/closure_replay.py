@@ -82,17 +82,14 @@ def full_schedule():
     """
     loops: list[Loop] = []
 
-    def closure(
-        self, matrix, *, steps=None, absorb="accum", phase="closure", step_label="sq"
-    ):
+    def closure(self, matrix, *, steps=None, phase="closure", step_label="sq"):
         semiring = self.algebra
-        base = int64_operand(matrix)
-        accum = base
+        accum = int64_operand(matrix)
 
         def square(step_phase):
             nonlocal accum
             squared = self.square(accum, phase=step_phase)
-            merged = semiring.add(squared, accum if absorb == "accum" else base)
+            merged = semiring.add(squared, accum)
             self._refuse_negative_cycle(merged, step_phase)
             changed = not np.array_equal(merged, accum)
             accum = merged

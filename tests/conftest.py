@@ -34,7 +34,6 @@ def per_product_boolean_closure(
     session,
     matrix: np.ndarray,
     *,
-    absorb: str = "accum",
     steps: int | None = None,
 ) -> np.ndarray:
     """A Boolean closure run one unpacked product at a time.
@@ -46,12 +45,11 @@ def per_product_boolean_closure(
     changed, and an end after the first squaring that changed nothing --
     so values, rounds and every phase cost must match the packed loop.
     """
-    base = np.asarray(matrix, dtype=np.int64)
-    accum = base
+    accum = np.asarray(matrix, dtype=np.int64)
     steps = default_steps(session.n) if steps is None else steps
     for step in range(steps):
         squared = session.square(accum, phase=f"closure/sq{step}")
-        merged = BOOLEAN.add(squared, accum if absorb == "accum" else base)
+        merged = BOOLEAN.add(squared, accum)
         changed = (merged != (accum > 0)).any(axis=1)
         accum = merged
         if step + 1 == steps or not or_broadcast(

@@ -35,6 +35,7 @@ from repro.algebra.semirings import BOOLEAN, MIN_PLUS
 from repro.clique.messages import words_for_array
 from repro.clique.model import CongestedClique
 from repro.constants import INF
+from repro.engine import EngineSession
 from repro.errors import CliqueModelError, LoadBoundExceededError
 from repro.graphs import (
     bipartite_random_graph,
@@ -44,7 +45,6 @@ from repro.graphs import (
 )
 from repro.matmul.bilinear_clique import bilinear_matmul
 from repro.matmul.witnesses import _validate_candidates
-from repro.runtime import boolean_product
 from repro.subgraphs import four_cycle
 from repro.subgraphs.four_cycle import detect_four_cycles
 
@@ -388,7 +388,7 @@ class TestBooleanKernel:
         x = rng.integers(0, 2, (n, n), dtype=np.int64) * 5
         y = rng.integers(0, 2, (n, n), dtype=np.int64)
         clique = CongestedClique(n)
-        got = boolean_product(clique, x, y, method, phase="t")
+        got = EngineSession(clique, method, BOOLEAN).multiply(x, y)
         want = (((x > 0).astype(np.int64) @ y) > 0).astype(np.int64)
         assert np.array_equal(got, want)
         assert clique.rounds > 0

@@ -94,6 +94,20 @@ class TestReadme:
         for command in commands:
             assert command in sub.choices, command
 
+    def test_coded_overhead_quotes_match_the_cli(self, capsys):
+        """Every README quote of ``apsp 16 --faults 1``'s round overhead is
+        the overhead that command prints."""
+        from repro.cli import main
+
+        assert main(["apsp", "16", "--faults", "1"]) == 0
+        printed = re.search(r"overhead (\d+\.\d+)x", capsys.readouterr().out)
+        text = " ".join(_read("README.md").split())
+        quotes = re.findall(
+            r"(\d+\.\d+)[x×] for `apsp 16 --faults 1`", text
+        ) + re.findall(r"apsp 16 --faults 1 # [^#]*?(\d+\.\d+)x overhead", text)
+        assert len(quotes) >= 2, quotes
+        assert set(quotes) == {printed.group(1)}
+
     def test_install_instructions_mention_offline_path(self):
         text = _read("README.md")
         assert "setup.py develop" in text

@@ -2,8 +2,8 @@
 
 An :class:`~repro.engine.EngineSession` must (a) enforce Theorem 1's
 algebra/engine compatibility at construction, (b) produce the same products
-as the underlying engines it binds, (c) run the iterated-squaring loops
-(`power`/`closure`) that every §3 consumer shares, and (d) reuse one cached
+as the underlying engines it binds, (c) run the iterated-squaring loop
+(`closure`) that every §3 consumer shares, and (d) reuse one cached
 plan across all products of a clique size.
 """
 
@@ -28,7 +28,6 @@ from repro.errors import NegativeCycleError
 from repro.matmul.bilinear_clique import bilinear_matmul, grid_plan
 from repro.matmul.distance import RingDistanceSession
 from repro.matmul.naive import broadcast_matmul
-from repro.matmul.powers import closure, matrix_power
 from repro.matmul.semiring3d import cube_plan, semiring_matmul
 
 
@@ -66,12 +65,10 @@ class TestBindingRules:
             session.closure(np.zeros((16, 16, 1), dtype=np.int64))
 
     def test_polynomial_sessions_only_multiply(self):
-        """Power, resident state and witnesses are refused; a product
-        runs (checked against the per-block oracle)."""
+        """Resident state and witnesses are refused; a product runs
+        (checked against the per-block oracle)."""
         session = EngineSession(CongestedClique(16), "bilinear", POLYNOMIAL)
         x = np.ones((16, 16, 2), dtype=np.int64)
-        with pytest.raises(EngineBindingError):
-            session.power(x, 2)
         with pytest.raises(EngineBindingError):
             session.seed_resident(x)
         with pytest.raises(EngineBindingError):
@@ -153,41 +150,22 @@ class TestProductsMatchEngines:
 
 
 class TestIteratedSquaring:
-    def test_power_binary_exponentiation(self, rng):
-        a = rng.integers(0, 3, (16, 16))
-        session = EngineSession(CongestedClique(16), "bilinear")
-        assert np.array_equal(session.power(a, 3), a @ a @ a)
-        identity = session.power(a, 0)
-        assert np.array_equal(identity, np.eye(16, dtype=np.int64))
-
-    def test_power_validates_inputs(self):
-        session = EngineSession(CongestedClique(16), "bilinear")
-        with pytest.raises(ValueError, match="exponent"):
-            session.power(np.zeros((16, 16), dtype=np.int64), -1)
-        with pytest.raises(ValueError, match="matrix must be"):
-            session.power(np.zeros((4, 4), dtype=np.int64), 2)
-
     def test_closure_reaches_transitive_closure(self):
         # Path 0 -> 1 -> 2 -> ... on the Boolean semiring.
         n = 16
         a = np.zeros((n, n), dtype=np.int64)
         a[np.arange(n - 1), np.arange(1, n)] = 1
         session = EngineSession(CongestedClique(n), "naive", BOOLEAN)
-        closed = session.closure(a, absorb="matrix")
+        closed = session.closure(a)
         expect = np.triu(np.ones((n, n), dtype=np.int64), k=1)
         assert np.array_equal(closed, expect)
 
-    def test_matrix_power_and_closure_accept_ring_engines(self, rng):
-        """The powers entry points can run rings on the fast §2.2 engine."""
+    def test_boolean_closure_runs_on_the_ring_engine(self, rng):
+        """A Boolean closure runs on the fast §2.2 engine (Corollary 2)."""
         a = rng.integers(0, 2, (16, 16))
-        clique = CongestedClique(16)
-        got = matrix_power(clique, a, 4, PLUS_TIMES, method="bilinear")
-        assert np.array_equal(got, np.linalg.matrix_power(a, 4))
-        bool_closure = closure(
-            CongestedClique(16), a, BOOLEAN, method="bilinear"
-        )
-        reference = closure(CongestedClique(16), a, BOOLEAN, method="naive")
-        assert np.array_equal(bool_closure, reference)
+        bilinear = EngineSession(CongestedClique(16), "bilinear", BOOLEAN)
+        naive = EngineSession(CongestedClique(16), "naive", BOOLEAN)
+        assert np.array_equal(bilinear.closure(a), naive.closure(a))
 
 
 class TestOneWitnessedClosure:
@@ -202,6 +180,8 @@ class TestOneWitnessedClosure:
             session.closure(zeros, with_witnesses=True)
         with pytest.raises(TypeError):
             session.closure(zeros, on_step=lambda step, accum: None)
+        with pytest.raises(TypeError):
+            session.closure(zeros, absorb="matrix")
         session.seed_resident(zeros)
         with pytest.raises(TypeError):
             session.resident_closure(on_step=lambda step, accum: None)
@@ -217,10 +197,6 @@ class TestOneWitnessedClosure:
             w[u, (u + 1) % 8] = 1
         w[7, 0] = -20
         return w
-
-    def test_generic_min_plus_closure_refuses_negative_cycle(self):
-        with pytest.raises(NegativeCycleError, match="closure/sq2"):
-            closure(CongestedClique(8), self._negative_eight_cycle(), MIN_PLUS)
 
     def test_session_closures_refuse_negative_cycle(self):
         w = self._negative_eight_cycle()
@@ -265,7 +241,6 @@ class TestOperandDtypes:
 
     ENTRY_POINTS = {
         "multiply": lambda s, w: s.multiply(w, w),
-        "power": lambda s, w: s.power(w, 2),
         "closure": lambda s, w: s.closure(w),
         "seed_resident": lambda s, w: s.seed_resident(w),
         "next_hop": lambda s, w: s.seed_resident(

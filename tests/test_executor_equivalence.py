@@ -4,7 +4,7 @@ The local-compute executor only decides how block products are scheduled
 -- it must be invisible to everything else: identical answers, identical
 witness/routing tables, identical round charges and identical per-phase
 meter entries for every algorithm, on every engine.  These tests run the
-same workloads on a serial and a 2-thread tile executor (one shared
+same workloads on cliques of 1 and 2 kernel tile threads (one shared
 thread pool, fast-lane sizes) and compare everything; a `slow`-marked
 smoke test exercises the threaded path at a bigger size for CI.
 """
@@ -32,12 +32,7 @@ from repro.algebra.semirings import (
     PLUS_TIMES,
     Semiring,
 )
-from repro.clique.executor import (
-    SERIAL_EXECUTOR,
-    LocalExecutor,
-    SerialExecutor,
-    make_executor,
-)
+from repro.clique.executor import Executor
 from repro.clique.model import CongestedClique
 from repro.constants import INF
 from repro.distances import apsp_exact, girth_directed
@@ -45,18 +40,17 @@ from repro.distances.components import connected_components
 from repro.engine import EngineSession
 from repro.graphs.generators import gnp_random_graph, random_weighted_graph
 
+SERIAL = Executor()
+
 
 @pytest.fixture(scope="module")
 def threaded():
     """One 2-thread tile executor for the whole module (its pool is shared)."""
-    return SerialExecutor("threaded:2")
+    return Executor(2)
 
 
-def _clique_pair(n: int, executor) -> tuple[CongestedClique, CongestedClique]:
-    return (
-        CongestedClique(n, executor=SERIAL_EXECUTOR),
-        CongestedClique(n, executor=executor),
-    )
+def _clique_pair(n: int) -> tuple[CongestedClique, CongestedClique]:
+    return CongestedClique(n), CongestedClique(n, threads=2)
 
 
 def assert_same_run(serial, other_run):
@@ -77,11 +71,10 @@ def assert_same_run(serial, other_run):
 
 
 class TestBatchProducts:
-    def test_make_executor(self):
-        assert make_executor(1) is SERIAL_EXECUTOR
-        assert make_executor(3).threads == 3
-        with pytest.raises(ValueError):
-            make_executor(0)
+    def test_executor_threads(self):
+        assert Executor(3).threads == 3
+        with pytest.raises(ValueError, match="threads"):
+            Executor(0)
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(min_value=0, max_value=1000))
@@ -94,11 +87,11 @@ class TestBatchProducts:
             if semiring is MIN_PLUS:
                 x[rng.random(x.shape) < 0.3] = INF
                 y[rng.random(y.shape) < 0.3] = INF
-            ref = SERIAL_EXECUTOR.semiring_products(semiring, x, y)
+            ref = SERIAL.semiring_products(semiring, x, y)
             got = threaded.semiring_products(semiring, x, y)
             assert np.array_equal(ref, got), semiring.name
             if semiring.has_witnesses:
-                rp, rw = SERIAL_EXECUTOR.semiring_products(
+                rp, rw = SERIAL.semiring_products(
                     semiring, x, y, with_witnesses=True
                 )
                 gp, gw = threaded.semiring_products(
@@ -118,7 +111,7 @@ class TestBatchProducts:
         x = (rng.random((batch, m, k)) < 0.3).astype(np.int64)
         y = (rng.random((batch, k, n)) < 0.3).astype(np.int64)
         xw, yw = pack_bool_rows(x), pack_bool_rows(y)
-        ref = SERIAL_EXECUTOR.boolean_packed_products(xw, yw, k)
+        ref = SERIAL.boolean_packed_products(xw, yw, k)
         got = threaded.boolean_packed_products(xw, yw, k)
         assert np.array_equal(ref, got)
         assert np.array_equal(
@@ -132,11 +125,11 @@ class TestBatchProducts:
         y = rng.integers(-20, 60, (6, 9, 9), dtype=np.int64)
         x[rng.random(x.shape) < 0.3] = INF
         y[rng.random(y.shape) < 0.3] = INF
-        ref_p, ref_w = SERIAL_EXECUTOR.semiring_products(
+        ref_p, ref_w = SERIAL.semiring_products(
             MIN_PLUS, x, y, with_witnesses=True
         )
         for threads in (2, 3, 6):
-            got_p, got_w = make_executor(threads).semiring_products(
+            got_p, got_w = Executor(threads).semiring_products(
                 MIN_PLUS, x, y, with_witnesses=True
             )
             assert np.array_equal(ref_p, got_p), threads
@@ -147,26 +140,25 @@ class TestBatchProducts:
         y = rng.integers(-9, 10, (7, 6, 6))
         assert np.array_equal(
             threaded.ring_products(PLUS_TIMES, x, y),
-            SERIAL_EXECUTOR.ring_products(PLUS_TIMES, x, y),
+            SERIAL.ring_products(PLUS_TIMES, x, y),
         )
         xp = rng.integers(0, 2, (5, 4, 4, 3))
         yp = rng.integers(0, 2, (5, 4, 4, 2))
         assert np.array_equal(
             threaded.ring_products(POLYNOMIAL, xp, yp),
-            SERIAL_EXECUTOR.ring_products(POLYNOMIAL, xp, yp),
+            SERIAL.ring_products(POLYNOMIAL, xp, yp),
         )
 
 
-class _PerBlockOracleExecutor(LocalExecutor):
+class _PerBlockOracleExecutor(Executor):
     """Reference executor: a Python loop of *seed oracle* kernels per block.
 
     Independent of every batch-axis kernel (cube kernels for the selection
     semirings, the cube AND-reduce for Boolean, plain ``@`` for the rings),
     so driving a whole engine product through it pins the batched kernels'
     values, witness tie-breaks, shipped widths and meter entries at once.
+    A test installs it by assigning ``clique.executor``.
     """
-
-    name = "per-block-oracle"
 
     def semiring_products(
         self, semiring, lefts, rights, *, with_witnesses=False, out=None
@@ -266,10 +258,8 @@ class TestBatchAxisKernels:
         for semiring in ALL_SEMIRINGS:
             x, y = _batch_operands(rng, semiring, 1, 27, 27, 27)
             x, y = x[0], y[0]
-            fast_clique, oracle_clique = (
-                CongestedClique(27, executor=SERIAL_EXECUTOR),
-                CongestedClique(27, executor=_PerBlockOracleExecutor()),
-            )
+            fast_clique, oracle_clique = CongestedClique(27), CongestedClique(27)
+            oracle_clique.executor = _PerBlockOracleExecutor()
             fast = EngineSession(fast_clique, "semiring", semiring)
             oracle = EngineSession(oracle_clique, "semiring", semiring)
             with_wit = semiring.has_witnesses
@@ -288,35 +278,36 @@ class TestBatchAxisKernels:
 class TestAlgorithmEquivalence:
     @settings(max_examples=6, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6))
-    def test_apsp_exact_with_routing_tables(self, threaded, seed):
+    def test_apsp_exact_with_routing_tables(self, seed):
         graph = random_weighted_graph(
             4 + seed % 9, 0.4, max_weight=20, seed=seed
         )
-        serial_clique, threaded_clique = _clique_pair(27, threaded)
-        serial = apsp_exact(graph, clique=serial_clique)
-        tiled = apsp_exact(graph, clique=threaded_clique)
-        assert_same_run(serial, tiled)
+        for method, size in (("semiring", 27), ("naive", graph.n)):
+            serial_clique, threaded_clique = _clique_pair(size)
+            serial = apsp_exact(graph, method=method, clique=serial_clique)
+            tiled = apsp_exact(graph, method=method, clique=threaded_clique)
+            assert_same_run(serial, tiled)
 
     @settings(max_examples=6, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6))
-    def test_girth_directed(self, threaded, seed):
+    def test_girth_directed(self, seed):
         graph = gnp_random_graph(4 + seed % 9, 0.25, seed=seed, directed=True)
         for method, size in (("semiring", 27), ("naive", graph.n)):
             if size < 2:
                 continue
-            serial_clique, threaded_clique = _clique_pair(size, threaded)
+            serial_clique, threaded_clique = _clique_pair(size)
             serial = girth_directed(graph, method=method, clique=serial_clique)
             tiled = girth_directed(graph, method=method, clique=threaded_clique)
             assert_same_run(serial, tiled)
 
     @settings(max_examples=6, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6))
-    def test_boolean_closure_components(self, threaded, seed):
+    def test_boolean_closure_components(self, seed):
         graph = gnp_random_graph(4 + seed % 9, 0.2, seed=seed)
         for method, size in (("semiring", 27), ("bilinear", 16)):
             if size < graph.n:
                 continue
-            serial_clique, threaded_clique = _clique_pair(size, threaded)
+            serial_clique, threaded_clique = _clique_pair(size)
             serial = connected_components(
                 graph, method=method, clique=serial_clique
             )
@@ -325,18 +316,36 @@ class TestAlgorithmEquivalence:
             )
             assert_same_run(serial, tiled)
 
-    def test_min_plus_witness_squaring(self, threaded, rng):
+    @pytest.mark.parametrize("method", ["semiring", "naive"])
+    def test_min_plus_witness_squaring(self, rng, method):
         d = rng.integers(0, 100, (27, 27))
         d[rng.random((27, 27)) < 0.2] = INF
         np.fill_diagonal(d, 0)
-        serial_clique, threaded_clique = _clique_pair(27, threaded)
-        s_sess = EngineSession(serial_clique, "semiring", MIN_PLUS)
-        t_sess = EngineSession(threaded_clique, "semiring", MIN_PLUS)
+        serial_clique, threaded_clique = _clique_pair(27)
+        s_sess = EngineSession(serial_clique, method, MIN_PLUS)
+        t_sess = EngineSession(threaded_clique, method, MIN_PLUS)
         sp, sw = s_sess.multiply(d, d, with_witnesses=True)
         tp, tw = t_sess.multiply(d, d, with_witnesses=True)
         assert np.array_equal(sp, tp)
         assert np.array_equal(sw, tw)
         assert serial_clique.meter.phases == threaded_clique.meter.phases
+
+    @pytest.mark.parametrize("method", ["semiring", "naive"])
+    def test_every_engine_runs_its_products_on_the_executor(self, rng, method):
+        """A spy on the clique's executor sees the engine's local product,
+        so ``--threads`` and the traced kernel time reach every engine."""
+        d = rng.integers(0, 100, (27, 27))
+        clique = CongestedClique(27)
+        calls = []
+        products = clique.executor.semiring_products
+
+        def spy(*args, **kwargs):
+            calls.append(args[0])
+            return products(*args, **kwargs)
+
+        clique.executor.semiring_products = spy
+        EngineSession(clique, method, MIN_PLUS).multiply(d, d, with_witnesses=True)
+        assert calls == [MIN_PLUS]
 
 
 @pytest.mark.slow
@@ -344,18 +353,14 @@ class TestThreadedSmoke:
     """Bigger threaded-executor smoke (run in CI via `pytest -m slow`)."""
 
     def test_large_apsp_and_bilinear_threaded(self):
-        executor = SerialExecutor("threaded:2")
         graph = random_weighted_graph(40, 0.15, max_weight=50, seed=7)
-        serial = apsp_exact(
-            graph, clique=CongestedClique(64, executor=SERIAL_EXECUTOR)
-        )
-        tiled = apsp_exact(graph, clique=CongestedClique(64, executor=executor))
+        serial = apsp_exact(graph, clique=CongestedClique(64))
+        tiled = apsp_exact(graph, clique=CongestedClique(64, threads=2))
         assert_same_run(serial, tiled)
 
         rng = np.random.default_rng(11)
         s = rng.integers(-9, 10, (64, 64))
-        serial_clique = CongestedClique(64, executor=SERIAL_EXECUTOR)
-        threaded_clique = CongestedClique(64, executor=executor)
+        serial_clique, threaded_clique = _clique_pair(64)
         ref = EngineSession(serial_clique, "bilinear").multiply(s, s)
         got = EngineSession(threaded_clique, "bilinear").multiply(s, s)
         assert np.array_equal(ref, got)

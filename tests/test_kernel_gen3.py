@@ -1,22 +1,29 @@
-"""Kernel generation 3: threaded tile backends + persistent packed closures.
+"""Kernel generation 3: threaded kernel tiles + persistent packed closures.
 
 Three invariants pin the third kernel wave to the retained oracles:
 
-* **Scheduling is invisible.**  Every tile backend (serial, threaded, any
-  thread count) produces bit-identical values and witnesses for every
-  batched kernel -- tiles write disjoint output slices and no kernel merges
-  in scheduling order -- and the tile range splitter is balanced, gap-free
-  and non-overlapping on every shape (property-tested).
+* **Scheduling is invisible.**  Every tile thread count produces
+  bit-identical values and witnesses for every batched kernel -- tiles
+  write disjoint output slices and no kernel merges in scheduling order --
+  and the tile range splitter is balanced, gap-free and non-overlapping on
+  every shape (property-tested).  A failing tile raises only after its
+  siblings finish.
 * **Packing is invisible.**  The fully-packed Boolean §2.1 pipeline and the
   persistent packed closure charge the *same phases* (rounds, words,
   payloads, per-node loads) as the unpacked path and return the same
-  matrices, across densities, sizes, absorb modes, thread counts, and
-  with robust (fault-injected) collectives layered on top.
+  matrices, across densities, sizes, thread counts, and with robust
+  (fault-injected) collectives layered on top.
 * **Lifecycle is deterministic.**  Engine sessions release their arena on
   context exit.
 """
 
 from __future__ import annotations
+
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
@@ -24,13 +31,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from kernel_reference import cube_matmul
 
-from repro.algebra.backends import (
-    KernelBackendError,
-    SerialBackend,
-    ThreadedBackend,
-    get_backend,
-    tile_ranges,
-)
+from repro.algebra import backends
+from repro.algebra.backends import run_tiles, tile_ranges
 from repro.algebra.semirings import (
     BOOLEAN,
     MAX_MIN,
@@ -39,7 +41,7 @@ from repro.algebra.semirings import (
     packed_words,
     unpack_bool_rows,
 )
-from repro.clique.executor import SERIAL_EXECUTOR, SerialExecutor, make_executor
+from repro.clique.executor import Executor
 from repro.clique.model import CongestedClique
 from repro.constants import INF
 from repro.engine import EngineSession, make_clique, open_session
@@ -61,58 +63,75 @@ def _phases(clique):
 
 
 # --------------------------------------------------------------------- #
-# Backend registry
+# Tile runner
 # --------------------------------------------------------------------- #
 
 
-class TestBackendRegistry:
-    def test_specs_resolve_and_cache(self):
-        serial = get_backend("serial")
-        assert isinstance(serial, SerialBackend)
-        assert serial.threads == 1
-        assert get_backend("serial") is serial
-        assert get_backend(1) is serial
-        assert get_backend(None) is serial
-        assert SERIAL_EXECUTOR.backend is serial
-
-        threaded = get_backend("threaded:3")
-        assert isinstance(threaded, ThreadedBackend)
-        assert threaded.threads == 3
-        assert get_backend("threaded:3") is threaded
-        assert get_backend(3) is threaded
-        assert get_backend(threaded) is threaded
-
-    def test_bare_threaded_uses_cpu_count(self):
-        import os
-
-        backend = get_backend("threaded")
-        assert backend.threads == (os.cpu_count() or 1)
-
-    def test_serial_ignores_thread_count(self):
-        assert get_backend("serial:7").threads == 1
-
-    def test_bad_specs_rejected(self):
-        with pytest.raises(KernelBackendError):
-            get_backend("vectorised")
-        with pytest.raises(KernelBackendError):
-            get_backend("threaded:zero")
-        with pytest.raises(KernelBackendError):
-            get_backend("threaded:0")
-        with pytest.raises(KernelBackendError):
-            get_backend(0)
-        with pytest.raises(KernelBackendError, match="numba"):
-            get_backend("numba:2")
-
+class TestRunTiles:
     def test_run_propagates_task_errors(self):
         def boom():
             raise RuntimeError("tile failed")
 
-        backend = ThreadedBackend(2)
+        with pytest.raises(RuntimeError, match="tile failed"):
+            run_tiles([boom, boom], 2)
+
+    def test_failing_tile_waits_for_its_siblings(self):
+        """The error reaches the caller only after every sibling tile has
+        finished writing into the caller's outputs."""
+        sibling_done = threading.Event()
+
+        def boom():
+            raise RuntimeError("tile failed")
+
+        def slow():
+            time.sleep(0.2)
+            sibling_done.set()
+
+        with pytest.raises(RuntimeError, match="tile failed"):
+            run_tiles([boom, slow], 2)
+        assert sibling_done.is_set()
+
+    def test_racing_first_calls_share_one_pool(self, monkeypatch):
+        """Callers racing on a new thread count build one pool between
+        them, and every tile of every call runs."""
+        threads = 7
+        made = []
+
+        def counting_pool(*args, **kwargs):
+            made.append(1)
+            time.sleep(0.01)  # widen the check-then-create window
+            return ThreadPoolExecutor(*args, **kwargs)
+
+        monkeypatch.setattr(backends, "ThreadPoolExecutor", counting_pool)
+        assert threads not in backends._POOLS
+        sums = []
+        start = threading.Barrier(8)
+
+        def caller():
+            out = np.zeros(2 * threads)
+            start.wait(timeout=30)
+            run_tiles(
+                [partial(out.__setitem__, i, 1) for i in range(out.size)],
+                threads,
+            )
+            sums.append(out.sum())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
         try:
-            with pytest.raises(RuntimeError, match="tile failed"):
-                backend.run([boom, boom])
+            callers = [threading.Thread(target=caller) for _ in range(8)]
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=30)
         finally:
-            backend.close()
+            sys.setswitchinterval(interval)
+            pool = backends._POOLS.pop(threads, None)
+            if pool is not None:
+                pool.shutdown(wait=True)
+        assert not any(thread.is_alive() for thread in callers)
+        assert sums == [2 * threads] * 8
+        assert len(made) == 1
 
 
 # --------------------------------------------------------------------- #
@@ -155,30 +174,22 @@ class TestRangeSplitters:
 # --------------------------------------------------------------------- #
 
 
-@pytest.fixture(scope="module")
-def threaded2():
-    backend = get_backend("threaded:2")
-    yield backend
-    # Shared registry instance: leave it cached, just drop its pool.
-    backend.close()
-
-
 class TestThreadedKernelEquivalence:
     @settings(max_examples=15, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6))
-    def test_boolean_packed_batch(self, threaded2, seed):
+    def test_boolean_packed_batch(self, seed):
         rng = np.random.default_rng(seed)
         batch = int(rng.integers(2, 8))
         m, k, n = (int(rng.integers(1, 40)) for _ in range(3))
         x = (rng.random((batch, m, k)) < 0.25).astype(np.int64)
         y = (rng.random((batch, k, n)) < 0.25).astype(np.int64)
         serial = BOOLEAN.packed_matmul_batch(x, y)
-        threaded = BOOLEAN.packed_matmul_batch(x, y, backend=threaded2)
+        threaded = BOOLEAN.packed_matmul_batch(x, y, threads=2)
         assert np.array_equal(serial, threaded)
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6))
-    def test_selection_witness_batch(self, threaded2, seed):
+    def test_selection_witness_batch(self, seed):
         rng = np.random.default_rng(seed)
         batch = int(rng.integers(2, 8))
         m, k, n = (int(rng.integers(1, 12)) for _ in range(3))
@@ -189,26 +200,26 @@ class TestThreadedKernelEquivalence:
                 x[rng.random(x.shape) < 0.3] = INF
                 y[rng.random(y.shape) < 0.3] = INF
             sp, sw = semiring.matmul_batch_with_witness(x, y)
-            tp, tw = semiring.matmul_batch_with_witness(x, y, backend=threaded2)
+            tp, tw = semiring.matmul_batch_with_witness(x, y, threads=2)
             assert np.array_equal(sp, tp), semiring.name
             assert np.array_equal(sw, tw), semiring.name
 
-    def test_single_big_block_column_split(self, threaded2):
+    def test_single_big_block_column_split(self):
         """batch == 1 forces the column split path (threads over output
         columns); values and witnesses must still match serial exactly."""
         rng = np.random.default_rng(3)
         x = rng.integers(0, 100, (1, 64, 64), dtype=np.int64)
         y = rng.integers(0, 100, (1, 64, 64), dtype=np.int64)
         sp, sw = MIN_PLUS.matmul_batch_with_witness(x, y)
-        tp, tw = MIN_PLUS.matmul_batch_with_witness(x, y, backend=threaded2)
+        tp, tw = MIN_PLUS.matmul_batch_with_witness(x, y, threads=2)
         assert np.array_equal(sp, tp) and np.array_equal(sw, tw)
 
-    def test_serial_executor_with_thread_backend(self, threaded2):
+    def test_executor_with_two_threads(self):
         rng = np.random.default_rng(5)
         x = (rng.random((6, 16, 16)) < 0.3).astype(np.int64)
         y = (rng.random((6, 16, 16)) < 0.3).astype(np.int64)
-        ref = SERIAL_EXECUTOR.semiring_products(BOOLEAN, x, y)
-        got = SerialExecutor(threaded2).semiring_products(BOOLEAN, x, y)
+        ref = Executor().semiring_products(BOOLEAN, x, y)
+        got = Executor(2).semiring_products(BOOLEAN, x, y)
         assert np.array_equal(ref, got)
 
 
@@ -299,15 +310,13 @@ class TestPackedPipeline:
 # --------------------------------------------------------------------- #
 
 
-def _closure_pair(n, matrix, *, absorb="accum", steps=None):
+def _closure_pair(n, matrix, *, steps=None):
     with open_session(n, "semiring", BOOLEAN) as packed:
-        pc = packed.closure(matrix, absorb=absorb, steps=steps)
+        pc = packed.closure(matrix, steps=steps)
         packed_rounds = packed.rounds
         packed_phases = _phases(packed.clique)
     with open_session(n, "semiring", BOOLEAN) as plain:
-        uc = per_product_boolean_closure(
-            plain, matrix, absorb=absorb, steps=steps
-        )
+        uc = per_product_boolean_closure(plain, matrix, steps=steps)
         plain_rounds = plain.rounds
         plain_phases = _phases(plain.clique)
     return pc, uc, (packed_rounds, packed_phases), (plain_rounds, plain_phases)
@@ -321,10 +330,9 @@ class TestPackedClosure:
         n = int(rng.choice([8, 27]))
         density = float(rng.choice([0.02, 0.1, 0.5]))
         a = (rng.random((n, n)) < density).astype(np.int64)
-        for absorb in ("accum", "matrix"):
-            pc, uc, (pr, pp), (ur, up) = _closure_pair(n, a, absorb=absorb)
-            assert np.array_equal(pc, uc), absorb
-            assert pr == ur and pp == up, absorb
+        pc, uc, (pr, pp), (ur, up) = _closure_pair(n, a)
+        assert np.array_equal(pc, uc)
+        assert pr == ur and pp == up
 
     def test_large_size_straddles_dispatch_thresholds(self):
         """n=64 closures put q^2 = 256-bit pieces through the packed kernel
@@ -350,7 +358,7 @@ class TestPackedClosure:
         rng = np.random.default_rng(6)
         n = 8
         a = rng.integers(0, 5, (n, n), dtype=np.int64)
-        pc, uc, (pr, pp), (ur, up) = _closure_pair(n, a, absorb="matrix")
+        pc, uc, (pr, pp), (ur, up) = _closure_pair(n, a)
         assert np.array_equal(pc, uc)
         assert pr == ur and pp == up
 
@@ -432,13 +440,22 @@ class TestSessionLifecycle:
         fresh = arena.buffer("x", (4, 4))
         assert not fresh.any()  # re-zeroed after release
 
-    def test_make_executor_threads(self):
-        assert make_executor(1) is SERIAL_EXECUTOR
-        threaded = make_executor(2)
-        assert isinstance(threaded, SerialExecutor)
-        assert threaded.threads == 2
-        with pytest.raises(ValueError):
-            make_executor(0)
+    def test_executor_threads(self):
+        assert Executor().threads == 1
+        assert Executor(np.int64(2)).threads == 2
+        assert CongestedClique(8, threads=3).executor.threads == 3
+
+    @pytest.mark.parametrize("threads", [0, -1, 1.5, 2.0, "2", None])
+    def test_thread_count_must_be_an_integer_of_at_least_one(self, threads):
+        """Every way in refuses a bad count by name before any work runs."""
+        for build in (
+            Executor,
+            lambda t: CongestedClique(8, threads=t),
+            lambda t: make_clique(8, "semiring", threads=t),
+            lambda t: open_session(8, "semiring", BOOLEAN, threads=t),
+        ):
+            with pytest.raises(ValueError, match="threads"):
+                build(threads)
 
     def test_open_session_rejects_threads_with_explicit_clique(self):
         clique = CongestedClique(8)

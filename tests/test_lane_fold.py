@@ -30,7 +30,7 @@ from repro.algebra.semirings import (
     MIN_PLUS,
     MinPlusSemiring,
 )
-from repro.clique.executor import SERIAL_EXECUTOR
+from repro.clique.executor import Executor
 from repro.constants import INF
 from repro.distances import apsp_exact
 from repro.graphs import apsp_reference, random_weighted_digraph
@@ -193,14 +193,13 @@ class TestLaneEdges:
         assert picked_lane(semiring, x, y, kbits) is expected_lane(
             semiring, bound, kbits
         )
-        backend = None if threads == 1 else f"threaded:{threads}"
         with mock.patch.object(semirings, "_FOLD_ENTRIES", budget):
             if witnessed:
                 values, witness = semiring.matmul_batch_with_witness(
-                    x, y, backend=backend
+                    x, y, threads=threads
                 )
             else:
-                values = semiring.matmul_batch(x, y, backend=backend)
+                values = semiring.matmul_batch(x, y, threads=threads)
         for b in range(batch):
             want, want_w = cube_matmul_with_witness(semiring, x[b], y[b])
             assert np.array_equal(values[b], want)
@@ -245,7 +244,7 @@ class TestLaneEdges:
             with pytest.raises(ValueError, match="out arrays"):
                 MIN_PLUS.matmul_batch_with_witness(x, y, out=(good, bad))
         with pytest.raises(ValueError, match="witnessed"):
-            SERIAL_EXECUTOR.semiring_products(MIN_PLUS, x, y, out=(good, good))
+            Executor().semiring_products(MIN_PLUS, x, y, out=(good, good))
 
 
 #: Integer and bool dtypes that cast safely to int64, with an entry bound

@@ -1,81 +1,15 @@
-"""Tests for matrix powers, Boolean-product witnesses and load reports."""
+"""Tests for session closures, Boolean-product witnesses and load reports."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.algebra.semirings import BOOLEAN, MAX_MIN, MIN_PLUS, PLUS_TIMES
+from repro.algebra.semirings import BOOLEAN, MIN_PLUS
 from repro.clique import CongestedClique
 from repro.constants import INF
+from repro.engine import EngineSession
 from repro.matmul.boolean_witnesses import encode_boolean, find_boolean_witnesses
-from repro.matmul.powers import closure, matrix_power
-
-
-class TestMatrixPower:
-    @settings(max_examples=6, deadline=None)
-    @given(
-        st.integers(min_value=0, max_value=10**6),
-        st.integers(min_value=1, max_value=6),
-    )
-    def test_integer_powers_match_numpy(self, seed, k):
-        rng = np.random.default_rng(seed)
-        n = 8
-        a = rng.integers(-3, 4, (n, n), dtype=np.int64)
-        clique = CongestedClique(n)
-        assert np.array_equal(
-            matrix_power(clique, a, k), np.linalg.matrix_power(a, k)
-        )
-
-    def test_power_zero_identities(self):
-        n = 8
-        clique = CongestedClique(n)
-        mat = np.ones((n, n), dtype=np.int64)
-        ident_int = matrix_power(clique, mat, 0, PLUS_TIMES)
-        assert np.array_equal(ident_int, np.eye(n, dtype=np.int64))
-        ident_minplus = matrix_power(clique, mat, 0, MIN_PLUS)
-        assert (np.diag(ident_minplus) == 0).all()
-        assert ident_minplus[0, 1] == INF
-        ident_maxmin = matrix_power(clique, mat, 0, MAX_MIN)
-        assert (np.diag(ident_maxmin) == INF).all()
-
-    def test_minplus_power_is_bounded_hop_distance(self):
-        # W^k over min-plus = shortest distances using <= k edges.
-        n = 8
-        w = np.full((n, n), INF, dtype=np.int64)
-        np.fill_diagonal(w, 0)
-        for v in range(n - 1):
-            w[v, v + 1] = 1  # a path graph
-        clique = CongestedClique(n)
-        p4 = matrix_power(clique, w, 4, MIN_PLUS)
-        assert p4[0, 4] == 4
-        assert p4[0, 5] == INF
-
-    def test_boolean_power_reaches(self):
-        n = 8
-        a = np.zeros((n, n), dtype=np.int64)
-        for v in range(n - 1):
-            a[v, v + 1] = 1
-        clique = CongestedClique(n)
-        p3 = matrix_power(clique, a, 3, BOOLEAN)
-        assert p3[0, 3] == 1
-        assert p3[0, 2] == 0  # exactly length 3, not <=
-
-    def test_negative_exponent_rejected(self):
-        clique = CongestedClique(8)
-        with pytest.raises(ValueError):
-            matrix_power(clique, np.eye(8, dtype=np.int64), -1)
-
-    def test_log_many_products(self):
-        n = 8
-        clique = CongestedClique(n)
-        a = np.eye(n, dtype=np.int64)
-        matrix_power(clique, a, 13)
-        # Each semiring product charges two phases (steps 1 and 3); binary
-        # exponentiation for 13 uses 3 squarings + 2 multiplies = 5 products.
-        assert len(clique.meter.phases) == 2 * 5
 
 
 class TestClosure:
@@ -83,8 +17,8 @@ class TestClosure:
         n = 8
         a = np.zeros((n, n), dtype=np.int64)
         a[0, 1] = a[1, 2] = a[2, 3] = a[5, 6] = 1
-        clique = CongestedClique(n)
-        reach = closure(clique, a, BOOLEAN)
+        session = EngineSession(CongestedClique(n), "semiring", BOOLEAN)
+        reach = session.closure(a)
         assert reach[0, 3] == 1
         assert reach[0, 5] == 0
         assert reach[5, 6] == 1
@@ -94,8 +28,8 @@ class TestClosure:
 
         g = random_weighted_digraph(8, 0.35, 9, seed=5)
         w = g.weight_matrix()
-        clique = CongestedClique(8)
-        dist = closure(clique, w, MIN_PLUS)
+        session = EngineSession(CongestedClique(8), "semiring", MIN_PLUS)
+        dist = session.closure(w)
         ref = apsp_reference(g)
         off_diag = ~np.eye(8, dtype=bool)
         assert np.array_equal(dist[off_diag], ref[off_diag])

@@ -5,11 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.algebra.semirings import BOOLEAN, PLUS_TIMES
 from repro.clique import CongestedClique
 from repro.constants import INF
 from repro.runtime import (
-    boolean_product,
-    integer_product,
+    EngineSession,
     make_clique,
     or_broadcast,
     pad_matrix,
@@ -71,10 +71,8 @@ class TestProducts:
             n = required_clique_size(20, method)
             x = pad_matrix(base_x, n)
             y = pad_matrix(base_y, n)
-            clique = CongestedClique(n)
-            results[method] = integer_product(clique, x, y, method, phase="t")[
-                :20, :20
-            ]
+            session = EngineSession(CongestedClique(n), method, PLUS_TIMES)
+            results[method] = session.multiply(x, y)[:20, :20]
         assert np.array_equal(results["bilinear"], results["semiring"])
         assert np.array_equal(results["bilinear"], results["naive"])
         assert np.array_equal(results["naive"], base_x @ base_y)
@@ -83,16 +81,14 @@ class TestProducts:
         n = 16
         x = (rng.random((n, n)) < 0.5).astype(np.int64) * 7  # non-binary input
         y = (rng.random((n, n)) < 0.5).astype(np.int64)
-        clique = CongestedClique(n)
-        got = boolean_product(clique, x, y, "bilinear", phase="t")
+        session = EngineSession(CongestedClique(n), "bilinear", BOOLEAN)
+        got = session.multiply(x, y)
         want = (((x > 0).astype(np.int64) @ y) > 0).astype(np.int64)
         assert np.array_equal(got, want)
 
-    def test_unknown_method_rejected(self, rng):
-        clique = CongestedClique(16)
-        mat = rng.integers(0, 2, (16, 16), dtype=np.int64)
+    def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
-            integer_product(clique, mat, mat, "fft", phase="t")
+            EngineSession(CongestedClique(16), "fft", PLUS_TIMES)
 
 
 class TestBroadcastHelpers:
@@ -140,60 +136,3 @@ class TestResolveRng:
         b = second.integers(0, 2**30, 32)
         assert not np.array_equal(a, b)
 
-
-class TestSharedRngSnapshot:
-    """PR 6 satellite: snapshot/restore/reseed of the shared stream."""
-
-    def test_restore_replays_exactly(self):
-        from repro.runtime import restore_shared_rng, snapshot_shared_rng
-
-        shared = resolve_rng(seed=None)
-        state = snapshot_shared_rng()
-        first = shared.integers(0, 1 << 30, 16)
-        restore_shared_rng(state)
-        replay = shared.integers(0, 1 << 30, 16)
-        assert np.array_equal(first, replay)
-
-    def test_snapshot_is_a_deep_copy(self):
-        from repro.runtime import restore_shared_rng, snapshot_shared_rng
-
-        shared = resolve_rng(seed=None)
-        state = snapshot_shared_rng()
-        draw = shared.integers(0, 1 << 30, 8)
-        # Advancing the stream must not invalidate the earlier capture.
-        restore_shared_rng(state)
-        assert np.array_equal(draw, shared.integers(0, 1 << 30, 8))
-
-    def test_restore_preserves_generator_identity(self):
-        from repro.runtime import restore_shared_rng, snapshot_shared_rng
-
-        shared = resolve_rng(seed=None)
-        restore_shared_rng(snapshot_shared_rng())
-        assert resolve_rng(seed=None) is shared
-
-    def test_reseed_returns_previous_state(self):
-        from repro.runtime import reseed_shared_rng, restore_shared_rng
-
-        shared = resolve_rng(seed=None)
-        previous = reseed_shared_rng(1234)
-        seeded = shared.integers(0, 1 << 30, 8)
-        assert np.array_equal(
-            seeded, np.random.default_rng(1234).integers(0, 1 << 30, 8)
-        )
-        # Handing back the returned state resumes the old stream.
-        restore_shared_rng(previous)
-        resumed_a = shared.integers(0, 1 << 30, 8)
-        restore_shared_rng(previous)
-        resumed_b = shared.integers(0, 1 << 30, 8)
-        assert np.array_equal(resumed_a, resumed_b)
-
-    def test_reseed_is_reproducible(self):
-        from repro.runtime import reseed_shared_rng, restore_shared_rng
-
-        shared = resolve_rng(seed=None)
-        keep = reseed_shared_rng(7)
-        a = shared.integers(0, 1 << 30, 8)
-        reseed_shared_rng(7)
-        b = shared.integers(0, 1 << 30, 8)
-        restore_shared_rng(keep)
-        assert np.array_equal(a, b)

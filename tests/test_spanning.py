@@ -22,7 +22,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.clique.executor import SERIAL_EXECUTOR, SerialExecutor
 from repro.clique.model import CongestedClique
 from repro.engine import EngineBindingError, required_clique_size
 from repro.graphs import Graph
@@ -272,32 +271,24 @@ class TestMstConstantRoundPhases:
 # --------------------------------------------------------------------- #
 
 
-@pytest.fixture(scope="module")
-def threaded():
-    return SerialExecutor("threaded:2")
-
-
-def _clique_pair(n: int, method: str, executor):
+def _clique_pair(n: int, method: str):
     size = required_clique_size(n, method)
-    return (
-        CongestedClique(size, executor=SERIAL_EXECUTOR),
-        CongestedClique(size, executor=executor),
-    )
+    return CongestedClique(size), CongestedClique(size, threads=2)
 
 
 class TestThreadedParity:
-    def test_spanner_bit_identical(self, threaded):
+    def test_spanner_bit_identical(self):
         g = random_weighted_graph(14, 0.4, max_weight=15, seed=4)
-        serial_clique, threaded_clique = _clique_pair(14, "semiring", threaded)
+        serial_clique, threaded_clique = _clique_pair(14, "semiring")
         serial = build_spanner(g, 2, clique=serial_clique, seed=8)
         tiled = build_spanner(g, 2, clique=threaded_clique, seed=8)
         assert np.array_equal(serial.value, tiled.value)
         assert serial.rounds == tiled.rounds
         assert serial.meter.phases == tiled.meter.phases
 
-    def test_mst_bit_identical(self, threaded):
+    def test_mst_bit_identical(self):
         g = random_weighted_graph(14, 0.35, max_weight=25, seed=6)
-        serial_clique, threaded_clique = _clique_pair(14, "semiring", threaded)
+        serial_clique, threaded_clique = _clique_pair(14, "semiring")
         serial = minimum_spanning_forest(g, clique=serial_clique, seed=2)
         tiled = minimum_spanning_forest(g, clique=threaded_clique, seed=2)
         assert np.array_equal(serial.value, tiled.value)
@@ -312,24 +303,14 @@ class TestThreadedParitySlow:
 
     def test_spanner_and_mst_threaded(self):
         g = random_weighted_graph(40, 0.2, max_weight=40, seed=12)
-        executor = SerialExecutor("threaded:2")
-        size = required_clique_size(40, "semiring")
-        serial = build_spanner(
-            g, 3, clique=CongestedClique(size, executor=SERIAL_EXECUTOR),
-            seed=3,
-        )
-        tiled = build_spanner(
-            g, 3, clique=CongestedClique(size, executor=executor), seed=3
-        )
+        serial_clique, threaded_clique = _clique_pair(40, "semiring")
+        serial = build_spanner(g, 3, clique=serial_clique, seed=3)
+        tiled = build_spanner(g, 3, clique=threaded_clique, seed=3)
         assert np.array_equal(serial.value, tiled.value)
         assert serial.rounds == tiled.rounds
-        serial_mst = minimum_spanning_forest(
-            g, clique=CongestedClique(size, executor=SERIAL_EXECUTOR),
-            seed=3,
-        )
-        tiled_mst = minimum_spanning_forest(
-            g, clique=CongestedClique(size, executor=executor), seed=3
-        )
+        serial_clique, threaded_clique = _clique_pair(40, "semiring")
+        serial_mst = minimum_spanning_forest(g, clique=serial_clique, seed=3)
+        tiled_mst = minimum_spanning_forest(g, clique=threaded_clique, seed=3)
         assert serial_mst.extras["edges"] == tiled_mst.extras["edges"]
         assert serial_mst.rounds == tiled_mst.rounds
 
