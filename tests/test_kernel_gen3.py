@@ -75,6 +75,46 @@ class TestRunTiles:
         with pytest.raises(RuntimeError, match="tile failed"):
             run_tiles([boom, boom], 2)
 
+    @pytest.mark.parametrize("threads, count", [(1, 6), (4, 1)])
+    def test_one_thread_or_one_tile_runs_inline(self, threads, count):
+        """The tiles run in order on the calling thread and no pool is
+        built for the count."""
+        pools = dict(backends._POOLS)
+        ran = []
+        run_tiles(
+            [
+                partial(ran.append, (i, threading.get_ident()))
+                for i in range(count)
+            ],
+            threads,
+        )
+        assert ran == [(i, threading.get_ident()) for i in range(count)]
+        assert backends._POOLS == pools
+
+    def test_tiles_share_one_pool_of_that_many_workers(self):
+        """``T`` tiles run at once on the count's pooled workers, and a
+        later call at that count reuses the same pool."""
+        threads = 3
+        start = threading.Barrier(threads, timeout=30)
+        names = []
+
+        def tile():
+            start.wait()  # breaks unless all T tiles run concurrently
+            names.append(threading.current_thread().name)
+
+        try:
+            run_tiles([tile] * threads, threads)
+            pool = backends._POOLS[threads]
+            run_tiles([tile] * threads, threads)
+            assert backends._POOLS[threads] is pool
+        finally:
+            pool = backends._POOLS.pop(threads, None)
+            if pool is not None:
+                pool.shutdown(wait=True)
+        assert len(names) == 2 * threads
+        assert all(name.startswith("repro-tile") for name in names)
+        assert threading.current_thread().name not in names
+
     def test_failing_tile_waits_for_its_siblings(self):
         """The error reaches the caller only after every sibling tile has
         finished writing into the caller's outputs."""
@@ -456,6 +496,36 @@ class TestSessionLifecycle:
         ):
             with pytest.raises(ValueError, match="threads"):
                 build(threads)
+
+    @pytest.mark.parametrize("tolerance", [None, 1], ids=["faulty", "coded"])
+    def test_fault_cliques_take_the_thread_count(self, tolerance):
+        """The unprotected and coded cliques build the same executor, and
+        a 2-thread closure returns the 1-thread values and rounds."""
+        from repro.faults import FaultPlan
+
+        a = (np.random.default_rng(2).random((8, 8)) < 0.3).astype(np.int64)
+        runs = []
+        for threads in (1, 2):
+            clique = make_clique(
+                8,
+                "semiring",
+                threads=threads,
+                fault_plan=FaultPlan(t=1, seed=5, kind="flip"),
+                fault_tolerance=tolerance,
+            )
+            assert clique.executor.threads == threads
+            with EngineSession(clique, "semiring", BOOLEAN) as session:
+                runs.append((session.closure(a), session.rounds))
+        assert np.array_equal(runs[0][0], runs[1][0])
+        assert runs[0][1] == runs[1][1]
+        with pytest.raises(ValueError, match="threads"):
+            make_clique(
+                8,
+                "semiring",
+                threads=0,
+                fault_plan=FaultPlan(t=1, seed=5, kind="flip"),
+                fault_tolerance=tolerance,
+            )
 
     def test_open_session_rejects_threads_with_explicit_clique(self):
         clique = CongestedClique(8)

@@ -5,10 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.algebra.semirings import BOOLEAN, MIN_PLUS
+from repro.algebra.semirings import BOOLEAN, MAX_MIN, MIN_PLUS
 from repro.clique import CongestedClique
 from repro.constants import INF
-from repro.engine import EngineSession
+from repro.engine import EngineSession, required_clique_size
 from repro.matmul.boolean_witnesses import encode_boolean, find_boolean_witnesses
 
 
@@ -33,6 +33,76 @@ class TestClosure:
         ref = apsp_reference(g)
         off_diag = ~np.eye(8, dtype=bool)
         assert np.array_equal(dist[off_diag], ref[off_diag])
+
+
+class TestClosureSteps:
+    """After ``t`` squarings a closure covers exactly the walks of at most
+    ``2^t`` edges, and charges squarings ``0..t-1`` only.  The seed is the
+    directed path ``0 -> 1 -> ... -> n-1`` on the engine's clique, whose
+    ``i -> j`` walk has ``j - i`` edges, so no squaring below the default
+    count is a fixed point."""
+
+    @staticmethod
+    def _path_seed(n, zero, one, edges):
+        seed = np.full((n, n), zero, dtype=np.int64)
+        np.fill_diagonal(seed, one)
+        seed[np.arange(n - 1), np.arange(1, n)] = edges
+        return seed
+
+    @staticmethod
+    def _check_steps(method, semiring, seed_for, expect):
+        """``seed_for(n)`` is the path seed on ``n`` nodes; ``expect(hops,
+        reach)`` the closure of the walks of at most ``reach`` edges."""
+        n = required_clique_size(16, method)
+        idx = np.arange(n)
+        hops = idx[None, :] - idx[:, None]
+        for steps in (1, 2, 3):
+            clique = CongestedClique(n)
+            session = EngineSession(clique, method, semiring)
+            got = session.closure(seed_for(n), steps=steps)
+            assert np.array_equal(got, expect(hops, 1 << steps)), steps
+            assert session.last_squarings == steps
+            charged = {cost.phase.split("/")[1] for cost in clique.meter.phases}
+            assert charged == {f"sq{i}" for i in range(steps)}, steps
+
+    @pytest.mark.parametrize("method", ["semiring", "bilinear", "naive"])
+    def test_boolean_steps_bound_the_walk_length(self, method):
+        self._check_steps(
+            method,
+            BOOLEAN,
+            lambda n: self._path_seed(n, 0, 0, 1),
+            lambda hops, reach: ((hops >= 1) & (hops <= reach)).astype(
+                np.int64
+            ),
+        )
+
+    @pytest.mark.parametrize("method", ["semiring", "naive"])
+    def test_minplus_steps_are_bounded_hop_distances(self, method):
+        self._check_steps(
+            method,
+            MIN_PLUS,
+            lambda n: self._path_seed(n, INF, 0, 1),
+            lambda hops, reach: np.where(
+                (hops >= 0) & (hops <= reach), hops, INF
+            ),
+        )
+
+    @pytest.mark.parametrize("method", ["semiring", "naive"])
+    def test_maxmin_steps_are_bounded_hop_bottlenecks(self, method):
+        # Edge (v, v+1) has capacity n - 1 - v, so the narrowest edge of
+        # the i -> j path is its last one, of capacity n - j.
+        def expect(hops, reach):
+            n = hops.shape[0]
+            narrowest = n - np.arange(n)[None, :]
+            inside = (hops >= 1) & (hops <= reach)
+            return np.where(hops == 0, INF, np.where(inside, narrowest, -INF))
+
+        self._check_steps(
+            method,
+            MAX_MIN,
+            lambda n: self._path_seed(n, -INF, INF, np.arange(n - 1, 0, -1)),
+            expect,
+        )
 
 
 class TestBooleanWitnesses:
