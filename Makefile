@@ -10,8 +10,8 @@ test:        ## fast lane (default pytest config: -m "not slow")
 test-full:   ## full suite including slow tests
 	$(PY) -m pytest -q -m ""
 
-bench:       ## pytest-benchmark suites only
-	$(PY) -m pytest benchmarks -q -m ""
+bench:       ## the end-to-end benchmark declared by BENCHMARK.json
+	$(PY) perfbench/run.py
 
 table1:      ## the consolidated measured Table 1
-	$(PY) benchmarks/table1_harness.py
+	$(PY) -m repro table1

@@ -76,7 +76,7 @@ def main() -> int:
     for name, sizes, rounds, bound in rows:
         pairs = "  ".join(f"{n}:{r}" for n, r in zip(sizes, rounds))
         print(f"{name:28s} {pairs:42s} {fit_exponent(sizes, rounds):+7.3f}  n^{bound}")
-    print("\n(fits at small n carry quantisation noise; the benchmark suite")
+    print("\n(fits at small n carry quantisation noise; the test suite")
     print(" also checks the exact predictors -- see EXPERIMENTS.md)")
     return 0
 

@@ -18,8 +18,8 @@ The package layers:
 * :mod:`repro.spanning` -- spanner and O(1)-round MST workloads riding the
   engine-session API (Parter--Yogev, Jurdzinski--Nowicki).
 * :mod:`repro.baselines` -- prior work (Dolev et al.) for the Table 1
-  comparisons; :mod:`repro.analysis` -- the Table 1 harness and the §4
-  lower-bound checks.
+  comparisons; :mod:`repro.analysis` -- the measured Table 1 behind
+  ``python -m repro table1``.
 
 Quickstart::
 

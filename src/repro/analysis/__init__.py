@@ -1,33 +1,5 @@
-"""Analysis layer: Table 1 regeneration, exponent fits, §4 lower bounds."""
+"""Analysis layer: the measured Table 1 and its exponent fits."""
 
-from repro.analysis.crossover import (
-    CrossoverEstimate,
-    crossover,
-    triangle_crossover_vs_dolev,
-)
-from repro.analysis.loads import PhaseLoad, format_load_report, load_report
-from repro.analysis.lower_bounds import (
-    LowerBoundCheck,
-    check_meter_against_floor,
-    rounds_floor_from_words,
-    semiring_words_floor,
-    strassen_like_words_floor,
-)
 from repro.analysis.table1 import ProblemReport, format_table1, run_table1
 
-__all__ = [
-    "ProblemReport",
-    "run_table1",
-    "format_table1",
-    "PhaseLoad",
-    "load_report",
-    "format_load_report",
-    "CrossoverEstimate",
-    "crossover",
-    "triangle_crossover_vs_dolev",
-    "LowerBoundCheck",
-    "check_meter_against_floor",
-    "semiring_words_floor",
-    "strassen_like_words_floor",
-    "rounds_floor_from_words",
-]
+__all__ = ["ProblemReport", "run_table1", "format_table1"]

@@ -12,7 +12,7 @@ Le Gall's galactic algorithm; the code deploys Strassen, so the implemented
 target exponent for the ``n^rho`` rows is ``1 - 2/log2(7) ~ 0.2876``
 (:data:`repro.constants.RHO_IMPLEMENTED`).  See DESIGN.md.
 
-Usage: ``python benchmarks/table1_harness.py [--full]`` or
+Usage: ``python -m repro table1 [--full]`` or
 :func:`run_table1` / :func:`format_table1` programmatically.
 """
 

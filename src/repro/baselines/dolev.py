@@ -20,8 +20,8 @@ The combinatorial algorithms the paper's Table 1 compares against:
 Both ship their edge sets in one routed exchange
 (:func:`_distribute_slices`), so they run through the same collective, and
 on a fault-layer clique through the same fault seams, as every other
-algorithm.  These baselines give the benchmark harness its "prior work"
-round counts, so the crossovers in Table 1 are measured rather than
+algorithm.  These baselines give ``python -m repro table1`` its "prior
+work" round counts, so the crossovers in Table 1 are measured rather than
 asserted.
 """
 

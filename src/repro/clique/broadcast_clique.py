@@ -8,7 +8,7 @@ algorithms fundamentally need unicast.
 
 We implement the model so the separation is *demonstrable*: the only
 generic way to multiply matrices is to replicate them via broadcast
-(``Theta(n)`` rounds), and the benchmark/test suite contrasts that with the
+(``Theta(n)`` rounds), and the test suite contrasts that with the
 unicast engines' ``O(n^{1/3})`` / ``O(n^{1-2/sigma})`` on identical inputs.
 """
 
@@ -88,15 +88,7 @@ def broadcast_clique_matmul(
     return semiring.matmul(s, received[:, n:])
 
 
-def broadcast_matmul_round_floor(n: int) -> int:
-    """Corollary 24's floor, concretely: ``n`` words of private input per
-    node must cross a 1-word-per-round shared channel, so ``Omega(n)``
-    rounds (up to the word/entry-width ratio)."""
-    return n
-
-
 __all__ = [
     "BroadcastCongestedClique",
     "broadcast_clique_matmul",
-    "broadcast_matmul_round_floor",
 ]

@@ -22,7 +22,6 @@ from repro.distances.girth import (
 from repro.distances.properties import (
     diameter_approx,
     diameter_exact,
-    diameter_reference,
     diameter_unweighted,
 )
 from repro.distances.seidel import apsp_unweighted
@@ -46,5 +45,4 @@ __all__ = [
     "diameter_exact",
     "diameter_unweighted",
     "diameter_approx",
-    "diameter_reference",
 ]

@@ -8,7 +8,7 @@ by the Lemma 20 ``(1 + delta)``-approximate distance product.  After
 
 so choosing ``delta = o(1 / log n)`` gives the paper's ``(1 + o(1))``
 approximation in ``O(n^{rho + o(1)})`` rounds.  The simulator exposes
-``delta`` directly: benchmarks sweep it to reproduce the accuracy/rounds
+``delta`` directly: the tests sweep it to reproduce the accuracy/rounds
 trade-off, and ``extras["ratio_bound"]`` reports the proven bound
 ``(1 + delta)^{squarings}`` for the chosen parameters.  A weight so heavy
 that an ``n - 1``-edge path could reach ``INF`` is refused up front

@@ -53,25 +53,4 @@ def connected_components(
     )
 
 
-def components_reference(graph: Graph) -> np.ndarray:
-    """Centralised oracle: BFS labelling with smallest-id representatives."""
-    n = graph.n
-    adjacency = graph.adjacency
-    if graph.directed:
-        adjacency = ((adjacency + adjacency.T) > 0).astype(np.int64)
-    labels = np.full(n, -1, dtype=np.int64)
-    for start in range(n):
-        if labels[start] != -1:
-            continue
-        queue = [start]
-        labels[start] = start
-        while queue:
-            u = queue.pop()
-            for w in np.nonzero(adjacency[u])[0]:
-                if labels[w] == -1:
-                    labels[w] = start
-                    queue.append(int(w))
-    return labels
-
-
-__all__ = ["connected_components", "components_reference"]
+__all__ = ["connected_components"]

@@ -123,21 +123,8 @@ def diameter_approx(
     )
 
 
-def diameter_reference(graph: Graph) -> tuple[int, int]:
-    """Centralised (diameter, radius) oracle, unreachable pairs ignored."""
-    from repro.graphs.reference import apsp_reference
-
-    dist = apsp_reference(graph)
-    ecc = []
-    for v in range(graph.n):
-        finite = dist[v][dist[v] < INF]
-        ecc.append(int(finite.max()) if finite.size else 0)
-    return max(ecc), min(ecc)
-
-
 __all__ = [
     "diameter_exact",
     "diameter_unweighted",
     "diameter_approx",
-    "diameter_reference",
 ]

@@ -17,11 +17,9 @@ from repro.graphs.generators import (
 from repro.graphs.graphs import Graph
 from repro.graphs.reference import (
     apsp_reference,
-    bfs_distances_reference,
     count_cycles_brute,
     four_cycle_count_reference,
     girth_reference,
-    has_k_cycle_reference,
     triangle_count_reference,
     validate_routing_table,
 )
@@ -43,9 +41,7 @@ __all__ = [
     "triangle_count_reference",
     "count_cycles_brute",
     "four_cycle_count_reference",
-    "has_k_cycle_reference",
     "girth_reference",
-    "bfs_distances_reference",
     "apsp_reference",
     "validate_routing_table",
 ]

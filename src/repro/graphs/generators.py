@@ -1,4 +1,4 @@
-"""Workload generators for the benchmark harness and tests.
+"""Workload generators for the Table 1 runs and the tests.
 
 Each generator returns a :class:`repro.graphs.graphs.Graph` and is seeded for
 reproducibility.  The families mirror the workloads the paper's problems

@@ -68,11 +68,6 @@ def four_cycle_count_reference(graph: Graph) -> int:
     return int(np.triu(pairs, k=1).sum()) // 2
 
 
-def has_k_cycle_reference(graph: Graph, k: int) -> bool:
-    """Whether any ``k``-cycle exists (brute force)."""
-    return count_cycles_brute(graph, k) > 0
-
-
 def girth_reference(graph: Graph) -> int:
     """Exact girth; ``INF`` for acyclic graphs.
 
@@ -130,12 +125,6 @@ def _bfs(adj: list[list[int]], source: int) -> list[int]:
     return dist
 
 
-def bfs_distances_reference(graph: Graph) -> np.ndarray:
-    """All-pairs unweighted distances via BFS from every node."""
-    adj = [np.nonzero(graph.adjacency[v])[0].tolist() for v in range(graph.n)]
-    return np.array([_bfs(adj, s) for s in range(graph.n)], dtype=np.int64)
-
-
 def apsp_reference(graph: Graph) -> np.ndarray:
     """Floyd-Warshall over the weight matrix; raises on negative cycles."""
     dist = graph.weight_matrix().copy()
@@ -183,9 +172,7 @@ __all__ = [
     "triangle_count_reference",
     "count_cycles_brute",
     "four_cycle_count_reference",
-    "has_k_cycle_reference",
     "girth_reference",
-    "bfs_distances_reference",
     "apsp_reference",
     "validate_routing_table",
 ]

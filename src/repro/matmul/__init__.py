@@ -18,7 +18,6 @@ from repro.matmul.distance import (
 from repro.matmul.exponent import (
     fit_exponent,
     predicted_bilinear_rounds,
-    predicted_naive_rounds,
     predicted_semiring3d_rounds,
 )
 from repro.matmul.layout import CubeLayout, GridLayout, next_cube, next_square
@@ -48,6 +47,5 @@ __all__ = [
     "next_square",
     "predicted_semiring3d_rounds",
     "predicted_bilinear_rounds",
-    "predicted_naive_rounds",
     "fit_exponent",
 ]

@@ -130,7 +130,7 @@ def phase_load_bounds(
     prod_words: int,
     out_words: int | None = None,
 ) -> dict[str, int]:
-    """Exact per-node load ceilings for the four §2.2 exchanges.
+    """Per-node load ceilings for the four §2.2 exchanges.
 
     Derived from the layout instead of a magic slack constant; a violation
     is an implementation bug, not padding noise.  With ``dc = m_padded / q``
@@ -152,8 +152,10 @@ def phase_load_bounds(
       entries; a row owner receives ``dc`` entries from each of its ``q``
       cell owners.
 
-    The send/receive maxima are exactly the loads
-    :func:`repro.matmul.exponent.predicted_bilinear_rounds` charges.
+    These are ceilings, not the billed maxima: they count the pieces a
+    node addresses to itself, which stay home for free, and in steps 1 and
+    7 every padded row of a cell-row.  The exact maxima, and so the exact
+    bill, are :func:`repro.matmul.exponent.predicted_bilinear_rounds`'s.
     """
     q, c, mm = layout.q, layout.c, layout.m_padded
     dc = mm // q  # = d * c, rows per cell-row

@@ -7,7 +7,7 @@ exactly and cross-checked against the metered run -- the strongest form of
 predicted grows with the paper's exponent.
 
 :func:`fit_exponent` estimates the empirical growth exponent of a rounds-vs-n
-series by least squares in log-log space; the benchmark harness compares it
+series by least squares in log-log space; the Table 1 tests compare it
 against the theoretical exponents in :mod:`repro.constants`.
 """
 
@@ -60,31 +60,39 @@ def predicted_bilinear_rounds(
     The three width parameters are the word widths of (a) input entries,
     (b) the encoded linear combinations of step 2, and (c) the block-product
     entries -- all ``1`` for small (e.g. 0/1) inputs at the default word size.
+
+    Each step is billed on its busiest node.  Self-addressed pieces stay home
+    for free, and padded rows carry nothing:
+
+    * **steps 3 and 5** -- a worker exchanges one ``c x c`` cell (two in
+      step 3) with each of the other ``n - 1`` nodes, whatever ``m <= n``;
+    * **steps 1 and 7** -- a row's owner exchanges one piece with each of
+      the ``q`` owners of the row's cells, and the owner of cell ``(x1, x2)``
+      one with each real row of cell-row ``x1``; a piece holds ``dc``
+      entries (per operand in step 1).  The busiest count is ``q`` or the
+      real rows of cell-row ``0``: ``c`` per full block of ``cq`` rows plus
+      up to ``c`` of the partial one.  At ``d = 1`` (``c = q``) every node
+      owns a cell of its own row, and that piece stays home; at ``d >= 2``
+      the owner of cell ``(0, c)`` does not.
     """
     if algorithm is not None:
         d, m = algorithm.d, algorithm.m
     if d is None or m is None:
         raise ValueError("pass an algorithm or both d and m")
+    if m > n:
+        raise ValueError(f"a bilinear algorithm with m={m} products needs m <= n={n}")
     layout = GridLayout.for_clique(n, d)
-    q, d, c, mm = layout.q, layout.d, layout.c, layout.m_padded
-    dc = d * c
-    qc = q * c
-    step1 = relay_rounds(max(2 * mm * entry_words_in, 2 * dc * dc * entry_words_in), n)
-    step3 = relay_rounds(
-        max(2 * m * c * c * entry_words_hat, 2 * qc * qc * entry_words_hat), n
+    q, c = layout.q, layout.c
+    dc = layout.d * c
+    full_blocks, partial = divmod(n, c * q)
+    pieces = max(q, c * full_blocks + min(c, partial)) - (d == 1)
+    cells = c * c * (n - 1)
+    return (
+        relay_rounds(2 * dc * pieces * entry_words_in, n)
+        + relay_rounds(2 * cells * entry_words_hat, n)
+        + relay_rounds(cells * entry_words_prod, n)
+        + relay_rounds(dc * pieces * entry_words_prod, n)
     )
-    step5 = relay_rounds(
-        max(qc * qc * entry_words_prod, m * c * c * entry_words_prod), n
-    )
-    step7 = relay_rounds(
-        max(dc * dc * entry_words_prod, q * dc * entry_words_prod), n
-    )
-    return step1 + step3 + step5 + step7
-
-
-def predicted_naive_rounds(n: int, *, entry_words: int = 1) -> int:
-    """Round count of the broadcast baseline: one row of ``T`` per node."""
-    return n * entry_words
 
 
 def fit_exponent(ns: list[int], values: list[float]) -> float:
@@ -106,6 +114,5 @@ def fit_exponent(ns: list[int], values: list[float]) -> float:
 __all__ = [
     "predicted_semiring3d_rounds",
     "predicted_bilinear_rounds",
-    "predicted_naive_rounds",
     "fit_exponent",
 ]

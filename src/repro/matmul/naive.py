@@ -5,7 +5,7 @@ right operand (``n`` words per node, hence ``n`` rounds at unit width), after
 which each node multiplies its own row of ``S`` against the fully replicated
 ``T`` locally.  Table 1 lists no prior work for semiring matmul -- this
 baseline is the implicit comparison point the paper's ``O(n^{1/3})`` improves
-on, and the benchmark harness uses it to show the crossover.
+on, and the tests measure the 3D engine against it.
 
 The replication step runs on the simulator's array-native fast path
 (:meth:`~repro.clique.model.CongestedClique.broadcast_rows`): ``T`` moves as

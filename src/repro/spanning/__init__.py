@@ -21,7 +21,6 @@ implementations, mirroring the repo's ``*_reference`` convention.
 from repro.spanning.mst import (
     minimum_spanning_forest,
     mst_reference,
-    mst_weight,
 )
 from repro.spanning.spanner import (
     baswana_sen_reference,
@@ -35,5 +34,4 @@ __all__ = [
     "spanner_stretch",
     "minimum_spanning_forest",
     "mst_reference",
-    "mst_weight",
 ]

@@ -425,15 +425,9 @@ def mst_reference(graph: Graph) -> tuple[list[tuple[int, int, int]], int]:
     )
 
 
-def mst_weight(graph: Graph) -> int:
-    """Total MST weight (unique even under weight ties)."""
-    return mst_reference(graph)[1]
-
-
 __all__ = [
     "minimum_spanning_forest",
     "mst_reference",
-    "mst_weight",
     "encode_weights",
     "decode_edge",
 ]

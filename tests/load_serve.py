@@ -9,10 +9,10 @@ throughput plus client-observed latency percentiles:
     {"requests", "seconds", "qps", "p50_ms", "p99_ms",
      "mean_batch", "largest_batch", "batches"}
 
-:func:`run_load` is importable (the perf report's ``serve`` section and
-``tests/test_serve.py`` both call it); the CLI wraps it::
+:func:`run_load` is importable (``tests/test_serve.py`` calls it); the CLI
+wraps it::
 
-    python benchmarks/load_serve.py ARTIFACT --clients 16 --requests 200
+    PYTHONPATH=src python tests/load_serve.py ARTIFACT --clients 16 --requests 200
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from closure_replay import full_schedule, stopped_phases
+from graph_reference import bfs_distances_reference
 from hypothesis import strategies as st
 
 from repro.constants import INF
@@ -22,7 +23,6 @@ from repro.errors import CliqueModelError, NegativeCycleError
 from repro.graphs import (
     Graph,
     apsp_reference,
-    bfs_distances_reference,
     cycle_graph,
     gnp_random_graph,
     grid_graph,
@@ -30,6 +30,7 @@ from repro.graphs import (
     random_weighted_graph,
     validate_routing_table,
 )
+from repro.matmul.exponent import fit_exponent
 from repro.runtime import make_clique, pad_matrix
 
 
@@ -132,11 +133,32 @@ class TestExactApsp:
         assert result.value[1, 0] >= INF
         assert result.value[2, 3] >= INF
 
-    def test_grid_workload(self):
-        g = grid_graph(3, 4, max_weight=9, seed=1)
+    @pytest.mark.parametrize("rows,cols", [(3, 4), (5, 5)])
+    def test_grid_workload(self, rows, cols):
+        g = grid_graph(rows, cols, max_weight=9, seed=1)
         result = apsp_exact(g)
         assert np.array_equal(result.value, apsp_reference(g))
         assert validate_routing_table(g, result.value, result.extras["next_hop"])
+
+    @pytest.mark.parametrize("n", [27, 64, 125])
+    def test_routing_tables_at_table1_sizes(self, n):
+        """Table 1 "weighted directed APSP", with routing tables."""
+        g = random_weighted_digraph(n, 0.3, 9, seed=n)
+        result = apsp_exact(g)
+        assert np.array_equal(result.value, apsp_reference(g))
+        assert validate_routing_table(g, result.value, result.extras["next_hop"])
+
+    def test_rounds_exponent(self):
+        """O(n^{1/3} log n): clearly sub-half-power growth."""
+        sizes = [27, 64, 125]
+        rounds = [
+            apsp_exact(
+                random_weighted_digraph(n, 0.3, 9, seed=n),
+                with_routing_tables=False,
+            ).rounds
+            for n in sizes
+        ]
+        assert fit_exponent(sizes, rounds) < 0.55
 
     @pytest.mark.parametrize(
         "with_routing_tables,rounds,words",
@@ -197,6 +219,21 @@ class TestSeidel:
         assert np.array_equal(result.value, bfs_distances_reference(g))
         assert result.extras["levels"] >= 4  # diameter 16 -> ~log2 levels
 
+    @pytest.mark.parametrize("n", [16, 49, 100, 196])
+    def test_table1_sizes(self, n):
+        """Table 1 "unweighted undirected APSP": Seidel in O~(n^rho)."""
+        g = gnp_random_graph(n, 0.2, seed=n)
+        result = apsp_unweighted(g)
+        assert np.array_equal(result.value, bfs_distances_reference(g))
+
+    def test_rounds_exponent(self):
+        sizes = [16, 49, 100, 196]
+        rounds = [
+            apsp_unweighted(gnp_random_graph(n, 0.2, seed=n)).rounds
+            for n in sizes
+        ]
+        assert fit_exponent(sizes, rounds) < 1.0
+
     def test_complete_graph_one_level(self):
         n = 9
         g = Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
@@ -246,6 +283,21 @@ class TestBoundedApsp:
         want = np.where(ref <= cap, ref, INF)
         assert np.array_equal(result.value, want)
 
+    @pytest.mark.parametrize("n", [16, 49, 100])
+    def test_cap_8_at_table1_sizes(self, n):
+        """Table 1 "APSP with weighted diameter U": O~(U n^rho)."""
+        g = random_weighted_digraph(n, 0.6, 3, seed=n)
+        result = apsp_bounded(g, 8)
+        ref = apsp_reference(g)
+        assert np.array_equal(result.value, np.where(ref <= 8, ref, INF))
+
+    def test_rounds_grow_with_cap(self):
+        """The U-factor of Lemma 19, measured: on one graph, every larger
+        cap bills more rounds."""
+        g = random_weighted_digraph(49, 0.6, 3, seed=5)
+        rounds = [apsp_bounded(g, cap).rounds for cap in (2, 4, 8, 16)]
+        assert all(a < b for a, b in zip(rounds, rounds[1:])), rounds
+
     def test_rejects_nonpositive_weights(self):
         g = Graph.from_weighted_edges(3, [(0, 1, 0)], directed=True)
         with pytest.raises(ValueError):
@@ -268,10 +320,12 @@ class TestSmallDiameterApsp:
         result = apsp_small_diameter(g)
         assert np.array_equal(result.value, apsp_reference(g))
 
-    def test_guess_close_to_diameter(self):
-        g = random_weighted_digraph(16, 0.6, 3, seed=9)
+    @pytest.mark.parametrize("n,seed", [(16, 9), (49, 2)])
+    def test_guess_close_to_diameter(self, n, seed):
+        g = random_weighted_digraph(n, 0.6, 3, seed=seed)
         result = apsp_small_diameter(g)
         ref = apsp_reference(g)
+        assert np.array_equal(result.value, ref)
         diameter = int(ref[ref < INF].max())
         guess = result.extras["diameter_guess"]
         assert guess >= diameter
@@ -299,12 +353,31 @@ class TestApproxApsp:
         ratios = result.value[finite] / np.maximum(ref[finite], 1)
         assert ratios.max() <= result.extras["ratio_bound"] + 1e-9
 
+    @pytest.mark.parametrize("n", [16, 25])
+    def test_ratio_within_bound_at_table1_sizes(self, n):
+        """Table 1 "(1+o(1))-approximate APSP" (Theorem 9)."""
+        g = random_weighted_digraph(n, 0.4, 20, seed=n)
+        result = apsp_approx(g, delta=0.3)
+        ref = apsp_reference(g)
+        finite = ref < INF
+        assert (result.value[finite] >= ref[finite]).all()
+        ratios = result.value[finite] / np.maximum(ref[finite], 1)
+        assert ratios.max() <= result.extras["ratio_bound"] + 1e-9
+
     def test_tighter_delta_costs_more(self):
+        """Lemma 20's accuracy/rounds trade-off: each tighter delta bills
+        more rounds for a smaller proven ratio, and every measured ratio is
+        inside its bound."""
         g = random_weighted_digraph(16, 0.4, 20, seed=3)
-        loose = apsp_approx(g, delta=0.5)
-        tight = apsp_approx(g, delta=0.2)
-        assert tight.rounds > loose.rounds
-        assert tight.extras["ratio_bound"] < loose.extras["ratio_bound"]
+        ref = apsp_reference(g)
+        finite = ref < INF
+        runs = [apsp_approx(g, delta=d) for d in (0.5, 0.3, 0.2, 0.15)]
+        for loose, tight in zip(runs, runs[1:]):
+            assert tight.rounds > loose.rounds
+            assert tight.extras["ratio_bound"] < loose.extras["ratio_bound"]
+        for run in runs:
+            ratios = run.value[finite] / np.maximum(ref[finite], 1)
+            assert ratios.max() <= run.extras["ratio_bound"] + 1e-9
 
     def test_zero_weights_allowed(self):
         g = Graph.from_weighted_edges(

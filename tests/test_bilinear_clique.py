@@ -13,7 +13,16 @@ from repro.algebra.bilinear import classical, strassen_power
 from repro.clique import CongestedClique
 from repro.errors import CliqueSizeError
 from repro.matmul.bilinear_clique import bilinear_matmul, default_algorithm
-from repro.matmul.exponent import predicted_bilinear_rounds
+from repro.matmul.exponent import fit_exponent, predicted_bilinear_rounds
+
+
+def _rounds_on_signed_inputs(n, algorithm):
+    rng = np.random.default_rng(n)
+    s = rng.integers(-9, 10, (n, n), dtype=np.int64)
+    t = rng.integers(-9, 10, (n, n), dtype=np.int64)
+    clique = CongestedClique(n)
+    assert np.array_equal(bilinear_matmul(clique, s, t, algorithm), s @ t)
+    return clique.rounds
 
 
 class TestCorrectness:
@@ -98,6 +107,52 @@ class TestCosts:
         alg = default_algorithm(n)
         bilinear_matmul(clique, s, t, alg)
         assert clique.rounds == predicted_bilinear_rounds(n, alg)
+
+    @pytest.mark.parametrize("n", [49, 100, 144, 196, 256])
+    def test_table1_rounds_match_predictor(self, n):
+        """Table 1 "matrix multiplication (ring)": O(n^{1-2/sigma}) rounds
+        with the deepest Strassen power that fits, exactly the closed form,
+        on signed inputs."""
+        algorithm = default_algorithm(n)
+        assert _rounds_on_signed_inputs(n, algorithm) == (
+            predicted_bilinear_rounds(n, algorithm)
+        )
+
+    def test_rounds_exponent(self):
+        """Level quantisation makes small-n fits noisy; sanity bound."""
+        sizes = [49, 100, 144, 196, 256]
+        rounds = [_rounds_on_signed_inputs(n, default_algorithm(n)) for n in sizes]
+        assert fit_exponent(sizes, rounds) < 1.0
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_strassen_level_ablation(self, level):
+        """Recursion depth at fixed n = 196 (Lemma 10's trade-off of
+        communication against products), each bill the closed form."""
+        algorithm = strassen_power(level)
+        assert _rounds_on_signed_inputs(196, algorithm) == (
+            predicted_bilinear_rounds(196, algorithm)
+        )
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_classical_rounds_match_predictor(self, d):
+        """The school-book <d, d, d; d^3> algorithm (sigma = 3) through the
+        same engine at n = 196."""
+        assert _rounds_on_signed_inputs(196, classical(d)) == (
+            predicted_bilinear_rounds(196, d=d, m=d**3)
+        )
+
+    def test_fig2_load_balance(self):
+        """Figure 2's two-level partition balances step 1: the busiest node
+        sends at least the mean and at most 128 words more."""
+        n = 49
+        rng = np.random.default_rng(1)
+        s = rng.integers(0, 2, (n, n), dtype=np.int64)
+        t = rng.integers(0, 2, (n, n), dtype=np.int64)
+        clique = CongestedClique(n)
+        bilinear_matmul(clique, s, t, default_algorithm(n))
+        step1 = next(p for p in clique.meter.phases if "step1" in p.phase)
+        assert step1.max_send_words * n >= step1.words
+        assert step1.max_send_words <= step1.words // n + 2 * 64
 
     def test_strassen_exponent_beats_classical(self):
         """The Lemma 10 trade-off: Strassen's exponent wins asymptotically.

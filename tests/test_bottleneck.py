@@ -44,6 +44,14 @@ class TestBottleneckApsp:
         result = apsp_bottleneck(g)
         assert np.array_equal(result.value, bottleneck_reference(g))
 
+    @pytest.mark.parametrize("n", [27, 64, 125])
+    def test_larger_digraphs_match_reference(self, n):
+        """The semiring engine is generic: max-min products on the 3D
+        engine, at the cube sizes."""
+        g = random_weighted_digraph(n, 0.3, 50, seed=n)
+        result = apsp_bottleneck(g)
+        assert np.array_equal(result.value, bottleneck_reference(g))
+
     @settings(max_examples=4, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6))
     def test_undirected(self, seed):

@@ -5,16 +5,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from graph_reference import has_k_cycle_reference
 from hypothesis import strategies as st
 
 from repro.clique.model import CongestedClique
 from repro.graphs import (
     cycle_graph,
     gnp_random_graph,
-    has_k_cycle_reference,
     planted_cycle_graph,
     random_tree,
 )
+from repro.matmul.exponent import fit_exponent
 from repro.runtime import make_clique, pad_matrix
 from repro.subgraphs import default_trials, detect_colourful_cycle, detect_k_cycle
 
@@ -147,6 +148,56 @@ class TestDetectKCycle:
     def test_default_trials_formula(self):
         assert default_trials(3, 100, 0.01) >= 20
         assert default_trials(5, 100, 0.01) > default_trials(4, 100, 0.01)
+
+
+@pytest.mark.slow
+class TestTable1Rounds:
+    """Table 1 "k-cycle detection": 2^{O(k)} n^rho log n via colour coding.
+
+    A fixed small trial budget isolates the growth in n; the 2^{O(k)}
+    constants are what they are.
+    """
+
+    @pytest.mark.parametrize("n", [16, 49, 100])
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_bill_is_trials_times_one_colouring(self, n, k):
+        """Colour coding errs one way: two trials miss the planted cycle in
+        5 of these 6 cases, but a miss spends the whole budget, and every
+        trial is billed the same."""
+        g = planted_cycle_graph(n, k, seed=n + k, extra_edge_prob=0.5)
+        result = detect_k_cycle(g, k, trials=2, rng=np.random.default_rng(0))
+        used = result.extras["trials_used"]
+        assert result.value or used == 2
+        one = detect_k_cycle(g, k, trials=1, rng=np.random.default_rng(1))
+        assert result.rounds == used * one.rounds
+
+    def test_growth_in_n(self):
+        """Sub-linear growth: the point of using the fast engine per
+        product."""
+        sizes = [16, 49, 100]
+        rounds = [
+            detect_k_cycle(
+                planted_cycle_graph(n, 4, seed=n, extra_edge_prob=0.5),
+                4,
+                trials=1,
+                rng=np.random.default_rng(1),
+            ).rounds
+            for n in sizes
+        ]
+        assert fit_exponent(sizes, rounds) < 1.0
+
+    def test_growth_in_k(self):
+        """The exponential-in-k blow-up (product count ~ 3^k) is visible."""
+        rounds = [
+            detect_k_cycle(
+                planted_cycle_graph(49, k, seed=k, extra_edge_prob=0.5),
+                k,
+                trials=1,
+                rng=np.random.default_rng(2),
+            ).rounds
+            for k in (3, 4, 5, 6)
+        ]
+        assert rounds[-1] > rounds[0]
 
 
 class TestDirectedDetection:

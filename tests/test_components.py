@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
+from graph_reference import components_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.distances.components import components_reference, connected_components
+from repro.distances.components import connected_components
 from repro.graphs import Graph, cycle_graph, gnp_random_graph, random_tree
 
 
@@ -18,6 +20,13 @@ class TestConnectedComponents:
     )
     def test_random_graphs(self, seed, p):
         g = gnp_random_graph(18, p, seed=seed)
+        result = connected_components(g)
+        assert np.array_equal(result.value, components_reference(g))
+
+    @pytest.mark.parametrize("n", [16, 49, 100])
+    def test_sparse_random_graphs(self, n):
+        """Average degree 2: many components of varied sizes."""
+        g = gnp_random_graph(n, 2.0 / n, seed=n)
         result = connected_components(g)
         assert np.array_equal(result.value, components_reference(g))
 

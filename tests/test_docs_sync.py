@@ -2,12 +2,13 @@
 
 Keeps DESIGN.md / EXPERIMENTS.md / README.md honest: every module the
 design inventory names must import, every public symbol promised by the
-README quickstart must exist, and every benchmark target named in the
-per-experiment index must be a real file.
+README quickstart must exist, and every file named in the per-experiment
+index must be a real file.  Also keeps ``src/`` free of test-only oracles.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -31,8 +32,9 @@ class TestDesignInventory:
 
     def test_every_bench_target_exists(self):
         text = _read("DESIGN.md")
-        targets = set(re.findall(r"`(benchmarks/[a-z_0-9]+\.py)`", text))
-        assert targets, "the per-experiment index should name bench files"
+        index = text.split("## Per-experiment index", 1)[1].split("\n## ", 1)[0]
+        targets = set(re.findall(r"`((?:tests|perfbench)/[a-z_0-9]+\.py)`", index))
+        assert len(targets) >= 15, "the per-experiment index should name test files"
         for target in sorted(targets):
             assert (ROOT / target).exists(), target
 
@@ -111,6 +113,36 @@ class TestReadme:
     def test_install_instructions_mention_offline_path(self):
         text = _read("README.md")
         assert "setup.py develop" in text
+
+
+class TestOraclesHaveCallers:
+    def test_every_src_reference_has_a_caller(self):
+        """A public ``*_reference`` oracle in ``src/`` must be called from
+        ``src/`` or ``examples/`` (the CLI and example self-checks); one
+        only the tests call belongs in a ``tests/`` helper module."""
+        trees = {
+            path: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted((ROOT / "src").rglob("*.py"))
+            + sorted((ROOT / "examples").glob("*.py"))
+        }
+        defined = {
+            node.name
+            for path, tree in trees.items()
+            if "src" in path.relative_to(ROOT).parts
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+            and node.name.endswith("_reference")
+            and not node.name.startswith("_")
+        }
+        assert len(defined) >= 5, defined
+        called = {
+            node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            for tree in trees.values()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, (ast.Name, ast.Attribute))
+        }
+        assert sorted(defined - called) == []
 
 
 class TestExamplesListed:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.baselines import dolev_four_cycle_detect, dolev_triangle_count
 from repro.graphs import (
+    bipartite_random_graph,
     cycle_graph,
     four_cycle_count_reference,
     gnp_random_graph,
@@ -25,6 +26,11 @@ class TestDolevTriangles:
     )
     def test_counts_match_oracle(self, seed, n):
         g = gnp_random_graph(n, 0.35, seed=seed)
+        assert dolev_triangle_count(g).value == triangle_count_reference(g)
+
+    @pytest.mark.parametrize("n", [16, 49, 100, 196])
+    def test_table1_sizes(self, n):
+        g = gnp_random_graph(n, 0.3, seed=n)
         assert dolev_triangle_count(g).value == triangle_count_reference(g)
 
     def test_triangle_free(self):
@@ -65,6 +71,13 @@ class TestDolevFourCycle:
 
     def test_positive(self):
         assert dolev_four_cycle_detect(cycle_graph(4)).value
+
+    @pytest.mark.parametrize("n", [16, 36, 64, 100])
+    def test_table1_sizes(self, n):
+        """Constant average degree keeps C4 presence varied across sizes."""
+        g = bipartite_random_graph(n, 4.0 / n, seed=n)
+        want = four_cycle_count_reference(g) > 0
+        assert dolev_four_cycle_detect(g).value == want
 
     def test_theorem4_beats_dolev_in_rounds(self):
         from repro.subgraphs import detect_four_cycles

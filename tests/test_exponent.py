@@ -7,14 +7,26 @@ import math
 import numpy as np
 import pytest
 
-from repro.algebra.bilinear import strassen_power
+from repro.algebra.bilinear import classical, strassen_power
+from repro.clique import CongestedClique
 from repro.constants import RHO_IMPLEMENTED
+from repro.matmul.bilinear_clique import bilinear_matmul
 from repro.matmul.exponent import (
     fit_exponent,
     predicted_bilinear_rounds,
-    predicted_naive_rounds,
     predicted_semiring3d_rounds,
 )
+
+#: Every square clique from 4 to 256 with each Strassen power (levels 0-2)
+#: and classical ``<d, d, d; d^3>`` (d = 2-6) that fits (``m <= n``): 80
+#: runs.
+SWEEP = [
+    (q * q, algorithm)
+    for q in range(2, 17)
+    for algorithm in [strassen_power(level) for level in range(3)]
+    + [classical(d) for d in range(2, 7)]
+    if algorithm.m <= q * q
+]
 
 
 class TestFitExponent:
@@ -60,6 +72,22 @@ class TestBilinearPredictor:
     def test_requires_shape(self):
         with pytest.raises(ValueError):
             predicted_bilinear_rounds(49)
+        with pytest.raises(ValueError, match="m <= n"):
+            predicted_bilinear_rounds(36, d=4, m=49)
+
+    @pytest.mark.parametrize(
+        "n,algorithm", SWEEP, ids=[f"{n}-{a.name}" for n, a in SWEEP]
+    )
+    def test_equals_the_bill(self, n, algorithm):
+        """The closed form is the bill on 0/1 inputs: every d = 1 product
+        (whose nodes keep their own pieces) and every layout with padded
+        cell rows (d = 4 at n = 81) included."""
+        rng = np.random.default_rng(n)
+        s = rng.integers(0, 2, (n, n), dtype=np.int64)
+        t = rng.integers(0, 2, (n, n), dtype=np.int64)
+        clique = CongestedClique(n)
+        assert np.array_equal(bilinear_matmul(clique, s, t, algorithm), s @ t)
+        assert clique.rounds == predicted_bilinear_rounds(n, algorithm)
 
     def test_accepts_algorithm_or_shape(self):
         alg = strassen_power(2)
@@ -79,10 +107,6 @@ class TestBilinearPredictor:
         fitted = fit_exponent(sizes, rounds)
         assert fitted == pytest.approx(RHO_IMPLEMENTED, abs=0.02)
         assert fitted < 1 / 3  # strictly beats the semiring engine
-
-    def test_naive_predictor_linear(self):
-        assert predicted_naive_rounds(64) == 64
-        assert predicted_naive_rounds(64, entry_words=2) == 128
 
     def test_bilinear_grows_slower_than_semiring(self):
         # The Theorem 1 comparison at a size where both shapes exist.

@@ -19,7 +19,13 @@ from repro.graphs import (
     random_tree,
     windmill_graph,
 )
+from repro.matmul.exponent import fit_exponent
 from repro.subgraphs import build_tiling, detect_four_cycles, tile_side
+
+
+def _sparse_bipartite(n: int) -> Graph:
+    # Constant average degree keeps C4 presence varied across sizes.
+    return bipartite_random_graph(n, 4.0 / n, seed=n)
 
 
 class TestTileSide:
@@ -76,6 +82,30 @@ class TestTiling:
         hub = next(t for t in tiles if t.y == 0)
         assert hub.side >= (n - 1) / 8
 
+    @pytest.mark.parametrize("graph_name", ["gnp", "hub", "windmill"])
+    def test_figure3_tiles(self, graph_name):
+        """Figure 3 across degree profiles: Lemma 12's tiles are disjoint,
+        at least deg/8 on a side, and fit in the k x k square."""
+        n = 128
+        if graph_name == "gnp":
+            g = gnp_random_graph(n, 0.1, seed=2)
+        elif graph_name == "hub":
+            g = preferential_attachment_graph(n, attach=3, seed=3)
+        else:
+            g = windmill_graph(n + 1)
+        degrees = g.degrees()[:n]
+        k = 1 << (n.bit_length() - 1)
+        occupied = np.zeros((k, k), dtype=bool)
+        for tile in build_tiling(degrees, n):
+            block = occupied[
+                tile.row_start : tile.row_start + tile.side,
+                tile.col_start : tile.col_start + tile.side,
+            ]
+            assert block.shape == (tile.side, tile.side)
+            assert not block.any()
+            block[:, :] = True
+            assert tile.side >= max(1, int(degrees[tile.y]) / 8)
+
     def test_every_positive_degree_gets_a_tile(self):
         g = gnp_random_graph(20, 0.3, seed=1)
         tiles = build_tiling(g.degrees(), 20)
@@ -127,6 +157,24 @@ class TestDetection:
         # O(1): no growth trend; allow small wobble from degree profiles.
         assert max(rounds) <= min(rounds) + 12
         assert max(rounds) <= 40
+
+    @pytest.mark.parametrize("n", [16, 36, 64, 100, 144, 196])
+    def test_table1_sizes(self, n):
+        """Table 1 "4-cycle detection": Theorem 4 agrees with the oracle."""
+        g = _sparse_bipartite(n)
+        assert detect_four_cycles(g).value == (four_cycle_count_reference(g) > 0)
+
+    def test_flat_against_dolev_growth(self):
+        """Theorem 4's O(1) rounds stay flat as n grows while Dolev et
+        al.'s O(n^{1/2}) climb."""
+        from repro.baselines import dolev_four_cycle_detect
+
+        sizes = [16, 36, 64, 100]
+        ours = [detect_four_cycles(_sparse_bipartite(n)).rounds for n in sizes]
+        prior = [dolev_four_cycle_detect(_sparse_bipartite(n)).rounds for n in sizes]
+        our_exp = fit_exponent(sizes, ours)
+        assert our_exp < 0.2
+        assert fit_exponent(sizes, prior) > our_exp
 
     def test_high_degree_hub_without_c4(self):
         g = windmill_graph(65)

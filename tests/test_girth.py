@@ -40,6 +40,24 @@ class TestUndirectedGirth:
         assert result.value == g_target
         assert result.extras["branch"] == "sparse"
 
+    @pytest.mark.parametrize("n", [25, 64, 121, 225])
+    def test_sparse_branch_at_table1_sizes(self, n):
+        """Table 1 "girth", Theorem 15's sparse branch: learn the graph in
+        O(m/n) rounds."""
+        result = girth_undirected(cycle_with_trees(n, 7, seed=n))
+        assert result.value == 7
+        assert result.extras["branch"] == "sparse"
+
+    @pytest.mark.parametrize("n", [16, 25, 36])
+    def test_dense_branch_at_table1_sizes(self, n):
+        """Theorem 15's dense branch: colour-coding detection."""
+        g = dense_small_girth_graph(n, seed=n)
+        result = girth_undirected(
+            g, trials_per_k=10, rng=np.random.default_rng(n)
+        )
+        assert result.value == girth_reference(g)
+        assert result.extras["branch"].startswith("dense")
+
     def test_acyclic_graph(self):
         result = girth_undirected(random_tree(20, seed=1))
         assert result.value >= INF
@@ -92,6 +110,10 @@ class TestDirectedGirth:
         result = girth_directed(g)
         assert result.value == girth_reference(g)
 
+    def test_random_digraph_n36(self):
+        g = gnp_random_graph(36, 0.12, seed=9, directed=True)
+        assert girth_directed(g).value == girth_reference(g)
+
     def test_mutual_edge_girth_two(self):
         g = Graph.from_edges(5, [(0, 1), (1, 0), (2, 3)], directed=True)
         assert girth_directed(g).value == 2
@@ -106,11 +128,13 @@ class TestDirectedGirth:
         with pytest.raises(ValueError):
             girth_directed(cycle_graph(5))
 
-    def test_products_logarithmic(self):
-        g = cycle_graph(15, directed=True)
-        result = girth_directed(g)
-        # Doubling + binary search: O(log n) Boolean products.
-        assert result.extras["boolean_products"] <= 12
+    @pytest.mark.parametrize("n", [15, 31, 63])
+    def test_products_logarithmic(self, n):
+        """Corollary 16 on the directed n-cycle: doubling plus binary
+        search take O(log n) Boolean products."""
+        result = girth_directed(cycle_graph(n, directed=True))
+        assert result.value == n
+        assert result.extras["boolean_products"] <= 3 * n.bit_length()
 
 
 class TestCorruptedEdgeListIsAModelError:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from graph_reference import has_k_cycle_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +23,7 @@ from repro.graphs import (
     random_weighted_graph,
     windmill_graph,
 )
-from repro.graphs.reference import girth_reference, has_k_cycle_reference
+from repro.graphs.reference import girth_reference
 
 
 class TestGraphContainer:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from graph_reference import bfs_distances_reference
 from schedule_reference import certify
 
 from repro import (
@@ -24,7 +25,6 @@ from repro import (
 )
 from repro.graphs import (
     apsp_reference,
-    bfs_distances_reference,
     cycle_with_trees,
     gnp_random_graph,
     grid_graph,

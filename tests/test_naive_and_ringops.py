@@ -54,10 +54,12 @@ class TestNaiveMatmul:
                 rng.integers(0, 2, (4, 4), dtype=np.int64),
             )
 
-    def test_semiring3d_beats_naive_at_scale(self, rng):
+    @pytest.mark.parametrize("n", [27, 64, 125])
+    def test_semiring3d_beats_naive_at_scale(self, n, rng):
+        """The O(n) broadcast baseline that Theorem 1's O(n^{1/3})
+        improves on, at the cube sizes."""
         from repro.matmul.semiring3d import semiring_matmul
 
-        n = 64
         s = rng.integers(0, 2, (n, n), dtype=np.int64)
         fast = CongestedClique(n)
         semiring_matmul(fast, s, s)

@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from graph_reference import diameter_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.distances import (
     diameter_approx,
     diameter_exact,
-    diameter_reference,
     diameter_unweighted,
 )
 from repro.graphs import (
@@ -105,7 +105,16 @@ class TestKPathDetection:
         with pytest.raises(ValueError):
             detect_k_path(cycle_graph(5), 1)
 
-    def test_rounds_charged(self):
-        g = planted_cycle_graph(16, 5, seed=1, extra_edge_prob=0.4)
+    @pytest.mark.parametrize(
+        "n,cycle,seed", [(16, 5, 1), (16, 6, 16), (49, 6, 49)]
+    )
+    def test_rounds_charged(self, n, cycle, seed):
+        """Colour coding errs one way: two trials may miss the path, but a
+        miss spends the whole budget, and every trial is billed the same,
+        so the bill is the trials used times one colouring's."""
+        g = planted_cycle_graph(n, cycle, seed=seed, extra_edge_prob=0.4)
         result = detect_k_path(g, 4, trials=2, rng=np.random.default_rng(0))
-        assert result.rounds > 0
+        used = result.extras["trials_used"]
+        assert result.value or used == 2
+        one = detect_k_path(g, 4, trials=1, rng=np.random.default_rng(1))
+        assert result.rounds == used * one.rounds > 0

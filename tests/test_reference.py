@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from graph_reference import bfs_distances_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +18,6 @@ from repro.errors import NegativeCycleError
 from repro.graphs import (
     Graph,
     apsp_reference,
-    bfs_distances_reference,
     count_cycles_brute,
     cycle_graph,
     four_cycle_count_reference,

@@ -12,8 +12,16 @@ from repro.algebra.semirings import BOOLEAN, MAX_MIN, MIN_PLUS, PLUS_TIMES
 from repro.clique import CongestedClique
 from repro.constants import INF
 from repro.errors import CliqueSizeError
-from repro.matmul.exponent import predicted_semiring3d_rounds
+from repro.matmul.exponent import fit_exponent, predicted_semiring3d_rounds
 from repro.matmul.semiring3d import semiring_matmul
+
+
+def _signed_inputs(n):
+    rng = np.random.default_rng(n)
+    return (
+        rng.integers(-9, 10, (n, n), dtype=np.int64),
+        rng.integers(-9, 10, (n, n), dtype=np.int64),
+    )
 
 
 def _minplus_matrix(rng, n):
@@ -98,6 +106,39 @@ class TestCosts:
             semiring_matmul(clique, s, t)
             assert clique.rounds == predicted_semiring3d_rounds(n)
 
+    @pytest.mark.parametrize("n", [27, 64, 125, 216])
+    def test_table1_rounds_match_predictor(self, n):
+        """Table 1 "matrix multiplication (semiring)": O(n^{1/3}) rounds,
+        exactly the closed form, on signed inputs at the cube sizes."""
+        s, t = _signed_inputs(n)
+        clique = CongestedClique(n)
+        assert np.array_equal(semiring_matmul(clique, s, t), s @ t)
+        assert clique.rounds == predicted_semiring3d_rounds(n)
+
+    def test_rounds_exponent(self):
+        sizes = [27, 64, 125, 216]
+        rounds = []
+        for n in sizes:
+            s, t = _signed_inputs(n)
+            clique = CongestedClique(n)
+            semiring_matmul(clique, s, t)
+            rounds.append(clique.rounds)
+        assert 0.2 < fit_exponent(sizes, rounds) < 0.45
+
+    def test_fig1_load_balance(self):
+        """Figure 1's partition balances step 1: self-addressed pieces are
+        free local moves, so node loads differ only by the O(n^{2/3}) words
+        a node keeps for itself."""
+        n = 64
+        rng = np.random.default_rng(0)
+        s = rng.integers(0, 2, (n, n), dtype=np.int64)
+        t = rng.integers(0, 2, (n, n), dtype=np.int64)
+        clique = CongestedClique(n)
+        semiring_matmul(clique, s, t)
+        step1 = next(p for p in clique.meter.phases if "step1" in p.phase)
+        assert step1.max_send_words <= step1.words / n * 1.05
+        assert step1.max_send_words <= 2 * round(n ** (4 / 3))
+
     def test_witness_runs_cost_more(self, rng):
         n = 27
         s = _minplus_matrix(rng, n)
@@ -118,8 +159,10 @@ class TestCosts:
         # Rounds grow much slower than n: ~ n^{1/3}.
         assert rounds[2] / rounds[0] < (125 / 27) ** 0.5
 
-    def test_bills_are_certified(self, rng):
-        n = 8
+    @pytest.mark.parametrize("n", [8, 27])
+    def test_bills_are_certified(self, n, rng):
+        """Every charge matches an explicit relay schedule, so the bill is
+        the closed form exactly."""
         s = rng.integers(0, 3, (n, n), dtype=np.int64)
         t = rng.integers(0, 3, (n, n), dtype=np.int64)
         plain = CongestedClique(n)
@@ -131,6 +174,7 @@ class TestCosts:
         assert certified.rounds == plain.rounds
         assert certifier.total == len(certified.meter.phases)
         assert certifier.certified["route"] == 2
+        assert certified.rounds == predicted_semiring3d_rounds(n)
 
 
 class TestValidation:

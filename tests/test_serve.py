@@ -1035,8 +1035,8 @@ class TestBatchingServer:
         asyncio.run(scenario())
 
     def test_load_harness_smoke(self, tmp_path):
-        """The benchmark loader doubles as an integration test."""
-        from benchmarks.load_serve import run_load
+        """The load harness doubles as an integration test."""
+        from load_serve import run_load
 
         _, _, artifact = _build(tmp_path, n=12, p=0.4, seed=14)
         result = run_load(

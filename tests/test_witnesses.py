@@ -49,6 +49,17 @@ class TestFindWitnesses:
                 else:
                     assert result.witnesses[u, v] == -1
 
+    @pytest.mark.parametrize("n", [16, 25])
+    def test_overhead_is_polylog(self, n):
+        """Lemma 21: witnesses cost a polylog(n) factor over the plain
+        distance product, not a polynomial one."""
+        s, t = _random_instance(n, n, 4, inf_prob=0.2)
+        plain = CongestedClique(n)
+        distance_product_ring(plain, s, t, 4)
+        full = CongestedClique(n)
+        find_witnesses(full, s, t, _engine(full, 4), rng=np.random.default_rng(n))
+        assert full.rounds < plain.rounds * 20 * max(1, int(np.log2(n)) ** 2)
+
     def test_many_witness_instance(self):
         # All-zero matrices: every inner index is a witness for every pair,
         # which maximally stresses the sampling stage.
