@@ -163,11 +163,9 @@ class Semiring:
         polynomial ring overrides this for its coefficient-vector entries.
         """
         # Deferred: repro.clique imports this module through its executor.
-        from repro.clique.messages import words_for_value
+        from repro.clique.messages import max_abs, words_for_value
 
-        arr = np.asarray(arr)
-        max_abs = int(np.max(np.abs(arr))) if arr.size else 0
-        return words_for_value(max_abs, word_bits)
+        return words_for_value(max_abs(arr), word_bits)
 
     def improves(self, challenger: np.ndarray, best: np.ndarray) -> np.ndarray:
         """Mask of entries where ``challenger`` strictly beats ``best``.
@@ -180,16 +178,6 @@ class Semiring:
     def zeros(self, shape: tuple[int, ...]) -> np.ndarray:
         """All-``zero_value`` matrix of the given shape."""
         return np.full(shape, self.zero_value, dtype=np.int64)
-
-    def add_with_witness(
-        self,
-        a: np.ndarray,
-        wa: np.ndarray,
-        b: np.ndarray,
-        wb: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Elementwise addition carrying witnesses along with the selection."""
-        raise NotImplementedError(f"{self.name} has no witnesses")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Semiring({self.name})"
@@ -789,16 +777,6 @@ class _SelectionSemiring(Semiring):
 
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self.merge(a, b)
-
-    def add_with_witness(
-        self,
-        a: np.ndarray,
-        wa: np.ndarray,
-        b: np.ndarray,
-        wb: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        take_b = self.better(b, a)
-        return np.where(take_b, b, a), np.where(take_b, wb, wa)
 
 
 class MinPlusSemiring(_SelectionSemiring):

@@ -20,8 +20,14 @@ Aliasing and lifetime rules (see DESIGN.md "kernel generation 2"):
 * A buffer is valid until the same key is requested again -- engines may
   not return arena-backed arrays to callers (results handed out of a
   product must be freshly allocated) and may not hold a buffer across
-  products.  Within one product, distinct roles use distinct keys, so no
-  two live buffers alias.
+  products.
+* Within one product, a role may reuse a buffer (or a view of one) only
+  once the buffer's previous role is dead: no two *live* roles alias.  The
+  §2.1 product runs in two buffers this way -- its send buffer carries
+  step 1's pieces and then the kernel's step-3 pieces, its receive buffer
+  step 1's inbox and then step 3's -- because each gather reads the send
+  buffer and writes the receive buffer, and the kernel reads the receive
+  buffer and writes the send buffer.
 * Arenas are single-session, single-thread objects, exactly like the
   simulator itself; sharing one across concurrently-running products is a
   caller bug.

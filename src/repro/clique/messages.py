@@ -41,6 +41,24 @@ def words_for_value(max_abs: int, word_bits: int) -> int:
     return max(1, math.ceil(int_bits(max_abs) / word_bits))
 
 
+#: The one ``int64`` whose magnitude, ``2**63``, ``int64`` cannot hold:
+#: ``np.abs`` wraps it to itself, so magnitudes here come from a max and a
+#: min instead.
+_INT64_MIN = int(np.iinfo(np.int64).min)
+
+
+def max_abs(arr) -> int:
+    """``max |x|`` over ``arr`` as a Python ``int`` (``0`` when empty).
+
+    Taken from the array's max and min, so ``INT64_MIN`` reads ``2**63``
+    and no ``|x|`` temporary is allocated.
+    """
+    arr = np.asarray(arr)
+    if arr.size == 0:
+        return 0
+    return max(int(arr.max()), -int(arr.min()))
+
+
 #: ``_POW2[k] == 2**k`` for ``k < 63``; used for an exact vectorised
 #: ``int.bit_length`` (float ``log2`` is not trustworthy near ``2**62``).
 _POW2 = 2 ** np.arange(63, dtype=np.int64)
@@ -94,8 +112,16 @@ def block_widths(blocks: np.ndarray, word_bits: int) -> np.ndarray:
     entries = int(np.prod(blocks.shape[1:]))
     if entries == 0:
         return np.zeros(blocks.shape[0], dtype=np.int64)
-    flat = np.abs(blocks.reshape(blocks.shape[0], entries))
-    return entries * words_for_values(flat.max(axis=1), word_bits)
+    flat = blocks.reshape(blocks.shape[0], entries)
+    hi = flat.max(axis=1).astype(np.int64)
+    lo = flat.min(axis=1).astype(np.int64)
+    # max |x| = max(hi, -lo); -INT64_MIN wraps, so those pieces are billed
+    # |x| = 2**63 after the vectorised width.
+    words = words_for_values(
+        np.maximum(hi, -np.maximum(lo, _INT64_MIN + 1)), word_bits
+    )
+    words[lo == _INT64_MIN] = words_for_value(2**63, word_bits)
+    return entries * words
 
 
 def words_for_array(arr: np.ndarray, word_bits: int) -> int:
@@ -106,13 +132,7 @@ def words_for_array(arr: np.ndarray, word_bits: int) -> int:
     format submatrices.
     """
     arr = np.asarray(arr)
-    if arr.size == 0:
-        return 0
-    if arr.dtype == np.bool_:
-        max_abs = 1
-    else:
-        max_abs = int(np.max(np.abs(arr)))
-    return int(arr.size) * words_for_value(max_abs, word_bits)
+    return int(arr.size) * words_for_value(max_abs(arr), word_bits)
 
 
 __all__ = [
@@ -121,6 +141,7 @@ __all__ = [
     "bit_lengths",
     "words_for_value",
     "words_for_values",
+    "max_abs",
     "words_for_array",
     "block_widths",
 ]

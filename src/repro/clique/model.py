@@ -452,6 +452,15 @@ class CongestedClique:
         addressed elsewhere raises ``CliqueModelError`` instead of leaking
         another node's traffic -- the engine plans ship their static owner
         vectors, so every hot-path exchange is checked on every call.
+
+        The gather writes ``out`` directly, without NumPy's output
+        buffering: under its default ``mode="raise"``, ``np.take`` copies
+        through a temporary as large as ``out``, so the gather runs with
+        ``mode="clip"``, which never fires because ``take`` is range-checked
+        above.  An unbuffered gather would read its own writes if ``out``
+        overlapped the pieces it reads, so an ``out`` that may share memory
+        with the sent pieces (on a plain clique, the delivered ones) is
+        refused.  Both refusals come before anything is charged.
         """
         batch = self._flatten_checked(dests, blocks, widths, None)
         # Validate the gather *before* charging: a rejected delivery must
@@ -467,12 +476,17 @@ class CongestedClique:
                 "route_array_take: gather reads pieces addressed to another "
                 "node (take/owners disagree with the batch destinations)"
             )
+        if out is not None and np.may_share_memory(out, batch.blocks):
+            raise CliqueModelError(
+                "route_array_take: out overlaps the delivered pieces (an "
+                "unbuffered gather would read its own writes)"
+            )
         delivered = self._deliver_batch(
             batch,
             self._routed_batch_cost(batch, phase, expect_max_load),
             self._batch_traffic(batch, "route", relayed=True),
         )
-        return np.take(delivered, take, axis=0, out=out)
+        return np.take(delivered, take, axis=0, out=out, mode="clip")
 
     def _flatten_checked(
         self,

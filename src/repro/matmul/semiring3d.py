@@ -32,7 +32,8 @@ Implementation notes:
   delivery (see the equivalence tests), but inboxes are gathered by the
   plan's precomputed index vectors into per-session
   :class:`~repro.clique.arena.ExchangeArena` buffers -- no per-exchange
-  argsort, no concatenated temporaries.
+  argsort, no concatenated temporaries.  A product runs in two buffers,
+  one for sending and one for receiving, each reused by steps 1 and 3.
 * The exchange pattern is input-independent, so every static index array
   (destinations, tags, per-node block bases, inbox composition, delivery
   gathers) is computed once per clique size and memoised in a
@@ -63,7 +64,7 @@ from repro.algebra.semirings import (
     unpack_bool_rows,
 )
 from repro.clique.arena import ExchangeArena
-from repro.clique.messages import block_widths, words_for_value
+from repro.clique.messages import block_widths, max_abs, words_for_value
 from repro.clique.model import CongestedClique
 from repro.errors import CliqueModelError
 from repro.matmul.layout import CubeLayout
@@ -218,20 +219,27 @@ def semiring_matmul(
         arena = ExchangeArena()
     word_bits = clique.word_bits
     q2 = q * q
+    # Two buffers carry the whole product (see repro.clique.arena): the
+    # send buffer holds step 1's pieces, then the kernel's witnessed step-3
+    # pieces; the receive buffer holds step 1's S/T inbox, then step 3's.
+    # Each gather reads the send buffer (or a fault layer's fresh decoded
+    # copy) and writes the receive buffer, and the kernel reads the receive
+    # buffer and writes the send buffer, so no two live roles alias.
+    send = arena.buffer("cube/send", (n, 2 * q2, q2))
+    recv = arena.buffer("cube/recv", (2 * n * q2, q2))
 
     # ---------------- Step 1: distribute the entries. ------------------- #
     # Each node ships 2 q^2 submatrices of q^2 entries: 2 n^{4/3} words at
     # unit width.  All pieces are q^2-entry row slices, so the whole step is
     # one array-native routed exchange on the plan's static destinations.
-    # The send batch is assembled by broadcast-assignment into one arena
+    # The send batch is assembled by broadcast-assignment into the send
     # buffer (no repeat/tile/concatenate temporaries).
     s3 = s.reshape(n, q, q2)  # s3[v, u2] = S[v, u2**]
     t3 = t.reshape(n, q, q2)  # t3[v, w3] = T[v, w3**]
-    pieces = arena.buffer("cube/pieces", (n, 2 * q2, q2))
     # S pieces at row (u2 q + u3) = s3[v, u2]; T pieces at (w1 q + w3) =
     # t3[v, w3] -- the tuple path's emission order.
-    pieces[:, :q2].reshape(n, q, q, q2)[:] = s3[:, :, None, :]
-    pieces[:, q2:].reshape(n, q, q, q2)[:] = t3[:, None, :, :]
+    send[:, :q2].reshape(n, q, q, q2)[:] = s3[:, :, None, :]
+    send[:, q2:].reshape(n, q, q, q2)[:] = t3[:, None, :, :]
 
     # Honest per-piece widths: size * words-for-max-abs, per q^2-slice.
     widths = arena.buffer("cube/widths1", (n, 2 * q2))
@@ -242,20 +250,16 @@ def semiring_matmul(
         t3.reshape(n * q, q2), word_bits
     ).reshape(n, q)[:, None, :]
 
-    max_abs = max(
-        int(np.max(np.abs(s))) if s.size else 0,
-        int(np.max(np.abs(t))) if t.size else 0,
-    )
-    max_entry_words = words_for_value(max_abs, word_bits)
+    max_entry_words = words_for_value(max(max_abs(s), max_abs(t)), word_bits)
     # Planned delivery: one fused gather lands the operand blocks of step 2
     # directly (delivery sort composed with the from_s decode -- no inbox
     # restacking), charged exactly as route_array would charge.
     st_blocks = clique.route_array_take(
         plan.dests1,
-        pieces,
+        send,
         widths=widths,
         take=plan.take_st,
-        out=arena.buffer("cube/st_blocks", (2 * n * q2, q2)),
+        out=recv,
         owners=plan.owners_st,
         phase=f"{phase}/step1-distribute",
         expect_max_load=_LOAD_SLACK * 2 * q2 * q2 * max_entry_words,
@@ -270,9 +274,9 @@ def semiring_matmul(
     s_blocks = st_blocks[: n * q2].reshape(n, q2, q2)
     t_blocks = st_blocks[n * q2 :].reshape(n, q2, q2)
     # The n block products run as one batched executor call; a witnessed
-    # product lands straight in the step-3 send buffer.
+    # product lands straight in the send buffer, step 1's pieces being dead.
     if with_witnesses:
-        blocks3 = arena.buffer("cube/blocks3w", (n, q2, 2, q2))
+        blocks3 = send.reshape(n, q2, 2, q2)
         products, wit_blocks = clique.executor.semiring_products(
             semiring,
             s_blocks,
@@ -291,20 +295,21 @@ def semiring_matmul(
     # Node v holds P^{(v2)}[v1**, v3**]; it sends row u's slice to node u
     # for each u in v1**.  n^{4/3} words each way (x2 with witnesses): each
     # product row ships with its witness row as one (2, q^2) piece, the
-    # witness half charged at witness_words/entry.
+    # witness half charged at witness_words/entry.  The step-3 inbox
+    # overwrites step 1's in the receive buffer, whose blocks are dead.
     witness_words = words_for_value(n, word_bits)
     widths3 = block_widths(products.reshape(-1, q2), word_bits).reshape(n, q2)
     if with_witnesses:
         widths3 += q2 * witness_words
-        recomb_key, recomb_shape = "cube/recombw", (n * q2, 2, q2)
+        inbox3 = recv.reshape(n * q2, 2, q2)
     else:
-        recomb_key, recomb_shape = "cube/recomb", (n * q2, q2)
+        inbox3 = recv[: n * q2]
     flat_recombined = clique.route_array_take(
         plan.dests3,
         blocks3,
         widths=widths3,
         take=plan.take3,
-        out=arena.buffer(recomb_key, recomb_shape),
+        out=inbox3,
         owners=plan.owners3,
         phase=f"{phase}/step3-recombine",
         expect_max_load=_LOAD_SLACK
@@ -316,28 +321,30 @@ def semiring_matmul(
     # ---------------- Step 4: assemble the result rows. ----------------- #
     # Node v receives exactly one piece from each sender u in v1**; sender
     # u = (u1, u2, u3) contributed the slot (w2 = u2, cols u3**), so the
-    # ascending-source inbox *is* the (w2, u3) grid -- a reshape, no
-    # scatter.  The q-way semiring reduction runs batched over all nodes,
-    # in the same w2 order as the per-node loop (bit-identical values and
-    # witness tie-breaks).
-    recombined = flat_recombined.reshape((n, q2) + flat_recombined.shape[1:])
+    # ascending-source inbox *is* the (w2, u3) grid -- a view, no scatter.
     if with_witnesses:
-        rows = recombined[:, :, 0].reshape(n, q, n)
-        row_wits = recombined[:, :, 1].reshape(n, q, n)
+        # (node, w2, u3, value or witness, column): the q partial products
+        # of each entry lie along w2, read in place from the receive buffer.
+        grid = flat_recombined.reshape(n, q, q, 2, q2)
+        values, wits = grid[:, :, :, 0], grid[:, :, :, 1]
         # A witness is a node id; one a fault layer corrupted must not
         # reach the routing-table update as an index.
-        if int(row_wits.min()) < 0 or int(row_wits.max()) >= n:
+        if int(wits.min()) < 0 or int(wits.max()) >= n:
             raise CliqueModelError(
                 f"phase {phase}/step3-recombine delivered a witness outside "
                 f"[0, {n})"
             )
-        acc, acc_w = rows[:, 0], row_wits[:, 0]
-        for w2 in range(1, q):
-            acc, acc_w = semiring.add_with_witness(
-                acc, acc_w, rows[:, w2], row_wits[:, w2]
-            )
-        return acc, acc_w
-    rows = recombined.reshape(n, q, n)
+        # One reduction selects each entry's value; its witness comes from
+        # the lowest w2 attaining it (written last, from w2 = q-1 down), the
+        # tie-break of a strict-improvement left fold over w2.
+        best = semiring.merge.reduce(values, axis=1)
+        best_w = np.empty_like(best)
+        attains = np.empty(best.shape, dtype=bool)
+        for w2 in range(q - 1, -1, -1):
+            np.equal(values[:, w2], best, out=attains)
+            np.copyto(best_w, wits[:, w2], where=attains)
+        return best.reshape(n, n), best_w.reshape(n, n)
+    rows = flat_recombined.reshape(n, q, n)
     acc = rows[:, 0]
     for w2 in range(1, q):
         acc = semiring.add(acc, rows[:, w2])
@@ -466,6 +473,8 @@ def boolean_matmul_packed(
     products = clique.executor.boolean_packed_products(s_blocks, t_blocks, q2)
 
     # Step 3: product rows are q^2-bit pieces again; same constant charge.
+    # The step-3 inbox reuses the step-1 inbox, whose blocks the kernel has
+    # consumed (the two-buffer rule of semiring_matmul).
     widths3 = arena.buffer("cube/widths3_packed", (n, q2))
     widths3[:] = q2
     flat_recombined = clique.route_array_take(
@@ -473,7 +482,7 @@ def boolean_matmul_packed(
         products,
         widths=widths3,
         take=plan.take3,
-        out=arena.buffer("cube/recomb_packed", (n * q2, pw)),
+        out=st_blocks[: n * q2],
         owners=plan.owners3,
         phase=f"{phase}/step3-recombine",
         expect_max_load=_LOAD_SLACK * q2 * q2,

@@ -72,8 +72,38 @@ def detect_colourful_cycle(
     a = (np.asarray(adjacency) > 0).astype(np.int64)
     # Nodes announce their colours once so every node can build the masks.
     clique.broadcast_rows(colours, widths=[1] * n, phase=f"{phase}/colours")
-    colour_mask = [colours == i for i in range(k)]
+    full = colourful_path_matrix(session, a, colours, k, phase=phase)
+    # Node u checks C([k])[u, v] = 1 with (v, u) an edge.  Row u of C is
+    # local; A[v, u] equals A[u, v] for undirected graphs, and for directed
+    # graphs the nodes exchange the adjacency transpose in one round.
+    if _needs_transpose(a):
+        closing = clique.transpose_array(
+            a, words_per_entry=1, phase=f"{phase}/transpose"
+        )
+    else:
+        closing = a
+    local_hits = [bool(np.any(full[u] & closing[u])) for u in range(n)]
+    return or_broadcast(clique, local_hits, phase=f"{phase}/verdict")
 
+
+def colourful_path_matrix(
+    session: EngineSession,
+    a: np.ndarray,
+    colours: np.ndarray,
+    k: int,
+    *,
+    phase: str,
+) -> np.ndarray:
+    """``C([k])`` (paper eq. (3)) by the memoised half-split recursion.
+
+    ``a`` is the 0/1 ``int64`` adjacency and ``colours`` the broadcast
+    colouring; every distributed product runs on ``session`` under
+    ``{phase}/prod``.  Entry ``(u, v)`` is set iff a path ``u ~> v`` uses
+    each colour of ``[k]`` exactly once -- the k-cycle detector closes it
+    with an edge, the k-path detector reads it as it is.
+    """
+    n = a.shape[0]
+    colour_mask = [colours == i for i in range(k)]
     memo: dict[frozenset[int], np.ndarray] = {}
 
     def cmat(x: frozenset[int]) -> np.ndarray:
@@ -118,18 +148,7 @@ def detect_colourful_cycle(
         memo[x] = mat
         return mat
 
-    full = cmat(frozenset(range(k)))
-    # Node u checks C([k])[u, v] = 1 with (v, u) an edge.  Row u of C is
-    # local; A[v, u] equals A[u, v] for undirected graphs, and for directed
-    # graphs the nodes exchange the adjacency transpose in one round.
-    if _needs_transpose(a):
-        closing = clique.transpose_array(
-            a, words_per_entry=1, phase=f"{phase}/transpose"
-        )
-    else:
-        closing = a
-    local_hits = [bool(np.any(full[u] & closing[u])) for u in range(n)]
-    return or_broadcast(clique, local_hits, phase=f"{phase}/verdict")
+    return cmat(frozenset(range(k)))
 
 
 def _needs_transpose(a: np.ndarray) -> bool:
@@ -187,4 +206,9 @@ def detect_k_cycle(
     )
 
 
-__all__ = ["detect_k_cycle", "detect_colourful_cycle", "default_trials"]
+__all__ = [
+    "detect_k_cycle",
+    "detect_colourful_cycle",
+    "colourful_path_matrix",
+    "default_trials",
+]

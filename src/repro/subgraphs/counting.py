@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.clique.messages import words_for_value
+from repro.clique.messages import max_abs, words_for_value
 from repro.clique.model import CongestedClique
 from repro.engine import EngineSession
 from repro.graphs.graphs import Graph
@@ -43,8 +43,7 @@ def _transpose_matrix(
     clique: CongestedClique, matrix: np.ndarray, phase: str
 ) -> np.ndarray:
     """Distribute column ``v`` to node ``v`` via the transpose primitive."""
-    max_abs = int(np.max(np.abs(matrix))) if matrix.size else 0
-    width = words_for_value(max_abs, clique.word_bits)
+    width = words_for_value(max_abs(matrix), clique.word_bits)
     return clique.transpose_array(matrix, words_per_entry=width, phase=phase)
 
 

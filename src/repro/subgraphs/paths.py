@@ -18,7 +18,9 @@ import math
 
 import numpy as np
 
+from repro.algebra.semirings import BOOLEAN
 from repro.clique.model import CongestedClique
+from repro.engine import EngineSession
 from repro.graphs.graphs import Graph
 from repro.runtime import (
     RunResult,
@@ -27,10 +29,7 @@ from repro.runtime import (
     pad_matrix,
     resolve_rng,
 )
-from repro.subgraphs.colour_coding import default_trials
-
-# Reuse the Lemma 11 recursion internals for the C(X) matrices.
-from repro.subgraphs import colour_coding as _cc
+from repro.subgraphs.colour_coding import colourful_path_matrix, default_trials
 
 
 def detect_colourful_path(
@@ -54,72 +53,11 @@ def detect_colourful_path(
     a = (np.asarray(adjacency) > 0).astype(np.int64)
     clique.broadcast_rows(colours, widths=[1] * n, phase=f"{phase}/colours")
 
-    # Build C([k]) through the same memoised half-split recursion the cycle
-    # detector uses; it depends only on the colour masks and the adjacency.
-    full = _build_c_full(clique, a, colours, k, method, phase)
+    # C([k]) through the cycle detector's memoised half-split recursion.
+    session = EngineSession(clique, method, BOOLEAN)
+    full = colourful_path_matrix(session, a, colours, k, phase=phase)
     local_hits = [bool(full[u].any()) for u in range(n)]
     return or_broadcast(clique, local_hits, phase=f"{phase}/verdict")
-
-
-def _build_c_full(
-    clique: CongestedClique,
-    a: np.ndarray,
-    colours: np.ndarray,
-    k: int,
-    method: str,
-    phase: str,
-) -> np.ndarray:
-    """Compute ``C([k])`` (paper eq. (3)) -- shared with the cycle detector."""
-    from itertools import combinations
-
-    from repro.algebra.semirings import BOOLEAN
-    from repro.engine import EngineSession
-
-    session = EngineSession(clique, method, BOOLEAN)
-    n = clique.n
-    colour_mask = [colours == i for i in range(k)]
-    memo: dict[frozenset[int], np.ndarray] = {}
-
-    def cmat(x: frozenset[int]) -> np.ndarray:
-        if x in memo:
-            return memo[x]
-        size = len(x)
-        if size == 1:
-            (i,) = x
-            mat = np.zeros((n, n), dtype=np.int64)
-            idx = np.nonzero(colour_mask[i])[0]
-            mat[idx, idx] = 1
-        elif size == 2:
-            i, j = sorted(x)
-            mat = np.zeros((n, n), dtype=np.int64)
-            for left, right in ((i, j), (j, i)):
-                mat |= a * colour_mask[left][:, None] * colour_mask[right][None, :]
-        else:
-            half = math.ceil(size / 2)
-            acc = np.zeros((n, n), dtype=np.int64)
-            for y_tuple in combinations(sorted(x), half):
-                y = frozenset(y_tuple)
-                z = x - y
-                left, right = cmat(y), cmat(z)
-                if len(z) == 1:
-                    (zc,) = z
-                    term = session.multiply(
-                        left, a * colour_mask[zc][None, :], phase=f"{phase}/prod"
-                    )
-                elif len(y) == 1:
-                    (yc,) = y
-                    term = session.multiply(
-                        a * colour_mask[yc][:, None], right, phase=f"{phase}/prod"
-                    )
-                else:
-                    t1 = session.multiply(left, a, phase=f"{phase}/prod")
-                    term = session.multiply(t1, right, phase=f"{phase}/prod")
-                acc |= term
-            mat = acc
-        memo[x] = mat
-        return mat
-
-    return cmat(frozenset(range(k)))
 
 
 def detect_k_path(

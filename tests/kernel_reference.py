@@ -19,6 +19,11 @@ Two helpers reach a particular branch of a ``src/`` kernel, so one shape
 can be checked on both sides of a dispatch: :func:`boolean_gemm` forces the
 Boolean GEMM tile, and :func:`column_walk` calls the selection semirings'
 exact fallback walk directly.
+
+:func:`add_with_witness` and :func:`fold_with_witness` are the §2.1
+engine's old step-4 recombination, a strict-improvement left fold over the
+``q`` partial products, kept as the oracle for the one-reduction step 4
+of :func:`repro.matmul.semiring3d.semiring_matmul`.
 """
 
 from __future__ import annotations
@@ -139,3 +144,27 @@ def column_walk(
     _SelectionSemiring._walk(semiring, x, y, values, witness)
     return values, witness
 
+
+
+def add_with_witness(
+    semiring: _SelectionSemiring, a, wa, b, wb
+) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise selection carrying witnesses: ``b`` wins only strictly."""
+    take_b = semiring.better(b, a)
+    return np.where(take_b, b, a), np.where(take_b, wb, wa)
+
+
+def fold_with_witness(
+    semiring: _SelectionSemiring, values, witnesses
+) -> tuple[np.ndarray, np.ndarray]:
+    """Left-fold ``add_with_witness`` over axis 1 of ``(B, q, ...)`` stacks.
+
+    The lowest index along axis 1 attaining each selected value supplies
+    its witness.
+    """
+    acc, acc_w = values[:, 0], witnesses[:, 0]
+    for i in range(1, values.shape[1]):
+        acc, acc_w = add_with_witness(
+            semiring, acc, acc_w, values[:, i], witnesses[:, i]
+        )
+    return acc, acc_w

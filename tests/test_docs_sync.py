@@ -145,6 +145,49 @@ class TestOraclesHaveCallers:
         assert sorted(defined - called) == []
 
 
+class TestImportsAreUsed:
+    def test_every_src_import_is_used(self):
+        """Every name a ``src/`` module imports is read as a name, listed
+        in its ``__all__`` (a re-export) or named in a string annotation."""
+        unused = []
+        for path in sorted((ROOT / "src").rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            imported = {}
+            used = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    for alias in node.names:
+                        name = alias.asname or alias.name.split(".")[0]
+                        imported[name] = node.lineno
+                elif isinstance(node, ast.ImportFrom):
+                    if node.module != "__future__":
+                        for alias in node.names:
+                            imported[alias.asname or alias.name] = node.lineno
+                elif isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets
+                ):
+                    used |= set(ast.literal_eval(node.value))
+                annotations = [getattr(node, "returns", None)]
+                annotations.append(getattr(node, "annotation", None))
+                for annotation in filter(None, annotations):
+                    used |= {
+                        word
+                        for sub in ast.walk(annotation)
+                        if isinstance(sub, ast.Constant)
+                        and isinstance(sub.value, str)
+                        for word in re.findall(r"\w+", sub.value)
+                    }
+            unused += [
+                f"{path.relative_to(ROOT)}:{line}: {name}"
+                for name, line in sorted(imported.items())
+                if name not in used
+            ]
+        assert unused == []
+
+
 class TestExamplesListed:
     def test_every_example_file_is_mentioned_in_readme(self):
         text = _read("README.md")

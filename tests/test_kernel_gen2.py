@@ -28,6 +28,7 @@ from kernel_reference import (
     column_walk,
     cube_matmul,
     cube_matmul_with_witness,
+    fold_with_witness,
 )
 
 from repro.algebra.semirings import BOOLEAN, MAX_MIN, MIN_PLUS
@@ -368,6 +369,55 @@ class TestRouteArrayTake:
             )
 
 
+    def test_out_overlapping_the_pieces_is_refused(self, rng):
+        """The gather is unbuffered, so an ``out`` that shares memory with
+        the pieces it reads is refused before anything is charged."""
+        n = 4
+        dests = np.tile(np.arange(n, dtype=np.int64), (n, 1))
+        blocks = rng.integers(0, 5, (n, n, 2), dtype=np.int64)
+        widths = np.full((n, n), 2, dtype=np.int64)
+        take = np.argsort(dests.reshape(-1), kind="stable")
+        clique = CongestedClique(n)
+        with pytest.raises(CliqueModelError, match="out overlaps the delivered"):
+            clique.route_array_take(
+                dests, blocks, widths=widths, take=take,
+                out=blocks.reshape(n * n, 2)[::-1],
+            )
+        assert clique.rounds == 0
+
+    def test_planned_gather_writes_out_without_a_temporary(self):
+        """One n = 64 step-1 gather into an arena ``out`` allocates less
+        than ``out`` itself: NumPy's ``mode="raise"`` output buffering
+        would add a temporary of ``out.nbytes``."""
+        import tracemalloc
+
+        n = 64
+        plan = cube_plan(n)
+        q2 = plan.q * plan.q
+        pieces = np.random.default_rng(0).integers(
+            0, 50, (n, 2 * q2, q2), dtype=np.int64
+        )
+        widths = np.full((n, 2 * q2), q2, dtype=np.int64)
+        out = ExchangeArena().buffer("recv", (2 * n * q2, q2))
+        clique = CongestedClique(n)
+
+        def gather():
+            return clique.route_array_take(
+                plan.dests1, pieces, widths=widths, take=plan.take_st,
+                out=out, owners=plan.owners_st,
+            )
+
+        gather()  # warm the memoised schedules
+        tracemalloc.start()
+        try:
+            gather()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes, (peak, out.nbytes)
+        assert np.array_equal(out, pieces.reshape(-1, q2)[plan.take_st])
+
+
 class TestArenaBackedEngine:
     def test_cube_plan_takes_are_permutations(self):
         plan = cube_plan(27)
@@ -417,6 +467,111 @@ class TestArenaBackedEngine:
         snapshot = first.copy()
         semiring_matmul(clique, b, b, MIN_PLUS, arena=arena)
         assert np.array_equal(first, snapshot)
+
+    @pytest.mark.parametrize("n", [27, 64, 512])
+    def test_witnessed_product_holds_two_buffers(self, n):
+        """A witnessed squaring keeps one send and one receive buffer of
+        ``n * 2q^2 * q^2`` words each, plus the step-1 widths."""
+        from repro.engine import open_session
+
+        q2 = round(n ** (1 / 3)) ** 2
+        rng = np.random.default_rng(n)
+        d = rng.integers(0, 50, (n, n), dtype=np.int64)
+        d[rng.random((n, n)) < 0.5] = INF
+        with open_session(n, "semiring", MIN_PLUS) as session:
+            session.square(d, with_witnesses=True)
+            assert session.arena.nbytes() == 2 * n * 2 * q2 * q2 * 8 + n * 2 * q2 * 8
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=10**6),
+        st.sampled_from([8, 27, 64]),
+        st.sampled_from(["min-plus", "max-min"]),
+    )
+    def test_step4_matches_the_left_fold(self, seed, n, name):
+        """Step 4's one reduction returns the values and witnesses of the
+        strict-improvement left fold over the q partial products, on
+        tie-heavy operands (entries 0..3, a few infinities)."""
+        semiring = MIN_PLUS if name == "min-plus" else MAX_MIN
+        rng = np.random.default_rng(seed)
+        s = rng.integers(0, 4, (n, n), dtype=np.int64)
+        t = rng.integers(0, 4, (n, n), dtype=np.int64)
+        s[rng.random((n, n)) < 0.1] = INF
+        t[rng.random((n, n)) < 0.1] = INF if semiring is MIN_PLUS else -INF
+        q2 = cube_plan(n).q ** 2
+        # Partial product w2 ranges over the inner indices of block w2.
+        parts = [
+            cube_matmul_with_witness(
+                semiring, s[:, w2 : w2 + q2], t[w2 : w2 + q2]
+            )
+            for w2 in range(0, n, q2)
+        ]
+        want, want_w = fold_with_witness(
+            semiring,
+            np.stack([v for v, _ in parts], axis=1),
+            np.stack([w + i * q2 for i, (_, w) in enumerate(parts)], axis=1),
+        )
+        got, got_w = semiring_matmul(
+            CongestedClique(n), s, t, semiring, with_witnesses=True,
+            arena=ExchangeArena(),
+        )
+        assert np.array_equal(got, want)
+        assert np.array_equal(got_w, want_w)
+
+    @pytest.mark.parametrize("name", ["min-plus", "max-min"])
+    @pytest.mark.parametrize(
+        "protection", ["unprotected-flip", "unprotected-drop", "coded-1", "coded-2"]
+    )
+    def test_session_arena_matches_fresh_arenas_under_faults(
+        self, protection, name
+    ):
+        """Witnessed products on faulty cliques return the same values,
+        meters and errors through a session arena as with ``arena=None``."""
+        from repro.engine import make_clique, open_session
+        from repro.errors import ReproError
+        from repro.faults import FaultPlan
+
+        semiring = MIN_PLUS if name == "min-plus" else MAX_MIN
+        n = 27
+        kind, _, t = protection.partition("-")
+
+        def clique():
+            if kind == "coded":
+                return make_clique(
+                    n, "semiring",
+                    fault_plan=FaultPlan(t=int(t), seed=3, kind="byzantine"),
+                    fault_tolerance=int(t),
+                )
+            return make_clique(
+                n, "semiring", fault_plan=FaultPlan(t=1, seed=3, kind=t)
+            )
+
+        rng = np.random.default_rng(7)
+        d = rng.integers(0, 4, (n, n), dtype=np.int64)
+        d[rng.random((n, n)) < 0.3] = semiring.zero_value
+        session = open_session(n, "semiring", semiring, clique=clique())
+        fresh = clique()
+        outcomes = []
+        for run in (
+            lambda x, i: session.square(x, with_witnesses=True, phase=f"sq{i}"),
+            lambda x, i: semiring_matmul(
+                fresh, x, x, semiring, with_witnesses=True, phase=f"sq{i}",
+                arena=None,
+            ),
+        ):
+            cur, results = d, []
+            try:
+                for i in range(2):
+                    cur, wit = run(cur, i)
+                    results.append((cur.tolist(), wit.tolist()))
+            except ReproError as exc:
+                results.append((type(exc).__name__, str(exc)))
+            outcomes.append(results)
+        assert outcomes[0] == outcomes[1]
+        assert session.clique.meter.phases == fresh.meter.phases
+        if kind == "coded":
+            assert session.clique.abstract_meter.phases == fresh.abstract_meter.phases
+        assert session.clique.faults_injected == fresh.faults_injected > 0
 
     def test_bilinear_arena_reuse_is_invisible(self):
         rng = np.random.default_rng(5)

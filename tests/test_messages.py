@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.clique import CongestedClique
 from repro.clique.messages import (
+    block_widths,
     default_word_bits,
     int_bits,
     words_for_array,
@@ -189,3 +190,58 @@ class TestBlockWidths:
 
         widths = block_widths(np.zeros((3, 0), dtype=np.int64), 16)
         assert np.array_equal(widths, np.zeros(3, dtype=np.int64))
+
+
+INT64_MIN = int(np.iinfo(np.int64).min)
+INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+class TestInt64Extremes:
+    """``|INT64_MIN| = 2**63`` is billed as such, although ``np.abs``
+    wraps it to itself (a max-abs taken through it bills one word)."""
+
+    def test_block_widths_bill_int64_min_as_two_to_the_63(self):
+        widths = block_widths(np.array([[INT64_MIN, 5]]), 16)
+        assert widths.tolist() == [2 * words_for_value(2**63, 16)] == [10]
+        assert block_widths(np.array([[INT64_MIN + 1, 5]]), 16).tolist() == [8]
+
+    def test_words_for_array_accepts_int64_min(self):
+        assert words_for_array(np.array([INT64_MIN]), 16) == 5
+        assert words_for_array(np.array([INT64_MIN, INT64_MAX]), 18) == 8
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.one_of(
+                    st.sampled_from([INT64_MIN, INT64_MIN + 1, INT64_MAX, 0, -1]),
+                    st.integers(INT64_MIN, INT64_MAX),
+                ),
+                min_size=3,
+                max_size=3,
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        st.sampled_from([16, 18, 24, 64]),
+    )
+    def test_block_widths_agree_with_words_for_array(self, rows, word_bits):
+        pieces = np.array(rows, dtype=np.int64)
+        want = [words_for_array(piece, word_bits) for piece in pieces]
+        assert block_widths(pieces, word_bits).tolist() == want
+
+    def test_session_bill_is_monotone_in_the_extreme_entry(self):
+        """A max-min product bills an ``INT64_MIN`` entry at least what it
+        bills ``INT64_MIN + 1``, one bit narrower."""
+        from repro.algebra.semirings import MAX_MIN
+        from repro.engine import open_session
+
+        bills = []
+        for extreme in (INT64_MIN + 1, INT64_MIN):
+            x = np.arange(64, dtype=np.int64).reshape(8, 8)
+            x[3, 5] = extreme
+            session = open_session(8, "semiring", MAX_MIN)
+            session.multiply(x, x)
+            meter = session.clique.meter
+            bills.append((meter.rounds, meter.words))
+        assert bills[0][0] <= bills[1][0] and bills[0][1] < bills[1][1]

@@ -118,3 +118,16 @@ class TestKPathDetection:
         assert result.value or used == 2
         one = detect_k_path(g, 4, trials=1, rng=np.random.default_rng(1))
         assert result.rounds == used * one.rounds > 0
+
+    @pytest.mark.parametrize(
+        "n,cycle,seed,used,rounds,words",
+        [(16, 6, 16, 2, 724, 48480), (49, 6, 49, 1, 410, 440160)],
+    )
+    def test_verdict_and_bill_pinned(self, n, cycle, seed, used, rounds, words):
+        """Pinned verdict, trials and bill of the path detector, which
+        builds C([k]) with the cycle detector's recursion."""
+        g = planted_cycle_graph(n, cycle, seed=seed, extra_edge_prob=0.4)
+        result = detect_k_path(g, 4, trials=2, rng=np.random.default_rng(0))
+        assert result.value
+        assert result.extras["trials_used"] == used
+        assert (result.rounds, result.meter.words) == (rounds, words)
