@@ -19,8 +19,8 @@ other observer can change the round bill.  Further observers ride along
 without touching the primitives: the :mod:`repro.netsim` transport meter,
 and the test suite's schedule certifier, which checks every charged bill
 against an explicit schedule.  Both declare ``needs_traffic`` and receive a
-structured :class:`PhaseTraffic` record -- the actual per-piece routing
-metadata of the charged exchange -- next to every cost.
+:class:`PhaseTraffic` record -- the charged exchange's ``(n, n)`` pair-word
+matrix, the one its bill was computed from -- next to every cost.
 """
 
 from __future__ import annotations
@@ -84,35 +84,31 @@ class PhaseCost:
 
 @dataclass(frozen=True)
 class PhaseTraffic:
-    """Structured routing metadata for one charged phase.
+    """The traffic of one charged phase: the words each node pair carries.
 
-    What the transport cost model (:mod:`repro.netsim`) needs that the
-    flattened :class:`PhaseCost` aggregates no longer carry: the actual
-    per-piece source/destination/width vectors of the exchange, and whether
-    it shipped through the Lenzen relay construction.
+    What the transport cost model (:mod:`repro.netsim`) and the test
+    suite's schedule certifier need that the flattened :class:`PhaseCost`
+    aggregates no longer carry.  It is the same matrix the phase was billed
+    from: the bill, the price and the certificate read the same words.
 
     Attributes:
-        n: clique size the exchange ran on.
         kind: ``"route"`` / ``"send"`` / ``"broadcast"`` -- the logical
-            shape of the exchange.
-        src: ``(P,)`` int64 per-piece source node ids.  For broadcasts this
-            is ``arange(n)`` (one entry per broadcasting node).
-        dst: ``(P,)`` int64 per-piece destination ids, or ``None`` for
-            broadcasts (every node addresses all others).
-        widths: ``(P,)`` int64 words per piece (per broadcasting node for
-            broadcasts).  A Reed-Solomon coded piece carries the words of
-            all its ``m`` stripes, which share its source and destination
-            (:class:`~repro.faults.protocol.CodedClique`).
-        relayed: whether the exchange ships through the two-hop Lenzen
-            relay construction (``route``) rather than direct links.
+            shape of the exchange; a ``route`` ships through the two-hop
+            Lenzen relay construction, the others over direct links.
+        pairs: ``(n, n)`` int64 matrix; ``pairs[u, v]`` is the words ``u``
+            ships ``v``.  The diagonal is zero (self-addressed pieces never
+            leave their node).  A Reed-Solomon coded piece adds the words
+            of all its ``m`` stripes, which share its source and
+            destination (:class:`~repro.faults.protocol.CodedClique`).
     """
 
-    n: int
     kind: str
-    src: "np.ndarray"
-    dst: "np.ndarray | None"
-    widths: "np.ndarray"
-    relayed: bool = False
+    pairs: "np.ndarray"
+
+    @property
+    def n(self) -> int:
+        """Clique size the exchange ran on."""
+        return int(self.pairs.shape[0])
 
 
 @runtime_checkable
@@ -129,7 +125,7 @@ class CostMeter:
 
     phases: list[PhaseCost] = field(default_factory=list)
 
-    #: Cost meters never consume routing metadata; the stack skips building
+    #: Cost meters never consume traffic; the stack skips building
     #: :class:`PhaseTraffic` records unless some observer sets this.
     needs_traffic = False
 
@@ -277,7 +273,7 @@ class MeterStack:
 
     @property
     def wants_traffic(self) -> bool:
-        """Whether any observer consumes routing metadata.
+        """Whether any observer consumes pair-word traffic.
 
         The simulator only builds :class:`PhaseTraffic` records when this
         is set, so the plain round-metering path builds none.

@@ -28,8 +28,11 @@ Lenzen-routed exchanges [46]; those are:
   primitive of Dolev et al. [24]: replicate ``R`` fixed-width records to
   all nodes in ``O(R / n)`` rounds.
 
-Every exchange moves whole ``int64`` arrays with vectorised load
-accounting, and is charged and delivered through one of two seams:
+Every exchange moves whole ``int64`` arrays and is billed from one
+``(n, n)`` matrix of the words each ordered node pair carries
+(:func:`~repro.clique.routing.pair_words`); the same matrix is the traffic
+record transport observers price.  It is charged and delivered through
+one of two seams:
 ``_deliver_batch`` (routed and direct exchanges, transposes included) or
 ``_deliver_broadcast`` (row broadcasts and both broadcast phases of an
 allgather).  Here each seam charges the bill and returns the pieces as
@@ -68,10 +71,8 @@ from repro.clique.routing import (
     ArrayBatch,
     ArrayInbox,
     FlatInboxes,
-    analyze_array,
     deliver_array,
     deliver_array_flat,
-    enforce_load_bound,
     flatten_array_batch,
     pair_words,
 )
@@ -239,9 +240,10 @@ class CongestedClique:
     ) -> np.ndarray:
         """Charge one routed or direct batch; return the blocks delivered.
 
-        ``cost`` is the batch's fault-free bill and ``traffic`` its routing
-        record (``None`` unless an observer wants one).  Row ``i`` of the
-        result is what node ``batch.dst[i]`` receives for piece ``i``.
+        ``cost`` is the batch's fault-free bill and ``traffic`` its
+        pair-word record (``None`` unless an observer wants one).  Row
+        ``i`` of the result is what node ``batch.dst[i]`` receives for
+        piece ``i``.
         """
         self.meters.charge(cost, traffic)
         return batch.blocks
@@ -286,49 +288,78 @@ class CongestedClique:
         )
 
     # ------------------------------------------------------------------ #
-    # Routing metadata for transport observers
+    # Pair-word matrices: the bill and the traffic record
     # ------------------------------------------------------------------ #
     #
-    # When (and only when) a traffic-consuming observer is registered on
-    # the meter stack, every charge also carries a PhaseTraffic record with
-    # the exchange's actual per-piece src/dst/width vectors -- the routing
-    # structure the flattened PhaseCost aggregates throw away.  The
-    # builders below are pure reads of already-materialised arrays, so the
-    # abstract charge path is untouched.
+    # A routed or direct batch is billed from its (n, n) pair-word matrix,
+    # and when (and only when) a traffic-consuming observer is registered
+    # on the meter stack the same matrix rides along as the charge's
+    # PhaseTraffic record.  A broadcast's matrix serves only observers, so
+    # it is built only for them.
+
+    def _batch_charge(
+        self, batch: ArrayBatch, kind: str, phase: str, bound: int | None
+    ) -> tuple[PhaseCost, PhaseTraffic | None]:
+        """The :class:`PhaseCost` and traffic of one batch (not charged).
+
+        A ``route`` bills Lenzen's ``2 * ceil(L / n)`` for the largest row
+        or column sum ``L`` of the batch's pair-word matrix, a ``send`` the
+        largest entry.  ``bound`` is the calling algorithm's asserted
+        ceiling on that quantity (per-node load for a route, per-pair
+        words for a send); exceeding it raises
+        :class:`~repro.errors.LoadBoundExceededError`, an implementation
+        bug rather than a model violation.
+        """
+        pairs = pair_words(batch)
+        send = pairs.sum(axis=1)
+        max_send = int(send.max())
+        max_recv = int(pairs.sum(axis=0).max())
+        if kind == "route":
+            load = max(max_send, max_recv)
+            if bound is not None and load > bound:
+                raise LoadBoundExceededError(
+                    f"max per-node load {load} exceeds the asserted bound {bound}"
+                )
+            rounds = relay_rounds(load, self.n)
+        else:
+            rounds = direct_rounds(pairs)
+            if bound is not None and rounds > bound:
+                raise LoadBoundExceededError(
+                    f"per-pair traffic of {rounds} words exceeds the asserted "
+                    f"bound {bound}"
+                )
+        cost = PhaseCost(
+            phase=phase,
+            primitive=kind,
+            rounds=rounds,
+            words=int(send.sum()),
+            payloads=batch.payloads,
+            max_send_words=max_send,
+            max_recv_words=max_recv,
+        )
+        if not self.meters.wants_traffic:
+            return cost, None
+        return cost, PhaseTraffic(kind, pairs)
 
     def _broadcast_traffic(self, widths: Sequence[int]) -> PhaseTraffic | None:
+        """Node ``u`` ships ``widths[u]`` words to every other node."""
         if not self.meters.wants_traffic:
             return None
-        return PhaseTraffic(
-            n=self.n,
-            kind="broadcast",
-            src=np.arange(self.n, dtype=np.int64),
-            dst=None,
-            widths=np.asarray(widths, dtype=np.int64),
+        pairs = np.repeat(
+            np.asarray(widths, dtype=np.int64)[:, None], self.n, axis=1
         )
-
-    def _batch_traffic(
-        self, batch, kind: str, *, relayed: bool
-    ) -> PhaseTraffic | None:
-        if not self.meters.wants_traffic:
-            return None
-        return PhaseTraffic(
-            n=self.n,
-            kind=kind,
-            src=batch.src,
-            dst=batch.dst,
-            widths=batch.widths,
-            relayed=relayed,
-        )
+        np.fill_diagonal(pairs, 0)
+        return PhaseTraffic("broadcast", pairs)
 
     # ------------------------------------------------------------------ #
     # Array collectives
     # ------------------------------------------------------------------ #
     #
     # These primitives move whole int64 row-blocks as single NumPy arrays
-    # with vectorised load accounting.  The test suite keeps a per-payload
-    # reference of each (tests/tuple_reference.py) and pins that both
-    # charge bit-identical costs for the same logical exchange.
+    # and bill each exchange from its pair-word matrix.  The test suite
+    # keeps a per-payload reference of each (tests/tuple_reference.py) and
+    # pins that both charge bit-identical costs for the same logical
+    # exchange.
 
     def broadcast_rows(
         self,
@@ -380,10 +411,10 @@ class CongestedClique:
 
         Node ``v`` ships the equally-shaped pieces ``blocks[v][i]`` to nodes
         ``dests[v][i]``.  Rounds charged: ``2 * ceil(L / n)`` where ``L`` is
-        the maximum per-node send or receive load in words.  Load
-        accounting (``np.bincount``-style scatter-adds over destination
-        ids) and delivery (one stable sort) are vectorised over the whole
-        exchange.
+        the maximum per-node send or receive load in words: the largest row
+        or column sum of the exchange's pair-word matrix.  The matrix (one
+        scatter-add over the pieces) and delivery (one stable sort) are
+        vectorised over the whole exchange.
 
         Args:
             dests: per node, a ``(p_v,)`` vector of destination ids.
@@ -410,9 +441,7 @@ class CongestedClique:
         """
         batch = self._flatten_checked(dests, blocks, widths, tags)
         delivered = self._deliver_batch(
-            batch,
-            self._routed_batch_cost(batch, phase, expect_max_load),
-            self._batch_traffic(batch, "route", relayed=True),
+            batch, *self._batch_charge(batch, "route", phase, expect_max_load)
         )
         batch = replace(batch, blocks=delivered)
         return deliver_array_flat(batch) if flat else deliver_array(batch)
@@ -482,9 +511,7 @@ class CongestedClique:
                 "unbuffered gather would read its own writes)"
             )
         delivered = self._deliver_batch(
-            batch,
-            self._routed_batch_cost(batch, phase, expect_max_load),
-            self._batch_traffic(batch, "route", relayed=True),
+            batch, *self._batch_charge(batch, "route", phase, expect_max_load)
         )
         return np.take(delivered, take, axis=0, out=out, mode="clip")
 
@@ -512,22 +539,6 @@ class CongestedClique:
         except ValueError as exc:
             raise CliqueModelError(str(exc)) from exc
 
-    def _routed_batch_cost(
-        self, batch, phase: str, expect_max_load: int | None
-    ) -> PhaseCost:
-        """The :class:`PhaseCost` of one routed array batch (not charged)."""
-        profile = analyze_array(batch)
-        enforce_load_bound(profile, expect_max_load)
-        return PhaseCost(
-            phase=phase,
-            primitive="route",
-            rounds=relay_rounds(profile.max_load, self.n),
-            words=profile.total_words,
-            payloads=profile.payloads,
-            max_send_words=profile.max_send,
-            max_recv_words=profile.max_recv,
-        )
-
     def send_array(
         self,
         dests: Sequence[np.ndarray],
@@ -553,32 +564,9 @@ class CongestedClique:
         """
         batch = self._flatten_checked(dests, blocks, widths, tags)
         delivered = self._deliver_batch(
-            batch,
-            self._direct_batch_cost(batch, phase, expect_max_pair),
-            self._batch_traffic(batch, "send", relayed=False),
+            batch, *self._batch_charge(batch, "send", phase, expect_max_pair)
         )
         return deliver_array(replace(batch, blocks=delivered))
-
-    def _direct_batch_cost(
-        self, batch, phase: str, expect_max_pair: int | None
-    ) -> PhaseCost:
-        """The :class:`PhaseCost` of one direct array batch (not charged)."""
-        profile = analyze_array(batch)
-        rounds = direct_rounds(pair_words(batch))
-        if expect_max_pair is not None and rounds > expect_max_pair:
-            raise LoadBoundExceededError(
-                f"per-pair traffic of {rounds} words exceeds the asserted "
-                f"bound {expect_max_pair}"
-            )
-        return PhaseCost(
-            phase=phase,
-            primitive="send",
-            rounds=rounds,
-            words=profile.total_words,
-            payloads=profile.payloads,
-            max_send_words=profile.max_send,
-            max_recv_words=profile.max_recv,
-        )
 
     def scatter_blocks(
         self,
@@ -782,8 +770,7 @@ class CongestedClique:
         if matrix.shape != (n, n):
             raise CliqueModelError("transpose_array expects an n x n matrix")
         # n * n one-entry pieces; the diagonal stays home as free self
-        # pieces, so each ordered pair carries exactly one entry and the
-        # bill is the closed form below.
+        # pieces, so each ordered pair carries words_per_entry words.
         src, dst = _transpose_ends(n)
         batch = ArrayBatch(
             n=n,
@@ -793,17 +780,8 @@ class CongestedClique:
             blocks=matrix.reshape(n * n, 1),
             tags=None,
         )
-        cost = PhaseCost(
-            phase=phase,
-            primitive="send",
-            rounds=words_per_entry,
-            words=words_per_entry * n * (n - 1),
-            payloads=n * n,
-            max_send_words=(n - 1) * words_per_entry,
-            max_recv_words=(n - 1) * words_per_entry,
-        )
         delivered = self._deliver_batch(
-            batch, cost, self._batch_traffic(batch, "send", relayed=False)
+            batch, *self._batch_charge(batch, "send", phase, None)
         )
         # Piece v * n + u travelled v -> u: receiver u's row is column u.
         return delivered.reshape(n, n).T.copy()

@@ -1,20 +1,23 @@
-"""Load analysis and delivery for array exchanges on the congested clique.
+"""Pair-word matrices and delivery for array exchanges on the congested clique.
 
-Separates the *accounting* of a communication phase (the per-node and
-per-pair loads its closed-form round bill in :mod:`repro.clique.scheduling`
-is computed from) from the *data movement* (which the simulator performs
-directly).  Used by :class:`repro.clique.model.CongestedClique`.
+Separates the *accounting* of a communication phase from the *data
+movement* (which the simulator performs directly).  An exchange's
+accounting is one ``(n, n)`` matrix, :func:`pair_words`: the words each
+ordered node pair carries.  Its closed-form round bill in
+:mod:`repro.clique.scheduling`, its node loads, its transport price
+(:mod:`repro.netsim`) and its certificate in the test suite all read that
+one matrix.  Used by :class:`repro.clique.model.CongestedClique`.
 
 An exchange is a *batch*: per node, a vector of destination ids plus a
-stacked block of equally-shaped int64 pieces.  Load accounting and delivery
-are single vectorised passes (``np.add.at`` / stable argsort) over the
-concatenated batch, so the Python-level cost is paid per exchange, not per
-piece.
+stacked block of equally-shaped int64 pieces.  The pair-word scatter and
+delivery are single vectorised passes (``np.add.at`` / stable argsort) over
+the concatenated batch, so the Python-level cost is paid per exchange, not
+per piece.
 
 Exchanges whose destination pattern is *static* can go one step further and
 skip the per-exchange argsort and the fresh delivery arrays entirely:
 :meth:`repro.clique.model.CongestedClique.route_array_take` charges through
-the same accounting below but delivers by a precomputed gather into a
+the same matrix but delivers by a precomputed gather into a
 caller-owned (arena) buffer -- what the engine plans
 (``CubePlan.take_st``/``take3``) use on every squaring.
 """
@@ -25,48 +28,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-
-from repro.errors import LoadBoundExceededError
-
-
-@dataclass(frozen=True)
-class LoadProfile:
-    """Communication loads induced by one exchange.
-
-    ``send_words[v]`` / ``recv_words[v]`` exclude self-addressed payloads,
-    which are local moves and free in the model.
-    """
-
-    send_words: list[int]
-    recv_words: list[int]
-    total_words: int
-    payloads: int
-
-    @property
-    def max_send(self) -> int:
-        return max(self.send_words, default=0)
-
-    @property
-    def max_recv(self) -> int:
-        return max(self.recv_words, default=0)
-
-    @property
-    def max_load(self) -> int:
-        return max(self.max_send, self.max_recv)
-
-
-def enforce_load_bound(profile: LoadProfile, expect_max_load: int | None) -> None:
-    """Raise if the observed max per-node load exceeds an asserted bound.
-
-    Algorithms pass the bound their analysis promises (e.g. the 3D matmul
-    asserts ``2 n^{4/3}`` words per node); a violation indicates an
-    implementation bug rather than a model violation.
-    """
-    if expect_max_load is not None and profile.max_load > expect_max_load:
-        raise LoadBoundExceededError(
-            f"max per-node load {profile.max_load} exceeds the asserted "
-            f"bound {expect_max_load}"
-        )
 
 
 @dataclass(frozen=True)
@@ -91,8 +52,8 @@ class ArrayInbox:
 class ArrayBatch:
     """A flattened array-native exchange: one row per piece, all senders.
 
-    Built once by :func:`flatten_array_batch` and shared by accounting and
-    delivery.  ``src``/``dst``/``widths`` are ``(p,)`` vectors over every
+    Built once by :func:`flatten_array_batch` and shared by the pair-word
+    matrix and delivery.  ``src``/``dst``/``widths`` are ``(p,)`` vectors over every
     piece in the exchange; ``blocks`` stacks the pieces themselves.
     """
 
@@ -224,42 +185,18 @@ def flatten_array_batch(
     )
 
 
-def analyze_array(batch: ArrayBatch) -> LoadProfile:
-    """Per-node loads of an array batch, vectorised.
-
-    Self-addressed pieces are local moves, free in the model: excluded from
-    the loads, included in the payload count.
-    """
-    n = batch.n
-    nonself = batch.src != batch.dst
-    src = batch.src[nonself]
-    dst = batch.dst[nonself]
-    w = batch.widths[nonself]
-    send = np.zeros(n, dtype=np.int64)
-    recv = np.zeros(n, dtype=np.int64)
-    np.add.at(send, src, w)
-    np.add.at(recv, dst, w)
-    return LoadProfile(
-        send_words=send.tolist(),
-        recv_words=recv.tolist(),
-        total_words=int(w.sum()),
-        payloads=batch.payloads,
-    )
-
-
 def pair_words(batch: ArrayBatch) -> np.ndarray:
-    """Words per ordered node pair of an array batch, as an ``(n * n,)`` vector.
+    """Words per ordered node pair of an array batch, as an ``(n, n)`` matrix.
 
-    Entry ``src * n + dst`` sums the widths of the pieces ``src`` sends
-    ``dst``; self-addressed pieces are local moves and count nothing, as in
-    :func:`analyze_array`.
+    Entry ``[src, dst]`` sums the widths of the pieces ``src`` sends
+    ``dst``.  The diagonal is zero: self-addressed pieces are local moves,
+    free in the model (they still count as payloads).
     """
     n = batch.n
     words = np.zeros(n * n, dtype=np.int64)
-    nonself = batch.src != batch.dst
-    np.add.at(words, batch.src[nonself] * n + batch.dst[nonself],
-              batch.widths[nonself])
-    return words
+    np.add.at(words, batch.src * n + batch.dst, batch.widths)
+    words[:: n + 1] = 0
+    return words.reshape(n, n)
 
 
 @dataclass(frozen=True)
@@ -314,13 +251,10 @@ def deliver_array(batch: ArrayBatch) -> list[ArrayInbox]:
 
 
 __all__ = [
-    "LoadProfile",
-    "enforce_load_bound",
     "ArrayInbox",
     "ArrayBatch",
     "FlatInboxes",
     "flatten_array_batch",
-    "analyze_array",
     "pair_words",
     "deliver_array",
     "deliver_array_flat",

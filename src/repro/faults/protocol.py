@@ -206,13 +206,13 @@ class CodedClique(FaultyClique):
         plan, stripes, stripe_widths = self._encode(batch.blocks, batch.widths)
         # A piece's m stripes share its source and destination, so one
         # entry carrying all m stripes' words gives the encoded exchange's
-        # node loads, bill and price; only the payload count is per stripe.
+        # pair-word matrix, hence its bill and price; only the payload
+        # count is per stripe.
         enc_batch = replace(batch, widths=plan.m * stripe_widths)
-        enc_cost = replace(
-            self._routed_batch_cost(enc_batch, f"{cost.phase}/encoded", None),
-            payloads=batch.payloads * plan.m,
+        enc_cost, enc_traffic = self._batch_charge(
+            enc_batch, "route", f"{cost.phase}/encoded", None
         )
-        enc_traffic = self._batch_traffic(enc_batch, "route", relayed=True)
+        enc_cost = replace(enc_cost, payloads=batch.payloads * plan.m)
         skip = np.repeat(batch.dst == batch.src, plan.m)
         return self._run_encoded(
             batch.blocks,
@@ -252,8 +252,9 @@ class CodedClique(FaultyClique):
                 blocks=np.zeros((relays.shape[0], 0), dtype=np.int64),
                 tags=None,
             )
-            fan_cost = self._routed_batch_cost(fan_batch, f"{phase}/fanout", None)
-            fan_traffic = self._batch_traffic(fan_batch, "route", relayed=True)
+            fan_cost, fan_traffic = self._batch_charge(
+                fan_batch, "route", f"{phase}/fanout", None
+            )
             relay_widths = self._node_widths(relays, stripe_widths)
             bcast_cost = self._broadcast_cost(relay_widths, f"{phase}/encoded")
             bcast_traffic = self._broadcast_traffic(relay_widths)

@@ -52,9 +52,8 @@ class RingDistanceSession(EngineSession):
     Binds the capped polynomial embedding once -- entries in
     ``{0..max_entry} + {inf}`` become monomials, products run on the
     bilinear ring engine, and results decode back to distances.  The
-    session's ``closure``/``power`` loops then work unchanged with min-plus
-    merge semantics, which is exactly how Lemma 19 iterates capped
-    squarings.
+    session's ``closure`` loop then works unchanged with min-plus merge
+    semantics, which is exactly how Lemma 19 iterates capped squarings.
     """
 
     def __init__(
@@ -67,7 +66,7 @@ class RingDistanceSession(EngineSession):
         if max_entry < 0:
             raise ValueError(f"max_entry must be >= 0, got {max_entry}")
         super().__init__(clique, "bilinear", POLYNOMIAL, algorithm=algorithm)
-        # The transport ring is internal; closure/power merge in min-plus.
+        # The transport ring is internal; the closure merges in min-plus.
         self.algebra = MIN_PLUS
         self.max_entry = max_entry
 

@@ -39,6 +39,7 @@ from repro.netsim.transport import (
     CompletionReport,
     PhaseCompletion,
     TransportMeter,
+    _check_link,
 )
 
 
@@ -55,13 +56,17 @@ class CostModelSpec:
     Attributes:
         topology: a ``--topology`` spec string -- ``full``, ``ring``, or
             ``fat-tree[:k]``.
-        link_gbps: per-link bandwidth (Gbit/s).
-        link_latency_us: per-hop propagation delay (microseconds).
+        link_gbps: per-link bandwidth (Gbit/s), finite and positive.
+        link_latency_us: per-hop propagation delay (microseconds), finite
+            and non-negative.
     """
 
     topology: str = "full"
     link_gbps: float = 100.0
     link_latency_us: float = 1.0
+
+    def __post_init__(self) -> None:
+        _check_link(self.link_gbps, self.link_latency_us)
 
     def build(self, n: int, word_bits: int) -> TransportMeter:
         """Resolve the spec into a transport meter for an ``n``-clique."""

@@ -2,11 +2,13 @@
 
 The abstract model charges synchronous rounds; a real deployment of the
 same collectives pays serialization and propagation on concrete links.
-Each :class:`Topology` here maps one *leg* of traffic -- explicit
-``(src, dst, words)`` piece vectors -- onto its directed links and reports
-the bottleneck/mean link loads and the hop count, which the
-:class:`~repro.netsim.transport.TransportMeter` turns into alpha-beta
-completion times.
+Each :class:`Topology` here maps one *leg* of traffic -- an ``(n, n)``
+matrix of the words each ordered host pair ships, diagonal ignored --
+onto its directed links and reports the bottleneck/mean link loads and
+the hop count, which the :class:`~repro.netsim.transport.TransportMeter`
+turns into alpha-beta completion times.  Every map reads row sums, column
+sums or masked sums of the matrix, so a leg costs ``O(n^2)`` vectorised
+work whatever its piece count.
 
 Three families (the classic CCL-simulator trio):
 
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -87,28 +90,17 @@ class Topology:
         """Spec-style name (``full`` / ``ring`` / ``fat-tree:k``)."""
         return self.kind
 
-    def leg_stats(
-        self, src: np.ndarray, dst: np.ndarray, widths: np.ndarray
-    ) -> LegStats:
-        """Link loads of one leg of ``(src, dst, widths)`` messages.
+    def leg_stats(self, pairs: np.ndarray) -> LegStats:
+        """Link loads of one leg: ``pairs[u, v]`` words travel ``u -> v``.
 
-        Self-addressed pieces (``src == dst``) traverse no wire and are
-        ignored; ``widths`` may be fractional (balanced relay spreading).
+        ``pairs`` is an ``(n, n)`` matrix of non-negative word counts (a
+        read-only broadcast view is fine).  Its diagonal is ignored:
+        self-addressed words traverse no wire.
         """
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(n={self.n})"
-
-    @staticmethod
-    def _off_wire(
-        src: np.ndarray, dst: np.ndarray, widths: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        widths = np.asarray(widths, dtype=np.float64)
-        keep = (src != dst) & (widths > 0)
-        return src[keep], dst[keep], widths[keep]
 
 
 class FullBisection(Topology):
@@ -116,14 +108,31 @@ class FullBisection(Topology):
 
     kind = "full"
 
-    def leg_stats(self, src, dst, widths) -> LegStats:
-        src, dst, widths = self._off_wire(src, dst, widths)
-        if src.size == 0:
-            return _EMPTY
-        n = self.n
-        loads = np.zeros(n * n, dtype=np.float64)
-        np.add.at(loads, src * n + dst, widths)
-        return _summary(loads, max_hops=1)
+    def leg_stats(self, pairs) -> LegStats:
+        return _summary(pairs[~np.eye(self.n, dtype=bool)], max_hops=1)
+
+
+@lru_cache(maxsize=8)
+def _ring_geometry(n: int) -> tuple[np.ndarray, ...]:
+    """Read-only per-pair masks of an ``n``-host ring, built once per ``n``.
+
+    Returns ``(cw, cw_wrap, ccw, ccw_wrap, hops)``: ``cw[u, v]`` marks the
+    pairs whose messages go clockwise (``0 < (v - u) mod n <= n/2``, ties
+    clockwise) and ``ccw`` the rest of the off-diagonal pairs;
+    ``cw_wrap`` / ``ccw_wrap`` mark those whose chain crosses the link
+    between hosts ``n - 1`` and ``0``; ``hops`` is the shorter distance.
+    Bool and narrow-integer masks keep the cache small.
+    """
+    u = np.arange(n)[:, None]
+    v = np.arange(n)[None, :]
+    d = (v - u) % n
+    cw = (d > 0) & (d <= n - d)
+    ccw = d > n - d
+    hops = np.minimum(d, n - d).astype(np.min_scalar_type(n // 2))
+    masks = (cw, cw & (v < u), ccw, ccw & (v > u), hops)
+    for mask in masks:
+        mask.flags.writeable = False
+    return masks
 
 
 class Ring(Topology):
@@ -131,40 +140,31 @@ class Ring(Topology):
 
     A message from ``u`` to ``v`` takes the clockwise chain of links when
     ``(v - u) mod n <= n/2`` (ties clockwise) and the counter-clockwise
-    chain otherwise, loading every link it crosses.  Link loads are
-    computed with wrap-around difference arrays -- ``O(P + n)`` per leg.
+    chain otherwise, loading every link it crosses.  Link loads come from
+    wrap-around difference arrays fed by the matrix's masked row and
+    column sums, under direction masks cached per ``n`` -- ``O(n^2)``
+    vectorised work per leg.
     """
 
     kind = "ring"
 
-    @staticmethod
-    def _chain_loads(n: int, start: np.ndarray, length: np.ndarray,
-                     widths: np.ndarray) -> np.ndarray:
-        """Loads on links ``start, start+1, ..., start+length-1 (mod n)``."""
-        diff = np.zeros(2 * n, dtype=np.float64)
-        np.add.at(diff, start, widths)
-        np.subtract.at(diff, start + length, widths)
-        pref = np.cumsum(diff)
-        return pref[:n] + pref[n:]
-
-    def leg_stats(self, src, dst, widths) -> LegStats:
-        src, dst, widths = self._off_wire(src, dst, widths)
-        if src.size == 0:
-            return _EMPTY
-        n = self.n
-        d_cw = (dst - src) % n
-        cw = d_cw <= n - d_cw
-        # Clockwise link i carries i -> i+1; a cw message from u of hop
-        # count d loads links u .. u+d-1.  Counter-clockwise is the same
-        # chain in mirrored coordinates (link j carries j+1 -> j, loaded
-        # starting at dst when walking the mirror image).
-        loads_cw = self._chain_loads(n, src[cw], d_cw[cw], widths[cw])
-        loads_ccw = self._chain_loads(
-            n, dst[~cw], (n - d_cw[~cw]), widths[~cw]
-        )
-        hops = np.minimum(d_cw, n - d_cw)
+    def leg_stats(self, pairs) -> LegStats:
+        cw, cw_wrap, ccw, ccw_wrap, hops = _ring_geometry(self.n)
+        # Clockwise link i carries i -> i+1, and a clockwise message u -> v
+        # loads links u .. v-1 (mod n): +w at u, -w at v in the difference
+        # array, plus w on every link when its chain wraps past host n-1.
+        # Counter-clockwise link j carries j+1 -> j, and a counter-clockwise
+        # message u -> v loads links v .. u-1: the same chain with the
+        # roles of rows and columns swapped.
+        loads_cw = np.cumsum(
+            pairs.sum(axis=1, where=cw) - pairs.sum(axis=0, where=cw)
+        ) + pairs.sum(where=cw_wrap)
+        loads_ccw = np.cumsum(
+            pairs.sum(axis=0, where=ccw) - pairs.sum(axis=1, where=ccw)
+        ) + pairs.sum(where=ccw_wrap)
         return _summary(
-            np.concatenate([loads_cw, loads_ccw]), max_hops=int(hops.max())
+            np.concatenate([loads_cw, loads_ccw]),
+            max_hops=int(hops.max(where=pairs > 0, initial=0)),
         )
 
 
@@ -194,32 +194,26 @@ class FatTree(Topology):
     def name(self) -> str:
         return f"fat-tree:{self.k}"
 
-    def _pod(self, hosts: np.ndarray) -> np.ndarray:
-        return hosts // self.hosts_per_pod
-
-    def leg_stats(self, src, dst, widths) -> LegStats:
-        src, dst, widths = self._off_wire(src, dst, widths)
-        if src.size == 0:
-            return _EMPTY
-        n, k = self.n, self.k
-        host_up = np.zeros(n, dtype=np.float64)
-        host_down = np.zeros(n, dtype=np.float64)
-        np.add.at(host_up, src, widths)
-        np.add.at(host_down, dst, widths)
-        src_pod = self._pod(src)
-        dst_pod = self._pod(dst)
-        inter = src_pod != dst_pod
-        pod_up = np.zeros(k, dtype=np.float64)
-        pod_down = np.zeros(k, dtype=np.float64)
-        np.add.at(pod_up, src_pod[inter], widths[inter])
-        np.add.at(pod_down, dst_pod[inter], widths[inter])
+    def leg_stats(self, pairs) -> LegStats:
+        # Host ports carry the row and column sums off the diagonal; pod
+        # uplinks carry the pod block sums off the block diagonal.
+        self_words = pairs.diagonal()
+        host_up = pairs.sum(axis=1) - self_words
+        host_down = pairs.sum(axis=0) - self_words
+        starts = np.arange(0, self.n, self.hosts_per_pod)
+        blocks = np.add.reduceat(
+            np.add.reduceat(pairs, starts, axis=0), starts, axis=1
+        )
+        intra = blocks.diagonal()
+        pod_up = blocks.sum(axis=1) - intra
+        pod_down = blocks.sum(axis=0) - intra
         # ECMP balance: each pod's aggregate spreads evenly over its
         # uplinks; every uplink is its own FIFO port.
         per_uplink = np.concatenate([pod_up, pod_down]) / self.uplinks
         loads = np.concatenate(
             [host_up, host_down, np.repeat(per_uplink, self.uplinks)]
         )
-        return _summary(loads, max_hops=4 if bool(inter.any()) else 2)
+        return _summary(loads, max_hops=4 if bool(pod_up.any()) else 2)
 
 
 #: ``--topology`` spec family -> class (specs: ``full``, ``ring``,

@@ -2,12 +2,12 @@
 
 :class:`TransportMeter` is a :class:`~repro.clique.accounting.CostObserver`
 that declares ``needs_traffic``: alongside every charged
-:class:`~repro.clique.accounting.PhaseCost` it receives the structured
-:class:`~repro.clique.accounting.PhaseTraffic` record -- the actual
-per-piece ``(src, dst, widths)`` vectors.  It expands each phase into one
-or two traffic *legs*, maps every leg onto the attached
-:class:`~repro.netsim.topology.Topology`, and prices it with the classic
-alpha-beta model:
+:class:`~repro.clique.accounting.PhaseCost` it receives the
+:class:`~repro.clique.accounting.PhaseTraffic` record -- the ``(n, n)``
+matrix of words per ordered node pair the phase was billed from.  It turns
+each phase into one or two traffic *legs*, each itself a pair matrix,
+maps every leg onto the attached :class:`~repro.netsim.topology.Topology`,
+and prices it with the classic alpha-beta model:
 
 * serialization: the bottleneck link drains its FIFO at line rate --
   ``max_link_words * word_bits / link_gbps`` (in microseconds);
@@ -18,24 +18,30 @@ alpha-beta model:
   in the serialization term, reported separately as the load-imbalance
   share of the makespan.
 
-Leg expansion mirrors how the collectives actually ship:
+The legs mirror how the collectives actually ship:
 
-* ``broadcast``: one leg, node ``u`` sends its ``widths[u]`` words to all
-  ``n - 1`` peers.
-* ``send`` (direct ``send_array``): one leg of the literal pieces.
+* ``broadcast`` and ``send`` (direct exchanges): one leg, the matrix
+  itself.
 * ``route``: the Lenzen routing closed form, the same one the round bill
-  uses -- two balanced legs (sources spread their load evenly over all
-  ``n`` relays, relays forward each destination's share), with fractional
-  per-link loads.
+  uses -- two balanced legs: source ``u`` spreads its row sum evenly over
+  all ``n`` relays, and every relay forwards ``1/n`` of destination
+  ``v``'s column sum.  Self-addressed words never leave their node, so
+  they are in neither sum.  Link loads are linear in the words, so each
+  leg is mapped on the integer sums and its loads divided by ``n``: a
+  link that carries nothing reads exactly zero.
 
 The meter is **purely observational**: it never touches values, rounds,
-words, or any other observer's bill (property-tested per topology).
+words, or any other observer's bill (property-tested per topology).  A
+charge that arrives without its traffic is refused by name: there is
+nothing honest to price.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterable
+import math
+import operator
+from dataclasses import dataclass, field, replace
+from typing import Any
 
 import numpy as np
 
@@ -49,6 +55,48 @@ DEFAULT_WORD_BITS = 64
 def _serialization_us(words: float, word_bits: int, link_gbps: float) -> float:
     # words * word_bits = bits; / (Gbit/s * 1000) = microseconds.
     return words * word_bits / (link_gbps * 1000.0)
+
+
+def _check_link(link_gbps: float, link_latency_us: float) -> tuple[float, float]:
+    """``(link_gbps, link_latency_us)`` as floats, or ``ValueError``.
+
+    A bandwidth must be finite and positive and a latency finite and
+    non-negative: a NaN or infinite parameter would price every phase as
+    NaN, as zero serialization or as infinite latency.
+    """
+    gbps, latency = float(link_gbps), float(link_latency_us)
+    if not (math.isfinite(gbps) and gbps > 0.0):
+        raise ValueError(
+            f"link_gbps must be a finite positive bandwidth, got {link_gbps!r}"
+        )
+    if not (math.isfinite(latency) and latency >= 0.0):
+        raise ValueError(
+            f"link_latency_us must be a finite non-negative latency, "
+            f"got {link_latency_us!r}"
+        )
+    return gbps, latency
+
+
+def _check_word_bits(word_bits: int | None) -> int | None:
+    """``word_bits`` as a positive integer (or ``None``), or ``ValueError``."""
+    if word_bits is None:
+        return None
+    try:
+        bits = operator.index(word_bits)
+    except TypeError:
+        bits = 0
+    if bits < 1:
+        raise ValueError(f"word_bits must be a positive integer, got {word_bits!r}")
+    return bits
+
+
+def _per_relay(stats: LegStats, n: int) -> LegStats:
+    """A leg mapped on whole-word sums, with its loads spread over ``n`` relays."""
+    return replace(
+        stats,
+        max_link_words=stats.max_link_words / n,
+        mean_link_words=stats.mean_link_words / n,
+    )
 
 
 @dataclass(frozen=True)
@@ -179,9 +227,13 @@ class TransportMeter:
 
     Attach with ``clique.attach_cost_model(...)`` (or
     ``EngineSession(cost_model=...)``); it never alters the abstract bill.
+    ``link_gbps`` must be finite and positive, ``link_latency_us`` finite
+    and non-negative, and ``word_bits`` a positive integer or ``None`` (the
+    clique's word size once bound); anything else is refused with a
+    ``ValueError`` naming the parameter.
     """
 
-    #: Ask the stack for :class:`PhaseTraffic` routing metadata.
+    #: Ask the stack for every charge's :class:`PhaseTraffic` matrix.
     needs_traffic = True
 
     def __init__(
@@ -192,14 +244,9 @@ class TransportMeter:
         link_latency_us: float = 1.0,
         word_bits: int | None = None,
     ) -> None:
-        if link_gbps <= 0.0:
-            raise ValueError(f"link bandwidth must be positive, got {link_gbps}")
-        if link_latency_us < 0.0:
-            raise ValueError(f"negative link latency: {link_latency_us}")
+        self.link_gbps, self.link_latency_us = _check_link(link_gbps, link_latency_us)
+        self.word_bits = _check_word_bits(word_bits)
         self.topology = topology
-        self.link_gbps = float(link_gbps)
-        self.link_latency_us = float(link_latency_us)
-        self.word_bits = word_bits
         self.completions: list[PhaseCompletion] = []
 
     def bind(self, n: int, word_bits: int) -> None:
@@ -219,7 +266,12 @@ class TransportMeter:
     # -- observer protocol -------------------------------------------------
 
     def observe(self, cost: PhaseCost, traffic: PhaseTraffic | None = None) -> None:
-        legs = list(self._legs(cost, traffic))
+        if traffic is None:
+            raise ValueError(
+                f"phase {cost.phase!r}: charged without traffic; a transport "
+                f"meter prices the pair-word matrix of every charge"
+            )
+        legs = self._legs(traffic)
         word_bits = self.word_bits if self.word_bits is not None else DEFAULT_WORD_BITS
         ser = queue = lat = 0.0
         max_link = 0.0
@@ -234,7 +286,7 @@ class TransportMeter:
             PhaseCompletion(
                 phase=cost.phase,
                 primitive=cost.primitive,
-                kind=traffic.kind if traffic is not None else "uniform",
+                kind=traffic.kind,
                 rounds=cost.rounds,
                 words=cost.words,
                 legs=len(legs),
@@ -246,47 +298,23 @@ class TransportMeter:
             )
         )
 
-    # -- leg expansion -----------------------------------------------------
+    # -- legs --------------------------------------------------------------
 
-    def _legs(
-        self, cost: PhaseCost, traffic: PhaseTraffic | None
-    ) -> Iterable[LegStats]:
+    def _legs(self, traffic: PhaseTraffic) -> list[LegStats]:
         topo = self.topology
+        pairs = traffic.pairs
+        if traffic.kind != "route":
+            return [topo.leg_stats(pairs)]
+        # Lenzen's oblivious two-phase routing in closed form.  Leg 1 --
+        # source u spreads its row sum evenly over the n relays; leg 2 --
+        # every relay forwards 1/n of destination v's column sum.
         n = topo.n
-        full = np.arange(n, dtype=np.int64)
-        if traffic is None:
-            # Charged without routing metadata (e.g. a hand-billed abstract
-            # cost): conservatively model a uniform all-to-all of the
-            # phase's total words.
-            if cost.words <= 0:
-                return []
-            per_pair = cost.words / float(n * (n - 1))
-            src = np.repeat(full, n)
-            dst = np.tile(full, n)
-            w = np.full(n * n, per_pair)
-            return [topo.leg_stats(src, dst, w)]
-        if traffic.kind == "broadcast":
-            src = np.repeat(full, n)
-            dst = np.tile(full, n)
-            w = np.repeat(np.asarray(traffic.widths, dtype=np.float64), n)
-            return [topo.leg_stats(src, dst, w)]
-        if not traffic.relayed:
-            return [topo.leg_stats(traffic.src, traffic.dst, traffic.widths)]
-        # Lenzen's oblivious two-phase routing in closed form.
-        # Leg 1 -- every source spreads its outgoing load evenly over all
-        # n relays; leg 2 -- every relay forwards each destination's share.
-        src = np.asarray(traffic.src, dtype=np.int64)
-        dst = np.asarray(traffic.dst, dtype=np.int64)
-        widths = np.asarray(traffic.widths, dtype=np.float64)
-        send_per = np.bincount(src, weights=widths, minlength=n)
-        recv_per = np.bincount(dst, weights=widths, minlength=n)
-        leg1 = topo.leg_stats(
-            np.repeat(full, n), np.tile(full, n), np.repeat(send_per / n, n)
-        )
-        leg2 = topo.leg_stats(
-            np.repeat(full, n), np.tile(full, n), np.tile(recv_per / n, n)
-        )
-        return [leg1, leg2]
+        send = np.broadcast_to(pairs.sum(axis=1)[:, None], (n, n))
+        recv = np.broadcast_to(pairs.sum(axis=0)[None, :], (n, n))
+        return [
+            _per_relay(topo.leg_stats(send), n),
+            _per_relay(topo.leg_stats(recv), n),
+        ]
 
     # -- reporting ---------------------------------------------------------
 

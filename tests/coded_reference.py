@@ -13,7 +13,7 @@ corrupts the same stripes:
   :func:`~repro.clique.scheduling.disjoint_relays` matrix;
 * :class:`PerStripeCodedClique` -- the encoded batch billed as an
   ``np.repeat``-ed :class:`~repro.clique.routing.ArrayBatch` of stripes
-  through ``_routed_batch_cost``, and corrupted through
+  through ``_batch_charge``, and corrupted through
   :func:`corrupt_pieces` (the retry loop is repeated here to call it);
 * :class:`PerStripeFaultyClique` -- the unprotected wrapper corrupting
   through :func:`corrupt_pieces`.
@@ -163,8 +163,9 @@ class PerStripeCodedClique(CodedClique):
             blocks=stripes,
             tags=None,
         )
-        enc_cost = self._routed_batch_cost(enc_batch, f"{cost.phase}/encoded", None)
-        enc_traffic = self._batch_traffic(enc_batch, "route", relayed=True)
+        enc_cost, enc_traffic = self._batch_charge(
+            enc_batch, "route", f"{cost.phase}/encoded", None
+        )
         skip = np.repeat(batch.dst == batch.src, plan.m)
         return self._run_encoded(
             batch.blocks,
@@ -194,8 +195,9 @@ class PerStripeCodedClique(CodedClique):
                 blocks=np.zeros((relays.shape[0], 0), dtype=np.int64),
                 tags=None,
             )
-            fan_cost = self._routed_batch_cost(fan_batch, f"{phase}/fanout", None)
-            fan_traffic = self._batch_traffic(fan_batch, "route", relayed=True)
+            fan_cost, fan_traffic = self._batch_charge(
+                fan_batch, "route", f"{phase}/fanout", None
+            )
             relay_widths = self._node_widths(relays, stripe_widths)
             bcast_cost = self._broadcast_cost(relay_widths, f"{phase}/encoded")
             bcast_traffic = self._broadcast_traffic(relay_widths)

@@ -43,17 +43,11 @@ class ScheduleError(AssertionError):
 
 
 def demand_of(traffic: PhaseTraffic) -> Demand:
-    """Words per ordered pair of one charged exchange, self pieces dropped."""
-    n = traffic.n
-    keep = traffic.src != traffic.dst
-    keys = traffic.src[keep] * n + traffic.dst[keep]
-    pairs, inverse = np.unique(keys, return_inverse=True)
-    words = np.zeros(pairs.shape[0], dtype=np.int64)
-    np.add.at(words, inverse, traffic.widths[keep])
-    return {
-        (key // n, key % n): w
-        for key, w in zip(pairs.tolist(), words.tolist())
-    }
+    """Words per ordered pair of one charged exchange: the matrix's non-zero
+    entries (its diagonal is zero, as self pieces are local moves)."""
+    src, dst = np.nonzero(traffic.pairs)
+    words = traffic.pairs[src, dst]
+    return dict(zip(zip(src.tolist(), dst.tolist()), words.tolist()))
 
 
 def max_degree(demand: Demand, n: int) -> int:
@@ -306,8 +300,9 @@ class ScheduleCertifier:
 
     * ``route``: the length of the validated relay schedule of the
       exchange's demand;
-    * ``send``: the largest word count any ordered pair carries;
-    * ``broadcast``: the widest payload.
+    * ``send`` and ``broadcast``: the largest word count any ordered pair
+      carries, the matrix's largest entry (for a broadcast, the widest
+      payload).
 
     A failed check raises :class:`ScheduleError`.  ``certified`` counts the
     certified charges of each kind, so a test can assert coverage.
@@ -341,10 +336,8 @@ class ScheduleCertifier:
             if key not in self._relay_rounds:
                 self._relay_rounds[key] = relay_schedule(demand, traffic.n).rounds
             expected = self._relay_rounds[key]
-        elif traffic.kind == "send":
-            expected = max(demand_of(traffic).values(), default=0)
-        elif traffic.kind == "broadcast":
-            expected = max(traffic.widths.tolist(), default=0)
+        elif traffic.kind in ("send", "broadcast"):
+            expected = int(traffic.pairs.max())
         else:
             raise ScheduleError(f"{where}: unknown exchange kind {traffic.kind!r}")
         if cost.rounds != expected:

@@ -555,11 +555,14 @@ class TestCodedSchemeCli:
 
     def test_ring_priced_coded_bill_is_pinned(self, capsys):
         """The coded bill and its ring price: the encoded exchanges are
-        billed and priced from one entry per piece, and both numbers are
-        those of the per-stripe records they replaced."""
+        billed and priced from one pair-word matrix.  The bill is that of
+        the per-stripe records the matrix replaced.  The price was
+        330.8343288888889 while the relay legs spread routed self pieces
+        over the wire; 330.35392592592586 is exactly what that per-piece
+        pricing prints once its routed legs drop them."""
         assert main(
             ["apsp", "16", "--faults", "1", "--topology", "ring", "--json"]
         ) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["meter"]["rounds"] == 383
-        assert payload["completion"]["makespan_us"] == 330.8343288888889
+        assert payload["completion"]["makespan_us"] == 330.35392592592586

@@ -122,8 +122,8 @@ class _Recorder:
 
 
 def test_encoded_batch_is_recorded_once_per_piece():
-    """The encoded route's record has the abstract batch's pieces, each
-    carrying its ``m`` stripes' words; ``payloads`` still counts stripes."""
+    """The encoded route's pair-word matrix has each piece carrying its
+    ``m`` stripes' words; ``payloads`` still counts stripes."""
     clique = make_clique(8, "semiring", fault_tolerance=1)
     recorder = clique.meters.add_observer(_Recorder())
     rows = np.arange(64, dtype=np.int64).reshape(8, 8)
@@ -133,9 +133,11 @@ def test_encoded_batch_is_recorded_once_per_piece():
     (cost, traffic), = recorder.charges
     plan = stripe_plan(3, 8, 1)
     piece_words = plan.m * -(-3 // plan.k)
-    assert cost.phase == "p/encoded" and traffic.relayed
-    assert traffic.src.shape == traffic.dst.shape == traffic.widths.shape == (64,)
-    assert np.all(traffic.widths == piece_words)
+    assert cost.phase == "p/encoded" and traffic.kind == "route"
+    # One piece per ordered pair; the 8 self-addressed pieces stay home.
+    expected = np.full((8, 8), piece_words)
+    np.fill_diagonal(expected, 0)
+    assert np.array_equal(traffic.pairs, expected)
     assert cost.payloads == 64 * plan.m
     assert cost.words == 56 * piece_words  # the 8 self-addressed pieces are free
 

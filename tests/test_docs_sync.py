@@ -193,3 +193,45 @@ class TestExamplesListed:
         text = _read("README.md")
         for path in sorted((ROOT / "examples").glob("*.py")):
             assert path.name in text, f"README should mention {path.name}"
+
+
+def _marks_slow(node: ast.AST) -> bool:
+    """Whether ``node`` applies ``pytest.mark.slow`` anywhere inside it."""
+    return any(
+        isinstance(sub, ast.Attribute)
+        and sub.attr == "slow"
+        and isinstance(sub.value, ast.Attribute)
+        and sub.value.attr == "mark"
+        for sub in ast.walk(node)
+    )
+
+
+class TestSlowTestsRunInCi:
+    def test_every_slow_test_file_is_in_a_slow_ci_step(self):
+        """The fast lane deselects ``slow`` tests, so one runs in CI only if
+        a pytest step with ``-m slow`` names its file: whole, or by every
+        class that holds a slow test."""
+        selected: dict[str, set[str] | None] = {}
+        for line in _read(".github/workflows/ci.yml").splitlines():
+            if "pytest" not in line or not re.search(r"-m\s+[\"']?slow\b", line):
+                continue
+            for path, _, cls in re.findall(r"(tests/\w+\.py)(::(\w+))?", line):
+                if not cls:
+                    selected[path] = None
+                elif selected.get(path, set()) is not None:
+                    selected.setdefault(path, set()).add(cls)
+        missing = []
+        for path in sorted((ROOT / "tests").glob("test_*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            owners = {
+                node.name if isinstance(node, ast.ClassDef) else "<module>"
+                for node in tree.body
+                if _marks_slow(node)
+            }
+            name = f"tests/{path.name}"
+            if not owners or name in selected and (
+                selected[name] is None or owners <= selected[name]
+            ):
+                continue
+            missing.append(f"{name}: {', '.join(sorted(owners))}")
+        assert missing == []

@@ -10,8 +10,9 @@ delivers the same pieces:
 
 * :class:`TupleClique` wraps a clique and adds the five tuple primitives
   (``broadcast``, ``send``, ``route``, ``transpose``,
-  ``allgather_records``) with their bill and delivery rules, charging the
-  wrapped clique's meters;
+  ``allgather_records``) with their bill and delivery rules -- per-node
+  loads summed payload by payload (:func:`analyze`, :class:`LoadProfile`)
+  -- charging the wrapped clique's meters;
 * :func:`bilinear_matmul_tuple`, :func:`validate_candidates_tuple` and
   :func:`walk_check_tuple` are the per-payload formulations of the §2.2
   bilinear engine, the Lemma 21 witness validation hops and the Theorem 4
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
+from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
@@ -36,7 +38,6 @@ from repro.algebra.polynomial import POLYNOMIAL
 from repro.algebra.semirings import PLUS_TIMES, Semiring
 from repro.clique.accounting import PhaseCost
 from repro.clique.model import CongestedClique
-from repro.clique.routing import LoadProfile, enforce_load_bound
 from repro.clique.scheduling import broadcast_rounds, relay_rounds
 from repro.constants import INF
 from repro.errors import CliqueModelError, LoadBoundExceededError
@@ -96,6 +97,41 @@ def validate_outboxes(
             if words <= 0:
                 raise ValueError(f"node {v}: non-positive word count {words}")
             _check_payload(v, payload)
+
+
+@dataclass(frozen=True)
+class LoadProfile:
+    """Communication loads induced by one exchange.
+
+    ``send_words[v]`` / ``recv_words[v]`` exclude self-addressed payloads,
+    which are local moves and free in the model.
+    """
+
+    send_words: list[int]
+    recv_words: list[int]
+    total_words: int
+    payloads: int
+
+    @property
+    def max_send(self) -> int:
+        return max(self.send_words, default=0)
+
+    @property
+    def max_recv(self) -> int:
+        return max(self.recv_words, default=0)
+
+    @property
+    def max_load(self) -> int:
+        return max(self.max_send, self.max_recv)
+
+
+def enforce_load_bound(profile: LoadProfile, expect_max_load: int | None) -> None:
+    """Raise if the observed max per-node load exceeds an asserted bound."""
+    if expect_max_load is not None and profile.max_load > expect_max_load:
+        raise LoadBoundExceededError(
+            f"max per-node load {profile.max_load} exceeds the asserted "
+            f"bound {expect_max_load}"
+        )
 
 
 def analyze(outboxes: Outboxes, n: int) -> tuple[LoadProfile, dict]:
